@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -57,8 +58,8 @@ def _load_lexicon(config):
 
 
 def _blocks(text):
-    """Problems in a file: one per blank-line-separated block."""
-    blocks = [b.strip() for b in text.split("\n\n")]
+    """Problems in a file: one per block between blank lines (spaces allowed)."""
+    blocks = [b.strip() for b in re.split(r"\n\s*\n", text)]
     return [b for b in blocks if b]
 
 

@@ -289,17 +289,19 @@ class PropositionStore:
 
     def render_propositions(self, split=False) -> list:
         """Text-order proposition list, mirroring the trace table layout."""
+        parts = {}   # raw event index -> its elementary events, in order
+        if split:
+            for elem in self.events:
+                parts.setdefault(elem.origin, []).append(elem)
         lines = []
         for kind, ref in self.entries:
             if kind == "state":
                 lines.append(self._state_sentence(ref))
+            elif split:
+                for elem in parts.get(ref, ()):
+                    lines.append(render_elementary(elem, self.lexicon))
             else:
-                if split:
-                    for elem in self.events:
-                        if elem.origin == ref:
-                            lines.append(render_elementary(elem, self.lexicon))
-                else:
-                    lines.append(self._event_sentence(self.raw_events[ref]))
+                lines.append(self._event_sentence(self.raw_events[ref]))
         return lines
 
     def _state_sentence(self, key) -> str:

@@ -156,6 +156,7 @@ class Clause:
     tokens: list
     sentence_index: int
     interrogative: bool
+    lower: list   # the tokens lower-cased, position by position
 
 
 @dataclass
@@ -180,20 +181,44 @@ def _words(chunk):
     return _WORD_RE.findall(chunk)
 
 
-def _has_verb(tokens, lexicon) -> bool:
-    return any(lexicon.is_verb_form(t) for t in tokens if t != ",")
+def _split_and(tokens, lower, lexicon):
+    """Split at clause-level "and": both halves must contain a verb.
 
+    One forward scan over the "and"s: an "and" ends the current clause
+    when a verb has appeared since the clause began and another follows
+    the "and".  A word is tested for a verb form at most twice, and only
+    when an "and" needs the answer.  Commas are dropped.  Returns
+    (tokens, lower) pairs, one per clause.
+    """
+    cuts = []
+    if "and" in lower:
+        def is_verb(n):
+            return tokens[n] != "," and lexicon.is_verb_form(tokens[n])
 
-def _split_and(tokens, lexicon):
-    """Split at clause-level "and": both halves must contain a verb."""
-    for i, tok in enumerate(tokens):
-        if tok.lower() != "and":
-            continue
-        left = [t for t in tokens[:i] if t != ","]
-        right = [t for t in tokens[i + 1:] if t != ","]
-        if left and right and _has_verb(left, lexicon) and _has_verb(right, lexicon):
-            return [left] + _split_and(right, lexicon)
-    return [[t for t in tokens if t != ","]]
+        left = 0          # no verb in the current clause before position left
+        following = -1    # first verb after the latest "and" that needed one
+        for n, word in enumerate(lower):
+            if word != "and":
+                continue
+            while left < n and not is_verb(left):
+                left += 1
+            if left >= n:
+                continue
+            if following <= n:
+                following = n + 1
+                while following < len(tokens) and not is_verb(following):
+                    following += 1
+            if following < len(tokens):
+                cuts.append(n)
+                left = following
+    if not cuts and "," not in tokens:
+        return [(tokens, lower)]
+    clauses, start = [], 0
+    for end in cuts + [len(tokens)]:
+        clauses.append(([t for t in tokens[start:end] if t != ","],
+                        [w for w in lower[start:end] if w != ","]))
+        start = end + 1
+    return clauses
 
 
 def tokenize(text, lexicon=None) -> list:
@@ -215,21 +240,20 @@ def tokenize(text, lexicon=None) -> list:
         tokens = _words(chunk)
         if not tokens:
             continue
+        lower = [t.lower() for t in tokens]
         index = len(sentences)
         # ", if" subordination
-        parts = []
-        for j, tok in enumerate(tokens):
-            if tok.lower() == "if" and j > 0:
-                parts = [tokens[:j], tokens[j + 1:]]
-                break
-        if not parts:
-            parts = [tokens]
+        if "if" in lower[1:]:
+            j = lower.index("if", 1)
+            parts = [(tokens[:j], lower[:j]), (tokens[j + 1:], lower[j + 1:])]
+        else:
+            parts = [(tokens, lower)]
         clauses = []
         for part in parts:
-            for clause_tokens in _split_and(part, lexicon):
-                lowered = [t.lower() for t in clause_tokens[:2]]
-                interrogative = lowered == ["how", "many"]
-                clauses.append(Clause(clause_tokens, index, interrogative))
+            for clause_tokens, clause_lower in _split_and(*part, lexicon):
+                interrogative = clause_lower[:2] == ["how", "many"]
+                clauses.append(Clause(clause_tokens, index, interrogative,
+                                      clause_lower))
         sentences.append(Sentence(index, clauses))
     if not sentences:
         raise EmptyInput()
@@ -270,9 +294,8 @@ class _ClauseParser:
         self.ctx = ctx
         self.sentence = clause.sentence_index
         self.interrogative = clause.interrogative
-        tokens = self._strip_sequencers(clause.tokens)
-        tokens, self.marker = self._extract_markers(tokens)
-        self.tokens = tokens
+        tokens, lower = self._strip_sequencers(clause.tokens, clause.lower)
+        self.tokens, self.lower, self.marker = self._extract_markers(tokens, lower)
         self.pos = 0
 
     # -- token plumbing -------------------------------------------------
@@ -285,8 +308,8 @@ class _ClauseParser:
         return self.tokens[i] if i < len(self.tokens) else None
 
     def peek_lower(self, offset=0):
-        tok = self.peek(offset)
-        return tok.lower() if tok is not None else None
+        i = self.pos + offset
+        return self.lower[i] if i < len(self.lower) else None
 
     def take(self):
         tok = self.peek()
@@ -306,32 +329,35 @@ class _ClauseParser:
 
     # -- preprocessing ----------------------------------------------------
 
-    def _strip_sequencers(self, tokens):
-        lowered = [t.lower() for t in tokens]
-        for seq in _SEQUENCERS:
-            if tuple(lowered[: len(seq)]) == seq:
-                return self._strip_sequencers(tokens[len(seq):])
-        return tokens
+    def _strip_sequencers(self, tokens, lower):
+        start = 0
+        while True:
+            for seq in _SEQUENCERS:
+                if tuple(lower[start: start + len(seq)]) == seq:
+                    start += len(seq)
+                    break
+            else:
+                return tokens[start:], lower[start:]
 
-    def _extract_markers(self, tokens):
-        out, marker = [], None
-        lowered = [t.lower() for t in tokens]
+    def _extract_markers(self, tokens, lower):
+        out, out_lower, marker = [], [], None
         i = 0
         while i < len(tokens):
-            if tuple(lowered[i: i + 3]) == ("in", "the", "beginning"):
+            if tuple(lower[i: i + 3]) == ("in", "the", "beginning"):
                 found = TimePoint.INITIAL
                 i += 3
-            elif lowered[i] == "now":
+            elif lower[i] == "now":
                 found = TimePoint.FINAL
                 i += 1
             else:
                 out.append(tokens[i])
+                out_lower.append(lower[i])
                 i += 1
                 continue
             if marker is not None and marker != found:
                 raise self.error("conflicting time markers in one clause")
             marker = found
-        return out, marker
+        return out, out_lower, marker
 
     def resolve_time(self, tense) -> TimePoint:
         """Combine verb tense with an explicit marker; disagreement is an error."""

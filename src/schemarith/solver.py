@@ -1,16 +1,22 @@
-"""Fixpoint propagation over the a + b = c constraint network.
+"""Worklist propagation over the a + b = c constraint network.
 
 Every recorded relation normalizes to one equation c = a + b over three
-amount slots.  Propagation repeatedly resolves any equation with exactly
-one unbound slot; it terminates with the question's value, a report of
-which unknowns stayed free, a contradiction between stated amounts, or a
-derived negative amount.
+amount slots.  Propagation resolves any equation with exactly one unbound
+slot, and an index from each unknown slot to the equations that mention
+it decides which equations can have changed (AC-3 style, Mackworth 1977).
+It terminates with the question's value, a report of which unknowns
+stayed free, a contradiction between stated amounts, or a derived
+negative amount.  A slot is bound at most once and each binding revisits
+only the equations that mention it, so an equation is visited at most
+four times: a chain of k changes costs O(k) visits whichever end of it
+the question asks about.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
-from .quantity import Known, Question, Var, render_quantity
+from .quantity import QUESTION, Known, Question, Var, render_quantity
 
 
 class MalformedLSI(ValueError):
@@ -62,6 +68,7 @@ class SolveResult:
     binding: dict
     question_value: int | None
     trace: list
+    visits: int   # equation evaluations; a work count, not part of reports
 
     @property
     def verdict_name(self) -> str:
@@ -90,17 +97,37 @@ class _State:
 
 
 def _free_vars(equations, state):
-    names = []
+    names = {}
     for eq in equations:
         for q in eq.quantities():
-            if isinstance(q, Var) and q.name not in state.binding \
-                    and q.name not in names:
-                names.append(q.name)
-    return names
+            if isinstance(q, Var) and q.name not in state.binding:
+                names[q.name] = None
+    return list(names)
+
+
+def _slot(q):
+    """Index key of an unknown slot: its Var name, or the Question."""
+    if isinstance(q, Var):
+        return q.name
+    if isinstance(q, Question):
+        return QUESTION
+    return None
 
 
 def propagate(lsi, store) -> SolveResult:
     """Run the equations of a schema-instantiation list to fixpoint.
+
+    A worklist visits the equations in (pass, index) order.  Every
+    equation is due in pass 0.  When equation i binds a slot, each other
+    equation j that mentions the slot is due again: later in this pass if
+    j > i, in the next pass if j < i.  Equation i is not, since its own
+    binding satisfies it, and an equation whose slots did not change since
+    its last visit would do nothing.  These are exactly the visits of a
+    full sweep, which evaluates every equation on every pass, that can
+    have an effect, in the sweep's order; so trace, flags and verdict are
+    the sweep's.  A sweep makes one pass per unknown on a chain solved
+    backward; here an equation is visited at most once, plus once per slot
+    it mentions (`SolveResult.visits` counts the visits).
 
     Verdict precedence at fixpoint: a violated fully-known equation wins
     (contradiction), then a derived negative amount, then a bound question
@@ -111,53 +138,73 @@ def propagate(lsi, store) -> SolveResult:
     if not store.has_question():
         raise MalformedLSI("the problem has no question quantity")
     equations = [si.equation for si in lsi]
+    users = {}    # slot key -> indices of the equations that mention it
+    for idx, eq in enumerate(equations):
+        for q in eq.quantities():
+            key = _slot(q)
+            if key is not None:
+                seen = users.setdefault(key, [])
+                if not seen or seen[-1] != idx:
+                    seen.append(idx)
     state = _State()
     trace = []
     contradictions = []
     invalids = []
     flagged = set()
-    changed = True
-    while changed:
-        changed = False
-        for idx, eq in enumerate(equations):
-            vals = [state.value_of(q) for q in eq.quantities()]
-            unknowns = [i for i, v in enumerate(vals) if v is None]
-            if not unknowns:
-                if vals[0] + vals[1] != vals[2] and idx not in flagged:
-                    flagged.add(idx)
-                    contradictions.append(Contradiction(
-                        eq.render(),
-                        f"{vals[0]} + {vals[1]} = {vals[0] + vals[1]}, "
-                        f"but {vals[2]} is required",
-                    ))
-                continue
-            if len(unknowns) > 1:
-                continue
-            slot = unknowns[0]
-            a, b, c = vals
-            if slot == 0:
-                value = c - b
-            elif slot == 1:
-                value = c - a
-            else:
-                value = a + b
-            target = eq.quantities()[slot]
-            if value < 0:
-                if idx not in flagged:
-                    flagged.add(idx)
-                    invalids.append(Invalid(eq.render(), value))
-                continue
-            state.bind(target, value)
-            known = ", ".join(
-                f"{q.name} = {state.value_of(q)}"
-                for q in eq.quantities()
-                if isinstance(q, Var) and q is not target
-            )
-            suffix = f" with {known}" if known else ""
-            trace.append(
-                f"{eq.render()}{suffix} ⇒ {render_quantity(target)} = {value}"
-            )
-            changed = True
+    visits = 0
+    due = list(range(len(equations)))   # heap of this pass's indices
+    queued = set(due)
+    next_pass = set()
+    while due or next_pass:
+        if not due:
+            due = sorted(next_pass)
+            queued, next_pass = next_pass, set()
+        idx = heappop(due)
+        visits += 1
+        eq = equations[idx]
+        vals = [state.value_of(q) for q in eq.quantities()]
+        unknowns = [i for i, v in enumerate(vals) if v is None]
+        if not unknowns:
+            if vals[0] + vals[1] != vals[2] and idx not in flagged:
+                flagged.add(idx)
+                contradictions.append(Contradiction(
+                    eq.render(),
+                    f"{vals[0]} + {vals[1]} = {vals[0] + vals[1]}, "
+                    f"but {vals[2]} is required",
+                ))
+            continue
+        if len(unknowns) > 1:
+            continue
+        slot = unknowns[0]
+        a, b, c = vals
+        if slot == 0:
+            value = c - b
+        elif slot == 1:
+            value = c - a
+        else:
+            value = a + b
+        target = eq.quantities()[slot]
+        if value < 0:
+            if idx not in flagged:
+                flagged.add(idx)
+                invalids.append(Invalid(eq.render(), value))
+            continue
+        state.bind(target, value)
+        known = ", ".join(
+            f"{q.name} = {state.value_of(q)}"
+            for q in eq.quantities()
+            if isinstance(q, Var) and q is not target
+        )
+        suffix = f" with {known}" if known else ""
+        trace.append(
+            f"{eq.render()}{suffix} ⇒ {render_quantity(target)} = {value}"
+        )
+        for j in users[_slot(target)]:
+            if j < idx:
+                next_pass.add(j)
+            elif j > idx and j not in queued:
+                queued.add(j)
+                heappush(due, j)
     if contradictions:
         verdict = contradictions[0]
     elif invalids:
@@ -166,7 +213,8 @@ def propagate(lsi, store) -> SolveResult:
         verdict = Solved(state.question_value)
     else:
         verdict = Insufficient(tuple(_free_vars(equations, state)))
-    return SolveResult(verdict, dict(state.binding), state.question_value, trace)
+    return SolveResult(verdict, dict(state.binding), state.question_value,
+                       trace, visits)
 
 
 def verify(lsi, binding, question_value=None) -> bool:

@@ -1,4 +1,4 @@
-"""Independent test oracles: exhaustive enumeration over small equation sets.
+"""Test oracles: exhaustive enumeration, and the reference propagation sweep.
 
 The enumerator assigns every unknown (named unknowns plus the question)
 all values in 0..bound and keeps the assignments satisfying every
@@ -6,12 +6,25 @@ equation.  It shares no code with the propagation solver; backtracking
 only prunes branches that a full product scan would also reject, so the
 solution set equals naive enumeration (cross-checked below for small
 systems).
+
+`propagate_sweep` is the solver's earlier sweep-to-fixpoint loop, which
+evaluates every equation on every pass.  The worklist solver must match
+its verdict, binding, question value and trace exactly.  It shares only
+the result types with the solver.
 """
 from __future__ import annotations
 
 import itertools
 
-from schemarith.quantity import Known, Question, Var
+from schemarith.quantity import Known, Question, Var, render_quantity
+from schemarith.solver import (
+    Contradiction,
+    Insufficient,
+    Invalid,
+    MalformedLSI,
+    Solved,
+    SolveResult,
+)
 
 QUESTION_NAME = "?"
 
@@ -138,3 +151,115 @@ def equations_subset(small, big) -> bool:
         if ok:
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# reference propagation: one full sweep over the equations per pass
+
+
+class _SweepState:
+    def __init__(self):
+        self.binding = {}
+        self.question_value = None
+
+    def value_of(self, q):
+        if isinstance(q, Known):
+            return q.value
+        if isinstance(q, Var):
+            return self.binding.get(q.name)
+        if isinstance(q, Question):
+            return self.question_value
+        raise MalformedLSI(f"not a quantity: {q!r}")
+
+    def bind(self, q, value):
+        if isinstance(q, Var):
+            self.binding[q.name] = value
+        else:
+            self.question_value = value
+
+
+def _sweep_free_vars(equations, state):
+    names = []
+    for eq in equations:
+        for q in eq.quantities():
+            if isinstance(q, Var) and q.name not in state.binding \
+                    and q.name not in names:
+                names.append(q.name)
+    return names
+
+
+def propagate_sweep(lsi, store) -> SolveResult:
+    """Run the equations of a schema-instantiation list to fixpoint.
+
+    The solver's original algorithm, kept as the reference its worklist
+    must reproduce: every pass evaluates every equation, until a pass
+    binds nothing.  `visits` counts the evaluations.
+
+    Verdict precedence at fixpoint: a violated fully-known equation wins
+    (contradiction), then a derived negative amount, then a bound question
+    (solved), otherwise insufficiency.  Negative derivations are recorded
+    but never bound, and no slot is ever rebound, so the verdict does not
+    depend on equation order.
+    """
+    if not store.has_question():
+        raise MalformedLSI("the problem has no question quantity")
+    equations = [si.equation for si in lsi]
+    state = _SweepState()
+    trace = []
+    contradictions = []
+    invalids = []
+    flagged = set()
+    visits = 0
+    changed = True
+    while changed:
+        changed = False
+        for idx, eq in enumerate(equations):
+            visits += 1
+            vals = [state.value_of(q) for q in eq.quantities()]
+            unknowns = [i for i, v in enumerate(vals) if v is None]
+            if not unknowns:
+                if vals[0] + vals[1] != vals[2] and idx not in flagged:
+                    flagged.add(idx)
+                    contradictions.append(Contradiction(
+                        eq.render(),
+                        f"{vals[0]} + {vals[1]} = {vals[0] + vals[1]}, "
+                        f"but {vals[2]} is required",
+                    ))
+                continue
+            if len(unknowns) > 1:
+                continue
+            slot = unknowns[0]
+            a, b, c = vals
+            if slot == 0:
+                value = c - b
+            elif slot == 1:
+                value = c - a
+            else:
+                value = a + b
+            target = eq.quantities()[slot]
+            if value < 0:
+                if idx not in flagged:
+                    flagged.add(idx)
+                    invalids.append(Invalid(eq.render(), value))
+                continue
+            state.bind(target, value)
+            known = ", ".join(
+                f"{q.name} = {state.value_of(q)}"
+                for q in eq.quantities()
+                if isinstance(q, Var) and q is not target
+            )
+            suffix = f" with {known}" if known else ""
+            trace.append(
+                f"{eq.render()}{suffix} ⇒ {render_quantity(target)} = {value}"
+            )
+            changed = True
+    if contradictions:
+        verdict = contradictions[0]
+    elif invalids:
+        verdict = invalids[0]
+    elif state.question_value is not None:
+        verdict = Solved(state.question_value)
+    else:
+        verdict = Insufficient(tuple(_sweep_free_vars(equations, state)))
+    return SolveResult(verdict, dict(state.binding), state.question_value,
+                       trace, visits)

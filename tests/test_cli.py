@@ -77,6 +77,25 @@ def test_blank_line_separated_blocks(tmp_path, capsys):
     assert [p["answer"] for p in report["problems"]] == [6, 14]
 
 
+def test_whitespace_only_line_separates_blocks(tmp_path, capsys):
+    text = (by_id("basket-apples").text + "\n  \t \n"
+            + by_id("candy-gifts").text)
+    path = write_problem(tmp_path, text)
+    assert cli.main(["solve", path, "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [p["answer"] for p in report["problems"]] == [6, 14]
+
+
+def test_sentence_of_many_and_clauses(tmp_path, capsys):
+    clauses = " and ".join(["Dan got 1 nut"] * 2000)
+    path = write_problem(
+        tmp_path,
+        f"Dan had 3 nuts. {clauses}. How many nuts does Dan have now?")
+    assert cli.main(["solve", path, "--format", "json"]) == 0
+    [problem] = json.loads(capsys.readouterr().out)["problems"]
+    assert problem["answer"] == 2003
+
+
 def test_json_report_shape(tmp_path, capsys):
     path = write_problem(tmp_path, by_id("candy-gifts").text)
     cli.main(["solve", path, "--format", "json"])

@@ -2,7 +2,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schemarith.corpus import CORPUS, by_id
@@ -76,6 +76,31 @@ def test_noun_conjunction_does_not_split():
     assert len(sentences[0].clauses) == 1
     sentences = tokenize("3 girls and 5 boys remained in the room.", LEX)
     assert len(sentences[0].clauses) == 1
+
+
+def split_and_recursive(tokens):
+    """The clause-level "and" rule in its recursive statement."""
+
+    def has_verb(part):
+        return any(LEX.is_verb_form(t) for t in part)
+
+    for i, tok in enumerate(tokens):
+        if tok.lower() != "and":
+            continue
+        left = [t for t in tokens[:i] if t != ","]
+        right = [t for t in tokens[i + 1:] if t != ","]
+        if left and right and has_verb(left) and has_verb(right):
+            return [left] + split_and_recursive(right)
+    return [[t for t in tokens if t != ","]]
+
+
+@given(st.lists(st.sampled_from(
+    ["and", "and", "And", ",", "Dan", "got", "gave", "had", "3", "apples",
+     "to", "remained", "in", "room"]), min_size=1, max_size=14))
+@settings(max_examples=400)
+def test_and_split_matches_recursive_rule(words):
+    [sentence] = tokenize(" ".join(words) + ".", LEX)
+    assert [c.tokens for c in sentence.clauses] == split_and_recursive(words)
 
 
 def test_empty_input():

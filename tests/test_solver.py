@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracle import enumerate_solutions, enumerate_solutions_naive, unknown_names
+from oracle import (
+    enumerate_solutions,
+    enumerate_solutions_naive,
+    propagate_sweep,
+    unknown_names,
+)
 
 from schemarith.corpus import CORPUS, by_id
 from schemarith.lexicon import load_default_lexicon
@@ -206,3 +211,66 @@ def test_chain_propagation_matches_arithmetic(chain, rng):
     rng.shuffle(order)
     result = propagate(lsi_of(*order), FakeStore())
     assert result.verdict == Solved(values[-1])
+
+
+# -- worklist against the reference sweep ----------------------------------------
+
+
+# A small pool, so that slots repeat within and across equations; small
+# amounts, so that fully known equations are often violated and derived
+# amounts are often negative.
+slots = st.one_of(
+    st.integers(min_value=0, max_value=6).map(Known),
+    st.sampled_from(["A", "B", "C", "D"]).map(Var),
+    st.just(QUESTION),
+)
+systems = st.lists(st.builds(Equation, slots, slots, slots), max_size=8)
+
+
+def assert_same_run(lsi, store):
+    result = propagate(lsi, store)
+    reference = propagate_sweep(lsi, store)
+    assert result.verdict == reference.verdict
+    assert result.binding == reference.binding
+    assert result.question_value == reference.question_value
+    assert result.trace == reference.trace
+    assert result.visits <= reference.visits
+
+
+@given(systems)
+def test_worklist_matches_sweep(equations):
+    assert_same_run(lsi_of(*equations), FakeStore())
+
+
+@pytest.mark.parametrize("problem", CORPUS, ids=lambda p: p.id)
+def test_worklist_matches_sweep_on_shuffled_corpus(problem):
+    base = run_problem(problem.text, LEX)
+    rng = random.Random(29)
+    for _ in range(20):
+        shuffled = list(base.lsi)
+        rng.shuffle(shuffled)
+        assert_same_run(shuffled, base.store)
+
+
+# -- linearity gate ---------------------------------------------------------------
+
+
+def backward_chain(k):
+    """A k-change chain asking the initial amount: one unknown per change."""
+    text = " ".join(["Dan got 1 nut."] * k)
+    return run_problem(
+        f"{text} Dan has {k + 5} nuts now. "
+        "How many nuts did Dan have in the beginning?", LEX)
+
+
+def test_visits_grow_linearly_on_backward_chain():
+    small, large = backward_chain(100), backward_chain(1000)
+    assert small.answer == large.answer == 5
+    assert large.solve.visits <= 12 * small.solve.visits
+
+
+def test_linearity_gate_rejects_the_sweep():
+    """The gate's size ratio at a fifth of its sizes: the sweep is quadratic."""
+    small, large = backward_chain(20), backward_chain(200)
+    visits = [propagate_sweep(r.lsi, r.store).visits for r in (small, large)]
+    assert visits[1] > 12 * visits[0]
