@@ -10,7 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .lexicon import Compound, Direction, Elementary, LocusKind, Role
+from .lexicon import (
+    WORDING,
+    ChangeKind,
+    Compound,
+    Direction,
+    Elementary,
+    LocusKind,
+    Role,
+)
 from .parser import (
     CombineProp,
     CompareProp,
@@ -22,8 +30,9 @@ from .parser import (
     StateKey,
     StateProp,
     render_locus,
+    render_proposition,
 )
-from .quantity import QUESTION, Known, Question, TimePoint, Var, render_quantity
+from .quantity import Known, Question, TimePoint, Var, render_quantity
 
 
 class DataConflict(Exception):
@@ -128,7 +137,6 @@ def split_compound(event, lexicon) -> list:
         # creation/termination without a named place affects the agent's holdings
         if kind.direction in (Direction.CREATE, Direction.TERMINATE) \
                 and event.agent is not None:
-            from .lexicon import ChangeKind
             own_kind = ChangeKind(kind.direction, LocusKind.OWNERSHIP)
             return [ElementaryEvent(own_kind, _ownership(event.agent), event.obj,
                                     event.amount, verb=event.verb,
@@ -141,52 +149,25 @@ def split_compound(event, lexicon) -> list:
                             verb=event.verb, sentence=event.sentence)]
 
 
-_CANONICAL_VERB = {
-    Direction.IN: "transferred",
-    Direction.OUT: "transferred",
-    Direction.CREATE: "created",
-    Direction.TERMINATE: "terminated",
-}
-
-
 def canonicalize(event, lexicon) -> str:
     """Passive sentence with the counted object as subject.
 
-    This is the shape the middle line of every change formula takes, so a
-    change event reads uniformly no matter which verb produced it.
+    A change event reads uniformly in this form, no matter which verb
+    produced it.
     """
     n = event.delta.value if isinstance(event.delta, Known) else event.delta
     count = n if isinstance(n, int) else render_quantity(event.delta)
     objs = lexicon.pluralize(event.obj, n if isinstance(n, int) else None)
-    verb = _CANONICAL_VERB[event.kind.direction]
-    if event.kind.locus_kind is LocusKind.PLACE:
-        place = f"the {event.locus.place.name}"
-        tail = {
-            Direction.IN: f"into {place}",
-            Direction.OUT: f"out of {place}",
-            Direction.CREATE: f"in {place}",
-            Direction.TERMINATE: f"in {place}",
-        }[event.kind.direction]
-    else:
-        owner = event.locus.owner.name
-        tail = {
-            Direction.IN: f"to {owner}",
-            Direction.OUT: f"from {owner}",
-            Direction.CREATE: f"by {owner}",
-            Direction.TERMINATE: f"by {owner}",
-        }[event.kind.direction]
-    return f"{count} {objs} were {verb} {tail}"
+    wording = WORDING[event.kind.direction]
+    prep = (wording.place_prep if event.kind.locus_kind is LocusKind.PLACE
+            else wording.owner_prep)
+    return f"{count} {objs} were {wording.passive} {prep} {render_locus(event.locus)}"
 
 
 def render_elementary(event, lexicon) -> str:
     """Short active form for ownership changes, canonical form otherwise."""
     if event.kind.locus_kind is LocusKind.OWNERSHIP:
-        verb = {
-            Direction.IN: "got",
-            Direction.OUT: "forfeited",
-            Direction.CREATE: "created",
-            Direction.TERMINATE: "terminated",
-        }[event.kind.direction]
+        verb = WORDING[event.kind.direction].owner_verb
         n = event.delta.value
         return (f"{event.locus.owner.name} {verb} {n} "
                 f"{lexicon.pluralize(event.obj, n)}")
@@ -204,7 +185,6 @@ class PropositionStore:
     def __init__(self, lexicon):
         self.lexicon = lexicon
         self.states = {}          # StateKey -> Quantity
-        self.state_meta = {}      # StateKey -> ("stated"|"introduced", sentence)
         self.entries = []         # ("state", key) | ("event", index) in text order
         self.raw_events = []      # surface EventProps
         self.events = []          # ElementaryEvents, text order
@@ -221,7 +201,6 @@ class PropositionStore:
                 return key
             raise DataConflict(key, existing, prop.quantity)
         self.states[key] = prop.quantity
-        self.state_meta[key] = ("stated", prop.sentence)
         self.entries.append(("state", key))
         return key
 
@@ -250,7 +229,6 @@ class PropositionStore:
         key = StateKey(locus, obj, time)
         if key not in self.states:
             self.states[key] = self.fresh_var()
-            self.state_meta[key] = ("introduced", -1)
             self.entries.append(("state", key))
         return key
 
@@ -316,8 +294,6 @@ class PropositionStore:
         return f"{key.locus.owner.name} {verb} {count} {objs}"
 
     def _event_sentence(self, event) -> str:
-        from .parser import render_proposition
-
         return render_proposition(event, self.lexicon).rstrip(".")
 
 
@@ -357,7 +333,7 @@ class Timeline:
 
 
 def _canonical_order(event):
-    additions_first = 0 if event.kind.direction in (Direction.IN, Direction.CREATE) else 1
+    additions_first = 0 if WORDING[event.kind.direction].adds else 1
     delta = event.delta.value if isinstance(event.delta, Known) else -1
     return (additions_first, delta, event.verb, event.seq)
 

@@ -18,6 +18,28 @@ class Direction(Enum):
     TERMINATE = "terminate"
 
 
+@dataclass(frozen=True)
+class Wording:
+    """The words and the sign of a change in one direction."""
+
+    slot: str         # change-amount slot of a schema instantiation
+    passive: str      # verb of the passive form "N objects were <passive> ..."
+    place_prep: str   # preposition before a place
+    owner_prep: str   # preposition before an owner in the passive form
+    owner_verb: str   # active verb with the owner as subject
+    adds: bool        # whether the change adds to its locus's amount
+
+
+#: The one table of per-direction wording.
+WORDING = {
+    Direction.IN: Wording("in", "transferred", "into", "to", "got", True),
+    Direction.OUT: Wording("out", "transferred", "out of", "from", "forfeited", False),
+    Direction.CREATE: Wording("created", "created", "in", "by", "created", True),
+    Direction.TERMINATE: Wording("terminated", "terminated", "in", "by", "terminated",
+                                 False),
+}
+
+
 class LocusKind(Enum):
     OWNERSHIP = "ownership"
     PLACE = "place"
@@ -37,6 +59,19 @@ class ChangeKind:
 VALID_CHANGE_KINDS = tuple(
     ChangeKind(d, lk) for d in Direction for lk in LocusKind
 )
+
+
+def _schema_name(kind) -> str:
+    where = kind.locus_kind
+    if kind.direction is Direction.CREATE:
+        return f"Creation ({where.value})"
+    if kind.direction is Direction.TERMINATE:
+        return f"Termination ({where.value})"
+    return f"Transfer-{kind.direction.name.title()}-{where.name.title()}"
+
+
+#: The name of each kind's change schema, as instantiations print it.
+SCHEMA_NAMES = {kind: _schema_name(kind) for kind in VALID_CHANGE_KINDS}
 
 
 class Role(Enum):

@@ -16,15 +16,13 @@ from .lexicon import (
     Compound,
     Direction,
     Elementary,
-    Lexicon,
     LocusKind,
-    NonChange,
-    Role,
     StaticState,
     Tense,
     TimeHint,
+    load_default_lexicon,
 )
-from .quantity import QUESTION, Known, Question, TimePoint, Var, render_quantity
+from .quantity import QUESTION, Known, Question, TimePoint, render_quantity
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +228,6 @@ def tokenize(text, lexicon=None) -> list:
     interrogative.
     """
     if lexicon is None:
-        from .lexicon import load_default_lexicon
-
         lexicon = load_default_lexicon()
     if not text or not text.strip():
         raise EmptyInput()

@@ -6,7 +6,8 @@ from dataclasses import dataclass, field
 
 from .discourse import build_store, build_timelines
 from .lexicon import load_default_lexicon
-from .parser import parse_problem
+from .parser import parse_problem, render_locus
+from .quantity import Known, render_quantity
 from .schema_engine import Strategy, build_lsi, initial_lsi
 from .solver import Contradiction, Insufficient, Invalid, Solved, propagate
 
@@ -124,7 +125,7 @@ def result_to_dict(result) -> dict:
         "skipped": [
             {
                 "kinds": list(sk.kinds),
-                "locus": _locus_label(sk.locus),
+                "locus": render_locus(sk.locus),
                 "object": sk.obj,
                 "missing": list(sk.missing),
             }
@@ -139,15 +140,7 @@ def result_to_dict(result) -> dict:
 
 
 def _slot_value(q):
-    from .quantity import Known, render_quantity
-
     return q.value if isinstance(q, Known) else render_quantity(q)
-
-
-def _locus_label(locus):
-    from .parser import render_locus
-
-    return render_locus(locus)
 
 
 def render_text_report(result, trace=False) -> str:

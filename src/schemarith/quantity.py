@@ -38,8 +38,6 @@ class Question:
 #: all Question instances are equal.
 QUESTION = Question()
 
-Quantity = "Known | Var | Question"
-
 
 def render_quantity(q) -> str:
     if isinstance(q, Known):
@@ -49,7 +47,3 @@ def render_quantity(q) -> str:
     if isinstance(q, Question):
         return "?"
     raise TypeError(f"not a quantity: {q!r}")
-
-
-def is_known(q) -> bool:
-    return isinstance(q, Known)

@@ -1,31 +1,22 @@
-"""Schema instantiation: comparisons, combines, and change-formula matching.
+"""Schema instantiation: comparisons, combines, and change schemas.
 
 A schema relates three amounts by a + b = c.  Comparisons and combine
-statements instantiate directly from their propositions.  Change schemas
-instantiate through formulas: each of the eight change kinds owns one
-three-line formula whose middle line is the canonicalized event and whose
-outer lines are the initial and final amounts, searched for among the
-problem's states.  Under the cautious strategy a change instantiation is
-recorded only when all of its amounts were found; the total strategy
-records every candidate, inventing unknowns for missing amounts.
+statements instantiate directly from their propositions.  Each of the
+eight change kinds owns one change schema: the event supplies the change
+amount, and the initial and final amounts are searched for among the
+problem's states along the event's timeline.  Under the cautious
+strategy a timeline's changes are recorded only when both of its
+endpoint amounts were found; the total strategy records every candidate,
+inventing unknowns for missing amounts.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .discourse import PropositionStore, Timeline, canonicalize
-from .lexicon import ChangeKind, Direction, LocusKind
-from .parser import (
-    CombineProp,
-    CompareProp,
-    EntityKind,
-    Ownership,
-    StateKey,
-    THEY,
-    render_locus,
-)
-from .quantity import QUESTION, Known, Question, TimePoint, render_quantity
+from .lexicon import SCHEMA_NAMES, WORDING, ChangeKind, Direction, LocusKind
+from .parser import CompareProp, EntityKind, Ownership, THEY, render_locus
+from .quantity import TimePoint, render_quantity
 from .solver import Equation
 
 
@@ -40,176 +31,45 @@ class Strategy(Enum):
 
 
 # ---------------------------------------------------------------------------
-# the eight change formulas
-
-
-@dataclass(frozen=True)
-class ChangeFormula:
-    kind: ChangeKind
-    name: str
-    line1: str  # initial-state pattern
-    line2: str  # change pattern (canonical passive)
-    line3: str  # final-state pattern
-
-
-def _formula(kind) -> ChangeFormula:
-    d, lk = kind.direction, kind.locus_kind
-    if d is Direction.IN:
-        name = "Transfer-In-Place" if lk is LocusKind.PLACE else "Transfer-In-Ownership"
-    elif d is Direction.OUT:
-        name = "Transfer-Out-Place" if lk is LocusKind.PLACE else "Transfer-Out-Ownership"
-    elif d is Direction.CREATE:
-        name = f"Creation ({lk.value})"
-    else:
-        name = f"Termination ({lk.value})"
-    mid_verb = {
-        Direction.IN: "transferred",
-        Direction.OUT: "transferred",
-        Direction.CREATE: "created",
-        Direction.TERMINATE: "terminated",
-    }[d]
-    if lk is LocusKind.PLACE:
-        tail = {
-            Direction.IN: "into the place",
-            Direction.OUT: "out of the place",
-            Direction.CREATE: "in the place",
-            Direction.TERMINATE: "in the place",
-        }[d]
-        return ChangeFormula(
-            kind, name,
-            "There were X objects in the place.",
-            f"Y objects were {mid_verb} {tail}.",
-            "There are Z objects in the place now.",
-        )
-    tail = {
-        Direction.IN: "to the owner",
-        Direction.OUT: "from the owner",
-        Direction.CREATE: "by the owner",
-        Direction.TERMINATE: "by the owner",
-    }[d]
-    return ChangeFormula(
-        kind, name,
-        "The owner had R objects.",
-        f"S objects were {mid_verb} {tail}.",
-        "The owner has T objects now.",
-    )
-
-
-#: One formula per admissible change kind, eight in all.
-FORMULAS = {
-    ChangeKind(d, lk): _formula(ChangeKind(d, lk))
-    for d in Direction
-    for lk in LocusKind
-}
-
-
-@dataclass
-class FormulaInstantiation:
-    """A change formula with the event's values substituted in.
-
-    The middle slot (the change amount) is always bound, coming straight
-    from the triggering event; the outer slots hold whatever states were
-    found for the event's locus and object.
-    """
-
-    formula: ChangeFormula
-    locus: object
-    obj: str
-    x: object | None   # initial amount, None when no state was found
-    y: object          # change amount, always bound
-    z: object | None   # final amount
-
-    @property
-    def line1_matched(self) -> bool:
-        return self.x is not None
-
-    @property
-    def line3_matched(self) -> bool:
-        return self.z is not None
-
-    @property
-    def complete(self) -> bool:
-        return self.line1_matched and self.line3_matched
-
-    def missing(self):
-        out = []
-        if not self.line1_matched:
-            out.append("initial")
-        if not self.line3_matched:
-            out.append("final")
-        return tuple(out)
-
-
-def match_change_formula(event, store, initial_key=None, final_key=None):
-    """Instantiate the single formula of an elementary event's change kind.
-
-    Binds locus, object and change amount from the event; the outer lines
-    are marked matched iff the given endpoint states exist (stated,
-    unknown, and question amounts all count as found).
-    """
-    formula = FORMULAS[event.kind]
-    x = store.quantity(initial_key) if initial_key is not None else None
-    z = store.quantity(final_key) if final_key is not None else None
-    return FormulaInstantiation(formula, event.locus, event.obj, x, event.delta, z)
-
-
-# ---------------------------------------------------------------------------
 # schema instantiations
-
-
-_DELTA_WORD = {
-    Direction.IN: "in",
-    Direction.OUT: "out",
-    Direction.CREATE: "created",
-    Direction.TERMINATE: "terminated",
-}
-
-
-def _render_instantiation(kind, slots) -> str:
-    if kind in ("More", "Less"):
-        (_, left), (_, right), (_, diff) = slots
-        return (f"{kind} ({render_quantity(left)}, "
-                f"than {render_quantity(right)}, by {render_quantity(diff)})")
-    if kind == "Combine":
-        (_, p1), (_, p2), (_, total) = slots
-        return (f"Combine ({render_quantity(p1)}, plus {render_quantity(p2)}, "
-                f"altogether {render_quantity(total)})")
-    parts = ", ".join(f"{role} {render_quantity(q)}" for role, q in slots)
-    return f"{kind} ({parts})"
 
 
 @dataclass(frozen=True)
 class SchemaInstantiation:
-    kind: str                       # formula name, "More", "Less" or "Combine"
+    kind: str                       # change schema name, "More", "Less" or "Combine"
     slots: tuple                    # ((role, Quantity), ...)
     equation: Equation
     locus: object = field(compare=False, default=None)
     obj: str = field(compare=False, default="")
 
     def render(self) -> str:
-        return _render_instantiation(self.kind, self.slots)
-
-
-def _make_instantiation(kind, slots, a, b, c, locus=None, obj=""):
-    equation = Equation(a, b, c, origin=_render_instantiation(kind, slots))
-    return SchemaInstantiation(kind, slots, equation, locus, obj)
+        if self.kind in ("More", "Less"):
+            (_, left), (_, right), (_, diff) = self.slots
+            return (f"{self.kind} ({render_quantity(left)}, "
+                    f"than {render_quantity(right)}, by {render_quantity(diff)})")
+        if self.kind == "Combine":
+            (_, p1), (_, p2), (_, total) = self.slots
+            return (f"Combine ({render_quantity(p1)}, plus {render_quantity(p2)}, "
+                    f"altogether {render_quantity(total)})")
+        parts = ", ".join(f"{role} {render_quantity(q)}" for role, q in self.slots)
+        return f"{self.kind} ({parts})"
 
 
 def change_instantiation(event, before, after) -> SchemaInstantiation:
     """Schema instantiation of one elementary event between two amounts."""
-    direction = event.kind.direction
-    name = FORMULAS[event.kind].name
+    wording = WORDING[event.kind.direction]
     slots = (
         ("initially", before),
-        (_DELTA_WORD[direction], event.delta),
+        (wording.slot, event.delta),
         ("finally", after),
     )
-    if direction in (Direction.IN, Direction.CREATE):
-        a, b, c = before, event.delta, after
+    if wording.adds:
+        equation = Equation(before, event.delta, after)
     else:
         # final = initial - delta, stored as initial = final + delta
-        a, b, c = after, event.delta, before
-    return _make_instantiation(name, slots, a, b, c, event.locus, event.obj)
+        equation = Equation(after, event.delta, before)
+    return SchemaInstantiation(SCHEMA_NAMES[event.kind], slots, equation,
+                               event.locus, event.obj)
 
 
 def instantiate_compare(comp, store) -> SchemaInstantiation:
@@ -221,8 +81,8 @@ def instantiate_compare(comp, store) -> SchemaInstantiation:
     right = store.quantity(right_key)
     slots = (("left", left), ("right", right), ("by", comp.diff))
     if comp.direction == "more":
-        return _make_instantiation("More", slots, right, comp.diff, left)
-    return _make_instantiation("Less", slots, left, comp.diff, right)
+        return SchemaInstantiation("More", slots, Equation(right, comp.diff, left))
+    return SchemaInstantiation("Less", slots, Equation(left, comp.diff, right))
 
 
 def instantiate_combine(comb, store, lexicon) -> list:
@@ -263,7 +123,8 @@ def instantiate_combine(comb, store, lexicon) -> list:
     for i, part in enumerate(parts[1:], start=2):
         total = comb.total if i == len(parts) else store.fresh_var()
         slots = (("part", running), ("part", part), ("altogether", total))
-        out.append(_make_instantiation("Combine", slots, running, part, total))
+        out.append(SchemaInstantiation("Combine", slots,
+                                       Equation(running, part, total)))
         running = total
     return out
 
@@ -276,7 +137,7 @@ def instantiate_combine(comb, store, lexicon) -> list:
 class SkippedSchema:
     """A change candidate the cautious strategy declined to record."""
 
-    kinds: tuple      # formula names along the timeline
+    kinds: tuple      # change schema names along the timeline
     locus: object
     obj: str
     missing: tuple    # which endpoint amounts were absent
@@ -342,7 +203,7 @@ def build_lsi(store, timelines, strategy, lexicon, first=None):
             if timeline.final is None:
                 missing.append("final")
             skipped.append(SkippedSchema(
-                tuple(FORMULAS[ev.kind].name for ev in timeline.events),
+                tuple(SCHEMA_NAMES[ev.kind] for ev in timeline.events),
                 timeline.locus, timeline.obj, tuple(missing),
             ))
             continue

@@ -13,7 +13,7 @@ the question asks about.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .quantity import QUESTION, Known, Question, Var, render_quantity
@@ -30,7 +30,6 @@ class Equation:
     a: object
     b: object
     c: object
-    origin: str = field(compare=False, default="")
 
     def render(self) -> str:
         return (f"{render_quantity(self.c)} = "
@@ -76,9 +75,9 @@ class SolveResult:
 
 
 class _State:
-    def __init__(self):
-        self.binding = {}
-        self.question_value = None
+    def __init__(self, binding, question_value=None):
+        self.binding = binding
+        self.question_value = question_value
 
     def value_of(self, q):
         if isinstance(q, Known):
@@ -146,7 +145,7 @@ def propagate(lsi, store) -> SolveResult:
                 seen = users.setdefault(key, [])
                 if not seen or seen[-1] != idx:
                     seen.append(idx)
-    state = _State()
+    state = _State({})
     trace = []
     contradictions = []
     invalids = []
@@ -222,25 +221,14 @@ def verify(lsi, binding, question_value=None) -> bool:
 
     `binding` maps unknown names to values; the question's value may ride
     along in the map under "?" or be passed separately.  Any unbound slot
-    makes the check fail.
+    makes the check fail; a slot that is not an amount raises
+    MalformedLSI, as in `propagate`.
     """
     if question_value is None:
         question_value = binding.get("?")
-
-    def value_of(q):
-        if isinstance(q, Known):
-            return q.value
-        if isinstance(q, Var):
-            return binding.get(q.name)
-        if isinstance(q, Question):
-            return question_value
-        return None
-
+    state = _State(binding, question_value)
     for si in lsi:
-        eq = si.equation
-        vals = [value_of(q) for q in eq.quantities()]
-        if any(v is None for v in vals):
-            return False
-        if vals[0] + vals[1] != vals[2]:
+        vals = [state.value_of(q) for q in si.equation.quantities()]
+        if None in vals or vals[0] + vals[1] != vals[2]:
             return False
     return True

@@ -8,8 +8,6 @@ import random
 import re
 import time
 
-import pytest
-
 from oracle import (
     enumerate_solutions,
     equation_sets_equal,

@@ -1,8 +1,6 @@
 import json
 from dataclasses import replace
 
-import pytest
-
 from schemarith import cli
 from schemarith.corpus import CORPUS, by_id
 from schemarith.lexicon import load_default_lexicon

@@ -28,7 +28,7 @@ from schemarith.parser import (
     render_proposition,
     tokenize,
 )
-from schemarith.quantity import QUESTION, Known, Question, TimePoint
+from schemarith.quantity import QUESTION, Known, TimePoint
 
 LEX = load_default_lexicon()
 

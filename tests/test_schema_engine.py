@@ -4,7 +4,13 @@ from oracle import equations_subset
 
 from schemarith.corpus import CORPUS, by_id
 from schemarith.discourse import build_store, build_timelines
-from schemarith.lexicon import ChangeKind, Direction, LocusKind, load_default_lexicon
+from schemarith.lexicon import (
+    SCHEMA_NAMES,
+    ChangeKind,
+    Direction,
+    LocusKind,
+    load_default_lexicon,
+)
 from schemarith.parser import (
     CompareProp,
     Entity,
@@ -17,15 +23,12 @@ from schemarith.parser import (
 from schemarith.pipeline import run_problem
 from schemarith.quantity import QUESTION, Known, TimePoint, Var
 from schemarith.schema_engine import (
-    FORMULAS,
-    SchemaInstantiation,
     Strategy,
     UnresolvableCombine,
     build_lsi,
     initial_lsi,
     instantiate_combine,
     instantiate_compare,
-    match_change_formula,
 )
 
 LEX = load_default_lexicon()
@@ -47,24 +50,26 @@ def store_for(problem_id):
     return build_store(parse_problem(by_id(problem_id).text, LEX), LEX)
 
 
-# -- formulas ----------------------------------------------------------------
+def cautious_lsi(store):
+    """(lsi, skipped, timelines) of a store, in the pipeline's order."""
+    first = initial_lsi(store, LEX)
+    timelines = build_timelines(store)
+    lsi, skipped = build_lsi(store, timelines, Strategy.CAUTIOUS, LEX, first=first)
+    return lsi, skipped, timelines
 
 
-def test_exactly_eight_formulas_one_per_kind():
-    assert len(FORMULAS) == 8
-    assert set(FORMULAS) == {
+def slot_values(inst):
+    return tuple(q for _, q in inst.slots)
+
+
+# -- change schemas ----------------------------------------------------------
+
+
+def test_eight_distinct_schema_names_one_per_kind():
+    assert set(SCHEMA_NAMES) == {
         ChangeKind(d, lk) for d in Direction for lk in LocusKind
     }
-
-
-def test_formula_outer_lines_match_locus_phrasing():
-    for kind, formula in FORMULAS.items():
-        if kind.locus_kind is LocusKind.OWNERSHIP:
-            assert formula.line1.startswith("The owner had")
-            assert formula.line3.startswith("The owner has")
-        else:
-            assert formula.line1.startswith("There were")
-            assert formula.line3.startswith("There are")
+    assert len(set(SCHEMA_NAMES.values())) == 8
 
 
 # -- comparisons -----------------------------------------------------------------
@@ -138,43 +143,32 @@ def test_unresolvable_combine():
         instantiate_combine(lonely, store, LEX)
 
 
-# -- formula matching ---------------------------------------------------------------
+# -- change schemas along timelines -------------------------------------------------
 
 
 def test_match_fully_bound_change():
-    store = store_for("basket-apples")
-    [event] = store.events
-    timeline = build_timelines(store)[0]
-    inst = match_change_formula(event, store, timeline.initial, timeline.final)
-    assert inst.complete
-    assert inst.x == Known(4)
-    assert inst.y == Known(2)
-    assert inst.z == QUESTION
+    lsi, skipped, _ = cautious_lsi(store_for("basket-apples"))
+    [inst] = lsi
+    assert skipped == []
+    assert slot_values(inst) == (Known(4), Known(2), QUESTION)
 
 
 def test_match_with_missing_initial_line():
-    store = store_for("candy-gifts")
-    initial_lsi(store, LEX)
-    timelines = build_timelines(store)
-    david = next(t for t in timelines if t.locus == Ownership(proper("David")))
-    forfeit = next(e for e in david.events if e.kind.direction is Direction.OUT)
-    inst = match_change_formula(forfeit, store, david.initial, david.final)
-    assert inst.line3_matched          # "David has ? candies" exists
-    assert not inst.line1_matched      # no initial amount anywhere
-    assert not inst.complete
-    assert inst.missing() == ("initial",)
-    assert inst.y == Known(3)          # the change amount is always bound
+    lsi, skipped, timelines = cautious_lsi(store_for("candy-gifts"))
+    david = Ownership(proper("David"))
+    assert not any(si.locus == david for si in lsi)
+    [gated] = [sk for sk in skipped if sk.locus == david]
+    # "David has ? candies" exists; no initial amount anywhere
+    assert gated.missing == ("initial",)
+    timeline = next(t for t in timelines if t.locus == david)
+    forfeit = next(e for e in timeline.events if e.kind.direction is Direction.OUT)
+    assert forfeit.delta == Known(3)   # the change amount is always bound
 
 
 def test_match_ruth_side_fully_bound():
-    store = store_for("candy-gifts")
-    initial_lsi(store, LEX)
-    timelines = build_timelines(store)
-    ruth = next(t for t in timelines if t.locus == Ownership(proper("Ruth")))
-    [got] = ruth.events
-    inst = match_change_formula(got, store, ruth.initial, ruth.final)
-    assert inst.complete
-    assert (inst.x, inst.y, inst.z) == (Known(7), Known(3), Var("X"))
+    lsi, _, _ = cautious_lsi(store_for("candy-gifts"))
+    [inst] = [si for si in lsi if si.locus == Ownership(proper("Ruth"))]
+    assert slot_values(inst) == (Known(7), Known(3), Var("X"))
 
 
 def test_delta_always_bound_across_corpus():

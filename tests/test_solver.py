@@ -11,7 +11,7 @@ from oracle import (
     unknown_names,
 )
 
-from schemarith.corpus import CORPUS, by_id
+from schemarith.corpus import CORPUS
 from schemarith.lexicon import load_default_lexicon
 from schemarith.pipeline import run_problem
 from schemarith.quantity import QUESTION, Known, Var
@@ -122,6 +122,14 @@ def test_verify_empty_is_vacuously_true():
 def test_verify_rejects_partial_binding():
     lsi = lsi_of(Equation(Var("X"), Known(4), QUESTION))
     assert not verify(lsi, {}, question_value=14)
+
+
+def test_verify_raises_on_a_slot_that_is_not_a_quantity():
+    lsi = lsi_of(Equation(Known(1), "2", Var("X")))
+    with pytest.raises(MalformedLSI):
+        verify(lsi, {"X": 3})
+    with pytest.raises(MalformedLSI):
+        propagate(lsi, FakeStore())
 
 
 # -- corpus-level properties -----------------------------------------------------
