@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .lexicon import (
+    WORDING,
     Compound,
     Direction,
     Elementary,
@@ -809,6 +810,17 @@ def _render_state(prop, lexicon):
 _BARE_LOCUS_VERBS = {"leave", "enter", "exit"}
 
 
+def _destination_prep(verb, lexicon):
+    """A creation or termination happens "in" its place; anything else
+    named as a destination goes "into" it."""
+    verb_class = lexicon.classify_verb(verb)
+    direction = Direction.IN
+    if isinstance(verb_class, Elementary) \
+            and verb_class.kind.direction in (Direction.CREATE, Direction.TERMINATE):
+        direction = verb_class.kind.direction
+    return WORDING[direction].place_prep
+
+
 def _render_event(prop, lexicon):
     past = lexicon.render_past(prop.verb)
     if prop.agent is None:
@@ -821,7 +833,8 @@ def _render_event(prop, lexicon):
             return f"{subj} {past}."
         if " " in prop.verb or prop.verb in _BARE_LOCUS_VERBS:
             return f"{subj} {past} the {locus.name}."
-        preposition = "into" if prop.destination is not None else "from"
+        preposition = (_destination_prep(prop.verb, lexicon)
+                       if prop.destination is not None else "from")
         return f"{subj} {past} {preposition} the {locus.name}."
     objs = _obj_surface(prop.obj, prop.amount.value, lexicon)
     trailing = []
@@ -830,7 +843,8 @@ def _render_event(prop, lexicon):
                         if prop.source.kind is EntityKind.PROPER
                         else f"from the {prop.source.name}")
     if prop.destination is not None:
-        trailing.append(f"into the {prop.destination.name}")
+        trailing.append(f"{_destination_prep(prop.verb, lexicon)} "
+                        f"the {prop.destination.name}")
     if prop.recipient is not None:
         trailing.append(f"to {prop.recipient.name}")
     tail = (" " + " ".join(trailing)) if trailing else ""

@@ -329,6 +329,15 @@ def test_proposition_render_reparse_round_trip(problem):
         assert _reparse_one(rendered) == prop, rendered
 
 
+@pytest.mark.parametrize("sentence", [
+    "2 birds died in the garden.",
+    "Tom made 2 cakes in the kitchen.",
+])
+def test_event_render_reparse_round_trip(sentence):
+    prop = _reparse_one(sentence)
+    assert render_proposition(prop, LEX) == sentence
+
+
 _NAMES = sorted(LEX.names)
 _OBJECTS = ["apple", "candy", "doll", "egg", "nut"]
 _PLACES = ["basket", "room", "box", "garden"]
