@@ -1,8 +1,7 @@
 import json
-from dataclasses import replace
 
 from schemarith import cli
-from schemarith.corpus import CORPUS, by_id
+from schemarith.corpus import CORPUS, CorpusProblem, by_id
 from schemarith.lexicon import load_default_lexicon
 from schemarith.schema_engine import Strategy
 
@@ -155,7 +154,9 @@ def test_corpus_json(capsys):
 
 def test_perturbed_golden_answer_detected(capsys, monkeypatch):
     perturbed = list(CORPUS)
-    perturbed[0] = replace(perturbed[0], expected_answer=99)
+    first = perturbed[0]
+    perturbed[0] = CorpusProblem(first.id, first.text, first.expected_verdict, 99,
+                                 first.pronoun_free)
     monkeypatch.setattr(cli, "CORPUS", tuple(perturbed))
     assert cli.main(["corpus"]) != 0
     assert "MISMATCH" in capsys.readouterr().out

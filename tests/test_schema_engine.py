@@ -12,6 +12,7 @@ from schemarith.lexicon import (
     load_default_lexicon,
 )
 from schemarith.parser import (
+    CombineProp,
     CompareProp,
     Entity,
     EntityKind,
@@ -136,9 +137,8 @@ def test_group_combine_over_owners():
 def test_unresolvable_combine():
     store = store_for("dolls-combine")
     [comb] = store.relations
-    from dataclasses import replace
-
-    lonely = replace(comb, obj="ticket")  # nobody holds tickets here
+    lonely = CombineProp("ticket", comb.total, comb.time, comb.parts, comb.group,
+                         comb.context, comb.verb, comb.sentence)  # nobody holds tickets
     with pytest.raises(UnresolvableCombine):
         instantiate_combine(lonely, store, LEX)
 

@@ -1,0 +1,278 @@
+"""Value semantics of the package's record types.
+
+Every frozen value type compares and hashes by its compared fields, is
+unequal to instances of other classes, refuses assignment and deletion,
+and prints as ``Name(field=value, ...)``.  The mutable records keep
+their constructor signatures and assignable attributes.
+"""
+import copy
+import pickle
+
+import pytest
+
+from schemarith.cli import RunConfig
+from schemarith.corpus import CorpusProblem
+from schemarith.discourse import ElementaryEvent, Timeline
+from schemarith.lexicon import (
+    ChangeKind,
+    Compound,
+    Direction,
+    Elementary,
+    LocusKind,
+    NonChange,
+    Role,
+    StaticState,
+    TimeHint,
+    Wording,
+)
+from schemarith.parser import (
+    THEY,
+    Clause,
+    CombineProp,
+    CompareProp,
+    DiscourseContext,
+    Entity,
+    EntityKind,
+    EventProp,
+    Ownership,
+    Place,
+    Sentence,
+    StateKey,
+    StateProp,
+)
+from schemarith.pipeline import ProblemResult
+from schemarith.quantity import QUESTION, Known, Question, TimePoint, Var
+from schemarith.schema_engine import SchemaInstantiation, SkippedSchema, Strategy
+from schemarith.solver import (
+    Contradiction,
+    Equation,
+    Insufficient,
+    Invalid,
+    Solved,
+    SolveResult,
+)
+
+NO = object()   # the field has no default
+
+RUTH = Entity("Ruth", EntityKind.PROPER)
+TOM = Entity("Tom", EntityKind.PROPER)
+BOX = Entity("box", EntityKind.CLASS)
+BASKET = Entity("basket", EntityKind.CLASS)
+IN_OWN = ChangeKind(Direction.IN, LocusKind.OWNERSHIP)
+OUT_OWN = ChangeKind(Direction.OUT, LocusKind.OWNERSHIP)
+KEY = StateKey(Ownership(RUTH), "apple", TimePoint.INITIAL)
+KEY2 = StateKey(Ownership(TOM), "apple", TimePoint.INITIAL)
+
+
+def f(name, value, other, default=NO, compared=True):
+    """A field: its name, a value, a different value, default, compared."""
+    return name, value, other, default, compared
+
+
+def ignored(name, value, other, default):
+    return f(name, value, other, default, compared=False)
+
+
+# Each frozen value type with its fields in constructor order.
+FROZEN = {
+    Known: [f("value", 3, 4)],
+    Var: [f("name", "X", "X1")],
+    Question: [],
+    Wording: [f("slot", "in", "out"), f("passive", "transferred", "created"),
+              f("place_prep", "into", "in"), f("owner_prep", "to", "from"),
+              f("owner_verb", "got", "forfeited"), f("adds", True, False)],
+    ChangeKind: [f("direction", Direction.IN, Direction.OUT),
+                 f("locus_kind", LocusKind.OWNERSHIP, LocusKind.PLACE)],
+    Elementary: [f("kind", IN_OWN, OUT_OWN)],
+    Compound: [f("components", ((IN_OWN, Role.AGENT), (OUT_OWN, Role.SOURCE)),
+                 ((OUT_OWN, Role.AGENT), (IN_OWN, Role.RECIPIENT)))],
+    StaticState: [f("hint", TimeHint.FINAL, TimeHint.INITIAL)],
+    NonChange: [],
+    Entity: [f("name", "Ruth", "Tom"),
+             f("kind", EntityKind.PROPER, EntityKind.CLASS),
+             f("cardinality", 5, 6, None)],
+    Ownership: [f("owner", RUTH, TOM)],
+    Place: [f("place", BOX, BASKET)],
+    StateKey: [f("locus", Ownership(RUTH), Place(BOX)), f("obj", "apple", "nut"),
+               f("time", TimePoint.INITIAL, TimePoint.FINAL)],
+    StateProp: [f("key", KEY, KEY2), f("quantity", Known(3), QUESTION),
+                ignored("sentence", 0, 1, -1)],
+    EventProp: [f("verb", "give", "get"), f("obj", "apple", "nut"),
+                f("amount", Known(3), Known(4)), f("agent", RUTH, TOM, None),
+                f("recipient", TOM, RUTH, None), f("source", BOX, BASKET, None),
+                f("destination", BASKET, BOX, None), ignored("seq", 2, 5, -1),
+                ignored("sentence", 1, 3, -1)],
+    CompareProp: [f("left", KEY, KEY2), f("right", KEY2, KEY),
+                  f("diff", Known(2), Known(3)), f("direction", "more", "less"),
+                  ignored("sentence", 0, 1, -1)],
+    CombineProp: [f("obj", "apple", "nut"), f("total", Known(8), QUESTION),
+                  f("time", TimePoint.INITIAL, TimePoint.FINAL),
+                  f("parts", (KEY, KEY2), (KEY2, KEY), ()),
+                  f("group", THEY, BOX, None), f("context", "event", "state", "state"),
+                  f("verb", "buy", "get", None), ignored("sentence", 2, 3, -1)],
+    ElementaryEvent: [f("kind", IN_OWN, OUT_OWN),
+                      f("locus", Ownership(RUTH), Ownership(TOM)),
+                      f("obj", "apple", "nut"), f("delta", Known(3), Known(4)),
+                      ignored("verb", "give", "get", ""), ignored("seq", 0, 1, -1),
+                      ignored("sentence", 0, 1, -1), ignored("origin", 0, 1, -1)],
+    SchemaInstantiation: [
+        f("kind", "More", "Less"),
+        f("slots", (("left", Known(1)),), (("right", Known(1)),)),
+        f("equation", Equation(Known(1), Known(2), Known(3)),
+          Equation(Known(1), Var("X"), Known(3))),
+        ignored("locus", Ownership(RUTH), Ownership(TOM), None),
+        ignored("obj", "apple", "nut", "")],
+    SkippedSchema: [f("kinds", ("Transfer-In-Ownership",), ("Creation (place)",)),
+                    f("locus", Ownership(RUTH), Place(BOX)),
+                    f("obj", "apple", "nut"),
+                    f("missing", ("initial",), ("final",))],
+    Equation: [f("a", Known(1), Var("X")), f("b", Known(2), Known(5)),
+               f("c", Known(3), QUESTION)],
+    Solved: [f("answer", 6, 7)],
+    Insufficient: [f("unresolved", (), ("X",))],
+    Contradiction: [f("equation", "3 = 1 + 1", "4 = 1 + 1"), f("detail", "a", "b")],
+    Invalid: [f("equation", "0 = 1 + ?", "1 = 2 + ?"), f("value", -1, -2)],
+    CorpusProblem: [f("id", "p", "q"), f("text", "t", "u"),
+                    f("expected_verdict", "solved", "contradiction"),
+                    f("expected_answer", 6, None), f("pronoun_free", True, False)],
+}
+
+FROZEN_IDS = [cls.__name__ for cls in FROZEN]
+
+
+def values(fields, **changed):
+    return {name: changed.get(name, value) for name, value, *_ in fields}
+
+
+@pytest.mark.parametrize("cls", FROZEN, ids=FROZEN_IDS)
+def test_constructor_order_keywords_and_defaults(cls):
+    fields = FROZEN[cls]
+    kw = values(fields)
+    by_position = cls(*kw.values())
+    by_keyword = cls(**kw)
+    for name, value, *_ in fields:
+        assert getattr(by_position, name) == value
+        assert getattr(by_keyword, name) == value
+    required = {name: value for name, value, _, default, _ in fields if default is NO}
+    minimal = cls(**required)
+    for name, _, _, default, _ in fields:
+        if default is not NO:
+            assert getattr(minimal, name) == default
+
+
+@pytest.mark.parametrize("cls", FROZEN, ids=FROZEN_IDS)
+def test_equal_fields_equal_hashes(cls):
+    a, b = cls(**values(FROZEN[cls])), cls(**values(FROZEN[cls]))
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize("cls", FROZEN, ids=FROZEN_IDS)
+def test_compared_fields_count_and_ignored_fields_do_not(cls):
+    fields = FROZEN[cls]
+    base = cls(**values(fields))
+    for name, _, other, _, compared in fields:
+        changed = cls(**values(fields, **{name: other}))
+        if compared:
+            assert changed != base, name
+        else:
+            assert changed == base, name
+            assert hash(changed) == hash(base), name
+
+
+@pytest.mark.parametrize("cls", FROZEN, ids=FROZEN_IDS)
+def test_assignment_and_deletion_raise(cls):
+    fields = FROZEN[cls]
+    obj = cls(**values(fields))
+    for name, value, other, *_ in fields:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, other)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+        assert getattr(obj, name) == value
+    with pytest.raises(AttributeError):
+        obj.not_a_field = 1
+
+
+@pytest.mark.parametrize("cls", FROZEN, ids=FROZEN_IDS)
+def test_repr_in_field_order(cls):
+    kw = values(FROZEN[cls])
+    inner = ", ".join(f"{name}={value!r}" for name, value in kw.items())
+    assert repr(cls(**kw)) == f"{cls.__name__}({inner})"
+
+
+@pytest.mark.parametrize("cls", FROZEN, ids=FROZEN_IDS)
+def test_copy_and_pickle_keep_the_value(cls):
+    obj = cls(**values(FROZEN[cls]))
+    for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+        assert twin == obj and repr(twin) == repr(obj)
+
+
+def test_repr_literals():
+    assert repr(Known(3)) == "Known(value=3)"
+    assert repr(Insufficient(())) == "Insufficient(unresolved=())"
+    assert repr(QUESTION) == "Question()"
+    assert repr(Ownership(RUTH)) == (
+        "Ownership(owner=Entity(name='Ruth', kind=<EntityKind.PROPER: 'proper'>, "
+        "cardinality=None))")
+
+
+def test_other_classes_are_unequal():
+    assert Ownership(RUTH) != Place(RUTH)
+    assert Known(1) != Var("1")
+    assert Known(3) != 3 and 3 != Known(3)
+    assert Known(3).__eq__(3) is NotImplemented
+    assert Question() == QUESTION
+    assert NonChange() == NonChange() and NonChange() != Question()
+    assert Solved(3) != Invalid("3 = 1 + 2", 3)
+
+
+def test_constructor_checks():
+    with pytest.raises(ValueError):
+        Known(-1)
+    with pytest.raises(ValueError):
+        Compound(((IN_OWN, Role.AGENT),))
+
+
+# Each mutable record with its fields in constructor order: (name, default).
+MUTABLE = {
+    Clause: [("tokens", NO), ("sentence_index", NO), ("interrogative", NO),
+             ("lower", NO)],
+    Sentence: [("index", NO), ("clauses", NO)],
+    DiscourseContext: [("mentions", [])],
+    Timeline: [("locus", NO), ("obj", NO), ("events", NO), ("initial", NO),
+               ("final", NO), ("intermediates", NO)],
+    SolveResult: [("verdict", NO), ("binding", NO), ("question_value", NO),
+                  ("trace", NO), ("visits", NO)],
+    ProblemResult: [("text", NO), ("strategy", NO), ("propositions", NO),
+                    ("propositions_split", NO), ("raw_propositions", NO),
+                    ("store", NO), ("timelines", NO), ("lsi", NO), ("skipped", NO),
+                    ("solve", NO), ("timing_ms", 0.0)],
+    RunConfig: [("inputs", NO), ("strategy", Strategy.CAUTIOUS), ("format", "text"),
+                ("trace", False), ("lexicon_path", None)],
+}
+
+
+@pytest.mark.parametrize("cls", MUTABLE, ids=[c.__name__ for c in MUTABLE])
+def test_mutable_record_signature(cls):
+    fields = MUTABLE[cls]
+    given = [object() for _ in fields]
+    by_position = cls(*given)
+    by_keyword = cls(**{name: v for (name, _), v in zip(fields, given)})
+    minimal = cls(**{name: v for (name, default), v in zip(fields, given)
+                     if default is NO})
+    for (name, default), v in zip(fields, given):
+        assert getattr(by_position, name) is v
+        assert getattr(by_keyword, name) is v
+        if default is not NO:
+            assert getattr(minimal, name) == default
+        setattr(by_position, name, None)
+        assert getattr(by_position, name) is None
+
+
+def test_discourse_context_mentions_are_per_instance():
+    first, second = DiscourseContext(), DiscourseContext()
+    first.mention("Ruth", "f")
+    assert second.mentions == []
+    assert second.resolve("f") is None and first.resolve("f") == "Ruth"
