@@ -15,7 +15,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 
 from .corpus import CORPUS
 from .discourse import DataConflict, MissingParticipant, UnknownVerb
@@ -23,7 +22,6 @@ from .lexicon import load_default_lexicon, load_lexicon_file
 from .parser import ProblemTextError
 from .pipeline import render_text_report, result_to_dict, run_problem
 from .schema_engine import Strategy, UnresolvableCombine
-from .solver import MalformedLSI
 
 FORMAT_VERSION = 1
 
@@ -41,13 +39,14 @@ _VERDICT_EXIT = {
 }
 
 
-@dataclass
 class RunConfig:
-    inputs: list
-    strategy: Strategy = Strategy.CAUTIOUS
-    format: str = "text"
-    trace: bool = False
-    lexicon_path: str | None = None
+    def __init__(self, inputs, strategy=Strategy.CAUTIOUS, format="text", trace=False,
+                 lexicon_path=None):
+        self.inputs = inputs
+        self.strategy = strategy
+        self.format = format
+        self.trace = trace
+        self.lexicon_path = lexicon_path
 
 
 def _load_lexicon(config):
@@ -64,9 +63,15 @@ def _blocks(text):
 
 
 def _run_text(text, lexicon, config):
-    """(exit_code, dict, rendered_text) for one problem text."""
+    """(exit_code, dict, rendered_text) for one problem text.
+
+    Any exception outside the documented set is a fault of the program;
+    it is reported as an internal error, never raised.
+    """
     try:
         result = run_problem(text, lexicon, config.strategy)
+        return (_VERDICT_EXIT[result.verdict_name], result_to_dict(result),
+                render_text_report(result, config.trace))
     except (ProblemTextError, UnknownVerb, MissingParticipant,
             UnresolvableCombine) as exc:
         return (EXIT_NOT_UNDERSTOOD,
@@ -76,12 +81,10 @@ def _run_text(text, lexicon, config):
         return (EXIT_INCONSISTENT,
                 {"error": {"type": "DataConflict", "message": str(exc)}},
                 f"Contradiction in the problem data: {exc}")
-    except MalformedLSI as exc:
+    except Exception as exc:
         return (EXIT_ERROR,
-                {"error": {"type": "MalformedLSI", "message": str(exc)}},
+                {"error": {"type": type(exc).__name__, "message": str(exc)}},
                 f"Internal error: {exc}")
-    code = _VERDICT_EXIT[result.verdict_name]
-    return code, result_to_dict(result), render_text_report(result, config.trace)
 
 
 def cmd_solve(config) -> int:

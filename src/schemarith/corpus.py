@@ -7,16 +7,22 @@ problem whose stated data admits no consistent assignment.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
+
+from .quantity import _Frozen
 
 
-@dataclass(frozen=True)
-class CorpusProblem:
-    id: str
-    text: str
-    expected_verdict: str            # "solved" | "contradiction"
-    expected_answer: int | None
-    pronoun_free: bool
+class CorpusProblem(_Frozen):
+    __slots__ = ("id", "text", "expected_verdict", "expected_answer", "pronoun_free")
+    _key = attrgetter(*__slots__)
+
+    def __init__(self, id, text, expected_verdict, expected_answer, pronoun_free):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "text", text)
+        # "solved" | "contradiction"
+        object.__setattr__(self, "expected_verdict", expected_verdict)
+        object.__setattr__(self, "expected_answer", expected_answer)  # int | None
+        object.__setattr__(self, "pronoun_free", pronoun_free)
 
 
 CORPUS = (

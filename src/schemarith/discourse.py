@@ -8,7 +8,7 @@ for the amounts between consecutive events.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .lexicon import (
     WORDING,
@@ -32,7 +32,7 @@ from .parser import (
     render_locus,
     render_proposition,
 )
-from .quantity import Known, Question, TimePoint, Var, render_quantity
+from .quantity import Known, Question, TimePoint, Var, _Frozen, render_quantity
 
 
 class DataConflict(Exception):
@@ -58,16 +58,22 @@ class MissingParticipant(Exception):
         super().__init__(f"event verb {verb!r} has no {what} to locate the change at")
 
 
-@dataclass(frozen=True)
-class ElementaryEvent:
-    kind: object            # ChangeKind
-    locus: object           # Ownership | Place
-    obj: str
-    delta: object           # Quantity; Known in all supported problems
-    verb: str = field(compare=False, default="")
-    seq: int = field(compare=False, default=-1)
-    sentence: int = field(compare=False, default=-1)
-    origin: int = field(compare=False, default=-1)  # index into raw_events
+class ElementaryEvent(_Frozen):
+    """One elementary change; it compares by kind, locus, object and delta."""
+
+    __slots__ = ("kind", "locus", "obj", "delta", "verb", "seq", "sentence", "origin")
+    _key = attrgetter(*__slots__[:4])
+
+    def __init__(self, kind, locus, obj, delta, verb="", seq=-1, sentence=-1,
+                 origin=-1):
+        object.__setattr__(self, "kind", kind)      # ChangeKind
+        object.__setattr__(self, "locus", locus)    # Ownership | Place
+        object.__setattr__(self, "obj", obj)
+        object.__setattr__(self, "delta", delta)    # Known in all supported problems
+        object.__setattr__(self, "verb", verb)
+        object.__setattr__(self, "seq", seq)
+        object.__setattr__(self, "sentence", sentence)
+        object.__setattr__(self, "origin", origin)  # index into raw_events
 
 
 def _locus_for(entity) -> object:
@@ -85,8 +91,8 @@ def _place(entity):
     return Place(_locus_for(entity))
 
 
-def _elementary(kind, event, role):
-    """One elementary event of `event`, located at the given participant."""
+def _change(kind, event, role):
+    """(kind, locus) of one change of `event`, at the given participant."""
     participant = {
         Role.AGENT: event.agent,
         Role.RECIPIENT: event.recipient,
@@ -97,56 +103,49 @@ def _elementary(kind, event, role):
         return None
     locus = (_ownership(participant) if kind.locus_kind is LocusKind.OWNERSHIP
              else _place(participant))
-    return ElementaryEvent(kind, locus, event.obj, event.amount,
-                           verb=event.verb, sentence=event.sentence)
+    return kind, locus
 
 
-def split_compound(event, lexicon) -> list:
-    """Elementary events of a surface event.
-
-    Compound verbs emit one event per component whose participant is named
-    in the sentence; components with unnamed participants are dropped.
-    Elementary verbs emit exactly one event.  Every emitted event shares
-    the surface event's object and amount.
-    """
+def _changes(event, lexicon) -> list:
+    """(kind, locus) of each elementary change of a surface event."""
     classification = lexicon.classify_verb(event.verb)
-    if classification is None:
-        raise UnknownVerb(event.verb)
     if isinstance(classification, Compound):
-        out = []
-        for kind, role in classification.components:
-            elem = _elementary(kind, event, role)
-            if elem is not None:
-                out.append(elem)
-        return out
+        changes = (_change(kind, event, role)
+                   for kind, role in classification.components)
+        return [change for change in changes if change is not None]
     if not isinstance(classification, Elementary):
         raise UnknownVerb(event.verb)
     kind = classification.kind
+    creation = kind.direction in (Direction.CREATE, Direction.TERMINATE)
     if kind.locus_kind is LocusKind.PLACE:
         named = event.destination if kind.direction is Direction.IN else event.source
-        if named is None and kind.direction in (Direction.CREATE, Direction.TERMINATE):
+        if named is None and creation:
             named = event.destination or event.source
         if named is not None:
-            if kind.direction in (Direction.CREATE, Direction.TERMINATE):
-                return [ElementaryEvent(kind, _place(named), event.obj, event.amount,
-                                        verb=event.verb, sentence=event.sentence)]
-            elem = _elementary(kind, event,
-                               Role.DESTINATION if kind.direction is Direction.IN
-                               else Role.SOURCE)
-            return [elem]
+            return [(kind, _place(named))]
         # creation/termination without a named place affects the agent's holdings
-        if kind.direction in (Direction.CREATE, Direction.TERMINATE) \
-                and event.agent is not None:
+        if creation and event.agent is not None:
             own_kind = ChangeKind(kind.direction, LocusKind.OWNERSHIP)
-            return [ElementaryEvent(own_kind, _ownership(event.agent), event.obj,
-                                    event.amount, verb=event.verb,
-                                    sentence=event.sentence)]
+            return [(own_kind, _ownership(event.agent))]
         raise MissingParticipant(event.verb, "place")
     # ownership verbs locate the change at the subject
     if event.agent is None:
         raise MissingParticipant(event.verb, "owner")
-    return [ElementaryEvent(kind, _ownership(event.agent), event.obj, event.amount,
-                            verb=event.verb, sentence=event.sentence)]
+    return [(kind, _ownership(event.agent))]
+
+
+def split_compound(event, lexicon, seq=0, origin=-1) -> list:
+    """Elementary events of a surface event, numbered from `seq` on.
+
+    Compound verbs emit one event per component whose participant is named
+    in the sentence; components with unnamed participants are dropped.
+    Elementary verbs emit exactly one event.  Every emitted event shares
+    the surface event's object and amount; `origin` is the surface
+    event's index in its store.
+    """
+    return [ElementaryEvent(kind, locus, event.obj, event.amount, event.verb,
+                            seq + i, event.sentence, origin)
+            for i, (kind, locus) in enumerate(_changes(event, lexicon))]
 
 
 def canonicalize(event, lexicon) -> str:
@@ -208,12 +207,7 @@ class PropositionStore:
         index = len(self.raw_events)
         self.raw_events.append(prop)
         self.entries.append(("event", index))
-        for elem in split_compound(prop, self.lexicon):
-            self.events.append(ElementaryEvent(
-                elem.kind, elem.locus, elem.obj, elem.delta,
-                verb=elem.verb, seq=len(self.events), sentence=elem.sentence,
-                origin=index,
-            ))
+        self.events.extend(split_compound(prop, self.lexicon, len(self.events), index))
 
     def fresh_var(self) -> Var:
         name = "X" if self._var_count == 0 else f"X{self._var_count}"
@@ -311,21 +305,22 @@ def build_store(props, lexicon) -> PropositionStore:
     return store
 
 
-@dataclass
 class Timeline:
     """Ordered chain of changes on one (locus, object), between endpoints.
 
     Events are kept in a canonical order (additions before removals, then
     by amount and verb) so that representations do not depend on sentence
     order; with +/- deltas the final amount is the same either way.
+    `initial` and `final` are StateKeys, or None when the store lacks them.
     """
 
-    locus: object
-    obj: str
-    events: list
-    initial: StateKey | None
-    final: StateKey | None
-    intermediates: list
+    def __init__(self, locus, obj, events, initial, final, intermediates):
+        self.locus = locus
+        self.obj = obj
+        self.events = events
+        self.initial = initial
+        self.final = final
+        self.intermediates = intermediates
 
     @property
     def endpoints_present(self) -> bool:

@@ -7,8 +7,10 @@ concurrent solver runs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
+
+from .quantity import _Frozen
 
 
 class Direction(Enum):
@@ -18,16 +20,26 @@ class Direction(Enum):
     TERMINATE = "terminate"
 
 
-@dataclass(frozen=True)
-class Wording:
-    """The words and the sign of a change in one direction."""
+class Wording(_Frozen):
+    """The words and the sign of a change in one direction.
 
-    slot: str         # change-amount slot of a schema instantiation
-    passive: str      # verb of the passive form "N objects were <passive> ..."
-    place_prep: str   # preposition before a place
-    owner_prep: str   # preposition before an owner in the passive form
-    owner_verb: str   # active verb with the owner as subject
-    adds: bool        # whether the change adds to its locus's amount
+    ``slot`` is the change-amount slot of a schema instantiation and
+    ``passive`` the verb of the passive form "N objects were <passive> ...";
+    ``place_prep`` and ``owner_prep`` precede a place and, in the passive
+    form, an owner; ``owner_verb`` is the active verb with the owner as
+    subject; ``adds`` says whether the change adds to its locus's amount.
+    """
+
+    __slots__ = ("slot", "passive", "place_prep", "owner_prep", "owner_verb", "adds")
+    _key = attrgetter(*__slots__)
+
+    def __init__(self, slot, passive, place_prep, owner_prep, owner_verb, adds):
+        object.__setattr__(self, "slot", slot)
+        object.__setattr__(self, "passive", passive)
+        object.__setattr__(self, "place_prep", place_prep)
+        object.__setattr__(self, "owner_prep", owner_prep)
+        object.__setattr__(self, "owner_verb", owner_verb)
+        object.__setattr__(self, "adds", adds)
 
 
 #: The one table of per-direction wording.
@@ -45,10 +57,13 @@ class LocusKind(Enum):
     PLACE = "place"
 
 
-@dataclass(frozen=True)
-class ChangeKind:
-    direction: Direction
-    locus_kind: LocusKind
+class ChangeKind(_Frozen):
+    __slots__ = ("direction", "locus_kind")
+    _key = attrgetter(*__slots__)
+
+    def __init__(self, direction, locus_kind):
+        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "locus_kind", locus_kind)
 
     def __str__(self):
         return f"{self.direction.value}/{self.locus_kind.value}"
@@ -92,38 +107,46 @@ class Tense(Enum):
     PRESENT = "present"
 
 
-@dataclass(frozen=True)
-class Elementary:
+class Elementary(_Frozen):
     """A verb denoting exactly one elementary change."""
 
-    kind: ChangeKind
+    __slots__ = ("kind",)
+    _key = attrgetter("kind")
+
+    def __init__(self, kind):
+        object.__setattr__(self, "kind", kind)
 
 
-@dataclass(frozen=True)
-class Compound:
+class Compound(_Frozen):
     """A verb denoting two (or more) elementary changes at once.
 
     Each component names the change it performs and the sentence
     participant whose locus it affects.
     """
 
-    components: tuple  # of (ChangeKind, Role)
+    __slots__ = ("components",)
+    _key = attrgetter("components")
 
-    def __post_init__(self):
-        if len(self.components) < 2:
+    def __init__(self, components):  # of (ChangeKind, Role)
+        if len(components) < 2:
             raise ValueError("compound verbs have at least two components")
+        object.__setattr__(self, "components", components)
 
 
-@dataclass(frozen=True)
-class StaticState:
+class StaticState(_Frozen):
     """A verb describing an amount at rest rather than a change."""
 
-    hint: TimeHint
+    __slots__ = ("hint",)
+    _key = attrgetter("hint")
+
+    def __init__(self, hint):
+        object.__setattr__(self, "hint", hint)
 
 
-@dataclass(frozen=True)
-class NonChange:
+class NonChange(_Frozen):
     """A verb with no amount semantics (auxiliaries)."""
+
+    __slots__ = ()
 
 
 class LexiconFormatError(ValueError):

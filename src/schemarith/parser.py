@@ -9,8 +9,8 @@ which carry the Question slot.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 
 from .lexicon import (
     WORDING,
@@ -23,7 +23,7 @@ from .lexicon import (
     TimeHint,
     load_default_lexicon,
 )
-from .quantity import QUESTION, Known, Question, TimePoint, render_quantity
+from .quantity import QUESTION, Known, Question, TimePoint, _Frozen, render_quantity
 
 
 # ---------------------------------------------------------------------------
@@ -72,24 +72,34 @@ class EntityKind(Enum):
     GROUP = "group"
 
 
-@dataclass(frozen=True)
-class Entity:
-    name: str
-    kind: EntityKind
-    cardinality: int | None = None  # subject numerals like "5 girls"; metadata
+class Entity(_Frozen):
+    __slots__ = ("name", "kind", "cardinality")
+    _key = attrgetter(*__slots__)
+
+    def __init__(self, name, kind, cardinality=None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "kind", kind)
+        # the numeral of a subject like "5 girls"; metadata
+        object.__setattr__(self, "cardinality", cardinality)
 
 
 THEY = Entity("they", EntityKind.GROUP)
 
 
-@dataclass(frozen=True)
-class Ownership:
-    owner: Entity
+class Ownership(_Frozen):
+    __slots__ = ("owner",)
+    _key = attrgetter("owner")
+
+    def __init__(self, owner):
+        object.__setattr__(self, "owner", owner)
 
 
-@dataclass(frozen=True)
-class Place:
-    place: Entity
+class Place(_Frozen):
+    __slots__ = ("place",)
+    _key = attrgetter("place")
+
+    def __init__(self, place):
+        object.__setattr__(self, "place", place)
 
 
 def render_locus(locus) -> str:
@@ -98,70 +108,93 @@ def render_locus(locus) -> str:
     return f"the {locus.place.name}"
 
 
-@dataclass(frozen=True)
-class StateKey:
-    locus: object  # Ownership | Place
-    obj: str       # canonical object class
-    time: TimePoint
+class StateKey(_Frozen):
+    __slots__ = ("locus", "obj", "time")
+    _key = attrgetter(*__slots__)
+
+    def __init__(self, locus, obj, time):
+        object.__setattr__(self, "locus", locus)  # Ownership | Place
+        object.__setattr__(self, "obj", obj)      # canonical object class
+        object.__setattr__(self, "time", time)
 
 
-@dataclass(frozen=True)
-class StateProp:
-    key: StateKey
-    quantity: object
-    sentence: int = field(compare=False, default=-1)
+# A proposition's sentence index, and an event's sequence number, stay out
+# of equality and hashing: where a clause stands does not change what it says.
 
 
-@dataclass(frozen=True)
-class EventProp:
-    verb: str
-    obj: str
-    amount: object
-    agent: Entity | None = None
-    recipient: Entity | None = None
-    source: Entity | None = None
-    destination: Entity | None = None
-    seq: int = field(compare=False, default=-1)
-    sentence: int = field(compare=False, default=-1)
+class StateProp(_Frozen):
+    __slots__ = ("key", "quantity", "sentence")
+    _key = attrgetter("key", "quantity")
+
+    def __init__(self, key, quantity, sentence=-1):
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "quantity", quantity)
+        object.__setattr__(self, "sentence", sentence)
 
 
-@dataclass(frozen=True)
-class CompareProp:
-    left: StateKey
-    right: StateKey
-    diff: object
-    direction: str  # "more" | "less"
-    sentence: int = field(compare=False, default=-1)
+class EventProp(_Frozen):
+    __slots__ = ("verb", "obj", "amount", "agent", "recipient", "source",
+                 "destination", "seq", "sentence")
+    _key = attrgetter(*__slots__[:7])
+
+    def __init__(self, verb, obj, amount, agent=None, recipient=None, source=None,
+                 destination=None, seq=-1, sentence=-1):
+        object.__setattr__(self, "verb", verb)
+        object.__setattr__(self, "obj", obj)
+        object.__setattr__(self, "amount", amount)
+        object.__setattr__(self, "agent", agent)
+        object.__setattr__(self, "recipient", recipient)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "destination", destination)
+        object.__setattr__(self, "seq", seq)
+        object.__setattr__(self, "sentence", sentence)
 
 
-@dataclass(frozen=True)
-class CombineProp:
-    obj: str
-    total: object
-    time: TimePoint
-    parts: tuple = ()              # StateKeys for statement combines
-    group: Entity | None = None    # "they" or a class noun for question combines
-    context: str = "state"         # "state" | "event"
-    verb: str | None = None        # event verb of an event combine
-    sentence: int = field(compare=False, default=-1)
+class CompareProp(_Frozen):
+    __slots__ = ("left", "right", "diff", "direction", "sentence")
+    _key = attrgetter(*__slots__[:4])
+
+    def __init__(self, left, right, diff, direction, sentence=-1):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "diff", diff)
+        object.__setattr__(self, "direction", direction)  # "more" | "less"
+        object.__setattr__(self, "sentence", sentence)
+
+
+class CombineProp(_Frozen):
+    __slots__ = ("obj", "total", "time", "parts", "group", "context", "verb",
+                 "sentence")
+    _key = attrgetter(*__slots__[:7])
+
+    def __init__(self, obj, total, time, parts=(), group=None, context="state",
+                 verb=None, sentence=-1):
+        object.__setattr__(self, "obj", obj)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "time", time)
+        object.__setattr__(self, "parts", parts)      # StateKeys, in statements
+        object.__setattr__(self, "group", group)      # "they" or a class, in questions
+        object.__setattr__(self, "context", context)  # "state" | "event"
+        object.__setattr__(self, "verb", verb)        # the verb of an event combine
+        object.__setattr__(self, "sentence", sentence)
 
 
 # ---------------------------------------------------------------------------
 # tokenization
 
 
-@dataclass
 class Clause:
-    tokens: list
-    sentence_index: int
-    interrogative: bool
-    lower: list   # the tokens lower-cased, position by position
+    def __init__(self, tokens, sentence_index, interrogative, lower):
+        self.tokens = tokens
+        self.sentence_index = sentence_index
+        self.interrogative = interrogative
+        self.lower = lower   # the tokens lower-cased, position by position
 
 
-@dataclass
 class Sentence:
-    index: int
-    clauses: list
+    def __init__(self, index, clauses):
+        self.index = index
+        self.clauses = clauses
 
 
 _WORD_RE = re.compile(r"[A-Za-z0-9'-]+|[,]")
@@ -261,11 +294,14 @@ def tokenize(text, lexicon=None) -> list:
 # clause parsing
 
 
-@dataclass
 class DiscourseContext:
-    """Proper names seen so far, for pronoun resolution."""
+    """Proper names seen so far, for pronoun resolution, and the number of
+    events so far, which numbers the next one."""
 
-    mentions: list = field(default_factory=list)  # (name, gender) in text order
+    def __init__(self, mentions=None):
+        # (name, gender) in text order
+        self.mentions = [] if mentions is None else mentions
+        self.events = 0
 
     def mention(self, name, gender):
         self.mentions.append((name, gender))
@@ -615,6 +651,8 @@ class _ClauseParser:
             self._check_done()
             if len(subjects) < 2:
                 raise self.error("'altogether' needs a conjunction of owners")
+            if len(set(subjects)) < len(subjects):
+                raise self.error("'altogether' names one owner twice")
             parts = tuple(StateKey(Ownership(s), obj, time) for s in subjects)
             return [CombineProp(obj, Known(n), time, parts=parts,
                                 context="state", sentence=self.sentence)]
@@ -699,9 +737,10 @@ class _ClauseParser:
         else:
             amount, obj = object_np
             agent = subject
-        return [EventProp(lemma, obj, Known(amount), agent=agent,
-                          recipient=recipient, source=source,
-                          destination=destination, sentence=self.sentence)]
+        seq = self.ctx.events
+        self.ctx.events += 1
+        return [EventProp(lemma, obj, Known(amount), agent, recipient, source,
+                          destination, seq, self.sentence)]
 
     def _check_done(self):
         if not self.done():
@@ -731,16 +770,9 @@ def parse_problem(text, lexicon) -> list:
     """
     ctx = DiscourseContext()
     props = []
-    seq = 0
     for sentence in tokenize(text, lexicon):
         for clause in sentence.clauses:
-            for prop in parse_clause(clause, lexicon, ctx):
-                if isinstance(prop, EventProp):
-                    prop = EventProp(prop.verb, prop.obj, prop.amount,
-                                     prop.agent, prop.recipient, prop.source,
-                                     prop.destination, seq, prop.sentence)
-                    seq += 1
-                props.append(prop)
+            props.extend(parse_clause(clause, lexicon, ctx))
     count = _count_questions(props)
     if count == 0:
         raise NoQuestion()
@@ -828,10 +860,13 @@ def _render_event(prop, lexicon):
         # of the box"; the verb (or its particles) names the locus role
         n = prop.amount.value
         subj = f"{n} {lexicon.pluralize(prop.obj, n)}"
+        passive = prop.verb.startswith("be ")   # "be born": "N birds were born"
+        if passive:
+            past = f"{'was' if n == 1 else 'were'} {past}"
         locus = prop.destination if prop.destination is not None else prop.source
         if locus is None:
             return f"{subj} {past}."
-        if " " in prop.verb or prop.verb in _BARE_LOCUS_VERBS:
+        if (" " in prop.verb and not passive) or prop.verb in _BARE_LOCUS_VERBS:
             return f"{subj} {past} the {locus.name}."
         preposition = (_destination_prep(prop.verb, lexicon)
                        if prop.destination is not None else "from")

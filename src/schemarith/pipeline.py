@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 from .discourse import build_store, build_timelines
 from .lexicon import load_default_lexicon
@@ -12,21 +11,24 @@ from .schema_engine import Strategy, build_lsi, initial_lsi
 from .solver import Contradiction, Insufficient, Invalid, Solved, propagate
 
 
-@dataclass
 class ProblemResult:
     """Everything one run produced, for reports and for tests."""
 
-    text: str
-    strategy: Strategy
-    propositions: list        # rendered, after compare/combine instantiation
-    propositions_split: list  # same list with events split into elementary ones
-    raw_propositions: list
-    store: object
-    timelines: list
-    lsi: list
-    skipped: list
-    solve: object             # SolveResult
-    timing_ms: float = field(default=0.0)
+    def __init__(self, text, strategy, propositions, propositions_split,
+                 raw_propositions, store, timelines, lsi, skipped, solve,
+                 timing_ms=0.0):
+        self.text = text
+        self.strategy = strategy
+        # rendered after compare/combine instantiation; the second splits events
+        self.propositions = propositions
+        self.propositions_split = propositions_split
+        self.raw_propositions = raw_propositions
+        self.store = store
+        self.timelines = timelines
+        self.lsi = lsi
+        self.skipped = skipped
+        self.solve = solve                # SolveResult
+        self.timing_ms = timing_ms
 
     @property
     def verdict(self):

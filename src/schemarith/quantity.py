@@ -6,8 +6,42 @@ question mark the problem asks about.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
+
+
+class _Frozen:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields in ``__slots__``, in constructor order,
+    sets them in ``__init__`` through ``object.__setattr__``, and gets the
+    fields that equality and hashing compare with ``_key``.  Instances of
+    different classes are never equal.
+    """
+
+    __slots__ = ()
+    _key = staticmethod(lambda self: ())   # a type without fields has one value
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __reduce__(self):   # copy and pickle rebuild through __init__
+        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
 
 
 class TimePoint(Enum):
@@ -15,23 +49,26 @@ class TimePoint(Enum):
     FINAL = "final"
 
 
-@dataclass(frozen=True)
-class Known:
-    value: int
+class Known(_Frozen):
+    __slots__ = ("value",)
+    _key = attrgetter("value")
 
-    def __post_init__(self):
-        if self.value < 0:
+    def __init__(self, value):
+        if value < 0:
             raise ValueError("amounts are nonnegative")
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(_Frozen):
+    __slots__ = ("name",)
+    _key = attrgetter("name")
+
+    def __init__(self, name):
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Question:
-    pass
+class Question(_Frozen):
+    __slots__ = ()
 
 
 #: The unique question slot of a problem. Compare with ``is`` or ``==``;

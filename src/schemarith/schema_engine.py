@@ -11,12 +11,12 @@ inventing unknowns for missing amounts.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 
 from .lexicon import SCHEMA_NAMES, WORDING, ChangeKind, Direction, LocusKind
 from .parser import CompareProp, EntityKind, Ownership, THEY, render_locus
-from .quantity import TimePoint, render_quantity
+from .quantity import TimePoint, _Frozen, render_quantity
 from .solver import Equation
 
 
@@ -34,13 +34,19 @@ class Strategy(Enum):
 # schema instantiations
 
 
-@dataclass(frozen=True)
-class SchemaInstantiation:
-    kind: str                       # change schema name, "More", "Less" or "Combine"
-    slots: tuple                    # ((role, Quantity), ...)
-    equation: Equation
-    locus: object = field(compare=False, default=None)
-    obj: str = field(compare=False, default="")
+class SchemaInstantiation(_Frozen):
+    """One LSI entry; the locus and object it came from stay out of equality."""
+
+    __slots__ = ("kind", "slots", "equation", "locus", "obj")
+    _key = attrgetter(*__slots__[:3])
+
+    def __init__(self, kind, slots, equation, locus=None, obj=""):
+        # change schema name, "More", "Less" or "Combine"
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "slots", slots)   # ((role, Quantity), ...)
+        object.__setattr__(self, "equation", equation)
+        object.__setattr__(self, "locus", locus)
+        object.__setattr__(self, "obj", obj)
 
     def render(self) -> str:
         if self.kind in ("More", "Less"):
@@ -133,14 +139,17 @@ def instantiate_combine(comb, store, lexicon) -> list:
 # the list of schema instantiations (LSI)
 
 
-@dataclass(frozen=True)
-class SkippedSchema:
+class SkippedSchema(_Frozen):
     """A change candidate the cautious strategy declined to record."""
 
-    kinds: tuple      # change schema names along the timeline
-    locus: object
-    obj: str
-    missing: tuple    # which endpoint amounts were absent
+    __slots__ = ("kinds", "locus", "obj", "missing")
+    _key = attrgetter(*__slots__)
+
+    def __init__(self, kinds, locus, obj, missing):
+        object.__setattr__(self, "kinds", kinds)      # schema names along the timeline
+        object.__setattr__(self, "locus", locus)
+        object.__setattr__(self, "obj", obj)
+        object.__setattr__(self, "missing", missing)  # the endpoint amounts absent
 
     def render(self) -> str:
         names = " + ".join(self.kinds)

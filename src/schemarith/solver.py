@@ -13,23 +13,26 @@ the question asks about.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
+from operator import attrgetter
 
-from .quantity import QUESTION, Known, Question, Var, render_quantity
+from .quantity import QUESTION, Known, Question, Var, _Frozen, render_quantity
 
 
 class MalformedLSI(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Equation:
+class Equation(_Frozen):
     """c = a + b. Removal relations are stored in added form."""
 
-    a: object
-    b: object
-    c: object
+    __slots__ = ("a", "b", "c")
+    _key = attrgetter(*__slots__)
+
+    def __init__(self, a, b, c):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
 
     def render(self) -> str:
         return (f"{render_quantity(self.c)} = "
@@ -39,35 +42,47 @@ class Equation:
         return (self.a, self.b, self.c)
 
 
-@dataclass(frozen=True)
-class Solved:
-    answer: int
+class Solved(_Frozen):
+    __slots__ = ("answer",)
+    _key = attrgetter("answer")
+
+    def __init__(self, answer):
+        object.__setattr__(self, "answer", answer)
 
 
-@dataclass(frozen=True)
-class Insufficient:
-    unresolved: tuple
+class Insufficient(_Frozen):
+    __slots__ = ("unresolved",)
+    _key = attrgetter("unresolved")
+
+    def __init__(self, unresolved):
+        object.__setattr__(self, "unresolved", unresolved)
 
 
-@dataclass(frozen=True)
-class Contradiction:
-    equation: str
-    detail: str
+class Contradiction(_Frozen):
+    __slots__ = ("equation", "detail")
+    _key = attrgetter(*__slots__)
+
+    def __init__(self, equation, detail):
+        object.__setattr__(self, "equation", equation)
+        object.__setattr__(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class Invalid:
-    equation: str
-    value: int
+class Invalid(_Frozen):
+    __slots__ = ("equation", "value")
+    _key = attrgetter(*__slots__)
+
+    def __init__(self, equation, value):
+        object.__setattr__(self, "equation", equation)
+        object.__setattr__(self, "value", value)
 
 
-@dataclass
 class SolveResult:
-    verdict: object
-    binding: dict
-    question_value: int | None
-    trace: list
-    visits: int   # equation evaluations; a work count, not part of reports
+    def __init__(self, verdict, binding, question_value, trace, visits):
+        self.verdict = verdict
+        self.binding = binding
+        self.question_value = question_value
+        self.trace = trace
+        self.visits = visits   # equation evaluations; a work count, not in reports
 
     @property
     def verdict_name(self) -> str:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from schemarith import cli
 from schemarith.corpus import CORPUS, CorpusProblem, by_id
 from schemarith.lexicon import load_default_lexicon
@@ -91,6 +93,34 @@ def test_sentence_of_many_and_clauses(tmp_path, capsys):
     assert cli.main(["solve", path, "--format", "json"]) == 0
     [problem] = json.loads(capsys.readouterr().out)["problems"]
     assert problem["answer"] == 2003
+
+
+@pytest.mark.parametrize("combine", [
+    "Ruth and Ruth had 8 apples altogether.",
+    "Ruth had 2 apples. Ruth and she had 8 apples altogether.",
+])
+def test_combine_naming_one_owner_twice_is_not_understood(tmp_path, capsys, combine):
+    path = write_problem(
+        tmp_path, f"{combine} How many apples did Ruth have in the beginning?")
+    assert cli.main(["solve", path, "--format", "json"]) == 2
+    [problem] = json.loads(capsys.readouterr().out)["problems"]
+    assert problem["error"]["type"] == "ParseError"
+    assert "one owner twice" in problem["error"]["message"]
+
+
+def test_unexpected_exception_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("broken stage")
+
+    monkeypatch.setattr(cli, "run_problem", broken)
+    path = write_problem(tmp_path, by_id("basket-apples").text)
+    assert cli.main(["solve", path, "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    [problem] = json.loads(captured.out)["problems"]
+    assert problem["error"] == {"type": "RuntimeError", "message": "broken stage"}
+    assert cli.main(["solve", path]) == 1
+    assert capsys.readouterr().out.strip() == "Internal error: broken stage"
 
 
 def test_json_report_shape(tmp_path, capsys):

@@ -1,5 +1,9 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and the
+CLI starts without the standard library's slow-loading modules."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,3 +43,13 @@ def test_gate_sees_unused_and_exported_names():
               "__all__ = ['b']\n"
               "print(regex)\n")
     assert unused_imports(source) == [(2, "os"), (3, "a")]
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # -S: no site hooks run, so every module loaded came from this import.
+    code = ("import sys, schemarith.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -332,10 +332,23 @@ def test_proposition_render_reparse_round_trip(problem):
 @pytest.mark.parametrize("sentence", [
     "2 birds died in the garden.",
     "Tom made 2 cakes in the kitchen.",
+    "2 birds were born in the garden.",
+    "1 bird was born in the garden.",
+    "2 birds were born.",
 ])
 def test_event_render_reparse_round_trip(sentence):
     prop = _reparse_one(sentence)
     assert render_proposition(prop, LEX) == sentence
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_birth_is_in_its_place(n):
+    prop = EventProp("be born", "bird", Known(n),
+                     destination=Entity("garden", EntityKind.CLASS))
+    reparsed = _reparse_one(render_proposition(prop, LEX))
+    assert reparsed == prop
+    assert reparsed.destination == Entity("garden", EntityKind.CLASS)
+    assert reparsed.source is None
 
 
 _NAMES = sorted(LEX.names)
