@@ -116,15 +116,15 @@ def _changes(event, lexicon) -> list:
     if not isinstance(classification, Elementary):
         raise UnknownVerb(event.verb)
     kind = classification.kind
-    creation = kind.direction in (Direction.CREATE, Direction.TERMINATE)
+    creation_or_termination = kind.direction in (Direction.CREATE, Direction.TERMINATE)
     if kind.locus_kind is LocusKind.PLACE:
         named = event.destination if kind.direction is Direction.IN else event.source
-        if named is None and creation:
+        if named is None and creation_or_termination:
             named = event.destination or event.source
         if named is not None:
             return [(kind, _place(named))]
         # creation/termination without a named place affects the agent's holdings
-        if creation and event.agent is not None:
+        if creation_or_termination and event.agent is not None:
             own_kind = ChangeKind(kind.direction, LocusKind.OWNERSHIP)
             return [(own_kind, _ownership(event.agent))]
         raise MissingParticipant(event.verb, "place")
