@@ -22,17 +22,18 @@ from .lexicon import (
 from .parser import (
     CombineProp,
     CompareProp,
-    Entity,
     EntityKind,
     EventProp,
     Ownership,
     Place,
     StateKey,
     StateProp,
+    render_amount,
     render_locus,
     render_proposition,
+    render_state,
 )
-from .quantity import Known, Question, TimePoint, Var, _Frozen, render_quantity
+from .quantity import Question, TimePoint, Var, _Frozen, render_quantity
 
 
 class DataConflict(Exception):
@@ -61,34 +62,26 @@ class MissingParticipant(Exception):
 class ElementaryEvent(_Frozen):
     """One elementary change; it compares by kind, locus, object and delta."""
 
-    __slots__ = ("kind", "locus", "obj", "delta", "verb", "seq", "sentence", "origin")
+    __slots__ = ("kind", "locus", "obj", "delta", "verb", "seq", "sentence")
     _key = attrgetter(*__slots__[:4])
 
-    def __init__(self, kind, locus, obj, delta, verb="", seq=-1, sentence=-1,
-                 origin=-1):
+    def __init__(self, kind, locus, obj, delta, verb="", seq=-1, sentence=-1):
         object.__setattr__(self, "kind", kind)      # ChangeKind
         object.__setattr__(self, "locus", locus)    # Ownership | Place
         object.__setattr__(self, "obj", obj)
-        object.__setattr__(self, "delta", delta)    # Known in all supported problems
+        object.__setattr__(self, "delta", delta)    # Known: the parser states it
         object.__setattr__(self, "verb", verb)
         object.__setattr__(self, "seq", seq)
         object.__setattr__(self, "sentence", sentence)
-        object.__setattr__(self, "origin", origin)  # index into raw_events
 
 
-def _locus_for(entity) -> object:
-    ent = Entity(entity.name, entity.kind)  # cardinality never enters a locus
-    if ent.kind is EntityKind.PROPER or ent.kind is EntityKind.CLASS:
-        return ent
-    raise ValueError(f"cannot build a locus from {entity!r}")
-
-
-def _ownership(entity):
-    return Ownership(_locus_for(entity))
-
-
-def _place(entity):
-    return Place(_locus_for(entity))
+def _locus(kind, entity):
+    """The locus at `entity` of a change of `kind`."""
+    if entity.kind is EntityKind.GROUP:
+        raise ValueError(f"cannot build a locus from {entity!r}")
+    if kind.locus_kind is LocusKind.OWNERSHIP:
+        return Ownership(entity)
+    return Place(entity)
 
 
 def _change(kind, event, role):
@@ -101,9 +94,7 @@ def _change(kind, event, role):
     }[role]
     if participant is None:
         return None
-    locus = (_ownership(participant) if kind.locus_kind is LocusKind.OWNERSHIP
-             else _place(participant))
-    return kind, locus
+    return kind, _locus(kind, participant)
 
 
 def _changes(event, lexicon) -> list:
@@ -122,29 +113,28 @@ def _changes(event, lexicon) -> list:
         if named is None and creation_or_termination:
             named = event.destination or event.source
         if named is not None:
-            return [(kind, _place(named))]
+            return [(kind, _locus(kind, named))]
         # creation/termination without a named place affects the agent's holdings
         if creation_or_termination and event.agent is not None:
             own_kind = ChangeKind(kind.direction, LocusKind.OWNERSHIP)
-            return [(own_kind, _ownership(event.agent))]
+            return [(own_kind, _locus(own_kind, event.agent))]
         raise MissingParticipant(event.verb, "place")
     # ownership verbs locate the change at the subject
     if event.agent is None:
         raise MissingParticipant(event.verb, "owner")
-    return [(kind, _ownership(event.agent))]
+    return [(kind, _locus(kind, event.agent))]
 
 
-def split_compound(event, lexicon, seq=0, origin=-1) -> list:
+def split_compound(event, lexicon, seq=0) -> list:
     """Elementary events of a surface event, numbered from `seq` on.
 
     Compound verbs emit one event per component whose participant is named
     in the sentence; components with unnamed participants are dropped.
     Elementary verbs emit exactly one event.  Every emitted event shares
-    the surface event's object and amount; `origin` is the surface
-    event's index in its store.
+    the surface event's object and amount.
     """
     return [ElementaryEvent(kind, locus, event.obj, event.amount, event.verb,
-                            seq + i, event.sentence, origin)
+                            seq + i, event.sentence)
             for i, (kind, locus) in enumerate(_changes(event, lexicon))]
 
 
@@ -154,13 +144,11 @@ def canonicalize(event, lexicon) -> str:
     A change event reads uniformly in this form, no matter which verb
     produced it.
     """
-    n = event.delta.value if isinstance(event.delta, Known) else event.delta
-    count = n if isinstance(n, int) else render_quantity(event.delta)
-    objs = lexicon.pluralize(event.obj, n if isinstance(n, int) else None)
     wording = WORDING[event.kind.direction]
     prep = (wording.place_prep if event.kind.locus_kind is LocusKind.PLACE
             else wording.owner_prep)
-    return f"{count} {objs} were {wording.passive} {prep} {render_locus(event.locus)}"
+    return (f"{render_amount(event.obj, event.delta, lexicon)} were "
+            f"{wording.passive} {prep} {render_locus(event.locus)}")
 
 
 def render_elementary(event, lexicon) -> str:
@@ -186,6 +174,7 @@ class PropositionStore:
         self.states = {}          # StateKey -> Quantity
         self.entries = []         # ("state", key) | ("event", index) in text order
         self.raw_events = []      # surface EventProps
+        self.split_events = []    # per surface event, its ElementaryEvents
         self.events = []          # ElementaryEvents, text order
         self.relations = []       # CompareProp | CombineProp, text order
         self._var_count = 0
@@ -204,10 +193,11 @@ class PropositionStore:
         return key
 
     def add_event(self, prop):
-        index = len(self.raw_events)
+        self.entries.append(("event", len(self.raw_events)))
         self.raw_events.append(prop)
-        self.entries.append(("event", index))
-        self.events.extend(split_compound(prop, self.lexicon, len(self.events), index))
+        parts = split_compound(prop, self.lexicon, len(self.events))
+        self.split_events.append(parts)
+        self.events.extend(parts)
 
     def fresh_var(self) -> Var:
         name = "X" if self._var_count == 0 else f"X{self._var_count}"
@@ -259,36 +249,22 @@ class PropositionStore:
 
     # -- rendering -----------------------------------------------------------
 
-    def render_propositions(self, split=False) -> list:
-        """Text-order proposition list, mirroring the trace table layout."""
-        parts = {}   # raw event index -> its elementary events, in order
-        if split:
-            for elem in self.events:
-                parts.setdefault(elem.origin, []).append(elem)
-        lines = []
+    def render_propositions(self):
+        """The text-order proposition lists of the trace table: (as stated,
+        with each compound event replaced by its elementary events)."""
+        lexicon = self.lexicon
+        stated, split = [], []
         for kind, ref in self.entries:
             if kind == "state":
-                lines.append(self._state_sentence(ref))
-            elif split:
-                for elem in parts.get(ref, ()):
-                    lines.append(render_elementary(elem, self.lexicon))
+                line = render_state(ref, self.states[ref], lexicon)
+                stated.append(line)
+                split.append(line)
             else:
-                lines.append(self._event_sentence(self.raw_events[ref]))
-        return lines
-
-    def _state_sentence(self, key) -> str:
-        q = self.states[key]
-        count = render_quantity(q)
-        n = q.value if isinstance(q, Known) else None
-        objs = self.lexicon.pluralize(key.obj, n)
-        if isinstance(key.locus, Place):
-            verb = "were" if key.time is TimePoint.INITIAL else "are"
-            return f"There {verb} {count} {objs} in the {key.locus.place.name}"
-        verb = "had" if key.time is TimePoint.INITIAL else "has"
-        return f"{key.locus.owner.name} {verb} {count} {objs}"
-
-    def _event_sentence(self, event) -> str:
-        return render_proposition(event, self.lexicon).rstrip(".")
+                stated.append(render_proposition(self.raw_events[ref], lexicon)
+                              .rstrip("."))
+                split.extend(render_elementary(event, lexicon)
+                             for event in self.split_events[ref])
+        return stated, split
 
 
 def build_store(props, lexicon) -> PropositionStore:
@@ -329,8 +305,7 @@ class Timeline:
 
 def _canonical_order(event):
     additions_first = 0 if WORDING[event.kind.direction].adds else 1
-    delta = event.delta.value if isinstance(event.delta, Known) else -1
-    return (additions_first, delta, event.verb, event.seq)
+    return (additions_first, event.delta.value, event.verb, event.seq)
 
 
 def build_timelines(store) -> list:

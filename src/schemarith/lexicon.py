@@ -65,9 +65,6 @@ class ChangeKind(_Frozen):
         object.__setattr__(self, "direction", direction)
         object.__setattr__(self, "locus_kind", locus_kind)
 
-    def __str__(self):
-        return f"{self.direction.value}/{self.locus_kind.value}"
-
 
 #: The eight admissible change situations: four directions, each over an
 #: ownership locus or a place locus.

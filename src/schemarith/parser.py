@@ -86,12 +86,20 @@ class Entity(_Frozen):
 THEY = Entity("they", EntityKind.GROUP)
 
 
+def _uncounted(entity):
+    """The entity as a locus holds it: a subject's numeral never enters a
+    locus, so "5 girls" and "the girls" own the same amounts."""
+    if entity.cardinality is None:
+        return entity
+    return Entity(entity.name, entity.kind)
+
+
 class Ownership(_Frozen):
     __slots__ = ("owner",)
     _key = attrgetter("owner")
 
     def __init__(self, owner):
-        object.__setattr__(self, "owner", owner)
+        object.__setattr__(self, "owner", _uncounted(owner))
 
 
 class Place(_Frozen):
@@ -99,7 +107,7 @@ class Place(_Frozen):
     _key = attrgetter("place")
 
     def __init__(self, place):
-        object.__setattr__(self, "place", place)
+        object.__setattr__(self, "place", _uncounted(place))
 
 
 def render_locus(locus) -> str:
@@ -651,9 +659,9 @@ class _ClauseParser:
             self._check_done()
             if len(subjects) < 2:
                 raise self.error("'altogether' needs a conjunction of owners")
-            if len(set(subjects)) < len(subjects):
-                raise self.error("'altogether' names one owner twice")
             parts = tuple(StateKey(Ownership(s), obj, time) for s in subjects)
+            if len(set(parts)) < len(parts):
+                raise self.error("'altogether' names one owner twice")
             return [CombineProp(obj, Known(n), time, parts=parts,
                                 context="state", sentence=self.sentence)]
         self._check_done()
@@ -785,7 +793,7 @@ def parse_problem(text, lexicon) -> list:
 # rendering back to surface sentences (round-trip form)
 
 
-def _entity_surface(entity, lexicon, amount=None):
+def _entity_surface(entity, lexicon):
     if entity.kind is EntityKind.PROPER:
         return entity.name
     noun = lexicon.pluralize(entity.name, entity.cardinality)
@@ -794,9 +802,23 @@ def _entity_surface(entity, lexicon, amount=None):
     return f"the {noun}"
 
 
-def _obj_surface(obj, n, lexicon):
-    return f"{render_quantity(n) if not isinstance(n, int) else n} " \
-           f"{lexicon.pluralize(obj, n if isinstance(n, int) else None)}"
+def render_amount(obj, quantity, lexicon) -> str:
+    """An amount of an object class: "3 apples", "1 apple", "X apples"."""
+    if isinstance(quantity, Known):
+        n = quantity.value
+        return f"{n} {lexicon.pluralize(obj, n)}"
+    return f"{render_quantity(quantity)} {lexicon.pluralize(obj)}"
+
+
+def render_state(key, quantity, lexicon) -> str:
+    """A state holding an amount, without its full stop: "Ruth had 3
+    apples", "There are X nuts in the box"."""
+    amount = render_amount(key.obj, quantity, lexicon)
+    if isinstance(key.locus, Place):
+        verb = "were" if key.time is TimePoint.INITIAL else "are"
+        return f"There {verb} {amount} in the {key.locus.place.name}"
+    verb = "had" if key.time is TimePoint.INITIAL else "has"
+    return f"{key.locus.owner.name} {verb} {amount}"
 
 
 def render_proposition(prop, lexicon) -> str:
@@ -818,25 +840,19 @@ def render_proposition(prop, lexicon) -> str:
 
 def _render_state(prop, lexicon):
     key = prop.key
+    if not isinstance(prop.quantity, Question):
+        return render_state(key, prop.quantity, lexicon) + "."
     initial = key.time is TimePoint.INITIAL
-    if isinstance(prop.quantity, Question):
-        objs = lexicon.pluralize(key.obj)
-        if isinstance(key.locus, Place):
-            where = f"in the {key.locus.place.name}"
-            if initial:
-                return f"How many {objs} were there {where} in the beginning?"
-            return f"How many {objs} are there {where} now?"
-        owner = key.locus.owner.name
-        if initial:
-            return f"How many {objs} did {owner} have in the beginning?"
-        return f"How many {objs} does {owner} have now?"
-    n = prop.quantity.value
-    objs = _obj_surface(key.obj, n, lexicon)
+    objs = lexicon.pluralize(key.obj)
     if isinstance(key.locus, Place):
-        verb = "were" if initial else "are"
-        return f"There {verb} {objs} in the {key.locus.place.name}."
-    verb = "had" if initial else "has"
-    return f"{key.locus.owner.name} {verb} {objs}."
+        where = f"in the {key.locus.place.name}"
+        if initial:
+            return f"How many {objs} were there {where} in the beginning?"
+        return f"How many {objs} are there {where} now?"
+    owner = key.locus.owner.name
+    if initial:
+        return f"How many {objs} did {owner} have in the beginning?"
+    return f"How many {objs} does {owner} have now?"
 
 
 _BARE_LOCUS_VERBS = {"leave", "enter", "exit"}
@@ -858,11 +874,10 @@ def _render_event(prop, lexicon):
     if prop.agent is None:
         # subject-numeral frame: "2 boys left the room", "3 eggs fell out
         # of the box"; the verb (or its particles) names the locus role
-        n = prop.amount.value
-        subj = f"{n} {lexicon.pluralize(prop.obj, n)}"
+        subj = render_amount(prop.obj, prop.amount, lexicon)
         passive = prop.verb.startswith("be ")   # "be born": "N birds were born"
         if passive:
-            past = f"{'was' if n == 1 else 'were'} {past}"
+            past = f"{'was' if prop.amount.value == 1 else 'were'} {past}"
         locus = prop.destination if prop.destination is not None else prop.source
         if locus is None:
             return f"{subj} {past}."
@@ -871,7 +886,7 @@ def _render_event(prop, lexicon):
         preposition = (_destination_prep(prop.verb, lexicon)
                        if prop.destination is not None else "from")
         return f"{subj} {past} {preposition} the {locus.name}."
-    objs = _obj_surface(prop.obj, prop.amount.value, lexicon)
+    objs = render_amount(prop.obj, prop.amount, lexicon)
     trailing = []
     if prop.source is not None:
         trailing.append(f"from {_entity_surface(prop.source, lexicon)}"
@@ -888,8 +903,7 @@ def _render_event(prop, lexicon):
 
 def _render_compare(prop, lexicon):
     initial = prop.left.time is TimePoint.INITIAL
-    d = prop.diff.value
-    objs = _obj_surface(prop.left.obj, d, lexicon)
+    objs = render_amount(prop.left.obj, prop.diff, lexicon)
     if isinstance(prop.left.locus, Place):
         verb = "were" if initial else "are"
         return (f"There {verb} {objs} {prop.direction} in the "
@@ -912,4 +926,4 @@ def _render_combine(prop, lexicon):
         return f"How many {objs} did the {group} {verb} altogether?"
     names = " and ".join(k.locus.owner.name for k in prop.parts)
     verb = "had" if initial else "have"
-    return f"{names} {verb} {_obj_surface(prop.obj, prop.total.value, lexicon)} altogether."
+    return f"{names} {verb} {render_amount(prop.obj, prop.total, lexicon)} altogether."

@@ -68,11 +68,10 @@ def run_problem(text, lexicon=None, strategy=Strategy.CAUTIOUS) -> ProblemResult
     # states); timelines then see those states as endpoints.
     first = initial_lsi(store, lex)
     timelines = build_timelines(store)
-    lsi, skipped = build_lsi(store, timelines, strategy, lex, first=first)
+    lsi, skipped = build_lsi(store, timelines, strategy, first)
     # Snapshot the proposition lists after relation instantiation but with
     # any strategy-introduced endpoint states included, in text order.
-    rendered = store.render_propositions(split=False)
-    rendered_split = store.render_propositions(split=True)
+    rendered, rendered_split = store.render_propositions()
     solve = propagate(lsi, store)
     elapsed = (time.perf_counter() - start) * 1000.0
     return ProblemResult(
@@ -108,22 +107,23 @@ def verdict_dict(result) -> dict:
 
 def result_to_dict(result) -> dict:
     """Stable JSON-ready form of a result (schema: docs/report-schema.md)."""
+    lsi = [
+        {
+            "kind": si.kind,
+            "rendered": si.render(),
+            "slots": [[role, _slot_value(q)] for role, q in si.slots],
+            "equation": si.equation.render(),
+        }
+        for si in result.lsi
+    ]
     out = {
         "strategy": result.strategy.value,
         "propositions": {
             "pre_split": result.propositions,
             "post_split": result.propositions_split,
         },
-        "lsi": [
-            {
-                "kind": si.kind,
-                "rendered": si.render(),
-                "slots": [[role, _slot_value(q)] for role, q in si.slots],
-                "equation": si.equation.render(),
-            }
-            for si in result.lsi
-        ],
-        "equations": result.rendered_equations(),
+        "lsi": lsi,
+        "equations": [entry["equation"] for entry in lsi],
         "skipped": [
             {
                 "kinds": list(sk.kinds),

@@ -191,18 +191,18 @@ def _timeline_amounts(timeline, store):
     return [start] + list(timeline.intermediates) + [end]
 
 
-def build_lsi(store, timelines, strategy, lexicon, first=None):
+def build_lsi(store, timelines, strategy, first):
     """Extend the initial LSI with change instantiations per the strategy.
 
-    `first` is the precomputed initial LSI; pass it when the compare and
-    combine unknowns must be introduced before timelines are built (the
-    normal pipeline order).  Cautious: a timeline contributes its chain
-    only when both endpoint amounts are present among the propositions.
-    Total: every timeline contributes, with fresh unknowns standing in
-    for missing endpoints.  A chain of k events contributes k
-    instantiations linked through its intermediate unknowns.
+    `first` is the initial LSI, built before the timelines so that they
+    see the compare and combine unknowns as endpoints.  Cautious: a
+    timeline contributes its chain only when both endpoint amounts are
+    present among the propositions.  Total: every timeline contributes,
+    with fresh unknowns standing in for missing endpoints.  A chain of k
+    events contributes k instantiations linked through its intermediate
+    unknowns.
     """
-    lsi = list(first) if first is not None else initial_lsi(store, lexicon)
+    lsi = list(first)
     skipped = []
     for timeline in timelines:
         if strategy is Strategy.CAUTIOUS and not timeline.endpoints_present:

@@ -98,6 +98,7 @@ def test_sentence_of_many_and_clauses(tmp_path, capsys):
 @pytest.mark.parametrize("combine", [
     "Ruth and Ruth had 8 apples altogether.",
     "Ruth had 2 apples. Ruth and she had 8 apples altogether.",
+    "2 girls and 3 girls had 8 apples altogether.",
 ])
 def test_combine_naming_one_owner_twice_is_not_understood(tmp_path, capsys, combine):
     path = write_problem(
@@ -196,6 +197,23 @@ def test_run_corpus_library_interface():
     rows, all_match = cli.run_corpus(CORPUS, LEX, Strategy.CAUTIOUS)
     assert all_match
     assert len(rows) == len(CORPUS)
+
+
+def test_total_corpus_run_solves_each_problem_once(monkeypatch):
+    run_problem = cli.run_problem
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return run_problem(*args)
+
+    monkeypatch.setattr(cli, "run_problem", counted)
+    rows, all_match = cli.run_corpus(CORPUS, LEX, Strategy.TOTAL)
+    assert all_match
+    assert len(calls) == len(CORPUS) == 12
+    for row, problem in zip(rows, CORPUS):
+        cautious = run_problem(problem.text, LEX, Strategy.CAUTIOUS)
+        assert row["cautious_lsi_size"] == len(cautious.lsi)
 
 
 def test_lexicon_flag_and_env(tmp_path, monkeypatch, capsys):

@@ -149,6 +149,16 @@ def test_owner_question():
         StateKey(owner("David"), "candy", TimePoint.FINAL), QUESTION)
 
 
+def test_subject_numeral_never_enters_a_locus():
+    girls = Entity("girl", EntityKind.CLASS, cardinality=5)
+    assert girls != Entity("girl", EntityKind.CLASS)
+    [state] = parse_text("5 girls had 3 tickets.")
+    [question] = parse_text("How many tickets do 5 girls have now?")
+    bare = Ownership(Entity("girl", EntityKind.CLASS))
+    assert state.key.locus == question.key.locus == Ownership(girls) == bare
+    assert state.key.locus.owner.cardinality is None
+
+
 def test_subject_numeral_event():
     [prop] = parse_text("Two boys left a room.")
     assert prop == EventProp("leave", "boy", Known(2),

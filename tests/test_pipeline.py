@@ -27,6 +27,15 @@ def test_other_change_kinds_solve(text, answer, kind):
     assert any(si.kind == kind for si in result.lsi)
 
 
+def test_counted_class_owner_finds_its_stated_amounts():
+    # The subject numeral counts the girls; it does not name another owner.
+    result = run_problem(
+        "5 girls had 3 tickets. 5 girls bought 6 tickets. "
+        "How many tickets do 5 girls have now?", LEX)
+    assert result.verdict == Solved(9)
+    assert not result.skipped
+
+
 def test_states_alone_are_insufficient():
     result = run_problem(
         "Ruth had 3 apples. How many candies does David have now?", LEX)

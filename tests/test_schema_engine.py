@@ -55,7 +55,7 @@ def cautious_lsi(store):
     """(lsi, skipped, timelines) of a store, in the pipeline's order."""
     first = initial_lsi(store, LEX)
     timelines = build_timelines(store)
-    lsi, skipped = build_lsi(store, timelines, Strategy.CAUTIOUS, LEX, first=first)
+    lsi, skipped = build_lsi(store, timelines, Strategy.CAUTIOUS, first)
     return lsi, skipped, timelines
 
 

@@ -114,7 +114,7 @@ FROZEN = {
                       f("locus", Ownership(RUTH), Ownership(TOM)),
                       f("obj", "apple", "nut"), f("delta", Known(3), Known(4)),
                       ignored("verb", "give", "get", ""), ignored("seq", 0, 1, -1),
-                      ignored("sentence", 0, 1, -1), ignored("origin", 0, 1, -1)],
+                      ignored("sentence", 0, 1, -1)],
     SchemaInstantiation: [
         f("kind", "More", "Less"),
         f("slots", (("left", Known(1)),), (("right", Known(1)),)),
