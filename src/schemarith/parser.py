@@ -86,20 +86,16 @@ class Entity(_Frozen):
 THEY = Entity("they", EntityKind.GROUP)
 
 
-def _uncounted(entity):
-    """The entity as a locus holds it: a subject's numeral never enters a
-    locus, so "5 girls" and "the girls" own the same amounts."""
-    if entity.cardinality is None:
-        return entity
-    return Entity(entity.name, entity.kind)
-
-
 class Ownership(_Frozen):
     __slots__ = ("owner",)
     _key = attrgetter("owner")
 
     def __init__(self, owner):
-        object.__setattr__(self, "owner", _uncounted(owner))
+        if owner.cardinality is not None:
+            # A subject's numeral never enters a locus: whatever their
+            # number, "5 girls" own what the girls own.
+            owner = Entity(owner.name, owner.kind)
+        object.__setattr__(self, "owner", owner)
 
 
 class Place(_Frozen):
@@ -107,7 +103,7 @@ class Place(_Frozen):
     _key = attrgetter("place")
 
     def __init__(self, place):
-        object.__setattr__(self, "place", _uncounted(place))
+        object.__setattr__(self, "place", place)
 
 
 def render_locus(locus) -> str:
