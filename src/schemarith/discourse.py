@@ -262,8 +262,8 @@ class PropositionStore:
             else:
                 stated.append(render_proposition(self.raw_events[ref], lexicon)
                               .rstrip("."))
-                split.extend(render_elementary(event, lexicon)
-                             for event in self.split_events[ref])
+                for event in self.split_events[ref]:
+                    split.append(render_elementary(event, lexicon))
         return stated, split
 
 
