@@ -430,6 +430,14 @@ class _ClauseParser:
             raise self.error(f"expected an object noun, found {tok!r}")
         return cls
 
+    def take_be(self):
+        """A form of "be"; returns its tense."""
+        tok = self.take()
+        got = self.lexicon.lemmatize_verb(tok)
+        if got is None or got[0] != "be":
+            raise self.error(f"expected a form of 'be', found {tok!r}")
+        return got[1]
+
     def take_proper(self):
         name = self.take()
         self.ctx.mention(name, self.lexicon.name_gender(name))
@@ -583,11 +591,7 @@ class _ClauseParser:
     # "There were N OBJ [more] in the PLACE ..."
     def parse_existential(self):
         self.expect("there")
-        tok = self.take()
-        got = self.lexicon.lemmatize_verb(tok)
-        if got is None or got[0] != "be":
-            raise self.error(f"expected a form of 'be', found {tok!r}")
-        time = self.resolve_time(got[1])
+        time = self.resolve_time(self.take_be())
         n, obj = self.parse_object_np()
         if self.peek_lower() in ("more", "less"):
             direction = self.take().lower()
@@ -595,7 +599,7 @@ class _ClauseParser:
             left = self.parse_place_np()
             self.expect("than")
             self.expect("there")
-            self.take()  # right-side 'be' form; main clause time governs
+            self.take_be()  # the main clause's time governs
             self.expect("in")
             right = self.parse_place_np()
             self._check_done()
@@ -637,7 +641,7 @@ class _ClauseParser:
             left = StateKey(Ownership(subjects[0]), obj, time)
             if self.peek_lower() == "there":
                 self.take()
-                self.take()  # 'be' form
+                self.take_be()  # the main clause's time governs
                 self.expect("in")
                 right_locus = Place(self.parse_place_np())
             else:
@@ -730,6 +734,9 @@ class _ClauseParser:
                     source = ent
             else:
                 raise self.error(f"unexpected token {tok!r} in event clause")
+        if THEY in (subject, recipient, source, destination):
+            # the grammar resolves "they" only in a question
+            raise self.error(f"pronoun {THEY.name!r} cannot take part in an event")
         if object_np is None:
             # Subject numeral counts the subject class, but only for
             # locational verbs: "Two boys left a room."

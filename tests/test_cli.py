@@ -109,6 +109,20 @@ def test_combine_naming_one_owner_twice_is_not_understood(tmp_path, capsys, comb
     assert "one owner twice" in problem["error"]["message"]
 
 
+@pytest.mark.parametrize("event", [
+    "They bought 2 apples.",
+    "Ruth gave 2 apples to they.",
+])
+def test_they_in_an_event_is_not_understood(tmp_path, capsys, event):
+    path = write_problem(
+        tmp_path, f"Ruth had 3 apples. {event} How many apples does Ruth have now?")
+    assert cli.main(["solve", path, "--format", "json"]) == 2
+    [problem] = json.loads(capsys.readouterr().out)["problems"]
+    assert problem["error"] == {
+        "type": "ParseError",
+        "message": "sentence 2: pronoun 'they' cannot take part in an event"}
+
+
 def test_unexpected_exception_is_an_internal_error(tmp_path, capsys, monkeypatch):
     def broken(*args):
         raise RuntimeError("broken stage")

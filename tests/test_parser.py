@@ -259,6 +259,18 @@ def test_conflicting_markers():
         parse_text("Ruth had 3 apples now in the beginning.")
 
 
+@pytest.mark.parametrize("compare", [
+    "There were 5 apples more in the box than there zz in the basket.",
+    "Tom had 2 apples more than there zz in the box.",
+])
+def test_comparison_checks_its_second_be_form(compare):
+    with pytest.raises(ParseError) as info:
+        parse_text(compare)
+    assert str(info.value) == "sentence 1: expected a form of 'be', found 'zz'"
+    [prop] = parse_text(compare.replace("zz", "are"))
+    assert prop.right.time is TimePoint.INITIAL   # the main clause's time governs
+
+
 def test_unknown_word():
     with pytest.raises(UnknownWord):
         parse_text("Ruth danced 3 apples.")
