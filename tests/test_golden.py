@@ -6,18 +6,22 @@ text, one list item per line.  The problems are the corpus and five
 more that reach the creation and termination kinds, which the corpus
 does not.  `tests/data/golden_corpus.json` holds the report of
 `schemarith corpus --format json` under each strategy, without the
-per-problem `timing_ms`.  After an intended change of output, rewrite
-both files with `PYTHONPATH=src python tests/test_golden.py` and review
-their diff.
+per-problem `timing_ms`.  `tests/data/golden_errors.json` holds seeded
+word-level mutants of the corpus problems with the outcome of each: its
+exit code, and the error's type and message or the verdict and answer.
+After an intended change of output, rewrite the three files with
+`PYTHONPATH=src python tests/test_golden.py` and review their diff.
 """
 import io
 import json
+import random
+import re
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from schemarith.cli import main
+from schemarith.cli import RunConfig, _run_text, main
 from schemarith.corpus import CORPUS
 from schemarith.lexicon import load_default_lexicon
 from schemarith.pipeline import render_text_report, result_to_dict, run_problem
@@ -25,6 +29,7 @@ from schemarith.schema_engine import Strategy
 
 GOLDEN = Path(__file__).parent / "data" / "golden_reports.json"
 GOLDEN_CORPUS = Path(__file__).parent / "data" / "golden_corpus.json"
+GOLDEN_ERRORS = Path(__file__).parent / "data" / "golden_errors.json"
 
 EXTRA = {
     "terminate-ownership":
@@ -76,6 +81,65 @@ def corpus_report(strategy):
     return report
 
 
+# Words a mutation draws: grammar words, a few words outside the lexicon
+# (one of them a regular verb form), and, at generation, every surface of
+# the default lexicon's tables.
+GRAMMAR_WORDS = ("a", "altogether", "an", "and", "beginning", "by", "from",
+                 "how", "if", "in", "into", "less", "many", "more", "now", "of",
+                 "onto", "out", "than", "the", "there", "to")
+UNKNOWN_WORDS = ("zz", "cakes", "remained", "quickly", "Zorro", "12", "then",
+                 "next", "after", "this", "that", "it", "is", "known")
+MUTANTS = 1500
+
+
+def vocabulary():
+    words = set(GRAMMAR_WORDS) | set(UNKNOWN_WORDS)
+    for table in (LEX.verbs, LEX.verb_forms, LEX.number_words, LEX.noun_forms,
+                  LEX.pronouns, LEX.names):
+        for surface in table:
+            words.update(surface.split())
+    return sorted(words)
+
+
+def mutate(words, rng, vocab):
+    """One substitution, deletion, duplication or adjacent swap of a word."""
+    slots = [i for i, w in enumerate(words) if w[0].isalnum()]
+    i = rng.choice(slots)
+    op = rng.choice(("substitute", "delete", "duplicate", "swap"))
+    if op == "substitute":
+        word = rng.choice(vocab)
+        words[i] = word.title() if rng.random() < 0.2 else word
+    elif op == "delete":
+        del words[i]
+    elif op == "duplicate":
+        words.insert(i, words[i])
+    else:
+        j = min(i + 1, len(words) - 1)
+        words[i], words[j] = words[j], words[i]
+
+
+def mutants(seed=6):
+    """Texts of MUTANTS mutants of the corpus problems, one or two edits each."""
+    rng = random.Random(seed)
+    vocab = vocabulary()
+    texts = []
+    for n in range(MUTANTS):
+        words = re.findall(r"[A-Za-z0-9'-]+|[^\sA-Za-z0-9'-]", CORPUS[n % len(CORPUS)].text)
+        for _ in range(rng.choice((1, 1, 2))):
+            mutate(words, rng, vocab)
+        texts.append(" ".join(words))
+    return texts
+
+
+def outcome(text):
+    code, data, _ = _run_text(text, LEX, RunConfig([]))
+    if "error" in data:
+        return {"text": text, "exit": code,
+                "error": [data["error"]["type"], data["error"]["message"]]}
+    return {"text": text, "exit": code, "verdict": data["verdict"],
+            "answer": data.get("answer")}
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
@@ -99,8 +163,16 @@ def test_corpus_report_matches_golden(strategy):
     assert got == dump(golden[strategy.value]).split("\n")
 
 
+def test_mutant_outcomes_match_golden():
+    golden = json.loads(GOLDEN_ERRORS.read_text(encoding="utf-8"))
+    assert len(golden) == MUTANTS
+    assert [outcome(row["text"]) for row in golden] == golden
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(dump(current()) + "\n", encoding="utf-8")
     GOLDEN_CORPUS.write_text(
         dump({s.value: corpus_report(s) for s in Strategy}) + "\n", encoding="utf-8")
+    rows = (json.dumps(outcome(text), ensure_ascii=False) for text in mutants())
+    GOLDEN_ERRORS.write_text("[\n" + ",\n".join(rows) + "\n]\n", encoding="utf-8")
