@@ -150,6 +150,36 @@ class LexiconFormatError(ValueError):
     pass
 
 
+#: The grammar's own words; with the verbs, nouns, numerals and pronouns
+#: they are reserved, so a capitalised one never reads as a proper name.
+KEYWORDS = frozenset((
+    "there", "how", "many", "more", "less", "than", "altogether", "and",
+    "if", "now", "in", "the", "beginning", "to", "from", "into", "onto",
+    "out", "of", "a", "an", "by",
+))
+
+
+class Word:
+    """What the parser asks about one lower-cased word.
+
+    ``number`` is its value as a numeral, ``verb`` its (lemma, tense),
+    ``noun`` its object class as written in lower case and ``capital_noun``
+    as written with a capital (only a tabled noun has one), ``pronoun``
+    its gender tag.  A ``reserved`` word never reads as a proper name.
+    A word may carry several classes: "put" is a lemma and a past form.
+    """
+
+    __slots__ = ("number", "verb", "noun", "capital_noun", "pronoun", "reserved")
+
+    def __init__(self, number, verb, noun, capital_noun, pronoun, reserved):
+        self.number = number
+        self.verb = verb
+        self.noun = noun
+        self.capital_noun = capital_noun
+        self.pronoun = pronoun
+        self.reserved = reserved
+
+
 def _parse_kind(direction: str, locus: str) -> ChangeKind:
     try:
         return ChangeKind(Direction(direction), LocusKind(locus))
@@ -254,13 +284,7 @@ class Lexicon:
             return self.noun_forms[w]
         if surface[:1].isupper():
             return None
-        if w.endswith("ies") and len(w) > 4:
-            return w[:-3] + "y"
-        if w.endswith(("xes", "ches", "shes", "sses")):
-            return w[:-2]
-        if w.endswith("s") and not w.endswith("ss") and len(w) > 3:
-            return w[:-1]
-        return w
+        return _regular_noun(w)
 
     def pluralize(self, canonical, n=None) -> str:
         """Surface form for `n` objects of a class (singular iff n == 1)."""
@@ -290,13 +314,21 @@ class Lexicon:
             return frozenset()
         return self.supersets.get(canonical, frozenset())
 
-    def name_gender(self, name):
-        return self.names.get(name)
-
     def pronoun_kind(self, word):
         return self.pronouns.get(word.lower())
 
     # -- loading ---------------------------------------------------------
+
+    def word(self, w):
+        """The Word of a lower-cased token outside ``words``.
+
+        Such a token is no keyword, noun form, number word or pronoun, so
+        only the regular inflections apply, once.
+        """
+        if w.isdigit():
+            return Word(int(w), None, w, None, None, True)
+        verb = self.lemmatize_verb(w)
+        return Word(None, verb, _regular_noun(w), None, None, verb is not None)
 
     def _freeze(self):
         self._past_forms = {
@@ -304,7 +336,37 @@ class Lexicon:
             for form, (lemma, tense) in self.verb_forms.items()
             if tense is Tense.PAST
         }
+        # phrasal lemma minus its last one or two words -> those particles,
+        # the longer first; "fall" -> ("out", "of"), ("into",), ("from",)
+        self.phrasal = {}
+        for span in (2, 1):
+            for parts in (lemma.split(" ") for lemma in self.verbs):
+                if len(parts) > span:
+                    self.phrasal.setdefault(" ".join(parts[:-span]), []).append(
+                        tuple(parts[-span:]))
+        # lower-cased surface -> Word, for every surface in the tables
+        tables = (KEYWORDS, self.verbs, self.verb_forms, self.number_words,
+                  self.noun_forms, self.pronouns, self.names)
+        self.words = {}
+        for w in {surface.lower() for table in tables for surface in table}:
+            number, verb = self.parse_number(w), self.lemmatize_verb(w)
+            pronoun = self.pronoun_kind(w)
+            self.words[w] = Word(
+                number, verb, self.normalize_noun(w), self.noun_forms.get(w), pronoun,
+                w in KEYWORDS or w in self.noun_forms or verb is not None
+                or number is not None or pronoun is not None)
         return self
+
+
+def _regular_noun(w):
+    """Canonical singular of a lower-cased noun by the regular rules."""
+    if w.endswith("ies") and len(w) > 4:
+        return w[:-3] + "y"
+    if w.endswith(("xes", "ches", "shes", "sses")):
+        return w[:-2]
+    if w.endswith("s") and not w.endswith("ss") and len(w) > 3:
+        return w[:-1]
+    return w
 
 
 def load_lexicon_text(text) -> Lexicon:

@@ -21,6 +21,7 @@ from .lexicon import (
     StaticState,
     Tense,
     TimeHint,
+    Word,
     load_default_lexicon,
 )
 from .quantity import QUESTION, Known, Question, TimePoint, _Frozen, render_quantity
@@ -188,11 +189,13 @@ class CombineProp(_Frozen):
 
 
 class Clause:
-    def __init__(self, tokens, sentence_index, interrogative, lower):
+    def __init__(self, tokens, sentence_index, interrogative, lower, words, markers):
         self.tokens = tokens
         self.sentence_index = sentence_index
         self.interrogative = interrogative
-        self.lower = lower   # the tokens lower-cased, position by position
+        self.lower = lower       # the tokens lower-cased, position by position
+        self.words = words       # the tokens' lexicon Words, position by position
+        self.markers = markers   # the set of time markers taken out
 
 
 class Sentence:
@@ -201,7 +204,7 @@ class Sentence:
         self.clauses = clauses
 
 
-_WORD_RE = re.compile(r"[A-Za-z0-9'-]+|[,]")
+_TOKEN_RE = re.compile(r"[A-Za-z0-9'-]+|[,.?!]")
 
 # Leading phrases with no amount semantics, stripped before parsing.
 _SEQUENCERS = (
@@ -211,83 +214,111 @@ _SEQUENCERS = (
     ("after", "that"),
     ("it", "is", "known", "that"),
 )
+_SEQUENCER_HEADS = {seq[0] for seq in _SEQUENCERS}
 
 
-def _words(chunk):
-    return _WORD_RE.findall(chunk)
-
-
-def _split_and(tokens, lower, lexicon):
+def _split_and(tokens, lower, words):
     """Split at clause-level "and": both halves must contain a verb.
 
     One forward scan over the "and"s: an "and" ends the current clause
     when a verb has appeared since the clause began and another follows
-    the "and".  A word is tested for a verb form at most twice, and only
-    when an "and" needs the answer.  Commas are dropped.  Returns
-    (tokens, lower) pairs, one per clause.
+    the "and".  Returns (tokens, lower, words) triples, one per clause.
     """
-    cuts = []
+    clauses, start = [], 0
     if "and" in lower:
-        def is_verb(n):
-            return tokens[n] != "," and lexicon.is_verb_form(tokens[n])
-
         left = 0          # no verb in the current clause before position left
         following = -1    # first verb after the latest "and" that needed one
         for n, word in enumerate(lower):
             if word != "and":
                 continue
-            while left < n and not is_verb(left):
+            while left < n and words[left].verb is None:
                 left += 1
             if left >= n:
                 continue
             if following <= n:
                 following = n + 1
-                while following < len(tokens) and not is_verb(following):
+                while following < len(words) and words[following].verb is None:
                     following += 1
-            if following < len(tokens):
-                cuts.append(n)
+            if following < len(words):
+                clauses.append((tokens[start:n], lower[start:n], words[start:n]))
+                start = n + 1
                 left = following
-    if not cuts and "," not in tokens:
-        return [(tokens, lower)]
-    clauses, start = [], 0
-    for end in cuts + [len(tokens)]:
-        clauses.append(([t for t in tokens[start:end] if t != ","],
-                        [w for w in lower[start:end] if w != ","]))
-        start = end + 1
+    clauses.append((tokens[start:], lower[start:], words[start:]) if start
+                   else (tokens, lower, words))
     return clauses
 
 
+def _clause(tokens, lower, words, index):
+    """A clause without its leading sequencers and its time markers."""
+    interrogative = len(lower) > 1 and lower[0] == "how" and lower[1] == "many"
+    start = 0
+    while start < len(lower) and lower[start] in _SEQUENCER_HEADS:
+        for seq in _SEQUENCERS:
+            if tuple(lower[start: start + len(seq)]) == seq:
+                start += len(seq)
+                break
+        else:
+            break
+    if start:
+        tokens, lower, words = tokens[start:], lower[start:], words[start:]
+    markers = set()
+    if "now" in lower or "beginning" in lower:
+        spans = []   # (first, end) of each time marker, in text order
+        for i, word in enumerate(lower):
+            if word == "now":
+                markers.add(TimePoint.FINAL)
+                spans.append((i, i + 1))
+            elif word == "beginning" and i >= 2 and lower[i - 2: i] == ["in", "the"]:
+                markers.add(TimePoint.INITIAL)
+                spans.append((i - 2, i + 1))
+        tokens, lower, words = tokens[:], lower[:], words[:]
+        for first, end in reversed(spans):
+            del tokens[first:end], lower[first:end], words[first:end]
+    return Clause(tokens, index, interrogative, lower, words, markers)
+
+
 def tokenize(text, lexicon=None) -> list:
-    """Split problem text into sentences and clauses.
+    """Split problem text into sentences and clauses of classified tokens.
 
     Sentences end at '.', '?' or '!'.  A ", if" splits a sentence into a
     main clause plus subordinate clauses; "and" between two full clauses
     splits them into siblings.  Clauses beginning "how many" are flagged
-    interrogative.
+    interrogative.  Each token is lower-cased and given its lexicon Word
+    once; leading sequencers and time markers leave the clause here.
     """
     if lexicon is None:
         lexicon = load_default_lexicon()
-    if not text or not text.strip():
-        raise EmptyInput()
+    tokens = _TOKEN_RE.findall(text) if text else []
+    # The tokens are ASCII, so lower-casing them at once keeps them apart;
+    # every terminator reads as ".".
+    lower = " ".join(tokens).lower().replace("?", ".").replace("!", ".").split(" ")
+    lower.append(".")
+    get, word = lexicon.words.get, lexicon.word
     sentences = []
-    for chunk in re.split(r"[.?!]", text):
-        tokens = _words(chunk)
-        if not tokens:
+    start = 0
+    while start < len(tokens):
+        end = lower.index(".", start)
+        if end == start:
+            start += 1
             continue
-        lower = [t.lower() for t in tokens]
+        sentence_tokens, sentence_lower = tokens[start:end], lower[start:end]
+        start = end + 1
         index = len(sentences)
         # ", if" subordination
-        if "if" in lower[1:]:
-            j = lower.index("if", 1)
-            parts = [(tokens[:j], lower[:j]), (tokens[j + 1:], lower[j + 1:])]
+        if "if" in sentence_lower[1:]:
+            j = sentence_lower.index("if", 1)
+            parts = [(sentence_tokens[:j], sentence_lower[:j]),
+                     (sentence_tokens[j + 1:], sentence_lower[j + 1:])]
         else:
-            parts = [(tokens, lower)]
+            parts = [(sentence_tokens, sentence_lower)]
         clauses = []
-        for part in parts:
-            for clause_tokens, clause_lower in _split_and(*part, lexicon):
-                interrogative = clause_lower[:2] == ["how", "many"]
-                clauses.append(Clause(clause_tokens, index, interrogative,
-                                      clause_lower))
+        for part_tokens, part_lower in parts:
+            if "," in part_tokens:
+                part_tokens = [t for t in part_tokens if t != ","]
+                part_lower = [w for w in part_lower if w != ","]
+            words = [get(w) or word(w) for w in part_lower]
+            for split in _split_and(part_tokens, part_lower, words):
+                clauses.append(_clause(*split, index))
         sentences.append(Sentence(index, clauses))
     if not sentences:
         raise EmptyInput()
@@ -318,11 +349,7 @@ class DiscourseContext:
 
 
 _DETERMINERS = {"a", "an", "the"}
-_KEYWORDS = {
-    "there", "how", "many", "more", "less", "than", "altogether", "and",
-    "if", "now", "in", "the", "beginning", "to", "from", "into", "onto",
-    "out", "of", "a", "an", "by",
-}
+_END = Word(None, None, None, None, None, True)   # the Word past a clause's end
 
 
 class _ClauseParser:
@@ -331,8 +358,14 @@ class _ClauseParser:
         self.ctx = ctx
         self.sentence = clause.sentence_index
         self.interrogative = clause.interrogative
-        tokens, lower = self._strip_sequencers(clause.tokens, clause.lower)
-        self.tokens, self.lower, self.marker = self._extract_markers(tokens, lower)
+        if len(clause.markers) > 1:
+            raise self.error("conflicting time markers in one clause")
+        self.marker = next(iter(clause.markers), None)
+        # One place past the end, where the clause reads as over.
+        self.tokens = clause.tokens + [None]
+        self.lower = clause.lower + [None]
+        self.words = clause.words + [_END]
+        self.end = len(clause.tokens)
         self.pos = 0
 
     # -- token plumbing -------------------------------------------------
@@ -340,61 +373,38 @@ class _ClauseParser:
     def error(self, reason):
         return ParseError(self.sentence, reason)
 
-    def peek(self, offset=0):
-        i = self.pos + offset
-        return self.tokens[i] if i < len(self.tokens) else None
+    def peek(self):
+        return self.tokens[self.pos]
 
-    def peek_lower(self, offset=0):
-        i = self.pos + offset
-        return self.lower[i] if i < len(self.lower) else None
+    def peek_lower(self):
+        return self.lower[self.pos]
+
+    def peek_word(self):
+        return self.words[self.pos]
 
     def take(self):
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok is None:
             raise self.error("unexpected end of clause")
         self.pos += 1
         return tok
 
+    def take_word(self):
+        """The next token and its Word."""
+        i = self.pos
+        if self.tokens[i] is None:
+            raise self.error("unexpected end of clause")
+        self.pos = i + 1
+        return self.tokens[i], self.words[i]
+
     def expect(self, *words):
-        tok = self.peek_lower()
+        tok = self.lower[self.pos]
         if tok not in words:
             raise self.error(f"expected {' or '.join(words)!r}, found {tok!r}")
         return self.take()
 
     def done(self):
-        return self.pos >= len(self.tokens)
-
-    # -- preprocessing ----------------------------------------------------
-
-    def _strip_sequencers(self, tokens, lower):
-        start = 0
-        while True:
-            for seq in _SEQUENCERS:
-                if tuple(lower[start: start + len(seq)]) == seq:
-                    start += len(seq)
-                    break
-            else:
-                return tokens[start:], lower[start:]
-
-    def _extract_markers(self, tokens, lower):
-        out, out_lower, marker = [], [], None
-        i = 0
-        while i < len(tokens):
-            if tuple(lower[i: i + 3]) == ("in", "the", "beginning"):
-                found = TimePoint.INITIAL
-                i += 3
-            elif lower[i] == "now":
-                found = TimePoint.FINAL
-                i += 1
-            else:
-                out.append(tokens[i])
-                out_lower.append(lower[i])
-                i += 1
-                continue
-            if marker is not None and marker != found:
-                raise self.error("conflicting time markers in one clause")
-            marker = found
-        return out, out_lower, marker
+        return self.pos >= self.end
 
     def resolve_time(self, tense) -> TimePoint:
         """Combine verb tense with an explicit marker; disagreement is an error."""
@@ -407,91 +417,77 @@ class _ClauseParser:
 
     # -- small recognizers --------------------------------------------------
 
-    def _is_numeral(self, tok):
-        return tok is not None and self.lexicon.parse_number(tok) is not None
+    def _is_proper(self):
+        """A capitalised token is a name if the lexicon lists it, or if its
+        word is not reserved for the grammar."""
+        tok = self.tokens[self.pos]
+        return tok is not None and tok[:1].isupper() and (
+            tok in self.lexicon.names or not self.words[self.pos].reserved)
 
-    def _is_proper(self, tok):
-        if tok is None or not tok[:1].isupper():
-            return False
-        if tok in self.lexicon.names:
-            return True
-        low = tok.lower()
-        return not (
-            low in _KEYWORDS
-            or low in self.lexicon.noun_forms
-            or self.lexicon.is_verb_form(low)
-            or self._is_numeral(low)
-            or low in self.lexicon.pronouns
-        )
-
-    def _noun_class(self, tok):
-        cls = self.lexicon.normalize_noun(tok)
+    def take_noun(self):
+        tok, word = self.take_word()
+        cls = word.capital_noun if tok[:1].isupper() else word.noun
         if cls is None:
             raise self.error(f"expected an object noun, found {tok!r}")
         return cls
 
     def take_be(self):
         """A form of "be"; returns its tense."""
-        tok = self.take()
-        got = self.lexicon.lemmatize_verb(tok)
-        if got is None or got[0] != "be":
+        tok, word = self.take_word()
+        if word.verb is None or word.verb[0] != "be":
             raise self.error(f"expected a form of 'be', found {tok!r}")
-        return got[1]
+        return word.verb[1]
 
     def take_proper(self):
         name = self.take()
-        self.ctx.mention(name, self.lexicon.name_gender(name))
+        self.ctx.mention(name, self.lexicon.names.get(name))
         return Entity(name, EntityKind.PROPER)
 
-    def take_pronoun_entity(self, word):
-        gender = self.lexicon.pronoun_kind(word)
-        self.take()
-        if gender == "group":
+    def take_pronoun_entity(self):
+        tok, word = self.take_word()
+        if word.pronoun == "group":
             return THEY
-        name = self.ctx.resolve(gender)
+        name = self.ctx.resolve(word.pronoun)
         if name is None:
-            raise self.error(f"pronoun {word!r} has no antecedent")
+            raise self.error(f"pronoun {tok!r} has no antecedent")
         return Entity(name, EntityKind.PROPER)
 
     def parse_place_np(self) -> Entity:
-        if self.peek_lower() in _DETERMINERS:
-            self.take()
-        tok = self.take()
-        if self._is_proper(tok):
-            raise self.error(f"expected a place noun, found the name {tok!r}")
-        return Entity(self._noun_class(tok), EntityKind.CLASS)
+        if self.lower[self.pos] in _DETERMINERS:
+            self.pos += 1
+        if self._is_proper():
+            raise self.error(f"expected a place noun, found the name {self.take()!r}")
+        return Entity(self.take_noun(), EntityKind.CLASS)
 
     def parse_person_or_place(self) -> Entity:
-        tok = self.peek()
-        if tok is not None and self.lexicon.pronoun_kind(tok) is not None:
-            return self.take_pronoun_entity(tok)
-        if self._is_proper(tok):
+        if self.peek_word().pronoun is not None:
+            return self.take_pronoun_entity()
+        if self._is_proper():
             return self.take_proper()
         return self.parse_place_np()
 
     def parse_object_np(self):
         """A counted object: NUMERAL NOUN."""
-        tok = self.take()
-        n = self.lexicon.parse_number(tok)
-        if n is None:
+        tok, word = self.take_word()
+        if word.number is None:
             raise self.error(f"expected an amount, found {tok!r}")
-        return n, self._noun_class(self.take())
+        return word.number, self.take_noun()
 
     # -- subjects -----------------------------------------------------------
 
     def parse_subject_item(self) -> Entity:
-        tok = self.peek()
-        if tok is None:
+        """A pronoun, else a name, else a counted class noun."""
+        if self.done():
             raise self.error("missing subject")
-        if self.lexicon.pronoun_kind(tok) is not None and not self._is_numeral(tok):
-            return self.take_pronoun_entity(tok)
-        if self._is_proper(tok):
+        word = self.peek_word()
+        if word.pronoun is not None and word.number is None:
+            return self.take_pronoun_entity()
+        if self._is_proper():
             return self.take_proper()
-        if self._is_numeral(tok):
-            n = self.lexicon.parse_number(self.take())
-            cls = self._noun_class(self.take())
-            return Entity(cls, EntityKind.CLASS, cardinality=n)
-        raise self.error(f"cannot read subject starting at {tok!r}")
+        if word.number is not None:
+            self.take()
+            return Entity(self.take_noun(), EntityKind.CLASS, cardinality=word.number)
+        raise self.error(f"cannot read subject starting at {self.peek()!r}")
 
     def parse_subject(self):
         items = [self.parse_subject_item()]
@@ -502,32 +498,26 @@ class _ClauseParser:
 
     # -- verb group ------------------------------------------------------------
 
+    def take_verb(self):
+        """(lemma, tense) of the next token; UnknownWord if it is no verb."""
+        tok, word = self.take_word()
+        if word.verb is None:
+            raise UnknownWord(self.sentence, tok)
+        return word.verb
+
     def parse_verb_group(self):
         """Longest verb lemma at the cursor, with tense.
 
-        Tries phrasal lemmas built from following particles first, so
+        Phrasal lemmas extend with their particles, two before one, so
         "took out", "went away" and "fell out of" resolve to their table
         entries. "was born"/"were born" resolves to its own lemma.
         """
-        tok = self.take()
-        got = self.lexicon.lemmatize_verb(tok)
-        if got is None:
-            raise UnknownWord(self.sentence, tok)
-        lemma, tense = got
-        if lemma == "be" and self.peek_lower() == "born":
-            self.take()
-            lemma = "be born"
-        else:
-            for span in (2, 1):
-                extra = [self.peek_lower(k) for k in range(span)]
-                if any(e is None for e in extra):
-                    continue
-                candidate = " ".join([lemma] + extra)
-                if candidate in self.lexicon.verbs:
-                    for _ in range(span):
-                        self.take()
-                    lemma = candidate
-                    break
+        lemma, tense = self.take_verb()
+        for particles in self.lexicon.phrasal.get(lemma, ()):
+            if tuple(self.lower[self.pos: self.pos + len(particles)]) == particles:
+                self.pos += len(particles)
+                lemma = " ".join((lemma,) + particles)
+                break
         return lemma, tense, self.lexicon.classify_verb(lemma)
 
     # -- clause forms -------------------------------------------------------------
@@ -543,12 +533,9 @@ class _ClauseParser:
     def parse_question(self):
         self.expect("how")
         self.expect("many")
-        obj = self._noun_class(self.take())
-        tok = self.take()
-        got = self.lexicon.lemmatize_verb(tok)
-        if got is None:
-            raise UnknownWord(self.sentence, tok)
-        aux, tense = got
+        obj = self.take_noun()
+        tok = self.peek()
+        aux, tense = self.take_verb()
         time = self.resolve_time(tense)
         if aux == "be":
             self.expect("there")
@@ -558,8 +545,7 @@ class _ClauseParser:
             return [StateProp(StateKey(Place(place), obj, time), QUESTION, self.sentence)]
         if aux != "do":
             raise self.error(f"unsupported question auxiliary {tok!r}")
-        subj_tok = self.peek()
-        if subj_tok is not None and self.lexicon.pronoun_kind(subj_tok) == "group":
+        if self.peek_word().pronoun == "group":
             self.take()
             lemma, _, _ = self.parse_verb_group()
             if lemma != "have":
@@ -570,7 +556,7 @@ class _ClauseParser:
                                 context="state", sentence=self.sentence)]
         if self.peek_lower() in _DETERMINERS:
             self.take()
-            cls = self._noun_class(self.take())
+            cls = self.take_noun()
             lemma, _, classification = self.parse_verb_group()
             if not isinstance(classification, (Elementary, Compound)):
                 raise self.error(
@@ -647,9 +633,8 @@ class _ClauseParser:
             else:
                 right_locus = Ownership(self.parse_person_or_place())
                 if not self.done():
-                    tok = self.take()
-                    got = self.lexicon.lemmatize_verb(tok)
-                    if got is None or got[0] != "have":
+                    tok, word = self.take_word()
+                    if word.verb is None or word.verb[0] != "have":
                         raise self.error(f"unexpected token {tok!r} after comparison")
             self._check_done()
             return [CompareProp(left, StateKey(right_locus, obj, time),
@@ -695,7 +680,7 @@ class _ClauseParser:
         locational = (isinstance(classification, Elementary)
                       and classification.kind.locus_kind is LocusKind.PLACE)
         while not self.done():
-            tok = self.peek_lower()
+            tok, word = self.peek_lower(), self.peek_word()
             if tok == "to":
                 self.take()
                 ent = self.parse_person_or_place()
@@ -713,19 +698,18 @@ class _ClauseParser:
                 self.take()
                 self.expect("of")
                 source = self.parse_place_np()
-            elif object_np is None and self._is_numeral(self.peek(1)) \
-                    and (self._is_proper(self.peek())
-                         or self.lexicon.pronoun_kind(tok) in ("f", "m")):
+            elif object_np is None and self.words[self.pos + 1].number is not None \
+                    and (self._is_proper() or word.pronoun in ("f", "m")):
                 # double-object dative: "gave Tom 3 apples", "gave him 3 apples"
-                if self._is_proper(self.peek()):
+                if self._is_proper():
                     recipient = self.take_proper()
                 else:
-                    recipient = self.take_pronoun_entity(self.peek())
-            elif self._is_numeral(tok):
+                    recipient = self.take_pronoun_entity()
+            elif word.number is not None:
                 if object_np is not None:
                     raise self.error("two counted objects in one event")
                 object_np = self.parse_object_np()
-            elif (tok in _DETERMINERS or not self._is_proper(self.peek())) \
+            elif (tok in _DETERMINERS or not self._is_proper()) \
                     and locational:
                 ent = self.parse_place_np()  # bare locus of leave/enter/exit
                 if classification.kind.direction is Direction.IN:
@@ -783,7 +767,7 @@ def parse_problem(text, lexicon) -> list:
     props = []
     for sentence in tokenize(text, lexicon):
         for clause in sentence.clauses:
-            props.extend(parse_clause(clause, lexicon, ctx))
+            props.extend(_ClauseParser(clause, lexicon, ctx).parse())
     count = _count_questions(props)
     if count == 0:
         raise NoQuestion()

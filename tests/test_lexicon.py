@@ -4,6 +4,8 @@ from hypothesis import strategies as st
 
 from schemarith.corpus import CORPUS
 from schemarith.lexicon import (
+    DEFAULT_LEXICON,
+    KEYWORDS,
     VALID_CHANGE_KINDS,
     ChangeKind,
     Compound,
@@ -12,9 +14,11 @@ from schemarith.lexicon import (
     LocusKind,
     Role,
     StaticState,
+    Tense,
     load_default_lexicon,
     load_lexicon_text,
 )
+from schemarith.parser import Clause, DiscourseContext, ParseError, _ClauseParser
 
 LEX = load_default_lexicon()
 
@@ -193,3 +197,76 @@ def test_lexicon_text_round_trip():
     assert isinstance(cls, Elementary)
     assert cls.kind.direction is Direction.OUT
     assert lex.noun_forms["kites"] == "kite"
+
+
+# -- the compiled word table ------------------------------------------------
+
+
+def is_proper_reference(lex, tok):
+    """The proper-name rule as it read before tokens carried a Word."""
+    if not tok[:1].isupper():
+        return False
+    if tok in lex.names:
+        return True
+    low = tok.lower()
+    return not (low in KEYWORDS or low in lex.noun_forms or lex.is_verb_form(low)
+                or lex.parse_number(low) is not None or low in lex.pronouns)
+
+
+def parser_reading(lex, tok):
+    """(proper?, object class or None) as the clause parser reads `tok`."""
+    w = tok.lower()
+    word = lex.words.get(w) or lex.word(w)
+    clause = Clause([tok], 0, False, [w], [word], set())
+    proper = _ClauseParser(clause, lex, DiscourseContext())._is_proper()
+    try:
+        noun = _ClauseParser(clause, lex, DiscourseContext()).take_noun()
+    except ParseError:
+        noun = None
+    return word, proper, noun
+
+
+def assert_word_agrees(lex, surface):
+    for tok in {surface.lower(), surface.title(), surface.upper()}:
+        word, proper, noun = parser_reading(lex, tok)
+        assert word.number == lex.parse_number(tok), tok
+        assert word.verb == lex.lemmatize_verb(tok), tok
+        assert word.pronoun == lex.pronoun_kind(tok), tok
+        assert noun == lex.normalize_noun(tok), tok
+        assert proper == is_proper_reference(lex, tok), tok
+
+
+def surfaces(lex):
+    """Every surface of the tables, every regular inflection of every verb
+    lemma, every keyword and a few digit strings."""
+    words = {s for table in (lex.verbs, lex.verb_forms, lex.number_words,
+                             lex.noun_forms, lex.pronouns, lex.names,
+                             lex.supersets, KEYWORDS)
+             for s in table}
+    for lemma in lex.verbs:
+        stem = lemma.split(" ")[0]
+        words.update((stem + "s", stem + "es", stem[:-1] + "ies", stem + "d",
+                      stem + "ed", stem + stem[-1] + "ed"))
+    return sorted(words | {"0", "7", "12", "300"})
+
+
+def test_word_table_agrees_with_the_rule_methods():
+    for surface in surfaces(LEX):
+        assert_word_agrees(LEX, surface)
+
+
+@given(st.text(alphabet="abcdefghijklmnopqrstuvwxyzAEIOUST0123456789'-",
+               min_size=1, max_size=9))
+def test_drawn_words_agree_with_the_rule_methods(surface):
+    assert_word_agrees(LEX, surface)
+
+
+def test_a_loaded_lexicon_gets_its_own_table():
+    lex = load_lexicon_text(
+        DEFAULT_LEXICON + "verb\tjuggle\telementary:in:ownership\nnoun\tkites\tkite\n")
+    assert "juggle" in lex.words and "kites" in lex.words
+    assert "juggle" not in LEX.words and "kites" not in LEX.words
+    assert lex.words["juggle"].verb == ("juggle", Tense.PRESENT)
+    assert lex.words["kites"].capital_noun == "kite"
+    for surface in surfaces(lex):
+        assert_word_agrees(lex, surface)

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -6,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schemarith.corpus import CORPUS, by_id
-from schemarith.lexicon import load_default_lexicon
+from schemarith.lexicon import (
+    DEFAULT_LEXICON,
+    Lexicon,
+    load_default_lexicon,
+    load_lexicon_text,
+)
 from schemarith.parser import (
     CombineProp,
     CompareProp,
@@ -201,6 +207,13 @@ def test_phrasal_verb_event():
     [prop] = parse_text("3 eggs fell out of the box.")
     assert prop.verb == "fall out of"
     assert prop.source == Entity("box", EntityKind.CLASS)
+
+
+def test_longest_phrasal_lemma_wins():
+    lex = load_lexicon_text(DEFAULT_LEXICON + "verb\tfall out\telementary:out:place\n")
+    [s] = tokenize("3 eggs fell out of the box.", lex)
+    [prop] = parse_clause(s.clauses[0], lex)
+    assert prop.verb == "fall out of"
 
 
 def test_transfer_event():
@@ -400,8 +413,6 @@ def test_place_state_round_trip(noun, obj, n, time, is_question):
 
 
 def _sentences(text):
-    import re
-
     return [s.strip() for s in re.findall(r"[^.?!]+[.?!]", text)]
 
 
@@ -415,3 +426,42 @@ def test_parse_order_independence(problem):
         shuffled = sentences[:]
         rng.shuffle(shuffled)
         assert Counter(parse_problem(" ".join(shuffled), LEX)) == base
+
+
+# -- work-counter gate ---------------------------------------------------------------
+
+
+def chain_text(k):
+    """A k-change chain of one holder, four clauses to a sentence."""
+    forms = ("Dan got {} nuts", "Dan lost {} nuts", "Dan gave {} nuts to Tom",
+             "Tom gave Dan {} nuts")
+    clauses = [forms[i % 4].format(i % 9 + 2) for i in range(k)]
+    sentences = [" and ".join(clauses[i: i + 4]) + "." for i in range(0, k, 4)]
+    return (f"Dan had {10 * k} nuts. {' '.join(sentences)} "
+            "How many nuts does Dan have now?")
+
+
+RULE_METHODS = ("lemmatize_verb", "normalize_noun", "parse_number", "pronoun_kind")
+
+
+def test_rule_methods_run_once_per_token_outside_the_table(monkeypatch):
+    """Each token is classified once, and a token in the compiled table
+    costs no rule method at all."""
+    calls = Counter()
+
+    def counted(name):
+        method = getattr(Lexicon, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+        return wrapper
+
+    for name in RULE_METHODS:
+        monkeypatch.setattr(Lexicon, name, counted(name))
+    texts = [p.text for p in CORPUS] + [chain_text(200)]
+    outside = sum(w.lower() not in LEX.words
+                  for text in texts for w in re.findall(r"[A-Za-z0-9'-]+", text))
+    for text in texts:
+        parse_problem(text, LEX)
+    assert 0 < sum(calls.values()) <= outside

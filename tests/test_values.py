@@ -238,7 +238,7 @@ def test_constructor_checks():
 # Each mutable record with its fields in constructor order: (name, default).
 MUTABLE = {
     Clause: [("tokens", NO), ("sentence_index", NO), ("interrogative", NO),
-             ("lower", NO)],
+             ("lower", NO), ("words", NO), ("markers", NO)],
     Sentence: [("index", NO), ("clauses", NO)],
     DiscourseContext: [("mentions", [])],
     Timeline: [("locus", NO), ("obj", NO), ("events", NO), ("initial", NO),
