@@ -87,12 +87,7 @@ def _run_text(text, lexicon, config):
                 f"Internal error: {exc}")
 
 
-def cmd_solve(config) -> int:
-    try:
-        lexicon = _load_lexicon(config)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+def cmd_solve(config, lexicon) -> int:
     report = {"format_version": FORMAT_VERSION, "problems": []}
     codes = []
     text_chunks = []
@@ -100,8 +95,8 @@ def cmd_solve(config) -> int:
         try:
             with open(path, encoding="utf-8") as fh:
                 content = fh.read()
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        except (OSError, ValueError) as exc:   # ValueError: not UTF-8
+            print(f"error: {path}: {exc}", file=sys.stderr)
             return EXIT_ERROR
         blocks = _blocks(content)
         if not blocks:
@@ -162,12 +157,7 @@ def run_corpus(problems, lexicon, strategy):
     return rows, all_match
 
 
-def cmd_corpus(config) -> int:
-    try:
-        lexicon = _load_lexicon(config)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+def cmd_corpus(config, lexicon) -> int:
     rows, all_match = run_corpus(CORPUS, lexicon, config.strategy)
     if config.format == "json":
         report = {
@@ -237,9 +227,14 @@ def main(argv=None) -> int:
         trace=getattr(args, "trace", False),
         lexicon_path=args.lexicon,
     )
+    try:
+        lexicon = _load_lexicon(config)
+    except (OSError, ValueError) as exc:   # ValueError: not UTF-8, or malformed
+        print(f"error: lexicon: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     if args.command == "solve":
-        return cmd_solve(config)
-    return cmd_corpus(config)
+        return cmd_solve(config, lexicon)
+    return cmd_corpus(config, lexicon)
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ from .lexicon import (
     Direction,
     Elementary,
     LocusKind,
-    Role,
 )
 from .parser import (
     CombineProp,
@@ -25,6 +24,7 @@ from .parser import (
     EntityKind,
     EventProp,
     Ownership,
+    ParseError,
     Place,
     StateKey,
     StateProp,
@@ -86,12 +86,7 @@ def _locus(kind, entity):
 
 def _change(kind, event, role):
     """(kind, locus) of one change of `event`, at the given participant."""
-    participant = {
-        Role.AGENT: event.agent,
-        Role.RECIPIENT: event.recipient,
-        Role.SOURCE: event.source,
-        Role.DESTINATION: event.destination,
-    }[role]
+    participant = getattr(event, role.value)   # each Role names an EventProp field
     if participant is None:
         return None
     return kind, _locus(kind, participant)
@@ -187,6 +182,9 @@ class PropositionStore:
         if existing is not None:
             if existing == prop.quantity:
                 return key
+            if isinstance(existing, Question) or isinstance(prop.quantity, Question):
+                raise ParseError(prop.sentence,
+                                 "the question asks for an amount the text states")
             raise DataConflict(key, existing, prop.quantity)
         self.states[key] = prop.quantity
         self.entries.append(("state", key))
@@ -222,24 +220,14 @@ class PropositionStore:
     # -- queries -----------------------------------------------------------
 
     def has_question(self) -> bool:
-        return self.question_description() is not None
-
-    def question_description(self):
-        for key, q in self.states.items():
-            if isinstance(q, Question):
-                return f"amount of {key.obj} ({render_locus(key.locus)}, {key.time.value})"
-        for rel in self.relations:
-            if isinstance(rel, CombineProp) and isinstance(rel.total, Question):
-                return f"total {rel.obj} altogether"
-        return None
+        return (any(isinstance(q, Question) for q in self.states.values())
+                or any(isinstance(rel, CombineProp) and isinstance(rel.total, Question)
+                       for rel in self.relations))
 
     def proper_owners_of(self, obj):
         """Proper-name owners holding any state of the object class, in order."""
         seen, owners = set(), []
-        for kind, ref in self.entries:
-            if kind != "state":
-                continue
-            key = ref
+        for key in self.states:
             if key.obj == obj and isinstance(key.locus, Ownership) \
                     and key.locus.owner.kind is EntityKind.PROPER \
                     and key.locus.owner.name not in seen:
@@ -315,17 +303,12 @@ def build_timelines(store) -> list:
     states count as present); intermediate unknowns are allocated between
     consecutive events of a chain.
     """
-    groups = {}
-    order = []
+    groups = {}   # in order of first appearance
     for event in store.events:
-        key = (event.locus, event.obj)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(event)
+        groups.setdefault((event.locus, event.obj), []).append(event)
     timelines = []
-    for locus, obj in order:
-        events = sorted(groups[(locus, obj)], key=_canonical_order)
+    for (locus, obj), events in groups.items():
+        events.sort(key=_canonical_order)
         initial = StateKey(locus, obj, TimePoint.INITIAL)
         final = StateKey(locus, obj, TimePoint.FINAL)
         timelines.append(Timeline(

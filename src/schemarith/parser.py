@@ -123,8 +123,8 @@ class StateKey(_Frozen):
         object.__setattr__(self, "time", time)
 
 
-# A proposition's sentence index, and an event's sequence number, stay out
-# of equality and hashing: where a clause stands does not change what it says.
+# A proposition's sentence index stays out of equality and hashing: where a
+# clause stands does not change what it says.
 
 
 class StateProp(_Frozen):
@@ -139,11 +139,11 @@ class StateProp(_Frozen):
 
 class EventProp(_Frozen):
     __slots__ = ("verb", "obj", "amount", "agent", "recipient", "source",
-                 "destination", "seq", "sentence")
+                 "destination", "sentence")
     _key = attrgetter(*__slots__[:7])
 
     def __init__(self, verb, obj, amount, agent=None, recipient=None, source=None,
-                 destination=None, seq=-1, sentence=-1):
+                 destination=None, sentence=-1):
         object.__setattr__(self, "verb", verb)
         object.__setattr__(self, "obj", obj)
         object.__setattr__(self, "amount", amount)
@@ -151,7 +151,6 @@ class EventProp(_Frozen):
         object.__setattr__(self, "recipient", recipient)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "destination", destination)
-        object.__setattr__(self, "seq", seq)
         object.__setattr__(self, "sentence", sentence)
 
 
@@ -330,13 +329,11 @@ def tokenize(text, lexicon=None) -> list:
 
 
 class DiscourseContext:
-    """Proper names seen so far, for pronoun resolution, and the number of
-    events so far, which numbers the next one."""
+    """Proper names seen so far, for pronoun resolution."""
 
     def __init__(self, mentions=None):
         # (name, gender) in text order
         self.mentions = [] if mentions is None else mentions
-        self.events = 0
 
     def mention(self, name, gender):
         self.mentions.append((name, gender))
@@ -720,7 +717,7 @@ class _ClauseParser:
                     source = ent
             else:
                 raise self.error(f"unexpected token {tok!r} in event clause")
-        if THEY in (subject, recipient, source, destination):
+        if any(ent is THEY for ent in (subject, recipient, source, destination)):
             # the grammar resolves "they" only in a question
             raise self.error(f"pronoun {THEY.name!r} cannot take part in an event")
         if object_np is None:
@@ -734,10 +731,8 @@ class _ClauseParser:
         else:
             amount, obj = object_np
             agent = subject
-        seq = self.ctx.events
-        self.ctx.events += 1
         return [EventProp(lemma, obj, Known(amount), agent, recipient, source,
-                          destination, seq, self.sentence)]
+                          destination, self.sentence)]
 
     def _check_done(self):
         if not self.done():
@@ -761,7 +756,7 @@ def _count_questions(props):
 
 
 def parse_problem(text, lexicon) -> list:
-    """All propositions of a problem, in text order, numbered by event.
+    """All propositions of a problem, in text order.
 
     Exactly one Question quantity must result.
     """

@@ -174,21 +174,13 @@ def initial_lsi(store, lexicon) -> list:
 
 
 def _timeline_amounts(timeline, store):
-    # Missing endpoints are introduced as fresh unknown states; the
-    # cautious gate never lets a timeline with missing endpoints reach here.
-    if timeline.initial is not None:
-        start = store.quantity(timeline.initial)
-    else:
-        key = store.lookup_or_introduce(timeline.locus, timeline.obj,
-                                        TimePoint.INITIAL)
-        start = store.quantity(key)
-    if timeline.final is not None:
-        end = store.quantity(timeline.final)
-    else:
-        key = store.lookup_or_introduce(timeline.locus, timeline.obj,
-                                        TimePoint.FINAL)
-        end = store.quantity(key)
-    return [start] + list(timeline.intermediates) + [end]
+    # Missing endpoints are introduced as fresh unknown states, the initial
+    # one first; the cautious gate never lets such a timeline reach here.
+    start = store.quantity(timeline.initial or store.lookup_or_introduce(
+        timeline.locus, timeline.obj, TimePoint.INITIAL))
+    end = store.quantity(timeline.final or store.lookup_or_introduce(
+        timeline.locus, timeline.obj, TimePoint.FINAL))
+    return [start, *timeline.intermediates, end]
 
 
 def build_lsi(store, timelines, strategy, first):

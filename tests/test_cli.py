@@ -243,3 +243,40 @@ def test_lexicon_flag_and_env(tmp_path, monkeypatch, capsys):
     assert "Answer: 5" in capsys.readouterr().out
     monkeypatch.setenv("SCHEMARITH_LEXICON", "/nonexistent/lex.tsv")
     assert cli.main(["solve", problem, "--lexicon", str(custom)]) == 0
+
+
+@pytest.mark.parametrize("problem, lexicon, via_env", [
+    pytest.param(b"\xff\xfeRuth had 3 apples.", None, False, id="problem-not-utf8"),
+    pytest.param(None, b"x\tbad\n", False, id="lexicon-malformed"),
+    pytest.param(None, b"\xff\xfeverb\n", True, id="lexicon-not-utf8-from-env"),
+])
+def test_unreadable_input_is_an_io_error(tmp_path, capsys, monkeypatch,
+                                         problem, lexicon, via_env):
+    path = tmp_path / "problem.txt"
+    path.write_bytes(problem or by_id("basket-apples").text.encode())
+    argv = ["solve", str(path)]
+    if lexicon is not None:
+        lexicon_path = tmp_path / "lexicon.tsv"
+        lexicon_path.write_bytes(lexicon)
+        if via_env:
+            monkeypatch.setenv("SCHEMARITH_LEXICON", str(lexicon_path))
+        else:
+            argv += ["--lexicon", str(lexicon_path)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", [
+    "Ruth had 3 apples. How many apples did Ruth have in the beginning?",
+    "How many apples did Ruth have in the beginning? Ruth had 3 apples.",
+    "There were 4 apples in the box. "
+    "How many apples were there in the box in the beginning?",
+])
+def test_question_about_a_stated_amount_is_not_understood(tmp_path, capsys, text):
+    path = write_problem(tmp_path, text)
+    assert cli.main(["solve", path, "--format", "json"]) == 2
+    [problem] = json.loads(capsys.readouterr().out)["problems"]
+    assert problem["error"] == {
+        "type": "ParseError",
+        "message": "sentence 2: the question asks for an amount the text states"}

@@ -10,7 +10,7 @@ from schemarith.discourse import (
     render_elementary,
     split_compound,
 )
-from schemarith.lexicon import ChangeKind, Direction, LocusKind, load_default_lexicon
+from schemarith.lexicon import ChangeKind, Direction, LocusKind, Role, load_default_lexicon
 from schemarith.parser import (
     Entity,
     EntityKind,
@@ -45,6 +45,11 @@ def store_for(problem_id):
 
 
 # -- splitting ------------------------------------------------------------
+
+
+def test_every_role_names_an_event_field():
+    # a compound component finds its participant by the Role's value
+    assert {role.value for role in Role} <= set(EventProp.__slots__)
 
 
 def test_split_give():

@@ -1,8 +1,15 @@
 """End-to-end runs outside the bundled corpus, plus report rendering."""
+from collections import Counter
+from enum import Enum
+
 import pytest
 
+from test_parser import chain_text
+
+from schemarith.corpus import CORPUS
 from schemarith.lexicon import load_default_lexicon
 from schemarith.pipeline import render_text_report, result_to_dict, run_problem
+from schemarith.quantity import _Frozen
 from schemarith.solver import Insufficient, Solved
 
 LEX = load_default_lexicon()
@@ -68,3 +75,34 @@ def test_timing_is_recorded():
         "Ruth had 4 candies. Ruth received 3 candies. How many candies "
         "does Ruth have now?", LEX)
     assert 0 <= result.timing_ms < 1000
+
+
+# -- hashing gate ------------------------------------------------------------------
+
+
+def test_value_hashing_per_elementary_event(monkeypatch):
+    """Each event, participant and timeline endpoint is looked up once, so
+    the nested value types are hashed and compared a bounded number of
+    times per elementary event."""
+    calls = Counter()
+    counting = False
+
+    def counted(owner, name):
+        method = owner.__dict__[name]
+
+        def wrapper(*args):
+            if counting:
+                calls[owner.__name__, name] += 1
+            return method(*args)
+        return wrapper
+
+    for owner, name in ((_Frozen, "__hash__"), (_Frozen, "__eq__"), (Enum, "__hash__")):
+        monkeypatch.setattr(owner, name, counted(owner, name))
+    events = 0
+    for text in [p.text for p in CORPUS] + [chain_text(200)]:
+        counting = True
+        result = run_problem(text, LEX)
+        counting = False
+        events += len(result.store.events)
+    # the corpus and the chain make 15.6 calls per elementary event
+    assert sum(calls.values()) <= 18 * events, calls
