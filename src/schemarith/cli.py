@@ -3,14 +3,15 @@
     schemarith solve FILE... [--trace] [--strategy cautious|total] [--format text|json]
     schemarith corpus [--strategy ...] [--format ...]
 
-Exit codes: 0 solved, 1 I/O or internal error, 2 text not understood
-(parse failure, no question), 3 insufficient data, 4 contradictory or
-invalid data.  SCHEMARITH_LEXICON overrides the embedded lexicon; the
---lexicon flag overrides both.
+Exit codes: 0 solved, 1 I/O or internal error (a closed stdout too), 2
+text not understood (parse failure, no question), 3 insufficient data, 4
+contradictory or invalid data.  SCHEMARITH_LEXICON overrides the embedded
+lexicon; the --lexicon flag overrides both.
 """
 from __future__ import annotations
 
 import argparse
+import codecs
 import json
 import os
 import re
@@ -87,7 +88,9 @@ def _run_text(text, lexicon, config):
                 f"Internal error: {exc}")
 
 
-def cmd_solve(config, lexicon) -> int:
+def cmd_solve(config, lexicon):
+    """(exit code, output): the report dict for JSON, else the text; no
+    output after an input error."""
     report = {"format_version": FORMAT_VERSION, "problems": []}
     codes = []
     text_chunks = []
@@ -97,7 +100,7 @@ def cmd_solve(config, lexicon) -> int:
                 content = fh.read()
         except (OSError, ValueError) as exc:   # ValueError: not UTF-8
             print(f"error: {path}: {exc}", file=sys.stderr)
-            return EXIT_ERROR
+            return EXIT_ERROR, None
         blocks = _blocks(content)
         if not blocks:
             blocks = [""]
@@ -109,12 +112,9 @@ def cmd_solve(config, lexicon) -> int:
             text_chunks.append(f"== {path}#{i}\n{rendered}"
                                if len(blocks) > 1 or len(config.inputs) > 1
                                else rendered)
-    if config.format == "json":
-        print(json.dumps(report, indent=2, ensure_ascii=False))
-    else:
-        print("\n\n".join(text_chunks))
     bad = [c for c in codes if c != EXIT_OK]
-    return bad[0] if bad else EXIT_OK
+    output = report if config.format == "json" else "\n\n".join(text_chunks)
+    return (bad[0] if bad else EXIT_OK), output
 
 
 def run_corpus(problems, lexicon, strategy):
@@ -157,33 +157,34 @@ def run_corpus(problems, lexicon, strategy):
     return rows, all_match
 
 
-def cmd_corpus(config, lexicon) -> int:
+def cmd_corpus(config, lexicon):
+    """(exit code, output): the report dict for JSON, else the text."""
     rows, all_match = run_corpus(CORPUS, lexicon, config.strategy)
+    code = EXIT_OK if all_match else EXIT_ERROR
     if config.format == "json":
-        report = {
+        return code, {
             "format_version": FORMAT_VERSION,
             "strategy": config.strategy.value,
             "problems": rows,
             "summary": _summary(rows),
         }
-        print(json.dumps(report, indent=2, ensure_ascii=False))
-    else:
-        for row in rows:
-            status = "ok" if row["match"] else "MISMATCH"
-            expected = (row["expected_answer"]
-                        if row["expected_answer"] is not None
-                        else row["expected_verdict"])
-            got = row["answer"] if row["answer"] is not None else row["verdict"]
-            line = f"{row['id']:<20} expected {expected!s:<14} got {got!s:<14} {status}"
-            if "lsi_delta" in row:
-                line += (f"  lsi {row['cautious_lsi_size']} -> {row['lsi_size']}"
-                         f" (+{row['lsi_delta']})")
-            print(line)
-        counts = _summary(rows)["verdicts"]
-        print(f"\n{len(rows)} problems; verdicts: "
-              + ", ".join(f"{k}={v}" for k, v in sorted(counts.items())))
-        print("all expectations met" if all_match else "EXPECTATION MISMATCH")
-    return EXIT_OK if all_match else EXIT_ERROR
+    lines = []
+    for row in rows:
+        status = "ok" if row["match"] else "MISMATCH"
+        expected = (row["expected_answer"]
+                    if row["expected_answer"] is not None
+                    else row["expected_verdict"])
+        got = row["answer"] if row["answer"] is not None else row["verdict"]
+        line = f"{row['id']:<20} expected {expected!s:<14} got {got!s:<14} {status}"
+        if "lsi_delta" in row:
+            line += (f"  lsi {row['cautious_lsi_size']} -> {row['lsi_size']}"
+                     f" (+{row['lsi_delta']})")
+        lines.append(line)
+    counts = _summary(rows)["verdicts"]
+    lines.append(f"\n{len(rows)} problems; verdicts: "
+                 + ", ".join(f"{k}={v}" for k, v in sorted(counts.items())))
+    lines.append("all expectations met" if all_match else "EXPECTATION MISMATCH")
+    return code, "\n".join(lines)
 
 
 def _summary(rows):
@@ -192,6 +193,95 @@ def _summary(rows):
         counts[row["verdict"]] = counts.get(row["verdict"], 0) + 1
     return {"total": len(rows), "verdicts": counts,
             "matches": sum(1 for r in rows if r["match"])}
+
+
+def _write_stdout(output):
+    """Print a report dict as JSON, or a text; False if stdout is closed.
+
+    A stdout whose encoding is outside the UTF family gets JSON with
+    \\u escapes, and text with backslash escapes for what it cannot encode.
+    """
+    encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
+    utf = codecs.lookup(encoding).name.startswith("utf")
+    if isinstance(output, str):
+        if not utf:
+            output = output.encode(encoding, "backslashreplace").decode(encoding)
+    else:
+        output = _dump_json(output, json.encoder.encode_basestring if utf
+                            else json.encoder.encode_basestring_ascii)
+    try:
+        print(output)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone (`... | head`).  Point stdout at devnull so
+        # that the flush at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return False
+    return True
+
+
+def _dump_json(value, encode=json.encoder.encode_basestring):
+    """`json.dumps(value, indent=2, ensure_ascii=False)`, byte for byte.
+
+    The stdlib encodes in pure Python whenever `indent` is set.  This
+    walks dicts and lists the same way but encodes every string with
+    `encode`, by default the C encoder of `json.dumps`; with
+    `encode_basestring_ascii` it gives `ensure_ascii=True`.  Keys must be
+    strings, as they are in every report.
+    """
+    chunks = []
+    _dump(value, encode, "\n", chunks.append)
+    return "".join(chunks)
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+def _scalar(value, encode):
+    if isinstance(value, str):
+        return encode(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    return json.dumps(value)   # float, bool, None: the stdlib's spelling
+
+
+def _dump(value, encode, newline, write):
+    """Write `value` as indented JSON, at the depth that `newline` gives."""
+    if not isinstance(value, _CONTAINERS):
+        write(_scalar(value, encode))
+        return
+    if not value:
+        write("{}" if isinstance(value, dict) else "[]")
+        return
+    inner = newline + "  "
+    comma = "," + inner
+    if isinstance(value, dict):
+        sep = "{" + inner
+        for key, item in value.items():
+            if type(item) is str:
+                write(sep + encode(key) + ": " + encode(item))
+            elif isinstance(item, _CONTAINERS):
+                write(sep + encode(key) + ": ")
+                _dump(item, encode, inner, write)
+            else:
+                write(sep + encode(key) + ": " + _scalar(item, encode))
+            sep = comma
+        write(newline + "}")
+        return
+    for item in value:
+        if isinstance(item, _CONTAINERS):
+            break
+    else:   # scalars only: one join
+        write("[" + inner + comma.join([encode(item) if type(item) is str
+                                        else _scalar(item, encode) for item in value])
+              + newline + "]")
+        return
+    sep = "[" + inner
+    for item in value:
+        write(sep)
+        _dump(item, encode, inner, write)
+        sep = comma
+    write(newline + "]")
 
 
 def build_arg_parser():
@@ -232,9 +322,11 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:   # ValueError: not UTF-8, or malformed
         print(f"error: lexicon: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    if args.command == "solve":
-        return cmd_solve(config, lexicon)
-    return cmd_corpus(config, lexicon)
+    command = cmd_solve if args.command == "solve" else cmd_corpus
+    code, output = command(config, lexicon)
+    if output is not None and not _write_stdout(output):
+        return EXIT_ERROR
+    return code
 
 
 if __name__ == "__main__":

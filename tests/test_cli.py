@@ -1,6 +1,13 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schemarith import cli
 from schemarith.corpus import CORPUS, CorpusProblem, by_id
@@ -8,6 +15,7 @@ from schemarith.lexicon import load_default_lexicon
 from schemarith.schema_engine import Strategy
 
 LEX = load_default_lexicon()
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write_problem(tmp_path, text, name="problem.txt"):
@@ -280,3 +288,128 @@ def test_question_about_a_stated_amount_is_not_understood(tmp_path, capsys, text
     assert problem["error"] == {
         "type": "ParseError",
         "message": "sentence 2: the question asks for an amount the text states"}
+
+
+# --- The JSON writer and the writing of stdout ---
+
+SCALARS = (st.text()
+           | st.sampled_from(['"', "\\", '\\"\x00\x1f\x7f', "é ⇒ ø", "\U0001F600",
+                              "\u2028\u2029", ""])
+           | st.integers()
+           | st.integers(min_value=-2 ** 80, max_value=-2 ** 64)
+           | st.integers(min_value=2 ** 64, max_value=2 ** 80)
+           | st.floats()
+           | st.sampled_from([-0.0, math.nan, math.inf, -math.inf])
+           | st.booleans()
+           | st.none())
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda children: (st.lists(children) | st.lists(children).map(tuple)
+                      | st.dictionaries(st.text(), children)),
+    max_leaves=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_VALUES)
+def test_dump_json_is_the_stdlib_indented_dump(value):
+    assert cli._dump_json(value) == json.dumps(value, indent=2, ensure_ascii=False)
+    assert (cli._dump_json(value, json.encoder.encode_basestring_ascii)
+            == json.dumps(value, indent=2))
+
+
+ERROR_TEXTS = (
+    "Ruth had 3 apples. Gibberish withoutmeaning here. "
+    "How many apples does Ruth have now?",
+    "Ruth had 3 apples.",
+    "Ruth had 3 apples. They bought 2 apples. How many apples does Ruth have now?",
+)
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "{path}", "--format", "json"],
+    ["corpus", "--format", "json"],
+    ["corpus", "--format", "json", "--strategy", "total"],
+], ids=["solve", "corpus-cautious", "corpus-total"])
+def test_json_stdout_is_the_stdlib_indented_dump(tmp_path, capsys, monkeypatch, argv):
+    path = write_problem(
+        tmp_path, "\n\n".join([p.text for p in CORPUS] + list(ERROR_TEXTS)))
+    reports = []
+    dump_json = cli._dump_json
+
+    def spy(value, *args):
+        reports.append(value)
+        return dump_json(value, *args)
+
+    monkeypatch.setattr(cli, "_dump_json", spy)
+    cli.main([arg.format(path=path) for arg in argv])
+    [report] = reports
+    if argv[0] == "solve":
+        assert len(report["problems"]) == len(CORPUS) + len(ERROR_TEXTS)
+        assert sum("error" in p for p in report["problems"]) == len(ERROR_TEXTS)
+    assert capsys.readouterr().out == (
+        json.dumps(report, indent=2, ensure_ascii=False) + "\n")
+
+
+def test_json_stdout_skips_the_pure_python_encoder(tmp_path, capsys, monkeypatch):
+    # The stdlib encodes with `indent` through the pure-Python
+    # `_make_iterencode`; the report writer must not reach it.
+    calls = []
+    make_iterencode = json.encoder._make_iterencode
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return make_iterencode(*args, **kwargs)
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", counted)
+    path = write_problem(tmp_path, by_id("candy-gifts").text)
+    assert cli.main(["solve", path, "--format", "json"]) == 0
+    assert cli.main(["corpus", "--format", "json"]) == 0
+    assert capsys.readouterr().out.count('"format_version": 1') == 2
+    assert calls == []
+
+
+def run_cli(args, **env):
+    """A `schemarith` process, with its stdout and stderr as pipes."""
+    return subprocess.Popen(
+        [sys.executable, "-m", "schemarith.cli", *args],
+        env=dict(os.environ, PYTHONPATH=str(SRC), **env),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", "{path}", "--format", "json"],
+    ["solve", "{path}", "--trace"],
+], ids=["json", "text"])
+def test_closed_stdout_exits_1_without_traceback(tmp_path, args):
+    # 300 problems give a report far larger than a pipe's buffer, so the
+    # process is still writing when the reader goes away.
+    path = write_problem(tmp_path, "\n\n".join([by_id("basket-apples").text] * 300))
+    proc = run_cli([arg.format(path=path) for arg in args])
+    assert proc.stdout.read(1)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, b"")
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_ascii_stdout_escapes_what_it_cannot_encode(tmp_path, capsys, fmt):
+    path = write_problem(
+        tmp_path, by_id("basket-apples").text + "\n\n" + by_id("candy-gifts").text,
+        name="prøblem ⇒.txt")
+    args = ["solve", path] + (["--format", "json"] if fmt == "json" else ["--trace"])
+    proc = run_cli(args, PYTHONIOENCODING="ascii")
+    out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, b"")
+    assert cli.main(args) == 0
+    expected = capsys.readouterr().out
+    ascii_out = out.decode("ascii")
+    if fmt == "json":
+        assert "\\u21d2" in ascii_out
+        got, want = json.loads(ascii_out), json.loads(expected)
+        for report in (got, want):
+            for problem in report["problems"]:
+                del problem["timing_ms"]
+        assert got == want
+    else:
+        assert "\\u21d2" in ascii_out and "\\xf8" in ascii_out
+        assert ascii_out.encode().decode("unicode_escape") == expected
