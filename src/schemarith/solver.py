@@ -89,43 +89,16 @@ class SolveResult:
         return type(self.verdict).__name__.lower()
 
 
-class _State:
-    def __init__(self, binding, question_value=None):
-        self.binding = binding
-        self.question_value = question_value
-
-    def value_of(self, q):
-        if isinstance(q, Known):
-            return q.value
-        if isinstance(q, Var):
-            return self.binding.get(q.name)
-        if isinstance(q, Question):
-            return self.question_value
-        raise MalformedLSI(f"not a quantity: {q!r}")
-
-    def bind(self, q, value):
-        if isinstance(q, Var):
-            self.binding[q.name] = value
-        else:
-            self.question_value = value
-
-
-def _free_vars(equations, state):
-    names = {}
-    for eq in equations:
-        for q in eq.quantities():
-            if isinstance(q, Var) and q.name not in state.binding:
-                names[q.name] = None
-    return list(names)
-
-
 def _slot(q):
-    """Index key of an unknown slot: its Var name, or the Question."""
+    """Binding key of an amount slot: None if stated, a Var's name, or the
+    QUESTION object (so an unknown named "?" stays its own slot)."""
+    if isinstance(q, Known):
+        return None
     if isinstance(q, Var):
         return q.name
     if isinstance(q, Question):
         return QUESTION
-    return None
+    raise MalformedLSI(f"not a quantity: {q!r}")
 
 
 def propagate(lsi, store) -> SolveResult:
@@ -141,7 +114,8 @@ def propagate(lsi, store) -> SolveResult:
     have an effect, in the sweep's order; so trace, flags and verdict are
     the sweep's.  A sweep makes one pass per unknown on a chain solved
     backward; here an equation is visited at most once, plus once per slot
-    it mentions (`SolveResult.visits` counts the visits).
+    it mentions (`SolveResult.visits` counts the visits).  Each slot is
+    resolved by `_slot` once; the question is bound like any unknown.
 
     Verdict precedence at fixpoint: a violated fully-known equation wins
     (contradiction), then a derived negative amount, then a bound question
@@ -152,15 +126,15 @@ def propagate(lsi, store) -> SolveResult:
     if not store.has_question():
         raise MalformedLSI("the problem has no question quantity")
     equations = [si.equation for si in lsi]
+    slots = [tuple(map(_slot, eq.quantities())) for eq in equations]
     users = {}    # slot key -> indices of the equations that mention it
-    for idx, eq in enumerate(equations):
-        for q in eq.quantities():
-            key = _slot(q)
+    for idx, keys in enumerate(slots):
+        for key in keys:
             if key is not None:
                 seen = users.setdefault(key, [])
                 if not seen or seen[-1] != idx:
                     seen.append(idx)
-    state = _State({})
+    values = {}   # slot key -> bound amount
     trace = []
     contradictions = []
     invalids = []
@@ -175,8 +149,9 @@ def propagate(lsi, store) -> SolveResult:
             queued, next_pass = next_pass, set()
         idx = heappop(due)
         visits += 1
-        eq = equations[idx]
-        vals = [state.value_of(q) for q in eq.quantities()]
+        eq, keys = equations[idx], slots[idx]
+        vals = [q.value if key is None else values.get(key)
+                for q, key in zip(eq.quantities(), keys)]
         unknowns = [i for i, v in enumerate(vals) if v is None]
         if not unknowns:
             if vals[0] + vals[1] != vals[2] and idx not in flagged:
@@ -197,38 +172,36 @@ def propagate(lsi, store) -> SolveResult:
             value = c - a
         else:
             value = a + b
-        target = eq.quantities()[slot]
         if value < 0:
             if idx not in flagged:
                 flagged.add(idx)
                 invalids.append(Invalid(eq.render(), value))
             continue
-        state.bind(target, value)
-        known = ", ".join(
-            f"{q.name} = {state.value_of(q)}"
-            for q in eq.quantities()
-            if isinstance(q, Var) and q is not target
-        )
+        target = keys[slot]
+        values[target] = value
+        known = ", ".join(f"{key} = {vals[i]}" for i, key in enumerate(keys)
+                          if i != slot and key is not None and key is not QUESTION)
         suffix = f" with {known}" if known else ""
-        trace.append(
-            f"{eq.render()}{suffix} ⇒ {render_quantity(target)} = {value}"
-        )
-        for j in users[_slot(target)]:
+        trace.append(f"{eq.render()}{suffix} ⇒ "
+                     f"{render_quantity(eq.quantities()[slot])} = {value}")
+        for j in users[target]:
             if j < idx:
                 next_pass.add(j)
             elif j > idx and j not in queued:
                 queued.add(j)
                 heappush(due, j)
+    question_value = values.pop(QUESTION, None)
     if contradictions:
         verdict = contradictions[0]
     elif invalids:
         verdict = invalids[0]
-    elif state.question_value is not None:
-        verdict = Solved(state.question_value)
+    elif question_value is not None:
+        verdict = Solved(question_value)
     else:
-        verdict = Insufficient(tuple(_free_vars(equations, state)))
-    return SolveResult(verdict, dict(state.binding), state.question_value,
-                       trace, visits)
+        free = (key for keys in slots for key in keys
+                if key is not None and key is not QUESTION and key not in values)
+        verdict = Insufficient(tuple(dict.fromkeys(free)))
+    return SolveResult(verdict, values, question_value, trace, visits)
 
 
 def verify(lsi, binding, question_value=None) -> bool:
@@ -239,11 +212,12 @@ def verify(lsi, binding, question_value=None) -> bool:
     makes the check fail; a slot that is not an amount raises
     MalformedLSI, as in `propagate`.
     """
-    if question_value is None:
-        question_value = binding.get("?")
-    state = _State(binding, question_value)
+    values = dict(binding)
+    values[QUESTION] = binding.get("?") if question_value is None else question_value
     for si in lsi:
-        vals = [state.value_of(q) for q in si.equation.quantities()]
+        quantities = si.equation.quantities()
+        vals = [q.value if key is None else values.get(key)
+                for q, key in zip(quantities, map(_slot, quantities))]
         if None in vals or vals[0] + vals[1] != vals[2]:
             return False
     return True

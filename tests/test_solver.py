@@ -14,6 +14,7 @@ from oracle import (
 from schemarith.corpus import CORPUS
 from schemarith.lexicon import load_default_lexicon
 from schemarith.pipeline import run_problem
+from schemarith import solver
 from schemarith.quantity import QUESTION, Known, Var
 from schemarith.solver import (
     Contradiction,
@@ -92,6 +93,20 @@ def test_missing_question_is_malformed():
 
     with pytest.raises(MalformedLSI):
         propagate([], NoQuestionStore())
+
+
+def test_an_unknown_named_question_mark_is_its_own_slot():
+    lsi = lsi_of(
+        Equation(Known(1), Known(2), Var("?")),   # the unknown "?" = 1 + 2
+        Equation(Var("?"), Known(4), QUESTION),   # the question = "?" + 4
+    )
+    result = propagate(lsi, FakeStore())
+    assert result.verdict == Solved(7)
+    assert result.binding == {"?": 3}
+    assert result.trace == ["? = 1 + 2 ⇒ ? = 3", "? = ? + 4 with ? = 3 ⇒ ? = 7"]
+    assert verify(lsi, {"?": 3}, question_value=7)
+    assert not verify(lsi, {"?": 3})
+    assert_same_run(lsi, FakeStore())
 
 
 def test_solved_even_with_free_side_unknowns():
@@ -282,3 +297,19 @@ def test_linearity_gate_rejects_the_sweep():
     small, large = backward_chain(20), backward_chain(200)
     visits = [propagate_sweep(r.lsi, r.store).visits for r in (small, large)]
     assert visits[1] > 12 * visits[0]
+
+
+def test_propagate_resolves_each_slot_once(monkeypatch):
+    """Three `_slot` calls per equation, and none per visit or binding."""
+    chain = backward_chain(200)
+    calls = []
+    slot = solver._slot
+
+    def counted(q):
+        calls.append(q)
+        return slot(q)
+
+    monkeypatch.setattr(solver, "_slot", counted)
+    result = propagate(chain.lsi, chain.store)
+    assert result.question_value == 5
+    assert len(calls) == 3 * len(chain.lsi)
