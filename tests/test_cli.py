@@ -146,6 +146,33 @@ def test_unexpected_exception_is_an_internal_error(tmp_path, capsys, monkeypatch
     assert capsys.readouterr().out.strip() == "Internal error: broken stage"
 
 
+def test_invalid_derived_amount_in_both_formats(tmp_path, capsys):
+    path = write_problem(
+        tmp_path, "Ruth had 3 apples. Ruth gave 5 apples to Tom. "
+                  "How many apples does Ruth have now?")
+    assert cli.main(["solve", path]) == 4
+    assert capsys.readouterr().out.strip() == \
+        "Invalid amount derived: 3 = ? + 5 gives -2"
+    assert cli.main(["solve", path, "--format", "json"]) == 4
+    [problem] = json.loads(capsys.readouterr().out)["problems"]
+    assert (problem["verdict"], problem["equation"], problem["value"]) == \
+        ("invalid", "3 = ? + 5", -2)
+
+
+def test_data_conflict_in_both_formats(tmp_path, capsys):
+    path = write_problem(
+        tmp_path, "Ruth had 3 apples. Ruth had 4 apples. "
+                  "How many apples does Ruth have now?")
+    message = "conflicting amounts for Ruth / apple (initial): 3 vs 4"
+    assert cli.main(["solve", path]) == 4
+    assert capsys.readouterr().out.strip() == \
+        f"Contradiction in the problem data: {message}"
+    assert cli.main(["solve", path, "--format", "json"]) == 4
+    [problem] = json.loads(capsys.readouterr().out)["problems"]
+    assert problem == {"source": f"{path}#1",
+                       "error": {"type": "DataConflict", "message": message}}
+
+
 def test_json_report_shape(tmp_path, capsys):
     path = write_problem(tmp_path, by_id("candy-gifts").text)
     cli.main(["solve", path, "--format", "json"])
@@ -219,6 +246,26 @@ def test_run_corpus_library_interface():
     rows, all_match = cli.run_corpus(CORPUS, LEX, Strategy.CAUTIOUS)
     assert all_match
     assert len(rows) == len(CORPUS)
+
+
+def test_corpus_problem_that_does_not_parse_is_an_error_row(capsys, monkeypatch):
+    broken = CorpusProblem("broken", "Gibberish withoutmeaning here.", "solved", 1,
+                           True)
+    rows, all_match = cli.run_corpus([broken], LEX, Strategy.CAUTIOUS)
+    assert not all_match
+    assert rows == [{"id": "broken", "expected_verdict": "solved",
+                     "expected_answer": 1, "verdict": "error", "answer": None,
+                     "match": False, "error": rows[0]["error"]}]
+    assert rows[0]["error"].startswith("sentence 1:")
+    monkeypatch.setattr(cli, "CORPUS", (broken,))
+    assert cli.main(["corpus"]) == 1
+    out = capsys.readouterr().out
+    assert "expected 1              got error          MISMATCH" in out
+    assert "1 problems; verdicts: error=1" in out
+    assert cli.main(["corpus", "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["problems"] == rows
+    assert report["summary"] == {"total": 1, "verdicts": {"error": 1}, "matches": 0}
 
 
 def test_total_corpus_run_solves_each_problem_once(monkeypatch):
