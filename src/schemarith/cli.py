@@ -64,36 +64,36 @@ def _blocks(text):
 
 
 def _run_text(text, lexicon, config):
-    """(exit_code, dict, rendered_text) for one problem text.
+    """(exit code, report) for one problem text: only the form asked for,
+    the report dict for JSON, else the text report.
 
     Any exception outside the documented set is a fault of the program;
     it is reported as an internal error, never raised.
     """
     try:
         result = run_problem(text, lexicon, config.strategy)
-        return (_VERDICT_EXIT[result.verdict_name], result_to_dict(result),
-                render_text_report(result, config.trace))
-    except (ProblemTextError, UnknownVerb, MissingParticipant,
-            UnresolvableCombine) as exc:
-        return (EXIT_NOT_UNDERSTOOD,
-                {"error": {"type": type(exc).__name__, "message": str(exc)}},
-                f"Not understood: {exc}")
-    except DataConflict as exc:
-        return (EXIT_INCONSISTENT,
-                {"error": {"type": "DataConflict", "message": str(exc)}},
-                f"Contradiction in the problem data: {exc}")
+        code = _VERDICT_EXIT[result.verdict_name]
+        if config.format == "json":
+            return code, result_to_dict(result)
+        return code, render_text_report(result, config.trace)
     except Exception as exc:
-        return (EXIT_ERROR,
-                {"error": {"type": type(exc).__name__, "message": str(exc)}},
-                f"Internal error: {exc}")
+        if isinstance(exc, (ProblemTextError, UnknownVerb, MissingParticipant,
+                            UnresolvableCombine)):
+            code, heading = EXIT_NOT_UNDERSTOOD, "Not understood"
+        elif isinstance(exc, DataConflict):
+            code, heading = EXIT_INCONSISTENT, "Contradiction in the problem data"
+        else:
+            code, heading = EXIT_ERROR, "Internal error"
+        if config.format == "json":
+            return code, {"error": {"type": type(exc).__name__, "message": str(exc)}}
+        return code, f"{heading}: {exc}"
 
 
 def cmd_solve(config, lexicon):
     """(exit code, output): the report dict for JSON, else the text; no
     output after an input error."""
-    report = {"format_version": FORMAT_VERSION, "problems": []}
     codes = []
-    text_chunks = []
+    reports = []
     for path in config.inputs:
         try:
             with open(path, encoding="utf-8") as fh:
@@ -101,19 +101,21 @@ def cmd_solve(config, lexicon):
         except (OSError, ValueError) as exc:   # ValueError: not UTF-8
             print(f"error: {path}: {exc}", file=sys.stderr)
             return EXIT_ERROR, None
-        blocks = _blocks(content)
-        if not blocks:
-            blocks = [""]
+        blocks = _blocks(content) or [""]
+        # Bytes of the name that do not decode show as "\xff", not as a
+        # lone surrogate that no stdout can encode.
+        name = os.fsencode(path).decode(sys.getfilesystemencoding(), "backslashreplace")
         for i, block in enumerate(blocks, start=1):
-            code, data, rendered = _run_text(block, lexicon, config)
+            code, report = _run_text(block, lexicon, config)
             codes.append(code)
-            data = {"source": f"{path}#{i}", **data}
-            report["problems"].append(data)
-            text_chunks.append(f"== {path}#{i}\n{rendered}"
-                               if len(blocks) > 1 or len(config.inputs) > 1
-                               else rendered)
+            if config.format == "json":
+                report = {"source": f"{name}#{i}", **report}
+            elif len(blocks) > 1 or len(config.inputs) > 1:
+                report = f"== {name}#{i}\n{report}"
+            reports.append(report)
     bad = [c for c in codes if c != EXIT_OK]
-    output = report if config.format == "json" else "\n\n".join(text_chunks)
+    output = ({"format_version": FORMAT_VERSION, "problems": reports}
+              if config.format == "json" else "\n\n".join(reports))
     return (bad[0] if bad else EXIT_OK), output
 
 

@@ -173,6 +173,23 @@ def test_data_conflict_in_both_formats(tmp_path, capsys):
                        "error": {"type": "DataConflict", "message": message}}
 
 
+def test_solve_builds_only_the_report_form_asked_for(tmp_path, capsys, monkeypatch):
+    calls = {"result_to_dict": 0, "render_text_report": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(cli, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+    path = write_problem(
+        tmp_path, by_id("basket-apples").text + "\n\n" + by_id("candy-gifts").text)
+    assert cli.main(["solve", path, "--format", "json"]) == 0
+    assert calls == {"result_to_dict": 2, "render_text_report": 0}
+    assert cli.main(["solve", path, "--trace"]) == 0
+    assert calls == {"result_to_dict": 2, "render_text_report": 2}
+    capsys.readouterr()
+
+
 def test_json_report_shape(tmp_path, capsys):
     path = write_problem(tmp_path, by_id("candy-gifts").text)
     cli.main(["solve", path, "--format", "json"])
@@ -438,25 +455,40 @@ def test_closed_stdout_exits_1_without_traceback(tmp_path, args):
     assert (proc.returncode, err) == (1, b"")
 
 
-@pytest.mark.parametrize("fmt", ["json", "text"])
-def test_ascii_stdout_escapes_what_it_cannot_encode(tmp_path, capsys, fmt):
-    path = write_problem(
-        tmp_path, by_id("basket-apples").text + "\n\n" + by_id("candy-gifts").text,
-        name="prøblem ⇒.txt")
+@pytest.mark.parametrize("fmt, name, encoding", [
+    ("json", "prøblem ⇒.txt", "ascii"),
+    ("text", "prøblem ⇒.txt", "ascii"),
+    ("json", b"pr\xffblem.txt", "utf-8"),
+    ("text", b"pr\xffblem.txt", "utf-8"),
+], ids=["json", "text", "json-undecodable-name", "text-undecodable-name"])
+def test_ascii_stdout_escapes_what_it_cannot_encode(tmp_path, capsys, fmt, name,
+                                                    encoding):
+    try:
+        path = write_problem(
+            tmp_path, by_id("basket-apples").text + "\n\n" + by_id("candy-gifts").text,
+            name=os.fsdecode(name))
+    except (OSError, UnicodeError):
+        pytest.skip("the file system refuses the name")
     args = ["solve", path] + (["--format", "json"] if fmt == "json" else ["--trace"])
-    proc = run_cli(args, PYTHONIOENCODING="ascii")
+    proc = run_cli(args, PYTHONIOENCODING=encoding)
     out, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (0, b"")
     assert cli.main(args) == 0
     expected = capsys.readouterr().out
-    ascii_out = out.decode("ascii")
+    decoded = out.decode(encoding)
+    shown = "pr\\xffblem.txt" if isinstance(name, bytes) else name
     if fmt == "json":
-        assert "\\u21d2" in ascii_out
-        got, want = json.loads(ascii_out), json.loads(expected)
+        if encoding == "ascii":
+            assert "\\u21d2" in decoded
+        got, want = json.loads(decoded), json.loads(expected)
+        assert got["problems"][1]["source"] == f"{tmp_path / shown}#2"
         for report in (got, want):
             for problem in report["problems"]:
                 del problem["timing_ms"]
         assert got == want
+    elif encoding == "ascii":
+        assert "\\u21d2" in decoded and "\\xf8" in decoded
+        assert decoded.encode().decode("unicode_escape") == expected
     else:
-        assert "\\u21d2" in ascii_out and "\\xf8" in ascii_out
-        assert ascii_out.encode().decode("unicode_escape") == expected
+        assert f"== {tmp_path / shown}#2" in decoded
+        assert decoded == expected

@@ -132,7 +132,7 @@ def mutants(seed=6):
 
 
 def outcome(text):
-    code, data, _ = _run_text(text, LEX, RunConfig([]))
+    code, data = _run_text(text, LEX, RunConfig([], format="json"))
     if "error" in data:
         return {"text": text, "exit": code,
                 "error": [data["error"]["type"], data["error"]["message"]]}
