@@ -150,6 +150,16 @@ class LexiconFormatError(ValueError):
     pass
 
 
+#: Digits in the longest numeral read.  Sums of such amounts stay far
+#: below the interpreter's limit on printing an int (4,300 digits).
+MAX_DIGITS = 1000
+
+
+class NumeralTooLong(ValueError):
+    def __init__(self, digits):
+        super().__init__(f"numeral of {digits} digits is too long (at most {MAX_DIGITS})")
+
+
 #: The grammar's own words; with the verbs, nouns, numerals and pronouns
 #: they are reserved, so a capitalised one never reads as a proper name.
 KEYWORDS = frozenset((
@@ -304,7 +314,7 @@ class Lexicon:
         """Integer value of a digit string or number word; None otherwise."""
         w = word.lower()
         if w.isdigit():
-            return int(w)
+            return _numeral(w)
         return self.number_words.get(w)
 
     def superset_members(self, cls) -> frozenset:
@@ -326,7 +336,7 @@ class Lexicon:
         only the regular inflections apply, once.
         """
         if w.isdigit():
-            return Word(int(w), None, w, None, None, True)
+            return Word(_numeral(w), None, w, None, None, True)
         verb = self.lemmatize_verb(w)
         return Word(None, verb, _regular_noun(w), None, None, verb is not None)
 
@@ -356,6 +366,12 @@ class Lexicon:
                 w in KEYWORDS or w in self.noun_forms or verb is not None
                 or number is not None or pronoun is not None)
         return self
+
+
+def _numeral(digits):
+    if len(digits) > MAX_DIGITS:
+        raise NumeralTooLong(len(digits))
+    return int(digits)
 
 
 def _regular_noun(w):

@@ -18,6 +18,7 @@ from .lexicon import (
     Direction,
     Elementary,
     LocusKind,
+    NumeralTooLong,
     StaticState,
     Tense,
     TimeHint,
@@ -315,7 +316,10 @@ def tokenize(text, lexicon=None) -> list:
             if "," in part_tokens:
                 part_tokens = [t for t in part_tokens if t != ","]
                 part_lower = [w for w in part_lower if w != ","]
-            words = [get(w) or word(w) for w in part_lower]
+            try:
+                words = [get(w) or word(w) for w in part_lower]
+            except NumeralTooLong as exc:
+                raise ParseError(index, str(exc)) from None
             for split in _split_and(part_tokens, part_lower, words):
                 clauses.append(_clause(*split, index))
         sentences.append(Sentence(index, clauses))

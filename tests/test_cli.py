@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from schemarith import cli
 from schemarith.corpus import CORPUS, CorpusProblem, by_id
-from schemarith.lexicon import load_default_lexicon
+from schemarith.lexicon import MAX_DIGITS, load_default_lexicon
 from schemarith.schema_engine import Strategy
 
 LEX = load_default_lexicon()
@@ -188,6 +188,34 @@ def test_solve_builds_only_the_report_form_asked_for(tmp_path, capsys, monkeypat
     assert cli.main(["solve", path, "--trace"]) == 0
     assert calls == {"result_to_dict": 2, "render_text_report": 2}
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("first, second", [
+    ("1" + "0" * 4400, "2"),
+    ("9" * 4300, "9" * 4300),
+], ids=["4401-digits", "two-of-4300-digits"])
+def test_a_numeral_past_the_digit_bound_is_not_understood(tmp_path, capsys, first,
+                                                          second):
+    path = write_problem(
+        tmp_path, f"Ruth had {first} apples. Ruth got {second} apples. "
+                  "How many apples does Ruth have now?")
+    assert cli.main(["solve", path]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith(f"Not understood: sentence 1: numeral of {len(first)} digits")
+    assert "Internal error" not in out
+
+
+def test_amounts_at_the_digit_bound_solve(tmp_path, capsys):
+    amount = "9" * MAX_DIGITS
+    path = write_problem(
+        tmp_path, f"Ruth had {amount} apples. Ruth got {amount} apples. "
+                  "How many apples does Ruth have now?")
+    total = 2 * int(amount)
+    assert cli.main(["solve", path, "--trace"]) == 0
+    assert capsys.readouterr().out.endswith(f"⇒ ? = {total}\n\nAnswer: {total}\n")
+    assert cli.main(["solve", path, "--format", "json"]) == 0
+    [problem] = json.loads(capsys.readouterr().out)["problems"]
+    assert problem["answer"] == total
 
 
 def test_json_report_shape(tmp_path, capsys):

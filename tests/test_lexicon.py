@@ -6,12 +6,14 @@ from schemarith.corpus import CORPUS
 from schemarith.lexicon import (
     DEFAULT_LEXICON,
     KEYWORDS,
+    MAX_DIGITS,
     VALID_CHANGE_KINDS,
     ChangeKind,
     Compound,
     Direction,
     Elementary,
     LocusKind,
+    NumeralTooLong,
     Role,
     StaticState,
     Tense,
@@ -171,6 +173,14 @@ def test_parse_number(word, expected):
 @given(st.integers(min_value=0, max_value=10**6))
 def test_parse_number_digits_round_trip(n):
     assert LEX.parse_number(str(n)) == n
+
+
+def test_a_numeral_past_the_digit_bound_is_refused():
+    at_bound = "9" * MAX_DIGITS
+    assert LEX.parse_number(at_bound) == LEX.word(at_bound).number == int(at_bound)
+    for read in (LEX.parse_number, LEX.word):
+        with pytest.raises(NumeralTooLong):
+            read(at_bound + "9")
 
 
 # -- supersets ------------------------------------------------------------
