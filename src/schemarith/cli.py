@@ -76,17 +76,16 @@ def _run_text(text, lexicon, config):
         if config.format == "json":
             return code, result_to_dict(result)
         return code, render_text_report(result, config.trace)
+    except (ProblemTextError, UnknownVerb, MissingParticipant,
+            UnresolvableCombine) as exc:
+        code, heading, error = EXIT_NOT_UNDERSTOOD, "Not understood", exc
+    except DataConflict as exc:
+        code, heading, error = EXIT_INCONSISTENT, "Contradiction in the problem data", exc
     except Exception as exc:
-        if isinstance(exc, (ProblemTextError, UnknownVerb, MissingParticipant,
-                            UnresolvableCombine)):
-            code, heading = EXIT_NOT_UNDERSTOOD, "Not understood"
-        elif isinstance(exc, DataConflict):
-            code, heading = EXIT_INCONSISTENT, "Contradiction in the problem data"
-        else:
-            code, heading = EXIT_ERROR, "Internal error"
-        if config.format == "json":
-            return code, {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        return code, f"{heading}: {exc}"
+        code, heading, error = EXIT_ERROR, "Internal error", exc
+    if config.format == "json":
+        return code, {"error": {"type": type(error).__name__, "message": str(error)}}
+    return code, f"{heading}: {error}"
 
 
 def cmd_solve(config, lexicon):
