@@ -311,7 +311,10 @@ class Lexicon:
     # -- numbers, supersets, people -------------------------------------
 
     def parse_number(self, word):
-        """Integer value of a digit string or number word; None otherwise."""
+        """Integer value of a digit string or number word; None otherwise.
+
+        A digit string of more than MAX_DIGITS digits raises NumeralTooLong.
+        """
         w = word.lower()
         if w.isdigit():
             return _numeral(w)
