@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from operator import attrgetter
 
-from .quantity import _Frozen
+from .quantity import _Frozen, _set
 
 
 class CorpusProblem(_Frozen):
@@ -17,12 +17,12 @@ class CorpusProblem(_Frozen):
     _key = attrgetter(*__slots__)
 
     def __init__(self, id, text, expected_verdict, expected_answer, pronoun_free):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "text", text)
+        _set(self, "id", id)
+        _set(self, "text", text)
         # "solved" | "contradiction"
-        object.__setattr__(self, "expected_verdict", expected_verdict)
-        object.__setattr__(self, "expected_answer", expected_answer)  # int | None
-        object.__setattr__(self, "pronoun_free", pronoun_free)
+        _set(self, "expected_verdict", expected_verdict)
+        _set(self, "expected_answer", expected_answer)  # int | None
+        _set(self, "pronoun_free", pronoun_free)
 
 
 CORPUS = (

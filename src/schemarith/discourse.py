@@ -33,7 +33,7 @@ from .parser import (
     render_proposition,
     render_state,
 )
-from .quantity import Question, TimePoint, Var, _Frozen, render_quantity
+from .quantity import Question, TimePoint, Var, _Frozen, _set, render_quantity
 
 
 class DataConflict(Exception):
@@ -66,13 +66,13 @@ class ElementaryEvent(_Frozen):
     _key = attrgetter(*__slots__[:4])
 
     def __init__(self, kind, locus, obj, delta, verb="", seq=-1, sentence=-1):
-        object.__setattr__(self, "kind", kind)      # ChangeKind
-        object.__setattr__(self, "locus", locus)    # Ownership | Place
-        object.__setattr__(self, "obj", obj)
-        object.__setattr__(self, "delta", delta)    # Known: the parser states it
-        object.__setattr__(self, "verb", verb)
-        object.__setattr__(self, "seq", seq)
-        object.__setattr__(self, "sentence", sentence)
+        _set(self, "kind", kind)      # ChangeKind
+        _set(self, "locus", locus)    # Ownership | Place
+        _set(self, "obj", obj)
+        _set(self, "delta", delta)    # Known: the parser states it
+        _set(self, "verb", verb)
+        _set(self, "seq", seq)
+        _set(self, "sentence", sentence)
 
 
 def _locus(kind, entity):

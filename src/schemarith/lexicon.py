@@ -7,13 +7,12 @@ concurrent solver runs.
 """
 from __future__ import annotations
 
-from enum import Enum
 from operator import attrgetter
 
-from .quantity import _Frozen
+from .quantity import _Enum, _Frozen, _set
 
 
-class Direction(Enum):
+class Direction(_Enum):
     IN = "in"
     OUT = "out"
     CREATE = "create"
@@ -34,12 +33,12 @@ class Wording(_Frozen):
     _key = attrgetter(*__slots__)
 
     def __init__(self, slot, passive, place_prep, owner_prep, owner_verb, adds):
-        object.__setattr__(self, "slot", slot)
-        object.__setattr__(self, "passive", passive)
-        object.__setattr__(self, "place_prep", place_prep)
-        object.__setattr__(self, "owner_prep", owner_prep)
-        object.__setattr__(self, "owner_verb", owner_verb)
-        object.__setattr__(self, "adds", adds)
+        _set(self, "slot", slot)
+        _set(self, "passive", passive)
+        _set(self, "place_prep", place_prep)
+        _set(self, "owner_prep", owner_prep)
+        _set(self, "owner_verb", owner_verb)
+        _set(self, "adds", adds)
 
 
 #: The one table of per-direction wording.
@@ -52,7 +51,7 @@ WORDING = {
 }
 
 
-class LocusKind(Enum):
+class LocusKind(_Enum):
     OWNERSHIP = "ownership"
     PLACE = "place"
 
@@ -62,8 +61,8 @@ class ChangeKind(_Frozen):
     _key = attrgetter(*__slots__)
 
     def __init__(self, direction, locus_kind):
-        object.__setattr__(self, "direction", direction)
-        object.__setattr__(self, "locus_kind", locus_kind)
+        _set(self, "direction", direction)
+        _set(self, "locus_kind", locus_kind)
 
 
 #: The eight admissible change situations: four directions, each over an
@@ -86,20 +85,20 @@ def _schema_name(kind) -> str:
 SCHEMA_NAMES = {kind: _schema_name(kind) for kind in VALID_CHANGE_KINDS}
 
 
-class Role(Enum):
+class Role(_Enum):
     AGENT = "agent"
     RECIPIENT = "recipient"
     SOURCE = "source"
     DESTINATION = "destination"
 
 
-class TimeHint(Enum):
+class TimeHint(_Enum):
     INITIAL = "initial"
     FINAL = "final"
     FROM_TENSE = "tense"
 
 
-class Tense(Enum):
+class Tense(_Enum):
     PAST = "past"
     PRESENT = "present"
 
@@ -111,7 +110,7 @@ class Elementary(_Frozen):
     _key = attrgetter("kind")
 
     def __init__(self, kind):
-        object.__setattr__(self, "kind", kind)
+        _set(self, "kind", kind)
 
 
 class Compound(_Frozen):
@@ -127,7 +126,7 @@ class Compound(_Frozen):
     def __init__(self, components):  # of (ChangeKind, Role)
         if len(components) < 2:
             raise ValueError("compound verbs have at least two components")
-        object.__setattr__(self, "components", components)
+        _set(self, "components", components)
 
 
 class StaticState(_Frozen):
@@ -137,7 +136,7 @@ class StaticState(_Frozen):
     _key = attrgetter("hint")
 
     def __init__(self, hint):
-        object.__setattr__(self, "hint", hint)
+        _set(self, "hint", hint)
 
 
 class NonChange(_Frozen):

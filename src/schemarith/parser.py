@@ -9,7 +9,6 @@ which carry the Question slot.
 from __future__ import annotations
 
 import re
-from enum import Enum
 from operator import attrgetter
 
 from .lexicon import (
@@ -25,7 +24,9 @@ from .lexicon import (
     Word,
     load_default_lexicon,
 )
-from .quantity import QUESTION, Known, Question, TimePoint, _Frozen, render_quantity
+from .quantity import (
+    QUESTION, Known, Question, TimePoint, _Enum, _Frozen, _set, render_quantity,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +69,7 @@ class MultipleQuestions(ProblemTextError):
 # entities, loci, propositions
 
 
-class EntityKind(Enum):
+class EntityKind(_Enum):
     PROPER = "proper"
     CLASS = "class"
     GROUP = "group"
@@ -79,10 +80,10 @@ class Entity(_Frozen):
     _key = attrgetter(*__slots__)
 
     def __init__(self, name, kind, cardinality=None):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "kind", kind)
+        _set(self, "name", name)
+        _set(self, "kind", kind)
         # the numeral of a subject like "5 girls"; metadata
-        object.__setattr__(self, "cardinality", cardinality)
+        _set(self, "cardinality", cardinality)
 
 
 THEY = Entity("they", EntityKind.GROUP)
@@ -97,7 +98,7 @@ class Ownership(_Frozen):
             # A subject's numeral never enters a locus: whatever their
             # number, "5 girls" own what the girls own.
             owner = Entity(owner.name, owner.kind)
-        object.__setattr__(self, "owner", owner)
+        _set(self, "owner", owner)
 
 
 class Place(_Frozen):
@@ -105,7 +106,7 @@ class Place(_Frozen):
     _key = attrgetter("place")
 
     def __init__(self, place):
-        object.__setattr__(self, "place", place)
+        _set(self, "place", place)
 
 
 def render_locus(locus) -> str:
@@ -119,9 +120,9 @@ class StateKey(_Frozen):
     _key = attrgetter(*__slots__)
 
     def __init__(self, locus, obj, time):
-        object.__setattr__(self, "locus", locus)  # Ownership | Place
-        object.__setattr__(self, "obj", obj)      # canonical object class
-        object.__setattr__(self, "time", time)
+        _set(self, "locus", locus)  # Ownership | Place
+        _set(self, "obj", obj)      # canonical object class
+        _set(self, "time", time)
 
 
 # A proposition's sentence index stays out of equality and hashing: where a
@@ -133,9 +134,9 @@ class StateProp(_Frozen):
     _key = attrgetter("key", "quantity")
 
     def __init__(self, key, quantity, sentence=-1):
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "quantity", quantity)
-        object.__setattr__(self, "sentence", sentence)
+        _set(self, "key", key)
+        _set(self, "quantity", quantity)
+        _set(self, "sentence", sentence)
 
 
 class EventProp(_Frozen):
@@ -145,14 +146,14 @@ class EventProp(_Frozen):
 
     def __init__(self, verb, obj, amount, agent=None, recipient=None, source=None,
                  destination=None, sentence=-1):
-        object.__setattr__(self, "verb", verb)
-        object.__setattr__(self, "obj", obj)
-        object.__setattr__(self, "amount", amount)
-        object.__setattr__(self, "agent", agent)
-        object.__setattr__(self, "recipient", recipient)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "destination", destination)
-        object.__setattr__(self, "sentence", sentence)
+        _set(self, "verb", verb)
+        _set(self, "obj", obj)
+        _set(self, "amount", amount)
+        _set(self, "agent", agent)
+        _set(self, "recipient", recipient)
+        _set(self, "source", source)
+        _set(self, "destination", destination)
+        _set(self, "sentence", sentence)
 
 
 class CompareProp(_Frozen):
@@ -160,11 +161,11 @@ class CompareProp(_Frozen):
     _key = attrgetter(*__slots__[:4])
 
     def __init__(self, left, right, diff, direction, sentence=-1):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "diff", diff)
-        object.__setattr__(self, "direction", direction)  # "more" | "less"
-        object.__setattr__(self, "sentence", sentence)
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "diff", diff)
+        _set(self, "direction", direction)  # "more" | "less"
+        _set(self, "sentence", sentence)
 
 
 class CombineProp(_Frozen):
@@ -174,14 +175,14 @@ class CombineProp(_Frozen):
 
     def __init__(self, obj, total, time, parts=(), group=None, context="state",
                  verb=None, sentence=-1):
-        object.__setattr__(self, "obj", obj)
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "time", time)
-        object.__setattr__(self, "parts", parts)      # StateKeys, in statements
-        object.__setattr__(self, "group", group)      # "they" or a class, in questions
-        object.__setattr__(self, "context", context)  # "state" | "event"
-        object.__setattr__(self, "verb", verb)        # the verb of an event combine
-        object.__setattr__(self, "sentence", sentence)
+        _set(self, "obj", obj)
+        _set(self, "total", total)
+        _set(self, "time", time)
+        _set(self, "parts", parts)      # StateKeys, in statements
+        _set(self, "group", group)      # "they" or a class, in questions
+        _set(self, "context", context)  # "state" | "event"
+        _set(self, "verb", verb)        # the verb of an event combine
+        _set(self, "sentence", sentence)
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +206,8 @@ class Sentence:
 
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9'-]+|[,.?!]")
+# Outside ASCII a word takes in every letter and digit, so it is refused whole.
+_WIDE_TOKEN_RE = re.compile(r"(?:[A-Za-z0-9'-]|[^\W_])+|[,.?!]")
 
 # Leading phrases with no amount semantics, stripped before parsing.
 _SEQUENCERS = (
@@ -288,9 +291,10 @@ def tokenize(text, lexicon=None) -> list:
     """
     if lexicon is None:
         lexicon = load_default_lexicon()
-    tokens = _TOKEN_RE.findall(text) if text else []
-    # The tokens are ASCII, so lower-casing them at once keeps them apart;
-    # every terminator reads as ".".
+    wide = bool(text) and not text.isascii()
+    tokens = (_WIDE_TOKEN_RE if wide else _TOKEN_RE).findall(text) if text else []
+    # Lower-casing the tokens at once keeps them apart; every terminator
+    # reads as ".".
     lower = " ".join(tokens).lower().replace("?", ".").replace("!", ".").split(" ")
     lower.append(".")
     get, word = lexicon.words.get, lexicon.word
@@ -304,6 +308,10 @@ def tokenize(text, lexicon=None) -> list:
         sentence_tokens, sentence_lower = tokens[start:end], lower[start:end]
         start = end + 1
         index = len(sentences)
+        if wide:
+            for tok in sentence_tokens:
+                if not tok.isascii():
+                    raise ParseError(index, f"non-ASCII word {tok!r}")
         # ", if" subordination
         if "if" in sentence_lower[1:]:
             j = sentence_lower.index("if", 1)
@@ -592,15 +600,17 @@ class _ClauseParser:
             self.expect("in")
             right = self.parse_place_np()
             self._check_done()
-            return [CompareProp(
-                StateKey(Place(left), obj, time),
-                StateKey(Place(right), obj, time),
-                Known(n), direction, self.sentence,
-            )]
+            return self.compare(StateKey(Place(left), obj, time),
+                                StateKey(Place(right), obj, time), n, direction)
         self.expect("in")
         place = self.parse_place_np()
         self._check_done()
         return [StateProp(StateKey(Place(place), obj, time), Known(n), self.sentence)]
+
+    def compare(self, left, right, n, direction):
+        if left == right:
+            raise self.error("a comparison names one amount twice")
+        return [CompareProp(left, right, Known(n), direction, self.sentence)]
 
     def parse_subject_clause(self):
         subjects = self.parse_subject()
@@ -640,8 +650,7 @@ class _ClauseParser:
                     if word.verb is None or word.verb[0] != "have":
                         raise self.error(f"unexpected token {tok!r} after comparison")
             self._check_done()
-            return [CompareProp(left, StateKey(right_locus, obj, time),
-                                Known(n), direction, self.sentence)]
+            return self.compare(left, StateKey(right_locus, obj, time), n, direction)
         if nxt == "altogether":
             self.take()
             self._check_done()

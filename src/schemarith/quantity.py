@@ -10,13 +10,24 @@ from enum import Enum
 from operator import attrgetter
 
 
+#: Sets a field of a frozen value, past the ``__setattr__`` that refuses it.
+_set = object.__setattr__
+
+
+class _Enum(Enum):
+    """Base of the package's enums: members are singletons compared by
+    identity, so they hash by identity in C, not by name in Python."""
+
+    __hash__ = object.__hash__
+
+
 class _Frozen:
     """Base of the package's immutable value types.
 
     A subclass names its fields in ``__slots__``, in constructor order,
-    sets them in ``__init__`` through ``object.__setattr__``, and gets the
-    fields that equality and hashing compare with ``_key``.  Instances of
-    different classes are never equal.
+    sets them in ``__init__`` through ``_set``, and gets the fields that
+    equality and hashing compare with ``_key``.  Instances of different
+    classes are never equal.
     """
 
     __slots__ = ()
@@ -44,7 +55,7 @@ class _Frozen:
         return f"{self.__class__.__qualname__}({fields})"
 
 
-class TimePoint(Enum):
+class TimePoint(_Enum):
     INITIAL = "initial"
     FINAL = "final"
 
@@ -56,7 +67,7 @@ class Known(_Frozen):
     def __init__(self, value):
         if value < 0:
             raise ValueError("amounts are nonnegative")
-        object.__setattr__(self, "value", value)
+        _set(self, "value", value)
 
 
 class Var(_Frozen):
@@ -64,7 +75,7 @@ class Var(_Frozen):
     _key = attrgetter("name")
 
     def __init__(self, name):
-        object.__setattr__(self, "name", name)
+        _set(self, "name", name)
 
 
 class Question(_Frozen):
@@ -77,6 +88,11 @@ QUESTION = Question()
 
 
 def render_quantity(q) -> str:
+    cls = q.__class__   # the exact classes first: isinstance costs more
+    if cls is Var:
+        return q.name
+    if cls is Known:
+        return str(q.value)
     if isinstance(q, Known):
         return str(q.value)
     if isinstance(q, Var):

@@ -11,12 +11,11 @@ inventing unknowns for missing amounts.
 """
 from __future__ import annotations
 
-from enum import Enum
 from operator import attrgetter
 
 from .lexicon import SCHEMA_NAMES, WORDING, ChangeKind, Direction, LocusKind
 from .parser import CompareProp, EntityKind, Ownership, THEY, render_locus
-from .quantity import TimePoint, _Frozen, render_quantity
+from .quantity import TimePoint, _Enum, _Frozen, _set, render_quantity
 from .solver import Equation
 
 
@@ -25,7 +24,7 @@ class UnresolvableCombine(Exception):
         super().__init__(f"cannot resolve combine statement: {reason}")
 
 
-class Strategy(Enum):
+class Strategy(_Enum):
     CAUTIOUS = "cautious"
     TOTAL = "total"
 
@@ -42,11 +41,11 @@ class SchemaInstantiation(_Frozen):
 
     def __init__(self, kind, slots, equation, locus=None, obj=""):
         # change schema name, "More", "Less" or "Combine"
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "slots", slots)   # ((role, Quantity), ...)
-        object.__setattr__(self, "equation", equation)
-        object.__setattr__(self, "locus", locus)
-        object.__setattr__(self, "obj", obj)
+        _set(self, "kind", kind)
+        _set(self, "slots", slots)   # ((role, Quantity), ...)
+        _set(self, "equation", equation)
+        _set(self, "locus", locus)
+        _set(self, "obj", obj)
 
     def render(self) -> str:
         if self.kind in ("More", "Less"):
@@ -57,7 +56,7 @@ class SchemaInstantiation(_Frozen):
             (_, p1), (_, p2), (_, total) = self.slots
             return (f"Combine ({render_quantity(p1)}, plus {render_quantity(p2)}, "
                     f"altogether {render_quantity(total)})")
-        parts = ", ".join(f"{role} {render_quantity(q)}" for role, q in self.slots)
+        parts = ", ".join([f"{role} {render_quantity(q)}" for role, q in self.slots])
         return f"{self.kind} ({parts})"
 
 
@@ -146,10 +145,10 @@ class SkippedSchema(_Frozen):
     _key = attrgetter(*__slots__)
 
     def __init__(self, kinds, locus, obj, missing):
-        object.__setattr__(self, "kinds", kinds)      # schema names along the timeline
-        object.__setattr__(self, "locus", locus)
-        object.__setattr__(self, "obj", obj)
-        object.__setattr__(self, "missing", missing)  # the endpoint amounts absent
+        _set(self, "kinds", kinds)      # schema names along the timeline
+        _set(self, "locus", locus)
+        _set(self, "obj", obj)
+        _set(self, "missing", missing)  # the endpoint amounts absent
 
     def render(self) -> str:
         names = " + ".join(self.kinds)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from operator import attrgetter
 
-from .quantity import QUESTION, Known, Question, Var, _Frozen, render_quantity
+from .quantity import QUESTION, Known, Question, Var, _Frozen, _set, render_quantity
 
 
 class MalformedLSI(ValueError):
@@ -30,9 +30,9 @@ class Equation(_Frozen):
     _key = attrgetter(*__slots__)
 
     def __init__(self, a, b, c):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
 
     def render(self) -> str:
         return (f"{render_quantity(self.c)} = "
@@ -47,7 +47,7 @@ class Solved(_Frozen):
     _key = attrgetter("answer")
 
     def __init__(self, answer):
-        object.__setattr__(self, "answer", answer)
+        _set(self, "answer", answer)
 
 
 class Insufficient(_Frozen):
@@ -55,7 +55,7 @@ class Insufficient(_Frozen):
     _key = attrgetter("unresolved")
 
     def __init__(self, unresolved):
-        object.__setattr__(self, "unresolved", unresolved)
+        _set(self, "unresolved", unresolved)
 
 
 class Contradiction(_Frozen):
@@ -63,8 +63,8 @@ class Contradiction(_Frozen):
     _key = attrgetter(*__slots__)
 
     def __init__(self, equation, detail):
-        object.__setattr__(self, "equation", equation)
-        object.__setattr__(self, "detail", detail)
+        _set(self, "equation", equation)
+        _set(self, "detail", detail)
 
 
 class Invalid(_Frozen):
@@ -72,8 +72,8 @@ class Invalid(_Frozen):
     _key = attrgetter(*__slots__)
 
     def __init__(self, equation, value):
-        object.__setattr__(self, "equation", equation)
-        object.__setattr__(self, "value", value)
+        _set(self, "equation", equation)
+        _set(self, "value", value)
 
 
 class SolveResult:

@@ -117,6 +117,35 @@ def test_combine_naming_one_owner_twice_is_not_understood(tmp_path, capsys, comb
     assert "one owner twice" in problem["error"]["message"]
 
 
+NOW = " How many apples does Ruth have now?"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("José had 3 apples. José got 2 apples. How many apples does Jos have now?",
+     "sentence 1: non-ASCII word 'José'"),
+    ("Zoë had 3 apples. Zoë got 2 apples. How many apples does Zo have now?",
+     "sentence 1: non-ASCII word 'Zoë'"),
+    ("Ruth had 3 apples. Ruth got 1\u0663 apples." + NOW,
+     "sentence 2: non-ASCII word '1\u0663'"),
+    ("Ruth has 3 apples more than Ruth has." + NOW,
+     "sentence 1: a comparison names one amount twice"),
+    ("Ruth has 3 apples more than she has." + NOW,
+     "sentence 1: a comparison names one amount twice"),
+    ("There are 3 apples more in the box than there are in the box." + NOW,
+     "sentence 1: a comparison names one amount twice"),
+    ("Ruth had 5 apples. Ruth got 2 apples. Ruth has 3 apples more than Ruth has."
+     + NOW, "sentence 3: a comparison names one amount twice"),
+])
+def test_non_ascii_word_or_self_comparison_is_not_understood_in_both_formats(
+        tmp_path, capsys, text, message):
+    path = write_problem(tmp_path, text)
+    assert cli.main(["solve", path]) == 2
+    assert capsys.readouterr().out.strip() == f"Not understood: {message}"
+    assert cli.main(["solve", path, "--format", "json"]) == 2
+    [problem] = json.loads(capsys.readouterr().out)["problems"]
+    assert problem["error"] == {"type": "ParseError", "message": message}
+
+
 @pytest.mark.parametrize("event", [
     "They bought 2 apples.",
     "Ruth gave 2 apples to they.",

@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and the
-CLI starts without the standard library's slow-loading modules."""
+"""Every name a package module imports is used in that module, the value
+types are built through the one setter and enum base in quantity.py, and
+the CLI starts without the standard library's slow-loading modules."""
 import ast
 import os
 import subprocess
@@ -43,6 +44,53 @@ def test_gate_sees_unused_and_exported_names():
               "__all__ = ['b']\n"
               "print(regex)\n")
     assert unused_imports(source) == [(2, "os"), (3, "a")]
+
+
+def value_layer_breaches(source):
+    """(line, what) for each use of object.__setattr__ and each class
+    based directly on one of the standard library's enum types."""
+    tree = ast.parse(source)
+    stdlib_enum = set()   # local names of the enum module and its members
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "enum":
+            stdlib_enum.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            stdlib_enum.update(alias.asname or alias.name for alias in node.names
+                               if alias.name == "enum")
+    breaches = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                and isinstance(node.value, ast.Name) and node.value.id == "object"):
+            breaches.append((node.lineno, "object.__setattr__"))
+        elif isinstance(node, ast.ClassDef):
+            for base in node.bases:
+                root = base.value if isinstance(base, ast.Attribute) else base
+                if isinstance(root, ast.Name) and root.id in stdlib_enum:
+                    breaches.append((node.lineno, node.name))
+    return sorted(breaches)
+
+
+def test_only_quantity_sets_fields_directly_or_subclasses_enum():
+    """Frozen fields are set through quantity._set, and every package enum
+    derives from quantity._Enum, which hashes its members by identity."""
+    found = {path.name: [what for _, what in value_layer_breaches(
+                 path.read_text(encoding="utf-8"))]
+             for path in PACKAGE.glob("*.py")}
+    assert {name: what for name, what in found.items() if what} == \
+        {"quantity.py": ["object.__setattr__", "_Enum"]}
+
+
+def test_value_layer_gate_sees_setattr_and_enum_bases():
+    source = ("import enum\n"
+              "from enum import Enum as E, IntEnum\n"
+              "from .quantity import _Enum\n"
+              "class A(E): pass\n"
+              "class B(enum.Flag): pass\n"
+              "class C(IntEnum): pass\n"
+              "class D(_Enum): pass\n"
+              "object.__setattr__(D, 'x', 1)\n")
+    assert value_layer_breaches(source) == [
+        (4, "A"), (5, "B"), (6, "C"), (8, "object.__setattr__")]
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():

@@ -104,5 +104,7 @@ def test_value_hashing_per_elementary_event(monkeypatch):
         result = run_problem(text, LEX)
         counting = False
         events += len(result.store.events)
-    # the corpus and the chain make 15.6 calls per elementary event
-    assert sum(calls.values()) <= 18 * events, calls
+    # the corpus and the chain make 8.7 calls per elementary event, and
+    # enum members hash by identity in C
+    assert calls["Enum", "__hash__"] == 0, calls
+    assert sum(calls.values()) <= 10 * events, calls

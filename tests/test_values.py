@@ -2,8 +2,9 @@
 
 Every frozen value type compares and hashes by its compared fields, is
 unequal to instances of other classes, refuses assignment and deletion,
-and prints as ``Name(field=value, ...)``.  The mutable records keep
-their constructor signatures and assignable attributes.
+and prints as ``Name(field=value, ...)``.  Every enum member hashes by
+identity and copies to itself.  The mutable records keep their
+constructor signatures and assignable attributes.
 """
 import copy
 import pickle
@@ -22,6 +23,7 @@ from schemarith.lexicon import (
     NonChange,
     Role,
     StaticState,
+    Tense,
     TimeHint,
     Wording,
 )
@@ -41,7 +43,7 @@ from schemarith.parser import (
     StateProp,
 )
 from schemarith.pipeline import ProblemResult
-from schemarith.quantity import QUESTION, Known, Question, TimePoint, Var
+from schemarith.quantity import QUESTION, Known, Question, TimePoint, Var, render_quantity
 from schemarith.schema_engine import SchemaInstantiation, SkippedSchema, Strategy
 from schemarith.solver import (
     Contradiction,
@@ -232,6 +234,34 @@ def test_constructor_checks():
         Known(-1)
     with pytest.raises(ValueError):
         Compound(((IN_OWN, Role.AGENT),))
+
+
+ENUM_MEMBERS = [member for enum in (Direction, LocusKind, Role, TimeHint, Tense,
+                                    EntityKind, TimePoint, Strategy)
+                for member in enum]
+
+
+@pytest.mark.parametrize("member", ENUM_MEMBERS, ids=str)
+def test_enum_member_hashes_by_identity_and_copies_to_itself(member):
+    assert hash(member) == object.__hash__(member)
+    for twin in (copy.copy(member), copy.deepcopy(member),
+                 pickle.loads(pickle.dumps(member))):
+        assert twin is member
+
+
+def test_a_dict_keyed_by_enum_members_finds_each():
+    table = {member: n for n, member in enumerate(ENUM_MEMBERS)}
+    assert [table[member] for member in ENUM_MEMBERS] == list(range(len(ENUM_MEMBERS)))
+
+
+def test_render_quantity():
+    class Amount(Known):   # a subclass takes the isinstance path
+        __slots__ = ()
+
+    assert [render_quantity(q) for q in (Known(3), Var("X1"), QUESTION, Amount(4))] == \
+        ["3", "X1", "?", "4"]
+    with pytest.raises(TypeError, match="not a quantity: 3"):
+        render_quantity(3)
 
 
 # Each mutable record with its fields in constructor order: (name, default).
