@@ -169,24 +169,25 @@ KEYWORDS = frozenset((
 
 
 class Word:
-    """What the parser asks about one lower-cased word.
+    """What the parser asks about one token, keyed by its surface as written.
 
-    ``number`` is its value as a numeral, ``verb`` its (lemma, tense),
-    ``noun`` its object class as written in lower case and ``capital_noun``
-    as written with a capital (only a tabled noun has one), ``pronoun``
-    its gender tag.  A ``reserved`` word never reads as a proper name.
-    A word may carry several classes: "put" is a lemma and a past form.
+    ``text`` is the surface lower-cased, ``number`` its value as a numeral,
+    ``verb`` its (lemma, tense), ``noun`` its object class (a capitalised
+    token names one only when the table lists its noun form), ``pronoun``
+    its gender tag and ``proper`` whether it reads as a proper name.  A
+    word may carry several classes: "put" is a lemma and a past form.
     """
 
-    __slots__ = ("number", "verb", "noun", "capital_noun", "pronoun", "reserved")
+    __slots__ = ("surface", "text", "number", "verb", "noun", "pronoun", "proper")
 
-    def __init__(self, number, verb, noun, capital_noun, pronoun, reserved):
+    def __init__(self, surface, text, number, verb, noun, pronoun, proper):
+        self.surface = surface
+        self.text = text
         self.number = number
         self.verb = verb
         self.noun = noun
-        self.capital_noun = capital_noun
         self.pronoun = pronoun
-        self.reserved = reserved
+        self.proper = proper
 
 
 def _parse_kind(direction: str, locus: str) -> ChangeKind:
@@ -331,16 +332,31 @@ class Lexicon:
 
     # -- loading ---------------------------------------------------------
 
-    def word(self, w):
-        """The Word of a lower-cased token outside ``words``.
+    def word(self, surface):
+        """The Word of a token outside ``words``: a numeral, another casing
+        of a tabled word, or else a word of the regular inflections."""
+        if surface.isdigit():
+            return Word(surface, surface, _numeral(surface), None, surface, None, False)
+        text = surface.lower()
+        if text in self.words:
+            return self._cased(surface, self.words[text])
+        verb, capital = self.lemmatize_verb(text), surface[:1].isupper()
+        return Word(surface, text, None, verb, None if capital else _regular_noun(text),
+                    None, capital and verb is None)
 
-        Such a token is no keyword, noun form, number word or pronoun, so
-        only the regular inflections apply, once.
-        """
-        if w.isdigit():
-            return Word(_numeral(w), None, w, None, None, True)
-        verb = self.lemmatize_verb(w)
-        return Word(None, verb, _regular_noun(w), None, None, verb is not None)
+    def _cased(self, surface, word):
+        """The Word of `surface`, another casing of the lower-case `word`.
+
+        Capitalised, only a tabled noun names a class, and the token is a
+        proper name if the names list it as written or its word is no
+        keyword, noun form, verb, numeral or pronoun."""
+        text, noun, proper = word.text, word.noun, False
+        if surface[:1].isupper():
+            noun = self.noun_forms.get(text)
+            proper = surface in self.names or not (
+                text in KEYWORDS or text in self.noun_forms or word.verb is not None
+                or word.number is not None or word.pronoun is not None)
+        return Word(surface, text, word.number, word.verb, noun, word.pronoun, proper)
 
     def _freeze(self):
         self._past_forms = {
@@ -356,17 +372,17 @@ class Lexicon:
                 if len(parts) > span:
                     self.phrasal.setdefault(" ".join(parts[:-span]), []).append(
                         tuple(parts[-span:]))
-        # lower-cased surface -> Word, for every surface in the tables
+        # surface -> Word, for every surface in the tables lower-cased and capitalised
         tables = (KEYWORDS, self.verbs, self.verb_forms, self.number_words,
                   self.noun_forms, self.pronouns, self.names)
         self.words = {}
-        for w in {surface.lower() for table in tables for surface in table}:
-            number, verb = self.parse_number(w), self.lemmatize_verb(w)
-            pronoun = self.pronoun_kind(w)
-            self.words[w] = Word(
-                number, verb, self.normalize_noun(w), self.noun_forms.get(w), pronoun,
-                w in KEYWORDS or w in self.noun_forms or verb is not None
-                or number is not None or pronoun is not None)
+        for text in {surface.lower() for table in tables for surface in table}:
+            word = self.words[text] = Word(
+                text, text, self.parse_number(text), self.lemmatize_verb(text),
+                self.normalize_noun(text), self.pronoun_kind(text), False)
+            capital = text.capitalize()
+            if capital != text:
+                self.words[capital] = self._cased(capital, word)
         return self
 
 

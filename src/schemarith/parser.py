@@ -22,7 +22,6 @@ from .lexicon import (
     Tense,
     TimeHint,
     Word,
-    load_default_lexicon,
 )
 from .quantity import (
     QUESTION, Known, Question, TimePoint, _Enum, _Frozen, _set, render_quantity,
@@ -190,12 +189,10 @@ class CombineProp(_Frozen):
 
 
 class Clause:
-    def __init__(self, tokens, sentence_index, interrogative, lower, words, markers):
-        self.tokens = tokens
+    def __init__(self, words, sentence_index, interrogative, markers):
+        self.words = words       # the tokens' lexicon Words, in text order
         self.sentence_index = sentence_index
         self.interrogative = interrogative
-        self.lower = lower       # the tokens lower-cased, position by position
-        self.words = words       # the tokens' lexicon Words, position by position
         self.markers = markers   # the set of time markers taken out
 
 
@@ -220,117 +217,101 @@ _SEQUENCERS = (
 _SEQUENCER_HEADS = {seq[0] for seq in _SEQUENCERS}
 
 
-def _split_and(tokens, lower, words):
+def _split_and(words):
     """Split at clause-level "and": both halves must contain a verb.
 
     One forward scan over the "and"s: an "and" ends the current clause
     when a verb has appeared since the clause began and another follows
-    the "and".  Returns (tokens, lower, words) triples, one per clause.
+    the "and".  Returns one list of Words per clause.
     """
     clauses, start = [], 0
-    if "and" in lower:
-        left = 0          # no verb in the current clause before position left
-        following = -1    # first verb after the latest "and" that needed one
-        for n, word in enumerate(lower):
-            if word != "and":
-                continue
-            while left < n and words[left].verb is None:
-                left += 1
-            if left >= n:
-                continue
-            if following <= n:
-                following = n + 1
-                while following < len(words) and words[following].verb is None:
-                    following += 1
-            if following < len(words):
-                clauses.append((tokens[start:n], lower[start:n], words[start:n]))
-                start = n + 1
-                left = following
-    clauses.append((tokens[start:], lower[start:], words[start:]) if start
-                   else (tokens, lower, words))
+    left = 0          # no verb in the current clause before position left
+    following = -1    # first verb after the latest "and" that needed one
+    for n, word in enumerate(words):
+        if word.text != "and":
+            continue
+        while left < n and words[left].verb is None:
+            left += 1
+        if left >= n:
+            continue
+        if following <= n:
+            following = n + 1
+            while following < len(words) and words[following].verb is None:
+                following += 1
+        if following < len(words):
+            clauses.append(words[start:n])
+            start = n + 1
+            left = following
+    clauses.append(words[start:] if start else words)
     return clauses
 
 
-def _clause(tokens, lower, words, index):
+def _clause(words, index):
     """A clause without its leading sequencers and its time markers."""
-    interrogative = len(lower) > 1 and lower[0] == "how" and lower[1] == "many"
+    interrogative = (len(words) > 1 and words[0].text == "how"
+                     and words[1].text == "many")
     start = 0
-    while start < len(lower) and lower[start] in _SEQUENCER_HEADS:
+    while start < len(words) and words[start].text in _SEQUENCER_HEADS:
         for seq in _SEQUENCERS:
-            if tuple(lower[start: start + len(seq)]) == seq:
+            if tuple(w.text for w in words[start: start + len(seq)]) == seq:
                 start += len(seq)
                 break
         else:
             break
     if start:
-        tokens, lower, words = tokens[start:], lower[start:], words[start:]
+        words = words[start:]
     markers = set()
-    if "now" in lower or "beginning" in lower:
-        spans = []   # (first, end) of each time marker, in text order
-        for i, word in enumerate(lower):
-            if word == "now":
-                markers.add(TimePoint.FINAL)
-                spans.append((i, i + 1))
-            elif word == "beginning" and i >= 2 and lower[i - 2: i] == ["in", "the"]:
-                markers.add(TimePoint.INITIAL)
-                spans.append((i - 2, i + 1))
-        tokens, lower, words = tokens[:], lower[:], words[:]
+    spans = []   # (first, end) of each time marker, in text order
+    for i, word in enumerate(words):
+        if word.text == "now":
+            markers.add(TimePoint.FINAL)
+            spans.append((i, i + 1))
+        elif word.text == "beginning" and i >= 2 \
+                and words[i - 2].text == "in" and words[i - 1].text == "the":
+            markers.add(TimePoint.INITIAL)
+            spans.append((i - 2, i + 1))
+    if spans:
+        words = words[:]
         for first, end in reversed(spans):
-            del tokens[first:end], lower[first:end], words[first:end]
-    return Clause(tokens, index, interrogative, lower, words, markers)
+            del words[first:end]
+    return Clause(words, index, interrogative, markers)
 
 
-def tokenize(text, lexicon=None) -> list:
-    """Split problem text into sentences and clauses of classified tokens.
+def tokenize(text, lexicon) -> list:
+    """Split problem text into sentences and clauses of lexicon Words.
 
     Sentences end at '.', '?' or '!'.  A ", if" splits a sentence into a
     main clause plus subordinate clauses; "and" between two full clauses
     splits them into siblings.  Clauses beginning "how many" are flagged
-    interrogative.  Each token is lower-cased and given its lexicon Word
-    once; leading sequencers and time markers leave the clause here.
+    interrogative.  Each token is given its Word once; leading sequencers
+    and time markers leave the clause here.
     """
-    if lexicon is None:
-        lexicon = load_default_lexicon()
-    wide = bool(text) and not text.isascii()
-    tokens = (_WIDE_TOKEN_RE if wide else _TOKEN_RE).findall(text) if text else []
-    # Lower-casing the tokens at once keeps them apart; every terminator
-    # reads as ".".
-    lower = " ".join(tokens).lower().replace("?", ".").replace("!", ".").split(" ")
-    lower.append(".")
+    wide = not text.isascii()
+    findall = (_WIDE_TOKEN_RE if wide else _TOKEN_RE).findall
     get, word = lexicon.words.get, lexicon.word
     sentences = []
-    start = 0
-    while start < len(tokens):
-        end = lower.index(".", start)
-        if end == start:
-            start += 1
+    for piece in text.replace("?", ".").replace("!", ".").split("."):
+        tokens = findall(piece)
+        if not tokens:
             continue
-        sentence_tokens, sentence_lower = tokens[start:end], lower[start:end]
-        start = end + 1
         index = len(sentences)
         if wide:
-            for tok in sentence_tokens:
+            for tok in tokens:
                 if not tok.isascii():
                     raise ParseError(index, f"non-ASCII word {tok!r}")
-        # ", if" subordination
-        if "if" in sentence_lower[1:]:
-            j = sentence_lower.index("if", 1)
-            parts = [(sentence_tokens[:j], sentence_lower[:j]),
-                     (sentence_tokens[j + 1:], sentence_lower[j + 1:])]
-        else:
-            parts = [(sentence_tokens, sentence_lower)]
-        clauses = []
-        for part_tokens, part_lower in parts:
-            if "," in part_tokens:
-                part_tokens = [t for t in part_tokens if t != ","]
-                part_lower = [w for w in part_lower if w != ","]
-            try:
-                words = [get(w) or word(w) for w in part_lower]
-            except NumeralTooLong as exc:
-                raise ParseError(index, str(exc)) from None
-            for split in _split_and(part_tokens, part_lower, words):
-                clauses.append(_clause(*split, index))
-        sentences.append(Sentence(index, clauses))
+        try:
+            words = [get(tok) or word(tok) for tok in tokens if tok != ","]
+        except NumeralTooLong as exc:
+            raise ParseError(index, str(exc)) from None
+        # ", if" subordination: the first "if" past the sentence's first
+        # token, commas counted
+        parts = [words]
+        for j in range(tokens[0] != ",", len(words)):
+            if words[j].text == "if":
+                parts = [words[:j], words[j + 1:]]
+                break
+        sentences.append(Sentence(index, [
+            _clause(split, index) for part in parts for split in _split_and(part)]))
     if not sentences:
         raise EmptyInput()
     return sentences
@@ -358,7 +339,7 @@ class DiscourseContext:
 
 
 _DETERMINERS = {"a", "an", "the"}
-_END = Word(None, None, None, None, None, True)   # the Word past a clause's end
+_END = Word(None, None, None, None, None, None, False)   # the Word past a clause's end
 
 
 class _ClauseParser:
@@ -371,10 +352,8 @@ class _ClauseParser:
             raise self.error("conflicting time markers in one clause")
         self.marker = next(iter(clause.markers), None)
         # One place past the end, where the clause reads as over.
-        self.tokens = clause.tokens + [None]
-        self.lower = clause.lower + [None]
         self.words = clause.words + [_END]
-        self.end = len(clause.tokens)
+        self.end = len(clause.words)
         self.pos = 0
 
     # -- token plumbing -------------------------------------------------
@@ -383,36 +362,21 @@ class _ClauseParser:
         return ParseError(self.sentence, reason)
 
     def peek(self):
-        return self.tokens[self.pos]
-
-    def peek_lower(self):
-        return self.lower[self.pos]
-
-    def peek_word(self):
         return self.words[self.pos]
 
     def take(self):
-        tok = self.tokens[self.pos]
-        if tok is None:
-            raise self.error("unexpected end of clause")
-        self.pos += 1
-        return tok
-
-    def take_word(self):
-        """The next token and its Word."""
-        # take()'s check, not a call to it: a call per token slowed chain
-        # parsing by 8%.
         i = self.pos
-        if self.tokens[i] is None:
+        word = self.words[i]
+        if word is _END:
             raise self.error("unexpected end of clause")
         self.pos = i + 1
-        return self.tokens[i], self.words[i]
+        return word
 
-    def expect(self, *words):
-        tok = self.lower[self.pos]
-        if tok not in words:
-            raise self.error(f"expected {' or '.join(words)!r}, found {tok!r}")
-        return self.take()
+    def expect(self, *texts):
+        text = self.words[self.pos].text
+        if text not in texts:
+            raise self.error(f"expected {' or '.join(texts)!r}, found {text!r}")
+        self.pos += 1
 
     def done(self):
         return self.pos >= self.end
@@ -428,60 +392,54 @@ class _ClauseParser:
 
     # -- small recognizers --------------------------------------------------
 
-    def _is_proper(self):
-        """A capitalised token is a name if the lexicon lists it, or if its
-        word is not reserved for the grammar."""
-        tok = self.tokens[self.pos]
-        return tok is not None and tok[:1].isupper() and (
-            tok in self.lexicon.names or not self.words[self.pos].reserved)
-
     def take_noun(self):
-        tok, word = self.take_word()
-        cls = word.capital_noun if tok[:1].isupper() else word.noun
-        if cls is None:
-            raise self.error(f"expected an object noun, found {tok!r}")
-        return cls
+        word = self.take()
+        if word.noun is None:
+            raise self.error(f"expected an object noun, found {word.surface!r}")
+        return word.noun
 
     def take_be(self):
         """A form of "be"; returns its tense."""
-        tok, word = self.take_word()
+        word = self.take()
         if word.verb is None or word.verb[0] != "be":
-            raise self.error(f"expected a form of 'be', found {tok!r}")
+            raise self.error(f"expected a form of 'be', found {word.surface!r}")
         return word.verb[1]
 
     def take_proper(self):
-        name = self.take()
+        name = self.take().surface
         self.ctx.mention(name, self.lexicon.names.get(name))
         return Entity(name, EntityKind.PROPER)
 
     def take_pronoun_entity(self):
-        tok, word = self.take_word()
+        word = self.take()
         if word.pronoun == "group":
             return THEY
         name = self.ctx.resolve(word.pronoun)
         if name is None:
-            raise self.error(f"pronoun {tok!r} has no antecedent")
+            raise self.error(f"pronoun {word.surface!r} has no antecedent")
         return Entity(name, EntityKind.PROPER)
 
     def parse_place_np(self) -> Entity:
-        if self.lower[self.pos] in _DETERMINERS:
+        if self.peek().text in _DETERMINERS:
             self.pos += 1
-        if self._is_proper():
-            raise self.error(f"expected a place noun, found the name {self.take()!r}")
+        if self.peek().proper:
+            raise self.error(
+                f"expected a place noun, found the name {self.take().surface!r}")
         return Entity(self.take_noun(), EntityKind.CLASS)
 
     def parse_person_or_place(self) -> Entity:
-        if self.peek_word().pronoun is not None:
+        word = self.peek()
+        if word.pronoun is not None:
             return self.take_pronoun_entity()
-        if self._is_proper():
+        if word.proper:
             return self.take_proper()
         return self.parse_place_np()
 
     def parse_object_np(self):
         """A counted object: NUMERAL NOUN."""
-        tok, word = self.take_word()
+        word = self.take()
         if word.number is None:
-            raise self.error(f"expected an amount, found {tok!r}")
+            raise self.error(f"expected an amount, found {word.surface!r}")
         return word.number, self.take_noun()
 
     # -- subjects -----------------------------------------------------------
@@ -490,19 +448,19 @@ class _ClauseParser:
         """A pronoun, else a name, else a counted class noun."""
         if self.done():
             raise self.error("missing subject")
-        word = self.peek_word()
+        word = self.peek()
         if word.pronoun is not None and word.number is None:
             return self.take_pronoun_entity()
-        if self._is_proper():
+        if word.proper:
             return self.take_proper()
         if word.number is not None:
             self.take()
             return Entity(self.take_noun(), EntityKind.CLASS, cardinality=word.number)
-        raise self.error(f"cannot read subject starting at {self.peek()!r}")
+        raise self.error(f"cannot read subject starting at {word.surface!r}")
 
     def parse_subject(self):
         items = [self.parse_subject_item()]
-        while self.peek_lower() == "and":
+        while self.peek().text == "and":
             self.take()
             items.append(self.parse_subject_item())
         return items
@@ -511,9 +469,9 @@ class _ClauseParser:
 
     def take_verb(self):
         """(lemma, tense) of the next token; UnknownWord if it is no verb."""
-        tok, word = self.take_word()
+        word = self.take()
         if word.verb is None:
-            raise UnknownWord(self.sentence, tok)
+            raise UnknownWord(self.sentence, word.surface)
         return word.verb
 
     def parse_verb_group(self):
@@ -525,7 +483,8 @@ class _ClauseParser:
         """
         lemma, tense = self.take_verb()
         for particles in self.lexicon.phrasal.get(lemma, ()):
-            if tuple(self.lower[self.pos: self.pos + len(particles)]) == particles:
+            if tuple(w.text for w in self.words[self.pos: self.pos + len(particles)]) \
+                    == particles:
                 self.pos += len(particles)
                 lemma = " ".join((lemma,) + particles)
                 break
@@ -536,7 +495,7 @@ class _ClauseParser:
     def parse(self):
         if self.interrogative:
             return self.parse_question()
-        if self.peek_lower() == "there":
+        if self.peek().text == "there":
             return self.parse_existential()
         return self.parse_subject_clause()
 
@@ -545,7 +504,7 @@ class _ClauseParser:
         self.expect("how")
         self.expect("many")
         obj = self.take_noun()
-        tok = self.peek()
+        tok = self.peek().surface
         aux, tense = self.take_verb()
         time = self.resolve_time(tense)
         if aux == "be":
@@ -556,7 +515,7 @@ class _ClauseParser:
             return [StateProp(StateKey(Place(place), obj, time), QUESTION, self.sentence)]
         if aux != "do":
             raise self.error(f"unsupported question auxiliary {tok!r}")
-        if self.peek_word().pronoun == "group":
+        if self.peek().pronoun == "group":
             self.take()
             lemma, _, _ = self.parse_verb_group()
             if lemma != "have":
@@ -565,7 +524,7 @@ class _ClauseParser:
             self._check_done()
             return [CombineProp(obj, QUESTION, time, group=THEY,
                                 context="state", sentence=self.sentence)]
-        if self.peek_lower() in _DETERMINERS:
+        if self.peek().text in _DETERMINERS:
             self.take()
             cls = self.take_noun()
             lemma, _, classification = self.parse_verb_group()
@@ -590,8 +549,8 @@ class _ClauseParser:
         self.expect("there")
         time = self.resolve_time(self.take_be())
         n, obj = self.parse_object_np()
-        if self.peek_lower() in ("more", "less"):
-            direction = self.take().lower()
+        if self.peek().text in ("more", "less"):
+            direction = self.take().text
             self.expect("in")
             left = self.parse_place_np()
             self.expect("than")
@@ -631,14 +590,14 @@ class _ClauseParser:
     def parse_have_clause(self, subjects, tense):
         time = self.resolve_time(tense)
         n, obj = self.parse_object_np()
-        nxt = self.peek_lower()
+        nxt = self.peek().text
         if nxt in ("more", "less"):
             if len(subjects) != 1:
                 raise self.error("comparisons take a single subject")
-            direction = self.take().lower()
+            direction = self.take().text
             self.expect("than")
             left = StateKey(Ownership(subjects[0]), obj, time)
-            if self.peek_lower() == "there":
+            if self.peek().text == "there":
                 self.take()
                 self.take_be()  # the main clause's time governs
                 self.expect("in")
@@ -646,9 +605,10 @@ class _ClauseParser:
             else:
                 right_locus = Ownership(self.parse_person_or_place())
                 if not self.done():
-                    tok, word = self.take_word()
+                    word = self.take()
                     if word.verb is None or word.verb[0] != "have":
-                        raise self.error(f"unexpected token {tok!r} after comparison")
+                        raise self.error(
+                            f"unexpected token {word.surface!r} after comparison")
             self._check_done()
             return self.compare(left, StateKey(right_locus, obj, time), n, direction)
         if nxt == "altogether":
@@ -692,7 +652,8 @@ class _ClauseParser:
         locational = (isinstance(classification, Elementary)
                       and classification.kind.locus_kind is LocusKind.PLACE)
         while not self.done():
-            tok, word = self.peek_lower(), self.peek_word()
+            word = self.peek()
+            tok = word.text
             if tok == "to":
                 self.take()
                 ent = self.parse_person_or_place()
@@ -711,9 +672,9 @@ class _ClauseParser:
                 self.expect("of")
                 source = self.parse_place_np()
             elif object_np is None and self.words[self.pos + 1].number is not None \
-                    and (self._is_proper() or word.pronoun in ("f", "m")):
+                    and (word.proper or word.pronoun in ("f", "m")):
                 # double-object dative: "gave Tom 3 apples", "gave him 3 apples"
-                if self._is_proper():
+                if word.proper:
                     recipient = self.take_proper()
                 else:
                     recipient = self.take_pronoun_entity()
@@ -721,7 +682,7 @@ class _ClauseParser:
                 if object_np is not None:
                     raise self.error("two counted objects in one event")
                 object_np = self.parse_object_np()
-            elif (tok in _DETERMINERS or not self._is_proper()) \
+            elif (tok in _DETERMINERS or not word.proper) \
                     and locational:
                 ent = self.parse_place_np()  # bare locus of leave/enter/exit
                 if classification.kind.direction is Direction.IN:
@@ -749,7 +710,7 @@ class _ClauseParser:
 
     def _check_done(self):
         if not self.done():
-            raise self.error(f"unexpected trailing words from {self.peek()!r}")
+            raise self.error(f"unexpected trailing words from {self.peek().surface!r}")
 
 
 def parse_clause(clause, lexicon, ctx=None):

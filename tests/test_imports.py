@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, the value
-types are built through the one setter and enum base in quantity.py, and
-the CLI starts without the standard library's slow-loading modules."""
+types are built through the one setter and enum base in quantity.py, the
+parser leaves letter case to the lexicon, and the CLI starts without the
+standard library's slow-loading modules."""
 import ast
 import os
 import subprocess
@@ -91,6 +92,42 @@ def test_value_layer_gate_sees_setattr_and_enum_bases():
               "object.__setattr__(D, 'x', 1)\n")
     assert value_layer_breaches(source) == [
         (4, "A"), (5, "B"), (6, "C"), (8, "object.__setattr__")]
+
+
+CASE_METHODS = {"lower", "upper", "isupper", "title", "capitalize"}
+RETIRED_ACCESSORS = {"peek_lower", "peek_word", "take_word", "_is_proper"}
+
+
+def case_rule_breaches(source):
+    """(line, name) for each case method the source calls and each retired
+    token accessor its _ClauseParser defines."""
+    breaches = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in CASE_METHODS):
+            breaches.append((node.lineno, node.func.attr))
+        elif isinstance(node, ast.ClassDef) and node.name == "_ClauseParser":
+            breaches.extend((item.lineno, item.name) for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and item.name in RETIRED_ACCESSORS)
+    return sorted(breaches)
+
+
+def test_the_case_rule_lives_in_the_lexicon_only():
+    """The parser reads a token through its Word, whose text and classes
+    the lexicon has already cased."""
+    assert case_rule_breaches((PACKAGE / "parser.py").read_text(encoding="utf-8")) == []
+
+
+def test_case_rule_gate_sees_case_calls_and_retired_accessors():
+    source = ("def f(tok):\n"
+              "    return tok.lower(), tok[:1].isupper(), tok.lower\n"
+              "class _ClauseParser:\n"
+              "    def peek(self): pass\n"
+              "    def peek_word(self): pass\n"
+              "    def _is_proper(self): return 'x'.title()\n")
+    assert case_rule_breaches(source) == [
+        (2, "isupper"), (2, "lower"), (5, "peek_word"), (6, "_is_proper"), (6, "title")]
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():

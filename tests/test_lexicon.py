@@ -21,6 +21,8 @@ from schemarith.lexicon import (
     load_lexicon_text,
 )
 from schemarith.parser import Clause, DiscourseContext, ParseError, _ClauseParser
+from schemarith.pipeline import run_problem
+from schemarith.solver import Solved
 
 LEX = load_default_lexicon()
 
@@ -225,10 +227,9 @@ def is_proper_reference(lex, tok):
 
 def parser_reading(lex, tok):
     """(proper?, object class or None) as the clause parser reads `tok`."""
-    w = tok.lower()
-    word = lex.words.get(w) or lex.word(w)
-    clause = Clause([tok], 0, False, [w], [word], set())
-    proper = _ClauseParser(clause, lex, DiscourseContext())._is_proper()
+    word = lex.words.get(tok) or lex.word(tok)
+    clause = Clause([word], 0, False, set())
+    proper = word.proper
     try:
         noun = _ClauseParser(clause, lex, DiscourseContext()).take_noun()
     except ParseError:
@@ -277,6 +278,21 @@ def test_a_loaded_lexicon_gets_its_own_table():
     assert "juggle" in lex.words and "kites" in lex.words
     assert "juggle" not in LEX.words and "kites" not in LEX.words
     assert lex.words["juggle"].verb == ("juggle", Tense.PRESENT)
-    assert lex.words["kites"].capital_noun == "kite"
+    assert lex.words["Kites"].noun == "kite"
     for surface in surfaces(lex):
         assert_word_agrees(lex, surface)
+
+
+def test_the_table_is_keyed_by_surface_as_written():
+    assert "tom" in LEX.words and "Tom" in LEX.words and "7" not in LEX.words
+    for surface, word in LEX.words.items():
+        assert word.surface == surface
+        assert word.text == surface.lower()
+
+
+def test_a_name_with_an_inner_capital_reads_as_written():
+    lex = load_lexicon_text(DEFAULT_LEXICON + "name\tMcDonald\tm\n")
+    assert "McDonald" not in lex.words
+    result = run_problem("McDonald had 3 apples. He got 2 apples. "
+                         "How many apples does McDonald have now?", lex)
+    assert result.verdict == Solved(5)

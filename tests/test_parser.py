@@ -106,7 +106,21 @@ def split_and_recursive(tokens):
 @settings(max_examples=400)
 def test_and_split_matches_recursive_rule(words):
     [sentence] = tokenize(" ".join(words) + ".", LEX)
-    assert [c.tokens for c in sentence.clauses] == split_and_recursive(words)
+    assert [[w.surface for w in c.words] for c in sentence.clauses] == \
+        split_and_recursive(words)
+
+
+def test_a_tabled_token_is_the_table_s_own_word():
+    """A token the table lists as written is classified by one look-up."""
+    tabled = 0
+    for problem in CORPUS:
+        for sentence in tokenize(problem.text, LEX):
+            for clause in sentence.clauses:
+                for word in clause.words:
+                    if word.surface in LEX.words:
+                        assert word is LEX.words[word.surface], word.surface
+                        tabled += 1
+    assert tabled > 100
 
 
 def test_empty_input():

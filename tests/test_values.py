@@ -266,8 +266,8 @@ def test_render_quantity():
 
 # Each mutable record with its fields in constructor order: (name, default).
 MUTABLE = {
-    Clause: [("tokens", NO), ("sentence_index", NO), ("interrogative", NO),
-             ("lower", NO), ("words", NO), ("markers", NO)],
+    Clause: [("words", NO), ("sentence_index", NO), ("interrogative", NO),
+             ("markers", NO)],
     Sentence: [("index", NO), ("clauses", NO)],
     DiscourseContext: [("mentions", [])],
     Timeline: [("locus", NO), ("obj", NO), ("events", NO), ("initial", NO),
