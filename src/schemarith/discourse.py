@@ -62,16 +62,15 @@ class MissingParticipant(Exception):
 class ElementaryEvent(_Frozen):
     """One elementary change; it compares by kind, locus, object and delta."""
 
-    __slots__ = ("kind", "locus", "obj", "delta", "verb", "seq", "sentence")
+    __slots__ = ("kind", "locus", "obj", "delta", "verb", "sentence")
     _key = attrgetter(*__slots__[:4])
 
-    def __init__(self, kind, locus, obj, delta, verb="", seq=-1, sentence=-1):
+    def __init__(self, kind, locus, obj, delta, verb="", sentence=-1):
         _set(self, "kind", kind)      # ChangeKind
         _set(self, "locus", locus)    # Ownership | Place
         _set(self, "obj", obj)
         _set(self, "delta", delta)    # Known: the parser states it
         _set(self, "verb", verb)
-        _set(self, "seq", seq)
         _set(self, "sentence", sentence)
 
 
@@ -120,8 +119,8 @@ def _changes(event, lexicon) -> list:
     return [(kind, _locus(kind, event.agent))]
 
 
-def split_compound(event, lexicon, seq=0) -> list:
-    """Elementary events of a surface event, numbered from `seq` on.
+def split_compound(event, lexicon) -> list:
+    """Elementary events of a surface event.
 
     Compound verbs emit one event per component whose participant is named
     in the sentence; components with unnamed participants are dropped.
@@ -129,8 +128,8 @@ def split_compound(event, lexicon, seq=0) -> list:
     the surface event's object and amount.
     """
     return [ElementaryEvent(kind, locus, event.obj, event.amount, event.verb,
-                            seq + i, event.sentence)
-            for i, (kind, locus) in enumerate(_changes(event, lexicon))]
+                            event.sentence)
+            for kind, locus in _changes(event, lexicon)]
 
 
 def canonicalize(event, lexicon) -> str:
@@ -167,9 +166,9 @@ class PropositionStore:
     def __init__(self, lexicon):
         self.lexicon = lexicon
         self.states = {}          # StateKey -> Quantity
-        self.entries = []         # ("state", key) | ("event", index) in text order
+        # text order: (StateKey, its amount) | (EventProp, its ElementaryEvents)
+        self.entries = []
         self.raw_events = []      # surface EventProps
-        self.split_events = []    # per surface event, its ElementaryEvents
         self.events = []          # ElementaryEvents, text order
         self.relations = []       # CompareProp | CombineProp, text order
         self._var_count = 0
@@ -177,24 +176,21 @@ class PropositionStore:
     # -- construction -----------------------------------------------------
 
     def add_state(self, prop):
-        key = prop.key
+        key, amount = prop.key, prop.quantity
         existing = self.states.get(key)
-        if existing is not None:
-            if existing == prop.quantity:
-                return key
-            if isinstance(existing, Question) or isinstance(prop.quantity, Question):
+        if existing is None:
+            self.states[key] = amount
+            self.entries.append((key, amount))
+        elif existing != amount:
+            if isinstance(existing, Question) or isinstance(amount, Question):
                 raise ParseError(prop.sentence,
                                  "the question asks for an amount the text states")
-            raise DataConflict(key, existing, prop.quantity)
-        self.states[key] = prop.quantity
-        self.entries.append(("state", key))
-        return key
+            raise DataConflict(key, existing, amount)
 
     def add_event(self, prop):
-        self.entries.append(("event", len(self.raw_events)))
+        parts = split_compound(prop, self.lexicon)
+        self.entries.append((prop, parts))
         self.raw_events.append(prop)
-        parts = split_compound(prop, self.lexicon, len(self.events))
-        self.split_events.append(parts)
         self.events.extend(parts)
 
     def fresh_var(self) -> Var:
@@ -202,20 +198,18 @@ class PropositionStore:
         self._var_count += 1
         return Var(name)
 
-    def lookup_or_introduce(self, locus, obj, time) -> StateKey:
-        """Existing state for the key, or a new one holding a fresh unknown.
+    def lookup_or_introduce(self, locus, obj, time):
+        """Amount of the state at the key, or of a new one holding a fresh unknown.
 
         Lookup never unifies across different times, loci or object
-        classes; repeated calls with one key return the same state.
+        classes; repeated calls with one key return the same amount.
         """
         key = StateKey(locus, obj, time)
-        if key not in self.states:
-            self.states[key] = self.fresh_var()
-            self.entries.append(("state", key))
-        return key
-
-    def quantity(self, key):
-        return self.states[key]
+        amount = self.states.get(key)
+        if amount is None:
+            amount = self.states[key] = self.fresh_var()
+            self.entries.append((key, amount))
+        return amount
 
     # -- queries -----------------------------------------------------------
 
@@ -242,15 +236,14 @@ class PropositionStore:
         with each compound event replaced by its elementary events)."""
         lexicon = self.lexicon
         stated, split = [], []
-        for kind, ref in self.entries:
-            if kind == "state":
-                line = render_state(ref, self.states[ref], lexicon)
+        for head, tail in self.entries:
+            if isinstance(head, StateKey):
+                line = render_state(head, tail, lexicon)
                 stated.append(line)
                 split.append(line)
             else:
-                stated.append(render_proposition(self.raw_events[ref], lexicon)
-                              .rstrip("."))
-                for event in self.split_events[ref]:
+                stated.append(render_proposition(head, lexicon).rstrip("."))
+                for event in tail:
                     split.append(render_elementary(event, lexicon))
         return stated, split
 
@@ -273,9 +266,10 @@ class Timeline:
     """Ordered chain of changes on one (locus, object), between endpoints.
 
     Events are kept in a canonical order (additions before removals, then
-    by amount and verb) so that representations do not depend on sentence
-    order; with +/- deltas the final amount is the same either way.
-    `initial` and `final` are StateKeys, or None when the store lacks them.
+    by amount, verb and text order) so that representations do not depend
+    on sentence order; with +/- deltas the final amount is the same either
+    way.  `initial` and `final` are the store's endpoint amounts, or None
+    when the store lacks them.
     """
 
     def __init__(self, locus, obj, events, initial, final, intermediates):
@@ -293,7 +287,7 @@ class Timeline:
 
 def _canonical_order(event):
     additions_first = 0 if WORDING[event.kind.direction].adds else 1
-    return (additions_first, event.delta.value, event.verb, event.seq)
+    return (additions_first, event.delta.value, event.verb)
 
 
 def build_timelines(store) -> list:
@@ -301,7 +295,8 @@ def build_timelines(store) -> list:
 
     Endpoints come from the store when present (Question and unknown
     states count as present); intermediate unknowns are allocated between
-    consecutive events of a chain.
+    consecutive events of a chain.  Groups are built in text order, which
+    the stable sort keeps among equal keys.
     """
     groups = {}   # in order of first appearance
     for event in store.events:
@@ -309,12 +304,10 @@ def build_timelines(store) -> list:
     timelines = []
     for (locus, obj), events in groups.items():
         events.sort(key=_canonical_order)
-        initial = StateKey(locus, obj, TimePoint.INITIAL)
-        final = StateKey(locus, obj, TimePoint.FINAL)
         timelines.append(Timeline(
             locus, obj, events,
-            initial if initial in store.states else None,
-            final if final in store.states else None,
+            store.states.get(StateKey(locus, obj, TimePoint.INITIAL)),
+            store.states.get(StateKey(locus, obj, TimePoint.FINAL)),
             [store.fresh_var() for _ in events[1:]],
         ))
     return timelines

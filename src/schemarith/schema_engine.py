@@ -79,11 +79,9 @@ def change_instantiation(event, before, after) -> SchemaInstantiation:
 
 def instantiate_compare(comp, store) -> SchemaInstantiation:
     """A More/Less instantiation; unseen sides get fresh unknown states."""
-    left_key = store.lookup_or_introduce(comp.left.locus, comp.left.obj, comp.left.time)
-    right_key = store.lookup_or_introduce(comp.right.locus, comp.right.obj,
-                                          comp.right.time)
-    left = store.quantity(left_key)
-    right = store.quantity(right_key)
+    left = store.lookup_or_introduce(comp.left.locus, comp.left.obj, comp.left.time)
+    right = store.lookup_or_introduce(comp.right.locus, comp.right.obj,
+                                      comp.right.time)
     slots = (("left", left), ("right", right), ("by", comp.diff))
     if comp.direction == "more":
         return SchemaInstantiation("More", slots, Equation(right, comp.diff, left))
@@ -112,15 +110,11 @@ def instantiate_combine(comb, store, lexicon) -> list:
         ]
     elif comb.group is THEY:
         owners = store.proper_owners_of(comb.obj)
-        parts = [
-            store.quantity(store.lookup_or_introduce(Ownership(o), comb.obj, comb.time))
-            for o in owners
-        ]
+        parts = [store.lookup_or_introduce(Ownership(o), comb.obj, comb.time)
+                 for o in owners]
     else:
-        parts = [
-            store.quantity(store.lookup_or_introduce(key.locus, key.obj, key.time))
-            for key in comb.parts
-        ]
+        parts = [store.lookup_or_introduce(key.locus, key.obj, key.time)
+                 for key in comb.parts]
     if len(parts) < 2:
         raise UnresolvableCombine(f"found {len(parts)} part(s), need at least 2")
     out = []
@@ -175,11 +169,11 @@ def initial_lsi(store, lexicon) -> list:
 def _timeline_amounts(timeline, store):
     # Missing endpoints are introduced as fresh unknown states, the initial
     # one first; the cautious gate never lets such a timeline reach here.
-    start = store.quantity(timeline.initial or store.lookup_or_introduce(
-        timeline.locus, timeline.obj, TimePoint.INITIAL))
-    end = store.quantity(timeline.final or store.lookup_or_introduce(
-        timeline.locus, timeline.obj, TimePoint.FINAL))
-    return [start, *timeline.intermediates, end]
+    amounts = [timeline.initial, *timeline.intermediates, timeline.final]
+    for i, time in ((0, TimePoint.INITIAL), (-1, TimePoint.FINAL)):
+        if amounts[i] is None:
+            amounts[i] = store.lookup_or_introduce(timeline.locus, timeline.obj, time)
+    return amounts
 
 
 def build_lsi(store, timelines, strategy, first):

@@ -137,18 +137,20 @@ def test_lookup_or_introduce_creates_then_reuses():
     key = StateKey(Ownership(proper("Ruth")), "candy", TimePoint.FINAL)
     assert key not in store.states
     got = store.lookup_or_introduce(key.locus, key.obj, key.time)
-    assert got == key
-    assert store.quantity(key) == Var("X")
+    assert got == Var("X")
+    assert store.states[key] == Var("X")
     again = store.lookup_or_introduce(key.locus, key.obj, key.time)
-    assert again == key
-    assert store.quantity(key) == Var("X")  # no second unknown
+    assert again == Var("X")
+    assert store.states[key] == Var("X")  # no second unknown
 
 
 def test_lookup_finds_existing_known():
     store = store_for("basket-apples")
-    key = store.lookup_or_introduce(Place(cls("basket")), "apple",
-                                    TimePoint.INITIAL)
-    assert store.quantity(key) == Known(4)
+    amount = store.lookup_or_introduce(Place(cls("basket")), "apple",
+                                       TimePoint.INITIAL)
+    assert amount == Known(4)
+    assert store.states[StateKey(Place(cls("basket")), "apple",
+                                 TimePoint.INITIAL)] == Known(4)
 
 
 def test_lookup_never_unifies_across_times():
@@ -157,8 +159,10 @@ def test_lookup_never_unifies_across_times():
                                         TimePoint.INITIAL)
     final = store.lookup_or_introduce(Place(cls("basket")), "apple",
                                       TimePoint.FINAL)
-    assert initial != final
-    assert store.quantity(initial) != store.quantity(final)
+    assert initial == Known(4)
+    assert final == QUESTION
+    assert store.states[StateKey(Place(cls("basket")), "apple",
+                                 TimePoint.FINAL)] == QUESTION
 
 
 def test_conflicting_restatement_raises():
@@ -182,7 +186,8 @@ def test_identical_restatement_is_deduplicated():
 def test_store_key_uniqueness():
     for problem_id in ("candy-gifts", "nuts-chain", "eggs-places"):
         store = store_for(problem_id)
-        keys = [ref for kind, ref in store.entries if kind == "state"]
+        keys = [head for head, _ in store.entries if isinstance(head, StateKey)]
+        assert keys
         assert len(keys) == len(set(keys))
 
 
@@ -194,10 +199,8 @@ def test_problem_one_timeline():
     [timeline] = build_timelines(store)
     assert timeline.locus == Place(cls("basket"))
     assert timeline.obj == "apple"
-    assert timeline.initial is not None
-    assert store.quantity(timeline.initial) == Known(4)
-    assert timeline.final is not None
-    assert store.quantity(timeline.final) == QUESTION
+    assert timeline.initial == Known(4)
+    assert timeline.final == QUESTION
     assert len(timeline.events) == 1
     assert timeline.intermediates == []
 
@@ -212,8 +215,8 @@ def test_chain_timeline_has_intermediate():
                if t.locus == Ownership(proper("Dan")))
     assert len(dan.events) == 2
     assert len(dan.intermediates) == 1
-    assert isinstance(store.quantity(dan.initial), Var)
-    assert store.quantity(dan.final) == Known(4)
+    assert isinstance(dan.initial, Var)
+    assert dan.final == Known(4)
     # additions come before removals in the canonical event order
     assert [e.kind.direction for e in dan.events] == [Direction.IN, Direction.OUT]
 
@@ -227,16 +230,27 @@ def test_unstated_endpoints_stay_empty():
 
 
 def test_timeline_partition():
-    for problem_id in ("candy-gifts", "nuts-chain", "eggs-places"):
-        store = store_for(problem_id)
+    # every elementary event lies on exactly one timeline, and events with
+    # equal sort keys keep their text order
+    repeated = ("Tom had 3 apples. Tom got 2 apples. Tom lost 1 apple. "
+                "Tom got 2 apples. How many apples does Tom have now?")
+    stores = [store_for(problem_id)
+              for problem_id in ("candy-gifts", "nuts-chain", "eggs-places")]
+    stores.append(build_store(parse_problem(repeated, LEX), LEX))
+    for store in stores:
         timelines = build_timelines(store)
-        seen = []
+        seen = set()
         for timeline in timelines:
             for event in timeline.events:
-                assert event.seq not in seen
-                seen.append(event.seq)
+                assert id(event) not in seen
+                seen.add(id(event))
                 assert (event.locus, event.obj) == (timeline.locus, timeline.obj)
-        assert len(seen) == len(store.events)
+            for a, b in zip(timeline.events, timeline.events[1:]):
+                if (a.kind, a.delta, a.verb) == (b.kind, b.delta, b.verb):
+                    assert a.sentence < b.sentence
+        assert seen == {id(event) for event in store.events}
+    [tom] = timelines
+    assert [e.sentence for e in tom.events] == [1, 3, 2]
 
 
 def test_intermediate_count():

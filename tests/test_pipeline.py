@@ -104,7 +104,7 @@ def test_value_hashing_per_elementary_event(monkeypatch):
         result = run_problem(text, LEX)
         counting = False
         events += len(result.store.events)
-    # the corpus and the chain make 8.7 calls per elementary event, and
-    # enum members hash by identity in C
+    # the corpus and the chain make 7.7 calls per elementary event (2,517
+    # calls over 327 events), and enum members hash by identity in C
     assert calls["Enum", "__hash__"] == 0, calls
-    assert sum(calls.values()) <= 10 * events, calls
+    assert sum(calls.values()) <= 8 * events, calls

@@ -82,7 +82,7 @@ def test_compare_instantiation_matches_question_and_introduces_unknown():
     inst = instantiate_compare(comp, store)
     assert inst.render() == "More (?, than X, by 4)"
     introduced = StateKey(Ownership(proper("Ruth")), "candy", TimePoint.FINAL)
-    assert store.quantity(introduced) == Var("X")
+    assert store.states[introduced] == Var("X")
 
 
 def test_place_compare_introduces_two_unknowns():
@@ -90,10 +90,10 @@ def test_place_compare_introduces_two_unknowns():
     first = [r for r in store.relations if isinstance(r, CompareProp)][0]
     inst = instantiate_compare(first, store)
     assert inst.render() == "More (X, than X1, by 4)"
-    assert store.quantity(StateKey(Place(cls("refrigerator")), "egg",
-                                   TimePoint.INITIAL)) == Var("X")
-    assert store.quantity(StateKey(Place(cls("box")), "egg",
-                                   TimePoint.INITIAL)) == Var("X1")
+    assert store.states[StateKey(Place(cls("refrigerator")), "egg",
+                                 TimePoint.INITIAL)] == Var("X")
+    assert store.states[StateKey(Place(cls("box")), "egg",
+                                 TimePoint.INITIAL)] == Var("X1")
 
 
 def test_zero_difference_compare():

@@ -114,7 +114,7 @@ FROZEN = {
     ElementaryEvent: [f("kind", IN_OWN, OUT_OWN),
                       f("locus", Ownership(RUTH), Ownership(TOM)),
                       f("obj", "apple", "nut"), f("delta", Known(3), Known(4)),
-                      ignored("verb", "give", "get", ""), ignored("seq", 0, 1, -1),
+                      ignored("verb", "give", "get", ""),
                       ignored("sentence", 0, 1, -1)],
     SchemaInstantiation: [
         f("kind", "More", "Less"),
