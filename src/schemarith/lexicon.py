@@ -287,9 +287,12 @@ class Lexicon:
         """Canonical singular class for a noun surface; None for proper names.
 
         Words outside the table are inflected by regular rules, so fresh
-        lower-case nouns are usable without lexicon edits.
+        lower-case nouns are usable without lexicon edits.  A grammar
+        keyword, a numeral or a pronoun names no class.
         """
         w = surface.lower()
+        if w in KEYWORDS or w in self.number_words or w in self.pronouns or w.isdigit():
+            return None
         if w in self.noun_forms:
             return self.noun_forms[w]
         if surface[:1].isupper():
@@ -336,7 +339,7 @@ class Lexicon:
         """The Word of a token outside ``words``: a numeral, another casing
         of a tabled word, or else a word of the regular inflections."""
         if surface.isdigit():
-            return Word(surface, surface, _numeral(surface), None, surface, None, False)
+            return Word(surface, surface, _numeral(surface), None, None, None, False)
         text = surface.lower()
         if text in self.words:
             return self._cased(surface, self.words[text])

@@ -135,6 +135,10 @@ NOW = " How many apples does Ruth have now?"
      "sentence 1: a comparison names one amount twice"),
     ("Ruth had 5 apples. Ruth got 2 apples. Ruth has 3 apples more than Ruth has."
      + NOW, "sentence 3: a comparison names one amount twice"),
+    # a numeral or a grammar keyword names no object class
+    ("Tom had 3 7. Tom got 2 7. How many 7 does Tom have now?",
+     "sentence 1: expected an object noun, found '7'"),
+    ("Tom had 3 and.", "sentence 1: expected an object noun, found 'and'"),
 ])
 def test_non_ascii_word_or_self_comparison_is_not_understood_in_both_formats(
         tmp_path, capsys, text, message):
