@@ -4,7 +4,10 @@ The store holds every state, event, comparison and combine statement of a
 problem.  Events with compound verbs split into their elementary changes;
 all elementary events touching one (locus, object) pair form a timeline
 ordered between the stated initial and final amounts, with fresh unknowns
-for the amounts between consecutive events.
+for the amounts between consecutive events.  The groups form as the
+propositions arrive: each elementary event joins its pair's group when
+its event is split, and each stored state sets its pair's endpoint, so
+building the timelines hashes no key.
 """
 from __future__ import annotations
 
@@ -17,6 +20,7 @@ from .lexicon import (
     Direction,
     Elementary,
     LocusKind,
+    Role,
 )
 from .parser import (
     CombineProp,
@@ -40,7 +44,6 @@ class DataConflict(Exception):
     """Two stated amounts disagree for the same locus, object and time."""
 
     def __init__(self, key, existing, new):
-        self.key = key
         super().__init__(
             f"conflicting amounts for {render_locus(key.locus)} / {key.obj} "
             f"({key.time.value}): {render_quantity(existing)} vs {render_quantity(new)}"
@@ -74,49 +77,8 @@ class ElementaryEvent(_Frozen):
         _set(self, "sentence", sentence)
 
 
-def _locus(kind, entity):
-    """The locus at `entity` of a change of `kind`."""
-    if entity.kind is EntityKind.GROUP:
-        raise ValueError(f"cannot build a locus from {entity!r}")
-    if kind.locus_kind is LocusKind.OWNERSHIP:
-        return Ownership(entity)
-    return Place(entity)
-
-
-def _change(kind, event, role):
-    """(kind, locus) of one change of `event`, at the given participant."""
-    participant = getattr(event, role.value)   # each Role names an EventProp field
-    if participant is None:
-        return None
-    return kind, _locus(kind, participant)
-
-
-def _changes(event, lexicon) -> list:
-    """(kind, locus) of each elementary change of a surface event."""
-    classification = lexicon.classify_verb(event.verb)
-    if isinstance(classification, Compound):
-        changes = (_change(kind, event, role)
-                   for kind, role in classification.components)
-        return [change for change in changes if change is not None]
-    if not isinstance(classification, Elementary):
-        raise UnknownVerb(event.verb)
-    kind = classification.kind
-    creation_or_termination = kind.direction in (Direction.CREATE, Direction.TERMINATE)
-    if kind.locus_kind is LocusKind.PLACE:
-        named = event.destination if kind.direction is Direction.IN else event.source
-        if named is None and creation_or_termination:
-            named = event.destination or event.source
-        if named is not None:
-            return [(kind, _locus(kind, named))]
-        # creation/termination without a named place affects the agent's holdings
-        if creation_or_termination and event.agent is not None:
-            own_kind = ChangeKind(kind.direction, LocusKind.OWNERSHIP)
-            return [(own_kind, _locus(own_kind, event.agent))]
-        raise MissingParticipant(event.verb, "place")
-    # ownership verbs locate the change at the subject
-    if event.agent is None:
-        raise MissingParticipant(event.verb, "owner")
-    return [(kind, _locus(kind, event.agent))]
+#: The event field that names each role's participant.
+_PARTICIPANT = {role: attrgetter(role.value) for role in Role}
 
 
 def split_compound(event, lexicon) -> list:
@@ -127,9 +89,44 @@ def split_compound(event, lexicon) -> list:
     Elementary verbs emit exactly one event.  Every emitted event shares
     the surface event's object and amount.
     """
-    return [ElementaryEvent(kind, locus, event.obj, event.amount, event.verb,
-                            event.sentence)
-            for kind, locus in _changes(event, lexicon)]
+    classification = lexicon.classify_verb(event.verb)
+    if isinstance(classification, Compound):
+        changes = [(kind, _PARTICIPANT[role](event))
+                   for kind, role in classification.components]
+    elif isinstance(classification, Elementary):
+        changes = [_elementary_change(classification.kind, event)]
+    else:
+        raise UnknownVerb(event.verb)
+    events = []
+    for kind, entity in changes:
+        if entity is None:
+            continue
+        if entity.kind is EntityKind.GROUP:
+            raise ValueError(f"cannot build a locus from {entity!r}")
+        locus = (Ownership(entity) if kind.locus_kind is LocusKind.OWNERSHIP
+                 else Place(entity))
+        events.append(ElementaryEvent(kind, locus, event.obj, event.amount,
+                                      event.verb, event.sentence))
+    return events
+
+
+def _elementary_change(kind, event):
+    """(kind, participant) of the change of an elementary verb."""
+    if kind.locus_kind is LocusKind.OWNERSHIP:
+        # ownership verbs locate the change at the subject
+        if event.agent is None:
+            raise MissingParticipant(event.verb, "owner")
+        return kind, event.agent
+    creation_or_termination = kind.direction in (Direction.CREATE, Direction.TERMINATE)
+    named = event.destination if kind.direction is Direction.IN else event.source
+    if named is None and creation_or_termination:
+        named = event.destination or event.source
+    if named is not None:
+        return kind, named
+    # creation/termination without a named place affects the agent's holdings
+    if creation_or_termination and event.agent is not None:
+        return ChangeKind(kind.direction, LocusKind.OWNERSHIP), event.agent
+    raise MissingParticipant(event.verb, "place")
 
 
 def canonicalize(event, lexicon) -> str:
@@ -160,7 +157,9 @@ class PropositionStore:
 
     The store is built once per problem and is read-only afterwards; at
     most one state exists per (locus, object, time) key, and exactly one
-    quantity in the whole store is the Question.
+    quantity in the whole store is the Question.  It is also the index of
+    the timelines: each elementary event joins its (locus, object) group
+    as its event is split, and each state stored sets its group's endpoint.
     """
 
     def __init__(self, lexicon):
@@ -171,6 +170,9 @@ class PropositionStore:
         self.raw_events = []      # surface EventProps
         self.events = []          # ElementaryEvents, text order
         self.relations = []       # CompareProp | CombineProp, text order
+        # (locus, obj) -> (its ElementaryEvents in text order, {TimePoint: amount})
+        self.groups = {}
+        self.chains = []          # (locus, obj, events, ends) of each group with events
         self._var_count = 0
 
     # -- construction -----------------------------------------------------
@@ -181,6 +183,7 @@ class PropositionStore:
         if existing is None:
             self.states[key] = amount
             self.entries.append((key, amount))
+            self._group(key.locus, key.obj)[1][key.time] = amount
         elif existing != amount:
             if isinstance(existing, Question) or isinstance(amount, Question):
                 raise ParseError(prop.sentence,
@@ -192,6 +195,17 @@ class PropositionStore:
         self.entries.append((prop, parts))
         self.raw_events.append(prop)
         self.events.extend(parts)
+        for event in parts:
+            events, ends = self._group(event.locus, event.obj)
+            if not events:
+                self.chains.append((event.locus, event.obj, events, ends))
+            events.append(event)
+
+    def _group(self, locus, obj):
+        group = self.groups.get((locus, obj))
+        if group is None:
+            group = self.groups[locus, obj] = ([], {})
+        return group
 
     def fresh_var(self) -> Var:
         name = "X" if self._var_count == 0 else f"X{self._var_count}"
@@ -209,6 +223,7 @@ class PropositionStore:
         if amount is None:
             amount = self.states[key] = self.fresh_var()
             self.entries.append((key, amount))
+            self._group(locus, obj)[1][time] = amount
         return amount
 
     # -- queries -----------------------------------------------------------
@@ -293,21 +308,17 @@ def _canonical_order(event):
 def build_timelines(store) -> list:
     """One timeline per (locus, object) pair that has at least one event.
 
-    Endpoints come from the store when present (Question and unknown
-    states count as present); intermediate unknowns are allocated between
-    consecutive events of a chain.  Groups are built in text order, which
-    the stable sort keeps among equal keys.
+    Timelines come in the order of each pair's first elementary event.
+    Endpoints are the amounts the store holds for the pair so far
+    (Question and unknown states count as present); intermediate unknowns
+    are allocated between consecutive events of a chain.  The store keeps
+    each group in text order, which the stable sort keeps among equal keys.
     """
-    groups = {}   # in order of first appearance
-    for event in store.events:
-        groups.setdefault((event.locus, event.obj), []).append(event)
     timelines = []
-    for (locus, obj), events in groups.items():
-        events.sort(key=_canonical_order)
+    for locus, obj, events, ends in store.chains:
+        events = sorted(events, key=_canonical_order)
         timelines.append(Timeline(
-            locus, obj, events,
-            store.states.get(StateKey(locus, obj, TimePoint.INITIAL)),
-            store.states.get(StateKey(locus, obj, TimePoint.FINAL)),
+            locus, obj, events, ends.get(TimePoint.INITIAL), ends.get(TimePoint.FINAL),
             [store.fresh_var() for _ in events[1:]],
         ))
     return timelines

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from operator import attrgetter
 
-from .quantity import _Enum, _Frozen, _set
+from .quantity import _Enum, _Frozen, _Interned, _set
 
 
 class Direction(_Enum):
@@ -56,13 +56,13 @@ class LocusKind(_Enum):
     PLACE = "place"
 
 
-class ChangeKind(_Frozen):
-    __slots__ = ("direction", "locus_kind")
-    _key = attrgetter(*__slots__)
+class ChangeKind(_Interned):
+    """A direction over a locus kind; there is one instance per kind."""
 
-    def __init__(self, direction, locus_kind):
-        _set(self, "direction", direction)
-        _set(self, "locus_kind", locus_kind)
+    __slots__ = ("direction", "locus_kind")
+
+    def __new__(cls, direction, locus_kind):
+        return cls._intern(direction, locus_kind)
 
 
 #: The eight admissible change situations: four directions, each over an
@@ -288,16 +288,26 @@ class Lexicon:
 
         Words outside the table are inflected by regular rules, so fresh
         lower-case nouns are usable without lexicon edits.  A grammar
-        keyword, a numeral or a pronoun names no class.
+        keyword, a numeral or a pronoun names no class, and neither does
+        its regular plural ("sevens", "ands").
         """
         w = surface.lower()
-        if w in KEYWORDS or w in self.number_words or w in self.pronouns or w.isdigit():
+        if self._reserved(w):
             return None
         if w in self.noun_forms:
             return self.noun_forms[w]
         if surface[:1].isupper():
             return None
-        return _regular_noun(w)
+        return self._regular_class(w)
+
+    def _reserved(self, w):
+        return (w in KEYWORDS or w in self.number_words or w in self.pronouns
+                or w.isdigit())
+
+    def _regular_class(self, w):
+        """The regular singular of the lower-case `w`, unless it is reserved."""
+        singular = _regular_noun(w)
+        return None if self._reserved(singular) else singular
 
     def pluralize(self, canonical, n=None) -> str:
         """Surface form for `n` objects of a class (singular iff n == 1)."""
@@ -344,8 +354,8 @@ class Lexicon:
         if text in self.words:
             return self._cased(surface, self.words[text])
         verb, capital = self.lemmatize_verb(text), surface[:1].isupper()
-        return Word(surface, text, None, verb, None if capital else _regular_noun(text),
-                    None, capital and verb is None)
+        noun = None if capital else self._regular_class(text)
+        return Word(surface, text, None, verb, noun, None, capital and verb is None)
 
     def _cased(self, surface, word):
         """The Word of `surface`, another casing of the lower-case `word`.

@@ -322,20 +322,23 @@ def tokenize(text, lexicon) -> list:
 
 
 class DiscourseContext:
-    """Proper names seen so far, for pronoun resolution."""
+    """Proper names seen so far, for pronoun resolution.
 
-    def __init__(self, mentions=None):
+    A pronoun resolves to the last name mentioned with its gender, which
+    `latest` keeps, so resolving costs one look-up however long the text.
+    """
+
+    def __init__(self, mentions=None, latest=None):
         # (name, gender) in text order
         self.mentions = [] if mentions is None else mentions
+        self.latest = {} if latest is None else latest   # gender -> name
 
     def mention(self, name, gender):
         self.mentions.append((name, gender))
+        self.latest[gender] = name
 
     def resolve(self, gender):
-        for name, g in reversed(self.mentions):
-            if g == gender:
-                return name
-        return None
+        return self.latest.get(gender)
 
 
 _DETERMINERS = {"a", "an", "the"}

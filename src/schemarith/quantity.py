@@ -55,6 +55,31 @@ class _Frozen:
         return f"{self.__class__.__qualname__}({fields})"
 
 
+class _Interned(_Frozen):
+    """Base of the value types with one instance per value.
+
+    A subclass's ``__new__`` returns ``_intern(fields...)``, the one
+    instance with those fields, so equal values are the same object and
+    hash and compare by identity, in C.
+    """
+
+    __slots__ = ()
+    __hash__ = object.__hash__
+    __eq__ = object.__eq__
+
+    @classmethod
+    def _intern(cls, *fields):
+        value = _INTERNED.get((cls, fields))
+        if value is None:
+            value = _INTERNED[cls, fields] = object.__new__(cls)
+            for name, field in zip(cls.__slots__, fields):
+                _set(value, name, field)
+        return value
+
+
+_INTERNED = {}   # (class, fields) -> its one instance
+
+
 class TimePoint(_Enum):
     INITIAL = "initial"
     FINAL = "final"
@@ -78,12 +103,14 @@ class Var(_Frozen):
         _set(self, "name", name)
 
 
-class Question(_Frozen):
+class Question(_Interned):
     __slots__ = ()
 
+    def __new__(cls):
+        return cls._intern()
 
-#: The unique question slot of a problem. Compare with ``is`` or ``==``;
-#: all Question instances are equal.
+
+#: The unique question slot of a problem; ``Question()`` returns it.
 QUESTION = Question()
 
 

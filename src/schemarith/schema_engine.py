@@ -63,11 +63,7 @@ class SchemaInstantiation(_Frozen):
 def change_instantiation(event, before, after) -> SchemaInstantiation:
     """Schema instantiation of one elementary event between two amounts."""
     wording = WORDING[event.kind.direction]
-    slots = (
-        ("initially", before),
-        (wording.slot, event.delta),
-        ("finally", after),
-    )
+    slots = (("initially", before), (wording.slot, event.delta), ("finally", after))
     if wording.adds:
         equation = Equation(before, event.delta, after)
     else:
@@ -79,9 +75,8 @@ def change_instantiation(event, before, after) -> SchemaInstantiation:
 
 def instantiate_compare(comp, store) -> SchemaInstantiation:
     """A More/Less instantiation; unseen sides get fresh unknown states."""
-    left = store.lookup_or_introduce(comp.left.locus, comp.left.obj, comp.left.time)
-    right = store.lookup_or_introduce(comp.right.locus, comp.right.obj,
-                                      comp.right.time)
+    left, right = (store.lookup_or_introduce(key.locus, key.obj, key.time)
+                   for key in (comp.left, comp.right))
     slots = (("left", left), ("right", right), ("by", comp.diff))
     if comp.direction == "more":
         return SchemaInstantiation("More", slots, Equation(right, comp.diff, left))
@@ -104,7 +99,7 @@ def instantiate_combine(comb, store, lexicon) -> list:
         gaining = ChangeKind(Direction.IN, LocusKind.OWNERSHIP)
         parts = [
             ev.delta for ev in store.events
-            if ev.kind == gaining and isinstance(ev.locus, Ownership)
+            if ev.kind is gaining and isinstance(ev.locus, Ownership)
             and ev.locus.owner.kind is EntityKind.CLASS
             and ev.locus.owner.name in members and ev.obj == comb.obj
         ]
@@ -166,16 +161,6 @@ def initial_lsi(store, lexicon) -> list:
     return out
 
 
-def _timeline_amounts(timeline, store):
-    # Missing endpoints are introduced as fresh unknown states, the initial
-    # one first; the cautious gate never lets such a timeline reach here.
-    amounts = [timeline.initial, *timeline.intermediates, timeline.final]
-    for i, time in ((0, TimePoint.INITIAL), (-1, TimePoint.FINAL)):
-        if amounts[i] is None:
-            amounts[i] = store.lookup_or_introduce(timeline.locus, timeline.obj, time)
-    return amounts
-
-
 def build_lsi(store, timelines, strategy, first):
     """Extend the initial LSI with change instantiations per the strategy.
 
@@ -191,17 +176,20 @@ def build_lsi(store, timelines, strategy, first):
     skipped = []
     for timeline in timelines:
         if strategy is Strategy.CAUTIOUS and not timeline.endpoints_present:
-            missing = []
-            if timeline.initial is None:
-                missing.append("initial")
-            if timeline.final is None:
-                missing.append("final")
+            ends = (("initial", timeline.initial), ("final", timeline.final))
             skipped.append(SkippedSchema(
                 tuple(SCHEMA_NAMES[ev.kind] for ev in timeline.events),
-                timeline.locus, timeline.obj, tuple(missing),
+                timeline.locus, timeline.obj,
+                tuple(name for name, amount in ends if amount is None),
             ))
             continue
-        amounts = _timeline_amounts(timeline, store)
+        # Missing endpoints are introduced as fresh unknown states, the
+        # initial one first; the cautious gate lets no such timeline here.
+        amounts = [timeline.initial, *timeline.intermediates, timeline.final]
+        for i, time in ((0, TimePoint.INITIAL), (-1, TimePoint.FINAL)):
+            if amounts[i] is None:
+                amounts[i] = store.lookup_or_introduce(timeline.locus, timeline.obj,
+                                                       time)
         for i, event in enumerate(timeline.events):
             lsi.append(change_instantiation(event, amounts[i], amounts[i + 1]))
     return lsi, skipped

@@ -1,9 +1,11 @@
 """Worklist propagation over the a + b = c constraint network.
 
 Every recorded relation normalizes to one equation c = a + b over three
-amount slots.  Propagation resolves any equation with exactly one unbound
-slot, and an index from each unknown slot to the equations that mention
-it decides which equations can have changed (AC-3 style, Mackworth 1977).
+amount slots.  The slots are numbered densely, once per distinct unknown
+and once per stated amount, so propagation reads and binds them in lists.
+It resolves any equation with exactly one unbound slot, and an index from
+each unknown slot to the equations that mention it decides which
+equations can have changed (AC-3 style, Mackworth 1977).
 It terminates with the question's value, a report of which unknowns
 stayed free, a contradiction between stated amounts, or a derived
 negative amount.  A slot is bound at most once and each binding revisits
@@ -115,7 +117,9 @@ def propagate(lsi, store) -> SolveResult:
     the sweep's.  A sweep makes one pass per unknown on a chain solved
     backward; here an equation is visited at most once, plus once per slot
     it mentions (`SolveResult.visits` counts the visits).  Each slot is
-    resolved by `_slot` once; the question is bound like any unknown.
+    resolved by `_slot` once, into a dense slot number: one per distinct
+    unknown, the question among them, and one per stated amount, bound
+    from the start.
 
     Verdict precedence at fixpoint: a violated fully-known equation wins
     (contradiction), then a derived negative amount, then a bound question
@@ -126,15 +130,32 @@ def propagate(lsi, store) -> SolveResult:
     if not store.has_question():
         raise MalformedLSI("the problem has no question quantity")
     equations = [si.equation for si in lsi]
-    slots = [tuple(map(_slot, eq.quantities())) for eq in equations]
-    users = {}    # slot key -> indices of the equations that mention it
-    for idx, keys in enumerate(slots):
-        for key in keys:
-            if key is not None:
-                seen = users.setdefault(key, [])
-                if not seen or seen[-1] != idx:
-                    seen.append(idx)
-    values = {}   # slot key -> bound amount
+    index = {}    # slot key -> slot number
+    names = []    # per slot: the unknown's name; None if stated or the question
+    values = []   # per slot: its amount once bound; a stated slot starts bound
+    users = []    # per slot: indices of the equations that mention it
+    slots = []    # per equation: the numbers of its a, b and c slots
+    for idx, eq in enumerate(equations):
+        numbers = []
+        for q in (eq.a, eq.b, eq.c):
+            key = _slot(q)
+            if key is None:
+                number = len(values)
+                names.append(None)
+                values.append(q.value)
+                users.append(None)
+            else:
+                number = index.get(key)
+                if number is None:
+                    number = index[key] = len(values)
+                    names.append(None if key is QUESTION else key)
+                    values.append(None)
+                    users.append([idx])
+                elif users[number][-1] != idx:
+                    users[number].append(idx)
+            numbers.append(number)
+        slots.append(numbers)
+    binding = {}
     trace = []
     contradictions = []
     invalids = []
@@ -149,48 +170,48 @@ def propagate(lsi, store) -> SolveResult:
             queued, next_pass = next_pass, set()
         idx = heappop(due)
         visits += 1
-        eq, keys = equations[idx], slots[idx]
-        vals = [q.value if key is None else values.get(key)
-                for q, key in zip(eq.quantities(), keys)]
-        unknowns = [i for i, v in enumerate(vals) if v is None]
-        if not unknowns:
-            if vals[0] + vals[1] != vals[2] and idx not in flagged:
+        sa, sb, sc = slots[idx]
+        a, b, c = values[sa], values[sb], values[sc]
+        if a is None:
+            if b is None or c is None:
+                continue
+            target, value = sa, c - b
+        elif b is None:
+            if c is None:
+                continue
+            target, value = sb, c - a
+        elif c is None:
+            target, value = sc, a + b
+        else:
+            if a + b != c and idx not in flagged:
                 flagged.add(idx)
                 contradictions.append(Contradiction(
-                    eq.render(),
-                    f"{vals[0]} + {vals[1]} = {vals[0] + vals[1]}, "
-                    f"but {vals[2]} is required",
+                    equations[idx].render(),
+                    f"{a} + {b} = {a + b}, but {c} is required",
                 ))
             continue
-        if len(unknowns) > 1:
-            continue
-        slot = unknowns[0]
-        a, b, c = vals
-        if slot == 0:
-            value = c - b
-        elif slot == 1:
-            value = c - a
-        else:
-            value = a + b
         if value < 0:
             if idx not in flagged:
                 flagged.add(idx)
-                invalids.append(Invalid(eq.render(), value))
+                invalids.append(Invalid(equations[idx].render(), value))
             continue
-        target = keys[slot]
         values[target] = value
-        known = ", ".join(f"{key} = {vals[i]}" for i, key in enumerate(keys)
-                          if i != slot and key is not None and key is not QUESTION)
+        name = names[target]
+        if name is not None:
+            binding[name] = value
+        known = ", ".join([f"{names[s]} = {values[s]}" for s in (sa, sb, sc)
+                           if s != target and names[s] is not None])
         suffix = f" with {known}" if known else ""
-        trace.append(f"{eq.render()}{suffix} ⇒ "
-                     f"{render_quantity(eq.quantities()[slot])} = {value}")
+        trace.append(f"{equations[idx].render()}{suffix} ⇒ "
+                     f"{'?' if name is None else name} = {value}")
         for j in users[target]:
             if j < idx:
                 next_pass.add(j)
             elif j > idx and j not in queued:
                 queued.add(j)
                 heappush(due, j)
-    question_value = values.pop(QUESTION, None)
+    question = index.get(QUESTION)
+    question_value = None if question is None else values[question]
     if contradictions:
         verdict = contradictions[0]
     elif invalids:
@@ -198,10 +219,10 @@ def propagate(lsi, store) -> SolveResult:
     elif question_value is not None:
         verdict = Solved(question_value)
     else:
-        free = (key for keys in slots for key in keys
-                if key is not None and key is not QUESTION and key not in values)
-        verdict = Insufficient(tuple(dict.fromkeys(free)))
-    return SolveResult(verdict, values, question_value, trace, visits)
+        verdict = Insufficient(tuple(
+            name for name, value in zip(names, values)
+            if name is not None and value is None))
+    return SolveResult(verdict, binding, question_value, trace, visits)
 
 
 def verify(lsi, binding, question_value=None) -> bool:

@@ -139,6 +139,15 @@ NOW = " How many apples does Ruth have now?"
     ("Tom had 3 7. Tom got 2 7. How many 7 does Tom have now?",
      "sentence 1: expected an object noun, found '7'"),
     ("Tom had 3 and.", "sentence 1: expected an object noun, found 'and'"),
+    # nor does the regular plural of a number word, grammar word or pronoun
+    ("Tom had 3 sevens. Tom lost 1 sevens. How many sevens does Tom have now?",
+     "sentence 1: expected an object noun, found 'sevens'"),
+    ("Tom had 3 ands. Tom lost 1 ands. How many ands does Tom have now?",
+     "sentence 1: expected an object noun, found 'ands'"),
+    ("Tom had 3 hims. Tom lost 1 hims. How many hims does Tom have now?",
+     "sentence 1: expected an object noun, found 'hims'"),
+    ("Tom had 3 thes. Tom lost 1 thes. How many thes does Tom have now?",
+     "sentence 1: expected an object noun, found 'thes'"),
 ])
 def test_non_ascii_word_or_self_comparison_is_not_understood_in_both_formats(
         tmp_path, capsys, text, message):

@@ -1,6 +1,6 @@
 import pytest
 
-from schemarith.corpus import by_id
+from schemarith.corpus import CORPUS, by_id
 from schemarith.discourse import (
     DataConflict,
     ElementaryEvent,
@@ -21,7 +21,9 @@ from schemarith.parser import (
     StateProp,
     parse_problem,
 )
+from schemarith.pipeline import run_problem
 from schemarith.quantity import QUESTION, Known, TimePoint, Var
+from schemarith.schema_engine import initial_lsi
 
 LEX = load_default_lexicon()
 
@@ -206,8 +208,6 @@ def test_problem_one_timeline():
 
 
 def test_chain_timeline_has_intermediate():
-    from schemarith.schema_engine import initial_lsi
-
     store = store_for("nuts-chain")
     initial_lsi(store, LEX)  # the comparison introduces Dan's initial state
     timelines = build_timelines(store)
@@ -227,6 +227,29 @@ def test_unstated_endpoints_stay_empty():
     john = next(t for t in timelines
                 if t.locus == Ownership(proper("John")))
     assert john.initial is None and john.final is None
+
+
+def test_timelines_follow_first_events_and_take_every_endpoint():
+    # states come Ruth then Tom, events Tom then Ruth; Tom's final amount is
+    # stated after his event, and the comparison introduces the two other
+    # final amounts before the timelines are built
+    text = ("Ruth had 3 apples. Tom had 2 nuts. Tom got 1 nut. Ruth got 2 apples. "
+            "Dan got 1 apple. Now Tom has 3 nuts. Now Ruth has 2 apples more than "
+            "Dan has. How many apples did Dan have in the beginning?")
+    store = build_store(parse_problem(text, LEX), LEX)
+    assert [key.locus.owner.name for key in store.states][:2] == ["Ruth", "Tom"]
+    initial_lsi(store, LEX)
+    tom, ruth, dan = build_timelines(store)
+    assert [(t.locus, t.obj) for t in (tom, ruth, dan)] == [
+        (Ownership(proper("Tom")), "nut"), (Ownership(proper("Ruth")), "apple"),
+        (Ownership(proper("Dan")), "apple")]
+    assert (tom.initial, tom.final) == (Known(2), Known(3))
+    final = TimePoint.FINAL
+    assert ruth.initial == Known(3)
+    assert ruth.final == store.states[StateKey(ruth.locus, "apple", final)] == Var("X")
+    assert dan.initial == QUESTION
+    assert dan.final == store.states[StateKey(dan.locus, "apple", final)] == Var("X1")
+    assert run_problem(text, LEX).answer == 2
 
 
 def test_timeline_partition():
@@ -262,9 +285,6 @@ def test_intermediate_count():
 
 def test_fresh_variable_hygiene():
     # no two distinct state keys ever share an unknown
-    from schemarith.pipeline import run_problem
-    from schemarith.corpus import CORPUS
-
     for problem in CORPUS:
         result = run_problem(problem.text, LEX)
         store = result.store

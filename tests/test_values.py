@@ -269,7 +269,7 @@ MUTABLE = {
     Clause: [("words", NO), ("sentence_index", NO), ("interrogative", NO),
              ("markers", NO)],
     Sentence: [("index", NO), ("clauses", NO)],
-    DiscourseContext: [("mentions", [])],
+    DiscourseContext: [("mentions", []), ("latest", {})],
     Timeline: [("locus", NO), ("obj", NO), ("events", NO), ("initial", NO),
                ("final", NO), ("intermediates", NO)],
     SolveResult: [("verdict", NO), ("binding", NO), ("question_value", NO),
@@ -303,5 +303,26 @@ def test_mutable_record_signature(cls):
 def test_discourse_context_mentions_are_per_instance():
     first, second = DiscourseContext(), DiscourseContext()
     first.mention("Ruth", "f")
-    assert second.mentions == []
+    assert second.mentions == [] and second.latest == {}
     assert second.resolve("f") is None and first.resolve("f") == "Ruth"
+
+
+class _Unread(list):
+    """A mention list that fails the test if anything iterates it."""
+
+    def __iter__(self):
+        raise AssertionError("the mentions were walked")
+
+    __reversed__ = __iter__
+
+
+def test_a_pronoun_resolves_without_walking_the_mentions():
+    # resolving costs one look-up, so parsing stays linear in the text
+    ctx = DiscourseContext(_Unread())
+    for i in range(1000):
+        ctx.mention(f"Tom{i}", "m")
+    ctx.mention("Mary", "f")
+    ctx.mention("Tom", "m")
+    assert (ctx.resolve("f"), ctx.resolve("m"), ctx.resolve("group")) == \
+        ("Mary", "Tom", None)
+    assert len(ctx.mentions) == 1002
