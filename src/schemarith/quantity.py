@@ -47,7 +47,7 @@ class _Frozen:
     def __hash__(self):
         return hash(self._key(self))
 
-    def __reduce__(self):   # copy and pickle rebuild through __init__
+    def __reduce__(self):   # copy and pickle rebuild through the constructor
         return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
 
     def __repr__(self):
@@ -71,9 +71,11 @@ class _Interned(_Frozen):
     def _intern(cls, *fields):
         value = _INTERNED.get((cls, fields))
         if value is None:
-            value = _INTERNED[cls, fields] = object.__new__(cls)
+            value = object.__new__(cls)
             for name, field in zip(cls.__slots__, fields):
                 _set(value, name, field)
+            # of two threads making one value, both keep the first instance
+            value = _INTERNED.setdefault((cls, fields), value)
         return value
 
 

@@ -133,7 +133,7 @@ def propagate(lsi, store) -> SolveResult:
     index = {}    # slot key -> slot number
     names = []    # per slot: the unknown's name; None if stated or the question
     values = []   # per slot: its amount once bound; a stated slot starts bound
-    users = []    # per slot: indices of the equations that mention it
+    users = []    # per slot: indices of the equations that mention it; None if stated
     slots = []    # per equation: the numbers of its a, b and c slots
     for idx, eq in enumerate(equations):
         numbers = []

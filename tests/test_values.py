@@ -229,6 +229,16 @@ def test_other_classes_are_unequal():
     assert Solved(3) != Invalid("3 = 1 + 2", 3)
 
 
+@pytest.mark.parametrize("value", [IN_OWN, QUESTION], ids=repr)
+def test_an_interned_value_is_one_object(value):
+    # so it hashes and compares by identity, in C
+    assert type(value)(*(getattr(value, name) for name in value.__slots__)) is value
+    assert hash(value) == object.__hash__(value)
+    for twin in (copy.copy(value), copy.deepcopy(value),
+                 pickle.loads(pickle.dumps(value))):
+        assert twin is value
+
+
 def test_constructor_checks():
     with pytest.raises(ValueError):
         Known(-1)
