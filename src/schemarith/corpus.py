@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from operator import attrgetter
 
-from .quantity import _Frozen, _set
+from .quantity import _Frozen
 
 
 class CorpusProblem(_Frozen):
@@ -17,12 +17,13 @@ class CorpusProblem(_Frozen):
     _key = attrgetter(*__slots__)
 
     def __init__(self, id, text, expected_verdict, expected_answer, pronoun_free):
-        _set(self, "id", id)
-        _set(self, "text", text)
-        # "solved" | "contradiction"
-        _set(self, "expected_verdict", expected_verdict)
-        _set(self, "expected_answer", expected_answer)  # int | None
-        _set(self, "pronoun_free", pronoun_free)
+        (set_id, set_text, set_expected_verdict, set_expected_answer,
+         set_pronoun_free) = CorpusProblem._setters
+        set_id(self, id)
+        set_text(self, text)
+        set_expected_verdict(self, expected_verdict)  # "solved" | "contradiction"
+        set_expected_answer(self, expected_answer)  # int | None
+        set_pronoun_free(self, pronoun_free)
 
 
 CORPUS = (

@@ -37,7 +37,7 @@ from .parser import (
     render_proposition,
     render_state,
 )
-from .quantity import Question, TimePoint, Var, _Frozen, _set, render_quantity
+from .quantity import Question, TimePoint, Var, _Frozen, render_quantity
 
 
 class DataConflict(Exception):
@@ -69,12 +69,14 @@ class ElementaryEvent(_Frozen):
     _key = attrgetter(*__slots__[:4])
 
     def __init__(self, kind, locus, obj, delta, verb="", sentence=-1):
-        _set(self, "kind", kind)      # ChangeKind
-        _set(self, "locus", locus)    # Ownership | Place
-        _set(self, "obj", obj)
-        _set(self, "delta", delta)    # Known: the parser states it
-        _set(self, "verb", verb)
-        _set(self, "sentence", sentence)
+        (set_kind, set_locus, set_obj, set_delta, set_verb,
+         set_sentence) = ElementaryEvent._setters
+        set_kind(self, kind)      # ChangeKind
+        set_locus(self, locus)    # Ownership | Place
+        set_obj(self, obj)
+        set_delta(self, delta)    # Known: the parser states it
+        set_verb(self, verb)
+        set_sentence(self, sentence)
 
 
 #: The event field that names each role's participant.

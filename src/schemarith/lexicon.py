@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from operator import attrgetter
 
-from .quantity import _Enum, _Frozen, _Interned, _set
+from .quantity import _Enum, _Frozen, _Interned
 
 
 class Direction(_Enum):
@@ -33,12 +33,14 @@ class Wording(_Frozen):
     _key = attrgetter(*__slots__)
 
     def __init__(self, slot, passive, place_prep, owner_prep, owner_verb, adds):
-        _set(self, "slot", slot)
-        _set(self, "passive", passive)
-        _set(self, "place_prep", place_prep)
-        _set(self, "owner_prep", owner_prep)
-        _set(self, "owner_verb", owner_verb)
-        _set(self, "adds", adds)
+        (set_slot, set_passive, set_place_prep, set_owner_prep, set_owner_verb,
+         set_adds) = Wording._setters
+        set_slot(self, slot)
+        set_passive(self, passive)
+        set_place_prep(self, place_prep)
+        set_owner_prep(self, owner_prep)
+        set_owner_verb(self, owner_verb)
+        set_adds(self, adds)
 
 
 #: The one table of per-direction wording.
@@ -110,7 +112,8 @@ class Elementary(_Frozen):
     _key = attrgetter("kind")
 
     def __init__(self, kind):
-        _set(self, "kind", kind)
+        (set_kind,) = Elementary._setters
+        set_kind(self, kind)
 
 
 class Compound(_Frozen):
@@ -126,7 +129,8 @@ class Compound(_Frozen):
     def __init__(self, components):  # of (ChangeKind, Role)
         if len(components) < 2:
             raise ValueError("compound verbs have at least two components")
-        _set(self, "components", components)
+        (set_components,) = Compound._setters
+        set_components(self, components)
 
 
 class StaticState(_Frozen):
@@ -136,7 +140,8 @@ class StaticState(_Frozen):
     _key = attrgetter("hint")
 
     def __init__(self, hint):
-        _set(self, "hint", hint)
+        (set_hint,) = StaticState._setters
+        set_hint(self, hint)
 
 
 class NonChange(_Frozen):

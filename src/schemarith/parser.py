@@ -24,7 +24,7 @@ from .lexicon import (
     Word,
 )
 from .quantity import (
-    QUESTION, Known, Question, TimePoint, _Enum, _Frozen, _set, render_quantity,
+    QUESTION, Known, Question, TimePoint, _Enum, _Frozen, render_quantity,
 )
 
 
@@ -79,10 +79,11 @@ class Entity(_Frozen):
     _key = attrgetter(*__slots__)
 
     def __init__(self, name, kind, cardinality=None):
-        _set(self, "name", name)
-        _set(self, "kind", kind)
+        set_name, set_kind, set_cardinality = Entity._setters
+        set_name(self, name)
+        set_kind(self, kind)
         # the numeral of a subject like "5 girls"; metadata
-        _set(self, "cardinality", cardinality)
+        set_cardinality(self, cardinality)
 
 
 THEY = Entity("they", EntityKind.GROUP)
@@ -97,7 +98,8 @@ class Ownership(_Frozen):
             # A subject's numeral never enters a locus: whatever their
             # number, "5 girls" own what the girls own.
             owner = Entity(owner.name, owner.kind)
-        _set(self, "owner", owner)
+        (set_owner,) = Ownership._setters
+        set_owner(self, owner)
 
 
 class Place(_Frozen):
@@ -105,7 +107,8 @@ class Place(_Frozen):
     _key = attrgetter("place")
 
     def __init__(self, place):
-        _set(self, "place", place)
+        (set_place,) = Place._setters
+        set_place(self, place)
 
 
 def render_locus(locus) -> str:
@@ -119,9 +122,10 @@ class StateKey(_Frozen):
     _key = attrgetter(*__slots__)
 
     def __init__(self, locus, obj, time):
-        _set(self, "locus", locus)  # Ownership | Place
-        _set(self, "obj", obj)      # canonical object class
-        _set(self, "time", time)
+        set_locus, set_obj, set_time = StateKey._setters
+        set_locus(self, locus)  # Ownership | Place
+        set_obj(self, obj)      # canonical object class
+        set_time(self, time)
 
 
 # A proposition's sentence index stays out of equality and hashing: where a
@@ -133,9 +137,10 @@ class StateProp(_Frozen):
     _key = attrgetter("key", "quantity")
 
     def __init__(self, key, quantity, sentence=-1):
-        _set(self, "key", key)
-        _set(self, "quantity", quantity)
-        _set(self, "sentence", sentence)
+        set_key, set_quantity, set_sentence = StateProp._setters
+        set_key(self, key)
+        set_quantity(self, quantity)
+        set_sentence(self, sentence)
 
 
 class EventProp(_Frozen):
@@ -145,14 +150,16 @@ class EventProp(_Frozen):
 
     def __init__(self, verb, obj, amount, agent=None, recipient=None, source=None,
                  destination=None, sentence=-1):
-        _set(self, "verb", verb)
-        _set(self, "obj", obj)
-        _set(self, "amount", amount)
-        _set(self, "agent", agent)
-        _set(self, "recipient", recipient)
-        _set(self, "source", source)
-        _set(self, "destination", destination)
-        _set(self, "sentence", sentence)
+        (set_verb, set_obj, set_amount, set_agent, set_recipient, set_source,
+         set_destination, set_sentence) = EventProp._setters
+        set_verb(self, verb)
+        set_obj(self, obj)
+        set_amount(self, amount)
+        set_agent(self, agent)
+        set_recipient(self, recipient)
+        set_source(self, source)
+        set_destination(self, destination)
+        set_sentence(self, sentence)
 
 
 class CompareProp(_Frozen):
@@ -160,11 +167,13 @@ class CompareProp(_Frozen):
     _key = attrgetter(*__slots__[:4])
 
     def __init__(self, left, right, diff, direction, sentence=-1):
-        _set(self, "left", left)
-        _set(self, "right", right)
-        _set(self, "diff", diff)
-        _set(self, "direction", direction)  # "more" | "less"
-        _set(self, "sentence", sentence)
+        (set_left, set_right, set_diff, set_direction,
+         set_sentence) = CompareProp._setters
+        set_left(self, left)
+        set_right(self, right)
+        set_diff(self, diff)
+        set_direction(self, direction)  # "more" | "less"
+        set_sentence(self, sentence)
 
 
 class CombineProp(_Frozen):
@@ -174,14 +183,16 @@ class CombineProp(_Frozen):
 
     def __init__(self, obj, total, time, parts=(), group=None, context="state",
                  verb=None, sentence=-1):
-        _set(self, "obj", obj)
-        _set(self, "total", total)
-        _set(self, "time", time)
-        _set(self, "parts", parts)      # StateKeys, in statements
-        _set(self, "group", group)      # "they" or a class, in questions
-        _set(self, "context", context)  # "state" | "event"
-        _set(self, "verb", verb)        # the verb of an event combine
-        _set(self, "sentence", sentence)
+        (set_obj, set_total, set_time, set_parts, set_group, set_context, set_verb,
+         set_sentence) = CombineProp._setters
+        set_obj(self, obj)
+        set_total(self, total)
+        set_time(self, time)
+        set_parts(self, parts)      # StateKeys, in statements
+        set_group(self, group)      # "they" or a class, in questions
+        set_context(self, context)  # "state" | "event"
+        set_verb(self, verb)        # the verb of an event combine
+        set_sentence(self, sentence)
 
 
 # ---------------------------------------------------------------------------

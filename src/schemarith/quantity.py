@@ -10,10 +10,6 @@ from enum import Enum
 from operator import attrgetter
 
 
-#: Sets a field of a frozen value, past the ``__setattr__`` that refuses it.
-_set = object.__setattr__
-
-
 class _Enum(Enum):
     """Base of the package's enums: members are singletons compared by
     identity, so they hash by identity in C, not by name in Python."""
@@ -24,14 +20,19 @@ class _Enum(Enum):
 class _Frozen:
     """Base of the package's immutable value types.
 
-    A subclass names its fields in ``__slots__``, in constructor order,
-    sets them in ``__init__`` through ``_set``, and gets the fields that
-    equality and hashing compare with ``_key``.  Instances of different
-    classes are never equal.
+    A subclass names its fields in ``__slots__``, in constructor order;
+    ``__init__`` sets them through ``_setters``, the ``__set__`` of those
+    slots' descriptors, and equality and hashing compare the fields that
+    ``_key`` gets.  Instances of different classes are never equal.
     """
 
     __slots__ = ()
     _key = staticmethod(lambda self: ())   # a type without fields has one value
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = cls.__dict__
+        cls._setters = tuple(own[name].__set__ for name in own.get("__slots__", ()))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -72,8 +73,8 @@ class _Interned(_Frozen):
         value = _INTERNED.get((cls, fields))
         if value is None:
             value = object.__new__(cls)
-            for name, field in zip(cls.__slots__, fields):
-                _set(value, name, field)
+            for set_field, field in zip(cls._setters, fields):
+                set_field(value, field)
             # of two threads making one value, both keep the first instance
             value = _INTERNED.setdefault((cls, fields), value)
         return value
@@ -94,7 +95,8 @@ class Known(_Frozen):
     def __init__(self, value):
         if value < 0:
             raise ValueError("amounts are nonnegative")
-        _set(self, "value", value)
+        (set_value,) = Known._setters
+        set_value(self, value)
 
 
 class Var(_Frozen):
@@ -102,7 +104,8 @@ class Var(_Frozen):
     _key = attrgetter("name")
 
     def __init__(self, name):
-        _set(self, "name", name)
+        (set_name,) = Var._setters
+        set_name(self, name)
 
 
 class Question(_Interned):

@@ -15,7 +15,7 @@ from operator import attrgetter
 
 from .lexicon import SCHEMA_NAMES, WORDING, ChangeKind, Direction, LocusKind
 from .parser import CompareProp, EntityKind, Ownership, THEY, render_locus
-from .quantity import TimePoint, _Enum, _Frozen, _set, render_quantity
+from .quantity import TimePoint, _Enum, _Frozen, render_quantity
 from .solver import Equation
 
 
@@ -41,11 +41,13 @@ class SchemaInstantiation(_Frozen):
 
     def __init__(self, kind, slots, equation, locus=None, obj=""):
         # change schema name, "More", "Less" or "Combine"
-        _set(self, "kind", kind)
-        _set(self, "slots", slots)   # ((role, Quantity), ...)
-        _set(self, "equation", equation)
-        _set(self, "locus", locus)
-        _set(self, "obj", obj)
+        (set_kind, set_slots, set_equation, set_locus,
+         set_obj) = SchemaInstantiation._setters
+        set_kind(self, kind)
+        set_slots(self, slots)   # ((role, Quantity), ...)
+        set_equation(self, equation)
+        set_locus(self, locus)
+        set_obj(self, obj)
 
     def render(self) -> str:
         if self.kind in ("More", "Less"):
@@ -134,10 +136,11 @@ class SkippedSchema(_Frozen):
     _key = attrgetter(*__slots__)
 
     def __init__(self, kinds, locus, obj, missing):
-        _set(self, "kinds", kinds)      # schema names along the timeline
-        _set(self, "locus", locus)
-        _set(self, "obj", obj)
-        _set(self, "missing", missing)  # the endpoint amounts absent
+        set_kinds, set_locus, set_obj, set_missing = SkippedSchema._setters
+        set_kinds(self, kinds)      # schema names along the timeline
+        set_locus(self, locus)
+        set_obj(self, obj)
+        set_missing(self, missing)  # the endpoint amounts absent
 
     def render(self) -> str:
         names = " + ".join(self.kinds)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from operator import attrgetter
 
-from .quantity import QUESTION, Known, Question, Var, _Frozen, _set, render_quantity
+from .quantity import QUESTION, Known, Question, Var, _Frozen, render_quantity
 
 
 class MalformedLSI(ValueError):
@@ -32,9 +32,10 @@ class Equation(_Frozen):
     _key = attrgetter(*__slots__)
 
     def __init__(self, a, b, c):
-        _set(self, "a", a)
-        _set(self, "b", b)
-        _set(self, "c", c)
+        set_a, set_b, set_c = Equation._setters
+        set_a(self, a)
+        set_b(self, b)
+        set_c(self, c)
 
     def render(self) -> str:
         return (f"{render_quantity(self.c)} = "
@@ -49,7 +50,8 @@ class Solved(_Frozen):
     _key = attrgetter("answer")
 
     def __init__(self, answer):
-        _set(self, "answer", answer)
+        (set_answer,) = Solved._setters
+        set_answer(self, answer)
 
 
 class Insufficient(_Frozen):
@@ -57,7 +59,8 @@ class Insufficient(_Frozen):
     _key = attrgetter("unresolved")
 
     def __init__(self, unresolved):
-        _set(self, "unresolved", unresolved)
+        (set_unresolved,) = Insufficient._setters
+        set_unresolved(self, unresolved)
 
 
 class Contradiction(_Frozen):
@@ -65,8 +68,9 @@ class Contradiction(_Frozen):
     _key = attrgetter(*__slots__)
 
     def __init__(self, equation, detail):
-        _set(self, "equation", equation)
-        _set(self, "detail", detail)
+        set_equation, set_detail = Contradiction._setters
+        set_equation(self, equation)
+        set_detail(self, detail)
 
 
 class Invalid(_Frozen):
@@ -74,8 +78,9 @@ class Invalid(_Frozen):
     _key = attrgetter(*__slots__)
 
     def __init__(self, equation, value):
-        _set(self, "equation", equation)
-        _set(self, "value", value)
+        set_equation, set_value = Invalid._setters
+        set_equation(self, equation)
+        set_value(self, value)
 
 
 class SolveResult:

@@ -1,5 +1,5 @@
 """Every name a package module imports is used in that module, the value
-types are built through the one setter and enum base in quantity.py, the
+types are built through the setter tables and enum base in quantity.py, the
 parser leaves letter case to the lexicon, and the CLI starts without the
 standard library's slow-loading modules."""
 import ast
@@ -47,8 +47,12 @@ def test_gate_sees_unused_and_exported_names():
     assert unused_imports(source) == [(2, "os"), (3, "a")]
 
 
+SETTERS = {"__setattr__", "__set__"}
+
+
 def value_layer_breaches(source):
-    """(line, what) for each use of object.__setattr__ and each class
+    """(line, what) for each read of a ``__setattr__`` or ``__set__``
+    attribute, whether written out or named to getattr, and each class
     based directly on one of the standard library's enum types."""
     tree = ast.parse(source)
     stdlib_enum = set()   # local names of the enum module and its members
@@ -60,9 +64,13 @@ def value_layer_breaches(source):
                                if alias.name == "enum")
     breaches = []
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
-                and isinstance(node.value, ast.Name) and node.value.id == "object"):
-            breaches.append((node.lineno, "object.__setattr__"))
+        if isinstance(node, ast.Attribute) and node.attr in SETTERS:
+            breaches.append((node.lineno, ast.unparse(node)))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "getattr" and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant)
+                and node.args[1].value in SETTERS):
+            breaches.append((node.lineno, ast.unparse(node)))
         elif isinstance(node, ast.ClassDef):
             for base in node.bases:
                 root = base.value if isinstance(base, ast.Attribute) else base
@@ -72,13 +80,16 @@ def value_layer_breaches(source):
 
 
 def test_only_quantity_sets_fields_directly_or_subclasses_enum():
-    """Frozen fields are set through quantity._set, and every package enum
-    derives from quantity._Enum, which hashes its members by identity."""
+    """Frozen fields are set through the setter tables that quantity._Frozen
+    builds from each class's slot descriptors, the one read of ``__set__``;
+    nothing calls ``object.__setattr__`` past the ``__setattr__`` that
+    refuses assignment.  Every package enum derives from quantity._Enum,
+    which hashes its members by identity."""
     found = {path.name: [what for _, what in value_layer_breaches(
                  path.read_text(encoding="utf-8"))]
              for path in PACKAGE.glob("*.py")}
     assert {name: what for name, what in found.items() if what} == \
-        {"quantity.py": ["object.__setattr__", "_Enum"]}
+        {"quantity.py": ["_Enum", "own[name].__set__"]}
 
 
 def test_value_layer_gate_sees_setattr_and_enum_bases():
@@ -89,9 +100,15 @@ def test_value_layer_gate_sees_setattr_and_enum_bases():
               "class B(enum.Flag): pass\n"
               "class C(IntEnum): pass\n"
               "class D(_Enum): pass\n"
-              "object.__setattr__(D, 'x', 1)\n")
+              "object.__setattr__(D, 'x', 1)\n"
+              "D.__dict__['x'].__set__(D, 1)\n"
+              "getattr(D.x, '__set__')(D, 1)\n"
+              "super(D, D).__setattr__('x', 1)\n"
+              "getattr(object, '__setattr__')\n")
     assert value_layer_breaches(source) == [
-        (4, "A"), (5, "B"), (6, "C"), (8, "object.__setattr__")]
+        (4, "A"), (5, "B"), (6, "C"), (8, "object.__setattr__"),
+        (9, "D.__dict__['x'].__set__"), (10, "getattr(D.x, '__set__')"),
+        (11, "super(D, D).__setattr__"), (12, "getattr(object, '__setattr__')")]
 
 
 CASE_METHODS = {"lower", "upper", "isupper", "title", "capitalize"}

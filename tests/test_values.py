@@ -3,7 +3,9 @@
 Every frozen value type compares and hashes by its compared fields, is
 unequal to instances of other classes, refuses assignment and deletion,
 and prints as ``Name(field=value, ...)``.  Every enum member hashes by
-identity and copies to itself.  The mutable records keep their
+identity and copies to itself.  Each frozen type's setters are the
+``__set__`` of its own slot descriptors, in field order, and every slot
+holds its constructor argument itself.  The mutable records keep their
 constructor signatures and assignable attributes.
 """
 import copy
@@ -151,9 +153,9 @@ def test_constructor_order_keywords_and_defaults(cls):
     kw = values(fields)
     by_position = cls(*kw.values())
     by_keyword = cls(**kw)
-    for name, value, *_ in fields:
-        assert getattr(by_position, name) == value
-        assert getattr(by_keyword, name) == value
+    for name, value, *_ in fields:   # each slot holds its argument itself
+        assert getattr(by_position, name) is value
+        assert getattr(by_keyword, name) is value
     required = {name: value for name, value, _, default, _ in fields if default is NO}
     minimal = cls(**required)
     for name, _, _, default, _ in fields:
@@ -208,6 +210,22 @@ def test_copy_and_pickle_keep_the_value(cls):
     obj = cls(**values(FROZEN[cls]))
     for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
         assert twin == obj and repr(twin) == repr(obj)
+
+
+@pytest.mark.parametrize("cls", FROZEN, ids=FROZEN_IDS)
+def test_setters_are_the_own_slot_descriptors_in_order(cls):
+    assert [name for name, *_ in FROZEN[cls]] == list(cls.__slots__)
+    assert len(cls._setters) == len(cls.__slots__)
+    for name, setter in zip(cls.__slots__, cls._setters):
+        assert setter.__self__ is cls.__dict__[name], name
+
+
+@pytest.mark.parametrize("cls", FROZEN, ids=FROZEN_IDS)
+def test_a_setter_refuses_an_instance_of_another_class(cls):
+    other = Var("X") if cls is Known else Known(3)
+    for setter in cls._setters:
+        with pytest.raises(TypeError):
+            setter(other, 1)
 
 
 def test_repr_literals():
