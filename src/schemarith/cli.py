@@ -18,11 +18,11 @@ import re
 import sys
 
 from .corpus import CORPUS
-from .discourse import DataConflict, MissingParticipant, UnknownVerb
+from .discourse import DataConflict
 from .lexicon import load_default_lexicon, load_lexicon_file
 from .parser import ProblemTextError
 from .pipeline import render_text_report, result_to_dict, run_problem
-from .schema_engine import Strategy, UnresolvableCombine
+from .schema_engine import Strategy
 
 FORMAT_VERSION = 1
 
@@ -76,8 +76,7 @@ def _run_text(text, lexicon, config):
         if config.format == "json":
             return code, result_to_dict(result)
         return code, render_text_report(result, config.trace)
-    except (ProblemTextError, UnknownVerb, MissingParticipant,
-            UnresolvableCombine) as exc:
+    except ProblemTextError as exc:
         code, heading, error = EXIT_NOT_UNDERSTOOD, "Not understood", exc
     except DataConflict as exc:
         code, heading, error = EXIT_INCONSISTENT, "Contradiction in the problem data", exc

@@ -30,6 +30,7 @@ from .parser import (
     Ownership,
     ParseError,
     Place,
+    ProblemTextError,
     StateKey,
     StateProp,
     render_amount,
@@ -50,12 +51,12 @@ class DataConflict(Exception):
         )
 
 
-class UnknownVerb(Exception):
+class UnknownVerb(ProblemTextError):
     def __init__(self, lemma):
         super().__init__(f"verb {lemma!r} is not in the lexicon")
 
 
-class MissingParticipant(Exception):
+class MissingParticipant(ProblemTextError):
     """An event names no participant that could carry its locus."""
 
     def __init__(self, verb, what):
@@ -131,27 +132,17 @@ def _elementary_change(kind, event):
     raise MissingParticipant(event.verb, "place")
 
 
-def canonicalize(event, lexicon) -> str:
-    """Passive sentence with the counted object as subject.
-
-    A change event reads uniformly in this form, no matter which verb
-    produced it.
-    """
-    wording = WORDING[event.kind.direction]
-    prep = (wording.place_prep if event.kind.locus_kind is LocusKind.PLACE
-            else wording.owner_prep)
-    return (f"{render_amount(event.obj, event.delta, lexicon)} were "
-            f"{wording.passive} {prep} {render_locus(event.locus)}")
-
-
 def render_elementary(event, lexicon) -> str:
-    """Short active form for ownership changes, canonical form otherwise."""
+    """An ownership change in the active form, with the owner as subject;
+    a change of place in the passive form, with the counted objects as
+    subject, which reads the same whichever verb produced it."""
+    wording = WORDING[event.kind.direction]
     if event.kind.locus_kind is LocusKind.OWNERSHIP:
-        verb = WORDING[event.kind.direction].owner_verb
         n = event.delta.value
-        return (f"{event.locus.owner.name} {verb} {n} "
+        return (f"{event.locus.owner.name} {wording.owner_verb} {n} "
                 f"{lexicon.pluralize(event.obj, n)}")
-    return canonicalize(event, lexicon)
+    return (f"{render_amount(event.obj, event.delta, lexicon)} were "
+            f"{wording.passive} {wording.place_prep} {render_locus(event.locus)}")
 
 
 class PropositionStore:

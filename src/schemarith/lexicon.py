@@ -24,32 +24,29 @@ class Wording(_Frozen):
 
     ``slot`` is the change-amount slot of a schema instantiation and
     ``passive`` the verb of the passive form "N objects were <passive> ...";
-    ``place_prep`` and ``owner_prep`` precede a place and, in the passive
-    form, an owner; ``owner_verb`` is the active verb with the owner as
-    subject; ``adds`` says whether the change adds to its locus's amount.
+    ``place_prep`` precedes a place; ``owner_verb`` is the active verb
+    with the owner as subject; ``adds`` says whether the change adds to
+    its locus's amount.
     """
 
-    __slots__ = ("slot", "passive", "place_prep", "owner_prep", "owner_verb", "adds")
+    __slots__ = ("slot", "passive", "place_prep", "owner_verb", "adds")
     _key = attrgetter(*__slots__)
 
-    def __init__(self, slot, passive, place_prep, owner_prep, owner_verb, adds):
-        (set_slot, set_passive, set_place_prep, set_owner_prep, set_owner_verb,
-         set_adds) = Wording._setters
+    def __init__(self, slot, passive, place_prep, owner_verb, adds):
+        set_slot, set_passive, set_place_prep, set_owner_verb, set_adds = Wording._setters
         set_slot(self, slot)
         set_passive(self, passive)
         set_place_prep(self, place_prep)
-        set_owner_prep(self, owner_prep)
         set_owner_verb(self, owner_verb)
         set_adds(self, adds)
 
 
 #: The one table of per-direction wording.
 WORDING = {
-    Direction.IN: Wording("in", "transferred", "into", "to", "got", True),
-    Direction.OUT: Wording("out", "transferred", "out of", "from", "forfeited", False),
-    Direction.CREATE: Wording("created", "created", "in", "by", "created", True),
-    Direction.TERMINATE: Wording("terminated", "terminated", "in", "by", "terminated",
-                                 False),
+    Direction.IN: Wording("in", "transferred", "into", "got", True),
+    Direction.OUT: Wording("out", "transferred", "out of", "forfeited", False),
+    Direction.CREATE: Wording("created", "created", "in", "created", True),
+    Direction.TERMINATE: Wording("terminated", "terminated", "in", "terminated", False),
 }
 
 
@@ -268,9 +265,6 @@ class Lexicon:
             return (w[:-1], Tense.PRESENT)
         return None
 
-    def is_verb_form(self, surface) -> bool:
-        return self.lemmatize_verb(surface) is not None
-
     def render_past(self, lemma) -> str:
         """Past-tense surface for a lemma (phrasal particles pass through)."""
         if lemma in self._past_forms:
@@ -292,9 +286,9 @@ class Lexicon:
         """Canonical singular class for a noun surface; None for proper names.
 
         Words outside the table are inflected by regular rules, so fresh
-        lower-case nouns are usable without lexicon edits.  A grammar
-        keyword, a numeral or a pronoun names no class, and neither does
-        its regular plural ("sevens", "ands").
+        lower-case nouns are usable without lexicon edits.  A keyword,
+        numeral or pronoun names no class, nor does its plural ("sevens",
+        "ins") or a word that begins with no letter ("7s").
         """
         w = surface.lower()
         if self._reserved(w):
@@ -310,9 +304,15 @@ class Lexicon:
                 or w.isdigit())
 
     def _regular_class(self, w):
-        """The regular singular of the lower-case `w`, unless it is reserved."""
+        """The regular singular of the lower-case `w`; None when `w` begins
+        with no letter ("7s", "-3"), or when its singular or `w` less a
+        final "s" is reserved ("thes", "ins")."""
+        if not w[:1].isalpha():
+            return None
         singular = _regular_noun(w)
-        return None if self._reserved(singular) else singular
+        if self._reserved(singular) or (w[-1] == "s" and self._reserved(w[:-1])):
+            return None
+        return singular
 
     def pluralize(self, canonical, n=None) -> str:
         """Surface form for `n` objects of a class (singular iff n == 1)."""
@@ -344,9 +344,6 @@ class Lexicon:
         if canonical is None:
             return frozenset()
         return self.supersets.get(canonical, frozenset())
-
-    def pronoun_kind(self, word):
-        return self.pronouns.get(word.lower())
 
     # -- loading ---------------------------------------------------------
 
@@ -397,7 +394,7 @@ class Lexicon:
         for text in {surface.lower() for table in tables for surface in table}:
             word = self.words[text] = Word(
                 text, text, self.parse_number(text), self.lemmatize_verb(text),
-                self.normalize_noun(text), self.pronoun_kind(text), False)
+                self.normalize_noun(text), self.pronouns.get(text), False)
             capital = text.capitalize()
             if capital != text:
                 self.words[capital] = self._cased(capital, word)

@@ -208,8 +208,7 @@ class Clause:
 
 
 class Sentence:
-    def __init__(self, index, clauses):
-        self.index = index
+    def __init__(self, clauses):
         self.clauses = clauses
 
 
@@ -321,7 +320,7 @@ def tokenize(text, lexicon) -> list:
             if words[j].text == "if":
                 parts = [words[:j], words[j + 1:]]
                 break
-        sentences.append(Sentence(index, [
+        sentences.append(Sentence([
             _clause(split, index) for part in parts for split in _split_and(part)]))
     if not sentences:
         raise EmptyInput()
@@ -332,34 +331,14 @@ def tokenize(text, lexicon) -> list:
 # clause parsing
 
 
-class DiscourseContext:
-    """Proper names seen so far, for pronoun resolution.
-
-    A pronoun resolves to the last name mentioned with its gender, which
-    `latest` keeps, so resolving costs one look-up however long the text.
-    """
-
-    def __init__(self, mentions=None, latest=None):
-        # (name, gender) in text order
-        self.mentions = [] if mentions is None else mentions
-        self.latest = {} if latest is None else latest   # gender -> name
-
-    def mention(self, name, gender):
-        self.mentions.append((name, gender))
-        self.latest[gender] = name
-
-    def resolve(self, gender):
-        return self.latest.get(gender)
-
-
 _DETERMINERS = {"a", "an", "the"}
 _END = Word(None, None, None, None, None, None, False)   # the Word past a clause's end
 
 
 class _ClauseParser:
-    def __init__(self, clause, lexicon, ctx):
+    def __init__(self, clause, lexicon, latest):
         self.lexicon = lexicon
-        self.ctx = ctx
+        self.latest = latest   # gender -> the name last taken with it, per text
         self.sentence = clause.sentence_index
         self.interrogative = clause.interrogative
         if len(clause.markers) > 1:
@@ -421,14 +400,14 @@ class _ClauseParser:
 
     def take_proper(self):
         name = self.take().surface
-        self.ctx.mention(name, self.lexicon.names.get(name))
+        self.latest[self.lexicon.names.get(name)] = name
         return Entity(name, EntityKind.PROPER)
 
     def take_pronoun_entity(self):
         word = self.take()
         if word.pronoun == "group":
             return THEY
-        name = self.ctx.resolve(word.pronoun)
+        name = self.latest.get(word.pronoun)
         if name is None:
             raise self.error(f"pronoun {word.surface!r} has no antecedent")
         return Entity(name, EntityKind.PROPER)
@@ -727,10 +706,8 @@ class _ClauseParser:
             raise self.error(f"unexpected trailing words from {self.peek().surface!r}")
 
 
-def parse_clause(clause, lexicon, ctx=None):
-    if ctx is None:
-        ctx = DiscourseContext()
-    return _ClauseParser(clause, lexicon, ctx).parse()
+def parse_clause(clause, lexicon, latest=None):
+    return _ClauseParser(clause, lexicon, {} if latest is None else latest).parse()
 
 
 def _count_questions(props):
@@ -748,11 +725,11 @@ def parse_problem(text, lexicon) -> list:
 
     Exactly one Question quantity must result.
     """
-    ctx = DiscourseContext()
+    latest = {}
     props = []
     for sentence in tokenize(text, lexicon):
         for clause in sentence.clauses:
-            props.extend(_ClauseParser(clause, lexicon, ctx).parse())
+            props.extend(_ClauseParser(clause, lexicon, latest).parse())
     count = _count_questions(props)
     if count == 0:
         raise NoQuestion()

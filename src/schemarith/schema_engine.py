@@ -14,12 +14,13 @@ from __future__ import annotations
 from operator import attrgetter
 
 from .lexicon import SCHEMA_NAMES, WORDING, ChangeKind, Direction, LocusKind
-from .parser import CompareProp, EntityKind, Ownership, THEY, render_locus
+from .parser import (CompareProp, EntityKind, Ownership, ProblemTextError, THEY,
+                     render_locus)
 from .quantity import TimePoint, _Enum, _Frozen, render_quantity
 from .solver import Equation
 
 
-class UnresolvableCombine(Exception):
+class UnresolvableCombine(ProblemTextError):
     def __init__(self, reason):
         super().__init__(f"cannot resolve combine statement: {reason}")
 

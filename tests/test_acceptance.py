@@ -17,7 +17,7 @@ from oracle import (
 from schemarith.corpus import CORPUS, by_id
 from schemarith.lexicon import load_default_lexicon
 from schemarith.parser import parse_problem, render_proposition, tokenize
-from schemarith.parser import DiscourseContext, parse_clause
+from schemarith.parser import parse_clause
 from schemarith.pipeline import run_problem
 from schemarith.schema_engine import Strategy
 from schemarith.solver import Contradiction, Solved, verify
@@ -175,11 +175,11 @@ def test_criterion_parser_properties():
     for problem in CORPUS:
         for prop in parse_problem(problem.text, LEX):
             rendered = render_proposition(prop, LEX)
-            ctx = DiscourseContext()
+            latest = {}
             reparsed = []
             for sentence in tokenize(rendered, LEX):
                 for clause in sentence.clauses:
-                    reparsed.extend(parse_clause(clause, LEX, ctx))
+                    reparsed.extend(parse_clause(clause, LEX, latest))
             assert reparsed == [prop], rendered
     # every tabled change verb classifies to its printed category
     from schemarith.lexicon import Compound, Direction, Elementary, LocusKind

@@ -148,6 +148,10 @@ NOW = " How many apples does Ruth have now?"
      "sentence 1: expected an object noun, found 'hims'"),
     ("Tom had 3 thes. Tom lost 1 thes. How many thes does Tom have now?",
      "sentence 1: expected an object noun, found 'thes'"),
+    # nor does a word that begins with no letter, or a short reserved word plus "s"
+    *[(f"Tom had 3 {w}. Tom got 2 {w}. How many {w} does Tom have now?",
+       f"sentence 1: expected an object noun, found {w!r}")
+      for w in ("7s", "1s", "hes", "ins", "tos", "ofs", "ans", "-3", "'", "--")],
 ])
 def test_non_ascii_word_or_self_comparison_is_not_understood_in_both_formats(
         tmp_path, capsys, text, message):

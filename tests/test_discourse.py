@@ -6,11 +6,17 @@ from schemarith.discourse import (
     ElementaryEvent,
     build_store,
     build_timelines,
-    canonicalize,
     render_elementary,
     split_compound,
 )
-from schemarith.lexicon import ChangeKind, Direction, LocusKind, Role, load_default_lexicon
+from schemarith.lexicon import (
+    VALID_CHANGE_KINDS,
+    ChangeKind,
+    Direction,
+    LocusKind,
+    Role,
+    load_default_lexicon,
+)
 from schemarith.parser import (
     Entity,
     EntityKind,
@@ -113,22 +119,45 @@ def test_give_always_emits_out_and_in():
     assert directions == [Direction.OUT, Direction.IN]
 
 
-# -- canonical form ------------------------------------------------------------
+# -- rendering an elementary event ---------------------------------------------
 
 
-@pytest.mark.parametrize("event,expected", [
+def kind(direction, locus_kind):
+    return ChangeKind(Direction[direction], LocusKind[locus_kind])
+
+
+# An ownership change reads "<owner> <owner_verb> <n> <objects>", a change of
+# place "<n> <objects> were <passive> <place_prep> the <place>".
+RENDERED = [
+    (ElementaryEvent(IN_OWN, Ownership(proper("Ruth")), "candy", Known(3)),
+     "Ruth got 3 candies"),
     (ElementaryEvent(OUT_OWN, Ownership(proper("David")), "candy", Known(3)),
-     "3 candies were transferred from David"),
+     "David forfeited 3 candies"),
+    (ElementaryEvent(kind("CREATE", "OWNERSHIP"), Ownership(proper("Tom")), "toy",
+                     Known(2)),
+     "Tom created 2 toys"),
+    (ElementaryEvent(kind("TERMINATE", "OWNERSHIP"), Ownership(proper("Tom")), "egg",
+                     Known(1)),
+     "Tom terminated 1 egg"),
     (ElementaryEvent(IN_PLACE, Place(cls("basket")), "apple", Known(2)),
      "2 apples were transferred into the basket"),
-    (ElementaryEvent(ChangeKind(Direction.TERMINATE, LocusKind.PLACE),
-                     Place(cls("box")), "egg", Known(0)),
+    (ElementaryEvent(kind("OUT", "PLACE"), Place(cls("box")), "egg", Known(3)),
+     "3 eggs were transferred out of the box"),
+    (ElementaryEvent(kind("CREATE", "PLACE"), Place(cls("village")), "house",
+                     Known(4)),
+     "4 houses were created in the village"),
+    (ElementaryEvent(kind("TERMINATE", "PLACE"), Place(cls("box")), "egg", Known(0)),
      "0 eggs were terminated in the box"),
-    (ElementaryEvent(IN_OWN, Ownership(proper("Ruth")), "candy", Known(3)),
-     "3 candies were transferred to Ruth"),
-])
-def test_canonicalize(event, expected):
-    assert canonicalize(event, LEX) == expected
+]
+
+
+@pytest.mark.parametrize("event,expected", RENDERED)
+def test_render_elementary(event, expected):
+    assert render_elementary(event, LEX) == expected
+
+
+def test_render_elementary_rows_cover_every_change_kind():
+    assert {event.kind for event, _ in RENDERED} == set(VALID_CHANGE_KINDS)
 
 
 # -- store ------------------------------------------------------------------------

@@ -1,7 +1,8 @@
-"""Every name a package module imports is used in that module, the value
-types are built through the setter tables and enum base in quantity.py, the
-parser leaves letter case to the lexicon, and the CLI starts without the
-standard library's slow-loading modules."""
+"""Every name a package module imports is used in that module, every
+function, class and method the package defines is referenced from it, the
+value types are built through the setter tables and enum base in
+quantity.py, the parser leaves letter case to the lexicon, and the CLI
+starts without the standard library's slow-loading modules."""
 import ast
 import os
 import subprocess
@@ -11,6 +12,14 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "schemarith"
+
+
+def exported_names(node):
+    """The names an ``__all__ = [...]`` assignment lists, else none."""
+    if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+        return ast.literal_eval(node.value)
+    return ()
 
 
 def unused_imports(source):
@@ -27,9 +36,8 @@ def unused_imports(source):
                 imported[alias.asname or alias.name] = node.lineno
         elif isinstance(node, ast.Name):
             used.add(node.id)
-        elif isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            used.update(ast.literal_eval(node.value))
+        else:
+            used.update(exported_names(node))
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
@@ -45,6 +53,60 @@ def test_gate_sees_unused_and_exported_names():
               "__all__ = ['b']\n"
               "print(regex)\n")
     assert unused_imports(source) == [(2, "os"), (3, "a")]
+
+
+def unreferenced_definitions(sources):
+    """(module, line, name) of each function, class or method defined in
+    `sources` (module name -> source) whose name no module reads, as a
+    name or an attribute, or lists in ``__all__``.  Dunder methods are
+    exempt.  Matching is by name alone: a method counts as referenced when
+    any attribute of that name is read, and a function that calls itself
+    references itself."""
+    defined, referenced = [], set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((module, node.lineno, node.name))
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            else:
+                referenced.update(exported_names(node))
+    return sorted((module, line, name) for module, line, name in defined
+                  if name not in referenced
+                  and not (name.startswith("__") and name.endswith("__")))
+
+
+#: Functions kept for the tests alone: parse one clause, find one corpus problem.
+TEST_SEAMS = {"parse_clause", "by_id"}
+
+
+def test_every_definition_is_reached_from_the_package():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in PACKAGE.glob("*.py")}
+    assert {name for _, _, name in unreferenced_definitions(sources)} == TEST_SEAMS
+
+
+def test_definition_gate_sees_unreferenced_functions_classes_and_methods():
+    sources = {
+        "a.py": ("def used(): pass\n"
+                 "def unused(): pass\n"
+                 "class K:\n"
+                 "    def __repr__(self): pass\n"
+                 "    def method(self): pass\n"
+                 "    def called(self):\n"
+                 "        def inner(): pass\n"
+                 "used()\n"),
+        "b.py": ("from . import a\n"
+                 "__all__ = ['exported']\n"
+                 "def exported(): pass\n"
+                 "class Unused: pass\n"
+                 "a.K().called()\n"),
+    }
+    assert unreferenced_definitions(sources) == [
+        ("a.py", 2, "unused"), ("a.py", 5, "method"), ("a.py", 7, "inner"),
+        ("b.py", 4, "Unused")]
 
 
 SETTERS = {"__setattr__", "__set__"}

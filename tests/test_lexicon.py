@@ -20,7 +20,7 @@ from schemarith.lexicon import (
     load_default_lexicon,
     load_lexicon_text,
 )
-from schemarith.parser import Clause, DiscourseContext, ParseError, _ClauseParser
+from schemarith.parser import Clause, ParseError, _ClauseParser
 from schemarith.pipeline import run_problem
 from schemarith.solver import Solved
 
@@ -221,7 +221,8 @@ def is_proper_reference(lex, tok):
     if tok in lex.names:
         return True
     low = tok.lower()
-    return not (low in KEYWORDS or low in lex.noun_forms or lex.is_verb_form(low)
+    return not (low in KEYWORDS or low in lex.noun_forms
+                or lex.lemmatize_verb(low) is not None
                 or lex.parse_number(low) is not None or low in lex.pronouns)
 
 
@@ -231,7 +232,7 @@ def parser_reading(lex, tok):
     clause = Clause([word], 0, False, set())
     proper = word.proper
     try:
-        noun = _ClauseParser(clause, lex, DiscourseContext()).take_noun()
+        noun = _ClauseParser(clause, lex, {}).take_noun()
     except ParseError:
         noun = None
     return word, proper, noun
@@ -242,7 +243,7 @@ def assert_word_agrees(lex, surface):
         word, proper, noun = parser_reading(lex, tok)
         assert word.number == lex.parse_number(tok), tok
         assert word.verb == lex.lemmatize_verb(tok), tok
-        assert word.pronoun == lex.pronoun_kind(tok), tok
+        assert word.pronoun == lex.pronouns.get(tok.lower()), tok
         assert noun == lex.normalize_noun(tok), tok
         assert proper == is_proper_reference(lex, tok), tok
 

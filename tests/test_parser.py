@@ -16,7 +16,6 @@ from schemarith.lexicon import (
 from schemarith.parser import (
     CombineProp,
     CompareProp,
-    DiscourseContext,
     EmptyInput,
     Entity,
     EntityKind,
@@ -41,11 +40,11 @@ LEX = load_default_lexicon()
 
 def parse_text(text):
     """Parse clauses without the one-question validation (test helper)."""
-    ctx = DiscourseContext()
+    latest = {}
     props = []
     for sentence in tokenize(text, LEX):
         for clause in sentence.clauses:
-            props.extend(parse_clause(clause, LEX, ctx))
+            props.extend(parse_clause(clause, LEX, latest))
     return props
 
 
@@ -88,7 +87,7 @@ def split_and_recursive(tokens):
     """The clause-level "and" rule in its recursive statement."""
 
     def has_verb(part):
-        return any(LEX.is_verb_form(t) for t in part)
+        return any(LEX.lemmatize_verb(t) is not None for t in part)
 
     for i, tok in enumerate(tokens):
         if tok.lower() != "and":
@@ -208,6 +207,14 @@ def test_pronoun_subject_resolution():
 def test_object_pronoun_resolution():
     props = parse_text("John had 5 apples. Mary gave him 3 apples.")
     assert props[1].recipient == Entity("John", EntityKind.PROPER)
+
+
+def test_a_pronoun_takes_the_latest_name_of_its_gender_in_its_own_text():
+    props = parse_text("John had 5 apples. Tom had 2 apples. Mary gave him 3 apples.")
+    assert props[2].recipient == Entity("Tom", EntityKind.PROPER)
+    parse_problem("Ruth had 3 apples. How many apples does she have now?", LEX)
+    with pytest.raises(ParseError, match="pronoun 'she' has no antecedent"):
+        parse_problem("Tom had 3 apples. How many apples does she have now?", LEX)
 
 
 def test_place_compare():
@@ -362,11 +369,11 @@ def test_first_multistep_problem_parses_to_four_propositions():
 
 
 def _reparse_one(sentence):
-    ctx = DiscourseContext()
+    latest = {}
     [s] = tokenize(sentence, LEX)
     props = []
     for clause in s.clauses:
-        props.extend(parse_clause(clause, LEX, ctx))
+        props.extend(parse_clause(clause, LEX, latest))
     assert len(props) == 1
     return props[0]
 
@@ -455,7 +462,7 @@ def chain_text(k):
             "How many nuts does Dan have now?")
 
 
-RULE_METHODS = ("lemmatize_verb", "normalize_noun", "parse_number", "pronoun_kind")
+RULE_METHODS = ("lemmatize_verb", "normalize_noun", "parse_number")
 
 
 def test_rule_methods_run_once_per_token_outside_the_table(monkeypatch):

@@ -37,6 +37,29 @@ def test_other_change_kinds_solve(text, answer, kind):
     assert any(si.kind == kind for si in result.lsi)
 
 
+# Every equation of these systems has two unknowns, so propagation stalls and
+# each reads `insufficient`; the exact elimination of ROADMAP item 2 is to
+# solve the two combine+compare systems and find the three cycles inconsistent.
+@pytest.mark.xfail(strict=True, reason="propagation alone cannot settle the system")
+@pytest.mark.parametrize("text,verdict,answer", [
+    ("Tom and Ruth had 8 apples altogether. Tom had 2 apples more than Ruth had. "
+     "How many apples did Ruth have?", "solved", 3),
+    ("Tom and Ruth had 10 apples altogether. Tom had 4 apples more than Ruth had. "
+     "Tom gave 1 apple to Ruth. How many apples does Ruth have now?", "solved", 4),
+    ("Tom had 3 apples more than Ruth had. Ruth had 2 apples more than Tom had. "
+     "How many apples did Tom have in the beginning?", "contradiction", None),
+    ("There were 3 apples more in the box than there were in the basket. There "
+     "was 1 apple more in the basket than there was in the box. How many apples "
+     "were there in the box in the beginning?", "contradiction", None),
+    ("Tom had 3 apples more than Ruth had. Ruth had 2 apples more than Dan had. "
+     "Dan had 4 apples more than Tom had. How many apples did Tom have in the "
+     "beginning?", "contradiction", None),
+])
+def test_systems_that_need_elimination(text, verdict, answer):
+    result = run_problem(text, LEX)
+    assert (result.verdict_name, result.answer) == (verdict, answer)
+
+
 def test_counted_class_owner_finds_its_stated_amounts():
     # The subject numeral counts the girls; it does not name another owner.
     result = run_problem(

@@ -34,7 +34,6 @@ from schemarith.parser import (
     Clause,
     CombineProp,
     CompareProp,
-    DiscourseContext,
     Entity,
     EntityKind,
     EventProp,
@@ -83,8 +82,8 @@ FROZEN = {
     Var: [f("name", "X", "X1")],
     Question: [],
     Wording: [f("slot", "in", "out"), f("passive", "transferred", "created"),
-              f("place_prep", "into", "in"), f("owner_prep", "to", "from"),
-              f("owner_verb", "got", "forfeited"), f("adds", True, False)],
+              f("place_prep", "into", "in"), f("owner_verb", "got", "forfeited"),
+              f("adds", True, False)],
     ChangeKind: [f("direction", Direction.IN, Direction.OUT),
                  f("locus_kind", LocusKind.OWNERSHIP, LocusKind.PLACE)],
     Elementary: [f("kind", IN_OWN, OUT_OWN)],
@@ -296,8 +295,7 @@ def test_render_quantity():
 MUTABLE = {
     Clause: [("words", NO), ("sentence_index", NO), ("interrogative", NO),
              ("markers", NO)],
-    Sentence: [("index", NO), ("clauses", NO)],
-    DiscourseContext: [("mentions", []), ("latest", {})],
+    Sentence: [("clauses", NO)],
     Timeline: [("locus", NO), ("obj", NO), ("events", NO), ("initial", NO),
                ("final", NO), ("intermediates", NO)],
     SolveResult: [("verdict", NO), ("binding", NO), ("question_value", NO),
@@ -326,31 +324,3 @@ def test_mutable_record_signature(cls):
             assert getattr(minimal, name) == default
         setattr(by_position, name, None)
         assert getattr(by_position, name) is None
-
-
-def test_discourse_context_mentions_are_per_instance():
-    first, second = DiscourseContext(), DiscourseContext()
-    first.mention("Ruth", "f")
-    assert second.mentions == [] and second.latest == {}
-    assert second.resolve("f") is None and first.resolve("f") == "Ruth"
-
-
-class _Unread(list):
-    """A mention list that fails the test if anything iterates it."""
-
-    def __iter__(self):
-        raise AssertionError("the mentions were walked")
-
-    __reversed__ = __iter__
-
-
-def test_a_pronoun_resolves_without_walking_the_mentions():
-    # resolving costs one look-up, so parsing stays linear in the text
-    ctx = DiscourseContext(_Unread())
-    for i in range(1000):
-        ctx.mention(f"Tom{i}", "m")
-    ctx.mention("Mary", "f")
-    ctx.mention("Tom", "m")
-    assert (ctx.resolve("f"), ctx.resolve("m"), ctx.resolve("group")) == \
-        ("Mary", "Tom", None)
-    assert len(ctx.mentions) == 1002
