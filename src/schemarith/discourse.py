@@ -80,6 +80,10 @@ class ElementaryEvent(_Frozen):
         set_sentence(self, sentence)
 
 
+# Read on every event, as module names; see parser._PROPER.
+_GROUP, _OWNERSHIP, _IN = EntityKind.GROUP, LocusKind.OWNERSHIP, Direction.IN
+_CREATE_OR_TERMINATE = (Direction.CREATE, Direction.TERMINATE)
+
 #: The event field that names each role's participant.
 _PARTICIPANT = {role: attrgetter(role.value) for role in Role}
 
@@ -104,10 +108,9 @@ def split_compound(event, lexicon) -> list:
     for kind, entity in changes:
         if entity is None:
             continue
-        if entity.kind is EntityKind.GROUP:
+        if entity.kind is _GROUP:
             raise ValueError(f"cannot build a locus from {entity!r}")
-        locus = (Ownership(entity) if kind.locus_kind is LocusKind.OWNERSHIP
-                 else Place(entity))
+        locus = Ownership(entity) if kind.locus_kind is _OWNERSHIP else Place(entity)
         events.append(ElementaryEvent(kind, locus, event.obj, event.amount,
                                       event.verb, event.sentence))
     return events
@@ -115,13 +118,13 @@ def split_compound(event, lexicon) -> list:
 
 def _elementary_change(kind, event):
     """(kind, participant) of the change of an elementary verb."""
-    if kind.locus_kind is LocusKind.OWNERSHIP:
+    if kind.locus_kind is _OWNERSHIP:
         # ownership verbs locate the change at the subject
         if event.agent is None:
             raise MissingParticipant(event.verb, "owner")
         return kind, event.agent
-    creation_or_termination = kind.direction in (Direction.CREATE, Direction.TERMINATE)
-    named = event.destination if kind.direction is Direction.IN else event.source
+    creation_or_termination = kind.direction in _CREATE_OR_TERMINATE
+    named = event.destination if kind.direction is _IN else event.source
     if named is None and creation_or_termination:
         named = event.destination or event.source
     if named is not None:
@@ -137,7 +140,7 @@ def render_elementary(event, lexicon) -> str:
     a change of place in the passive form, with the counted objects as
     subject, which reads the same whichever verb produced it."""
     wording = WORDING[event.kind.direction]
-    if event.kind.locus_kind is LocusKind.OWNERSHIP:
+    if event.kind.locus_kind is _OWNERSHIP:
         n = event.delta.value
         return (f"{event.locus.owner.name} {wording.owner_verb} {n} "
                 f"{lexicon.pluralize(event.obj, n)}")
@@ -153,6 +156,9 @@ class PropositionStore:
     quantity in the whole store is the Question.  It is also the index of
     the timelines: each elementary event joins its (locus, object) group
     as its event is split, and each state stored sets its group's endpoint.
+    ``groups`` keys a group by the locus's class, the locus's ``_key`` and
+    the object: what makes two loci equal, hashed and compared in C, so
+    ``Ownership(e)`` and ``Place(e)`` stay apart.
     """
 
     def __init__(self, lexicon):
@@ -163,7 +169,8 @@ class PropositionStore:
         self.raw_events = []      # surface EventProps
         self.events = []          # ElementaryEvents, text order
         self.relations = []       # CompareProp | CombineProp, text order
-        # (locus, obj) -> (its ElementaryEvents in text order, {TimePoint: amount})
+        # (locus class, locus key, obj) -> (its ElementaryEvents in text
+        # order, {TimePoint: amount})
         self.groups = {}
         self.chains = []          # (locus, obj, events, ends) of each group with events
         self._var_count = 0
@@ -195,9 +202,10 @@ class PropositionStore:
             events.append(event)
 
     def _group(self, locus, obj):
-        group = self.groups.get((locus, obj))
+        key = (locus.__class__, locus._key(locus), obj)   # see the class docstring
+        group = self.groups.get(key)
         if group is None:
-            group = self.groups[locus, obj] = ([], {})
+            group = self.groups[key] = ([], {})
         return group
 
     def fresh_var(self) -> Var:

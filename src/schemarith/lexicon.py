@@ -232,6 +232,7 @@ class Lexicon:
         self.supersets = {}      # canonical class -> frozenset of member classes
         self.pronouns = {}       # pronoun -> gender tag ("f"/"m"/"group")
         self.names = {}          # proper name -> gender tag
+        self._numerals = {}      # digit string of at most two digits -> its Word
 
     # -- verbs ---------------------------------------------------------
 
@@ -349,9 +350,20 @@ class Lexicon:
 
     def word(self, surface):
         """The Word of a token outside ``words``: a numeral, another casing
-        of a tabled word, or else a word of the regular inflections."""
+        of a tabled word, or else a word of the regular inflections.
+
+        The Word of a numeral of at most two digits is kept on its first
+        use and returned again, so at most 110 numerals ("0"-"99" and
+        "00"-"09") are ever kept.  A Word is read-only, so one may be shared
+        by every text and thread.
+        """
         if surface.isdigit():
-            return Word(surface, surface, _numeral(surface), None, None, None, False)
+            word = self._numerals.get(surface)
+            if word is None:
+                word = Word(surface, surface, _numeral(surface), None, None, None, False)
+                if len(surface) <= 2:
+                    self._numerals[surface] = word
+            return word
         text = surface.lower()
         if text in self.words:
             return self._cased(surface, self.words[text])
@@ -398,7 +410,6 @@ class Lexicon:
             capital = text.capitalize()
             if capital != text:
                 self.words[capital] = self._cased(capital, word)
-        return self
 
 
 def _numeral(digits):
@@ -419,7 +430,18 @@ def _regular_noun(w):
 
 
 def load_lexicon_text(text) -> Lexicon:
+    """A lexicon from its records, one ``kind<TAB>lemma<TAB>payload`` a line.
+
+    A record the tables cannot use is refused with a LexiconFormatError
+    that names its line: a malformed payload, a number that is not a
+    decimal of at most MAX_DIGITS digits, a form of a verb that no record
+    tables (as a lemma or the head of a phrasal lemma), a noun that holds
+    a space, and a noun that is a reserved word or whose class the noun
+    rule forbids (see ``_regular_class``).  Forms and the noun rule are
+    checked once every record is read.
+    """
     lex = Lexicon()
+    forms, nouns = [], []   # (line, lemma, payload), checked against the whole lexicon
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -428,26 +450,47 @@ def load_lexicon_text(text) -> Lexicon:
         if len(fields) != 3:
             raise LexiconFormatError(f"line {lineno}: expected 3 tab-separated fields")
         kind, lemma, payload = fields
-        if kind == "verb":
-            lex.verbs[lemma] = _parse_verb_payload(payload)
-        elif kind == "form":
-            base, _, tense = payload.partition(":")
-            lex.verb_forms[lemma] = (base, Tense(tense))
-        elif kind == "number":
-            lex.number_words[lemma] = int(payload)
-        elif kind == "noun":
-            lex.noun_forms[lemma] = payload
-            if lemma != payload:
-                lex.plural_forms.setdefault(payload, lemma)
-        elif kind == "superset":
-            lex.supersets[lemma] = frozenset(payload.split(","))
-        elif kind == "pronoun":
-            lex.pronouns[lemma] = payload
-        elif kind == "name":
-            lex.names[lemma] = payload
-        else:
-            raise LexiconFormatError(f"line {lineno}: unknown record kind {kind!r}")
-    return lex._freeze()
+        try:
+            if kind == "verb":
+                lex.verbs[lemma] = _parse_verb_payload(payload)
+            elif kind == "form":
+                base, _, tense = payload.partition(":")
+                lex.verb_forms[lemma] = (base, Tense(tense))
+                forms.append((lineno, lemma, base))
+            elif kind == "number":
+                if not (payload.isascii() and payload.isdigit()):
+                    raise LexiconFormatError(f"number {payload!r} is not a nonnegative decimal")
+                lex.number_words[lemma] = _numeral(payload)
+            elif kind == "noun":
+                if " " in lemma or " " in payload:
+                    raise LexiconFormatError(f"noun {lemma!r} of class {payload!r} holds a space")
+                lex.noun_forms[lemma] = payload
+                if lemma != payload:
+                    lex.plural_forms.setdefault(payload, lemma)
+                nouns.append((lineno, lemma, payload))
+            elif kind == "superset":
+                lex.supersets[lemma] = frozenset(payload.split(","))
+            elif kind == "pronoun":
+                lex.pronouns[lemma] = payload
+            elif kind == "name":
+                lex.names[lemma] = payload
+            else:
+                raise LexiconFormatError(f"unknown record kind {kind!r}")
+        except ValueError as exc:
+            raise LexiconFormatError(f"line {lineno}: {exc}") from None
+    lex._freeze()
+    for lineno, form, base in forms:
+        if base not in lex.verbs and base not in lex.phrasal:
+            raise LexiconFormatError(
+                f"line {lineno}: form {form!r} is of {base!r}, which no verb record tables")
+    named = set()   # the classes that passed, each checked once
+    for lineno, surface, cls in nouns:
+        if lex._reserved(surface.lower()) or (
+                cls not in named and lex._regular_class(cls.lower()) is None):
+            raise LexiconFormatError(
+                f"line {lineno}: noun {surface!r} of class {cls!r} breaks the noun rule")
+        named.add(cls)
+    return lex
 
 
 def load_lexicon_file(path) -> Lexicon:

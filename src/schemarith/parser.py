@@ -74,6 +74,13 @@ class EntityKind(_Enum):
     GROUP = "group"
 
 
+# The members read on every clause and event, as module names: an enum's
+# metaclass defines __getattr__, which makes each read of a member through
+# its class several times slower.
+_PROPER, _CLASS = EntityKind.PROPER, EntityKind.CLASS
+_PLACE, _IN = LocusKind.PLACE, Direction.IN
+
+
 class Entity(_Frozen):
     __slots__ = ("name", "kind", "cardinality")
     _key = attrgetter(*__slots__)
@@ -89,9 +96,13 @@ class Entity(_Frozen):
 THEY = Entity("they", EntityKind.GROUP)
 
 
+# A locus's key is its entity's fields, read in C, so that keys of loci
+# hash and compare without a call to Entity.__hash__ or Entity.__eq__.
+
+
 class Ownership(_Frozen):
     __slots__ = ("owner",)
-    _key = attrgetter("owner")
+    _key = attrgetter("owner.name", "owner.kind", "owner.cardinality")
 
     def __init__(self, owner):
         if owner.cardinality is not None:
@@ -104,7 +115,7 @@ class Ownership(_Frozen):
 
 class Place(_Frozen):
     __slots__ = ("place",)
-    _key = attrgetter("place")
+    _key = attrgetter("place.name", "place.kind", "place.cardinality")
 
     def __init__(self, place):
         (set_place,) = Place._setters
@@ -225,21 +236,23 @@ _SEQUENCERS = (
     ("it", "is", "known", "that"),
 )
 _SEQUENCER_HEADS = {seq[0] for seq in _SEQUENCERS}
+_TEXT = attrgetter("text")
 
 
-def _split_and(words):
+def _split_and(words, texts):
     """Split at clause-level "and": both halves must contain a verb.
 
-    One forward scan over the "and"s: an "and" ends the current clause
-    when a verb has appeared since the clause began and another follows
-    the "and".  Returns one list of Words per clause.
+    `texts` holds the Words' texts.  The scan jumps from one "and" to the
+    next with ``list.index``: an "and" ends the current clause when a verb
+    has appeared since the clause began and another follows the "and".
+    Returns the (words, texts) of each clause.
     """
     clauses, start = [], 0
     left = 0          # no verb in the current clause before position left
     following = -1    # first verb after the latest "and" that needed one
-    for n, word in enumerate(words):
-        if word.text != "and":
-            continue
+    n = -1
+    for _ in range(texts.count("and")):
+        n = texts.index("and", n + 1)
         while left < n and words[left].verb is None:
             left += 1
         if left >= n:
@@ -249,41 +262,45 @@ def _split_and(words):
             while following < len(words) and words[following].verb is None:
                 following += 1
         if following < len(words):
-            clauses.append(words[start:n])
+            clauses.append((words[start:n], texts[start:n]))
             start = n + 1
             left = following
-    clauses.append(words[start:] if start else words)
+    clauses.append((words[start:], texts[start:]) if start else (words, texts))
     return clauses
 
 
-def _clause(words, index):
-    """A clause without its leading sequencers and its time markers."""
-    interrogative = (len(words) > 1 and words[0].text == "how"
-                     and words[1].text == "many")
+def _clause(words, texts, index):
+    """A clause without its leading sequencers and its time markers.
+
+    `texts` holds the Words' texts; the clause is scanned for time markers
+    only when "now" or "beginning" is among them.
+    """
+    interrogative = len(texts) > 1 and texts[0] == "how" and texts[1] == "many"
     start = 0
-    while start < len(words) and words[start].text in _SEQUENCER_HEADS:
+    while start < len(texts) and texts[start] in _SEQUENCER_HEADS:
         for seq in _SEQUENCERS:
-            if tuple(w.text for w in words[start: start + len(seq)]) == seq:
+            if tuple(texts[start: start + len(seq)]) == seq:
                 start += len(seq)
                 break
         else:
             break
     if start:
-        words = words[start:]
+        words, texts = words[start:], texts[start:]
     markers = set()
-    spans = []   # (first, end) of each time marker, in text order
-    for i, word in enumerate(words):
-        if word.text == "now":
-            markers.add(TimePoint.FINAL)
-            spans.append((i, i + 1))
-        elif word.text == "beginning" and i >= 2 \
-                and words[i - 2].text == "in" and words[i - 1].text == "the":
-            markers.add(TimePoint.INITIAL)
-            spans.append((i - 2, i + 1))
-    if spans:
-        words = words[:]
-        for first, end in reversed(spans):
-            del words[first:end]
+    if "now" in texts or "beginning" in texts:
+        spans = []   # (first, end) of each time marker, in text order
+        for i, text in enumerate(texts):
+            if text == "now":
+                markers.add(TimePoint.FINAL)
+                spans.append((i, i + 1))
+            elif text == "beginning" and i >= 2 \
+                    and texts[i - 2] == "in" and texts[i - 1] == "the":
+                markers.add(TimePoint.INITIAL)
+                spans.append((i - 2, i + 1))
+        if spans:
+            words = words[:]
+            for first, end in reversed(spans):
+                del words[first:end]
     return Clause(words, index, interrogative, markers)
 
 
@@ -294,7 +311,9 @@ def tokenize(text, lexicon) -> list:
     main clause plus subordinate clauses; "and" between two full clauses
     splits them into siblings.  Clauses beginning "how many" are flagged
     interrogative.  Each token is given its Word once; leading sequencers
-    and time markers leave the clause here.
+    and time markers leave the clause here.  Each sentence's Word texts
+    are listed once, and "if", "and" and the markers are found in that
+    list with ``in`` and ``list.index``, not by a loop over the Words.
     """
     wide = not text.isascii()
     findall = (_WIDE_TOKEN_RE if wide else _TOKEN_RE).findall
@@ -313,15 +332,17 @@ def tokenize(text, lexicon) -> list:
             words = [get(tok) or word(tok) for tok in tokens if tok != ","]
         except NumeralTooLong as exc:
             raise ParseError(index, str(exc)) from None
-        # ", if" subordination: the first "if" past the sentence's first
-        # token, commas counted
-        parts = [words]
-        for j in range(tokens[0] != ",", len(words)):
-            if words[j].text == "if":
-                parts = [words[:j], words[j + 1:]]
-                break
+        texts = list(map(_TEXT, words))
+        parts = [(words, texts)]
+        if "if" in texts:
+            # ", if" subordination: the first "if" past the sentence's
+            # first token, commas counted
+            first = tokens[0] != ","
+            if "if" in texts[first:]:
+                j = texts.index("if", first)
+                parts = [(words[:j], texts[:j]), (words[j + 1:], texts[j + 1:])]
         sentences.append(Sentence([
-            _clause(split, index) for part in parts for split in _split_and(part)]))
+            _clause(*split, index) for part in parts for split in _split_and(*part)]))
     if not sentences:
         raise EmptyInput()
     return sentences
@@ -399,9 +420,11 @@ class _ClauseParser:
         return word.verb[1]
 
     def take_proper(self):
-        name = self.take().surface
+        """The name at the cursor, which the caller has seen reads as proper."""
+        name = self.words[self.pos].surface
+        self.pos += 1
         self.latest[self.lexicon.names.get(name)] = name
-        return Entity(name, EntityKind.PROPER)
+        return Entity(name, _PROPER)
 
     def take_pronoun_entity(self):
         word = self.take()
@@ -643,28 +666,29 @@ class _ClauseParser:
         agent = recipient = source = destination = None
         object_np = None
         locational = (isinstance(classification, Elementary)
-                      and classification.kind.locus_kind is LocusKind.PLACE)
-        while not self.done():
-            word = self.peek()
+                      and classification.kind.locus_kind is _PLACE)
+        words = self.words   # read directly: the cursor stays before the end
+        while self.pos < self.end:
+            word = words[self.pos]
             tok = word.text
             if tok == "to":
-                self.take()
+                self.pos += 1
                 ent = self.parse_person_or_place()
-                if ent.kind is EntityKind.PROPER:
+                if ent.kind is _PROPER:
                     recipient = ent
                 else:
                     destination = ent
             elif tok == "from":
-                self.take()
+                self.pos += 1
                 source = self.parse_person_or_place()
             elif tok in ("into", "onto", "in"):
-                self.take()
+                self.pos += 1
                 destination = self.parse_place_np()
             elif tok == "out":
-                self.take()
+                self.pos += 1
                 self.expect("of")
                 source = self.parse_place_np()
-            elif object_np is None and self.words[self.pos + 1].number is not None \
+            elif object_np is None and words[self.pos + 1].number is not None \
                     and (word.proper or word.pronoun in ("f", "m")):
                 # double-object dative: "gave Tom 3 apples", "gave him 3 apples"
                 if word.proper:
@@ -674,23 +698,25 @@ class _ClauseParser:
             elif word.number is not None:
                 if object_np is not None:
                     raise self.error("two counted objects in one event")
-                object_np = self.parse_object_np()
+                self.pos += 1
+                object_np = word.number, self.take_noun()
             elif (tok in _DETERMINERS or not word.proper) \
                     and locational:
                 ent = self.parse_place_np()  # bare locus of leave/enter/exit
-                if classification.kind.direction is Direction.IN:
+                if classification.kind.direction is _IN:
                     destination = ent
                 else:
                     source = ent
             else:
                 raise self.error(f"unexpected token {tok!r} in event clause")
-        if any(ent is THEY for ent in (subject, recipient, source, destination)):
+        if subject is THEY or recipient is THEY or source is THEY \
+                or destination is THEY:
             # the grammar resolves "they" only in a question
             raise self.error(f"pronoun {THEY.name!r} cannot take part in an event")
         if object_np is None:
             # Subject numeral counts the subject class, but only for
             # locational verbs: "Two boys left a room."
-            if locational and subject.kind is EntityKind.CLASS \
+            if locational and subject.kind is _CLASS \
                     and subject.cardinality is not None:
                 amount, obj = subject.cardinality, subject.name
             else:
@@ -743,7 +769,7 @@ def parse_problem(text, lexicon) -> list:
 
 
 def _entity_surface(entity, lexicon):
-    if entity.kind is EntityKind.PROPER:
+    if entity.kind is _PROPER:
         return entity.name
     noun = lexicon.pluralize(entity.name, entity.cardinality)
     if entity.cardinality is not None:

@@ -214,6 +214,19 @@ def test_identical_restatement_is_deduplicated():
     assert len(store.states) == 1
 
 
+def test_an_owner_and_a_place_of_one_entity_group_apart():
+    """The store's groups are keyed by the locus's class and fields: equal
+    loci built apart share a group, an owner and a place never do."""
+    initial, final = TimePoint.INITIAL, TimePoint.FINAL
+    store = build_store([
+        StateProp(StateKey(Ownership(cls("box")), "apple", initial), Known(3)),
+        StateProp(StateKey(Place(cls("box")), "apple", initial), Known(4)),
+        StateProp(StateKey(Ownership(cls("box", 2)), "apple", final), Known(5)),
+    ], LEX)
+    assert [ends for _, ends in store.groups.values()] == [
+        {initial: Known(3), final: Known(5)}, {initial: Known(4)}]
+
+
 def test_store_key_uniqueness():
     for problem_id in ("candy-gifts", "nuts-chain", "eggs-places"):
         store = store_for(problem_id)

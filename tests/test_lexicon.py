@@ -1,12 +1,15 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from schemarith.cli import RunConfig, _run_text
 
 from schemarith.corpus import CORPUS
 from schemarith.lexicon import (
     DEFAULT_LEXICON,
     KEYWORDS,
     MAX_DIGITS,
+    LexiconFormatError,
     VALID_CHANGE_KINDS,
     ChangeKind,
     Compound,
@@ -209,6 +212,66 @@ def test_lexicon_text_round_trip():
     assert isinstance(cls, Elementary)
     assert cls.kind.direction is Direction.OUT
     assert lex.noun_forms["kites"] == "kite"
+
+
+@pytest.mark.parametrize("record", [
+    "number\tminus\t-5",
+    "number\tminus\tfive",
+    "number\tminus\t" + "1" * (MAX_DIGITS + 1),
+    "form\tgot\tget:future",
+    "form\tzapped\tzap:past",
+    "noun\tice cream\tice cream",
+    "noun\tand\tand",
+], ids=["negative-number", "number-not-decimal", "number-too-long", "form-tense",
+        "form-of-no-verb", "noun-with-space", "noun-rule"])
+def test_a_record_the_tables_cannot_use_is_refused_with_its_line(record):
+    line = DEFAULT_LEXICON.count("\n") + 1
+    with pytest.raises(LexiconFormatError, match=f"^line {line}: "):
+        load_lexicon_text(DEFAULT_LEXICON + record + "\n")
+
+
+#: Extra records of every kind: lemmas the corpus uses or that read like
+#: its words, with payloads good and bad.
+EXTRA_RECORDS = {
+    "verb": (["zap", "get", "have", "fall", "put in", "be"],
+             ["elementary:in:ownership", "elementary:out:place",
+              "elementary:create:ownership", "elementary:terminate:place",
+              "compound:out:ownership:agent+in:ownership:recipient",
+              "compound:in:place:destination+out:place:source",
+              "compound:in:ownership:agent", "static:tense", "static:final",
+              "static:later", "nonchange", "bad"]),
+    "form": (["zapped", "got", "had", "fell", "two"],
+             ["zap:past", "get:past", "have:present", "be:past", "fall:past",
+              "zap:future", "give"]),
+    "number": (["two", "minus", "and", "7", "apples"],
+               ["-5", "0", "3", "x", "1" + "0" * MAX_DIGITS, "\u0663"]),
+    "noun": (["apples", "ice cream", "and", "sevens", "Tom", "boxes"],
+             ["apple", "and", "ice cream", "seven", "7", "box", "tom"]),
+    "superset": (["child", "apple", "children", "girl"],
+                 ["girl,boy", "apple", "child", "child,girl", "", "apple,plum", "and"]),
+    "pronoun": (["she", "they", "him", "Tom", "two", "it"], ["f", "m", "group", "x"]),
+    "name": (["Tom", "Ruth", "Two", "She", "There", "apples"], ["f", "m", "group", "x"]),
+    "other": (["x"], ["x"]),
+}
+extra_record = st.sampled_from(sorted(EXTRA_RECORDS)).flatmap(
+    lambda kind: st.tuples(st.just(kind), st.sampled_from(EXTRA_RECORDS[kind][0]),
+                           st.sampled_from(EXTRA_RECORDS[kind][1])))
+
+
+@given(st.lists(extra_record, min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_a_custom_lexicon_is_refused_or_ends_every_text_in_a_documented_code(records):
+    """The loader refuses a lexicon, or every corpus text ends in a
+    verdict or a refusal of its text: never in an internal error."""
+    extra = "".join(f"{kind}\t{lemma}\t{payload}\n" for kind, lemma, payload in records)
+    try:
+        lex = load_lexicon_text(DEFAULT_LEXICON + extra)
+    except LexiconFormatError:
+        return
+    for problem in CORPUS:
+        for config in (RunConfig([], format="json"), RunConfig([], trace=True)):
+            code, report = _run_text(problem.text, lex, config)
+            assert code in (0, 2, 3, 4), (problem.id, report)
 
 
 # -- the compiled word table ------------------------------------------------

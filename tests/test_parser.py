@@ -109,6 +109,63 @@ def test_and_split_matches_recursive_rule(words):
         split_and_recursive(words)
 
 
+SEQUENCERS = (["then"], ["next"], ["after", "this"], ["after", "that"],
+              ["it", "is", "known", "that"])
+
+
+def clause_reference(tokens):
+    """(surfaces, interrogative, markers) of one clause's tokens: "how
+    many" first asks, leading sequencers go, and each "now" and "in the
+    beginning" leaves the clause as a marker."""
+    texts = [t.lower() for t in tokens]
+    interrogative = texts[:2] == ["how", "many"]
+    stripped = True
+    while stripped:
+        stripped = False
+        for seq in SEQUENCERS:
+            if texts[:len(seq)] == seq:
+                tokens, texts = tokens[len(seq):], texts[len(seq):]
+                stripped = True
+                break
+    kept, markers, i = [], set(), 0
+    while i < len(tokens):
+        if texts[i] == "now":
+            markers.add(TimePoint.FINAL)
+            i += 1
+        elif texts[i: i + 3] == ["in", "the", "beginning"]:
+            markers.add(TimePoint.INITIAL)
+            i += 3
+        else:
+            kept.append(tokens[i])
+            i += 1
+    return kept, interrogative, markers
+
+
+def sentence_reference(tokens):
+    """The clauses of one sentence's tokens: the first "if" that is not
+    the first token subordinates, then the clause-level "and" splits."""
+    parts = [tokens]
+    for i, tok in enumerate(tokens):
+        if i > 0 and tok.lower() == "if":
+            parts = [tokens[:i], tokens[i + 1:]]
+            break
+    return [clause_reference(clause)
+            for part in parts for clause in split_and_recursive(part)]
+
+
+@given(st.lists(st.sampled_from(
+    ["then", "Then", "next", "after this", "After that", "it is known that",
+     "now", "Now", "in the beginning", "In the beginning", "and", "And", "if",
+     "If", ",", "how many", "How many", "Dan", "got", "gave", "had", "3",
+     "apples", "to", "remained", "in", "the", "room", "beginning"]),
+    min_size=1, max_size=14))
+@settings(max_examples=400)
+def test_sentence_scans_match_a_reference(phrases):
+    [sentence] = tokenize(" ".join(phrases) + ".", LEX)
+    assert [([w.surface for w in c.words], c.interrogative, c.markers)
+            for c in sentence.clauses] == sentence_reference(" ".join(phrases).split())
+
+
 def test_a_tabled_token_is_the_table_s_own_word():
     """A token the table lists as written is classified by one look-up."""
     tabled = 0

@@ -1,4 +1,5 @@
 """End-to-end runs outside the bundled corpus, plus report rendering."""
+import sys
 from collections import Counter
 from enum import Enum
 
@@ -9,7 +10,7 @@ from test_parser import chain_text
 from schemarith.corpus import CORPUS
 from schemarith.discourse import build_store, build_timelines
 from schemarith.lexicon import load_default_lexicon
-from schemarith.parser import parse_problem
+from schemarith.parser import parse_problem, tokenize
 from schemarith.pipeline import render_text_report, result_to_dict, run_problem
 from schemarith.quantity import _INTERNED, _Frozen, _Interned
 from schemarith.schema_engine import Strategy, build_lsi, initial_lsi
@@ -130,11 +131,12 @@ def test_value_hashing_per_elementary_event(monkeypatch):
         result = run_problem(text, LEX)
         counting = False
         events += len(result.store.events)
-    # the corpus and the chain make 5.35 calls per elementary event (1,750
-    # calls over 327 events), all while the store is built and the text
-    # parsed, and enum members hash by identity in C
+    # the corpus and the chain make 0.60 calls per elementary event (196
+    # calls over 327 events), all on state keys while the store is built
+    # and the text parsed: the store groups events under keys hashed in C,
+    # and enum members hash by identity in C
     assert calls["Enum", "__hash__"] == 0, calls
-    assert sum(calls.values()) <= 6 * events, calls
+    assert sum(calls.values()) <= 1 * events, calls
 
 
 def test_no_value_is_hashed_after_the_store_is_built(monkeypatch):
@@ -161,6 +163,32 @@ def test_no_value_is_hashed_after_the_store_is_built(monkeypatch):
         lsi, _ = build_lsi(store, build_timelines(store), Strategy.CAUTIOUS, first)
         propagate(lsi, store)
     assert not calls, calls
+
+
+# -- call-count gate ----------------------------------------------------------------
+
+
+def test_python_calls_per_clause_from_text_to_store():
+    """Tokenizing, parsing and storing a clause make a bounded number of
+    Python-level calls: the sentence scans search in C, numerals share
+    their Words, and the store keys its groups in C."""
+    text = chain_text(200)
+    clauses = sum(len(sentence.clauses) for sentence in tokenize(text, LEX))
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        build_store(parse_problem(text, LEX), LEX)
+    finally:
+        sys.setprofile(None)
+    # 34.1 calls per clause (6,887 over 202 clauses): 25.6 in parse_problem
+    # and 8.5 in build_store
+    assert calls <= 40 * clauses, calls / clauses
 
 
 # -- construction gate --------------------------------------------------------------
