@@ -7,14 +7,11 @@ problem whose stated data admits no consistent assignment.
 """
 from __future__ import annotations
 
-from operator import attrgetter
-
 from .quantity import _Frozen
 
 
 class CorpusProblem(_Frozen):
     __slots__ = ("id", "text", "expected_verdict", "expected_answer", "pronoun_free")
-    _key = attrgetter(*__slots__)
 
     def __init__(self, id, text, expected_verdict, expected_answer, pronoun_free):
         (set_id, set_text, set_expected_verdict, set_expected_answer,

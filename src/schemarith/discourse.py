@@ -18,7 +18,6 @@ from .lexicon import (
     ChangeKind,
     Compound,
     Direction,
-    Elementary,
     LocusKind,
     Role,
 )
@@ -96,12 +95,12 @@ def split_compound(event, lexicon) -> list:
     Elementary verbs emit exactly one event.  Every emitted event shares
     the surface event's object and amount.
     """
-    classification = lexicon.classify_verb(event.verb)
+    classification = lexicon.verbs.get(event.verb)
     if isinstance(classification, Compound):
         changes = [(kind, _PARTICIPANT[role](event))
                    for kind, role in classification.components]
-    elif isinstance(classification, Elementary):
-        changes = [_elementary_change(classification.kind, event)]
+    elif isinstance(classification, ChangeKind):
+        changes = [_elementary_change(classification, event)]
     else:
         raise UnknownVerb(event.verb)
     events = []
@@ -131,7 +130,7 @@ def _elementary_change(kind, event):
         return kind, named
     # creation/termination without a named place affects the agent's holdings
     if creation_or_termination and event.agent is not None:
-        return ChangeKind(kind.direction, LocusKind.OWNERSHIP), event.agent
+        return ChangeKind((kind.direction, _OWNERSHIP)), event.agent
     raise MissingParticipant(event.verb, "place")
 
 
@@ -178,10 +177,10 @@ class PropositionStore:
     # -- construction -----------------------------------------------------
 
     def add_state(self, prop):
-        key, amount = prop.key, prop.quantity
-        existing = self.states.get(key)
-        if existing is None:
-            self.states[key] = amount
+        key, amount, states = prop.key, prop.quantity, self.states
+        stored = len(states)
+        existing = states.setdefault(key, amount)   # hashes the key once
+        if len(states) > stored:
             self.entries.append((key, amount))
             self._group(key.locus, key.obj)[1][key.time] = amount
         elif existing != amount:

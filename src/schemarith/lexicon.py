@@ -7,9 +7,7 @@ concurrent solver runs.
 """
 from __future__ import annotations
 
-from operator import attrgetter
-
-from .quantity import _Enum, _Frozen, _Interned
+from .quantity import TimePoint, _Enum, _Frozen
 
 
 class Direction(_Enum):
@@ -30,7 +28,6 @@ class Wording(_Frozen):
     """
 
     __slots__ = ("slot", "passive", "place_prep", "owner_verb", "adds")
-    _key = attrgetter(*__slots__)
 
     def __init__(self, slot, passive, place_prep, owner_verb, adds):
         set_slot, set_passive, set_place_prep, set_owner_verb, set_adds = Wording._setters
@@ -55,33 +52,33 @@ class LocusKind(_Enum):
     PLACE = "place"
 
 
-class ChangeKind(_Interned):
-    """A direction over a locus kind; there is one instance per kind."""
+class ChangeKind(_Enum):
+    """The eight admissible change situations: four directions, each over
+    an ownership locus or a place locus.  A member's value is its
+    (Direction, LocusKind); it carries them as ``direction`` and
+    ``locus_kind``, and ``schema`` is the name of its change schema, as
+    instantiations print it.  An elementary verb's classification is its
+    member.
+    """
 
-    __slots__ = ("direction", "locus_kind")
+    IN_OWNERSHIP = Direction.IN, LocusKind.OWNERSHIP
+    IN_PLACE = Direction.IN, LocusKind.PLACE
+    OUT_OWNERSHIP = Direction.OUT, LocusKind.OWNERSHIP
+    OUT_PLACE = Direction.OUT, LocusKind.PLACE
+    CREATE_OWNERSHIP = Direction.CREATE, LocusKind.OWNERSHIP
+    CREATE_PLACE = Direction.CREATE, LocusKind.PLACE
+    TERMINATE_OWNERSHIP = Direction.TERMINATE, LocusKind.OWNERSHIP
+    TERMINATE_PLACE = Direction.TERMINATE, LocusKind.PLACE
 
-    def __new__(cls, direction, locus_kind):
-        return cls._intern(direction, locus_kind)
-
-
-#: The eight admissible change situations: four directions, each over an
-#: ownership locus or a place locus.
-VALID_CHANGE_KINDS = tuple(
-    ChangeKind(d, lk) for d in Direction for lk in LocusKind
-)
-
-
-def _schema_name(kind) -> str:
-    where = kind.locus_kind
-    if kind.direction is Direction.CREATE:
-        return f"Creation ({where.value})"
-    if kind.direction is Direction.TERMINATE:
-        return f"Termination ({where.value})"
-    return f"Transfer-{kind.direction.name.title()}-{where.name.title()}"
-
-
-#: The name of each kind's change schema, as instantiations print it.
-SCHEMA_NAMES = {kind: _schema_name(kind) for kind in VALID_CHANGE_KINDS}
+    def __init__(self, direction, locus_kind):
+        self.direction = direction
+        self.locus_kind = locus_kind
+        if direction is Direction.CREATE:
+            self.schema = f"Creation ({locus_kind.value})"
+        elif direction is Direction.TERMINATE:
+            self.schema = f"Termination ({locus_kind.value})"
+        else:
+            self.schema = f"Transfer-{direction.name.title()}-{locus_kind.name.title()}"
 
 
 class Role(_Enum):
@@ -91,26 +88,9 @@ class Role(_Enum):
     DESTINATION = "destination"
 
 
-class TimeHint(_Enum):
-    INITIAL = "initial"
-    FINAL = "final"
-    FROM_TENSE = "tense"
-
-
 class Tense(_Enum):
     PAST = "past"
     PRESENT = "present"
-
-
-class Elementary(_Frozen):
-    """A verb denoting exactly one elementary change."""
-
-    __slots__ = ("kind",)
-    _key = attrgetter("kind")
-
-    def __init__(self, kind):
-        (set_kind,) = Elementary._setters
-        set_kind(self, kind)
 
 
 class Compound(_Frozen):
@@ -121,7 +101,6 @@ class Compound(_Frozen):
     """
 
     __slots__ = ("components",)
-    _key = attrgetter("components")
 
     def __init__(self, components):  # of (ChangeKind, Role)
         if len(components) < 2:
@@ -131,10 +110,13 @@ class Compound(_Frozen):
 
 
 class StaticState(_Frozen):
-    """A verb describing an amount at rest rather than a change."""
+    """A verb describing an amount at rest rather than a change.
+
+    ``hint`` is the TimePoint the verb states the amount at ("remain":
+    final), or None when the verb's tense sets it ("have", "be").
+    """
 
     __slots__ = ("hint",)
-    _key = attrgetter("hint")
 
     def __init__(self, hint):
         (set_hint,) = StaticState._setters
@@ -194,7 +176,7 @@ class Word:
 
 def _parse_kind(direction: str, locus: str) -> ChangeKind:
     try:
-        return ChangeKind(Direction(direction), LocusKind(locus))
+        return ChangeKind((Direction(direction), LocusKind(locus)))
     except ValueError as exc:
         raise LexiconFormatError(f"bad change kind {direction}:{locus}") from exc
 
@@ -203,7 +185,7 @@ def _parse_verb_payload(payload: str):
     head, _, rest = payload.partition(":")
     if head == "elementary":
         direction, _, locus = rest.partition(":")
-        return Elementary(_parse_kind(direction, locus))
+        return _parse_kind(direction, locus)
     if head == "compound":
         components = []
         for part in rest.split("+"):
@@ -214,7 +196,7 @@ def _parse_verb_payload(payload: str):
             components.append((_parse_kind(direction, locus), Role(role)))
         return Compound(tuple(components))
     if head == "static":
-        return StaticState(TimeHint(rest))
+        return StaticState(None if rest == "tense" else TimePoint(rest))
     if head == "nonchange":
         return NonChange()
     raise LexiconFormatError(f"bad verb payload {payload!r}")
@@ -224,7 +206,7 @@ class Lexicon:
     """Read-only word tables. Build one with :func:`load_lexicon_text`."""
 
     def __init__(self):
-        self.verbs = {}          # lemma -> classification
+        self.verbs = {}          # lemma -> ChangeKind | Compound | StaticState | NonChange
         self.verb_forms = {}     # inflected surface -> (lemma, Tense)
         self.number_words = {}   # word -> int
         self.noun_forms = {}     # surface -> canonical singular
@@ -235,10 +217,6 @@ class Lexicon:
         self._numerals = {}      # digit string of at most two digits -> its Word
 
     # -- verbs ---------------------------------------------------------
-
-    def classify_verb(self, lemma):
-        """Classification of a lemma, or None when the word is unknown."""
-        return self.verbs.get(lemma)
 
     def lemmatize_verb(self, surface):
         """Map an inflected verb form to (lemma, tense); None if not a verb.
@@ -327,7 +305,7 @@ class Lexicon:
             return canonical + "es"
         return canonical + "s"
 
-    # -- numbers, supersets, people -------------------------------------
+    # -- numbers ---------------------------------------------------------
 
     def parse_number(self, word):
         """Integer value of a digit string or number word; None otherwise.
@@ -338,13 +316,6 @@ class Lexicon:
         if w.isdigit():
             return _numeral(w)
         return self.number_words.get(w)
-
-    def superset_members(self, cls) -> frozenset:
-        """Configured member classes of a class noun; empty when not a superset."""
-        canonical = self.normalize_noun(cls)
-        if canonical is None:
-            return frozenset()
-        return self.supersets.get(canonical, frozenset())
 
     # -- loading ---------------------------------------------------------
 
@@ -435,10 +406,12 @@ def load_lexicon_text(text) -> Lexicon:
     A record the tables cannot use is refused with a LexiconFormatError
     that names its line: a malformed payload, a number that is not a
     decimal of at most MAX_DIGITS digits, a form of a verb that no record
-    tables (as a lemma or the head of a phrasal lemma), a noun that holds
-    a space, and a noun that is a reserved word or whose class the noun
-    rule forbids (see ``_regular_class``).  Forms and the noun rule are
-    checked once every record is read.
+    tables (as a lemma or the head of a phrasal lemma), a number, noun or
+    pronoun whose word holds an upper-case letter (words are looked up
+    lower-cased), a pronoun or name whose gender is not f, m or group, a
+    noun that holds a space, and a noun that is a reserved word or whose
+    class the noun rule forbids (see ``_regular_class``).  Forms and the
+    noun rule are checked once every record is read.
     """
     lex = Lexicon()
     forms, nouns = [], []   # (line, lemma, payload), checked against the whole lexicon
@@ -451,6 +424,11 @@ def load_lexicon_text(text) -> Lexicon:
             raise LexiconFormatError(f"line {lineno}: expected 3 tab-separated fields")
         kind, lemma, payload = fields
         try:
+            if kind in ("number", "noun", "pronoun") and lemma != lemma.lower():
+                raise LexiconFormatError(f"{kind} {lemma!r} holds an upper-case letter")
+            if kind in ("pronoun", "name") and payload not in ("f", "m", "group"):
+                raise LexiconFormatError(
+                    f"{kind} {lemma!r} has gender {payload!r}, not f, m or group")
             if kind == "verb":
                 lex.verbs[lemma] = _parse_verb_payload(payload)
             elif kind == "form":

@@ -13,14 +13,13 @@ from operator import attrgetter
 
 from .lexicon import (
     WORDING,
+    ChangeKind,
     Compound,
     Direction,
-    Elementary,
     LocusKind,
     NumeralTooLong,
     StaticState,
     Tense,
-    TimeHint,
     Word,
 )
 from .quantity import (
@@ -83,7 +82,6 @@ _PLACE, _IN = LocusKind.PLACE, Direction.IN
 
 class Entity(_Frozen):
     __slots__ = ("name", "kind", "cardinality")
-    _key = attrgetter(*__slots__)
 
     def __init__(self, name, kind, cardinality=None):
         set_name, set_kind, set_cardinality = Entity._setters
@@ -130,7 +128,6 @@ def render_locus(locus) -> str:
 
 class StateKey(_Frozen):
     __slots__ = ("locus", "obj", "time")
-    _key = attrgetter(*__slots__)
 
     def __init__(self, locus, obj, time):
         set_locus, set_obj, set_time = StateKey._setters
@@ -504,7 +501,7 @@ class _ClauseParser:
                 self.pos += len(particles)
                 lemma = " ".join((lemma,) + particles)
                 break
-        return lemma, tense, self.lexicon.classify_verb(lemma)
+        return lemma, tense, self.lexicon.verbs.get(lemma)
 
     # -- clause forms -------------------------------------------------------------
 
@@ -544,7 +541,7 @@ class _ClauseParser:
             self.take()
             cls = self.take_noun()
             lemma, _, classification = self.parse_verb_group()
-            if not isinstance(classification, (Elementary, Compound)):
+            if not isinstance(classification, (Compound, ChangeKind)):
                 raise self.error(
                     f"class-noun questions need a change verb, found {lemma!r}"
                 )
@@ -593,10 +590,10 @@ class _ClauseParser:
         if classification is None:
             raise UnknownWord(self.sentence, lemma)
         if isinstance(classification, StaticState):
-            if classification.hint is TimeHint.FROM_TENSE:
+            if classification.hint is None:
                 return self.parse_have_clause(subjects, tense)
             return self.parse_static_clause(subjects, classification)
-        if isinstance(classification, (Elementary, Compound)):
+        if isinstance(classification, (Compound, ChangeKind)):
             if len(subjects) != 1:
                 raise self.error("change events take a single subject")
             return self.parse_event(subjects[0], lemma, classification)
@@ -645,8 +642,7 @@ class _ClauseParser:
 
     # "N CLASS remained in the PLACE"
     def parse_static_clause(self, subjects, classification):
-        time = (TimePoint.INITIAL if classification.hint is TimeHint.INITIAL
-                else TimePoint.FINAL)
+        time = classification.hint
         if self.marker is not None and self.marker != time:
             raise self.error("time marker conflicts with the verb's meaning")
         self.expect("in")
@@ -665,8 +661,8 @@ class _ClauseParser:
     def parse_event(self, subject, lemma, classification):
         agent = recipient = source = destination = None
         object_np = None
-        locational = (isinstance(classification, Elementary)
-                      and classification.kind.locus_kind is _PLACE)
+        locational = (isinstance(classification, ChangeKind)
+                      and classification.locus_kind is _PLACE)
         words = self.words   # read directly: the cursor stays before the end
         while self.pos < self.end:
             word = words[self.pos]
@@ -703,7 +699,7 @@ class _ClauseParser:
             elif (tok in _DETERMINERS or not word.proper) \
                     and locational:
                 ent = self.parse_place_np()  # bare locus of leave/enter/exit
-                if classification.kind.direction is _IN:
+                if classification.direction is _IN:
                     destination = ent
                 else:
                     source = ent
@@ -836,11 +832,11 @@ _BARE_LOCUS_VERBS = {"leave", "enter", "exit"}
 def _destination_prep(verb, lexicon):
     """A creation or termination happens "in" its place; anything else
     named as a destination goes "into" it."""
-    verb_class = lexicon.classify_verb(verb)
+    verb_class = lexicon.verbs.get(verb)
     direction = Direction.IN
-    if isinstance(verb_class, Elementary) \
-            and verb_class.kind.direction in (Direction.CREATE, Direction.TERMINATE):
-        direction = verb_class.kind.direction
+    if isinstance(verb_class, ChangeKind) \
+            and verb_class.direction in (Direction.CREATE, Direction.TERMINATE):
+        direction = verb_class.direction
     return WORDING[direction].place_prep
 
 

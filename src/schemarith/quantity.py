@@ -23,7 +23,10 @@ class _Frozen:
     A subclass names its fields in ``__slots__``, in constructor order;
     ``__init__`` sets them through ``_setters``, the ``__set__`` of those
     slots' descriptors, and equality and hashing compare the fields that
-    ``_key`` gets.  Instances of different classes are never equal.
+    ``_key`` gets.  A class with fields that names no ``_key`` gets all of
+    its own fields, in order; one that leaves a field out of equality
+    names a ``_key`` that skips it.  Instances of different classes are
+    never equal.
     """
 
     __slots__ = ()
@@ -32,7 +35,10 @@ class _Frozen:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         own = cls.__dict__
-        cls._setters = tuple(own[name].__set__ for name in own.get("__slots__", ()))
+        fields = own.get("__slots__", ())
+        cls._setters = tuple(own[name].__set__ for name in fields)
+        if fields and "_key" not in own:
+            cls._key = attrgetter(*fields)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -56,33 +62,6 @@ class _Frozen:
         return f"{self.__class__.__qualname__}({fields})"
 
 
-class _Interned(_Frozen):
-    """Base of the value types with one instance per value.
-
-    A subclass's ``__new__`` returns ``_intern(fields...)``, the one
-    instance with those fields, so equal values are the same object and
-    hash and compare by identity, in C.
-    """
-
-    __slots__ = ()
-    __hash__ = object.__hash__
-    __eq__ = object.__eq__
-
-    @classmethod
-    def _intern(cls, *fields):
-        value = _INTERNED.get((cls, fields))
-        if value is None:
-            value = object.__new__(cls)
-            for set_field, field in zip(cls._setters, fields):
-                set_field(value, field)
-            # of two threads making one value, both keep the first instance
-            value = _INTERNED.setdefault((cls, fields), value)
-        return value
-
-
-_INTERNED = {}   # (class, fields) -> its one instance
-
-
 class TimePoint(_Enum):
     INITIAL = "initial"
     FINAL = "final"
@@ -90,7 +69,6 @@ class TimePoint(_Enum):
 
 class Known(_Frozen):
     __slots__ = ("value",)
-    _key = attrgetter("value")
 
     def __init__(self, value):
         if value < 0:
@@ -101,22 +79,26 @@ class Known(_Frozen):
 
 class Var(_Frozen):
     __slots__ = ("name",)
-    _key = attrgetter("name")
 
     def __init__(self, name):
         (set_name,) = Var._setters
         set_name(self, name)
 
 
-class Question(_Interned):
+class Question(_Frozen):
+    """The amount a problem asks for.  Its one instance is QUESTION, which
+    ``Question()`` returns, so it hashes and compares by identity, in C."""
+
     __slots__ = ()
+    __hash__ = object.__hash__
+    __eq__ = object.__eq__
 
     def __new__(cls):
-        return cls._intern()
+        return QUESTION
 
 
-#: The unique question slot of a problem; ``Question()`` returns it.
-QUESTION = Question()
+#: The unique question slot of a problem.
+QUESTION = object.__new__(Question)
 
 
 def render_quantity(q) -> str:

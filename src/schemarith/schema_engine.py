@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from operator import attrgetter
 
-from .lexicon import SCHEMA_NAMES, WORDING, ChangeKind, Direction, LocusKind
+from .lexicon import WORDING, ChangeKind
 from .parser import (CompareProp, EntityKind, Ownership, ProblemTextError, THEY,
                      render_locus)
 from .quantity import TimePoint, _Enum, _Frozen, render_quantity
@@ -72,7 +72,7 @@ def change_instantiation(event, before, after) -> SchemaInstantiation:
     else:
         # final = initial - delta, stored as initial = final + delta
         equation = Equation(after, event.delta, before)
-    return SchemaInstantiation(SCHEMA_NAMES[event.kind], slots, equation,
+    return SchemaInstantiation(event.kind.schema, slots, equation,
                                event.locus, event.obj)
 
 
@@ -95,11 +95,11 @@ def instantiate_combine(comb, store, lexicon) -> list:
     through partial-sum unknowns, one instantiation per added part.
     """
     if comb.context == "event":
-        members = lexicon.superset_members(comb.group.name)
+        members = lexicon.supersets.get(comb.group.name)
         if not members:
             raise UnresolvableCombine(
                 f"{comb.group.name!r} has no configured member classes")
-        gaining = ChangeKind(Direction.IN, LocusKind.OWNERSHIP)
+        gaining = ChangeKind.IN_OWNERSHIP
         parts = [
             ev.delta for ev in store.events
             if ev.kind is gaining and isinstance(ev.locus, Ownership)
@@ -134,7 +134,6 @@ class SkippedSchema(_Frozen):
     """A change candidate the cautious strategy declined to record."""
 
     __slots__ = ("kinds", "locus", "obj", "missing")
-    _key = attrgetter(*__slots__)
 
     def __init__(self, kinds, locus, obj, missing):
         set_kinds, set_locus, set_obj, set_missing = SkippedSchema._setters
@@ -182,7 +181,7 @@ def build_lsi(store, timelines, strategy, first):
         if strategy is Strategy.CAUTIOUS and not timeline.endpoints_present:
             ends = (("initial", timeline.initial), ("final", timeline.final))
             skipped.append(SkippedSchema(
-                tuple(SCHEMA_NAMES[ev.kind] for ev in timeline.events),
+                tuple(ev.kind.schema for ev in timeline.events),
                 timeline.locus, timeline.obj,
                 tuple(name for name, amount in ends if amount is None),
             ))

@@ -16,8 +16,6 @@ the question asks about.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from operator import attrgetter
-
 from .quantity import QUESTION, Known, Question, Var, _Frozen, render_quantity
 
 
@@ -29,7 +27,6 @@ class Equation(_Frozen):
     """c = a + b. Removal relations are stored in added form."""
 
     __slots__ = ("a", "b", "c")
-    _key = attrgetter(*__slots__)
 
     def __init__(self, a, b, c):
         set_a, set_b, set_c = Equation._setters
@@ -47,7 +44,6 @@ class Equation(_Frozen):
 
 class Solved(_Frozen):
     __slots__ = ("answer",)
-    _key = attrgetter("answer")
 
     def __init__(self, answer):
         (set_answer,) = Solved._setters
@@ -56,7 +52,6 @@ class Solved(_Frozen):
 
 class Insufficient(_Frozen):
     __slots__ = ("unresolved",)
-    _key = attrgetter("unresolved")
 
     def __init__(self, unresolved):
         (set_unresolved,) = Insufficient._setters
@@ -65,7 +60,6 @@ class Insufficient(_Frozen):
 
 class Contradiction(_Frozen):
     __slots__ = ("equation", "detail")
-    _key = attrgetter(*__slots__)
 
     def __init__(self, equation, detail):
         set_equation, set_detail = Contradiction._setters
@@ -75,7 +69,6 @@ class Contradiction(_Frozen):
 
 class Invalid(_Frozen):
     __slots__ = ("equation", "value")
-    _key = attrgetter(*__slots__)
 
     def __init__(self, equation, value):
         set_equation, set_value = Invalid._setters

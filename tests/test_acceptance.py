@@ -182,7 +182,7 @@ def test_criterion_parser_properties():
                     reparsed.extend(parse_clause(clause, LEX, latest))
             assert reparsed == [prop], rendered
     # every tabled change verb classifies to its printed category
-    from schemarith.lexicon import Compound, Direction, Elementary, LocusKind
+    from schemarith.lexicon import ChangeKind, Compound, Direction, LocusKind
 
     categories = {
         (Direction.IN, LocusKind.OWNERSHIP): ["receive", "get"],
@@ -196,12 +196,12 @@ def test_criterion_parser_properties():
     }
     for (direction, locus), lemmas in categories.items():
         for lemma in lemmas:
-            cls = LEX.classify_verb(lemma)
-            assert isinstance(cls, Elementary), lemma
-            assert cls.kind.direction is direction, lemma
+            cls = LEX.verbs[lemma]
+            assert isinstance(cls, ChangeKind), lemma
+            assert cls.direction is direction, lemma
             if locus is not None:
-                assert cls.kind.locus_kind is locus, lemma
+                assert cls.locus_kind is locus, lemma
     for lemma in ("buy", "give", "pay", "sell", "donate", "steal"):
-        cls = LEX.classify_verb(lemma)
+        cls = LEX.verbs[lemma]
         assert isinstance(cls, Compound) and len(cls.components) == 2, lemma
     ok("parser: corpus round trip and change-verb table categories")

@@ -10,10 +10,8 @@ from schemarith.discourse import (
     split_compound,
 )
 from schemarith.lexicon import (
-    VALID_CHANGE_KINDS,
     ChangeKind,
     Direction,
-    LocusKind,
     Role,
     load_default_lexicon,
 )
@@ -33,10 +31,10 @@ from schemarith.schema_engine import initial_lsi
 
 LEX = load_default_lexicon()
 
-IN_OWN = ChangeKind(Direction.IN, LocusKind.OWNERSHIP)
-OUT_OWN = ChangeKind(Direction.OUT, LocusKind.OWNERSHIP)
-IN_PLACE = ChangeKind(Direction.IN, LocusKind.PLACE)
-OUT_PLACE = ChangeKind(Direction.OUT, LocusKind.PLACE)
+IN_OWN = ChangeKind.IN_OWNERSHIP
+OUT_OWN = ChangeKind.OUT_OWNERSHIP
+IN_PLACE = ChangeKind.IN_PLACE
+OUT_PLACE = ChangeKind.OUT_PLACE
 
 
 def proper(name):
@@ -122,10 +120,6 @@ def test_give_always_emits_out_and_in():
 # -- rendering an elementary event ---------------------------------------------
 
 
-def kind(direction, locus_kind):
-    return ChangeKind(Direction[direction], LocusKind[locus_kind])
-
-
 # An ownership change reads "<owner> <owner_verb> <n> <objects>", a change of
 # place "<n> <objects> were <passive> <place_prep> the <place>".
 RENDERED = [
@@ -133,20 +127,20 @@ RENDERED = [
      "Ruth got 3 candies"),
     (ElementaryEvent(OUT_OWN, Ownership(proper("David")), "candy", Known(3)),
      "David forfeited 3 candies"),
-    (ElementaryEvent(kind("CREATE", "OWNERSHIP"), Ownership(proper("Tom")), "toy",
+    (ElementaryEvent(ChangeKind.CREATE_OWNERSHIP, Ownership(proper("Tom")), "toy",
                      Known(2)),
      "Tom created 2 toys"),
-    (ElementaryEvent(kind("TERMINATE", "OWNERSHIP"), Ownership(proper("Tom")), "egg",
+    (ElementaryEvent(ChangeKind.TERMINATE_OWNERSHIP, Ownership(proper("Tom")), "egg",
                      Known(1)),
      "Tom terminated 1 egg"),
     (ElementaryEvent(IN_PLACE, Place(cls("basket")), "apple", Known(2)),
      "2 apples were transferred into the basket"),
-    (ElementaryEvent(kind("OUT", "PLACE"), Place(cls("box")), "egg", Known(3)),
+    (ElementaryEvent(OUT_PLACE, Place(cls("box")), "egg", Known(3)),
      "3 eggs were transferred out of the box"),
-    (ElementaryEvent(kind("CREATE", "PLACE"), Place(cls("village")), "house",
+    (ElementaryEvent(ChangeKind.CREATE_PLACE, Place(cls("village")), "house",
                      Known(4)),
      "4 houses were created in the village"),
-    (ElementaryEvent(kind("TERMINATE", "PLACE"), Place(cls("box")), "egg", Known(0)),
+    (ElementaryEvent(ChangeKind.TERMINATE_PLACE, Place(cls("box")), "egg", Known(0)),
      "0 eggs were terminated in the box"),
 ]
 
@@ -157,7 +151,7 @@ def test_render_elementary(event, expected):
 
 
 def test_render_elementary_rows_cover_every_change_kind():
-    assert {event.kind for event, _ in RENDERED} == set(VALID_CHANGE_KINDS)
+    assert {event.kind for event, _ in RENDERED} == set(ChangeKind)
 
 
 # -- store ------------------------------------------------------------------------

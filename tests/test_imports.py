@@ -1,8 +1,8 @@
 """Every name a package module imports is used in that module, every
 function, class and method the package defines is referenced from it, the
-value types are built through the setter tables and enum base in
-quantity.py, the parser leaves letter case to the lexicon, and the CLI
-starts without the standard library's slow-loading modules."""
+value types are built through the setter tables, enum base and default
+``_key`` in quantity.py, the parser leaves letter case to the lexicon, and
+the CLI starts without the standard library's slow-loading modules."""
 import ast
 import os
 import subprocess
@@ -112,10 +112,59 @@ def test_definition_gate_sees_unreferenced_functions_classes_and_methods():
 SETTERS = {"__setattr__", "__set__"}
 
 
+def attrgetter_names(call, slots):
+    """The names an ``attrgetter(...)`` call in a class body gets, reading
+    ``*__slots__`` and ``*__slots__[i:j]`` from the class's literal
+    `slots`; None when the call is of another function or its names are
+    not literal."""
+    if getattr(call.func, "attr", getattr(call.func, "id", None)) != "attrgetter":
+        return None
+    names = []
+    for arg in call.args:
+        if isinstance(arg, ast.Starred):
+            starred, bounds = arg.value, (None, None)
+            if isinstance(starred, ast.Subscript) and isinstance(starred.slice, ast.Slice):
+                bounds = [bound and ast.literal_eval(bound)
+                          for bound in (starred.slice.lower, starred.slice.upper)]
+                starred = starred.value
+            if not (isinstance(starred, ast.Name) and starred.id == "__slots__"):
+                return None
+            names.extend(slots[slice(*bounds)])
+        elif isinstance(arg, ast.Constant):
+            names.append(arg.value)
+        else:
+            return None
+    return tuple(names)
+
+
+def default_keys(tree):
+    """(line, what) for each class whose ``_key = attrgetter(...)`` gets
+    exactly its own ``__slots__``, in order: the key _Frozen gives it."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        slots, key = None, None
+        for item in node.body:
+            if isinstance(item, ast.Assign) and len(item.targets) == 1 \
+                    and isinstance(item.targets[0], ast.Name):
+                if item.targets[0].id == "__slots__":
+                    try:
+                        slots = tuple(ast.literal_eval(item.value))
+                    except ValueError:
+                        pass
+                elif item.targets[0].id == "_key" and isinstance(item.value, ast.Call):
+                    key = item
+        if slots and key is not None and attrgetter_names(key.value, slots) == slots:
+            found.append((key.lineno, f"{node.name}._key"))
+    return found
+
+
 def value_layer_breaches(source):
     """(line, what) for each read of a ``__setattr__`` or ``__set__``
-    attribute, whether written out or named to getattr, and each class
-    based directly on one of the standard library's enum types."""
+    attribute, whether written out or named to getattr, each class based
+    directly on one of the standard library's enum types, and each
+    ``_key`` that spells out the default of getting every own field."""
     tree = ast.parse(source)
     stdlib_enum = set()   # local names of the enum module and its members
     for node in ast.walk(tree):
@@ -138,7 +187,7 @@ def value_layer_breaches(source):
                 root = base.value if isinstance(base, ast.Attribute) else base
                 if isinstance(root, ast.Name) and root.id in stdlib_enum:
                     breaches.append((node.lineno, node.name))
-    return sorted(breaches)
+    return sorted(breaches + default_keys(tree))
 
 
 def test_only_quantity_sets_fields_directly_or_subclasses_enum():
@@ -146,7 +195,8 @@ def test_only_quantity_sets_fields_directly_or_subclasses_enum():
     builds from each class's slot descriptors, the one read of ``__set__``;
     nothing calls ``object.__setattr__`` past the ``__setattr__`` that
     refuses assignment.  Every package enum derives from quantity._Enum,
-    which hashes its members by identity."""
+    which hashes its members by identity, and no class spells out the
+    ``_key`` that _Frozen gives a class naming none."""
     found = {path.name: [what for _, what in value_layer_breaches(
                  path.read_text(encoding="utf-8"))]
              for path in PACKAGE.glob("*.py")}
@@ -171,6 +221,39 @@ def test_value_layer_gate_sees_setattr_and_enum_bases():
         (4, "A"), (5, "B"), (6, "C"), (8, "object.__setattr__"),
         (9, "D.__dict__['x'].__set__"), (10, "getattr(D.x, '__set__')"),
         (11, "super(D, D).__setattr__"), (12, "getattr(object, '__setattr__')")]
+
+
+def test_value_layer_gate_sees_a_key_that_repeats_the_slots():
+    source = ("import operator\n"
+              "from operator import attrgetter\n"
+              "class A:\n"
+              "    __slots__ = ('x', 'y')\n"
+              "    _key = attrgetter(*__slots__)\n"
+              "class B:\n"
+              "    __slots__ = ('x', 'y')\n"
+              "    _key = operator.attrgetter('x', 'y')\n"
+              "class C:\n"
+              "    __slots__ = ('x',)\n"
+              "    _key = attrgetter('x')\n"
+              "class D:\n"
+              "    __slots__ = ('x', 'y', 'z')\n"
+              "    _key = attrgetter(*__slots__[:3])\n"
+              "class Skips:\n"
+              "    __slots__ = ('x', 'y', 'z')\n"
+              "    _key = attrgetter(*__slots__[:2])\n"
+              "class Reorders:\n"
+              "    __slots__ = ('x', 'y')\n"
+              "    _key = attrgetter('y', 'x')\n"
+              "class Nested:\n"
+              "    __slots__ = ('owner',)\n"
+              "    _key = attrgetter('owner.name')\n"
+              "class Named:\n"
+              "    __slots__ = ('x',)\n"
+              "    _key = attrgetter(*FIELDS)\n"
+              "class Default:\n"
+              "    __slots__ = ('x', 'y')\n")
+    assert value_layer_breaches(source) == [
+        (5, "A._key"), (8, "B._key"), (11, "C._key"), (14, "D._key")]
 
 
 CASE_METHODS = {"lower", "upper", "isupper", "title", "capitalize"}

@@ -10,11 +10,9 @@ from schemarith.lexicon import (
     KEYWORDS,
     MAX_DIGITS,
     LexiconFormatError,
-    VALID_CHANGE_KINDS,
     ChangeKind,
     Compound,
     Direction,
-    Elementary,
     LocusKind,
     NumeralTooLong,
     Role,
@@ -25,14 +23,19 @@ from schemarith.lexicon import (
 )
 from schemarith.parser import Clause, ParseError, _ClauseParser
 from schemarith.pipeline import run_problem
+from schemarith.quantity import TimePoint
 from schemarith.solver import Solved
 
 LEX = load_default_lexicon()
 
 
 def test_exactly_eight_change_kinds():
-    assert len(VALID_CHANGE_KINDS) == 8
-    assert len(set(VALID_CHANGE_KINDS)) == 8
+    assert len(ChangeKind) == 8
+    assert {kind.value for kind in ChangeKind} == {
+        (d, lk) for d in Direction for lk in LocusKind}
+    for kind in ChangeKind:
+        assert kind.value == (kind.direction, kind.locus_kind)
+        assert ChangeKind(kind.value) is kind
 
 
 @pytest.mark.parametrize("lemma,direction,locus", [
@@ -55,10 +58,10 @@ def test_exactly_eight_change_kinds():
     ("fall from", Direction.OUT, LocusKind.PLACE),
 ])
 def test_transfer_verb_categories(lemma, direction, locus):
-    cls = LEX.classify_verb(lemma)
-    assert isinstance(cls, Elementary)
-    assert cls.kind.direction is direction
-    assert cls.kind.locus_kind is locus
+    cls = LEX.verbs[lemma]
+    assert isinstance(cls, ChangeKind)
+    assert cls.direction is direction
+    assert cls.locus_kind is locus
 
 
 @pytest.mark.parametrize("lemma,direction", [
@@ -72,23 +75,20 @@ def test_transfer_verb_categories(lemma, direction, locus):
     ("kill", Direction.TERMINATE),
 ])
 def test_creation_termination_categories(lemma, direction):
-    cls = LEX.classify_verb(lemma)
-    assert isinstance(cls, Elementary)
-    assert cls.kind.direction is direction
+    cls = LEX.verbs[lemma]
+    assert isinstance(cls, ChangeKind)
+    assert cls.direction is direction
 
 
 def test_send_classified_as_ownership_loss():
     # "send" can also read as a change of place; the tables pick the
     # ownership reading.
-    cls = LEX.classify_verb("send")
-    assert isinstance(cls, Elementary)
-    assert cls.kind.direction is Direction.OUT
-    assert cls.kind.locus_kind is LocusKind.OWNERSHIP
+    assert LEX.verbs["send"] is ChangeKind.OUT_OWNERSHIP
 
 
 @pytest.mark.parametrize("lemma", ["buy", "give", "pay", "sell", "donate", "steal"])
 def test_two_party_verbs_are_compound(lemma):
-    cls = LEX.classify_verb(lemma)
+    cls = LEX.verbs[lemma]
     assert isinstance(cls, Compound)
     assert len(cls.components) >= 2
     directions = {kind.direction for kind, _ in cls.components}
@@ -96,24 +96,23 @@ def test_two_party_verbs_are_compound(lemma):
 
 
 def test_give_components():
-    cls = LEX.classify_verb("give")
-    assert cls.components == (
-        (ChangeKind(Direction.OUT, LocusKind.OWNERSHIP), Role.AGENT),
-        (ChangeKind(Direction.IN, LocusKind.OWNERSHIP), Role.RECIPIENT),
+    assert LEX.verbs["give"].components == (
+        (ChangeKind.OUT_OWNERSHIP, Role.AGENT),
+        (ChangeKind.IN_OWNERSHIP, Role.RECIPIENT),
     )
 
 
 def test_unknown_verb_is_none_not_default():
-    assert LEX.classify_verb("dance") is None
+    assert LEX.verbs.get("dance") is None
 
 
 def test_classify_is_deterministic():
-    assert LEX.classify_verb("give") == LEX.classify_verb("give")
+    assert load_lexicon_text(DEFAULT_LEXICON).verbs == LEX.verbs
 
 
 def test_static_verbs():
-    assert isinstance(LEX.classify_verb("have"), StaticState)
-    assert isinstance(LEX.classify_verb("remain"), StaticState)
+    assert LEX.verbs["have"] == LEX.verbs["be"] == StaticState(None)
+    assert LEX.verbs["remain"] == StaticState(TimePoint.FINAL)
 
 
 def test_every_corpus_verb_classifies():
@@ -125,7 +124,7 @@ def test_every_corpus_verb_classifies():
             got = LEX.lemmatize_verb(token)
             if got is not None:
                 lemma, _ = got
-                covered = LEX.classify_verb(lemma) is not None or any(
+                covered = lemma in LEX.verbs or any(
                     entry.startswith(lemma + " ") for entry in LEX.verbs
                 )
                 assert covered, (problem.id, token)
@@ -192,13 +191,14 @@ def test_a_numeral_past_the_digit_bound_is_refused():
 
 
 def test_superset_members():
-    assert LEX.superset_members("children") == {"girl", "boy"}
-    assert LEX.superset_members("child") == {"girl", "boy"}
-    assert LEX.superset_members("apple") == frozenset()
+    # the parser reads a class noun as its canonical class, the table's key
+    assert LEX.supersets[LEX.words["children"].noun] == {"girl", "boy"}
+    assert LEX.supersets["child"] == {"girl", "boy"}
+    assert "apple" not in LEX.supersets
 
 
 def test_superset_members_are_distinct_classes():
-    members = LEX.superset_members("children")
+    members = LEX.supersets["child"]
     assert len(members) == len(set(members))
     assert "child" not in members
 
@@ -208,9 +208,7 @@ def test_superset_members_are_distinct_classes():
 
 def test_lexicon_text_round_trip():
     lex = load_lexicon_text("verb\thurl\telementary:out:place\nnoun\tkites\tkite\n")
-    cls = lex.classify_verb("hurl")
-    assert isinstance(cls, Elementary)
-    assert cls.kind.direction is Direction.OUT
+    assert lex.verbs["hurl"] is ChangeKind.OUT_PLACE
     assert lex.noun_forms["kites"] == "kite"
 
 
@@ -222,8 +220,14 @@ def test_lexicon_text_round_trip():
     "form\tzapped\tzap:past",
     "noun\tice cream\tice cream",
     "noun\tand\tand",
+    "number\tDozen\t12",
+    "noun\tKites\tkite",
+    "pronoun\tIt\tm",
+    "pronoun\tit\tx",
+    "name\tPat\tn",
 ], ids=["negative-number", "number-not-decimal", "number-too-long", "form-tense",
-        "form-of-no-verb", "noun-with-space", "noun-rule"])
+        "form-of-no-verb", "noun-with-space", "noun-rule", "number-upper-case",
+        "noun-upper-case", "pronoun-upper-case", "pronoun-gender", "name-gender"])
 def test_a_record_the_tables_cannot_use_is_refused_with_its_line(record):
     line = DEFAULT_LEXICON.count("\n") + 1
     with pytest.raises(LexiconFormatError, match=f"^line {line}: "):

@@ -10,9 +10,9 @@ from test_parser import chain_text
 from schemarith.corpus import CORPUS
 from schemarith.discourse import build_store, build_timelines
 from schemarith.lexicon import load_default_lexicon
-from schemarith.parser import parse_problem, tokenize
+from schemarith.parser import StateKey, parse_problem, tokenize
 from schemarith.pipeline import render_text_report, result_to_dict, run_problem
-from schemarith.quantity import _INTERNED, _Frozen, _Interned
+from schemarith.quantity import Question, _Frozen
 from schemarith.schema_engine import Strategy, build_lsi, initial_lsi
 from schemarith.solver import Insufficient, Solved, propagate
 
@@ -131,12 +131,30 @@ def test_value_hashing_per_elementary_event(monkeypatch):
         result = run_problem(text, LEX)
         counting = False
         events += len(result.store.events)
-    # the corpus and the chain make 0.60 calls per elementary event (196
+    # the corpus and the chain make 0.42 calls per elementary event (138
     # calls over 327 events), all on state keys while the store is built
     # and the text parsed: the store groups events under keys hashed in C,
     # and enum members hash by identity in C
     assert calls["Enum", "__hash__"] == 0, calls
     assert sum(calls.values()) <= 1 * events, calls
+
+
+def test_the_store_hashes_each_stored_state_key_once(monkeypatch):
+    """Storing a state hashes its key once: the store looks a new key up
+    and keeps its amount in one step."""
+    texts = [p.text for p in CORPUS] + [chain_text(200)]
+    parsed = [parse_problem(text, LEX) for text in texts]
+    hashes = 0
+
+    def counted(self):
+        nonlocal hashes
+        hashes += 1
+        return _Frozen.__hash__(self)
+
+    monkeypatch.setattr(StateKey, "__hash__", counted)
+    stored = sum(len(build_store(props, LEX).states) for props in parsed)
+    # 29 hashes for 29 stored states
+    assert 0 < hashes <= stored, (hashes, stored)
 
 
 def test_no_value_is_hashed_after_the_store_is_built(monkeypatch):
@@ -186,8 +204,8 @@ def test_python_calls_per_clause_from_text_to_store():
         build_store(parse_problem(text, LEX), LEX)
     finally:
         sys.setprofile(None)
-    # 34.1 calls per clause (6,887 over 202 clauses): 25.6 in parse_problem
-    # and 8.5 in build_store
+    # 32.1 calls per clause (6,481 over 202 clauses): 24.6 in parse_problem
+    # and 7.5 in build_store
     assert calls <= 40 * clauses, calls / clauses
 
 
@@ -216,16 +234,14 @@ def test_value_constructions_per_elementary_event(monkeypatch):
         return wrapper
 
     for cls in frozen_types():
-        if not issubclass(cls, _Interned):   # an interned call may build nothing
+        if cls is not Question:   # Question() returns QUESTION and builds nothing
             monkeypatch.setattr(cls, "__init__", counted(cls))
-    interned = len(_INTERNED)
     events = 0
     for text in [p.text for p in CORPUS] + [chain_text(200)]:
         counting = True
         result = run_problem(text, LEX)
         counting = False
         events += len(result.store.events)
-    built["interned"] = len(_INTERNED) - interned
     # the corpus and the chain build 7.38 values per elementary event (2,413
     # over 327 events)
     assert sum(built.values()) <= 8 * events, built
