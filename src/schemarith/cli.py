@@ -40,30 +40,13 @@ _VERDICT_EXIT = {
 }
 
 
-class RunConfig:
-    def __init__(self, inputs, strategy=Strategy.CAUTIOUS, format="text", trace=False,
-                 lexicon_path=None):
-        self.inputs = inputs
-        self.strategy = strategy
-        self.format = format
-        self.trace = trace
-        self.lexicon_path = lexicon_path
-
-
-def _load_lexicon(config):
-    path = config.lexicon_path or os.environ.get("SCHEMARITH_LEXICON")
-    if path:
-        return load_lexicon_file(path)
-    return load_default_lexicon()
-
-
 def _blocks(text):
     """Problems in a file: one per block between blank lines (spaces allowed)."""
     blocks = [b.strip() for b in re.split(r"\n\s*\n", text)]
     return [b for b in blocks if b]
 
 
-def _run_text(text, lexicon, config):
+def _run_text(text, lexicon, strategy=Strategy.CAUTIOUS, format="text", trace=False):
     """(exit code, report) for one problem text: only the form asked for,
     the report dict for JSON, else the text report.
 
@@ -71,28 +54,28 @@ def _run_text(text, lexicon, config):
     it is reported as an internal error, never raised.
     """
     try:
-        result = run_problem(text, lexicon, config.strategy)
+        result = run_problem(text, lexicon, strategy)
         code = _VERDICT_EXIT[result.verdict_name]
-        if config.format == "json":
+        if format == "json":
             return code, result_to_dict(result)
-        return code, render_text_report(result, config.trace)
+        return code, render_text_report(result, trace)
     except ProblemTextError as exc:
         code, heading, error = EXIT_NOT_UNDERSTOOD, "Not understood", exc
     except DataConflict as exc:
         code, heading, error = EXIT_INCONSISTENT, "Contradiction in the problem data", exc
     except Exception as exc:
         code, heading, error = EXIT_ERROR, "Internal error", exc
-    if config.format == "json":
+    if format == "json":
         return code, {"error": {"type": type(error).__name__, "message": str(error)}}
     return code, f"{heading}: {error}"
 
 
-def cmd_solve(config, lexicon):
+def cmd_solve(inputs, lexicon, strategy, format, trace):
     """(exit code, output): the report dict for JSON, else the text; no
     output after an input error."""
     codes = []
     reports = []
-    for path in config.inputs:
+    for path in inputs:
         try:
             with open(path, encoding="utf-8") as fh:
                 content = fh.read()
@@ -104,16 +87,16 @@ def cmd_solve(config, lexicon):
         # lone surrogate that no stdout can encode.
         name = os.fsencode(path).decode(sys.getfilesystemencoding(), "backslashreplace")
         for i, block in enumerate(blocks, start=1):
-            code, report = _run_text(block, lexicon, config)
+            code, report = _run_text(block, lexicon, strategy, format, trace)
             codes.append(code)
-            if config.format == "json":
+            if format == "json":
                 report = {"source": f"{name}#{i}", **report}
-            elif len(blocks) > 1 or len(config.inputs) > 1:
+            elif len(blocks) > 1 or len(inputs) > 1:
                 report = f"== {name}#{i}\n{report}"
             reports.append(report)
     bad = [c for c in codes if c != EXIT_OK]
     output = ({"format_version": FORMAT_VERSION, "problems": reports}
-              if config.format == "json" else "\n\n".join(reports))
+              if format == "json" else "\n\n".join(reports))
     return (bad[0] if bad else EXIT_OK), output
 
 
@@ -157,14 +140,14 @@ def run_corpus(problems, lexicon, strategy):
     return rows, all_match
 
 
-def cmd_corpus(config, lexicon):
+def cmd_corpus(lexicon, strategy, format):
     """(exit code, output): the report dict for JSON, else the text."""
-    rows, all_match = run_corpus(CORPUS, lexicon, config.strategy)
+    rows, all_match = run_corpus(CORPUS, lexicon, strategy)
     code = EXIT_OK if all_match else EXIT_ERROR
-    if config.format == "json":
+    if format == "json":
         return code, {
             "format_version": FORMAT_VERSION,
-            "strategy": config.strategy.value,
+            "strategy": strategy.value,
             "problems": rows,
             "summary": _summary(rows),
         }
@@ -310,20 +293,17 @@ def build_arg_parser():
 
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
-    config = RunConfig(
-        inputs=getattr(args, "inputs", []),
-        strategy=Strategy(args.strategy),
-        format=args.format,
-        trace=getattr(args, "trace", False),
-        lexicon_path=args.lexicon,
-    )
+    path = args.lexicon or os.environ.get("SCHEMARITH_LEXICON")
     try:
-        lexicon = _load_lexicon(config)
+        lexicon = load_lexicon_file(path) if path else load_default_lexicon()
     except (OSError, ValueError) as exc:   # ValueError: not UTF-8, or malformed
         print(f"error: lexicon: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    command = cmd_solve if args.command == "solve" else cmd_corpus
-    code, output = command(config, lexicon)
+    strategy = Strategy(args.strategy)
+    if args.command == "solve":
+        code, output = cmd_solve(args.inputs, lexicon, strategy, args.format, args.trace)
+    else:
+        code, output = cmd_corpus(lexicon, strategy, args.format)
     if output is not None and not _write_stdout(output):
         return EXIT_ERROR
     return code

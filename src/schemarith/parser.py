@@ -43,13 +43,11 @@ class EmptyInput(ProblemTextError):
 class ParseError(ProblemTextError):
     def __init__(self, sentence, reason):
         self.sentence = sentence
-        self.reason = reason
         super().__init__(f"sentence {sentence + 1}: {reason}")
 
 
 class UnknownWord(ParseError):
     def __init__(self, sentence, token):
-        self.token = token
         super().__init__(sentence, f"unknown word {token!r}")
 
 

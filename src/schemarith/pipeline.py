@@ -12,17 +12,12 @@ from .solver import Contradiction, Insufficient, Invalid, Solved, propagate
 
 
 class ProblemResult:
-    """Everything one run produced, for reports and for tests."""
+    """Everything one run produced, for reports and for tests.  Reports
+    render the two proposition lists from the store."""
 
-    def __init__(self, text, strategy, propositions, propositions_split,
-                 raw_propositions, store, timelines, lsi, skipped, solve,
+    def __init__(self, strategy, store, timelines, lsi, skipped, solve,
                  timing_ms=0.0):
-        self.text = text
         self.strategy = strategy
-        # rendered after compare/combine instantiation; the second splits events
-        self.propositions = propositions
-        self.propositions_split = propositions_split
-        self.raw_propositions = raw_propositions
         self.store = store
         self.timelines = timelines
         self.lsi = lsi
@@ -69,24 +64,9 @@ def run_problem(text, lexicon=None, strategy=Strategy.CAUTIOUS) -> ProblemResult
     first = initial_lsi(store, lex)
     timelines = build_timelines(store)
     lsi, skipped = build_lsi(store, timelines, strategy, first)
-    # Snapshot the proposition lists after relation instantiation but with
-    # any strategy-introduced endpoint states included, in text order.
-    rendered, rendered_split = store.render_propositions()
     solve = propagate(lsi, store)
     elapsed = (time.perf_counter() - start) * 1000.0
-    return ProblemResult(
-        text=text,
-        strategy=strategy,
-        propositions=rendered,
-        propositions_split=rendered_split,
-        raw_propositions=props,
-        store=store,
-        timelines=timelines,
-        lsi=lsi,
-        skipped=skipped,
-        solve=solve,
-        timing_ms=elapsed,
-    )
+    return ProblemResult(strategy, store, timelines, lsi, skipped, solve, elapsed)
 
 
 def verdict_dict(result) -> dict:
@@ -116,12 +96,10 @@ def result_to_dict(result) -> dict:
         }
         for si in result.lsi
     ]
+    pre_split, post_split = result.store.render_propositions()
     out = {
         "strategy": result.strategy.value,
-        "propositions": {
-            "pre_split": result.propositions,
-            "post_split": result.propositions_split,
-        },
+        "propositions": {"pre_split": pre_split, "post_split": post_split},
         "lsi": lsi,
         "equations": [entry["equation"] for entry in lsi],
         "skipped": [
@@ -151,7 +129,7 @@ def render_text_report(result, trace=False) -> str:
     solver's steps."""
     lines = []
     if trace:
-        props = result.propositions
+        props, split = result.store.render_propositions()
         insts = result.rendered_lsi()
         width = max([len(p) for p in props] + [24]) + 2
         lines.append(f"{'Propositions':<{width}}| Schema Instantiations")
@@ -162,7 +140,7 @@ def render_text_report(result, trace=False) -> str:
             lines.append(f"{left:<{width}}| {right}".rstrip())
         lines.append("")
         lines.append("After splitting compound events:")
-        for p in result.propositions_split:
+        for p in split:
             lines.append(f"  {p}")
         if result.skipped:
             lines.append("")

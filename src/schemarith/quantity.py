@@ -102,15 +102,11 @@ QUESTION = object.__new__(Question)
 
 
 def render_quantity(q) -> str:
-    cls = q.__class__   # the exact classes first: isinstance costs more
+    cls = q.__class__
     if cls is Var:
         return q.name
     if cls is Known:
         return str(q.value)
-    if isinstance(q, Known):
-        return str(q.value)
-    if isinstance(q, Var):
-        return q.name
-    if isinstance(q, Question):
+    if q is QUESTION:
         return "?"
     raise TypeError(f"not a quantity: {q!r}")

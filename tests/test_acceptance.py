@@ -38,7 +38,7 @@ def timed(problem_id, strategy=Strategy.CAUTIOUS):
 def test_criterion_single_place_change_problem():
     """Basket problem: 4 propositions, one instantiation, answer 6, < 1 s."""
     result, elapsed = timed("basket-apples")
-    assert len(result.raw_propositions) == 4
+    assert len(parse_problem(by_id("basket-apples").text, LEX)) == 4
     assert result.rendered_lsi() == [
         "Transfer-In-Place (initially 4, in 2, finally ?)"]
     assert result.verdict == Solved(6)
@@ -49,7 +49,8 @@ def test_criterion_single_place_change_problem():
 def test_criterion_two_gift_compare_problem():
     """Two-gift problem: representation table, splitting, 2 instantiations, 14."""
     result, elapsed = timed("candy-gifts")
-    assert result.propositions == [
+    propositions, split = result.store.render_propositions()
+    assert propositions == [
         "David gave 3 candies to Ruth",
         "John gave 2 candies to David",
         "David has ? candies",
@@ -57,7 +58,7 @@ def test_criterion_two_gift_compare_problem():
         "Ruth has X candies",
     ]
     assert result.rendered_lsi()[0] == "More (?, than X, by 4)"
-    assert result.propositions_split[:4] == [
+    assert split[:4] == [
         "David forfeited 3 candies",
         "Ruth got 3 candies",
         "John forfeited 2 candies",

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from schemarith.cli import RunConfig, _run_text, main
+from schemarith.cli import _run_text, main
 from schemarith.corpus import CORPUS
 from schemarith.lexicon import load_default_lexicon
 from schemarith.pipeline import render_text_report, result_to_dict, run_problem
@@ -132,7 +132,7 @@ def mutants(seed=6):
 
 
 def outcome(text):
-    code, data = _run_text(text, LEX, RunConfig([], format="json"))
+    code, data = _run_text(text, LEX, format="json")
     if "error" in data:
         return {"text": text, "exit": code,
                 "error": [data["error"]["type"], data["error"]["message"]]}

@@ -1,10 +1,12 @@
 """Every name a package module imports is used in that module, every
-function, class and method the package defines is referenced from it, the
-value types are built through the setter tables, enum base and default
-``_key`` in quantity.py, the parser leaves letter case to the lexicon, and
-the CLI starts without the standard library's slow-loading modules."""
+function, class and method the package defines is referenced from it,
+every field a package class keeps is read in it, the value types are
+built through the setter tables, enum base and default ``_key`` in
+quantity.py, the parser leaves letter case to the lexicon, and the CLI
+starts without the standard library's slow-loading modules."""
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -107,6 +109,84 @@ def test_definition_gate_sees_unreferenced_functions_classes_and_methods():
     assert unreferenced_definitions(sources) == [
         ("a.py", 2, "unused"), ("a.py", 5, "method"), ("a.py", 7, "inner"),
         ("b.py", 4, "Unused")]
+
+
+DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+
+
+def class_fields(node, declarations):
+    """(line, name) of each field of a class: the names its literal
+    ``__slots__`` lists and each ``self.<name>`` its ``__init__`` assigns.
+    The ``__slots__`` value joins `declarations`, the nodes whose strings
+    declare fields rather than read them."""
+    found = {}
+    for item in node.body:
+        if isinstance(item, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets):
+            declarations.update(map(id, ast.walk(item.value)))
+            for name in ast.literal_eval(item.value):
+                found.setdefault(name, item.lineno)
+        elif isinstance(item, ast.FunctionDef) and item.name == "__init__":
+            for sub in ast.walk(item):
+                if (isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                        and isinstance(sub.value, ast.Name) and sub.value.id == "self"):
+                    found.setdefault(sub.attr, sub.lineno)
+    return sorted((line, name) for name, line in found.items())
+
+
+def unread_fields(sources):
+    """(module, line, "Class.field") for each field of a class defined in
+    `sources` (module name -> source) whose name no module reads as an
+    attribute or names in a dotted string, such as an ``attrgetter`` path.
+
+    Matching is by name alone, so a read of the same name on any object
+    hides a dead field: ``Word.text`` would hide a ``text`` field that
+    another class keeps and nothing reads."""
+    fields, read, declarations = [], set(), set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):   # a class before its body
+            if isinstance(node, ast.ClassDef):
+                fields.extend((module, line, f"{node.name}.{name}")
+                              for line, name in class_fields(node, declarations))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and id(node) not in declarations and DOTTED.fullmatch(node.value)):
+                read.update(node.value.split("."))
+    return sorted((module, line, field) for module, line, field in fields
+                  if field.split(".")[1] not in read)
+
+
+#: Fields kept for the tests and the benchmark alone: the propagation work
+#: count of the linearity gate, and the flag that picks the corpus problems
+#: whose sentences may be transposed.
+TEST_FIELDS = {"SolveResult.visits", "CorpusProblem.pronoun_free"}
+
+
+def test_every_field_is_read_from_the_package():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in PACKAGE.glob("*.py")}
+    assert {field for _, _, field in unread_fields(sources)} == TEST_FIELDS
+
+
+def test_field_gate_sees_slots_and_init_fields_nothing_reads():
+    sources = {
+        "a.py": ("from operator import attrgetter\n"
+                 "class V:\n"
+                 "    __slots__ = ('x', 'y', 'z', 'owner')\n"
+                 "    key = attrgetter('x', 'owner.name')\n"
+                 "class R:\n"
+                 "    def __init__(self, a, b, c):\n"
+                 "        self.a = a\n"
+                 "        self.b, self.c = b, c\n"
+                 "    def method(self):\n"
+                 "        self.d = 1\n"
+                 "        return self.a\n"),
+        "b.py": ("def f(v, r):\n"
+                 "    v.z = r.c\n"
+                 "    return getattr(v, 'y'), 'unread b'\n"),
+    }
+    assert unread_fields(sources) == [("a.py", 3, "V.z"), ("a.py", 8, "R.b")]
 
 
 SETTERS = {"__setattr__", "__set__"}

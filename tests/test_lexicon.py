@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schemarith.cli import RunConfig, _run_text
+from schemarith.cli import _run_text
 
 from schemarith.corpus import CORPUS
 from schemarith.lexicon import (
@@ -273,8 +273,8 @@ def test_a_custom_lexicon_is_refused_or_ends_every_text_in_a_documented_code(rec
     except LexiconFormatError:
         return
     for problem in CORPUS:
-        for config in (RunConfig([], format="json"), RunConfig([], trace=True)):
-            code, report = _run_text(problem.text, lex, config)
+        for options in ({"format": "json"}, {"trace": True}):
+            code, report = _run_text(problem.text, lex, **options)
             assert code in (0, 2, 3, 4), (problem.id, report)
 
 

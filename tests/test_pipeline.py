@@ -7,8 +7,9 @@ import pytest
 
 from test_parser import chain_text
 
+from schemarith import cli
 from schemarith.corpus import CORPUS
-from schemarith.discourse import build_store, build_timelines
+from schemarith.discourse import PropositionStore, build_store, build_timelines
 from schemarith.lexicon import load_default_lexicon
 from schemarith.parser import StateKey, parse_problem, tokenize
 from schemarith.pipeline import render_text_report, result_to_dict, run_problem
@@ -102,6 +103,35 @@ def test_timing_is_recorded():
         "Ruth had 4 candies. Ruth received 3 candies. How many candies "
         "does Ruth have now?", LEX)
     assert 0 <= result.timing_ms < 1000
+
+
+def test_proposition_lists_render_only_for_a_report(monkeypatch, tmp_path, capsys):
+    """A run keeps the store; only the JSON report and the --trace table
+    render the proposition lists from it, once per problem."""
+    calls = []
+    render = PropositionStore.render_propositions
+
+    def counted(store):
+        calls.append(store)
+        return render(store)
+
+    monkeypatch.setattr(PropositionStore, "render_propositions", counted)
+
+    def renders(argv):
+        calls.clear()
+        cli.main(argv)
+        capsys.readouterr()
+        return len(calls)
+
+    assert run_problem(CORPUS[0].text, LEX).answer == 6
+    assert calls == []
+    path = tmp_path / "corpus.txt"
+    path.write_text("\n\n".join(p.text for p in CORPUS) + "\n", encoding="utf-8")
+    assert renders(["solve", str(path), "--format", "json"]) == len(CORPUS)
+    assert renders(["solve", str(path), "--trace"]) == len(CORPUS)
+    assert renders(["solve", str(path)]) == 0
+    for form in ("text", "json"):
+        assert renders(["corpus", "--format", form]) == 0
 
 
 # -- hashing gate ------------------------------------------------------------------

@@ -16,7 +16,6 @@ import pkgutil
 import pytest
 
 import schemarith
-from schemarith.cli import RunConfig
 from schemarith.corpus import CorpusProblem
 from schemarith.discourse import ElementaryEvent, Timeline
 from schemarith.lexicon import (
@@ -302,11 +301,8 @@ def test_a_dict_keyed_by_enum_members_finds_each():
 
 
 def test_render_quantity():
-    class Amount(Known):   # a subclass takes the isinstance path
-        __slots__ = ()
-
-    assert [render_quantity(q) for q in (Known(3), Var("X1"), QUESTION, Amount(4))] == \
-        ["3", "X1", "?", "4"]
+    assert [render_quantity(q) for q in (Known(3), Var("X1"), QUESTION)] == \
+        ["3", "X1", "?"]
     with pytest.raises(TypeError, match="not a quantity: 3"):
         render_quantity(3)
 
@@ -320,12 +316,8 @@ MUTABLE = {
                ("final", NO), ("intermediates", NO)],
     SolveResult: [("verdict", NO), ("binding", NO), ("question_value", NO),
                   ("trace", NO), ("visits", NO)],
-    ProblemResult: [("text", NO), ("strategy", NO), ("propositions", NO),
-                    ("propositions_split", NO), ("raw_propositions", NO),
-                    ("store", NO), ("timelines", NO), ("lsi", NO), ("skipped", NO),
-                    ("solve", NO), ("timing_ms", 0.0)],
-    RunConfig: [("inputs", NO), ("strategy", Strategy.CAUTIOUS), ("format", "text"),
-                ("trace", False), ("lexicon_path", None)],
+    ProblemResult: [("strategy", NO), ("store", NO), ("timelines", NO), ("lsi", NO),
+                    ("skipped", NO), ("solve", NO), ("timing_ms", 0.0)],
 }
 
 
