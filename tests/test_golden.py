@@ -2,9 +2,11 @@
 
 `tests/data/golden_reports.json` holds, for each problem and strategy,
 the JSON report (`result_to_dict` without `timing_ms`) and the `--trace`
-text, one list item per line.  The problems are the corpus and five
-more that reach the creation and termination kinds, which the corpus
-does not.  `tests/data/golden_corpus.json` holds the report of
+text, one list item per line.  The problems are the corpus, five more
+that reach the creation and termination kinds, which the corpus does
+not, and a forward and a backward chain of 12 changes beside an
+extraneous holder, which pin the numbering of intermediate unknowns and
+the order of a multi-pass trace.  `tests/data/golden_corpus.json` holds the report of
 `schemarith corpus --format json` under each strategy, without the
 per-problem `timing_ms`.  `tests/data/golden_errors.json` holds seeded
 word-level mutants of the corpus problems with the outcome of each: its
@@ -46,6 +48,19 @@ EXTRA = {
         "Tom made 2 cakes. Tom had 5 apples. Tom ate 1 apple. There are 4 "
         "birds in the garden. 2 birds died in the garden. How many apples "
         "does Tom have now?",
+    "chain-forward":
+        "Ruth had 10 apples. Ruth got 3 apples and Ruth lost 2 apples. Ruth gave "
+        "4 apples to Tom and Mary gave Ruth 5 apples. Ruth got 1 apple. Ruth lost "
+        "6 apples and Ruth gave 2 apples to Dan. Ann gave Ruth 7 apples and Ruth "
+        "got 2 apples and Ruth lost 3 apples. David had 6 nuts. Ruth gave 1 apple "
+        "to Tom and Fred gave Ruth 4 apples. How many apples does Ruth have now?",
+    "chain-backward":
+        "Sara lost 2 candies and Sara got 5 candies. John gave Sara 3 candies. "
+        "Sara gave 4 candies to Eve and Sara got 1 candy. Sara lost 3 candies. "
+        "Adam gave Sara 6 candies and Sara gave 2 candies to Eve and Sara lost 1 "
+        "candy. Sara got 4 candies. Bob had 8 marbles. Sara gave 5 candies to John "
+        "and Clara gave Sara 2 candies. Now Sara has 11 candies. How many candies "
+        "did Sara have in the beginning?",
 }
 
 PROBLEMS = {**{p.id: p.text for p in CORPUS}, **EXTRA}
