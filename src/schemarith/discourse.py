@@ -14,7 +14,6 @@ from __future__ import annotations
 from operator import attrgetter
 
 from .lexicon import (
-    WORDING,
     ChangeKind,
     Compound,
     Direction,
@@ -138,13 +137,13 @@ def render_elementary(event, lexicon) -> str:
     """An ownership change in the active form, with the owner as subject;
     a change of place in the passive form, with the counted objects as
     subject, which reads the same whichever verb produced it."""
-    wording = WORDING[event.kind.direction]
+    direction = event.kind.direction
     if event.kind.locus_kind is _OWNERSHIP:
         n = event.delta.value
-        return (f"{event.locus.owner.name} {wording.owner_verb} {n} "
+        return (f"{event.locus.owner.name} {direction.owner_verb} {n} "
                 f"{lexicon.pluralize(event.obj, n)}")
     return (f"{render_amount(event.obj, event.delta, lexicon)} were "
-            f"{wording.passive} {wording.place_prep} {render_locus(event.locus)}")
+            f"{direction.passive} {direction.place_prep} {render_locus(event.locus)}")
 
 
 class PropositionStore:
@@ -301,7 +300,7 @@ class Timeline:
 
 
 def _canonical_order(event):
-    additions_first = 0 if WORDING[event.kind.direction].adds else 1
+    additions_first = 0 if event.kind.direction.adds else 1
     return (additions_first, event.delta.value, event.verb)
 
 

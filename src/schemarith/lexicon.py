@@ -11,40 +11,26 @@ from .quantity import TimePoint, _Enum, _Frozen
 
 
 class Direction(_Enum):
-    IN = "in"
-    OUT = "out"
-    CREATE = "create"
-    TERMINATE = "terminate"
+    """The four directions of a change, each with its words and sign.
 
-
-class Wording(_Frozen):
-    """The words and the sign of a change in one direction.
-
-    ``slot`` is the change-amount slot of a schema instantiation and
-    ``passive`` the verb of the passive form "N objects were <passive> ...";
-    ``place_prep`` precedes a place; ``owner_verb`` is the active verb
-    with the owner as subject; ``adds`` says whether the change adds to
-    its locus's amount.
+    A member's value is its name in the lexicon's records.  ``slot`` is
+    the change-amount slot of a schema instantiation and ``passive`` the
+    verb of the passive form "N objects were <passive> ..."; ``place_prep``
+    precedes a place; ``owner_verb`` is the active verb with the owner as
+    subject; ``adds`` says whether the change adds to its locus's amount.
     """
 
-    __slots__ = ("slot", "passive", "place_prep", "owner_verb", "adds")
+    IN = "in", "in", "transferred", "into", "got", True
+    OUT = "out", "out", "transferred", "out of", "forfeited", False
+    CREATE = "create", "created", "created", "in", "created", True
+    TERMINATE = "terminate", "terminated", "terminated", "in", "terminated", False
 
-    def __init__(self, slot, passive, place_prep, owner_verb, adds):
-        set_slot, set_passive, set_place_prep, set_owner_verb, set_adds = Wording._setters
-        set_slot(self, slot)
-        set_passive(self, passive)
-        set_place_prep(self, place_prep)
-        set_owner_verb(self, owner_verb)
-        set_adds(self, adds)
-
-
-#: The one table of per-direction wording.
-WORDING = {
-    Direction.IN: Wording("in", "transferred", "into", "got", True),
-    Direction.OUT: Wording("out", "transferred", "out of", "forfeited", False),
-    Direction.CREATE: Wording("created", "created", "in", "created", True),
-    Direction.TERMINATE: Wording("terminated", "terminated", "in", "terminated", False),
-}
+    def __new__(cls, value, *words):
+        member = object.__new__(cls)
+        member._value_ = value
+        (member.slot, member.passive, member.place_prep, member.owner_verb,
+         member.adds) = words
+        return member
 
 
 class LocusKind(_Enum):
@@ -336,11 +322,11 @@ class Lexicon:
                     self._numerals[surface] = word
             return word
         text = surface.lower()
-        if text in self.words:
-            return self._cased(surface, self.words[text])
-        verb, capital = self.lemmatize_verb(text), surface[:1].isupper()
-        noun = None if capital else self._regular_class(text)
-        return Word(surface, text, None, verb, noun, None, capital and verb is None)
+        word = self.words.get(text)
+        if word is None:
+            word = Word(text, text, None, self.lemmatize_verb(text),
+                        self._regular_class(text), None, False)
+        return self._cased(surface, word)
 
     def _cased(self, surface, word):
         """The Word of `surface`, another casing of the lower-case `word`.

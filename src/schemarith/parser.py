@@ -12,7 +12,6 @@ import re
 from operator import attrgetter
 
 from .lexicon import (
-    WORDING,
     ChangeKind,
     Compound,
     Direction,
@@ -183,21 +182,18 @@ class CompareProp(_Frozen):
 
 
 class CombineProp(_Frozen):
-    __slots__ = ("obj", "total", "time", "parts", "group", "context", "verb",
-                 "sentence")
-    _key = attrgetter(*__slots__[:7])
+    __slots__ = ("obj", "total", "time", "parts", "group", "verb", "sentence")
+    _key = attrgetter(*__slots__[:6])
 
-    def __init__(self, obj, total, time, parts=(), group=None, context="state",
-                 verb=None, sentence=-1):
-        (set_obj, set_total, set_time, set_parts, set_group, set_context, set_verb,
+    def __init__(self, obj, total, time, parts=(), group=None, verb=None, sentence=-1):
+        (set_obj, set_total, set_time, set_parts, set_group, set_verb,
          set_sentence) = CombineProp._setters
         set_obj(self, obj)
         set_total(self, total)
         set_time(self, time)
         set_parts(self, parts)      # StateKeys, in statements
         set_group(self, group)      # "they" or a class, in questions
-        set_context(self, context)  # "state" | "event"
-        set_verb(self, verb)        # the verb of an event combine
+        set_verb(self, verb)        # the verb of an event combine, else None
         set_sentence(self, sentence)
 
 
@@ -534,7 +530,7 @@ class _ClauseParser:
             self.expect("altogether")
             self._check_done()
             return [CombineProp(obj, QUESTION, time, group=THEY,
-                                context="state", sentence=self.sentence)]
+                                sentence=self.sentence)]
         if self.peek().text in _DETERMINERS:
             self.take()
             cls = self.take_noun()
@@ -546,8 +542,8 @@ class _ClauseParser:
             self.expect("altogether")
             self._check_done()
             group = Entity(cls, EntityKind.CLASS)
-            return [CombineProp(obj, QUESTION, time, group=group,
-                                context="event", verb=lemma, sentence=self.sentence)]
+            return [CombineProp(obj, QUESTION, time, group=group, verb=lemma,
+                                sentence=self.sentence)]
         owner = self.parse_subject_item()
         lemma, _, _ = self.parse_verb_group()
         if lemma != "have":
@@ -631,7 +627,7 @@ class _ClauseParser:
             if len(set(parts)) < len(parts):
                 raise self.error("'altogether' names one owner twice")
             return [CombineProp(obj, Known(n), time, parts=parts,
-                                context="state", sentence=self.sentence)]
+                                sentence=self.sentence)]
         self._check_done()
         if len(subjects) != 1:
             raise self.error("a possession state takes a single owner")
@@ -835,7 +831,7 @@ def _destination_prep(verb, lexicon):
     if isinstance(verb_class, ChangeKind) \
             and verb_class.direction in (Direction.CREATE, Direction.TERMINATE):
         direction = verb_class.direction
-    return WORDING[direction].place_prep
+    return direction.place_prep
 
 
 def _render_event(prop, lexicon):
@@ -891,8 +887,7 @@ def _render_combine(prop, lexicon):
         if prop.group is THEY:
             return f"How many {objs} {aux} they have altogether?"
         group = lexicon.pluralize(prop.group.name)
-        verb = prop.verb if prop.context == "event" else "have"
-        return f"How many {objs} did the {group} {verb} altogether?"
+        return f"How many {objs} did the {group} {prop.verb} altogether?"
     names = " and ".join(k.locus.owner.name for k in prop.parts)
     verb = "had" if initial else "have"
     return f"{names} {verb} {render_amount(prop.obj, prop.total, lexicon)} altogether."

@@ -11,9 +11,7 @@ inventing unknowns for missing amounts.
 """
 from __future__ import annotations
 
-from operator import attrgetter
-
-from .lexicon import WORDING, ChangeKind
+from .lexicon import ChangeKind
 from .parser import (CompareProp, EntityKind, Ownership, ProblemTextError, THEY,
                      render_locus)
 from .quantity import TimePoint, _Enum, _Frozen, render_quantity
@@ -35,20 +33,16 @@ class Strategy(_Enum):
 
 
 class SchemaInstantiation(_Frozen):
-    """One LSI entry; the locus and object it came from stay out of equality."""
+    """One LSI entry."""
 
-    __slots__ = ("kind", "slots", "equation", "locus", "obj")
-    _key = attrgetter(*__slots__[:3])
+    __slots__ = ("kind", "slots", "equation")
 
-    def __init__(self, kind, slots, equation, locus=None, obj=""):
+    def __init__(self, kind, slots, equation):
         # change schema name, "More", "Less" or "Combine"
-        (set_kind, set_slots, set_equation, set_locus,
-         set_obj) = SchemaInstantiation._setters
+        set_kind, set_slots, set_equation = SchemaInstantiation._setters
         set_kind(self, kind)
         set_slots(self, slots)   # ((role, Quantity), ...)
         set_equation(self, equation)
-        set_locus(self, locus)
-        set_obj(self, obj)
 
     def render(self) -> str:
         if self.kind in ("More", "Less"):
@@ -65,15 +59,14 @@ class SchemaInstantiation(_Frozen):
 
 def change_instantiation(event, before, after) -> SchemaInstantiation:
     """Schema instantiation of one elementary event between two amounts."""
-    wording = WORDING[event.kind.direction]
-    slots = (("initially", before), (wording.slot, event.delta), ("finally", after))
-    if wording.adds:
+    direction = event.kind.direction
+    slots = (("initially", before), (direction.slot, event.delta), ("finally", after))
+    if direction.adds:
         equation = Equation(before, event.delta, after)
     else:
         # final = initial - delta, stored as initial = final + delta
         equation = Equation(after, event.delta, before)
-    return SchemaInstantiation(event.kind.schema, slots, equation,
-                               event.locus, event.obj)
+    return SchemaInstantiation(event.kind.schema, slots, equation)
 
 
 def instantiate_compare(comp, store) -> SchemaInstantiation:
@@ -90,11 +83,12 @@ def instantiate_combine(comb, store, lexicon) -> list:
     """Combine instantiations for a statement or question.
 
     State combines resolve their parts as states at the stated time.
-    Event combines take the amounts of gaining-ownership events whose
-    agent class belongs to the asked superset.  More than two parts chain
-    through partial-sum unknowns, one instantiation per added part.
+    Event combines, the ones with a verb, take the amounts of
+    gaining-ownership events whose agent class belongs to the asked
+    superset.  More than two parts chain through partial-sum unknowns,
+    one instantiation per added part.
     """
-    if comb.context == "event":
+    if comb.verb is not None:
         members = lexicon.supersets.get(comb.group.name)
         if not members:
             raise UnresolvableCombine(

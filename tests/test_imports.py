@@ -141,7 +141,8 @@ def unread_fields(sources):
 
     Matching is by name alone, so a read of the same name on any object
     hides a dead field: ``Word.text`` would hide a ``text`` field that
-    another class keeps and nothing reads."""
+    another class keeps and nothing reads.  test_field_reads.py watches
+    the fields themselves while the package runs."""
     fields, read, declarations = [], set(), set()
     for module, source in sources.items():
         for node in ast.walk(ast.parse(source)):   # a class before its body

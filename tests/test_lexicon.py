@@ -225,9 +225,15 @@ def test_lexicon_text_round_trip():
     "pronoun\tIt\tm",
     "pronoun\tit\tx",
     "name\tPat\tn",
+    "verb\tzap\telementary:sideways:place",
+    "verb\tzap\telementary:In:place",
+    "verb\tzap\telementary:in:Place",
+    "verb\tzap\tcompound:up:ownership:agent+in:ownership:recipient",
 ], ids=["negative-number", "number-not-decimal", "number-too-long", "form-tense",
         "form-of-no-verb", "noun-with-space", "noun-rule", "number-upper-case",
-        "noun-upper-case", "pronoun-upper-case", "pronoun-gender", "name-gender"])
+        "noun-upper-case", "pronoun-upper-case", "pronoun-gender", "name-gender",
+        "direction-unknown", "direction-upper-case", "locus-upper-case",
+        "compound-direction-unknown"])
 def test_a_record_the_tables_cannot_use_is_refused_with_its_line(record):
     line = DEFAULT_LEXICON.count("\n") + 1
     with pytest.raises(LexiconFormatError, match=f"^line {line}: "):

@@ -307,6 +307,7 @@ def test_statement_combine():
     assert prop.total == Known(8)
     assert prop.time is TimePoint.INITIAL
     assert [k.locus.owner.name for k in prop.parts] == ["Tom", "Ruth"]
+    assert prop.verb is None   # a state combine
 
 
 def test_group_question_combine():
@@ -314,11 +315,11 @@ def test_group_question_combine():
     assert isinstance(prop, CombineProp)
     assert prop.group.kind is EntityKind.GROUP
     assert prop.total == QUESTION
+    assert prop.verb is None   # a state combine
 
 
 def test_event_combine_question():
     [prop] = parse_text("How many tickets did the children buy altogether?")
-    assert prop.context == "event"
     assert prop.group == Entity("child", EntityKind.CLASS)
     assert prop.verb == "buy"
 

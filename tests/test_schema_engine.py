@@ -137,7 +137,7 @@ def test_unresolvable_combine():
     store = store_for("dolls-combine")
     [comb] = store.relations
     lonely = CombineProp("ticket", comb.total, comb.time, comb.parts, comb.group,
-                         comb.context, comb.verb, comb.sentence)  # nobody holds tickets
+                         comb.verb, comb.sentence)  # nobody holds tickets
     with pytest.raises(UnresolvableCombine):
         instantiate_combine(lonely, store, LEX)
 
@@ -155,7 +155,10 @@ def test_match_fully_bound_change():
 def test_match_with_missing_initial_line():
     lsi, skipped, timelines = cautious_lsi(store_for("candy-gifts"))
     david = Ownership(proper("David"))
-    assert not any(si.locus == david for si in lsi)
+    # David's changes, in 2 from John and out 3 to Ruth, are not recorded
+    changes = {(si.kind, slot_values(si)[1]) for si in lsi}
+    assert ("Transfer-In-Ownership", Known(2)) not in changes
+    assert ("Transfer-Out-Ownership", Known(3)) not in changes
     [gated] = [sk for sk in skipped if sk.locus == david]
     # "David has ? candies" exists; no initial amount anywhere
     assert gated.missing == ("initial",)
@@ -166,7 +169,7 @@ def test_match_with_missing_initial_line():
 
 def test_match_ruth_side_fully_bound():
     lsi, _, _ = cautious_lsi(store_for("candy-gifts"))
-    [inst] = [si for si in lsi if si.locus == Ownership(proper("Ruth"))]
+    [inst] = [si for si in lsi if si.kind == "Transfer-In-Ownership"]   # Ruth's
     assert slot_values(inst) == (Known(7), Known(3), Var("X"))
 
 
@@ -202,8 +205,9 @@ def test_total_strategy_adds_unknowns():
 def test_basket_timeline_gated_in_eggs_problem():
     result = understood("eggs-places")
     basket = Place(cls("basket"))
-    assert not any(si.locus == basket for si in result.lsi
-                   if si.kind.startswith(("Transfer", "Creation", "Termination")))
+    # the basket's changes, out 5 and out 6, are not recorded
+    assert not any(si.kind == "Transfer-Out-Place"
+                   and slot_values(si)[1] in (Known(5), Known(6)) for si in result.lsi)
     [skipped] = result.skipped
     assert skipped.locus == basket
     assert skipped.missing == ("initial",)

@@ -27,7 +27,6 @@ from schemarith.lexicon import (
     Role,
     StaticState,
     Tense,
-    Wording,
 )
 from schemarith.parser import (
     THEY,
@@ -83,9 +82,6 @@ FROZEN = {
     Known: [f("value", 3, 4)],
     Var: [f("name", "X", "X1")],
     Question: [],
-    Wording: [f("slot", "in", "out"), f("passive", "transferred", "created"),
-              f("place_prep", "into", "in"), f("owner_verb", "got", "forfeited"),
-              f("adds", True, False)],
     Compound: [f("components", ((IN_OWN, Role.AGENT), (OUT_OWN, Role.SOURCE)),
                  ((OUT_OWN, Role.AGENT), (IN_OWN, Role.RECIPIENT)))],
     StaticState: [f("hint", TimePoint.FINAL, None)],
@@ -109,8 +105,8 @@ FROZEN = {
     CombineProp: [f("obj", "apple", "nut"), f("total", Known(8), QUESTION),
                   f("time", TimePoint.INITIAL, TimePoint.FINAL),
                   f("parts", (KEY, KEY2), (KEY2, KEY), ()),
-                  f("group", THEY, BOX, None), f("context", "event", "state", "state"),
-                  f("verb", "buy", "get", None), ignored("sentence", 2, 3, -1)],
+                  f("group", THEY, BOX, None), f("verb", "buy", "get", None),
+                  ignored("sentence", 2, 3, -1)],
     ElementaryEvent: [f("kind", IN_OWN, OUT_OWN),
                       f("locus", Ownership(RUTH), Ownership(TOM)),
                       f("obj", "apple", "nut"), f("delta", Known(3), Known(4)),
@@ -120,9 +116,7 @@ FROZEN = {
         f("kind", "More", "Less"),
         f("slots", (("left", Known(1)),), (("right", Known(1)),)),
         f("equation", Equation(Known(1), Known(2), Known(3)),
-          Equation(Known(1), Var("X"), Known(3))),
-        ignored("locus", Ownership(RUTH), Ownership(TOM), None),
-        ignored("obj", "apple", "nut", "")],
+          Equation(Known(1), Var("X"), Known(3)))],
     SkippedSchema: [f("kinds", ("Transfer-In-Ownership",), ("Creation (place)",)),
                     f("locus", Ownership(RUTH), Place(BOX)),
                     f("obj", "apple", "nut"),
