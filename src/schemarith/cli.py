@@ -130,7 +130,7 @@ def run_corpus(problems, lexicon, strategy):
             # The cautious strategy would record every change but those
             # of the timelines that lack an endpoint.
             delta = sum(len(timeline.events) for timeline in result.timelines
-                        if not timeline.endpoints_present)
+                        if timeline.missing)
             row["cautious_lsi_size"] = len(result.lsi) - delta
             row["lsi_delta"] = delta
         row["match"] = (row["verdict"] == problem.expected_verdict

@@ -211,18 +211,17 @@ class PropositionStore:
         self._var_count += 1
         return Var(name)
 
-    def lookup_or_introduce(self, locus, obj, time):
+    def lookup_or_introduce(self, key):
         """Amount of the state at the key, or of a new one holding a fresh unknown.
 
         Lookup never unifies across different times, loci or object
         classes; repeated calls with one key return the same amount.
         """
-        key = StateKey(locus, obj, time)
         amount = self.states.get(key)
         if amount is None:
             amount = self.states[key] = self.fresh_var()
             self.entries.append((key, amount))
-            self._group(locus, obj)[1][time] = amount
+            self._group(key.locus, key.obj)[1][key.time] = amount
         return amount
 
     # -- queries -----------------------------------------------------------
@@ -232,16 +231,17 @@ class PropositionStore:
                 or any(isinstance(rel, CombineProp) and isinstance(rel.total, Question)
                        for rel in self.relations))
 
-    def proper_owners_of(self, obj):
-        """Proper-name owners holding any state of the object class, in order."""
-        seen, owners = set(), []
+    def proper_owner_loci(self, obj):
+        """Ownership loci of the proper-name owners holding any state of the
+        object class, in order."""
+        seen, loci = set(), []
         for key in self.states:
             if key.obj == obj and isinstance(key.locus, Ownership) \
                     and key.locus.owner.kind is EntityKind.PROPER \
                     and key.locus.owner.name not in seen:
                 seen.add(key.locus.owner.name)
-                owners.append(key.locus.owner)
-        return owners
+                loci.append(key.locus)
+        return loci
 
     # -- rendering -----------------------------------------------------------
 
@@ -282,8 +282,8 @@ class Timeline:
     Events are kept in a canonical order (additions before removals, then
     by amount, verb and text order) so that representations do not depend
     on sentence order; with +/- deltas the final amount is the same either
-    way.  `initial` and `final` are the store's endpoint amounts, or None
-    when the store lacks them.
+    way.  `initial` and `final` are the store's endpoint amounts when the
+    timeline was built, or None when the store lacked them.
     """
 
     def __init__(self, locus, obj, events, initial, final, intermediates):
@@ -295,8 +295,11 @@ class Timeline:
         self.intermediates = intermediates
 
     @property
-    def endpoints_present(self) -> bool:
-        return self.initial is not None and self.final is not None
+    def missing(self) -> tuple:
+        """Names of the absent endpoints; the cautious strategy records a
+        timeline only when there are none."""
+        ends = (("initial", self.initial), ("final", self.final))
+        return tuple(name for name, amount in ends if amount is None)
 
 
 def _canonical_order(event):

@@ -74,7 +74,7 @@ class EntityKind(_Enum):
 # metaclass defines __getattr__, which makes each read of a member through
 # its class several times slower.
 _PROPER, _CLASS = EntityKind.PROPER, EntityKind.CLASS
-_PLACE, _IN = LocusKind.PLACE, Direction.IN
+_PLACE, _OUT = LocusKind.PLACE, Direction.OUT
 
 
 class Entity(_Frozen):
@@ -693,10 +693,10 @@ class _ClauseParser:
             elif (tok in _DETERMINERS or not word.proper) \
                     and locational:
                 ent = self.parse_place_np()  # bare locus of leave/enter/exit
-                if classification.direction is _IN:
-                    destination = ent
-                else:
+                if classification.direction is _OUT:
                     source = ent
+                else:
+                    destination = ent
             else:
                 raise self.error(f"unexpected token {tok!r} in event clause")
         if subject is THEY or recipient is THEY or source is THEY \

@@ -21,7 +21,7 @@ class ProblemResult:
         self.store = store
         self.timelines = timelines
         self.lsi = lsi
-        self.skipped = skipped
+        self.skipped = skipped            # the Timelines the cautious gate skipped
         self.solve = solve                # SolveResult
         self.timing_ms = timing_ms
 
@@ -61,7 +61,7 @@ def run_problem(text, lexicon=None, strategy=Strategy.CAUTIOUS) -> ProblemResult
     store = build_store(props, lex)
     # Comparisons and combines instantiate first (introducing their unknown
     # states); timelines then see those states as endpoints.
-    first = initial_lsi(store, lex)
+    first = initial_lsi(store)
     timelines = build_timelines(store)
     lsi, skipped = build_lsi(store, timelines, strategy, first)
     solve = propagate(lsi, store)
@@ -104,12 +104,12 @@ def result_to_dict(result) -> dict:
         "equations": [entry["equation"] for entry in lsi],
         "skipped": [
             {
-                "kinds": list(sk.kinds),
-                "locus": render_locus(sk.locus),
-                "object": sk.obj,
-                "missing": list(sk.missing),
+                "kinds": [event.kind.schema for event in timeline.events],
+                "locus": render_locus(timeline.locus),
+                "object": timeline.obj,
+                "missing": list(timeline.missing),
             }
-            for sk in result.skipped
+            for timeline in result.skipped
         ],
         "binding": dict(sorted(result.solve.binding.items())),
         "trace": list(result.solve.trace),
@@ -145,8 +145,11 @@ def render_text_report(result, trace=False) -> str:
         if result.skipped:
             lines.append("")
             lines.append("Not recorded (cautious strategy):")
-            for sk in result.skipped:
-                lines.append(f"  {sk.render()}")
+            for timeline in result.skipped:
+                names = " + ".join(event.kind.schema for event in timeline.events)
+                lines.append(f"  {names} for {render_locus(timeline.locus)}'s "
+                             f"{timeline.obj}: {' and '.join(timeline.missing)} "
+                             f"amount not found, not recorded")
         lines.append("")
         lines.append("Equations:")
         for eq in result.rendered_equations():

@@ -12,8 +12,7 @@ inventing unknowns for missing amounts.
 from __future__ import annotations
 
 from .lexicon import ChangeKind
-from .parser import (CompareProp, EntityKind, Ownership, ProblemTextError, THEY,
-                     render_locus)
+from .parser import THEY, CompareProp, EntityKind, ProblemTextError, StateKey
 from .quantity import TimePoint, _Enum, _Frozen, render_quantity
 from .solver import Equation
 
@@ -71,15 +70,15 @@ def change_instantiation(event, before, after) -> SchemaInstantiation:
 
 def instantiate_compare(comp, store) -> SchemaInstantiation:
     """A More/Less instantiation; unseen sides get fresh unknown states."""
-    left, right = (store.lookup_or_introduce(key.locus, key.obj, key.time)
-                   for key in (comp.left, comp.right))
+    left = store.lookup_or_introduce(comp.left)
+    right = store.lookup_or_introduce(comp.right)
     slots = (("left", left), ("right", right), ("by", comp.diff))
     if comp.direction == "more":
         return SchemaInstantiation("More", slots, Equation(right, comp.diff, left))
     return SchemaInstantiation("Less", slots, Equation(left, comp.diff, right))
 
 
-def instantiate_combine(comb, store, lexicon) -> list:
+def instantiate_combine(comb, store) -> list:
     """Combine instantiations for a statement or question.
 
     State combines resolve their parts as states at the stated time.
@@ -89,24 +88,21 @@ def instantiate_combine(comb, store, lexicon) -> list:
     one instantiation per added part.
     """
     if comb.verb is not None:
-        members = lexicon.supersets.get(comb.group.name)
+        members = store.lexicon.supersets.get(comb.group.name)
         if not members:
             raise UnresolvableCombine(
                 f"{comb.group.name!r} has no configured member classes")
         gaining = ChangeKind.IN_OWNERSHIP
         parts = [
             ev.delta for ev in store.events
-            if ev.kind is gaining and isinstance(ev.locus, Ownership)
-            and ev.locus.owner.kind is EntityKind.CLASS
+            if ev.kind is gaining and ev.locus.owner.kind is EntityKind.CLASS
             and ev.locus.owner.name in members and ev.obj == comb.obj
         ]
     elif comb.group is THEY:
-        owners = store.proper_owners_of(comb.obj)
-        parts = [store.lookup_or_introduce(Ownership(o), comb.obj, comb.time)
-                 for o in owners]
+        parts = [store.lookup_or_introduce(StateKey(locus, comb.obj, comb.time))
+                 for locus in store.proper_owner_loci(comb.obj)]
     else:
-        parts = [store.lookup_or_introduce(key.locus, key.obj, key.time)
-                 for key in comb.parts]
+        parts = [store.lookup_or_introduce(key) for key in comb.parts]
     if len(parts) < 2:
         raise UnresolvableCombine(f"found {len(parts)} part(s), need at least 2")
     out = []
@@ -124,26 +120,7 @@ def instantiate_combine(comb, store, lexicon) -> list:
 # the list of schema instantiations (LSI)
 
 
-class SkippedSchema(_Frozen):
-    """A change candidate the cautious strategy declined to record."""
-
-    __slots__ = ("kinds", "locus", "obj", "missing")
-
-    def __init__(self, kinds, locus, obj, missing):
-        set_kinds, set_locus, set_obj, set_missing = SkippedSchema._setters
-        set_kinds(self, kinds)      # schema names along the timeline
-        set_locus(self, locus)
-        set_obj(self, obj)
-        set_missing(self, missing)  # the endpoint amounts absent
-
-    def render(self) -> str:
-        names = " + ".join(self.kinds)
-        now = " and ".join(self.missing)
-        return (f"{names} for {render_locus(self.locus)}'s {self.obj}: "
-                f"{now} amount not found, not recorded")
-
-
-def initial_lsi(store, lexicon) -> list:
+def initial_lsi(store) -> list:
     """Compare and combine instantiations, in text order.
 
     These are recorded unconditionally; only change schemas pass through
@@ -154,7 +131,7 @@ def initial_lsi(store, lexicon) -> list:
         if isinstance(rel, CompareProp):
             out.append(instantiate_compare(rel, store))
         else:
-            out.extend(instantiate_combine(rel, store, lexicon))
+            out.extend(instantiate_combine(rel, store))
     return out
 
 
@@ -167,26 +144,21 @@ def build_lsi(store, timelines, strategy, first):
     present among the propositions.  Total: every timeline contributes,
     with fresh unknowns standing in for missing endpoints.  A chain of k
     events contributes k instantiations linked through its intermediate
-    unknowns.
+    unknowns.  Returns the LSI and the timelines the gate skipped.
     """
     lsi = list(first)
     skipped = []
     for timeline in timelines:
-        if strategy is Strategy.CAUTIOUS and not timeline.endpoints_present:
-            ends = (("initial", timeline.initial), ("final", timeline.final))
-            skipped.append(SkippedSchema(
-                tuple(ev.kind.schema for ev in timeline.events),
-                timeline.locus, timeline.obj,
-                tuple(name for name, amount in ends if amount is None),
-            ))
+        if strategy is Strategy.CAUTIOUS and timeline.missing:
+            skipped.append(timeline)
             continue
         # Missing endpoints are introduced as fresh unknown states, the
         # initial one first; the cautious gate lets no such timeline here.
         amounts = [timeline.initial, *timeline.intermediates, timeline.final]
         for i, time in ((0, TimePoint.INITIAL), (-1, TimePoint.FINAL)):
             if amounts[i] is None:
-                amounts[i] = store.lookup_or_introduce(timeline.locus, timeline.obj,
-                                                       time)
+                amounts[i] = store.lookup_or_introduce(
+                    StateKey(timeline.locus, timeline.obj, time))
         for i, event in enumerate(timeline.events):
             lsi.append(change_instantiation(event, amounts[i], amounts[i + 1]))
     return lsi, skipped

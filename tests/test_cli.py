@@ -38,6 +38,21 @@ def test_solve_trace_shows_instantiation(tmp_path, capsys):
     assert "Schema Instantiations" in out
 
 
+def test_trace_renders_a_bare_place_of_a_termination_verb_as_where_it_happened(
+        tmp_path, capsys):
+    path = write_problem(tmp_path, "There were 5 apples in the basket. Tom ate 2 "
+                         "apples the basket. How many apples are there in the basket now?")
+    assert cli.main(["solve", path, "--trace"]) == 0
+    assert capsys.readouterr().out.splitlines()[:5] == [
+        "Propositions                       | Schema Instantiations",
+        "-" * 35 + "+" + "-" * 40,
+        "There were 5 apples in the basket  | Termination (place) (initially 5, "
+        "terminated 2, finally ?)",
+        "Tom ate 2 apples in the basket     |",
+        "There are ? apples in the basket   |",
+    ]
+
+
 def test_contradiction_exit_code_and_report(tmp_path, capsys):
     path = write_problem(tmp_path, by_id("candies-conflict").text)
     assert cli.main(["solve", path]) == 4
@@ -152,6 +167,18 @@ NOW = " How many apples does Ruth have now?"
     *[(f"Tom had 3 {w}. Tom got 2 {w}. How many {w} does Tom have now?",
        f"sentence 1: expected an object noun, found {w!r}")
       for w in ("7s", "1s", "hes", "ins", "tos", "ofs", "ans", "-3", "'", "--")],
+    ("Tom put 2 apples into Ruth.",
+     "sentence 1: expected a place noun, found the name 'Ruth'"),
+    ("How many apples did the boys have altogether?",
+     "sentence 1: class-noun questions need a change verb, found 'have'"),
+    ("Tom and Ruth had 3 apples more than Dan.",
+     "sentence 1: comparisons take a single subject"),
+    ("Tom had 3 apples altogether.",
+     "sentence 1: 'altogether' needs a conjunction of owners"),
+    ("3 boys remained in the room in the beginning.",
+     "sentence 1: time marker conflicts with the verb's meaning"),
+    ("Tom remained in the room.",
+     "sentence 1: a counted class noun must head this clause"),
 ])
 def test_non_ascii_word_or_self_comparison_is_not_understood_in_both_formats(
         tmp_path, capsys, text, message):

@@ -161,29 +161,26 @@ def test_lookup_or_introduce_creates_then_reuses():
     store = store_for("candy-gifts")
     key = StateKey(Ownership(proper("Ruth")), "candy", TimePoint.FINAL)
     assert key not in store.states
-    got = store.lookup_or_introduce(key.locus, key.obj, key.time)
+    got = store.lookup_or_introduce(key)
     assert got == Var("X")
     assert store.states[key] == Var("X")
-    again = store.lookup_or_introduce(key.locus, key.obj, key.time)
+    again = store.lookup_or_introduce(key)
     assert again == Var("X")
     assert store.states[key] == Var("X")  # no second unknown
 
 
 def test_lookup_finds_existing_known():
     store = store_for("basket-apples")
-    amount = store.lookup_or_introduce(Place(cls("basket")), "apple",
-                                       TimePoint.INITIAL)
-    assert amount == Known(4)
-    assert store.states[StateKey(Place(cls("basket")), "apple",
-                                 TimePoint.INITIAL)] == Known(4)
+    key = StateKey(Place(cls("basket")), "apple", TimePoint.INITIAL)
+    assert store.lookup_or_introduce(key) == Known(4)
+    assert store.states[key] == Known(4)
 
 
 def test_lookup_never_unifies_across_times():
     store = store_for("basket-apples")
-    initial = store.lookup_or_introduce(Place(cls("basket")), "apple",
-                                        TimePoint.INITIAL)
-    final = store.lookup_or_introduce(Place(cls("basket")), "apple",
-                                      TimePoint.FINAL)
+    basket = Place(cls("basket"))
+    initial = store.lookup_or_introduce(StateKey(basket, "apple", TimePoint.INITIAL))
+    final = store.lookup_or_introduce(StateKey(basket, "apple", TimePoint.FINAL))
     assert initial == Known(4)
     assert final == QUESTION
     assert store.states[StateKey(Place(cls("basket")), "apple",
@@ -245,7 +242,7 @@ def test_problem_one_timeline():
 
 def test_chain_timeline_has_intermediate():
     store = store_for("nuts-chain")
-    initial_lsi(store, LEX)  # the comparison introduces Dan's initial state
+    initial_lsi(store)  # the comparison introduces Dan's initial state
     timelines = build_timelines(store)
     dan = next(t for t in timelines
                if t.locus == Ownership(proper("Dan")))
@@ -274,7 +271,7 @@ def test_timelines_follow_first_events_and_take_every_endpoint():
             "Dan has. How many apples did Dan have in the beginning?")
     store = build_store(parse_problem(text, LEX), LEX)
     assert [key.locus.owner.name for key in store.states][:2] == ["Ruth", "Tom"]
-    initial_lsi(store, LEX)
+    initial_lsi(store)
     tom, ruth, dan = build_timelines(store)
     assert [(t.locus, t.obj) for t in (tom, ruth, dan)] == [
         (Ownership(proper("Tom")), "nut"), (Ownership(proper("Ruth")), "apple"),

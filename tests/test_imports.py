@@ -144,8 +144,10 @@ def unread_fields(sources):
     another class keeps and nothing reads.  test_field_reads.py watches
     the fields themselves while the package runs."""
     fields, read, declarations = [], set(), set()
-    for module, source in sources.items():
-        for node in ast.walk(ast.parse(source)):   # a class before its body
+    # every tree stays alive to the end, so no node reuses a declaration's id
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    for module, tree in trees.items():
+        for node in ast.walk(tree):   # a class before its body
             if isinstance(node, ast.ClassDef):
                 fields.extend((module, line, f"{node.name}.{name}")
                               for line, name in class_fields(node, declarations))

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -148,6 +150,11 @@ def test_proper_names_are_not_object_classes():
     assert LEX.normalize_noun("Ruth") is None
 
 
+def test_render_past_of_a_custom_verb_ending_in_consonant_y():
+    lex = load_lexicon_text(DEFAULT_LEXICON + "verb\tcarry\telementary:in:place\n")
+    assert lex.render_past("carry") == "carried"
+
+
 def test_fresh_regular_nouns_normalize():
     assert LEX.normalize_noun("kites") == "kite"
     assert LEX.normalize_noun("ponies") == "pony"
@@ -212,31 +219,35 @@ def test_lexicon_text_round_trip():
     assert lex.noun_forms["kites"] == "kite"
 
 
-@pytest.mark.parametrize("record", [
-    "number\tminus\t-5",
-    "number\tminus\tfive",
-    "number\tminus\t" + "1" * (MAX_DIGITS + 1),
-    "form\tgot\tget:future",
-    "form\tzapped\tzap:past",
-    "noun\tice cream\tice cream",
-    "noun\tand\tand",
-    "number\tDozen\t12",
-    "noun\tKites\tkite",
-    "pronoun\tIt\tm",
-    "pronoun\tit\tx",
-    "name\tPat\tn",
-    "verb\tzap\telementary:sideways:place",
-    "verb\tzap\telementary:In:place",
-    "verb\tzap\telementary:in:Place",
-    "verb\tzap\tcompound:up:ownership:agent+in:ownership:recipient",
+@pytest.mark.parametrize("record, message", [
+    ("number\tminus\t-5", "number '-5' is not a nonnegative decimal"),
+    ("number\tminus\tfive", "number 'five' is not a nonnegative decimal"),
+    ("number\tminus\t" + "1" * (MAX_DIGITS + 1),
+     f"numeral of {MAX_DIGITS + 1} digits is too long (at most {MAX_DIGITS})"),
+    ("form\tgot\tget:future", "'future' is not a valid Tense"),
+    ("form\tzapped\tzap:past", "form 'zapped' is of 'zap', which no verb record tables"),
+    ("noun\tice cream\tice cream", "noun 'ice cream' of class 'ice cream' holds a space"),
+    ("noun\tand\tand", "noun 'and' of class 'and' breaks the noun rule"),
+    ("number\tDozen\t12", "number 'Dozen' holds an upper-case letter"),
+    ("noun\tKites\tkite", "noun 'Kites' holds an upper-case letter"),
+    ("pronoun\tIt\tm", "pronoun 'It' holds an upper-case letter"),
+    ("pronoun\tit\tx", "pronoun 'it' has gender 'x', not f, m or group"),
+    ("name\tPat\tn", "name 'Pat' has gender 'n', not f, m or group"),
+    ("verb\tzap\telementary:sideways:place", "bad change kind sideways:place"),
+    ("verb\tzap\telementary:In:place", "bad change kind In:place"),
+    ("verb\tzap\telementary:in:Place", "bad change kind in:Place"),
+    ("verb\tzap\tcompound:up:ownership:agent+in:ownership:recipient",
+     "bad change kind up:ownership"),
+    ("verb\tzap\tcompound:in:ownership+out:ownership:source",
+     "bad compound component 'in:ownership'"),
 ], ids=["negative-number", "number-not-decimal", "number-too-long", "form-tense",
         "form-of-no-verb", "noun-with-space", "noun-rule", "number-upper-case",
         "noun-upper-case", "pronoun-upper-case", "pronoun-gender", "name-gender",
         "direction-unknown", "direction-upper-case", "locus-upper-case",
-        "compound-direction-unknown"])
-def test_a_record_the_tables_cannot_use_is_refused_with_its_line(record):
+        "compound-direction-unknown", "compound-component-without-role"])
+def test_a_record_the_tables_cannot_use_is_refused_with_its_line(record, message):
     line = DEFAULT_LEXICON.count("\n") + 1
-    with pytest.raises(LexiconFormatError, match=f"^line {line}: "):
+    with pytest.raises(LexiconFormatError, match=f"^line {line}: {re.escape(message)}$"):
         load_lexicon_text(DEFAULT_LEXICON + record + "\n")
 
 

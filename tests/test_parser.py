@@ -449,10 +449,31 @@ def test_proposition_render_reparse_round_trip(problem):
     "2 birds were born in the garden.",
     "1 bird was born in the garden.",
     "2 birds were born.",
+    "Tom fetched 2 apples into the basket.",
+    "Tom ate 2 cherries in the basket.",
+    "Tom made 2 dishes in the kitchen.",
 ])
 def test_event_render_reparse_round_trip(sentence):
     prop = _reparse_one(sentence)
     assert render_proposition(prop, LEX) == sentence
+
+
+@pytest.mark.parametrize("sentence, source, destination, rendered", [
+    # a bare place is the source of an out verb and the destination of any other
+    ("Tom put 2 apples the basket.", None, "basket", "Tom put 2 apples into the basket."),
+    ("Tom ate 2 apples the basket.", None, "basket", "Tom ate 2 apples in the basket."),
+    ("Tom ate 2 apples in the basket.", None, "basket", "Tom ate 2 apples in the basket."),
+    ("2 birds were born the garden.", None, "garden", "2 birds were born in the garden."),
+    ("2 boys left the room.", "room", None, "2 boys left the room."),
+    ("Tom dragged 3 apples out of the box.", "box", None,
+     "Tom dragged 3 apples from the box."),
+])
+def test_a_place_complement_is_the_events_source_or_destination(
+        sentence, source, destination, rendered):
+    prop = _reparse_one(sentence)
+    assert prop.source == (source and Entity(source, EntityKind.CLASS))
+    assert prop.destination == (destination and Entity(destination, EntityKind.CLASS))
+    assert render_proposition(prop, LEX) == rendered
 
 
 @pytest.mark.parametrize("n", [1, 2])

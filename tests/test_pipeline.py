@@ -204,7 +204,7 @@ def test_no_value_is_hashed_after_the_store_is_built(monkeypatch):
     stages = []
     for text in [p.text for p in CORPUS] + [chain_text(200)]:
         store = build_store(parse_problem(text, LEX), LEX)
-        stages.append((store, initial_lsi(store, LEX)))
+        stages.append((store, initial_lsi(store)))
     for name in ("__hash__", "__eq__"):
         monkeypatch.setattr(_Frozen, name, counted(name))
     for store, first in stages:

@@ -51,7 +51,7 @@ def store_for(problem_id):
 
 def cautious_lsi(store):
     """(lsi, skipped, timelines) of a store, in the pipeline's order."""
-    first = initial_lsi(store, LEX)
+    first = initial_lsi(store)
     timelines = build_timelines(store)
     lsi, skipped = build_lsi(store, timelines, Strategy.CAUTIOUS, first)
     return lsi, skipped, timelines
@@ -112,7 +112,7 @@ def test_zero_difference_compare():
 def test_statement_combine_instantiation():
     store = store_for("apples-altogether")
     [comb] = store.relations
-    [inst] = instantiate_combine(comb, store, LEX)
+    [inst] = instantiate_combine(comb, store)
     # Ruth's initial amount is the question itself; only Tom needs an unknown
     assert inst.render() == "Combine (X, plus ?, altogether 8)"
 
@@ -120,7 +120,7 @@ def test_statement_combine_instantiation():
 def test_event_combine_uses_deltas_not_cardinalities():
     store = store_for("tickets-bought")
     [comb] = store.relations
-    [inst] = instantiate_combine(comb, store, LEX)
+    [inst] = instantiate_combine(comb, store)
     assert inst.render() == "Combine (6, plus 8, altogether ?)"
     values = [q.value for _, q in inst.slots if isinstance(q, Known)]
     assert 5 not in values and 7 not in values
@@ -129,7 +129,7 @@ def test_event_combine_uses_deltas_not_cardinalities():
 def test_group_combine_over_owners():
     store = store_for("dolls-combine")
     [comb] = store.relations
-    [inst] = instantiate_combine(comb, store, LEX)
+    [inst] = instantiate_combine(comb, store)
     assert inst.render() == "Combine (3, plus 4, altogether ?)"
 
 
@@ -139,7 +139,7 @@ def test_unresolvable_combine():
     lonely = CombineProp("ticket", comb.total, comb.time, comb.parts, comb.group,
                          comb.verb, comb.sentence)  # nobody holds tickets
     with pytest.raises(UnresolvableCombine):
-        instantiate_combine(lonely, store, LEX)
+        instantiate_combine(lonely, store)
 
 
 # -- change schemas along timelines -------------------------------------------------
@@ -209,8 +209,11 @@ def test_basket_timeline_gated_in_eggs_problem():
     assert not any(si.kind == "Transfer-Out-Place"
                    and slot_values(si)[1] in (Known(5), Known(6)) for si in result.lsi)
     [skipped] = result.skipped
+    assert any(skipped is timeline for timeline in result.timelines)
     assert skipped.locus == basket
     assert skipped.missing == ("initial",)
+    # the two transfers judged extraneous keep their events and sentences
+    assert [e.sentence for e in skipped.events] == [1, 2]
 
 
 def test_cautious_subset_of_total_across_corpus():

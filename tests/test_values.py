@@ -46,7 +46,7 @@ from schemarith.pipeline import ProblemResult
 from schemarith.quantity import (
     QUESTION, Known, Question, TimePoint, Var, _Enum, _Frozen, render_quantity,
 )
-from schemarith.schema_engine import SchemaInstantiation, SkippedSchema, Strategy
+from schemarith.schema_engine import SchemaInstantiation, Strategy
 from schemarith.solver import (
     Contradiction,
     Equation,
@@ -117,10 +117,6 @@ FROZEN = {
         f("slots", (("left", Known(1)),), (("right", Known(1)),)),
         f("equation", Equation(Known(1), Known(2), Known(3)),
           Equation(Known(1), Var("X"), Known(3)))],
-    SkippedSchema: [f("kinds", ("Transfer-In-Ownership",), ("Creation (place)",)),
-                    f("locus", Ownership(RUTH), Place(BOX)),
-                    f("obj", "apple", "nut"),
-                    f("missing", ("initial",), ("final",))],
     Equation: [f("a", Known(1), Var("X")), f("b", Known(2), Known(5)),
                f("c", Known(3), QUESTION)],
     Solved: [f("answer", 6, 7)],
