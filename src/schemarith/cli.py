@@ -24,7 +24,7 @@ from .parser import ProblemTextError
 from .pipeline import render_text_report, result_to_dict, run_problem
 from .schema_engine import Strategy
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -179,7 +179,7 @@ def _summary(rows):
 
 
 def _write_stdout(output):
-    """Print a report dict as JSON, or a text; False if stdout is closed.
+    """Print a report dict as compact JSON, or a text; False if stdout is closed.
 
     A stdout whose encoding is outside the UTF family gets JSON with
     \\u escapes, and text with backslash escapes for what it cannot encode.
@@ -190,8 +190,7 @@ def _write_stdout(output):
         if not utf:
             output = output.encode(encoding, "backslashreplace").decode(encoding)
     else:
-        output = _dump_json(output, json.encoder.encode_basestring if utf
-                            else json.encoder.encode_basestring_ascii)
+        output = json.dumps(output, ensure_ascii=not utf, separators=(",", ":"))
     try:
         print(output)
         sys.stdout.flush()
@@ -201,70 +200,6 @@ def _write_stdout(output):
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return False
     return True
-
-
-def _dump_json(value, encode=json.encoder.encode_basestring):
-    """`json.dumps(value, indent=2, ensure_ascii=False)`, byte for byte.
-
-    The stdlib encodes in pure Python whenever `indent` is set.  This
-    walks dicts and lists the same way but encodes every string with
-    `encode`, by default the C encoder of `json.dumps`; with
-    `encode_basestring_ascii` it gives `ensure_ascii=True`.  Keys must be
-    strings, as they are in every report.
-    """
-    chunks = []
-    _dump(value, encode, "\n", chunks.append)
-    return "".join(chunks)
-
-
-_CONTAINERS = (dict, list, tuple)
-
-
-def _scalar(value, encode):
-    if isinstance(value, str):
-        return encode(value)
-    if type(value) is int:
-        return int.__repr__(value)
-    return json.dumps(value)   # float, bool, None: the stdlib's spelling
-
-
-def _dump(value, encode, newline, write):
-    """Write `value` as indented JSON, at the depth that `newline` gives."""
-    if not isinstance(value, _CONTAINERS):
-        write(_scalar(value, encode))
-        return
-    if not value:
-        write("{}" if isinstance(value, dict) else "[]")
-        return
-    inner = newline + "  "
-    comma = "," + inner
-    if isinstance(value, dict):
-        sep = "{" + inner
-        for key, item in value.items():
-            if type(item) is str:
-                write(sep + encode(key) + ": " + encode(item))
-            elif isinstance(item, _CONTAINERS):
-                write(sep + encode(key) + ": ")
-                _dump(item, encode, inner, write)
-            else:
-                write(sep + encode(key) + ": " + _scalar(item, encode))
-            sep = comma
-        write(newline + "}")
-        return
-    for item in value:
-        if isinstance(item, _CONTAINERS):
-            break
-    else:   # scalars only: one join
-        write("[" + inner + comma.join([encode(item) if type(item) is str
-                                        else _scalar(item, encode) for item in value])
-              + newline + "]")
-        return
-    sep = "[" + inner
-    for item in value:
-        write(sep)
-        _dump(item, encode, inner, write)
-        sep = comma
-    write(newline + "]")
 
 
 def build_arg_parser():

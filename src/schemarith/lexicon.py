@@ -207,8 +207,8 @@ class Lexicon:
     def lemmatize_verb(self, surface):
         """Map an inflected verb form to (lemma, tense); None if not a verb.
 
-        Irregular forms come from the table; regular -ed/-s/-ies endings
-        are stripped and checked against the lemma list.
+        Irregular forms come from the table; regular -ed/-ied/-s/-ies
+        endings are undone and checked against the lemma list.
         """
         w = surface.lower()
         if w in self.verb_forms:
@@ -219,6 +219,8 @@ class Lexicon:
             candidates = [w[:-1], w[:-2]]
             if len(w) > 4 and w[-3] == w[-4]:
                 candidates.append(w[:-3])
+            if w.endswith("ied"):
+                candidates.append(w[:-3] + "y")
             for cand in candidates:
                 if cand in self.verbs:
                     return (cand, Tense.PAST)

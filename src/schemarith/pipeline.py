@@ -90,7 +90,6 @@ def result_to_dict(result) -> dict:
     lsi = [
         {
             "kind": si.kind,
-            "rendered": si.render(),
             "slots": [[role, _slot_value(q)] for role, q in si.slots],
             "equation": si.equation.render(),
         }
@@ -101,7 +100,6 @@ def result_to_dict(result) -> dict:
         "strategy": result.strategy.value,
         "propositions": {"pre_split": pre_split, "post_split": post_split},
         "lsi": lsi,
-        "equations": [entry["equation"] for entry in lsi],
         "skipped": [
             {
                 "kinds": [event.kind.schema for event in timeline.events],

@@ -1,18 +1,16 @@
 import json
-import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from schemarith import cli
 from schemarith.corpus import CORPUS, CorpusProblem, by_id
 from schemarith.lexicon import MAX_DIGITS, load_default_lexicon
 from schemarith.schema_engine import Strategy
+from test_parser import chain_text
 
 LEX = load_default_lexicon()
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -95,8 +93,12 @@ def test_blank_line_separated_blocks(tmp_path, capsys):
     path = write_problem(tmp_path, text)
     assert cli.main(["solve", path, "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["format_version"] == 1
+    assert report["format_version"] == 2
     assert [p["answer"] for p in report["problems"]] == [6, 14]
+    for problem in report["problems"]:
+        assert "equations" not in problem
+        assert [sorted(entry) for entry in problem["lsi"]] == (
+            [["equation", "kind", "slots"]] * len(problem["lsi"]))
 
 
 def test_whitespace_only_line_separates_blocks(tmp_path, capsys):
@@ -299,8 +301,12 @@ def test_json_report_shape(tmp_path, capsys):
     assert problem["verdict"] == "solved"
     assert problem["answer"] == 14
     assert problem["propositions"]["pre_split"][0] == "David gave 3 candies to Ruth"
-    assert problem["lsi"][0]["rendered"] == "More (?, than X, by 4)"
-    assert problem["equations"] == ["? = X + 4", "X = 7 + 3"]
+    assert report["format_version"] == 2
+    assert problem["lsi"][0] == {
+        "kind": "More", "slots": [["left", "?"], ["right", "X"], ["by", 4]],
+        "equation": "? = X + 4"}
+    assert [entry["equation"] for entry in problem["lsi"]] == ["? = X + 4", "X = 7 + 3"]
+    assert "rendered" not in problem["lsi"][0] and "equations" not in problem
     assert "timing_ms" in problem
 
 
@@ -418,6 +424,22 @@ def test_lexicon_flag_and_env(tmp_path, monkeypatch, capsys):
     assert cli.main(["solve", problem, "--lexicon", str(custom)]) == 0
 
 
+@pytest.mark.parametrize("verb", ["carries", "carried"])
+def test_a_custom_consonant_y_verb_solves_in_both_tenses(tmp_path, capsys, verb):
+    from schemarith.lexicon import DEFAULT_LEXICON
+
+    custom = tmp_path / "lex.tsv"
+    custom.write_text(DEFAULT_LEXICON + "verb\tcarry\telementary:in:place\n",
+                      encoding="utf-8")
+    problem = write_problem(
+        tmp_path, f"There were 3 apples in the basket. Tom {verb} 2 apples into "
+                  "the basket. How many apples are there in the basket now?")
+    assert cli.main(["solve", problem, "--lexicon", str(custom), "--trace"]) == 0
+    out = capsys.readouterr().out
+    assert "Tom carried 2 apples into the basket" in out
+    assert out.endswith("Answer: 5\n")
+
+
 @pytest.mark.parametrize("problem, lexicon, via_env", [
     pytest.param(b"\xff\xfeRuth had 3 apples.", None, False, id="problem-not-utf8"),
     pytest.param(None, b"x\tbad\n", False, id="lexicon-malformed"),
@@ -457,31 +479,6 @@ def test_question_about_a_stated_amount_is_not_understood(tmp_path, capsys, text
 
 # --- The JSON writer and the writing of stdout ---
 
-SCALARS = (st.text()
-           | st.sampled_from(['"', "\\", '\\"\x00\x1f\x7f', "é ⇒ ø", "\U0001F600",
-                              "\u2028\u2029", ""])
-           | st.integers()
-           | st.integers(min_value=-2 ** 80, max_value=-2 ** 64)
-           | st.integers(min_value=2 ** 64, max_value=2 ** 80)
-           | st.floats()
-           | st.sampled_from([-0.0, math.nan, math.inf, -math.inf])
-           | st.booleans()
-           | st.none())
-JSON_VALUES = st.recursive(
-    SCALARS,
-    lambda children: (st.lists(children) | st.lists(children).map(tuple)
-                      | st.dictionaries(st.text(), children)),
-    max_leaves=30)
-
-
-@settings(max_examples=200, deadline=None)
-@given(JSON_VALUES)
-def test_dump_json_is_the_stdlib_indented_dump(value):
-    assert cli._dump_json(value) == json.dumps(value, indent=2, ensure_ascii=False)
-    assert (cli._dump_json(value, json.encoder.encode_basestring_ascii)
-            == json.dumps(value, indent=2))
-
-
 ERROR_TEXTS = (
     "Ruth had 3 apples. Gibberish withoutmeaning here. "
     "How many apples does Ruth have now?",
@@ -495,24 +492,16 @@ ERROR_TEXTS = (
     ["corpus", "--format", "json"],
     ["corpus", "--format", "json", "--strategy", "total"],
 ], ids=["solve", "corpus-cautious", "corpus-total"])
-def test_json_stdout_is_the_stdlib_indented_dump(tmp_path, capsys, monkeypatch, argv):
+def test_json_stdout_is_the_stdlib_compact_dump(tmp_path, capsys, argv):
     path = write_problem(
         tmp_path, "\n\n".join([p.text for p in CORPUS] + list(ERROR_TEXTS)))
-    reports = []
-    dump_json = cli._dump_json
-
-    def spy(value, *args):
-        reports.append(value)
-        return dump_json(value, *args)
-
-    monkeypatch.setattr(cli, "_dump_json", spy)
     cli.main([arg.format(path=path) for arg in argv])
-    [report] = reports
+    out = capsys.readouterr().out
+    report = json.loads(out)
     if argv[0] == "solve":
         assert len(report["problems"]) == len(CORPUS) + len(ERROR_TEXTS)
         assert sum("error" in p for p in report["problems"]) == len(ERROR_TEXTS)
-    assert capsys.readouterr().out == (
-        json.dumps(report, indent=2, ensure_ascii=False) + "\n")
+    assert out == json.dumps(report, ensure_ascii=False, separators=(",", ":")) + "\n"
 
 
 def test_json_stdout_skips_the_pure_python_encoder(tmp_path, capsys, monkeypatch):
@@ -529,8 +518,40 @@ def test_json_stdout_skips_the_pure_python_encoder(tmp_path, capsys, monkeypatch
     path = write_problem(tmp_path, by_id("candy-gifts").text)
     assert cli.main(["solve", path, "--format", "json"]) == 0
     assert cli.main(["corpus", "--format", "json"]) == 0
-    assert capsys.readouterr().out.count('"format_version": 1') == 2
+    assert capsys.readouterr().out.count('"format_version":2') == 2
     assert calls == []
+
+
+def _writer_calls(tmp_path, capsys, monkeypatch, text):
+    """Python and C calls made inside `_write_stdout` while it writes the
+    `solve --format json` report of `text`."""
+    events = []
+    write_stdout = cli._write_stdout
+
+    def profile(frame, event, arg):
+        if event in ("call", "c_call"):
+            events.append(event)
+
+    def counted(output):
+        sys.setprofile(profile)
+        try:
+            return write_stdout(output)
+        finally:
+            sys.setprofile(None)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_write_stdout", counted)
+        assert cli.main(["solve", write_problem(tmp_path, text), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["problems"][0]["verdict"] == "solved"
+    return len(events)
+
+
+def test_the_json_writer_makes_a_fixed_number_of_calls(tmp_path, capsys, monkeypatch):
+    # The C encoder writes the whole report, so the writer's work does not
+    # grow with the problem.
+    short = _writer_calls(tmp_path, capsys, monkeypatch, chain_text(20))
+    long = _writer_calls(tmp_path, capsys, monkeypatch, chain_text(200))
+    assert short == long <= 20
 
 
 def run_cli(args, **env):

@@ -155,6 +155,18 @@ def test_render_past_of_a_custom_verb_ending_in_consonant_y():
     assert lex.render_past("carry") == "carried"
 
 
+@pytest.mark.parametrize("lex", [
+    LEX, load_lexicon_text(DEFAULT_LEXICON + "verb\tcarry\telementary:in:place\n"),
+], ids=["default", "custom-carry"])
+def test_the_past_that_render_past_writes_lemmatizes_as_past(lex):
+    # The head word of each past form reads back as the past of its lemma,
+    # or of the lemma's head when the parser joins the particles itself.
+    for lemma in lex.verbs:
+        head = lex.render_past(lemma).split()[0]
+        assert lex.lemmatize_verb(head) in {
+            (lemma, Tense.PAST), (lemma.split()[0], Tense.PAST)}, (lemma, head)
+
+
 def test_fresh_regular_nouns_normalize():
     assert LEX.normalize_noun("kites") == "kite"
     assert LEX.normalize_noun("ponies") == "pony"
