@@ -59,15 +59,16 @@ def _run_text(text, lexicon, strategy=Strategy.CAUTIOUS, format="text", trace=Fa
         if format == "json":
             return code, result_to_dict(result)
         return code, render_text_report(result, trace)
-    except ProblemTextError as exc:
-        code, heading, error = EXIT_NOT_UNDERSTOOD, "Not understood", exc
-    except DataConflict as exc:
-        code, heading, error = EXIT_INCONSISTENT, "Contradiction in the problem data", exc
     except Exception as exc:
-        code, heading, error = EXIT_ERROR, "Internal error", exc
-    if format == "json":
-        return code, {"error": {"type": type(error).__name__, "message": str(error)}}
-    return code, f"{heading}: {error}"
+        if isinstance(exc, ProblemTextError):
+            code, heading = EXIT_NOT_UNDERSTOOD, "Not understood"
+        elif isinstance(exc, DataConflict):
+            code, heading = EXIT_INCONSISTENT, "Contradiction in the problem data"
+        else:
+            code, heading = EXIT_ERROR, "Internal error"
+        if format == "json":
+            return code, {"error": {"type": type(exc).__name__, "message": str(exc)}}
+        return code, f"{heading}: {exc}"
 
 
 def cmd_solve(inputs, lexicon, strategy, format, trace):

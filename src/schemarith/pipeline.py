@@ -1,6 +1,11 @@
-"""End-to-end run of one problem: parse, represent, instantiate, solve."""
+"""End-to-end run of one problem: parse, represent, instantiate, solve.
+
+A run and its report make no reference cycles, so each pauses the cyclic
+collector while it runs and then restores it.  The collector is process-wide.
+"""
 from __future__ import annotations
 
+import gc
 import time
 
 from .discourse import build_store, build_timelines
@@ -9,6 +14,21 @@ from .parser import parse_problem, render_locus
 from .quantity import Known, render_quantity
 from .schema_engine import Strategy, build_lsi, initial_lsi
 from .solver import Contradiction, Insufficient, Invalid, Solved, propagate
+
+
+def _collector_paused(run):
+    """`run` with the cyclic collector paused and then restored."""
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return run(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    paused.__name__ = paused.__qualname__ = run.__name__
+    paused.__doc__, paused.__wrapped__ = run.__doc__, run
+    return paused
 
 
 class ProblemResult:
@@ -41,13 +61,11 @@ class ProblemResult:
     def equations(self) -> list:
         return [si.equation for si in self.lsi]
 
-    def rendered_equations(self) -> list:
-        return [eq.render() for eq in self.equations]
-
     def rendered_lsi(self) -> list:
         return [si.render() for si in self.lsi]
 
 
+@_collector_paused
 def run_problem(text, lexicon=None, strategy=Strategy.CAUTIOUS) -> ProblemResult:
     """Understand and solve one problem text.
 
@@ -85,21 +103,21 @@ def verdict_dict(result) -> dict:
     return out
 
 
+@_collector_paused
 def result_to_dict(result) -> dict:
     """Stable JSON-ready form of a result (schema: docs/report-schema.md)."""
-    lsi = [
-        {
-            "kind": si.kind,
-            "slots": [[role, _slot_value(q)] for role, q in si.slots],
-            "equation": si.equation.render(),
-        }
-        for si in result.lsi
-    ]
     pre_split, post_split = result.store.render_propositions()
-    out = {
+    return {
         "strategy": result.strategy.value,
         "propositions": {"pre_split": pre_split, "post_split": post_split},
-        "lsi": lsi,
+        "lsi": [
+            {
+                "kind": si.kind,
+                "slots": [[role, _slot_value(q)] for role, q in si.slots],
+                "equation": si.equation.render(),
+            }
+            for si in result.lsi
+        ],
         "skipped": [
             {
                 "kinds": [event.kind.schema for event in timeline.events],
@@ -112,9 +130,8 @@ def result_to_dict(result) -> dict:
         "binding": dict(sorted(result.solve.binding.items())),
         "trace": list(result.solve.trace),
         "timing_ms": round(result.timing_ms, 3),
+        **verdict_dict(result),
     }
-    out.update(verdict_dict(result))
-    return out
 
 
 def _slot_value(q):
@@ -138,8 +155,7 @@ def render_text_report(result, trace=False) -> str:
             lines.append(f"{left:<{width}}| {right}".rstrip())
         lines.append("")
         lines.append("After splitting compound events:")
-        for p in split:
-            lines.append(f"  {p}")
+        lines.extend(f"  {p}" for p in split)
         if result.skipped:
             lines.append("")
             lines.append("Not recorded (cautious strategy):")
@@ -150,13 +166,11 @@ def render_text_report(result, trace=False) -> str:
                              f"amount not found, not recorded")
         lines.append("")
         lines.append("Equations:")
-        for eq in result.rendered_equations():
-            lines.append(f"  {eq}")
+        lines.extend(f"  {si.equation.render()}" for si in result.lsi)
         if result.solve.trace:
             lines.append("")
             lines.append("Propagation:")
-            for step in result.solve.trace:
-                lines.append(f"  {step}")
+            lines.extend(f"  {step}" for step in result.solve.trace)
         lines.append("")
     v = verdict_dict(result)
     if result.verdict_name == "solved":

@@ -1,17 +1,21 @@
 """End-to-end runs outside the bundled corpus, plus report rendering."""
+import gc
 import sys
 from collections import Counter
+from contextlib import nullcontext
 from enum import Enum
 
 import pytest
 
+from test_golden import PROBLEMS
 from test_parser import chain_text
 
 from schemarith import cli
 from schemarith.corpus import CORPUS
-from schemarith.discourse import PropositionStore, build_store, build_timelines
+from schemarith.discourse import (DataConflict, PropositionStore, build_store,
+                                  build_timelines)
 from schemarith.lexicon import load_default_lexicon
-from schemarith.parser import StateKey, parse_problem, tokenize
+from schemarith.parser import NoQuestion, ParseError, StateKey, parse_problem, tokenize
 from schemarith.pipeline import render_text_report, result_to_dict, run_problem
 from schemarith.quantity import Question, _Frozen
 from schemarith.schema_engine import Strategy, build_lsi, initial_lsi
@@ -275,3 +279,118 @@ def test_value_constructions_per_elementary_event(monkeypatch):
     # the corpus and the chain build 7.38 values per elementary event (2,413
     # over 327 events)
     assert sum(built.values()) <= 8 * events, built
+
+
+# -- cyclic collector --------------------------------------------------------------
+#
+# `run_problem` and `result_to_dict` pause the cyclic collector while they
+# run.  That is safe because no run path leaves cyclic garbage behind.
+
+
+def backward_chain_text(k):
+    """`chain_text(k)` asking the initial amount, from the final one."""
+    text = chain_text(k)
+    changes = text[text.index(". ") + 2: text.index(" How many")]
+    final = run_problem(text, LEX).answer
+    return (f"{changes} Now Dan has {final} nuts. "
+            "How many nuts did Dan have in the beginning?")
+
+
+REFUSED = [
+    "Tom flurbled 3 apples. How many apples does Tom have now?",   # unknown word
+    "Ruth had 3 apples. Ruth ate 1 apple.",                        # no question
+    "Ruth had 3 apples. Ruth had 4 apples. "                       # data conflict
+    "How many apples does Ruth have now?",
+    "Ruth had 3 apples. Tom gave. How many apples does Ruth have now?",  # no object
+    "",                                                            # empty input
+]
+
+
+@pytest.fixture
+def collector_paused():
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.collect()
+    yield
+    if enabled:
+        gc.enable()
+
+
+@pytest.mark.parametrize("name,texts", [
+    ("corpus-and-golden", list(PROBLEMS.values())),
+    ("chains", [chain_text(200), backward_chain_text(200)]),
+])
+def test_no_run_or_report_makes_cyclic_garbage(collector_paused, name, texts):
+    for text in texts:
+        for strategy in Strategy:
+            result = run_problem(text, LEX, strategy)
+            result_to_dict(result)
+            render_text_report(result, trace=True)
+            del result
+            assert gc.collect() == 0, (name, text[:40], strategy)
+
+
+@pytest.mark.parametrize("form", [["--format", "json"], [], ["--trace"]])
+def test_no_refusal_makes_cyclic_garbage(collector_paused, form, tmp_path, capsys,
+                                         monkeypatch):
+    # An argparse parser is a graph of cycles (about 120 objects) that each
+    # `main` builds afresh, and building it leaves garbage of its own; so
+    # the calls share one, built and collected before the count.
+    parser = cli.build_arg_parser()
+    monkeypatch.setattr(cli, "build_arg_parser", lambda: parser)
+    gc.collect()
+    for text in REFUSED:
+        path = tmp_path / "refused.txt"
+        path.write_text(text, encoding="utf-8")
+        assert cli.main(["solve", str(path), *form]) in (2, 4)
+        capsys.readouterr()
+        assert gc.collect() == 0, (form, text)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("call,text,raises", [
+    (run_problem, CORPUS[0].text, None),
+    (result_to_dict, CORPUS[0].text, None),
+    (run_problem, "Tom had 3 apples. How many how apples?", ParseError),
+    (run_problem, "Tom had 3 apples.", NoQuestion),
+    (run_problem, REFUSED[2], DataConflict),
+], ids=["run", "report", "parse-error", "no-question", "data-conflict"])
+def test_the_collector_state_is_restored(enabled, call, text, raises):
+    args = (text, LEX) if call is run_problem else (run_problem(text, LEX),)
+    before = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with pytest.raises(raises) if raises else nullcontext():
+            call(*args)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if before else gc.disable)()
+
+
+def test_no_collection_starts_inside_a_run_or_its_report():
+    """Left running, the collector starts 6 collections inside `run_problem`
+    on this chain and 1 inside `result_to_dict`, each a rescan of the run's
+    live objects.  A collection owed when the run ends must not start
+    inside the report either."""
+    counts = Counter()
+    inside = [None]
+
+    def count(phase, info):
+        if phase == "start" and inside[0]:
+            counts[inside[0]] += 1
+
+    text = chain_text(200)
+    before = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(count)
+    try:
+        gc.collect()
+        inside[0] = "run_problem"
+        result = run_problem(text, LEX)
+        inside[0] = "result_to_dict"
+        result_to_dict(result)
+        inside[0] = None
+    finally:
+        gc.callbacks.remove(count)
+        (gc.enable if before else gc.disable)()
+    assert counts == {}, counts

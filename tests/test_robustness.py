@@ -47,7 +47,8 @@ def test_sentence_transposition_preserves_solution(problem):
         result = run_problem(" ".join(shuffled), LEX)
         assert outcome(result) == outcome(base)
         assert equation_sets_equal(result.equations, base.equations), \
-            (problem.id, result.rendered_equations(), base.rendered_equations())
+            (problem.id, [eq.render() for eq in result.equations],
+             [eq.render() for eq in base.equations])
 
 
 @pytest.mark.parametrize("problem", PRONOUN_FREE, ids=lambda p: p.id)
