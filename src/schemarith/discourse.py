@@ -226,11 +226,6 @@ class PropositionStore:
 
     # -- queries -----------------------------------------------------------
 
-    def has_question(self) -> bool:
-        return (any(isinstance(q, Question) for q in self.states.values())
-                or any(isinstance(rel, CombineProp) and isinstance(rel.total, Question)
-                       for rel in self.relations))
-
     def proper_owner_loci(self, obj):
         """Ownership loci of the proper-name owners holding any state of the
         object class, in order."""

@@ -1,7 +1,8 @@
 """End-to-end run of one problem: parse, represent, instantiate, solve.
 
-A run and its report make no reference cycles, so each pauses the cyclic
-collector while it runs and then restores it.  The collector is process-wide.
+A run and its reports make no reference cycles, so `run_problem`,
+`result_to_dict` and `render_text_report` each pause the cyclic collector
+while they run and then restore it.  The collector is process-wide.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from .lexicon import load_default_lexicon
 from .parser import parse_problem, render_locus
 from .quantity import Known, render_quantity
 from .schema_engine import Strategy, build_lsi, initial_lsi
-from .solver import Contradiction, Insufficient, Invalid, Solved, propagate
+from .solver import Solved, propagate
 
 
 def _collector_paused(run):
@@ -57,10 +58,6 @@ class ProblemResult:
     def answer(self):
         return self.solve.question_value if isinstance(self.verdict, Solved) else None
 
-    @property
-    def equations(self) -> list:
-        return [si.equation for si in self.lsi]
-
     def rendered_lsi(self) -> list:
         return [si.render() for si in self.lsi]
 
@@ -82,31 +79,18 @@ def run_problem(text, lexicon=None, strategy=Strategy.CAUTIOUS) -> ProblemResult
     first = initial_lsi(store)
     timelines = build_timelines(store)
     lsi, skipped = build_lsi(store, timelines, strategy, first)
-    solve = propagate(lsi, store)
+    solve = propagate(lsi)
     elapsed = (time.perf_counter() - start) * 1000.0
     return ProblemResult(strategy, store, timelines, lsi, skipped, solve, elapsed)
 
 
-def verdict_dict(result) -> dict:
-    v = result.verdict
-    out = {"verdict": result.verdict_name}
-    if isinstance(v, Solved):
-        out["answer"] = v.answer
-    elif isinstance(v, Insufficient):
-        out["unresolved"] = list(v.unresolved)
-    elif isinstance(v, Contradiction):
-        out["equation"] = v.equation
-        out["detail"] = v.detail
-    elif isinstance(v, Invalid):
-        out["equation"] = v.equation
-        out["value"] = v.value
-    return out
-
-
 @_collector_paused
 def result_to_dict(result) -> dict:
-    """Stable JSON-ready form of a result (schema: docs/report-schema.md)."""
+    """Stable JSON-ready form of a result (schema: docs/report-schema.md).
+    It ends with the verdict's name and then the verdict's own fields, in
+    the order of its class's ``__slots__``."""
     pre_split, post_split = result.store.render_propositions()
+    verdict = result.verdict
     return {
         "strategy": result.strategy.value,
         "propositions": {"pre_split": pre_split, "post_split": post_split},
@@ -130,7 +114,8 @@ def result_to_dict(result) -> dict:
         "binding": dict(sorted(result.solve.binding.items())),
         "trace": list(result.solve.trace),
         "timing_ms": round(result.timing_ms, 3),
-        **verdict_dict(result),
+        "verdict": result.verdict_name,
+        **{name: getattr(verdict, name) for name in verdict.__slots__},
     }
 
 
@@ -138,6 +123,7 @@ def _slot_value(q):
     return q.value if isinstance(q, Known) else render_quantity(q)
 
 
+@_collector_paused
 def render_text_report(result, trace=False) -> str:
     """Human-readable report; with trace, a two-column table of the
     propositions against the recorded schema instantiations, then the
@@ -172,16 +158,15 @@ def render_text_report(result, trace=False) -> str:
             lines.append("Propagation:")
             lines.extend(f"  {step}" for step in result.solve.trace)
         lines.append("")
-    v = verdict_dict(result)
+    v = result.verdict
     if result.verdict_name == "solved":
-        lines.append(f"Answer: {v['answer']}")
+        lines.append(f"Answer: {v.answer}")
     elif result.verdict_name == "insufficient":
-        unresolved = ", ".join(v["unresolved"]) or "the question"
+        unresolved = ", ".join(v.unresolved) or "the question"
         lines.append(f"Insufficient data: could not determine {unresolved}")
     elif result.verdict_name == "contradiction":
-        lines.append(f"Contradiction in the problem data: {v['equation']} "
-                     f"({v['detail']})")
+        lines.append(f"Contradiction in the problem data: {v.equation} "
+                     f"({v.detail})")
     else:
-        lines.append(f"Invalid amount derived: {v['equation']} "
-                     f"gives {v['value']}")
+        lines.append(f"Invalid amount derived: {v.equation} gives {v.value}")
     return "\n".join(lines)

@@ -6,9 +6,10 @@ and once per stated amount, so propagation reads and binds them in lists.
 It resolves any equation with exactly one unbound slot, and an index from
 each unknown slot to the equations that mention it decides which
 equations can have changed (AC-3 style, Mackworth 1977).
-It terminates with the question's value, a report of which unknowns
-stayed free, a contradiction between stated amounts, or a derived
-negative amount.  A slot is bound at most once and each binding revisits
+It reads the equations of the schema-instantiation list alone and
+terminates with the question's value, a report of which unknowns stayed
+free, a contradiction between stated amounts, or a derived negative
+amount.  A slot is bound at most once and each binding revisits
 only the equations that mention it, so an equation is visited at most
 four times: a chain of k changes costs O(k) visits whichever end of it
 the question asks about.
@@ -101,7 +102,7 @@ def _slot(q):
     raise MalformedLSI(f"not a quantity: {q!r}")
 
 
-def propagate(lsi, store) -> SolveResult:
+def propagate(lsi) -> SolveResult:
     """Run the equations of a schema-instantiation list to fixpoint.
 
     A worklist visits the equations in (pass, index) order.  Every
@@ -121,12 +122,10 @@ def propagate(lsi, store) -> SolveResult:
 
     Verdict precedence at fixpoint: a violated fully-known equation wins
     (contradiction), then a derived negative amount, then a bound question
-    (solved), otherwise insufficiency.  Negative derivations are recorded
-    but never bound, and no slot is ever rebound, so the verdict does not
-    depend on equation order.
+    (solved), otherwise insufficiency, also when no equation mentions the
+    question.  Negative derivations are recorded but never bound, and no
+    slot is ever rebound, so the verdict does not depend on equation order.
     """
-    if not store.has_question():
-        raise MalformedLSI("the problem has no question quantity")
     equations = [si.equation for si in lsi]
     index = {}    # slot key -> slot number
     names = []    # per slot: the unknown's name; None if stated or the question
@@ -226,13 +225,12 @@ def propagate(lsi, store) -> SolveResult:
 def verify(lsi, binding, question_value=None) -> bool:
     """True iff every equation holds exactly under a total binding.
 
-    `binding` maps unknown names to values; the question's value may ride
-    along in the map under "?" or be passed separately.  Any unbound slot
-    makes the check fail; a slot that is not an amount raises
-    MalformedLSI, as in `propagate`.
+    `binding` maps unknown names to values and `question_value` is the
+    question's.  Any unbound slot makes the check fail; a slot that is not
+    an amount raises MalformedLSI, as in `propagate`.
     """
     values = dict(binding)
-    values[QUESTION] = binding.get("?") if question_value is None else question_value
+    values[QUESTION] = question_value
     for si in lsi:
         quantities = si.equation.quantities()
         vals = [q.value if key is None else values.get(key)

@@ -188,7 +188,7 @@ def _sweep_free_vars(equations, state):
     return names
 
 
-def propagate_sweep(lsi, store) -> SolveResult:
+def propagate_sweep(lsi) -> SolveResult:
     """Run the equations of a schema-instantiation list to fixpoint.
 
     The solver's original algorithm, kept as the reference its worklist
@@ -201,8 +201,6 @@ def propagate_sweep(lsi, store) -> SolveResult:
     but never bound, and no slot is ever rebound, so the verdict does not
     depend on equation order.
     """
-    if not store.has_question():
-        raise MalformedLSI("the problem has no question quantity")
     equations = [si.equation for si in lsi]
     state = _SweepState()
     trace = []

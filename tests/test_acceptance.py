@@ -67,7 +67,7 @@ def test_criterion_two_gift_compare_problem():
     assert len(result.lsi) == 2
     assert result.verdict == Solved(14)
     # the oracle agrees and the solution is unique: X = 10, ? = 14
-    [solution] = enumerate_solutions(result.equations, bound=50)
+    [solution] = enumerate_solutions([si.equation for si in result.lsi], bound=50)
     assert solution == {"?": 14, "X": 10}
     assert elapsed < 1.0
     ok("two-gift problem: representation matches, 2 instantiations, answer 14")
@@ -117,7 +117,8 @@ def test_criterion_robustness():
             result = run_problem(" ".join(shuffled), LEX)
             assert (result.verdict_name, result.answer) \
                 == (base.verdict_name, base.answer), problem.id
-            assert equation_sets_equal(result.equations, base.equations), problem.id
+            assert equation_sets_equal([si.equation for si in result.lsi],
+                                       [si.equation for si in base.lsi]), problem.id
         padded = parts[:]
         for extra in extraneous:
             padded.insert(rng.randrange(len(padded) + 1), extra)
@@ -136,7 +137,8 @@ def test_criterion_strategy_contrast():
         return sum(1 for si in result.lsi if si.kind not in ("More", "Less", "Combine"))
 
     assert change_count(total) - change_count(cautious) >= 3
-    assert equations_subset(cautious.equations, total.equations)
+    assert equations_subset([si.equation for si in cautious.lsi],
+                            [si.equation for si in total.lsi])
     for problem in CORPUS:
         a = run_problem(problem.text, LEX, Strategy.CAUTIOUS)
         b = run_problem(problem.text, LEX, Strategy.TOTAL)
@@ -152,7 +154,7 @@ def test_criterion_solver_properties():
     rng = random.Random(77)
     for problem in CORPUS:
         result = run_problem(problem.text, LEX)
-        solutions = enumerate_solutions(result.equations, bound=50)
+        solutions = enumerate_solutions([si.equation for si in result.lsi], bound=50)
         if problem.expected_verdict == "contradiction":
             assert solutions == []
             assert isinstance(result.verdict, Contradiction)
@@ -162,7 +164,7 @@ def test_criterion_solver_properties():
         for _ in range(50):
             shuffled = list(result.lsi)
             rng.shuffle(shuffled)
-            rerun = propagate(shuffled, result.store)
+            rerun = propagate(shuffled)
             assert type(rerun.verdict) is type(result.verdict)
             assert rerun.question_value == result.solve.question_value
         if isinstance(result.verdict, Solved):

@@ -248,6 +248,45 @@ def test_data_conflict_in_both_formats(tmp_path, capsys):
                        "error": {"type": "DataConflict", "message": message}}
 
 
+VERDICT_PROBLEMS = [
+    by_id("candy-gifts").text,
+    "Tom got 2 apples. How many apples does Tom have now?",
+    by_id("candies-conflict").text,
+    "Ruth had 3 apples. Ruth gave 5 apples to Tom. How many apples does Ruth have now?",
+]
+
+
+@pytest.mark.parametrize("strategy,lines", [
+    ("cautious", ["Answer: 14",
+                  "Insufficient data: could not determine the question",
+                  "Contradiction in the problem data: 10 = 9 + 3 "
+                  "(9 + 3 = 12, but 10 is required)",
+                  "Invalid amount derived: 3 = ? + 5 gives -2"]),
+    ("total", ["Answer: 14",
+               "Insufficient data: could not determine X",
+               "Contradiction in the problem data: 10 = 9 + 3 "
+               "(9 + 3 = 12, but 10 is required)",
+               "Invalid amount derived: 3 = ? + 5 gives -2"]),
+])
+def test_a_verdict_reports_the_fields_of_its_class(tmp_path, capsys, strategy, lines):
+    """Each JSON problem ends with `verdict` and then its verdict class's
+    fields in `__slots__` order; each text report ends with its verdict line."""
+    from schemarith import solver
+
+    path = write_problem(tmp_path, "\n\n".join(VERDICT_PROBLEMS))
+    assert cli.main(["solve", path, "--format", "json", "--strategy", strategy]) == 3
+    problems = json.loads(capsys.readouterr().out)["problems"]
+    assert [p["verdict"] for p in problems] == \
+        ["solved", "insufficient", "contradiction", "invalid"]
+    for problem in problems:
+        fields = getattr(solver, problem["verdict"].title()).__slots__
+        assert list(problem)[-1 - len(fields):] == ["verdict", *fields]
+        assert list(problem)[-2 - len(fields)] == "timing_ms"
+    assert cli.main(["solve", path, "--strategy", strategy]) == 3
+    reports = capsys.readouterr().out.rstrip("\n").split("\n\n")
+    assert [report.split("\n")[-1] for report in reports] == lines
+
+
 def test_solve_builds_only_the_report_form_asked_for(tmp_path, capsys, monkeypatch):
     calls = {"result_to_dict": 0, "render_text_report": 0}
     for name in calls:

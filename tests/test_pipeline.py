@@ -213,7 +213,7 @@ def test_no_value_is_hashed_after_the_store_is_built(monkeypatch):
         monkeypatch.setattr(_Frozen, name, counted(name))
     for store, first in stages:
         lsi, _ = build_lsi(store, build_timelines(store), Strategy.CAUTIOUS, first)
-        propagate(lsi, store)
+        propagate(lsi)
     assert not calls, calls
 
 
@@ -283,8 +283,8 @@ def test_value_constructions_per_elementary_event(monkeypatch):
 
 # -- cyclic collector --------------------------------------------------------------
 #
-# `run_problem` and `result_to_dict` pause the cyclic collector while they
-# run.  That is safe because no run path leaves cyclic garbage behind.
+# `run_problem`, `result_to_dict` and `render_text_report` pause the cyclic
+# collector while they run.  That is safe because no run path leaves cyclic garbage behind.
 
 
 def backward_chain_text(k):
@@ -351,10 +351,12 @@ def test_no_refusal_makes_cyclic_garbage(collector_paused, form, tmp_path, capsy
 @pytest.mark.parametrize("call,text,raises", [
     (run_problem, CORPUS[0].text, None),
     (result_to_dict, CORPUS[0].text, None),
+    (render_text_report, CORPUS[0].text, None),
     (run_problem, "Tom had 3 apples. How many how apples?", ParseError),
     (run_problem, "Tom had 3 apples.", NoQuestion),
     (run_problem, REFUSED[2], DataConflict),
-], ids=["run", "report", "parse-error", "no-question", "data-conflict"])
+], ids=["run", "report", "text-report", "parse-error", "no-question",
+        "data-conflict"])
 def test_the_collector_state_is_restored(enabled, call, text, raises):
     args = (text, LEX) if call is run_problem else (run_problem(text, LEX),)
     before = gc.isenabled()
@@ -369,9 +371,10 @@ def test_the_collector_state_is_restored(enabled, call, text, raises):
 
 def test_no_collection_starts_inside_a_run_or_its_report():
     """Left running, the collector starts 6 collections inside `run_problem`
-    on this chain and 1 inside `result_to_dict`, each a rescan of the run's
-    live objects.  A collection owed when the run ends must not start
-    inside the report either."""
+    on this chain, 1 inside `result_to_dict` and 1 inside
+    `render_text_report` with the trace, each a rescan of the run's live
+    objects.  A collection owed when the run ends must not start inside
+    either report."""
     counts = Counter()
     inside = [None]
 
@@ -389,6 +392,8 @@ def test_no_collection_starts_inside_a_run_or_its_report():
         result = run_problem(text, LEX)
         inside[0] = "result_to_dict"
         result_to_dict(result)
+        inside[0] = "render_text_report"
+        render_text_report(result, trace=True)
         inside[0] = None
     finally:
         gc.callbacks.remove(count)

@@ -220,7 +220,8 @@ def test_cautious_subset_of_total_across_corpus():
     for problem in CORPUS:
         cautious = run_problem(problem.text, LEX, Strategy.CAUTIOUS)
         total = run_problem(problem.text, LEX, Strategy.TOTAL)
-        assert equations_subset(cautious.equations, total.equations), problem.id
+        assert equations_subset([si.equation for si in cautious.lsi],
+                                [si.equation for si in total.lsi]), problem.id
 
 
 def test_one_event_fidelity():
@@ -232,6 +233,6 @@ def test_one_event_fidelity():
 def test_equations_normalize_to_sum_form():
     for problem in CORPUS:
         result = run_problem(problem.text, LEX)
-        for eq in result.equations:
+        for eq in (si.equation for si in result.lsi):
             assert len(eq.quantities()) == 3
             assert " = " in eq.render() and " + " in eq.render()

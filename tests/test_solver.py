@@ -35,17 +35,12 @@ class FakeInstantiation:
         self.equation = equation
 
 
-class FakeStore:
-    def has_question(self):
-        return True
-
-
 def lsi_of(*equations):
     return [FakeInstantiation(eq) for eq in equations]
 
 
 def test_single_step_solution():
-    result = propagate(lsi_of(Equation(Known(4), Known(2), QUESTION)), FakeStore())
+    result = propagate(lsi_of(Equation(Known(4), Known(2), QUESTION)))
     assert result.verdict == Solved(6)
     assert result.trace == ["? = 4 + 2 ⇒ ? = 6"]
 
@@ -54,7 +49,7 @@ def test_two_step_solution():
     result = propagate(lsi_of(
         Equation(Var("X"), Known(4), QUESTION),   # ? = X + 4
         Equation(Known(7), Known(3), Var("X")),   # X = 7 + 3
-    ), FakeStore())
+    ))
     assert result.verdict == Solved(14)
     assert result.binding == {"X": 10}
 
@@ -64,35 +59,33 @@ def test_contradiction_on_fully_known_equation():
         Equation(QUESTION, Known(4), Var("X")),
         Equation(Known(9), Known(3), Known(10)),  # 9 + 3 is not 10
         Equation(Known(7), Known(2), Var("X")),
-    ), FakeStore())
+    ))
     assert isinstance(result.verdict, Contradiction)
     assert result.verdict.equation == "10 = 9 + 3"
 
 
 def test_negative_derivation_is_invalid():
-    result = propagate(lsi_of(Equation(QUESTION, Known(5), Known(2))), FakeStore())
+    result = propagate(lsi_of(Equation(QUESTION, Known(5), Known(2))))
     assert isinstance(result.verdict, Invalid)
     assert result.verdict.value == -3
 
 
 def test_empty_lsi_is_insufficient():
-    result = propagate([], FakeStore())
+    result = propagate([])
     assert isinstance(result.verdict, Insufficient)
 
 
 def test_unconstrained_unknowns_reported():
-    result = propagate(lsi_of(Equation(Var("A"), Var("B"), QUESTION)), FakeStore())
+    result = propagate(lsi_of(Equation(Var("A"), Var("B"), QUESTION)))
     assert isinstance(result.verdict, Insufficient)
     assert set(result.verdict.unresolved) == {"A", "B"}
 
 
-def test_missing_question_is_malformed():
-    class NoQuestionStore:
-        def has_question(self):
-            return False
-
-    with pytest.raises(MalformedLSI):
-        propagate([], NoQuestionStore())
+def test_an_lsi_without_the_question_is_insufficient():
+    result = propagate(lsi_of(Equation(Known(1), Known(2), Var("X"))))
+    assert result.verdict == Insufficient(())
+    assert result.binding == {"X": 3}
+    assert result.question_value is None
 
 
 def test_an_unknown_named_question_mark_is_its_own_slot():
@@ -100,13 +93,20 @@ def test_an_unknown_named_question_mark_is_its_own_slot():
         Equation(Known(1), Known(2), Var("?")),   # the unknown "?" = 1 + 2
         Equation(Var("?"), Known(4), QUESTION),   # the question = "?" + 4
     )
-    result = propagate(lsi, FakeStore())
+    result = propagate(lsi)
     assert result.verdict == Solved(7)
     assert result.binding == {"?": 3}
     assert result.trace == ["? = 1 + 2 ⇒ ? = 3", "? = ? + 4 with ? = 3 ⇒ ? = 7"]
     assert verify(lsi, {"?": 3}, question_value=7)
     assert not verify(lsi, {"?": 3})
-    assert_same_run(lsi, FakeStore())
+    assert_same_run(lsi)
+
+
+def test_verify_reads_the_question_only_from_its_argument():
+    lsi = lsi_of(Equation(Var("?"), Known(0), QUESTION))   # the question = "?" + 0
+    assert not verify(lsi, {"?": 5})
+    assert verify(lsi, {"?": 5}, question_value=5)
+    assert not verify(lsi, {"?": 5}, question_value=4)
 
 
 def test_solved_even_with_free_side_unknowns():
@@ -114,7 +114,7 @@ def test_solved_even_with_free_side_unknowns():
     result = propagate(lsi_of(
         Equation(Known(4), Known(2), QUESTION),
         Equation(Var("J"), Known(2), Var("K")),
-    ), FakeStore())
+    ))
     assert result.verdict == Solved(6)
 
 
@@ -144,7 +144,7 @@ def test_verify_raises_on_a_slot_that_is_not_a_quantity():
     with pytest.raises(MalformedLSI):
         verify(lsi, {"X": 3})
     with pytest.raises(MalformedLSI):
-        propagate(lsi, FakeStore())
+        propagate(lsi)
 
 
 # -- corpus-level properties -----------------------------------------------------
@@ -154,7 +154,7 @@ def test_verify_raises_on_a_slot_that_is_not_a_quantity():
 def test_oracle_equivalence(problem):
     """Exhaustive 0..50 enumeration agrees with propagation on every problem."""
     result = run_problem(problem.text, LEX)
-    solutions = enumerate_solutions(result.equations, bound=50)
+    solutions = enumerate_solutions([si.equation for si in result.lsi], bound=50)
     if problem.expected_verdict == "contradiction":
         assert solutions == []
         assert isinstance(result.verdict, Contradiction)
@@ -165,10 +165,11 @@ def test_oracle_equivalence(problem):
 
 @pytest.mark.parametrize(
     "problem",
-    [p for p in CORPUS if len(unknown_names(run_problem(p.text, LEX).equations)) <= 3],
+    [p for p in CORPUS
+     if len(unknown_names([si.equation for si in run_problem(p.text, LEX).lsi])) <= 3],
     ids=lambda p: p.id)
 def test_pruned_oracle_agrees_with_naive_scan(problem):
-    equations = run_problem(problem.text, LEX).equations
+    equations = [si.equation for si in run_problem(problem.text, LEX).lsi]
     assert enumerate_solutions(equations, bound=50) \
         == enumerate_solutions_naive(equations, bound=50)
 
@@ -180,7 +181,7 @@ def test_confluence_under_shuffling(problem):
     for _ in range(50):
         shuffled = list(base.lsi)
         rng.shuffle(shuffled)
-        result = propagate(shuffled, base.store)
+        result = propagate(shuffled)
         assert type(result.verdict) is type(base.verdict)
         assert result.question_value == base.solve.question_value
 
@@ -232,7 +233,7 @@ def test_chain_propagation_matches_arithmetic(chain, rng):
             equations.append(Equation(after, Known(magnitude), before))
     order = list(equations)
     rng.shuffle(order)
-    result = propagate(lsi_of(*order), FakeStore())
+    result = propagate(lsi_of(*order))
     assert result.verdict == Solved(values[-1])
 
 
@@ -250,9 +251,9 @@ slots = st.one_of(
 systems = st.lists(st.builds(Equation, slots, slots, slots), max_size=8)
 
 
-def assert_same_run(lsi, store):
-    result = propagate(lsi, store)
-    reference = propagate_sweep(lsi, store)
+def assert_same_run(lsi):
+    result = propagate(lsi)
+    reference = propagate_sweep(lsi)
     assert result.verdict == reference.verdict
     assert result.binding == reference.binding
     assert result.question_value == reference.question_value
@@ -262,7 +263,7 @@ def assert_same_run(lsi, store):
 
 @given(systems)
 def test_worklist_matches_sweep(equations):
-    assert_same_run(lsi_of(*equations), FakeStore())
+    assert_same_run(lsi_of(*equations))
 
 
 @pytest.mark.parametrize("problem", CORPUS, ids=lambda p: p.id)
@@ -272,7 +273,7 @@ def test_worklist_matches_sweep_on_shuffled_corpus(problem):
     for _ in range(20):
         shuffled = list(base.lsi)
         rng.shuffle(shuffled)
-        assert_same_run(shuffled, base.store)
+        assert_same_run(shuffled)
 
 
 # -- linearity gate ---------------------------------------------------------------
@@ -295,7 +296,7 @@ def test_visits_grow_linearly_on_backward_chain():
 def test_linearity_gate_rejects_the_sweep():
     """The gate's size ratio at a fifth of its sizes: the sweep is quadratic."""
     small, large = backward_chain(20), backward_chain(200)
-    visits = [propagate_sweep(r.lsi, r.store).visits for r in (small, large)]
+    visits = [propagate_sweep(r.lsi).visits for r in (small, large)]
     assert visits[1] > 12 * visits[0]
 
 
@@ -310,6 +311,6 @@ def test_propagate_resolves_each_slot_once(monkeypatch):
         return slot(q)
 
     monkeypatch.setattr(solver, "_slot", counted)
-    result = propagate(chain.lsi, chain.store)
+    result = propagate(chain.lsi)
     assert result.question_value == 5
     assert len(calls) == 3 * len(chain.lsi)
