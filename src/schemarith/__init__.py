@@ -10,7 +10,7 @@ from .lexicon import load_default_lexicon, load_lexicon_file, load_lexicon_text
 from .parser import parse_problem, render_proposition, tokenize
 from .pipeline import ProblemResult, render_text_report, result_to_dict, run_problem
 from .schema_engine import Strategy
-from .solver import Contradiction, Insufficient, Invalid, Solved, propagate, verify
+from .solver import Contradiction, Insufficient, Invalid, Solved, propagate
 
 __version__ = "0.1.0"
 
@@ -33,5 +33,4 @@ __all__ = [
     "result_to_dict",
     "run_problem",
     "tokenize",
-    "verify",
 ]

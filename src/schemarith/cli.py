@@ -5,8 +5,8 @@
 
 Exit codes: 0 solved, 1 I/O or internal error (a closed stdout too), 2
 text not understood (parse failure, no question), 3 insufficient data, 4
-contradictory or invalid data.  SCHEMARITH_LEXICON overrides the embedded
-lexicon; the --lexicon flag overrides both.
+contradictory or invalid data.  The --lexicon flag overrides the embedded
+lexicon.
 """
 from __future__ import annotations
 
@@ -229,9 +229,9 @@ def build_arg_parser():
 
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
-    path = args.lexicon or os.environ.get("SCHEMARITH_LEXICON")
     try:
-        lexicon = load_lexicon_file(path) if path else load_default_lexicon()
+        lexicon = (load_lexicon_file(args.lexicon) if args.lexicon
+                   else load_default_lexicon())
     except (OSError, ValueError) as exc:   # ValueError: not UTF-8, or malformed
         print(f"error: lexicon: {exc}", file=sys.stderr)
         return EXIT_ERROR

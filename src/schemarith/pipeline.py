@@ -52,14 +52,11 @@ class ProblemResult:
 
     @property
     def verdict_name(self) -> str:
-        return self.solve.verdict_name
+        return type(self.solve.verdict).__name__.lower()
 
     @property
     def answer(self):
-        return self.solve.question_value if isinstance(self.verdict, Solved) else None
-
-    def rendered_lsi(self) -> list:
-        return [si.render() for si in self.lsi]
+        return self.verdict.answer if isinstance(self.verdict, Solved) else None
 
 
 @_collector_paused
@@ -131,7 +128,7 @@ def render_text_report(result, trace=False) -> str:
     lines = []
     if trace:
         props, split = result.store.render_propositions()
-        insts = result.rendered_lsi()
+        insts = [si.render() for si in result.lsi]
         width = max([len(p) for p in props] + [24]) + 2
         lines.append(f"{'Propositions':<{width}}| Schema Instantiations")
         lines.append("-" * width + "+" + "-" * 40)

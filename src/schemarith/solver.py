@@ -39,9 +39,6 @@ class Equation(_Frozen):
         return (f"{render_quantity(self.c)} = "
                 f"{render_quantity(self.a)} + {render_quantity(self.b)}")
 
-    def quantities(self):
-        return (self.a, self.b, self.c)
-
 
 class Solved(_Frozen):
     __slots__ = ("answer",)
@@ -78,16 +75,11 @@ class Invalid(_Frozen):
 
 
 class SolveResult:
-    def __init__(self, verdict, binding, question_value, trace, visits):
+    def __init__(self, verdict, binding, trace, visits):
         self.verdict = verdict
         self.binding = binding
-        self.question_value = question_value
         self.trace = trace
         self.visits = visits   # equation evaluations; a work count, not in reports
-
-    @property
-    def verdict_name(self) -> str:
-        return type(self.verdict).__name__.lower()
 
 
 def _slot(q):
@@ -219,22 +211,4 @@ def propagate(lsi) -> SolveResult:
         verdict = Insufficient(tuple(
             name for name, value in zip(names, values)
             if name is not None and value is None))
-    return SolveResult(verdict, binding, question_value, trace, visits)
-
-
-def verify(lsi, binding, question_value=None) -> bool:
-    """True iff every equation holds exactly under a total binding.
-
-    `binding` maps unknown names to values and `question_value` is the
-    question's.  Any unbound slot makes the check fail; a slot that is not
-    an amount raises MalformedLSI, as in `propagate`.
-    """
-    values = dict(binding)
-    values[QUESTION] = question_value
-    for si in lsi:
-        quantities = si.equation.quantities()
-        vals = [q.value if key is None else values.get(key)
-                for q, key in zip(quantities, map(_slot, quantities))]
-        if None in vals or vals[0] + vals[1] != vals[2]:
-            return False
-    return True
+    return SolveResult(verdict, binding, trace, visits)

@@ -9,8 +9,8 @@ systems).
 
 `propagate_sweep` is the solver's earlier sweep-to-fixpoint loop, which
 evaluates every equation on every pass.  The worklist solver must match
-its verdict, binding, question value and trace exactly.  It shares only
-the result types with the solver.
+its verdict, binding and trace exactly.  It shares only the result types
+with the solver.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ QUESTION_NAME = "?"
 def unknown_names(equations):
     names = []
     for eq in equations:
-        for q in eq.quantities():
+        for q in (eq.a, eq.b, eq.c):
             if isinstance(q, Var) and q.name not in names:
                 names.append(q.name)
             elif isinstance(q, Question) and QUESTION_NAME not in names:
@@ -111,7 +111,7 @@ def _signature(eq, mapping):
 def _var_names(equations):
     names = []
     for eq in equations:
-        for q in eq.quantities():
+        for q in (eq.a, eq.b, eq.c):
             if isinstance(q, Var) and q.name not in names:
                 names.append(q.name)
     return names
@@ -181,7 +181,7 @@ class _SweepState:
 def _sweep_free_vars(equations, state):
     names = []
     for eq in equations:
-        for q in eq.quantities():
+        for q in (eq.a, eq.b, eq.c):
             if isinstance(q, Var) and q.name not in state.binding \
                     and q.name not in names:
                 names.append(q.name)
@@ -213,7 +213,7 @@ def propagate_sweep(lsi) -> SolveResult:
         changed = False
         for idx, eq in enumerate(equations):
             visits += 1
-            vals = [state.value_of(q) for q in eq.quantities()]
+            vals = [state.value_of(q) for q in (eq.a, eq.b, eq.c)]
             unknowns = [i for i, v in enumerate(vals) if v is None]
             if not unknowns:
                 if vals[0] + vals[1] != vals[2] and idx not in flagged:
@@ -234,7 +234,7 @@ def propagate_sweep(lsi) -> SolveResult:
                 value = c - a
             else:
                 value = a + b
-            target = eq.quantities()[slot]
+            target = (eq.a, eq.b, eq.c)[slot]
             if value < 0:
                 if idx not in flagged:
                     flagged.add(idx)
@@ -243,7 +243,7 @@ def propagate_sweep(lsi) -> SolveResult:
             state.bind(target, value)
             known = ", ".join(
                 f"{q.name} = {state.value_of(q)}"
-                for q in eq.quantities()
+                for q in (eq.a, eq.b, eq.c)
                 if isinstance(q, Var) and q is not target
             )
             suffix = f" with {known}" if known else ""
@@ -259,5 +259,4 @@ def propagate_sweep(lsi) -> SolveResult:
         verdict = Solved(state.question_value)
     else:
         verdict = Insufficient(tuple(_sweep_free_vars(equations, state)))
-    return SolveResult(verdict, dict(state.binding), state.question_value,
-                       trace, visits)
+    return SolveResult(verdict, dict(state.binding), trace, visits)

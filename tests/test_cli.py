@@ -456,11 +456,15 @@ def test_lexicon_flag_and_env(tmp_path, monkeypatch, capsys):
     problem = write_problem(
         tmp_path, "Tom had 3 kites. Tom got 2 kites. "
                   "How many kites does Tom have now?")
-    monkeypatch.setenv("SCHEMARITH_LEXICON", str(custom))
-    assert cli.main(["solve", problem]) == 0
-    assert "Answer: 5" in capsys.readouterr().out
     monkeypatch.setenv("SCHEMARITH_LEXICON", "/nonexistent/lex.tsv")
     assert cli.main(["solve", problem, "--lexicon", str(custom)]) == 0
+    assert "Answer: 5" in capsys.readouterr().out
+
+
+def test_no_environment_variable_names_a_lexicon(monkeypatch, capsys):
+    monkeypatch.setenv("SCHEMARITH_LEXICON", "/nonexistent/lex.tsv")
+    assert cli.main(["corpus"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("verb", ["carries", "carried"])
@@ -479,23 +483,19 @@ def test_a_custom_consonant_y_verb_solves_in_both_tenses(tmp_path, capsys, verb)
     assert out.endswith("Answer: 5\n")
 
 
-@pytest.mark.parametrize("problem, lexicon, via_env", [
-    pytest.param(b"\xff\xfeRuth had 3 apples.", None, False, id="problem-not-utf8"),
-    pytest.param(None, b"x\tbad\n", False, id="lexicon-malformed"),
-    pytest.param(None, b"\xff\xfeverb\n", True, id="lexicon-not-utf8-from-env"),
+@pytest.mark.parametrize("problem, lexicon", [
+    pytest.param(b"\xff\xfeRuth had 3 apples.", None, id="problem-not-utf8"),
+    pytest.param(None, b"x\tbad\n", id="lexicon-malformed"),
+    pytest.param(None, b"\xff\xfeverb\n", id="lexicon-not-utf8"),
 ])
-def test_unreadable_input_is_an_io_error(tmp_path, capsys, monkeypatch,
-                                         problem, lexicon, via_env):
+def test_unreadable_input_is_an_io_error(tmp_path, capsys, problem, lexicon):
     path = tmp_path / "problem.txt"
     path.write_bytes(problem or by_id("basket-apples").text.encode())
     argv = ["solve", str(path)]
     if lexicon is not None:
         lexicon_path = tmp_path / "lexicon.tsv"
         lexicon_path.write_bytes(lexicon)
-        if via_env:
-            monkeypatch.setenv("SCHEMARITH_LEXICON", str(lexicon_path))
-        else:
-            argv += ["--lexicon", str(lexicon_path)]
+        argv += ["--lexicon", str(lexicon_path)]
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err

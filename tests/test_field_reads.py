@@ -74,7 +74,6 @@ def run_the_mix(capsys):
 
 
 def test_every_field_is_read_in_a_run(monkeypatch, capsys):
-    monkeypatch.delenv("SCHEMARITH_LEXICON", raising=False)
     fields, reads = watch_fields(monkeypatch, [*package_subclasses(_Frozen), Word])
     run_the_mix(capsys)
     assert fields - reads == UNREAD_IN_A_RUN

@@ -36,6 +36,9 @@ LEX = load_default_lexicon()
     ("Ruth had 4 candies. Ruth received 3 candies. How many candies does "
      "Ruth have now?",
      7, "Transfer-In-Ownership"),
+    ("Tom had 2 apples more than there were in the box. There were 3 apples "
+     "in the box. How many apples did Tom have in the beginning?",
+     5, "More"),
 ])
 def test_other_change_kinds_solve(text, answer, kind):
     result = run_problem(text, LEX)

@@ -26,8 +26,6 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "schemarith"
 EXEMPT = {
     "parser.parse_clause": "test seam: parses one clause outside a problem",
     "corpus.by_id": "test seam: looks a corpus problem up by its id",
-    "solver.verify": "ROADMAP item 2 uses it as its check or deletes it",
-    "solver.Equation.quantities": "ROADMAP item 2 uses it with `verify` or deletes it",
     "parser._render_state": "ROADMAP items 3 and 9 read the proposition renderers",
     "parser._render_compare": "ROADMAP items 3 and 9 read the proposition renderers",
     "parser._render_combine": "ROADMAP items 3 and 9 read the proposition renderers",
@@ -109,8 +107,7 @@ def the_mix(tmp_path):
 
 def never_started(tmp_path):
     runs, codes = the_mix(tmp_path)
-    env = {k: v for k, v in os.environ.items() if k != "SCHEMARITH_LEXICON"}
-    env["PYTHONPATH"] = str(PACKAGE.parent)
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     out = subprocess.run([sys.executable, "-c", CHILD, json.dumps(runs)], env=env,
                          capture_output=True, text=True, check=True, timeout=60)
     report = json.loads(out.stdout)

@@ -5,15 +5,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracle import (
+    _holds,
     enumerate_solutions,
     enumerate_solutions_naive,
     propagate_sweep,
     unknown_names,
 )
+from test_golden import PROBLEMS
 
 from schemarith.corpus import CORPUS
 from schemarith.lexicon import load_default_lexicon
 from schemarith.pipeline import run_problem
+from schemarith.schema_engine import Strategy
 from schemarith import solver
 from schemarith.quantity import QUESTION, Known, Var
 from schemarith.solver import (
@@ -24,7 +27,6 @@ from schemarith.solver import (
     MalformedLSI,
     Solved,
     propagate,
-    verify,
 )
 
 LEX = load_default_lexicon()
@@ -85,7 +87,6 @@ def test_an_lsi_without_the_question_is_insufficient():
     result = propagate(lsi_of(Equation(Known(1), Known(2), Var("X"))))
     assert result.verdict == Insufficient(())
     assert result.binding == {"X": 3}
-    assert result.question_value is None
 
 
 def test_an_unknown_named_question_mark_is_its_own_slot():
@@ -97,16 +98,7 @@ def test_an_unknown_named_question_mark_is_its_own_slot():
     assert result.verdict == Solved(7)
     assert result.binding == {"?": 3}
     assert result.trace == ["? = 1 + 2 ⇒ ? = 3", "? = ? + 4 with ? = 3 ⇒ ? = 7"]
-    assert verify(lsi, {"?": 3}, question_value=7)
-    assert not verify(lsi, {"?": 3})
     assert_same_run(lsi)
-
-
-def test_verify_reads_the_question_only_from_its_argument():
-    lsi = lsi_of(Equation(Var("?"), Known(0), QUESTION))   # the question = "?" + 0
-    assert not verify(lsi, {"?": 5})
-    assert verify(lsi, {"?": 5}, question_value=5)
-    assert not verify(lsi, {"?": 5}, question_value=4)
 
 
 def test_solved_even_with_free_side_unknowns():
@@ -118,33 +110,9 @@ def test_solved_even_with_free_side_unknowns():
     assert result.verdict == Solved(6)
 
 
-# -- verify --------------------------------------------------------------------
-
-
-def test_verify_accepts_exact_binding():
-    lsi = lsi_of(
-        Equation(Var("X"), Known(4), QUESTION),
-        Equation(Known(7), Known(3), Var("X")),
-    )
-    assert verify(lsi, {"X": 10}, question_value=14)
-    assert not verify(lsi, {"X": 10}, question_value=13)
-
-
-def test_verify_empty_is_vacuously_true():
-    assert verify([], {})
-
-
-def test_verify_rejects_partial_binding():
-    lsi = lsi_of(Equation(Var("X"), Known(4), QUESTION))
-    assert not verify(lsi, {}, question_value=14)
-
-
-def test_verify_raises_on_a_slot_that_is_not_a_quantity():
-    lsi = lsi_of(Equation(Known(1), "2", Var("X")))
+def test_propagate_raises_on_a_slot_that_is_not_a_quantity():
     with pytest.raises(MalformedLSI):
-        verify(lsi, {"X": 3})
-    with pytest.raises(MalformedLSI):
-        propagate(lsi)
+        propagate(lsi_of(Equation(Known(1), "2", Var("X"))))
 
 
 # -- corpus-level properties -----------------------------------------------------
@@ -182,16 +150,25 @@ def test_confluence_under_shuffling(problem):
         shuffled = list(base.lsi)
         rng.shuffle(shuffled)
         result = propagate(shuffled)
-        assert type(result.verdict) is type(base.verdict)
-        assert result.question_value == base.solve.question_value
+        assert result.verdict == base.verdict
 
 
-@pytest.mark.parametrize("problem", CORPUS, ids=lambda p: p.id)
-def test_verify_after_solved(problem):
-    result = run_problem(problem.text, LEX)
+# Cautious is the default strategy, so its runs take the bare problem id.
+@pytest.mark.parametrize("pid, strategy", [
+    pytest.param(pid, strategy,
+                 id=pid if strategy is Strategy.CAUTIOUS else f"{pid}-total")
+    for strategy in Strategy for pid in PROBLEMS])
+def test_verify_after_solved(pid, strategy):
+    """A solved run's binding and answer violate no equation of its LSI.
+    Under the total strategy an extraneous unknown may stay free, so an
+    equation may stay undecided; under the cautious one every equation holds."""
+    result = run_problem(PROBLEMS[pid], LEX, strategy)
     if isinstance(result.verdict, Solved):
-        assert verify(result.lsi, result.solve.binding,
-                      question_value=result.solve.question_value)
+        assignment = {**result.solve.binding, "?": result.answer}
+        holds = [_holds(si.equation, assignment) for si in result.lsi]
+        assert False not in holds
+        if strategy is Strategy.CAUTIOUS:
+            assert all(holds)
 
 
 @pytest.mark.parametrize("problem", CORPUS, ids=lambda p: p.id)
@@ -256,7 +233,6 @@ def assert_same_run(lsi):
     reference = propagate_sweep(lsi)
     assert result.verdict == reference.verdict
     assert result.binding == reference.binding
-    assert result.question_value == reference.question_value
     assert result.trace == reference.trace
     assert result.visits <= reference.visits
 
@@ -312,5 +288,5 @@ def test_propagate_resolves_each_slot_once(monkeypatch):
 
     monkeypatch.setattr(solver, "_slot", counted)
     result = propagate(chain.lsi)
-    assert result.question_value == 5
+    assert result.verdict == Solved(5)
     assert len(calls) == 3 * len(chain.lsi)
