@@ -6,8 +6,8 @@ all elementary events touching one (locus, object) pair form a timeline
 ordered between the stated initial and final amounts, with fresh unknowns
 for the amounts between consecutive events.  The groups form as the
 propositions arrive: each elementary event joins its pair's group when
-its event is split, and each stored state sets its pair's endpoint, so
-building the timelines hashes no key.
+its event is split, and each state is its pair's amount at its time: the
+groups are the one index of the states, and no state key is hashed.
 """
 from __future__ import annotations
 
@@ -25,9 +25,8 @@ from .parser import (
     CompareProp,
     EntityKind,
     EventProp,
-    Ownership,
+    Locus,
     ParseError,
-    Place,
     ProblemTextError,
     StateKey,
     StateProp,
@@ -71,7 +70,7 @@ class ElementaryEvent(_Frozen):
         (set_kind, set_locus, set_obj, set_delta, set_verb,
          set_sentence) = ElementaryEvent._setters
         set_kind(self, kind)      # ChangeKind
-        set_locus(self, locus)    # Ownership | Place
+        set_locus(self, locus)    # Locus
         set_obj(self, obj)
         set_delta(self, delta)    # Known: the parser states it
         set_verb(self, verb)
@@ -79,7 +78,7 @@ class ElementaryEvent(_Frozen):
 
 
 # Read on every event, as module names; see parser._PROPER.
-_GROUP, _OWNERSHIP, _IN = EntityKind.GROUP, LocusKind.OWNERSHIP, Direction.IN
+_OWNERSHIP, _PROPER, _IN = LocusKind.OWNERSHIP, EntityKind.PROPER, Direction.IN
 _CREATE_OR_TERMINATE = (Direction.CREATE, Direction.TERMINATE)
 
 #: The event field that names each role's participant.
@@ -104,13 +103,9 @@ def split_compound(event, lexicon) -> list:
         raise UnknownVerb(event.verb)
     events = []
     for kind, entity in changes:
-        if entity is None:
-            continue
-        if entity.kind is _GROUP:
-            raise ValueError(f"cannot build a locus from {entity!r}")
-        locus = Ownership(entity) if kind.locus_kind is _OWNERSHIP else Place(entity)
-        events.append(ElementaryEvent(kind, locus, event.obj, event.amount,
-                                      event.verb, event.sentence))
+        if entity is not None:
+            events.append(ElementaryEvent(kind, Locus(kind.locus_kind, entity), event.obj,
+                                          event.amount, event.verb, event.sentence))
     return events
 
 
@@ -140,7 +135,7 @@ def render_elementary(event, lexicon) -> str:
     direction = event.kind.direction
     if event.kind.locus_kind is _OWNERSHIP:
         n = event.delta.value
-        return (f"{event.locus.owner.name} {direction.owner_verb} {n} "
+        return (f"{event.locus.entity.name} {direction.owner_verb} {n} "
                 f"{lexicon.pluralize(event.obj, n)}")
     return (f"{render_amount(event.obj, event.delta, lexicon)} were "
             f"{direction.passive} {direction.place_prep} {render_locus(event.locus)}")
@@ -151,24 +146,22 @@ class PropositionStore:
 
     The store is built once per problem and is read-only afterwards; at
     most one state exists per (locus, object, time) key, and exactly one
-    quantity in the whole store is the Question.  It is also the index of
-    the timelines: each elementary event joins its (locus, object) group
-    as its event is split, and each state stored sets its group's endpoint.
-    ``groups`` keys a group by the locus's class, the locus's ``_key`` and
-    the object: what makes two loci equal, hashed and compared in C, so
-    ``Ownership(e)`` and ``Place(e)`` stay apart.
+    quantity in the whole store is the Question.  The timelines' groups are
+    its one index of the states: each elementary event joins its (locus,
+    object) group as its event is split, and each state is its group's
+    amount at its time.  ``groups`` keys a group by the locus's ``_key``
+    (kind included) and the object, hashed and compared in C; ``entries``
+    keeps the states in text order among the events, for the reports.
     """
 
     def __init__(self, lexicon):
         self.lexicon = lexicon
-        self.states = {}          # StateKey -> Quantity
         # text order: (StateKey, its amount) | (EventProp, its ElementaryEvents)
         self.entries = []
         self.raw_events = []      # surface EventProps
         self.events = []          # ElementaryEvents, text order
         self.relations = []       # CompareProp | CombineProp, text order
-        # (locus class, locus key, obj) -> (its ElementaryEvents in text
-        # order, {TimePoint: amount})
+        # (locus key, obj) -> (its ElementaryEvents in text order, {TimePoint: amount})
         self.groups = {}
         self.chains = []          # (locus, obj, events, ends) of each group with events
         self._var_count = 0
@@ -176,12 +169,12 @@ class PropositionStore:
     # -- construction -----------------------------------------------------
 
     def add_state(self, prop):
-        key, amount, states = prop.key, prop.quantity, self.states
-        stored = len(states)
-        existing = states.setdefault(key, amount)   # hashes the key once
-        if len(states) > stored:
+        key, amount = prop.key, prop.quantity
+        ends = self._group(key.locus, key.obj)[1]
+        existing = ends.get(key.time)
+        if existing is None:
+            ends[key.time] = amount
             self.entries.append((key, amount))
-            self._group(key.locus, key.obj)[1][key.time] = amount
         elif existing != amount:
             if isinstance(existing, Question) or isinstance(amount, Question):
                 raise ParseError(prop.sentence,
@@ -200,7 +193,7 @@ class PropositionStore:
             events.append(event)
 
     def _group(self, locus, obj):
-        key = (locus.__class__, locus._key(locus), obj)   # see the class docstring
+        key = (locus._key(locus), obj)   # see the class docstring
         group = self.groups.get(key)
         if group is None:
             group = self.groups[key] = ([], {})
@@ -217,11 +210,11 @@ class PropositionStore:
         Lookup never unifies across different times, loci or object
         classes; repeated calls with one key return the same amount.
         """
-        amount = self.states.get(key)
+        ends = self._group(key.locus, key.obj)[1]
+        amount = ends.get(key.time)
         if amount is None:
-            amount = self.states[key] = self.fresh_var()
+            amount = ends[key.time] = self.fresh_var()
             self.entries.append((key, amount))
-            self._group(key.locus, key.obj)[1][key.time] = amount
         return amount
 
     # -- queries -----------------------------------------------------------
@@ -230,11 +223,12 @@ class PropositionStore:
         """Ownership loci of the proper-name owners holding any state of the
         object class, in order."""
         seen, loci = set(), []
-        for key in self.states:
-            if key.obj == obj and isinstance(key.locus, Ownership) \
-                    and key.locus.owner.kind is EntityKind.PROPER \
-                    and key.locus.owner.name not in seen:
-                seen.add(key.locus.owner.name)
+        for key, _ in self.entries:
+            if key.__class__ is StateKey and key.obj == obj \
+                    and key.locus.kind is _OWNERSHIP \
+                    and key.locus.entity.kind is _PROPER \
+                    and key.locus.entity.name not in seen:
+                seen.add(key.locus.entity.name)
                 loci.append(key.locus)
         return loci
 

@@ -74,7 +74,7 @@ class EntityKind(_Enum):
 # metaclass defines __getattr__, which makes each read of a member through
 # its class several times slower.
 _PROPER, _CLASS = EntityKind.PROPER, EntityKind.CLASS
-_PLACE, _OUT = LocusKind.PLACE, Direction.OUT
+_OWNERSHIP, _PLACE, _OUT = LocusKind.OWNERSHIP, LocusKind.PLACE, Direction.OUT
 
 
 class Entity(_Frozen):
@@ -91,36 +91,27 @@ class Entity(_Frozen):
 THEY = Entity("they", EntityKind.GROUP)
 
 
-# A locus's key is its entity's fields, read in C, so that keys of loci
+# A locus is where an amount is held: an owner's holdings or a place.  Its
+# key is its kind and its entity's fields, read in C, so that keys of loci
 # hash and compare without a call to Entity.__hash__ or Entity.__eq__.
+class Locus(_Frozen):
+    __slots__ = ("kind", "entity")
+    _key = attrgetter("kind", "entity.name", "entity.kind")
 
-
-class Ownership(_Frozen):
-    __slots__ = ("owner",)
-    _key = attrgetter("owner.name", "owner.kind", "owner.cardinality")
-
-    def __init__(self, owner):
-        if owner.cardinality is not None:
+    def __init__(self, kind, entity):
+        if entity.cardinality is not None:
             # A subject's numeral never enters a locus: whatever their
             # number, "5 girls" own what the girls own.
-            owner = Entity(owner.name, owner.kind)
-        (set_owner,) = Ownership._setters
-        set_owner(self, owner)
-
-
-class Place(_Frozen):
-    __slots__ = ("place",)
-    _key = attrgetter("place.name", "place.kind", "place.cardinality")
-
-    def __init__(self, place):
-        (set_place,) = Place._setters
-        set_place(self, place)
+            entity = Entity(entity.name, entity.kind)
+        set_kind, set_entity = Locus._setters
+        set_kind(self, kind)        # LocusKind
+        set_entity(self, entity)
 
 
 def render_locus(locus) -> str:
-    if isinstance(locus, Ownership):
-        return locus.owner.name
-    return f"the {locus.place.name}"
+    if locus.kind is _PLACE:
+        return f"the {locus.entity.name}"
+    return locus.entity.name
 
 
 class StateKey(_Frozen):
@@ -128,7 +119,7 @@ class StateKey(_Frozen):
 
     def __init__(self, locus, obj, time):
         set_locus, set_obj, set_time = StateKey._setters
-        set_locus(self, locus)  # Ownership | Place
+        set_locus(self, locus)  # Locus
         set_obj(self, obj)      # canonical object class
         set_time(self, time)
 
@@ -420,7 +411,8 @@ class _ClauseParser:
     def take_pronoun_entity(self):
         word = self.take()
         if word.pronoun == "group":
-            return THEY
+            raise self.error(f"pronoun {word.surface!r} is read only in "
+                             f"'How many OBJ do they have altogether?'")
         name = self.latest.get(word.pronoun)
         if name is None:
             raise self.error(f"pronoun {word.surface!r} has no antecedent")
@@ -519,7 +511,8 @@ class _ClauseParser:
             self.expect("in")
             place = self.parse_place_np()
             self._check_done()
-            return [StateProp(StateKey(Place(place), obj, time), QUESTION, self.sentence)]
+            return [StateProp(StateKey(Locus(_PLACE, place), obj, time), QUESTION,
+                              self.sentence)]
         if aux != "do":
             raise self.error(f"unsupported question auxiliary {tok!r}")
         if self.peek().pronoun == "group":
@@ -549,7 +542,8 @@ class _ClauseParser:
         if lemma != "have":
             raise self.error(f"owner questions are supported with 'have' only")
         self._check_done()
-        return [StateProp(StateKey(Ownership(owner), obj, time), QUESTION, self.sentence)]
+        return [StateProp(StateKey(Locus(_OWNERSHIP, owner), obj, time), QUESTION,
+                          self.sentence)]
 
     # "There were N OBJ [more] in the PLACE ..."
     def parse_existential(self):
@@ -566,12 +560,13 @@ class _ClauseParser:
             self.expect("in")
             right = self.parse_place_np()
             self._check_done()
-            return self.compare(StateKey(Place(left), obj, time),
-                                StateKey(Place(right), obj, time), n, direction)
+            return self.compare(StateKey(Locus(_PLACE, left), obj, time),
+                                StateKey(Locus(_PLACE, right), obj, time), n, direction)
         self.expect("in")
         place = self.parse_place_np()
         self._check_done()
-        return [StateProp(StateKey(Place(place), obj, time), Known(n), self.sentence)]
+        return [StateProp(StateKey(Locus(_PLACE, place), obj, time), Known(n),
+                          self.sentence)]
 
     def compare(self, left, right, n, direction):
         if left == right:
@@ -603,14 +598,14 @@ class _ClauseParser:
                 raise self.error("comparisons take a single subject")
             direction = self.take().text
             self.expect("than")
-            left = StateKey(Ownership(subjects[0]), obj, time)
+            left = StateKey(Locus(_OWNERSHIP, subjects[0]), obj, time)
             if self.peek().text == "there":
                 self.take()
                 self.take_be()  # the main clause's time governs
                 self.expect("in")
-                right_locus = Place(self.parse_place_np())
+                right_locus = Locus(_PLACE, self.parse_place_np())
             else:
-                right_locus = Ownership(self.parse_person_or_place())
+                right_locus = Locus(_OWNERSHIP, self.parse_person_or_place())
                 if not self.done():
                     word = self.take()
                     if word.verb is None or word.verb[0] != "have":
@@ -623,7 +618,7 @@ class _ClauseParser:
             self._check_done()
             if len(subjects) < 2:
                 raise self.error("'altogether' needs a conjunction of owners")
-            parts = tuple(StateKey(Ownership(s), obj, time) for s in subjects)
+            parts = tuple(StateKey(Locus(_OWNERSHIP, s), obj, time) for s in subjects)
             if len(set(parts)) < len(parts):
                 raise self.error("'altogether' names one owner twice")
             return [CombineProp(obj, Known(n), time, parts=parts,
@@ -631,7 +626,7 @@ class _ClauseParser:
         self._check_done()
         if len(subjects) != 1:
             raise self.error("a possession state takes a single owner")
-        return [StateProp(StateKey(Ownership(subjects[0]), obj, time),
+        return [StateProp(StateKey(Locus(_OWNERSHIP, subjects[0]), obj, time),
                           Known(n), self.sentence)]
 
     # "N CLASS remained in the PLACE"
@@ -647,7 +642,7 @@ class _ClauseParser:
             if subj.kind is not EntityKind.CLASS or subj.cardinality is None:
                 raise self.error("a counted class noun must head this clause")
             props.append(StateProp(
-                StateKey(Place(place), subj.name, time),
+                StateKey(Locus(_PLACE, place), subj.name, time),
                 Known(subj.cardinality), self.sentence,
             ))
         return props
@@ -699,10 +694,6 @@ class _ClauseParser:
                     destination = ent
             else:
                 raise self.error(f"unexpected token {tok!r} in event clause")
-        if subject is THEY or recipient is THEY or source is THEY \
-                or destination is THEY:
-            # the grammar resolves "they" only in a question
-            raise self.error(f"pronoun {THEY.name!r} cannot take part in an event")
         if object_np is None:
             # Subject numeral counts the subject class, but only for
             # locational verbs: "Two boys left a room."
@@ -779,11 +770,11 @@ def render_state(key, quantity, lexicon) -> str:
     """A state holding an amount, without its full stop: "Ruth had 3
     apples", "There are X nuts in the box"."""
     amount = render_amount(key.obj, quantity, lexicon)
-    if isinstance(key.locus, Place):
+    if key.locus.kind is _PLACE:
         verb = "were" if key.time is TimePoint.INITIAL else "are"
-        return f"There {verb} {amount} in the {key.locus.place.name}"
+        return f"There {verb} {amount} in the {key.locus.entity.name}"
     verb = "had" if key.time is TimePoint.INITIAL else "has"
-    return f"{key.locus.owner.name} {verb} {amount}"
+    return f"{key.locus.entity.name} {verb} {amount}"
 
 
 def render_proposition(prop, lexicon) -> str:
@@ -809,12 +800,12 @@ def _render_state(prop, lexicon):
         return render_state(key, prop.quantity, lexicon) + "."
     initial = key.time is TimePoint.INITIAL
     objs = lexicon.pluralize(key.obj)
-    if isinstance(key.locus, Place):
-        where = f"in the {key.locus.place.name}"
+    if key.locus.kind is _PLACE:
+        where = f"in the {key.locus.entity.name}"
         if initial:
             return f"How many {objs} were there {where} in the beginning?"
         return f"How many {objs} are there {where} now?"
-    owner = key.locus.owner.name
+    owner = key.locus.entity.name
     if initial:
         return f"How many {objs} did {owner} have in the beginning?"
     return f"How many {objs} does {owner} have now?"
@@ -869,14 +860,14 @@ def _render_event(prop, lexicon):
 def _render_compare(prop, lexicon):
     initial = prop.left.time is TimePoint.INITIAL
     objs = render_amount(prop.left.obj, prop.diff, lexicon)
-    if isinstance(prop.left.locus, Place):
+    if prop.left.locus.kind is _PLACE:
         verb = "were" if initial else "are"
         return (f"There {verb} {objs} {prop.direction} in the "
-                f"{prop.left.locus.place.name} than there {verb} in the "
-                f"{prop.right.locus.place.name}.")
+                f"{prop.left.locus.entity.name} than there {verb} in the "
+                f"{prop.right.locus.entity.name}.")
     verb = "had" if initial else "has"
-    return (f"{prop.left.locus.owner.name} {verb} {objs} {prop.direction} "
-            f"than {prop.right.locus.owner.name} {verb}.")
+    return (f"{prop.left.locus.entity.name} {verb} {objs} {prop.direction} "
+            f"than {prop.right.locus.entity.name} {verb}.")
 
 
 def _render_combine(prop, lexicon):
@@ -888,6 +879,6 @@ def _render_combine(prop, lexicon):
             return f"How many {objs} {aux} they have altogether?"
         group = lexicon.pluralize(prop.group.name)
         return f"How many {objs} did the {group} {prop.verb} altogether?"
-    names = " and ".join(k.locus.owner.name for k in prop.parts)
+    names = " and ".join(k.locus.entity.name for k in prop.parts)
     verb = "had" if initial else "have"
     return f"{names} {verb} {render_amount(prop.obj, prop.total, lexicon)} altogether."

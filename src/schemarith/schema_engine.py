@@ -95,8 +95,8 @@ def instantiate_combine(comb, store) -> list:
         gaining = ChangeKind.IN_OWNERSHIP
         parts = [
             ev.delta for ev in store.events
-            if ev.kind is gaining and ev.locus.owner.kind is EntityKind.CLASS
-            and ev.locus.owner.name in members and ev.obj == comb.obj
+            if ev.kind is gaining and ev.locus.entity.kind is EntityKind.CLASS
+            and ev.locus.entity.name in members and ev.obj == comb.obj
         ]
     elif comb.group is THEY:
         parts = [store.lookup_or_introduce(StateKey(locus, comb.obj, comb.time))

@@ -192,18 +192,29 @@ def test_non_ascii_word_or_self_comparison_is_not_understood_in_both_formats(
     assert problem["error"] == {"type": "ParseError", "message": message}
 
 
-@pytest.mark.parametrize("event", [
-    "They bought 2 apples.",
-    "Ruth gave 2 apples to they.",
-])
-def test_they_in_an_event_is_not_understood(tmp_path, capsys, event):
-    path = write_problem(
-        tmp_path, f"Ruth had 3 apples. {event} How many apples does Ruth have now?")
-    assert cli.main(["solve", path, "--format", "json"]) == 2
-    [problem] = json.loads(capsys.readouterr().out)["problems"]
-    assert problem["error"] == {
-        "type": "ParseError",
-        "message": "sentence 2: pronoun 'they' cannot take part in an event"}
+THEY_TEXT = "Ruth had 3 apples. {} How many apples does Ruth have now?"
+
+
+@pytest.mark.parametrize("text,where", [
+    (THEY_TEXT.format("They bought 2 apples."), "sentence 2: pronoun 'They'"),
+    (THEY_TEXT.format("Ruth gave 2 apples to they."), "sentence 2: pronoun 'they'"),
+    ("They had 4 apples. They had 2 apples more than Tom had. "
+     "How many apples did Tom have in the beginning?", "sentence 1: pronoun 'They'"),
+    (THEY_TEXT.format("Tom had 2 apples more than they had."),
+     "sentence 2: pronoun 'they'"),
+    (THEY_TEXT.format("Tom and they had 5 apples altogether."),
+     "sentence 2: pronoun 'they'"),
+], ids=["event-subject", "event-recipient", "state", "compare", "combine"])
+def test_they_outside_its_question_is_not_understood(tmp_path, capsys, text, where):
+    # "they" names no one outside "How many OBJ do they have altogether?"
+    message = f"{where} is read only in 'How many OBJ do they have altogether?'"
+    path = write_problem(tmp_path, text)
+    for strategy in ("cautious", "total"):
+        assert cli.main(["solve", path, "--strategy", strategy]) == 2
+        assert capsys.readouterr().out.strip() == f"Not understood: {message}"
+        assert cli.main(["solve", path, "--strategy", strategy, "--format", "json"]) == 2
+        [problem] = json.loads(capsys.readouterr().out)["problems"]
+        assert problem["error"] == {"type": "ParseError", "message": message}
 
 
 def test_unexpected_exception_is_an_internal_error(tmp_path, capsys, monkeypatch):

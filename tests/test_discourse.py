@@ -1,5 +1,7 @@
 import pytest
 
+from test_golden import PROBLEMS
+
 from schemarith.corpus import CORPUS, by_id
 from schemarith.discourse import (
     DataConflict,
@@ -12,6 +14,7 @@ from schemarith.discourse import (
 from schemarith.lexicon import (
     ChangeKind,
     Direction,
+    LocusKind,
     Role,
     load_default_lexicon,
 )
@@ -19,15 +22,15 @@ from schemarith.parser import (
     Entity,
     EntityKind,
     EventProp,
-    Ownership,
-    Place,
+    Locus,
+    ParseError,
     StateKey,
     StateProp,
     parse_problem,
 )
 from schemarith.pipeline import run_problem
 from schemarith.quantity import QUESTION, Known, TimePoint, Var
-from schemarith.schema_engine import initial_lsi
+from schemarith.schema_engine import Strategy, initial_lsi
 
 LEX = load_default_lexicon()
 
@@ -43,6 +46,19 @@ def proper(name):
 
 def cls(name, cardinality=None):
     return Entity(name, EntityKind.CLASS, cardinality=cardinality)
+
+
+def owner(entity):
+    return Locus(LocusKind.OWNERSHIP, entity)
+
+
+def place(entity):
+    return Locus(LocusKind.PLACE, entity)
+
+
+def states(store):
+    """{StateKey: amount} of the store's states, read from its text-order log."""
+    return {head: tail for head, tail in store.entries if head.__class__ is StateKey}
 
 
 def store_for(problem_id):
@@ -63,8 +79,8 @@ def test_split_give():
                       agent=proper("David"), recipient=proper("Ruth"))
     out = split_compound(event, LEX)
     assert [(e.kind, e.locus) for e in out] == [
-        (OUT_OWN, Ownership(proper("David"))),
-        (IN_OWN, Ownership(proper("Ruth"))),
+        (OUT_OWN, owner(proper("David"))),
+        (IN_OWN, owner(proper("Ruth"))),
     ]
     assert [render_elementary(e, LEX) for e in out] == [
         "David forfeited 3 candies",
@@ -77,8 +93,8 @@ def test_split_transfer():
                       source=cls("basket"), destination=cls("refrigerator"))
     out = split_compound(event, LEX)
     assert [(e.kind, e.locus) for e in out] == [
-        (OUT_PLACE, Place(cls("basket"))),
-        (IN_PLACE, Place(cls("refrigerator"))),
+        (OUT_PLACE, place(cls("basket"))),
+        (IN_PLACE, place(cls("refrigerator"))),
     ]
 
 
@@ -87,7 +103,7 @@ def test_split_buy_drops_unnamed_seller():
     out = split_compound(event, LEX)
     assert len(out) == 1
     assert out[0].kind == IN_OWN
-    assert out[0].locus == Ownership(cls("girl"))  # cardinality not in the locus
+    assert out[0].locus == owner(cls("girl"))  # cardinality not in the locus
 
 
 def test_split_elementary_is_single():
@@ -123,24 +139,24 @@ def test_give_always_emits_out_and_in():
 # An ownership change reads "<owner> <owner_verb> <n> <objects>", a change of
 # place "<n> <objects> were <passive> <place_prep> the <place>".
 RENDERED = [
-    (ElementaryEvent(IN_OWN, Ownership(proper("Ruth")), "candy", Known(3)),
+    (ElementaryEvent(IN_OWN, owner(proper("Ruth")), "candy", Known(3)),
      "Ruth got 3 candies"),
-    (ElementaryEvent(OUT_OWN, Ownership(proper("David")), "candy", Known(3)),
+    (ElementaryEvent(OUT_OWN, owner(proper("David")), "candy", Known(3)),
      "David forfeited 3 candies"),
-    (ElementaryEvent(ChangeKind.CREATE_OWNERSHIP, Ownership(proper("Tom")), "toy",
+    (ElementaryEvent(ChangeKind.CREATE_OWNERSHIP, owner(proper("Tom")), "toy",
                      Known(2)),
      "Tom created 2 toys"),
-    (ElementaryEvent(ChangeKind.TERMINATE_OWNERSHIP, Ownership(proper("Tom")), "egg",
+    (ElementaryEvent(ChangeKind.TERMINATE_OWNERSHIP, owner(proper("Tom")), "egg",
                      Known(1)),
      "Tom terminated 1 egg"),
-    (ElementaryEvent(IN_PLACE, Place(cls("basket")), "apple", Known(2)),
+    (ElementaryEvent(IN_PLACE, place(cls("basket")), "apple", Known(2)),
      "2 apples were transferred into the basket"),
-    (ElementaryEvent(OUT_PLACE, Place(cls("box")), "egg", Known(3)),
+    (ElementaryEvent(OUT_PLACE, place(cls("box")), "egg", Known(3)),
      "3 eggs were transferred out of the box"),
-    (ElementaryEvent(ChangeKind.CREATE_PLACE, Place(cls("village")), "house",
+    (ElementaryEvent(ChangeKind.CREATE_PLACE, place(cls("village")), "house",
                      Known(4)),
      "4 houses were created in the village"),
-    (ElementaryEvent(ChangeKind.TERMINATE_PLACE, Place(cls("box")), "egg", Known(0)),
+    (ElementaryEvent(ChangeKind.TERMINATE_PLACE, place(cls("box")), "egg", Known(0)),
      "0 eggs were terminated in the box"),
 ]
 
@@ -159,39 +175,38 @@ def test_render_elementary_rows_cover_every_change_kind():
 
 def test_lookup_or_introduce_creates_then_reuses():
     store = store_for("candy-gifts")
-    key = StateKey(Ownership(proper("Ruth")), "candy", TimePoint.FINAL)
-    assert key not in store.states
+    key = StateKey(owner(proper("Ruth")), "candy", TimePoint.FINAL)
+    assert key not in states(store)
     got = store.lookup_or_introduce(key)
     assert got == Var("X")
-    assert store.states[key] == Var("X")
+    assert states(store)[key] == Var("X")
     again = store.lookup_or_introduce(key)
     assert again == Var("X")
-    assert store.states[key] == Var("X")  # no second unknown
+    assert states(store)[key] == Var("X")  # no second unknown
 
 
 def test_lookup_finds_existing_known():
     store = store_for("basket-apples")
-    key = StateKey(Place(cls("basket")), "apple", TimePoint.INITIAL)
+    key = StateKey(place(cls("basket")), "apple", TimePoint.INITIAL)
     assert store.lookup_or_introduce(key) == Known(4)
-    assert store.states[key] == Known(4)
+    assert states(store)[key] == Known(4)
 
 
 def test_lookup_never_unifies_across_times():
     store = store_for("basket-apples")
-    basket = Place(cls("basket"))
+    basket = place(cls("basket"))
     initial = store.lookup_or_introduce(StateKey(basket, "apple", TimePoint.INITIAL))
     final = store.lookup_or_introduce(StateKey(basket, "apple", TimePoint.FINAL))
     assert initial == Known(4)
     assert final == QUESTION
-    assert store.states[StateKey(Place(cls("basket")), "apple",
-                                 TimePoint.FINAL)] == QUESTION
+    assert states(store)[StateKey(basket, "apple", TimePoint.FINAL)] == QUESTION
 
 
 def test_conflicting_restatement_raises():
     props = [
-        StateProp(StateKey(Ownership(proper("Ruth")), "apple",
+        StateProp(StateKey(owner(proper("Ruth")), "apple",
                            TimePoint.INITIAL), Known(3)),
-        StateProp(StateKey(Ownership(proper("Ruth")), "apple",
+        StateProp(StateKey(owner(proper("Ruth")), "apple",
                            TimePoint.INITIAL), Known(5)),
     ]
     with pytest.raises(DataConflict):
@@ -199,20 +214,45 @@ def test_conflicting_restatement_raises():
 
 
 def test_identical_restatement_is_deduplicated():
-    prop = StateProp(StateKey(Ownership(proper("Ruth")), "apple",
-                              TimePoint.INITIAL), Known(3))
-    store = build_store([prop, prop], LEX)
-    assert len(store.states) == 1
+    prop = StateProp(StateKey(owner(proper("Ruth")), "apple",
+                              TimePoint.INITIAL), Known(3), 0)
+    store = build_store([prop, StateProp(prop.key, Known(3), 1)], LEX)
+    assert store.entries == [(prop.key, Known(3))]
+
+
+def test_a_question_at_a_stated_amount_raises():
+    ruth = StateKey(owner(proper("Ruth")), "apple", TimePoint.INITIAL)
+    stated, asked = StateProp(ruth, Known(3), 0), StateProp(ruth, QUESTION, 1)
+    for props in ([stated, asked], [asked, stated]):
+        with pytest.raises(ParseError, match="asks for an amount the text states"):
+            build_store(props, LEX)
+    # a question at the other time joins the same group
+    later = StateKey(ruth.locus, "apple", TimePoint.FINAL)
+    store = build_store([stated, StateProp(later, QUESTION, 1)], LEX)
+    [(_, ends)] = store.groups.values()
+    assert ends == {TimePoint.INITIAL: Known(3), TimePoint.FINAL: QUESTION}
+
+
+@pytest.mark.parametrize("strategy", list(Strategy), ids=str)
+@pytest.mark.parametrize("pid", list(PROBLEMS))
+def test_each_state_entry_is_its_group_amount_at_its_time(pid, strategy):
+    """The log the reports render and the groups hold one set of states."""
+    store = run_problem(PROBLEMS[pid], LEX, strategy).store
+    entries = [(head, tail) for head, tail in store.entries if head.__class__ is StateKey]
+    assert len({key for key, _ in entries}) == len(entries)
+    for key, amount in entries:
+        assert store._group(key.locus, key.obj)[1][key.time] is amount
+    assert sum(len(ends) for _, ends in store.groups.values()) == len(entries)
 
 
 def test_an_owner_and_a_place_of_one_entity_group_apart():
-    """The store's groups are keyed by the locus's class and fields: equal
+    """The store's groups are keyed by the locus's kind and fields: equal
     loci built apart share a group, an owner and a place never do."""
     initial, final = TimePoint.INITIAL, TimePoint.FINAL
     store = build_store([
-        StateProp(StateKey(Ownership(cls("box")), "apple", initial), Known(3)),
-        StateProp(StateKey(Place(cls("box")), "apple", initial), Known(4)),
-        StateProp(StateKey(Ownership(cls("box", 2)), "apple", final), Known(5)),
+        StateProp(StateKey(owner(cls("box")), "apple", initial), Known(3)),
+        StateProp(StateKey(place(cls("box")), "apple", initial), Known(4)),
+        StateProp(StateKey(owner(cls("box", 2)), "apple", final), Known(5)),
     ], LEX)
     assert [ends for _, ends in store.groups.values()] == [
         {initial: Known(3), final: Known(5)}, {initial: Known(4)}]
@@ -232,7 +272,7 @@ def test_store_key_uniqueness():
 def test_problem_one_timeline():
     store = store_for("basket-apples")
     [timeline] = build_timelines(store)
-    assert timeline.locus == Place(cls("basket"))
+    assert timeline.locus == place(cls("basket"))
     assert timeline.obj == "apple"
     assert timeline.initial == Known(4)
     assert timeline.final == QUESTION
@@ -245,7 +285,7 @@ def test_chain_timeline_has_intermediate():
     initial_lsi(store)  # the comparison introduces Dan's initial state
     timelines = build_timelines(store)
     dan = next(t for t in timelines
-               if t.locus == Ownership(proper("Dan")))
+               if t.locus == owner(proper("Dan")))
     assert len(dan.events) == 2
     assert len(dan.intermediates) == 1
     assert isinstance(dan.initial, Var)
@@ -258,7 +298,7 @@ def test_unstated_endpoints_stay_empty():
     store = store_for("candy-gifts")
     timelines = build_timelines(store)
     john = next(t for t in timelines
-                if t.locus == Ownership(proper("John")))
+                if t.locus == owner(proper("John")))
     assert john.initial is None and john.final is None
 
 
@@ -270,18 +310,18 @@ def test_timelines_follow_first_events_and_take_every_endpoint():
             "Dan got 1 apple. Now Tom has 3 nuts. Now Ruth has 2 apples more than "
             "Dan has. How many apples did Dan have in the beginning?")
     store = build_store(parse_problem(text, LEX), LEX)
-    assert [key.locus.owner.name for key in store.states][:2] == ["Ruth", "Tom"]
+    assert [key.locus.entity.name for key in states(store)][:2] == ["Ruth", "Tom"]
     initial_lsi(store)
     tom, ruth, dan = build_timelines(store)
     assert [(t.locus, t.obj) for t in (tom, ruth, dan)] == [
-        (Ownership(proper("Tom")), "nut"), (Ownership(proper("Ruth")), "apple"),
-        (Ownership(proper("Dan")), "apple")]
+        (owner(proper("Tom")), "nut"), (owner(proper("Ruth")), "apple"),
+        (owner(proper("Dan")), "apple")]
     assert (tom.initial, tom.final) == (Known(2), Known(3))
     final = TimePoint.FINAL
     assert ruth.initial == Known(3)
-    assert ruth.final == store.states[StateKey(ruth.locus, "apple", final)] == Var("X")
+    assert ruth.final == states(store)[StateKey(ruth.locus, "apple", final)] == Var("X")
     assert dan.initial == QUESTION
-    assert dan.final == store.states[StateKey(dan.locus, "apple", final)] == Var("X1")
+    assert dan.final == states(store)[StateKey(dan.locus, "apple", final)] == Var("X1")
     assert run_problem(text, LEX).answer == 2
 
 
@@ -321,5 +361,5 @@ def test_fresh_variable_hygiene():
     for problem in CORPUS:
         result = run_problem(problem.text, LEX)
         store = result.store
-        var_names = [q.name for q in store.states.values() if isinstance(q, Var)]
+        var_names = [q.name for q in states(store).values() if isinstance(q, Var)]
         assert len(var_names) == len(set(var_names)), problem.id

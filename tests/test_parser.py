@@ -10,6 +10,7 @@ from schemarith.corpus import CORPUS, by_id
 from schemarith.lexicon import (
     DEFAULT_LEXICON,
     Lexicon,
+    LocusKind,
     load_default_lexicon,
     load_lexicon_text,
 )
@@ -22,9 +23,8 @@ from schemarith.parser import (
     EventProp,
     MultipleQuestions,
     NoQuestion,
-    Ownership,
+    Locus,
     ParseError,
-    Place,
     StateKey,
     StateProp,
     UnknownWord,
@@ -49,11 +49,11 @@ def parse_text(text):
 
 
 def owner(name):
-    return Ownership(Entity(name, EntityKind.PROPER))
+    return Locus(LocusKind.OWNERSHIP, Entity(name, EntityKind.PROPER))
 
 
 def place(noun):
-    return Place(Entity(noun, EntityKind.CLASS))
+    return Locus(LocusKind.PLACE, Entity(noun, EntityKind.CLASS))
 
 
 # -- tokenizer -------------------------------------------------------------
@@ -230,9 +230,10 @@ def test_subject_numeral_never_enters_a_locus():
     assert girls != Entity("girl", EntityKind.CLASS)
     [state] = parse_text("5 girls had 3 tickets.")
     [question] = parse_text("How many tickets do 5 girls have now?")
-    bare = Ownership(Entity("girl", EntityKind.CLASS))
-    assert state.key.locus == question.key.locus == Ownership(girls) == bare
-    assert state.key.locus.owner.cardinality is None
+    bare = Locus(LocusKind.OWNERSHIP, Entity("girl", EntityKind.CLASS))
+    assert state.key.locus == question.key.locus \
+        == Locus(LocusKind.OWNERSHIP, girls) == bare
+    assert state.key.locus.entity.cardinality is None
 
 
 def test_subject_numeral_event():
@@ -306,7 +307,7 @@ def test_statement_combine():
     assert isinstance(prop, CombineProp)
     assert prop.total == Known(8)
     assert prop.time is TimePoint.INITIAL
-    assert [k.locus.owner.name for k in prop.parts] == ["Tom", "Ruth"]
+    assert [k.locus.entity.name for k in prop.parts] == ["Tom", "Ruth"]
     assert prop.verb is None   # a state combine
 
 

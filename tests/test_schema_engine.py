@@ -1,6 +1,7 @@
 import pytest
 
 from oracle import equations_subset
+from test_discourse import owner, place, states
 
 from schemarith.corpus import CORPUS, by_id
 from schemarith.discourse import build_store, build_timelines
@@ -14,8 +15,6 @@ from schemarith.parser import (
     CompareProp,
     Entity,
     EntityKind,
-    Ownership,
-    Place,
     StateKey,
     parse_problem,
 )
@@ -80,8 +79,8 @@ def test_compare_instantiation_matches_question_and_introduces_unknown():
     [comp] = [r for r in store.relations if isinstance(r, CompareProp)]
     inst = instantiate_compare(comp, store)
     assert inst.render() == "More (?, than X, by 4)"
-    introduced = StateKey(Ownership(proper("Ruth")), "candy", TimePoint.FINAL)
-    assert store.states[introduced] == Var("X")
+    introduced = StateKey(owner(proper("Ruth")), "candy", TimePoint.FINAL)
+    assert states(store)[introduced] == Var("X")
 
 
 def test_place_compare_introduces_two_unknowns():
@@ -89,16 +88,16 @@ def test_place_compare_introduces_two_unknowns():
     first = [r for r in store.relations if isinstance(r, CompareProp)][0]
     inst = instantiate_compare(first, store)
     assert inst.render() == "More (X, than X1, by 4)"
-    assert store.states[StateKey(Place(cls("refrigerator")), "egg",
-                                 TimePoint.INITIAL)] == Var("X")
-    assert store.states[StateKey(Place(cls("box")), "egg",
-                                 TimePoint.INITIAL)] == Var("X1")
+    assert states(store)[StateKey(place(cls("refrigerator")), "egg",
+                                  TimePoint.INITIAL)] == Var("X")
+    assert states(store)[StateKey(place(cls("box")), "egg",
+                                  TimePoint.INITIAL)] == Var("X1")
 
 
 def test_zero_difference_compare():
     comp = CompareProp(
-        StateKey(Ownership(proper("Tom")), "apple", TimePoint.FINAL),
-        StateKey(Ownership(proper("Dan")), "apple", TimePoint.FINAL),
+        StateKey(owner(proper("Tom")), "apple", TimePoint.FINAL),
+        StateKey(owner(proper("Dan")), "apple", TimePoint.FINAL),
         Known(0), "more")
     store = store_for("basket-apples")
     inst = instantiate_compare(comp, store)
@@ -154,7 +153,7 @@ def test_match_fully_bound_change():
 
 def test_match_with_missing_initial_line():
     lsi, skipped, timelines = cautious_lsi(store_for("candy-gifts"))
-    david = Ownership(proper("David"))
+    david = owner(proper("David"))
     # David's changes, in 2 from John and out 3 to Ruth, are not recorded
     changes = {(si.kind, slot_values(si)[1]) for si in lsi}
     assert ("Transfer-In-Ownership", Known(2)) not in changes
@@ -204,7 +203,7 @@ def test_total_strategy_adds_unknowns():
 
 def test_basket_timeline_gated_in_eggs_problem():
     result = understood("eggs-places")
-    basket = Place(cls("basket"))
+    basket = place(cls("basket"))
     # the basket's changes, out 5 and out 6, are not recorded
     assert not any(si.kind == "Transfer-Out-Place"
                    and slot_values(si)[1] in (Known(5), Known(6)) for si in result.lsi)

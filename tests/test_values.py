@@ -36,8 +36,7 @@ from schemarith.parser import (
     Entity,
     EntityKind,
     EventProp,
-    Ownership,
-    Place,
+    Locus,
     Sentence,
     StateKey,
     StateProp,
@@ -62,10 +61,11 @@ RUTH = Entity("Ruth", EntityKind.PROPER)
 TOM = Entity("Tom", EntityKind.PROPER)
 BOX = Entity("box", EntityKind.CLASS)
 BASKET = Entity("basket", EntityKind.CLASS)
+OWNERSHIP, PLACE = LocusKind.OWNERSHIP, LocusKind.PLACE
 IN_OWN = ChangeKind.IN_OWNERSHIP
 OUT_OWN = ChangeKind.OUT_OWNERSHIP
-KEY = StateKey(Ownership(RUTH), "apple", TimePoint.INITIAL)
-KEY2 = StateKey(Ownership(TOM), "apple", TimePoint.INITIAL)
+KEY = StateKey(Locus(OWNERSHIP, RUTH), "apple", TimePoint.INITIAL)
+KEY2 = StateKey(Locus(OWNERSHIP, TOM), "apple", TimePoint.INITIAL)
 
 
 def f(name, value, other, default=NO, compared=True):
@@ -89,10 +89,9 @@ FROZEN = {
     Entity: [f("name", "Ruth", "Tom"),
              f("kind", EntityKind.PROPER, EntityKind.CLASS),
              f("cardinality", 5, 6, None)],
-    Ownership: [f("owner", RUTH, TOM)],
-    Place: [f("place", BOX, BASKET)],
-    StateKey: [f("locus", Ownership(RUTH), Place(BOX)), f("obj", "apple", "nut"),
-               f("time", TimePoint.INITIAL, TimePoint.FINAL)],
+    Locus: [f("kind", OWNERSHIP, PLACE), f("entity", RUTH, TOM)],
+    StateKey: [f("locus", Locus(OWNERSHIP, RUTH), Locus(PLACE, BOX)),
+               f("obj", "apple", "nut"), f("time", TimePoint.INITIAL, TimePoint.FINAL)],
     StateProp: [f("key", KEY, KEY2), f("quantity", Known(3), QUESTION),
                 ignored("sentence", 0, 1, -1)],
     EventProp: [f("verb", "give", "get"), f("obj", "apple", "nut"),
@@ -108,7 +107,7 @@ FROZEN = {
                   f("group", THEY, BOX, None), f("verb", "buy", "get", None),
                   ignored("sentence", 2, 3, -1)],
     ElementaryEvent: [f("kind", IN_OWN, OUT_OWN),
-                      f("locus", Ownership(RUTH), Ownership(TOM)),
+                      f("locus", Locus(OWNERSHIP, RUTH), Locus(OWNERSHIP, TOM)),
                       f("obj", "apple", "nut"), f("delta", Known(3), Known(4)),
                       ignored("verb", "give", "get", ""),
                       ignored("sentence", 0, 1, -1)],
@@ -220,13 +219,13 @@ def test_repr_literals():
     assert repr(Known(3)) == "Known(value=3)"
     assert repr(Insufficient(())) == "Insufficient(unresolved=())"
     assert repr(QUESTION) == "Question()"
-    assert repr(Ownership(RUTH)) == (
-        "Ownership(owner=Entity(name='Ruth', kind=<EntityKind.PROPER: 'proper'>, "
-        "cardinality=None))")
+    assert repr(Locus(OWNERSHIP, RUTH)) == (
+        "Locus(kind=<LocusKind.OWNERSHIP: 'ownership'>, entity=Entity(name='Ruth', "
+        "kind=<EntityKind.PROPER: 'proper'>, cardinality=None))")
 
 
 def test_other_classes_are_unequal():
-    assert Ownership(RUTH) != Place(RUTH)
+    assert Locus(OWNERSHIP, RUTH) != RUTH
     assert Known(1) != Var("1")
     assert Known(3) != 3 and 3 != Known(3)
     assert Known(3).__eq__(3) is NotImplemented
