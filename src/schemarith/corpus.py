@@ -14,13 +14,11 @@ class CorpusProblem(_Frozen):
     __slots__ = ("id", "text", "expected_verdict", "expected_answer", "pronoun_free")
 
     def __init__(self, id, text, expected_verdict, expected_answer, pronoun_free):
-        (set_id, set_text, set_expected_verdict, set_expected_answer,
-         set_pronoun_free) = CorpusProblem._setters
-        set_id(self, id)
-        set_text(self, text)
-        set_expected_verdict(self, expected_verdict)  # "solved" | "contradiction"
-        set_expected_answer(self, expected_answer)  # int | None
-        set_pronoun_free(self, pronoun_free)
+        self.id = id
+        self.text = text
+        self.expected_verdict = expected_verdict  # "solved" | "contradiction"
+        self.expected_answer = expected_answer  # int | None
+        self.pronoun_free = pronoun_free
 
 
 CORPUS = (

@@ -67,14 +67,12 @@ class ElementaryEvent(_Frozen):
     _key = attrgetter(*__slots__[:4])
 
     def __init__(self, kind, locus, obj, delta, verb="", sentence=-1):
-        (set_kind, set_locus, set_obj, set_delta, set_verb,
-         set_sentence) = ElementaryEvent._setters
-        set_kind(self, kind)      # ChangeKind
-        set_locus(self, locus)    # Locus
-        set_obj(self, obj)
-        set_delta(self, delta)    # Known: the parser states it
-        set_verb(self, verb)
-        set_sentence(self, sentence)
+        self.kind = kind      # ChangeKind
+        self.locus = locus    # Locus
+        self.obj = obj
+        self.delta = delta    # Known: the parser states it
+        self.verb = verb
+        self.sentence = sentence
 
 
 # Read on every event, as module names; see parser._PROPER.

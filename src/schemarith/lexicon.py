@@ -91,8 +91,7 @@ class Compound(_Frozen):
     def __init__(self, components):  # of (ChangeKind, Role)
         if len(components) < 2:
             raise ValueError("compound verbs have at least two components")
-        (set_components,) = Compound._setters
-        set_components(self, components)
+        self.components = components
 
 
 class StaticState(_Frozen):
@@ -105,8 +104,7 @@ class StaticState(_Frozen):
     __slots__ = ("hint",)
 
     def __init__(self, hint):
-        (set_hint,) = StaticState._setters
-        set_hint(self, hint)
+        self.hint = hint
 
 
 class NonChange(_Frozen):

@@ -81,11 +81,10 @@ class Entity(_Frozen):
     __slots__ = ("name", "kind", "cardinality")
 
     def __init__(self, name, kind, cardinality=None):
-        set_name, set_kind, set_cardinality = Entity._setters
-        set_name(self, name)
-        set_kind(self, kind)
+        self.name = name
+        self.kind = kind
         # the numeral of a subject like "5 girls"; metadata
-        set_cardinality(self, cardinality)
+        self.cardinality = cardinality
 
 
 THEY = Entity("they", EntityKind.GROUP)
@@ -103,9 +102,8 @@ class Locus(_Frozen):
             # A subject's numeral never enters a locus: whatever their
             # number, "5 girls" own what the girls own.
             entity = Entity(entity.name, entity.kind)
-        set_kind, set_entity = Locus._setters
-        set_kind(self, kind)        # LocusKind
-        set_entity(self, entity)
+        self.kind = kind        # LocusKind
+        self.entity = entity
 
 
 def render_locus(locus) -> str:
@@ -118,10 +116,9 @@ class StateKey(_Frozen):
     __slots__ = ("locus", "obj", "time")
 
     def __init__(self, locus, obj, time):
-        set_locus, set_obj, set_time = StateKey._setters
-        set_locus(self, locus)  # Locus
-        set_obj(self, obj)      # canonical object class
-        set_time(self, time)
+        self.locus = locus  # Locus
+        self.obj = obj      # canonical object class
+        self.time = time
 
 
 # A proposition's sentence index stays out of equality and hashing: where a
@@ -133,10 +130,9 @@ class StateProp(_Frozen):
     _key = attrgetter("key", "quantity")
 
     def __init__(self, key, quantity, sentence=-1):
-        set_key, set_quantity, set_sentence = StateProp._setters
-        set_key(self, key)
-        set_quantity(self, quantity)
-        set_sentence(self, sentence)
+        self.key = key
+        self.quantity = quantity
+        self.sentence = sentence
 
 
 class EventProp(_Frozen):
@@ -146,16 +142,14 @@ class EventProp(_Frozen):
 
     def __init__(self, verb, obj, amount, agent=None, recipient=None, source=None,
                  destination=None, sentence=-1):
-        (set_verb, set_obj, set_amount, set_agent, set_recipient, set_source,
-         set_destination, set_sentence) = EventProp._setters
-        set_verb(self, verb)
-        set_obj(self, obj)
-        set_amount(self, amount)
-        set_agent(self, agent)
-        set_recipient(self, recipient)
-        set_source(self, source)
-        set_destination(self, destination)
-        set_sentence(self, sentence)
+        self.verb = verb
+        self.obj = obj
+        self.amount = amount
+        self.agent = agent
+        self.recipient = recipient
+        self.source = source
+        self.destination = destination
+        self.sentence = sentence
 
 
 class CompareProp(_Frozen):
@@ -163,13 +157,11 @@ class CompareProp(_Frozen):
     _key = attrgetter(*__slots__[:4])
 
     def __init__(self, left, right, diff, direction, sentence=-1):
-        (set_left, set_right, set_diff, set_direction,
-         set_sentence) = CompareProp._setters
-        set_left(self, left)
-        set_right(self, right)
-        set_diff(self, diff)
-        set_direction(self, direction)  # "more" | "less"
-        set_sentence(self, sentence)
+        self.left = left
+        self.right = right
+        self.diff = diff
+        self.direction = direction  # "more" | "less"
+        self.sentence = sentence
 
 
 class CombineProp(_Frozen):
@@ -177,15 +169,13 @@ class CombineProp(_Frozen):
     _key = attrgetter(*__slots__[:6])
 
     def __init__(self, obj, total, time, parts=(), group=None, verb=None, sentence=-1):
-        (set_obj, set_total, set_time, set_parts, set_group, set_verb,
-         set_sentence) = CombineProp._setters
-        set_obj(self, obj)
-        set_total(self, total)
-        set_time(self, time)
-        set_parts(self, parts)      # StateKeys, in statements
-        set_group(self, group)      # "they" or a class, in questions
-        set_verb(self, verb)        # the verb of an event combine, else None
-        set_sentence(self, sentence)
+        self.obj = obj
+        self.total = total
+        self.time = time
+        self.parts = parts      # StateKeys, in statements
+        self.group = group      # "they" or a class, in questions
+        self.verb = verb        # the verb of an event combine, else None
+        self.sentence = sentence
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,20 @@ class _Enum(Enum):
 class _Frozen:
     """Base of the package's immutable value types.
 
-    A subclass names its fields in ``__slots__``, in constructor order;
-    ``__init__`` sets them through ``_setters``, the ``__set__`` of those
-    slots' descriptors, and equality and hashing compare the fields that
-    ``_key`` gets.  A class with fields that names no ``_key`` gets all of
-    its own fields, in order; one that leaves a field out of equality
-    names a ``_key`` that skips it.  Instances of different classes are
-    never equal.
+    A subclass names its fields in ``__slots__``, in constructor order, and
+    its ``__init__`` sets each with one plain ``self.<field> = <arg>``;
+    equality and hashing compare the fields that ``_key`` gets.  A class
+    with fields that names no ``_key`` gets all of its own fields, in
+    order; one that leaves a field out of equality names a ``_key`` that
+    skips it.  Instances of different classes are never equal.
+
+    A value never changes once built.  That is a contract, not a runtime
+    refusal: a class that overrode attribute assignment would keep CPython
+    from specialising the stores in ``__init__``.  A static gate in the tests
+    checks that the package assigns and deletes no field anywhere else,
+    and a caller must not either, since a key's hash would then change.
+    With no ``__dict__``, an attribute that is not a field is still
+    refused.
     """
 
     __slots__ = ()
@@ -34,17 +41,9 @@ class _Frozen:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        own = cls.__dict__
-        fields = own.get("__slots__", ())
-        cls._setters = tuple(own[name].__set__ for name in fields)
-        if fields and "_key" not in own:
+        fields = cls.__dict__.get("__slots__", ())
+        if fields and "_key" not in cls.__dict__:
             cls._key = attrgetter(*fields)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -73,16 +72,14 @@ class Known(_Frozen):
     def __init__(self, value):
         if value < 0:
             raise ValueError("amounts are nonnegative")
-        (set_value,) = Known._setters
-        set_value(self, value)
+        self.value = value
 
 
 class Var(_Frozen):
     __slots__ = ("name",)
 
     def __init__(self, name):
-        (set_name,) = Var._setters
-        set_name(self, name)
+        self.name = name
 
 
 class Question(_Frozen):

@@ -38,10 +38,9 @@ class SchemaInstantiation(_Frozen):
 
     def __init__(self, kind, slots, equation):
         # change schema name, "More", "Less" or "Combine"
-        set_kind, set_slots, set_equation = SchemaInstantiation._setters
-        set_kind(self, kind)
-        set_slots(self, slots)   # ((role, Quantity), ...)
-        set_equation(self, equation)
+        self.kind = kind
+        self.slots = slots   # ((role, Quantity), ...)
+        self.equation = equation
 
     def render(self) -> str:
         if self.kind in ("More", "Less"):

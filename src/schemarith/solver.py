@@ -30,10 +30,9 @@ class Equation(_Frozen):
     __slots__ = ("a", "b", "c")
 
     def __init__(self, a, b, c):
-        set_a, set_b, set_c = Equation._setters
-        set_a(self, a)
-        set_b(self, b)
-        set_c(self, c)
+        self.a = a
+        self.b = b
+        self.c = c
 
     def render(self) -> str:
         return (f"{render_quantity(self.c)} = "
@@ -44,34 +43,30 @@ class Solved(_Frozen):
     __slots__ = ("answer",)
 
     def __init__(self, answer):
-        (set_answer,) = Solved._setters
-        set_answer(self, answer)
+        self.answer = answer
 
 
 class Insufficient(_Frozen):
     __slots__ = ("unresolved",)
 
     def __init__(self, unresolved):
-        (set_unresolved,) = Insufficient._setters
-        set_unresolved(self, unresolved)
+        self.unresolved = unresolved
 
 
 class Contradiction(_Frozen):
     __slots__ = ("equation", "detail")
 
     def __init__(self, equation, detail):
-        set_equation, set_detail = Contradiction._setters
-        set_equation(self, equation)
-        set_detail(self, detail)
+        self.equation = equation
+        self.detail = detail
 
 
 class Invalid(_Frozen):
     __slots__ = ("equation", "value")
 
     def __init__(self, equation, value):
-        set_equation, set_value = Invalid._setters
-        set_equation(self, equation)
-        set_value(self, value)
+        self.equation = equation
+        self.value = value
 
 
 class SolveResult:

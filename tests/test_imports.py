@@ -1,9 +1,10 @@
 """Every name a package module imports is used in that module, every
 function, class and method the package defines is referenced from it,
-every field a package class keeps is read in it, the value types are
-built through the setter tables, enum base and default ``_key`` in
-quantity.py, the parser leaves letter case to the lexicon, and the CLI
-starts without the standard library's slow-loading modules."""
+every field a package class keeps is read in it, no value is changed
+after its ``__init__``, every enum derives from quantity's enum base, no
+class spells out the default ``_key``, the parser leaves letter case to
+the lexicon, and the CLI starts without the standard library's
+slow-loading modules."""
 import ast
 import os
 import re
@@ -192,7 +193,7 @@ def test_field_gate_sees_slots_and_init_fields_nothing_reads():
     assert unread_fields(sources) == [("a.py", 3, "V.z"), ("a.py", 8, "R.b")]
 
 
-SETTERS = {"__setattr__", "__set__"}
+SETTERS = {"__setattr__", "__delattr__", "__set__", "__delete__"}
 
 
 def attrgetter_names(call, slots):
@@ -274,17 +275,16 @@ def value_layer_breaches(source):
 
 
 def test_only_quantity_sets_fields_directly_or_subclasses_enum():
-    """Frozen fields are set through the setter tables that quantity._Frozen
-    builds from each class's slot descriptors, the one read of ``__set__``;
-    nothing calls ``object.__setattr__`` past the ``__setattr__`` that
-    refuses assignment.  Every package enum derives from quantity._Enum,
-    which hashes its members by identity, and no class spells out the
-    ``_key`` that _Frozen gives a class naming none."""
+    """No module reaches past plain attribute stores, through
+    ``object.__setattr__`` or a slot descriptor's ``__set__``, to assign or
+    delete a field.  Every package enum derives from quantity._Enum, which
+    hashes its members by identity, and no class spells out the ``_key``
+    that _Frozen gives a class naming none."""
     found = {path.name: [what for _, what in value_layer_breaches(
                  path.read_text(encoding="utf-8"))]
              for path in PACKAGE.glob("*.py")}
     assert {name: what for name, what in found.items() if what} == \
-        {"quantity.py": ["_Enum", "own[name].__set__"]}
+        {"quantity.py": ["_Enum"]}
 
 
 def test_value_layer_gate_sees_setattr_and_enum_bases():
@@ -299,11 +299,132 @@ def test_value_layer_gate_sees_setattr_and_enum_bases():
               "D.__dict__['x'].__set__(D, 1)\n"
               "getattr(D.x, '__set__')(D, 1)\n"
               "super(D, D).__setattr__('x', 1)\n"
-              "getattr(object, '__setattr__')\n")
+              "getattr(object, '__setattr__')\n"
+              "object.__delattr__(D, 'x')\n"
+              "D.__dict__['x'].__delete__(D)\n")
     assert value_layer_breaches(source) == [
         (4, "A"), (5, "B"), (6, "C"), (8, "object.__setattr__"),
         (9, "D.__dict__['x'].__set__"), (10, "getattr(D.x, '__set__')"),
-        (11, "super(D, D).__setattr__"), (12, "getattr(object, '__setattr__')")]
+        (11, "super(D, D).__setattr__"), (12, "getattr(object, '__setattr__')"),
+        (13, "object.__delattr__"), (14, "D.__dict__['x'].__delete__")]
+
+
+def scoped(node, cls=None, func=None):
+    """Each node under `node` with its innermost enclosing class and
+    function, either None."""
+    for child in ast.iter_child_nodes(node):
+        yield child, cls, func
+        if isinstance(child, ast.ClassDef):
+            yield from scoped(child, child, None)
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield from scoped(child, cls, child)
+        else:
+            yield from scoped(child, cls, func)
+
+
+def frozen_classes(trees):
+    """The class nodes of `trees` based on ``_Frozen``, at any depth."""
+    classes = [node for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)]
+    frozen, names = [], {"_Frozen"}
+    while True:
+        grown = [node for node in classes if node not in frozen and any(
+            isinstance(base, ast.Name) and base.id in names for base in node.bases)]
+        if not grown:
+            return frozen
+        frozen += grown
+        names.update(node.name for node in grown)
+
+
+def declared_fields(node):
+    """The fields a class declares: the names its literal ``__slots__``
+    lists, or, in a class without them, each ``self.<name>`` its
+    ``__init__`` assigns."""
+    for item in node.body:
+        if isinstance(item, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets):
+            return set(ast.literal_eval(item.value))
+    return {name for _, name in class_fields(node, set())}
+
+
+def field_store_breaches(sources):
+    """(module, line, what) for each store or deletion of an attribute that
+    could change a frozen value after its ``__init__``, in `sources`
+    (module name -> source): a store or deletion, in any statement or
+    target form, of an attribute named as a field of a ``_Frozen``
+    subclass, unless it is a ``self.<field>`` store in the ``__init__`` of
+    a class that declares that field; any store on ``self`` in a
+    ``_Frozen`` subclass outside its ``__init__``; and each call of
+    ``setattr`` or ``delattr``.  Fields are matched by name, as
+    unread_fields matches them; value_layer_breaches refuses the reads of
+    ``__setattr__``, ``__delattr__``, ``__set__`` and ``__delete__``."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    frozen = frozen_classes(trees.values())
+    fields = set().union(*map(declared_fields, frozen))
+    breaches = []
+    for module, tree in trees.items():
+        for node, cls, func in scoped(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                on_self = isinstance(node.value, ast.Name) and node.value.id == "self"
+                in_init = (cls is not None and func in cls.body
+                           and func.name == "__init__")
+                own_field = (on_self and in_init and isinstance(node.ctx, ast.Store)
+                             and node.attr in declared_fields(cls))
+                if (node.attr in fields and not own_field) or (
+                        on_self and cls in frozen and not in_init):
+                    breaches.append((module, node.lineno, ast.unparse(node)))
+            elif isinstance(node, ast.Call) and getattr(
+                    node.func, "id", getattr(node.func, "attr", None)) in ("setattr", "delattr"):
+                breaches.append((module, node.lineno, ast.unparse(node.func)))
+    return sorted(breaches)
+
+
+def test_no_module_changes_a_value_after_its_init():
+    """A frozen value is immutable by contract, not by a runtime refusal:
+    the package assigns each field once, in its class's ``__init__``."""
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in PACKAGE.glob("*.py")}
+    assert field_store_breaches(sources) == []
+
+
+def test_field_store_gate_sees_stores_deletions_and_setattr():
+    sources = {
+        "a.py": ("from .quantity import _Frozen\n"
+                 "class V(_Frozen):\n"
+                 "    __slots__ = ('kind', 'value')\n"
+                 "    def __init__(self, kind, value):\n"
+                 "        self.kind = kind\n"
+                 "        self.value = value\n"
+                 "    def reset(self, x):\n"
+                 "        self.kind = x\n"
+                 "class N(V):\n"
+                 "    __slots__ = ('name',)\n"
+                 "    def __init__(self, name):\n"
+                 "        super().__init__('n', 0)\n"
+                 "        self.name = name\n"
+                 "        self.kind = 'other'\n"
+                 "    def later(self):\n"
+                 "        self.cache = 1\n"),
+        "b.py": ("class Record:\n"
+                 "    def __init__(self, kind):\n"
+                 "        self.kind = kind\n"
+                 "        self.count = 0\n"
+                 "    def grow(self):\n"
+                 "        self.count += 1\n"
+                 "def f(obj, x, a):\n"
+                 "    obj.kind = x\n"
+                 "    del obj.kind\n"
+                 "    obj.value += 1\n"
+                 "    a, obj.name = 1, 2\n"
+                 "    setattr(obj, 'kind', x)\n"
+                 "    builtins.delattr(obj, 'kind')\n"
+                 "    obj.count = 2\n"),
+    }
+    assert field_store_breaches(sources) == [
+        ("a.py", 8, "self.kind"), ("a.py", 14, "self.kind"), ("a.py", 16, "self.cache"),
+        ("b.py", 8, "obj.kind"), ("b.py", 9, "obj.kind"), ("b.py", 10, "obj.value"),
+        ("b.py", 11, "obj.name"), ("b.py", 12, "setattr"),
+        ("b.py", 13, "builtins.delattr")]
 
 
 def test_value_layer_gate_sees_a_key_that_repeats_the_slots():

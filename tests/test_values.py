@@ -1,12 +1,18 @@
 """Value semantics of the package's record types.
 
 Every frozen value type compares and hashes by its compared fields, is
-unequal to instances of other classes, refuses assignment and deletion,
-and prints as ``Name(field=value, ...)``.  Every enum member hashes by
-identity and copies to itself.  Each frozen type's setters are the
-``__set__`` of its own slot descriptors, in field order, and every slot
-holds its constructor argument itself.  The mutable records keep their
-constructor signatures and assignable attributes.
+unequal to instances of other classes, and prints as
+``Name(field=value, ...)``.  Every enum member hashes by identity and
+copies to itself.  Each frozen type lists its fields in constructor
+order, every slot holds its constructor argument itself, and no field
+can be added.  A frozen value is immutable by contract: its type keeps
+``object``'s own attribute assignment and deletion, so that CPython can
+specialise the one plain store per field in ``__init__``, and the static
+gate of test_imports.py checks that the package assigns and deletes no
+field outside that ``__init__``.  A caller outside the package must not
+assign a field either: the hash of a key would change under it.  The
+mutable records keep their constructor signatures and assignable
+attributes.
 """
 import copy
 import importlib
@@ -172,15 +178,12 @@ def test_compared_fields_count_and_ignored_fields_do_not(cls):
 
 
 @pytest.mark.parametrize("cls", FROZEN, ids=FROZEN_IDS)
-def test_assignment_and_deletion_raise(cls):
-    fields = FROZEN[cls]
-    obj = cls(**values(fields))
-    for name, value, other, *_ in fields:
-        with pytest.raises(AttributeError):
-            setattr(obj, name, other)
-        with pytest.raises(AttributeError):
-            delattr(obj, name)
-        assert getattr(obj, name) == value
+def test_stores_are_plain_and_no_attribute_is_added(cls):
+    # a Python-level override would turn off the specialised stores
+    assert [name for name, *_ in FROZEN[cls]] == list(cls.__slots__)
+    obj = cls(**values(FROZEN[cls]))
+    assert type(obj).__setattr__ is object.__setattr__
+    assert type(obj).__delattr__ is object.__delattr__
     with pytest.raises(AttributeError):
         obj.not_a_field = 1
 
@@ -197,22 +200,6 @@ def test_copy_and_pickle_keep_the_value(cls):
     obj = cls(**values(FROZEN[cls]))
     for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
         assert twin == obj and repr(twin) == repr(obj)
-
-
-@pytest.mark.parametrize("cls", FROZEN, ids=FROZEN_IDS)
-def test_setters_are_the_own_slot_descriptors_in_order(cls):
-    assert [name for name, *_ in FROZEN[cls]] == list(cls.__slots__)
-    assert len(cls._setters) == len(cls.__slots__)
-    for name, setter in zip(cls.__slots__, cls._setters):
-        assert setter.__self__ is cls.__dict__[name], name
-
-
-@pytest.mark.parametrize("cls", FROZEN, ids=FROZEN_IDS)
-def test_a_setter_refuses_an_instance_of_another_class(cls):
-    other = Var("X") if cls is Known else Known(3)
-    for setter in cls._setters:
-        with pytest.raises(TypeError):
-            setter(other, 1)
 
 
 def test_repr_literals():
