@@ -595,7 +595,8 @@ class _ClauseParser:
                 self.expect("in")
                 right_locus = Locus(_PLACE, self.parse_place_np())
             else:
-                right_locus = Locus(_OWNERSHIP, self.parse_person_or_place())
+                ent = self.parse_person_or_place()
+                right_locus = Locus(_PLACE if ent.kind is _CLASS else _OWNERSHIP, ent)
                 if not self.done():
                     word = self.take()
                     if word.verb is None or word.verb[0] != "have":
@@ -650,26 +651,24 @@ class _ClauseParser:
                 self.pos += 1
                 ent = self.parse_person_or_place()
                 if ent.kind is _PROPER:
-                    recipient = ent
+                    recipient = self._one(recipient, ent, "recipient")
                 else:
-                    destination = ent
+                    destination = self._one(destination, ent, "destination")
             elif tok == "from":
                 self.pos += 1
-                source = self.parse_person_or_place()
+                source = self._one(source, self.parse_person_or_place(), "source")
             elif tok in ("into", "onto", "in"):
                 self.pos += 1
-                destination = self.parse_place_np()
+                destination = self._one(destination, self.parse_place_np(), "destination")
             elif tok == "out":
                 self.pos += 1
                 self.expect("of")
-                source = self.parse_place_np()
+                source = self._one(source, self.parse_place_np(), "source")
             elif object_np is None and words[self.pos + 1].number is not None \
                     and (word.proper or word.pronoun in ("f", "m")):
                 # double-object dative: "gave Tom 3 apples", "gave him 3 apples"
-                if word.proper:
-                    recipient = self.take_proper()
-                else:
-                    recipient = self.take_pronoun_entity()
+                ent = self.take_proper() if word.proper else self.take_pronoun_entity()
+                recipient = self._one(recipient, ent, "recipient")
             elif word.number is not None:
                 if object_np is not None:
                     raise self.error("two counted objects in one event")
@@ -679,9 +678,9 @@ class _ClauseParser:
                     and locational:
                 ent = self.parse_place_np()  # bare locus of leave/enter/exit
                 if classification.direction is _OUT:
-                    source = ent
+                    source = self._one(source, ent, "source")
                 else:
-                    destination = ent
+                    destination = self._one(destination, ent, "destination")
             else:
                 raise self.error(f"unexpected token {tok!r} in event clause")
         if object_np is None:
@@ -697,6 +696,12 @@ class _ClauseParser:
             agent = subject
         return [EventProp(lemma, obj, Known(amount), agent, recipient, source,
                           destination, self.sentence)]
+
+    def _one(self, named, ent, role):
+        """`ent` as the event's `role`, which no earlier phrase has named."""
+        if named is not None:
+            raise self.error(f"two {role}s in one event")
+        return ent
 
     def _check_done(self):
         if not self.done():

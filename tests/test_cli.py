@@ -181,6 +181,18 @@ NOW = " How many apples does Ruth have now?"
      "sentence 1: time marker conflicts with the verb's meaning"),
     ("Tom remained in the room.",
      "sentence 1: a counted class noun must head this clause"),
+    # an event names each role at most once
+    ("Ann had 1 apple. Tom gave Ann 3 apples to Bob. How many apples does Ann have now?",
+     "sentence 2: two recipients in one event"),
+    ("Tom gave 3 apples to Ann to Bob.", "sentence 1: two recipients in one event"),
+    ("Tom put 2 apples into the box into the basket.",
+     "sentence 1: two destinations in one event"),
+    ("Tom put 2 apples into the box to the basket.",
+     "sentence 1: two destinations in one event"),
+    ("Tom moved 2 apples from the box from the basket.",
+     "sentence 1: two sources in one event"),
+    ("3 eggs fell out of the box box.", "sentence 1: two sources in one event"),
+    ("Two boys left stone room.", "sentence 1: two sources in one event"),
 ])
 def test_non_ascii_word_or_self_comparison_is_not_understood_in_both_formats(
         tmp_path, capsys, text, message):
@@ -190,6 +202,26 @@ def test_non_ascii_word_or_self_comparison_is_not_understood_in_both_formats(
     assert cli.main(["solve", path, "--format", "json"]) == 2
     [problem] = json.loads(capsys.readouterr().out)["problems"]
     assert problem["error"] == {"type": "ParseError", "message": message}
+
+
+BOX_THEN_TOM = " There were 3 apples in the {0}. How many apples did Tom have in the beginning?"
+
+
+@pytest.mark.parametrize("strategy", ["cautious", "total"])
+@pytest.mark.parametrize("text, answer", [
+    ("Tom had 2 apples more than the box had." + BOX_THEN_TOM.format("box"), 5),
+    ("Tom had 2 apples less than the basket." + BOX_THEN_TOM.format("basket"), 1),
+])
+def test_a_place_after_than_in_a_possession_comparison_is_that_place(
+        tmp_path, capsys, strategy, text, answer):
+    path = write_problem(tmp_path, text)
+    assert cli.main(["solve", path, "--strategy", strategy, "--trace"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith(f"Answer: {answer}\n")
+    assert " had X apples" not in out   # no owner named after the place
+    assert cli.main(["solve", path, "--strategy", strategy, "--format", "json"]) == 0
+    [problem] = json.loads(capsys.readouterr().out)["problems"]
+    assert problem["answer"] == answer
 
 
 THEY_TEXT = "Ruth had 3 apples. {} How many apples does Ruth have now?"

@@ -282,6 +282,13 @@ def test_place_compare():
     assert prop.right == StateKey(place("basket"), "egg", TimePoint.FINAL)
 
 
+def test_a_place_after_than_compares_with_the_place():
+    [had] = parse_text("Tom had 2 apples more than the box had.")
+    [there] = parse_text("Tom had 2 apples more than there were in the box.")
+    assert had == there
+    assert had.right == StateKey(place("box"), "apple", TimePoint.INITIAL)
+
+
 def test_phrasal_verb_event():
     [prop] = parse_text("3 eggs fell out of the box.")
     assert prop.verb == "fall out of"
