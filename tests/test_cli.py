@@ -204,7 +204,8 @@ def test_non_ascii_word_or_self_comparison_is_not_understood_in_both_formats(
     assert problem["error"] == {"type": "ParseError", "message": message}
 
 
-BOX_THEN_TOM = " There were 3 apples in the {0}. How many apples did Tom have in the beginning?"
+BOX_THEN_TOM = (" There were 3 apples in the {0}."
+                " How many apples did Tom have in the beginning?")
 
 
 @pytest.mark.parametrize("strategy", ["cautious", "total"])

@@ -364,17 +364,16 @@ def field_store_breaches(sources):
     breaches = []
     for module, tree in trees.items():
         for node, cls, func in scoped(tree):
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load):
                 on_self = isinstance(node.value, ast.Name) and node.value.id == "self"
-                in_init = (cls is not None and func in cls.body
-                           and func.name == "__init__")
+                in_init = cls is not None and func in cls.body and func.name == "__init__"
                 own_field = (on_self and in_init and isinstance(node.ctx, ast.Store)
                              and node.attr in declared_fields(cls))
                 if (node.attr in fields and not own_field) or (
                         on_self and cls in frozen and not in_init):
                     breaches.append((module, node.lineno, ast.unparse(node)))
-            elif isinstance(node, ast.Call) and getattr(
-                    node.func, "id", getattr(node.func, "attr", None)) in ("setattr", "delattr"):
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", getattr(
+                    node.func, "attr", None)) in ("setattr", "delattr"):
                 breaches.append((module, node.lineno, ast.unparse(node.func)))
     return sorted(breaches)
 
