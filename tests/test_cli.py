@@ -193,6 +193,19 @@ NOW = " How many apples does Ruth have now?"
      "sentence 1: two sources in one event"),
     ("3 eggs fell out of the box box.", "sentence 1: two sources in one event"),
     ("Two boys left stone room.", "sentence 1: two sources in one event"),
+    ("Tom put 2 apples onto the box onto the basket.",
+     "sentence 1: two destinations in one event"),
+    ("Tom put 2 apples in the box into the basket.",
+     "sentence 1: two destinations in one event"),
+    ("Tom moved 2 apples from the box out of the basket.",
+     "sentence 1: two sources in one event"),
+    ("Tom gave to Bob Ann 3 apples.", "sentence 1: two recipients in one event"),
+    ("Bob had 1 apple. Ann gave him 3 apples to Tom. How many apples does Bob have now?",
+     "sentence 2: two recipients in one event"),
+    ("Two boys entered the room hall.", "sentence 1: two destinations in one event"),
+    ("Two boys entered the room into the hall.",
+     "sentence 1: two destinations in one event"),
+    ("Two boys left the room from the hall.", "sentence 1: two sources in one event"),
 ])
 def test_non_ascii_word_or_self_comparison_is_not_understood_in_both_formats(
         tmp_path, capsys, text, message):
