@@ -289,9 +289,10 @@ class Timeline:
         return tuple(name for name, amount in ends if amount is None)
 
 
-def _canonical_order(event):
-    additions_first = 0 if event.kind.direction.adds else 1
-    return (additions_first, event.delta.value, event.verb)
+# The canonical order's keys, read in C: additions before removals, then
+# amount, then verb.
+_AMOUNT_AND_VERB = attrgetter("delta.value", "verb")
+_ADDS = attrgetter("kind.direction.adds")
 
 
 def build_timelines(store) -> list:
@@ -301,11 +302,14 @@ def build_timelines(store) -> list:
     Endpoints are the amounts the store holds for the pair so far
     (Question and unknown states count as present); intermediate unknowns
     are allocated between consecutive events of a chain.  The store keeps
-    each group in text order, which the stable sort keeps among equal keys.
+    each group in text order, which the stable sorts keep among equal
+    keys; the second sort, by direction, keeps the first one's order of
+    amount and verb within each direction.
     """
     timelines = []
     for locus, obj, events, ends in store.chains:
-        events = sorted(events, key=_canonical_order)
+        events = sorted(events, key=_AMOUNT_AND_VERB)
+        events.sort(key=_ADDS, reverse=True)
         timelines.append(Timeline(
             locus, obj, events, ends.get(TimePoint.INITIAL), ends.get(TimePoint.FINAL),
             [store.fresh_var() for _ in events[1:]],

@@ -198,7 +198,6 @@ class Lexicon:
         self.supersets = {}      # canonical class -> frozenset of member classes
         self.pronouns = {}       # pronoun -> gender tag ("f"/"m"/"group")
         self.names = {}          # proper name -> gender tag
-        self._numerals = {}      # digit string of at most two digits -> its Word
 
     # -- verbs ---------------------------------------------------------
 
@@ -247,13 +246,14 @@ class Lexicon:
 
     # -- nouns ---------------------------------------------------------
 
-    def normalize_noun(self, surface):
+    def normalize_noun(self, surface, verb):
         """Canonical singular class for a noun surface; None for proper names.
 
-        Words outside the table are inflected by regular rules, so fresh
-        lower-case nouns are usable without lexicon edits.  A keyword,
-        numeral or pronoun names no class, nor does its plural ("sevens",
-        "ins") or a word that begins with no letter ("7s").
+        `verb` is what ``lemmatize_verb`` reads in `surface`.  Words outside
+        the table are inflected by regular rules, so fresh lower-case nouns
+        are usable without lexicon edits.  A keyword, numeral or pronoun
+        names no class, nor does its plural ("sevens", "ins"), a word that
+        begins with no letter ("7s") or a verb form outside the noun table.
         """
         w = surface.lower()
         if self._reserved(w):
@@ -262,17 +262,18 @@ class Lexicon:
             return self.noun_forms[w]
         if surface[:1].isupper():
             return None
-        return self._regular_class(w)
+        return self._regular_class(w, verb)
 
     def _reserved(self, w):
         return (w in KEYWORDS or w in self.number_words or w in self.pronouns
                 or w.isdigit())
 
-    def _regular_class(self, w):
-        """The regular singular of the lower-case `w`; None when `w` begins
+    def _regular_class(self, w, verb):
+        """The regular singular of the lower-case `w`, whose (lemma, tense)
+        is `verb`; None when `w` reads as a verb ("give", "had"), begins
         with no letter ("7s", "-3"), or when its singular or `w` less a
         final "s" is reserved ("thes", "ins")."""
-        if not w[:1].isalpha():
+        if verb is not None or not w[:1].isalpha():
             return None
         singular = _regular_noun(w)
         if self._reserved(singular) or (w[-1] == "s" and self._reserved(w[:-1])):
@@ -306,26 +307,18 @@ class Lexicon:
     # -- loading ---------------------------------------------------------
 
     def word(self, surface):
-        """The Word of a token outside ``words``: a numeral, another casing
-        of a tabled word, or else a word of the regular inflections.
-
-        The Word of a numeral of at most two digits is kept on its first
-        use and returned again, so at most 110 numerals ("0"-"99" and
-        "00"-"09") are ever kept.  A Word is read-only, so one may be shared
-        by every text and thread.
+        """The Word of a token outside ``words``: a numeral of three or
+        more digits, another casing of a tabled word, or else a word of the
+        regular inflections.
         """
         if surface.isdigit():
-            word = self._numerals.get(surface)
-            if word is None:
-                word = Word(surface, surface, _numeral(surface), None, None, None, False)
-                if len(surface) <= 2:
-                    self._numerals[surface] = word
-            return word
+            return Word(surface, surface, _numeral(surface), None, None, None, False)
         text = surface.lower()
         word = self.words.get(text)
         if word is None:
-            word = Word(text, text, None, self.lemmatize_verb(text),
-                        self._regular_class(text), None, False)
+            verb = self.lemmatize_verb(text)
+            word = Word(text, text, None, verb, self._regular_class(text, verb),
+                        None, False)
         return self._cased(surface, word)
 
     def _cased(self, surface, word):
@@ -356,17 +349,26 @@ class Lexicon:
                 if len(parts) > span:
                     self.phrasal.setdefault(" ".join(parts[:-span]), []).append(
                         tuple(parts[-span:]))
-        # surface -> Word, for every surface in the tables lower-cased and capitalised
+        # surface -> Word: the numerals of at most two digits ("0"-"99" and
+        # "00"-"09"), then every surface in the tables lower-cased and
+        # capitalised.  A Word is read-only, so one is shared by every text
+        # and thread.
+        self.words = words = {
+            digits: Word(digits, digits, n % 100, None, None, None, False)
+            for n, digits in enumerate(_NUMERALS)}
         tables = (KEYWORDS, self.verbs, self.verb_forms, self.number_words,
                   self.noun_forms, self.pronouns, self.names)
-        self.words = {}
         for text in {surface.lower() for table in tables for surface in table}:
-            word = self.words[text] = Word(
-                text, text, self.parse_number(text), self.lemmatize_verb(text),
-                self.normalize_noun(text), self.pronouns.get(text), False)
+            verb = self.lemmatize_verb(text)
+            word = words[text] = Word(
+                text, text, self.parse_number(text), verb,
+                self.normalize_noun(text, verb), self.pronouns.get(text), False)
             capital = text.capitalize()
             if capital != text:
-                self.words[capital] = self._cased(capital, word)
+                words[capital] = self._cased(capital, word)
+
+
+_NUMERALS = [str(n) for n in range(100)] + [f"{n:02}" for n in range(10)]
 
 
 def _numeral(digits):
@@ -447,10 +449,12 @@ def load_lexicon_text(text) -> Lexicon:
         if base not in lex.verbs and base not in lex.phrasal:
             raise LexiconFormatError(
                 f"line {lineno}: form {form!r} is of {base!r}, which no verb record tables")
-    named = set()   # the classes that passed, each checked once
+    # the classes that passed, each checked once; a tabled class is a noun
+    # even where it also reads as a verb
+    named = set()
     for lineno, surface, cls in nouns:
         if lex._reserved(surface.lower()) or (
-                cls not in named and lex._regular_class(cls.lower()) is None):
+                cls not in named and lex._regular_class(cls.lower(), None) is None):
             raise LexiconFormatError(
                 f"line {lineno}: noun {surface!r} of class {cls!r} breaks the noun rule")
         named.add(cls)

@@ -195,7 +195,13 @@ class Sentence:
         self.clauses = clauses
 
 
-_TOKEN_RE = re.compile(r"[A-Za-z0-9'-]+|[,.?!]")
+# ASCII text is split in C: "?" and "!" end a sentence as "." does, a
+# comma stands apart as a token of its own, the token characters
+# [A-Za-z0-9'-] stay and every other character separates tokens.
+_ASCII_TOKENS = str.maketrans({
+    **{c: c if c.isalnum() or c in "'-." else " " for c in map(chr, range(128))},
+    "?": ".", "!": ".", ",": " , ",
+})
 # Outside ASCII a word takes in every letter and digit, so it is refused whole.
 _WIDE_TOKEN_RE = re.compile(r"(?:[A-Za-z0-9'-]|[^\W_])+|[,.?!]")
 
@@ -282,17 +288,23 @@ def tokenize(text, lexicon) -> list:
     Sentences end at '.', '?' or '!'.  A ", if" splits a sentence into a
     main clause plus subordinate clauses; "and" between two full clauses
     splits them into siblings.  Clauses beginning "how many" are flagged
-    interrogative.  Each token is given its Word once; leading sequencers
-    and time markers leave the clause here.  Each sentence's Word texts
-    are listed once, and "if", "and" and the markers are found in that
-    list with ``in`` and ``list.index``, not by a loop over the Words.
+    interrogative.  Each token is given its Word once, from the table
+    in C, and ``Lexicon.word`` is asked only for a token the table lacks;
+    leading sequencers and time markers leave the clause here.  Each
+    sentence's Word texts are listed once, and "if", "and" and the
+    markers are found in that list with ``in`` and ``list.index``, not by
+    a loop over the Words.
     """
-    wide = not text.isascii()
-    findall = (_WIDE_TOKEN_RE if wide else _TOKEN_RE).findall
+    if text.isascii():
+        wide, scan = False, str.split
+        pieces = text.translate(_ASCII_TOKENS).split(".")
+    else:
+        wide, scan = True, _WIDE_TOKEN_RE.findall
+        pieces = text.replace("?", ".").replace("!", ".").split(".")
     get, word = lexicon.words.get, lexicon.word
     sentences = []
-    for piece in text.replace("?", ".").replace("!", ".").split("."):
-        tokens = findall(piece)
+    for piece in pieces:
+        tokens = scan(piece)
         if not tokens:
             continue
         index = len(sentences)
@@ -300,19 +312,25 @@ def tokenize(text, lexicon) -> list:
             for tok in tokens:
                 if not tok.isascii():
                     raise ParseError(index, f"non-ASCII word {tok!r}")
-        try:
-            words = [get(tok) or word(tok) for tok in tokens if tok != ","]
-        except NumeralTooLong as exc:
-            raise ParseError(index, str(exc)) from None
+        # 1 if the sentence's first token, commas counted, is a word: an
+        # "if" there subordinates nothing
+        first = tokens[0] != ","
+        if "," in tokens:
+            tokens = list(filter(",".__ne__, tokens))
+        words = list(map(get, tokens))
+        if None in words:
+            try:
+                for i, tok in enumerate(tokens):
+                    if words[i] is None:
+                        words[i] = word(tok)
+            except NumeralTooLong as exc:
+                raise ParseError(index, str(exc)) from None
         texts = list(map(_TEXT, words))
         parts = [(words, texts)]
-        if "if" in texts:
-            # ", if" subordination: the first "if" past the sentence's
-            # first token, commas counted
-            first = tokens[0] != ","
-            if "if" in texts[first:]:
-                j = texts.index("if", first)
-                parts = [(words[:j], texts[:j]), (words[j + 1:], texts[j + 1:])]
+        if "if" in texts[first:]:
+            # ", if" subordination: the first "if" past that first token
+            j = texts.index("if", first)
+            parts = [(words[:j], texts[:j]), (words[j + 1:], texts[j + 1:])]
         sentences.append(Sentence([
             _clause(*split, index) for part in parts for split in _split_and(*part)]))
     if not sentences:

@@ -88,17 +88,16 @@ def result_to_dict(result) -> dict:
     the order of its class's ``__slots__``."""
     pre_split, post_split = result.store.render_propositions()
     verdict = result.verdict
+    lsi = []
+    for si, equation in zip(result.lsi, result.solve.equations):
+        slots = []
+        for role, q in si.slots:
+            slots.append([role, q.value if q.__class__ is Known else render_quantity(q)])
+        lsi.append({"kind": si.kind, "slots": slots, "equation": equation})
     return {
         "strategy": result.strategy.value,
         "propositions": {"pre_split": pre_split, "post_split": post_split},
-        "lsi": [
-            {
-                "kind": si.kind,
-                "slots": [[role, _slot_value(q)] for role, q in si.slots],
-                "equation": si.equation.render(),
-            }
-            for si in result.lsi
-        ],
+        "lsi": lsi,
         "skipped": [
             {
                 "kinds": [event.kind.schema for event in timeline.events],
@@ -114,10 +113,6 @@ def result_to_dict(result) -> dict:
         "verdict": result.verdict_name,
         **{name: getattr(verdict, name) for name in verdict.__slots__},
     }
-
-
-def _slot_value(q):
-    return q.value if isinstance(q, Known) else render_quantity(q)
 
 
 @_collector_paused
@@ -149,7 +144,7 @@ def render_text_report(result, trace=False) -> str:
                              f"amount not found, not recorded")
         lines.append("")
         lines.append("Equations:")
-        lines.extend(f"  {si.equation.render()}" for si in result.lsi)
+        lines.extend(f"  {equation}" for equation in result.solve.equations)
         if result.solve.trace:
             lines.append("")
             lines.append("Propagation:")

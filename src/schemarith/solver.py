@@ -17,7 +17,9 @@ the question asks about.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from .quantity import QUESTION, Known, Question, Var, _Frozen, render_quantity
+from operator import attrgetter
+
+from .quantity import QUESTION, Known, Var, _Frozen
 
 
 class MalformedLSI(ValueError):
@@ -33,10 +35,6 @@ class Equation(_Frozen):
         self.a = a
         self.b = b
         self.c = c
-
-    def render(self) -> str:
-        return (f"{render_quantity(self.c)} = "
-                f"{render_quantity(self.a)} + {render_quantity(self.b)}")
 
 
 class Solved(_Frozen):
@@ -70,23 +68,15 @@ class Invalid(_Frozen):
 
 
 class SolveResult:
-    def __init__(self, verdict, binding, trace, visits):
+    def __init__(self, verdict, binding, trace, equations, visits):
         self.verdict = verdict
         self.binding = binding
         self.trace = trace
+        self.equations = equations   # each equation's text, "c = a + b", in LSI order
         self.visits = visits   # equation evaluations; a work count, not in reports
 
 
-def _slot(q):
-    """Binding key of an amount slot: None if stated, a Var's name, or the
-    QUESTION object (so an unknown named "?" stays its own slot)."""
-    if isinstance(q, Known):
-        return None
-    if isinstance(q, Var):
-        return q.name
-    if isinstance(q, Question):
-        return QUESTION
-    raise MalformedLSI(f"not a quantity: {q!r}")
+_EQUATION = attrgetter("equation")
 
 
 def propagate(lsi) -> SolveResult:
@@ -103,9 +93,12 @@ def propagate(lsi) -> SolveResult:
     the sweep's.  A sweep makes one pass per unknown on a chain solved
     backward; here an equation is visited at most once, plus once per slot
     it mentions (`SolveResult.visits` counts the visits).  Each slot is
-    resolved by `_slot` once, into a dense slot number: one per distinct
-    unknown, the question among them, and one per stated amount, bound
-    from the start.
+    read once, into a dense slot number: one per distinct unknown, the
+    question among them, and one per stated amount, bound from the start.
+    An unknown is keyed by its name and the question by QUESTION, so an
+    unknown named "?" stays its own slot.  Each slot's text (its stated
+    value, the unknown's name or "?") and each equation's text are made
+    once, and the trace and the verdict reuse them.
 
     Verdict precedence at fixpoint: a violated fully-known equation wins
     (contradiction), then a derived negative amount, then a bound question
@@ -113,32 +106,45 @@ def propagate(lsi) -> SolveResult:
     question.  Negative derivations are recorded but never bound, and no
     slot is ever rebound, so the verdict does not depend on equation order.
     """
-    equations = [si.equation for si in lsi]
-    index = {}    # slot key -> slot number
+    equations = list(map(_EQUATION, lsi))
+    index = {}    # unknown's key -> slot number
     names = []    # per slot: the unknown's name; None if stated or the question
+    texts = []    # per slot: the stated value, the unknown's name or "?"
     values = []   # per slot: its amount once bound; a stated slot starts bound
     users = []    # per slot: indices of the equations that mention it; None if stated
     slots = []    # per equation: the numbers of its a, b and c slots
+    rendered = []   # per equation: its text
     for idx, eq in enumerate(equations):
         numbers = []
         for q in (eq.a, eq.b, eq.c):
-            key = _slot(q)
-            if key is None:
+            cls = q.__class__
+            if cls is Known:
                 number = len(values)
+                value = q.value
                 names.append(None)
-                values.append(q.value)
+                texts.append(value)
+                values.append(value)
                 users.append(None)
             else:
+                if cls is Var:
+                    key = name = q.name
+                elif q is QUESTION:
+                    key, name = QUESTION, None
+                else:
+                    raise MalformedLSI(f"not a quantity: {q!r}")
                 number = index.get(key)
                 if number is None:
                     number = index[key] = len(values)
-                    names.append(None if key is QUESTION else key)
+                    names.append(name)
+                    texts.append("?" if name is None else name)
                     values.append(None)
                     users.append([idx])
                 elif users[number][-1] != idx:
                     users[number].append(idx)
             numbers.append(number)
         slots.append(numbers)
+        sa, sb, sc = numbers
+        rendered.append(f"{texts[sc]} = {texts[sa]} + {texts[sb]}")
     binding = {}
     trace = []
     contradictions = []
@@ -170,24 +176,23 @@ def propagate(lsi) -> SolveResult:
             if a + b != c and idx not in flagged:
                 flagged.add(idx)
                 contradictions.append(Contradiction(
-                    equations[idx].render(),
-                    f"{a} + {b} = {a + b}, but {c} is required",
-                ))
+                    rendered[idx], f"{a} + {b} = {a + b}, but {c} is required"))
             continue
         if value < 0:
             if idx not in flagged:
                 flagged.add(idx)
-                invalids.append(Invalid(equations[idx].render(), value))
+                invalids.append(Invalid(rendered[idx], value))
             continue
         values[target] = value
         name = names[target]
         if name is not None:
             binding[name] = value
-        known = ", ".join([f"{names[s]} = {values[s]}" for s in (sa, sb, sc)
-                           if s != target and names[s] is not None])
-        suffix = f" with {known}" if known else ""
-        trace.append(f"{equations[idx].render()}{suffix} ⇒ "
-                     f"{'?' if name is None else name} = {value}")
+        step, joint = rendered[idx], " with "
+        for s in (sa, sb, sc):
+            if s != target and names[s] is not None:
+                step = f"{step}{joint}{names[s]} = {values[s]}"
+                joint = ", "
+        trace.append(f"{step} ⇒ {texts[target]} = {value}")
         for j in users[target]:
             if j < idx:
                 next_pass.add(j)
@@ -206,4 +211,4 @@ def propagate(lsi) -> SolveResult:
         verdict = Insufficient(tuple(
             name for name, value in zip(names, values)
             if name is not None and value is None))
-    return SolveResult(verdict, binding, trace, visits)
+    return SolveResult(verdict, binding, trace, rendered, visits)

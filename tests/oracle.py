@@ -9,8 +9,8 @@ systems).
 
 `propagate_sweep` is the solver's earlier sweep-to-fixpoint loop, which
 evaluates every equation on every pass.  The worklist solver must match
-its verdict, binding and trace exactly.  It shares only the result types
-with the solver.
+its verdict, binding, trace and equation texts exactly.  It shares only
+the result types with the solver, and renders each equation itself.
 """
 from __future__ import annotations
 
@@ -178,6 +178,12 @@ class _SweepState:
             self.question_value = value
 
 
+def render_equation(eq):
+    """c = a + b, as the reports print it."""
+    return (f"{render_quantity(eq.c)} = "
+            f"{render_quantity(eq.a)} + {render_quantity(eq.b)}")
+
+
 def _sweep_free_vars(equations, state):
     names = []
     for eq in equations:
@@ -219,7 +225,7 @@ def propagate_sweep(lsi) -> SolveResult:
                 if vals[0] + vals[1] != vals[2] and idx not in flagged:
                     flagged.add(idx)
                     contradictions.append(Contradiction(
-                        eq.render(),
+                        render_equation(eq),
                         f"{vals[0]} + {vals[1]} = {vals[0] + vals[1]}, "
                         f"but {vals[2]} is required",
                     ))
@@ -238,7 +244,7 @@ def propagate_sweep(lsi) -> SolveResult:
             if value < 0:
                 if idx not in flagged:
                     flagged.add(idx)
-                    invalids.append(Invalid(eq.render(), value))
+                    invalids.append(Invalid(render_equation(eq), value))
                 continue
             state.bind(target, value)
             known = ", ".join(
@@ -248,7 +254,7 @@ def propagate_sweep(lsi) -> SolveResult:
             )
             suffix = f" with {known}" if known else ""
             trace.append(
-                f"{eq.render()}{suffix} ⇒ {render_quantity(target)} = {value}"
+                f"{render_equation(eq)}{suffix} ⇒ {render_quantity(target)} = {value}"
             )
             changed = True
     if contradictions:
@@ -259,4 +265,5 @@ def propagate_sweep(lsi) -> SolveResult:
         verdict = Solved(state.question_value)
     else:
         verdict = Insufficient(tuple(_sweep_free_vars(equations, state)))
-    return SolveResult(verdict, dict(state.binding), trace, visits)
+    return SolveResult(verdict, dict(state.binding), trace,
+                       [render_equation(eq) for eq in equations], visits)

@@ -135,6 +135,10 @@ def test_every_corpus_verb_classifies():
 # -- nouns -------------------------------------------------------------
 
 
+def noun_of(lex, surface):
+    return lex.normalize_noun(surface, lex.lemmatize_verb(surface))
+
+
 @pytest.mark.parametrize("surface,expected", [
     ("apples", "apple"),
     ("candies", "candy"),
@@ -143,11 +147,40 @@ def test_every_corpus_verb_classifies():
     ("egg", "egg"),
 ])
 def test_normalize_noun(surface, expected):
-    assert LEX.normalize_noun(surface) == expected
+    assert noun_of(LEX, surface) == expected
 
 
 def test_proper_names_are_not_object_classes():
-    assert LEX.normalize_noun("Ruth") is None
+    assert noun_of(LEX, "Ruth") is None
+
+
+@pytest.mark.parametrize("surface", ["give", "gives", "had", "did", "lost", "left",
+                                     "transfer", "carried"])
+def test_a_verb_form_names_no_class(surface):
+    lex = load_lexicon_text(DEFAULT_LEXICON + "verb\tcarry\telementary:in:place\n")
+    assert lex.lemmatize_verb(surface) is not None
+    assert noun_of(lex, surface) is None
+    assert (lex.words.get(surface) or lex.word(surface)).noun is None
+
+
+def test_the_noun_table_wins_over_a_verb_reading():
+    lex = load_lexicon_text(DEFAULT_LEXICON + "verb\tplant\telementary:create:place\n"
+                            "noun\tplant\tplant\nnoun\tplants\tplant\n")
+    assert lex.lemmatize_verb("plants") == ("plant", Tense.PRESENT)
+    assert noun_of(lex, "plants") == lex.words["plants"].noun == "plant"
+
+
+@pytest.mark.parametrize("text", [
+    "Sara has 6 flowers. Clara has 3 flowers more than give. "
+    "How many flowers does Clara have?",
+    "Ruth had 5 nuts more than had. How many nuts did Ruth have?",
+    "Tom had 5 plums. Tom gave 3 plums to lost. How many plums does Tom have now?",
+    "Two boys left left a room. How many boys are there in the room now?",
+])
+def test_a_verb_where_a_noun_belongs_is_not_understood(text):
+    code, report = _run_text(text, LEX)
+    assert code == 2, report
+    assert report.startswith("Not understood: sentence "), report
 
 
 def test_render_past_of_a_custom_verb_ending_in_consonant_y():
@@ -168,14 +201,14 @@ def test_the_past_that_render_past_writes_lemmatizes_as_past(lex):
 
 
 def test_fresh_regular_nouns_normalize():
-    assert LEX.normalize_noun("kites") == "kite"
-    assert LEX.normalize_noun("ponies") == "pony"
+    assert noun_of(LEX, "kites") == "kite"
+    assert noun_of(LEX, "ponies") == "pony"
 
 
 @given(st.sampled_from(sorted(set(LEX.noun_forms.values()))),
        st.integers(min_value=0, max_value=40))
 def test_pluralize_normalize_round_trip(canonical, n):
-    assert LEX.normalize_noun(LEX.pluralize(canonical, n)) == canonical
+    assert noun_of(LEX, LEX.pluralize(canonical, n)) == canonical
 
 
 # -- numbers ------------------------------------------------------------
@@ -340,7 +373,7 @@ def assert_word_agrees(lex, surface):
         assert word.number == lex.parse_number(tok), tok
         assert word.verb == lex.lemmatize_verb(tok), tok
         assert word.pronoun == lex.pronouns.get(tok.lower()), tok
-        assert noun == lex.normalize_noun(tok), tok
+        assert noun == noun_of(lex, tok), tok
         assert proper == is_proper_reference(lex, tok), tok
 
 
@@ -381,7 +414,11 @@ def test_a_loaded_lexicon_gets_its_own_table():
 
 
 def test_the_table_is_keyed_by_surface_as_written():
-    assert "tom" in LEX.words and "Tom" in LEX.words and "7" not in LEX.words
+    assert "tom" in LEX.words and "Tom" in LEX.words
+    # the numerals of at most two digits are tabled, and no longer one
+    assert "7" in LEX.words and "07" in LEX.words and "99" in LEX.words
+    assert "100" not in LEX.words and "007" not in LEX.words
+    assert LEX.words["07"].number == 7
     for surface, word in LEX.words.items():
         assert word.surface == surface
         assert word.text == surface.lower()

@@ -1,16 +1,19 @@
 import random
 import re
+import string
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schemarith.corpus import CORPUS, by_id
 from schemarith.lexicon import (
     DEFAULT_LEXICON,
+    MAX_DIGITS,
     Lexicon,
     LocusKind,
+    NumeralTooLong,
     load_default_lexicon,
     load_lexicon_text,
 )
@@ -164,6 +167,69 @@ def test_sentence_scans_match_a_reference(phrases):
     [sentence] = tokenize(" ".join(phrases) + ".", LEX)
     assert [([w.surface for w in c.words], c.interrogative, c.markers)
             for c in sentence.clauses] == sentence_reference(" ".join(phrases).split())
+
+
+#: The tokens of ASCII text as the regex tokenizer read them, before the
+#: text was split with one ``str.translate``.
+TOKEN_REFERENCE_RE = re.compile(r"[A-Za-z0-9'-]+|[,.?!]")
+
+
+def tokenize_reference(text):
+    """Each sentence's clauses as `sentence_reference` gives them, or the
+    (type, message) of the refusal, from the regex tokens of `text`."""
+    sentences = []
+    for piece in text.replace("?", ".").replace("!", ".").split("."):
+        tokens = TOKEN_REFERENCE_RE.findall(piece)
+        if not tokens:
+            continue
+        for tok in tokens:
+            if tok.isdigit() and len(tok) > MAX_DIGITS:
+                reason = NumeralTooLong(len(tok))
+                return ParseError, f"sentence {len(sentences) + 1}: {reason}"
+        sentences.append(sentence_reference(tokens))
+    if not sentences:
+        return EmptyInput, str(EmptyInput())
+    return sentences
+
+
+def tokenized(text):
+    """`tokenize` in the form of `tokenize_reference`."""
+    try:
+        sentences = tokenize(text, LEX)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [[([w.surface for w in c.words], c.interrogative, c.markers)
+             for c in sentence.clauses] for sentence in sentences]
+
+
+#: Characters that end, split or stand between tokens, and the token
+#: characters themselves.
+SEPARATORS = ",.?!;:\"() \t\n"
+ASCII_TEXT = string.ascii_letters + string.digits + "'-" + SEPARATORS
+CORPUS_WORDS = sorted({w for p in CORPUS for w in TOKEN_REFERENCE_RE.findall(p.text)})
+
+
+@given(st.lists(st.one_of(st.text(alphabet=ASCII_TEXT, max_size=6),
+                          st.sampled_from(CORPUS_WORDS)), max_size=20))
+@example(["Tom had " + "1" * (MAX_DIGITS + 1) + " apples"])
+@example([" ,if Dan got 3 nuts and now Dan had 2 nuts"])
+@settings(max_examples=300)
+def test_ascii_tokens_match_the_regex_reference(pieces):
+    text = "".join(pieces)
+    assert tokenized(text) == tokenize_reference(text)
+
+
+@given(st.sampled_from(CORPUS),
+       st.lists(st.tuples(st.integers(min_value=0),
+                          st.text(alphabet=SEPARATORS + "'-", min_size=1, max_size=3)),
+                max_size=6))
+@settings(max_examples=300)
+def test_corpus_texts_with_spliced_characters_match_the_regex_reference(problem, splices):
+    text = problem.text
+    for position, chars in splices:
+        position %= len(text) + 1
+        text = text[:position] + chars + text[position:]
+    assert tokenized(text) == tokenize_reference(text)
 
 
 def test_a_tabled_token_is_the_table_s_own_word():

@@ -10,7 +10,7 @@ import re
 
 import pytest
 
-from oracle import equation_sets_equal
+from oracle import equation_sets_equal, render_equation
 
 from schemarith.corpus import CORPUS
 from schemarith.lexicon import load_default_lexicon
@@ -49,7 +49,8 @@ def test_sentence_transposition_preserves_solution(problem):
         got = [si.equation for si in result.lsi]
         want = [si.equation for si in base.lsi]
         assert equation_sets_equal(got, want), \
-            (problem.id, [eq.render() for eq in got], [eq.render() for eq in want])
+            (problem.id, [render_equation(eq) for eq in got],
+             [render_equation(eq) for eq in want])
 
 
 @pytest.mark.parametrize("problem", PRONOUN_FREE, ids=lambda p: p.id)

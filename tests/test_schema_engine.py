@@ -235,4 +235,6 @@ def test_equations_normalize_to_sum_form():
         for eq in (si.equation for si in result.lsi):
             assert all(isinstance(q, (Known, Var)) or q is QUESTION
                        for q in (eq.a, eq.b, eq.c))
-            assert " = " in eq.render() and " + " in eq.render()
+        assert len(result.solve.equations) == len(result.lsi)
+        for text in result.solve.equations:
+            assert " = " in text and " + " in text

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -17,7 +18,6 @@ from schemarith.corpus import CORPUS
 from schemarith.lexicon import load_default_lexicon
 from schemarith.pipeline import run_problem
 from schemarith.schema_engine import Strategy
-from schemarith import solver
 from schemarith.quantity import QUESTION, Known, Var
 from schemarith.solver import (
     Contradiction,
@@ -234,6 +234,7 @@ def assert_same_run(lsi):
     assert result.verdict == reference.verdict
     assert result.binding == reference.binding
     assert result.trace == reference.trace
+    assert result.equations == reference.equations
     assert result.visits <= reference.visits
 
 
@@ -276,17 +277,24 @@ def test_linearity_gate_rejects_the_sweep():
     assert visits[1] > 12 * visits[0]
 
 
-def test_propagate_resolves_each_slot_once(monkeypatch):
-    """Three `_slot` calls per equation, and none per visit or binding."""
-    chain = backward_chain(200)
-    calls = []
-    slot = solver._slot
+@pytest.mark.parametrize("k", [20, 200])
+def test_propagate_makes_a_bounded_number_of_python_calls(k):
+    """Numbering, rendering and propagating read every slot and equation
+    inline, so a run makes at most 5 Python-level calls whatever the
+    chain's size: propagate itself, its result and its verdict."""
+    chain = backward_chain(k)
+    calls = 0
 
-    def counted(q):
-        calls.append(q)
-        return slot(q)
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
 
-    monkeypatch.setattr(solver, "_slot", counted)
-    result = propagate(chain.lsi)
+    sys.setprofile(profile)
+    try:
+        result = propagate(chain.lsi)
+    finally:
+        sys.setprofile(None)
     assert result.verdict == Solved(5)
-    assert len(calls) == 3 * len(chain.lsi)
+    assert len(result.trace) == k
+    assert calls <= 5, calls

@@ -294,7 +294,8 @@ MUTABLE = {
     Sentence: [("clauses", NO)],
     Timeline: [("locus", NO), ("obj", NO), ("events", NO), ("initial", NO),
                ("final", NO), ("intermediates", NO)],
-    SolveResult: [("verdict", NO), ("binding", NO), ("trace", NO), ("visits", NO)],
+    SolveResult: [("verdict", NO), ("binding", NO), ("trace", NO), ("equations", NO),
+                  ("visits", NO)],
     ProblemResult: [("strategy", NO), ("store", NO), ("timelines", NO), ("lsi", NO),
                     ("skipped", NO), ("solve", NO), ("timing_ms", 0.0)],
 }
