@@ -84,27 +84,20 @@ _PARTICIPANT = {role: attrgetter(role.value) for role in Role}
 
 
 def split_compound(event, lexicon) -> list:
-    """Elementary events of a surface event.
+    """The (ChangeKind, participant) elementary changes of a surface event.
 
-    Compound verbs emit one event per component whose participant is named
+    Compound verbs give one change per component whose participant is named
     in the sentence; components with unnamed participants are dropped.
-    Elementary verbs emit exactly one event.  Every emitted event shares
-    the surface event's object and amount.
+    Elementary verbs give exactly one change.  The store makes each
+    change's ElementaryEvent, with the surface event's object and amount.
     """
     classification = lexicon.verbs.get(event.verb)
     if isinstance(classification, Compound):
-        changes = [(kind, _PARTICIPANT[role](event))
-                   for kind, role in classification.components]
-    elif isinstance(classification, ChangeKind):
-        changes = [_elementary_change(classification, event)]
-    else:
-        raise UnknownVerb(event.verb)
-    events = []
-    for kind, entity in changes:
-        if entity is not None:
-            events.append(ElementaryEvent(kind, Locus(kind.locus_kind, entity), event.obj,
-                                          event.amount, event.verb, event.sentence))
-    return events
+        return [(kind, entity) for kind, role in classification.components
+                if (entity := _PARTICIPANT[role](event)) is not None]
+    if isinstance(classification, ChangeKind):
+        return [_elementary_change(classification, event)]
+    raise UnknownVerb(event.verb)
 
 
 def _elementary_change(kind, event):
@@ -150,6 +143,7 @@ class PropositionStore:
     amount at its time.  ``groups`` keys a group by the locus's ``_key``
     (kind included) and the object, hashed and compared in C; ``entries``
     keeps the states in text order among the events, for the reports.
+    A group's events share one Locus, made with its first event.
     """
 
     def __init__(self, lexicon):
@@ -180,15 +174,27 @@ class PropositionStore:
             raise DataConflict(key, existing, amount)
 
     def add_event(self, prop):
-        parts = split_compound(prop, self.lexicon)
+        """Append each elementary change to its group, keyed before anything
+        is built as ``Locus._key`` keys the locus; the first event makes it."""
+        obj = prop.obj
+        parts = []
+        for kind, entity in split_compound(prop, self.lexicon):
+            key = ((kind.locus_kind, entity.name, entity.kind), obj)
+            group = self.groups.get(key)
+            if group is None:
+                group = self.groups[key] = ([], {})
+            events, ends = group
+            if events:
+                locus = events[0].locus
+            else:
+                locus = Locus(kind.locus_kind, entity)
+                self.chains.append((locus, obj, events, ends))
+            event = ElementaryEvent(kind, locus, obj, prop.amount, prop.verb, prop.sentence)
+            events.append(event)
+            parts.append(event)
         self.entries.append((prop, parts))
         self.raw_events.append(prop)
         self.events.extend(parts)
-        for event in parts:
-            events, ends = self._group(event.locus, event.obj)
-            if not events:
-                self.chains.append((event.locus, event.obj, events, ends))
-            events.append(event)
 
     def _group(self, locus, obj):
         key = (locus._key(locus), obj)   # see the class docstring

@@ -347,9 +347,13 @@ _END = Word(None, None, None, None, None, None, False)   # the Word past a claus
 
 
 class _ClauseParser:
-    def __init__(self, clause, lexicon, latest):
+    """One clause's parser, with its text's two tables: each value is made
+    once per text, and a pronoun resolves to the Entity of its antecedent."""
+
+    def __init__(self, clause, lexicon, latest, made):
         self.lexicon = lexicon
-        self.latest = latest   # gender -> the name last taken with it, per text
+        self.latest = latest   # gender -> the Entity last named with it
+        self.made = made       # name -> its one Entity, amount -> its one Known
         self.sentence = clause.sentence_index
         self.interrogative = clause.interrogative
         if len(clause.markers) > 1:
@@ -409,22 +413,33 @@ class _ClauseParser:
             raise self.error(f"expected a form of 'be', found {word.surface!r}")
         return word.verb[1]
 
+    def known(self, n):
+        """The text's one Known of the amount."""
+        known = self.made.get(n)
+        if known is None:
+            known = self.made[n] = Known(n)
+        return known
+
     def take_proper(self):
-        """The name at the cursor, which the caller has seen reads as proper."""
+        """The one Entity of the name at the cursor, which the caller has
+        seen reads as proper."""
         name = self.words[self.pos].surface
         self.pos += 1
-        self.latest[self.lexicon.names.get(name)] = name
-        return Entity(name, _PROPER)
+        entity = self.made.get(name)
+        if entity is None:
+            entity = self.made[name] = Entity(name, _PROPER)
+        self.latest[self.lexicon.names.get(name)] = entity
+        return entity
 
     def take_pronoun_entity(self):
         word = self.take()
         if word.pronoun == "group":
             raise self.error(f"pronoun {word.surface!r} is read only in "
                              f"'How many OBJ do they have altogether?'")
-        name = self.latest.get(word.pronoun)
-        if name is None:
+        entity = self.latest.get(word.pronoun)
+        if entity is None:
             raise self.error(f"pronoun {word.surface!r} has no antecedent")
-        return Entity(name, EntityKind.PROPER)
+        return entity
 
     def parse_place_np(self) -> Entity:
         if self.peek().text in _DETERMINERS:
@@ -573,13 +588,13 @@ class _ClauseParser:
         self.expect("in")
         place = self.parse_place_np()
         self._check_done()
-        return [StateProp(StateKey(Locus(_PLACE, place), obj, time), Known(n),
+        return [StateProp(StateKey(Locus(_PLACE, place), obj, time), self.known(n),
                           self.sentence)]
 
     def compare(self, left, right, n, direction):
         if left == right:
             raise self.error("a comparison names one amount twice")
-        return [CompareProp(left, right, Known(n), direction, self.sentence)]
+        return [CompareProp(left, right, self.known(n), direction, self.sentence)]
 
     def parse_subject_clause(self):
         subjects = self.parse_subject()
@@ -630,13 +645,13 @@ class _ClauseParser:
             parts = tuple(StateKey(Locus(_OWNERSHIP, s), obj, time) for s in subjects)
             if len(set(parts)) < len(parts):
                 raise self.error("'altogether' names one owner twice")
-            return [CombineProp(obj, Known(n), time, parts=parts,
+            return [CombineProp(obj, self.known(n), time, parts=parts,
                                 sentence=self.sentence)]
         self._check_done()
         if len(subjects) != 1:
             raise self.error("a possession state takes a single owner")
         return [StateProp(StateKey(Locus(_OWNERSHIP, subjects[0]), obj, time),
-                          Known(n), self.sentence)]
+                          self.known(n), self.sentence)]
 
     # "N CLASS remained in the PLACE"
     def parse_static_clause(self, subjects, classification):
@@ -652,7 +667,7 @@ class _ClauseParser:
                 raise self.error("a counted class noun must head this clause")
             props.append(StateProp(
                 StateKey(Locus(_PLACE, place), subj.name, time),
-                Known(subj.cardinality), self.sentence,
+                self.known(subj.cardinality), self.sentence,
             ))
         return props
 
@@ -712,7 +727,7 @@ class _ClauseParser:
         else:
             amount, obj = object_np
             agent = subject
-        return [EventProp(lemma, obj, Known(amount), agent, recipient, source,
+        return [EventProp(lemma, obj, self.known(amount), agent, recipient, source,
                           destination, self.sentence)]
 
     def _one(self, named, ent, role):
@@ -727,30 +742,22 @@ class _ClauseParser:
 
 
 def parse_clause(clause, lexicon, latest=None):
-    return _ClauseParser(clause, lexicon, {} if latest is None else latest).parse()
-
-
-def _count_questions(props):
-    count = 0
-    for prop in props:
-        if isinstance(prop, StateProp) and isinstance(prop.quantity, Question):
-            count += 1
-        if isinstance(prop, CombineProp) and isinstance(prop.total, Question):
-            count += 1
-    return count
+    return _ClauseParser(clause, lexicon, {} if latest is None else latest, {}).parse()
 
 
 def parse_problem(text, lexicon) -> list:
     """All propositions of a problem, in text order.
 
-    Exactly one Question quantity must result.
+    Exactly one Question quantity must result: a question clause parses
+    to the one proposition that holds it, and no other clause makes one.
     """
-    latest = {}
+    latest, made = {}, {}
     props = []
+    count = 0
     for sentence in tokenize(text, lexicon):
         for clause in sentence.clauses:
-            props.extend(_ClauseParser(clause, lexicon, latest).parse())
-    count = _count_questions(props)
+            props.extend(_ClauseParser(clause, lexicon, latest, made).parse())
+            count += clause.interrogative
     if count == 0:
         raise NoQuestion()
     if count > 1:
@@ -855,19 +862,17 @@ def _render_event(prop, lexicon):
         preposition = (_destination_prep(prop.verb, lexicon)
                        if prop.destination is not None else "from")
         return f"{subj} {past} {preposition} the {locus.name}."
-    objs = render_amount(prop.obj, prop.amount, lexicon)
-    trailing = []
+    n = prop.amount.value   # an event's amount is a Known
+    line = (f"{_entity_surface(prop.agent, lexicon)} {past} {n} "
+            f"{lexicon.pluralize(prop.obj, n)}")
     if prop.source is not None:
-        trailing.append(f"from {_entity_surface(prop.source, lexicon)}"
-                        if prop.source.kind is EntityKind.PROPER
-                        else f"from the {prop.source.name}")
+        line += (f" from {prop.source.name}" if prop.source.kind is _PROPER
+                 else f" from the {prop.source.name}")
     if prop.destination is not None:
-        trailing.append(f"{_destination_prep(prop.verb, lexicon)} "
-                        f"the {prop.destination.name}")
+        line += f" {_destination_prep(prop.verb, lexicon)} the {prop.destination.name}"
     if prop.recipient is not None:
-        trailing.append(f"to {prop.recipient.name}")
-    tail = (" " + " ".join(trailing)) if trailing else ""
-    return f"{_entity_surface(prop.agent, lexicon)} {past} {objs}{tail}."
+        line += f" to {prop.recipient.name}"
+    return line + "."
 
 
 def _render_compare(prop, lexicon):

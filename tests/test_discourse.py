@@ -9,7 +9,6 @@ from schemarith.discourse import (
     build_store,
     build_timelines,
     render_elementary,
-    split_compound,
 )
 from schemarith.lexicon import (
     ChangeKind,
@@ -77,7 +76,7 @@ def test_every_role_names_an_event_field():
 def test_split_give():
     event = EventProp("give", "candy", Known(3),
                       agent=proper("David"), recipient=proper("Ruth"))
-    out = split_compound(event, LEX)
+    out = build_store([event], LEX).events
     assert [(e.kind, e.locus) for e in out] == [
         (OUT_OWN, owner(proper("David"))),
         (IN_OWN, owner(proper("Ruth"))),
@@ -91,7 +90,7 @@ def test_split_give():
 def test_split_transfer():
     event = EventProp("transfer", "egg", Known(5), agent=proper("Sara"),
                       source=cls("basket"), destination=cls("refrigerator"))
-    out = split_compound(event, LEX)
+    out = build_store([event], LEX).events
     assert [(e.kind, e.locus) for e in out] == [
         (OUT_PLACE, place(cls("basket"))),
         (IN_PLACE, place(cls("refrigerator"))),
@@ -100,7 +99,7 @@ def test_split_transfer():
 
 def test_split_buy_drops_unnamed_seller():
     event = EventProp("buy", "ticket", Known(6), agent=cls("girl", 5))
-    out = split_compound(event, LEX)
+    out = build_store([event], LEX).events
     assert len(out) == 1
     assert out[0].kind == IN_OWN
     assert out[0].locus == owner(cls("girl"))  # cardinality not in the locus
@@ -109,7 +108,7 @@ def test_split_buy_drops_unnamed_seller():
 def test_split_elementary_is_single():
     event = EventProp("put", "apple", Known(2), agent=proper("Ruth"),
                       destination=cls("basket"))
-    out = split_compound(event, LEX)
+    out = build_store([event], LEX).events
     assert len(out) == 1
     assert out[0].kind == IN_PLACE
 
@@ -119,7 +118,7 @@ def test_split_conservation():
     for problem_id in ("candy-gifts", "eggs-places", "tickets-bought"):
         store = store_for(problem_id)
         for surface in store.raw_events:
-            parts = split_compound(surface, LEX)
+            parts = build_store([surface], LEX).events
             assert parts
             for part in parts:
                 assert part.delta == surface.amount
@@ -129,7 +128,7 @@ def test_split_conservation():
 def test_give_always_emits_out_and_in():
     event = EventProp("give", "nut", Known(2),
                       agent=proper("Dan"), recipient=proper("David"))
-    directions = [e.kind.direction for e in split_compound(event, LEX)]
+    directions = [e.kind.direction for e in build_store([event], LEX).events]
     assert directions == [Direction.OUT, Direction.IN]
 
 
@@ -243,6 +242,16 @@ def test_each_state_entry_is_its_group_amount_at_its_time(pid, strategy):
     for key, amount in entries:
         assert store._group(key.locus, key.obj)[1][key.time] is amount
     assert sum(len(ends) for _, ends in store.groups.values()) == len(entries)
+
+
+@pytest.mark.parametrize("pid", list(PROBLEMS))
+def test_each_event_sits_in_the_group_of_its_locus_key(pid):
+    """`add_event` keys a change's group from its kind and participant
+    before it builds the Locus; that key is the one `Locus._key` gives, so
+    the group the store finds for the event's locus holds the event."""
+    store = build_store(parse_problem(PROBLEMS[pid], LEX), LEX)
+    for event in store.events:
+        assert any(e is event for e in store._group(event.locus, event.obj)[0])
 
 
 def test_an_owner_and_a_place_of_one_entity_group_apart():

@@ -361,7 +361,7 @@ def parser_reading(lex, tok):
     clause = Clause([word], 0, False, set())
     proper = word.proper
     try:
-        noun = _ClauseParser(clause, lex, {}).take_noun()
+        noun = _ClauseParser(clause, lex, {}, {}).take_noun()
     except ParseError:
         noun = None
     return word, proper, noun

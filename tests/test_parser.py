@@ -341,6 +341,16 @@ def test_a_pronoun_takes_the_latest_name_of_its_gender_in_its_own_text():
         parse_problem("Tom had 3 apples. How many apples does she have now?", LEX)
 
 
+def test_a_pronoun_resolves_to_the_named_entity_itself():
+    """A text makes one Entity per name, and a pronoun resolves to it."""
+    state, event, question = parse_problem(
+        "Ruth had 3 apples. She gave 2 apples to Tom. "
+        "How many apples does she have now?", LEX)
+    ruth = state.key.locus.entity
+    assert event.agent is ruth
+    assert question.key.locus.entity is ruth
+
+
 def test_place_compare():
     [prop] = parse_text("Now there are 2 eggs more in the box than there "
                         "are in the basket.")

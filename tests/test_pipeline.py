@@ -1,7 +1,7 @@
 """End-to-end runs outside the bundled corpus, plus report rendering."""
 import gc
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from contextlib import nullcontext
 from enum import Enum
 
@@ -15,9 +15,10 @@ from schemarith.corpus import CORPUS
 from schemarith.discourse import (DataConflict, PropositionStore, build_store,
                                   build_timelines)
 from schemarith.lexicon import load_default_lexicon
-from schemarith.parser import NoQuestion, ParseError, StateKey, parse_problem, tokenize
+from schemarith.parser import (Entity, EntityKind, NoQuestion, ParseError, StateKey,
+                               parse_problem, tokenize)
 from schemarith.pipeline import render_text_report, result_to_dict, run_problem
-from schemarith.quantity import Question, _Frozen
+from schemarith.quantity import Known, Question, _Frozen
 from schemarith.schema_engine import Strategy, build_lsi, initial_lsi
 from schemarith.solver import Insufficient, Solved, propagate
 
@@ -269,9 +270,10 @@ def test_python_calls_per_clause_from_text_to_report():
     finally:
         sys.setprofile(None)
     assert report["verdict"] == "solved"
-    # 48.3 calls per clause (9,761 over 202 clauses); 66.9 when each
-    # token was matched by a regex and each amount rendered per print
-    assert calls <= 52 * clauses, calls / clauses
+    # 41.0 calls per clause (8,273 over 202 clauses); 48.3 when each name,
+    # locus and amount was built per use, 66.9 when each token was matched
+    # by a regex and each amount rendered per print
+    assert calls <= 43 * clauses, calls / clauses
 
 
 # -- construction gate --------------------------------------------------------------
@@ -284,8 +286,9 @@ def frozen_types(cls=_Frozen):
 
 
 def test_value_constructions_per_elementary_event(monkeypatch):
-    """Each elementary event builds a bounded number of frozen values, so a
-    faster pipeline comes from cheaper values, not from fewer."""
+    """Each elementary event builds a bounded number of frozen values: a
+    text makes each name, amount and group locus once and shares it, so a
+    long chain builds no more of them than it has distinct ones."""
     built = Counter()
     counting = False
 
@@ -302,14 +305,41 @@ def test_value_constructions_per_elementary_event(monkeypatch):
         if cls is not Question:   # Question() returns QUESTION and builds nothing
             monkeypatch.setattr(cls, "__init__", counted(cls))
     events = 0
-    for text in [p.text for p in CORPUS] + [chain_text(200)]:
+    for text in [chain_text(200)] + [p.text for p in CORPUS]:
         counting = True
         result = run_problem(text, LEX)
         counting = False
+        if not events:
+            # the chain alone: its 2 names, the loci of its 2 groups and of
+            # its 2 states, and its 10 amounts
+            assert built["Entity"] <= 2 and built["Locus"] <= 4 \
+                and built["Known"] <= 10, built
         events += len(result.store.events)
-    # the corpus and the chain build 7.30 values per elementary event (2,386
-    # over 327 events)
-    assert sum(built.values()) <= 8 * events, built
+    # the corpus and the chain build 4.78 values per elementary event (1,563
+    # over 327 events); 7.30 when each name, locus and amount was built per use
+    assert sum(built.values()) <= 5 * events, built
+
+
+@pytest.mark.parametrize("text", [p.text for p in CORPUS] + [chain_text(200)],
+                         ids=[p.id for p in CORPUS] + ["chain-200"])
+def test_a_text_makes_each_value_once(text):
+    """A text's names and amounts are made where they first appear, and a
+    group's locus with its first event: the store's events hold one Entity
+    per proper name, one Locus per chain and one Known per amount."""
+    store = run_problem(text, LEX).store
+    made = defaultdict(set)   # (type, value) -> ids of its objects
+    for event in store.raw_events:
+        for entity in (event.agent, event.recipient, event.source, event.destination):
+            if entity is not None and entity.kind is EntityKind.PROPER:
+                made[Entity, entity.name].add(id(entity))
+    for event in store.events:
+        made[Known, event.delta.value].add(id(event.delta))
+        if event.locus.entity.kind is EntityKind.PROPER:
+            made[Entity, event.locus.entity.name].add(id(event.locus.entity))
+    assert {key: len(ids) for key, ids in made.items() if len(ids) > 1} == {}
+    for locus, _, events, _ in store.chains:
+        assert all(event.locus is locus for event in events)
+    assert len({id(event.locus) for event in store.events}) == len(store.chains)
 
 
 # -- cyclic collector --------------------------------------------------------------
