@@ -70,7 +70,7 @@ class ElementaryEvent(_Frozen):
         self.kind = kind      # ChangeKind
         self.locus = locus    # Locus
         self.obj = obj
-        self.delta = delta    # Known: the parser states it
+        self.delta = delta    # an int: the parser states it
         self.verb = verb
         self.sentence = sentence
 
@@ -125,7 +125,7 @@ def render_elementary(event, lexicon) -> str:
     subject, which reads the same whichever verb produced it."""
     direction = event.kind.direction
     if event.kind.locus_kind is _OWNERSHIP:
-        n = event.delta.value
+        n = event.delta
         return (f"{event.locus.entity.name} {direction.owner_verb} {n} "
                 f"{lexicon.pluralize(event.obj, n)}")
     return (f"{render_amount(event.obj, event.delta, lexicon)} were "
@@ -297,7 +297,7 @@ class Timeline:
 
 # The canonical order's keys, read in C: additions before removals, then
 # amount, then verb.
-_AMOUNT_AND_VERB = attrgetter("delta.value", "verb")
+_AMOUNT_AND_VERB = attrgetter("delta", "verb")
 _ADDS = attrgetter("kind.direction.adds")
 
 

@@ -3,7 +3,7 @@
 The grammar (documented in GRAMMAR.md) covers possession and existential
 states, transfer/creation/termination events, comparatives, combine
 statements, and the question forms.  Each clause parses to one or more raw
-propositions; amounts are Known integers except in interrogative clauses,
+propositions; amounts are plain ints except in interrogative clauses,
 which carry the Question slot.
 """
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .lexicon import (
     Word,
 )
 from .quantity import (
-    QUESTION, Known, Question, TimePoint, _Enum, _Frozen, render_quantity,
+    QUESTION, Question, TimePoint, _Enum, _Frozen, render_quantity,
 )
 
 
@@ -195,15 +195,15 @@ class Sentence:
         self.clauses = clauses
 
 
-# ASCII text is split in C: "?" and "!" end a sentence as "." does, a
-# comma stands apart as a token of its own, the token characters
-# [A-Za-z0-9'-] stay and every other character separates tokens.
-_ASCII_TOKENS = str.maketrans({
+# Text is split in C: "?" and "!" end a sentence as "." does, a comma
+# stands apart as a token of its own, the token characters [A-Za-z0-9'-]
+# stay and every other ASCII character separates tokens.
+_TOKENS = str.maketrans({
     **{c: c if c.isalnum() or c in "'-." else " " for c in map(chr, range(128))},
     "?": ".", "!": ".", ",": " , ",
 })
-# Outside ASCII a word takes in every letter and digit, so it is refused whole.
-_WIDE_TOKEN_RE = re.compile(r"(?:[A-Za-z0-9'-]|[^\W_])+|[,.?!]")
+# Outside ASCII a letter or digit stays, so its word is refused whole.
+_NON_ASCII_SEPARATOR = re.compile(r"[^\w\x00-\x7f]")
 
 # Leading phrases with no amount semantics, stripped before parsing.
 _SEQUENCERS = (
@@ -295,20 +295,16 @@ def tokenize(text, lexicon) -> list:
     markers are found in that list with ``in`` and ``list.index``, not by
     a loop over the Words.
     """
-    if text.isascii():
-        wide, scan = False, str.split
-        pieces = text.translate(_ASCII_TOKENS).split(".")
-    else:
-        wide, scan = True, _WIDE_TOKEN_RE.findall
-        pieces = text.replace("?", ".").replace("!", ".").split(".")
+    if not text.isascii():
+        text = _NON_ASCII_SEPARATOR.sub(" ", text)
     get, word = lexicon.words.get, lexicon.word
     sentences = []
-    for piece in pieces:
-        tokens = scan(piece)
+    for piece in text.translate(_TOKENS).split("."):
+        tokens = piece.split()
         if not tokens:
             continue
         index = len(sentences)
-        if wide:
+        if not piece.isascii():
             for tok in tokens:
                 if not tok.isascii():
                     raise ParseError(index, f"non-ASCII word {tok!r}")
@@ -347,13 +343,14 @@ _END = Word(None, None, None, None, None, None, False)   # the Word past a claus
 
 
 class _ClauseParser:
-    """One clause's parser, with its text's two tables: each value is made
-    once per text, and a pronoun resolves to the Entity of its antecedent."""
+    """One clause's parser, with its text's two tables: each name's Entity
+    is made once per text, and a pronoun resolves to the Entity of its
+    antecedent."""
 
     def __init__(self, clause, lexicon, latest, made):
         self.lexicon = lexicon
         self.latest = latest   # gender -> the Entity last named with it
-        self.made = made       # name -> its one Entity, amount -> its one Known
+        self.made = made       # name -> its one Entity
         self.sentence = clause.sentence_index
         self.interrogative = clause.interrogative
         if len(clause.markers) > 1:
@@ -412,13 +409,6 @@ class _ClauseParser:
         if word.verb is None or word.verb[0] != "be":
             raise self.error(f"expected a form of 'be', found {word.surface!r}")
         return word.verb[1]
-
-    def known(self, n):
-        """The text's one Known of the amount."""
-        known = self.made.get(n)
-        if known is None:
-            known = self.made[n] = Known(n)
-        return known
 
     def take_proper(self):
         """The one Entity of the name at the cursor, which the caller has
@@ -588,13 +578,12 @@ class _ClauseParser:
         self.expect("in")
         place = self.parse_place_np()
         self._check_done()
-        return [StateProp(StateKey(Locus(_PLACE, place), obj, time), self.known(n),
-                          self.sentence)]
+        return [StateProp(StateKey(Locus(_PLACE, place), obj, time), n, self.sentence)]
 
     def compare(self, left, right, n, direction):
         if left == right:
             raise self.error("a comparison names one amount twice")
-        return [CompareProp(left, right, self.known(n), direction, self.sentence)]
+        return [CompareProp(left, right, n, direction, self.sentence)]
 
     def parse_subject_clause(self):
         subjects = self.parse_subject()
@@ -645,13 +634,12 @@ class _ClauseParser:
             parts = tuple(StateKey(Locus(_OWNERSHIP, s), obj, time) for s in subjects)
             if len(set(parts)) < len(parts):
                 raise self.error("'altogether' names one owner twice")
-            return [CombineProp(obj, self.known(n), time, parts=parts,
-                                sentence=self.sentence)]
+            return [CombineProp(obj, n, time, parts=parts, sentence=self.sentence)]
         self._check_done()
         if len(subjects) != 1:
             raise self.error("a possession state takes a single owner")
-        return [StateProp(StateKey(Locus(_OWNERSHIP, subjects[0]), obj, time),
-                          self.known(n), self.sentence)]
+        return [StateProp(StateKey(Locus(_OWNERSHIP, subjects[0]), obj, time), n,
+                          self.sentence)]
 
     # "N CLASS remained in the PLACE"
     def parse_static_clause(self, subjects, classification):
@@ -666,8 +654,8 @@ class _ClauseParser:
             if subj.kind is not EntityKind.CLASS or subj.cardinality is None:
                 raise self.error("a counted class noun must head this clause")
             props.append(StateProp(
-                StateKey(Locus(_PLACE, place), subj.name, time),
-                self.known(subj.cardinality), self.sentence,
+                StateKey(Locus(_PLACE, place), subj.name, time), subj.cardinality,
+                self.sentence,
             ))
         return props
 
@@ -727,8 +715,8 @@ class _ClauseParser:
         else:
             amount, obj = object_np
             agent = subject
-        return [EventProp(lemma, obj, self.known(amount), agent, recipient, source,
-                          destination, self.sentence)]
+        return [EventProp(lemma, obj, amount, agent, recipient, source, destination,
+                          self.sentence)]
 
     def _one(self, named, ent, role):
         """`ent` as the event's `role`, which no earlier phrase has named."""
@@ -780,9 +768,8 @@ def _entity_surface(entity, lexicon):
 
 def render_amount(obj, quantity, lexicon) -> str:
     """An amount of an object class: "3 apples", "1 apple", "X apples"."""
-    if isinstance(quantity, Known):
-        n = quantity.value
-        return f"{n} {lexicon.pluralize(obj, n)}"
+    if quantity.__class__ is int:
+        return f"{quantity} {lexicon.pluralize(obj, quantity)}"
     return f"{render_quantity(quantity)} {lexicon.pluralize(obj)}"
 
 
@@ -853,7 +840,7 @@ def _render_event(prop, lexicon):
         subj = render_amount(prop.obj, prop.amount, lexicon)
         passive = prop.verb.startswith("be ")   # "be born": "N birds were born"
         if passive:
-            past = f"{'was' if prop.amount.value == 1 else 'were'} {past}"
+            past = f"{'was' if prop.amount == 1 else 'were'} {past}"
         locus = prop.destination if prop.destination is not None else prop.source
         if locus is None:
             return f"{subj} {past}."
@@ -862,7 +849,7 @@ def _render_event(prop, lexicon):
         preposition = (_destination_prep(prop.verb, lexicon)
                        if prop.destination is not None else "from")
         return f"{subj} {past} {preposition} the {locus.name}."
-    n = prop.amount.value   # an event's amount is a Known
+    n = prop.amount
     line = (f"{_entity_surface(prop.agent, lexicon)} {past} {n} "
             f"{lexicon.pluralize(prop.obj, n)}")
     if prop.source is not None:

@@ -12,7 +12,7 @@ import time
 from .discourse import build_store, build_timelines
 from .lexicon import load_default_lexicon
 from .parser import parse_problem, render_locus
-from .quantity import Known, Var
+from .quantity import Var
 from .schema_engine import Strategy, build_lsi, initial_lsi
 from .solver import Solved, propagate
 
@@ -93,7 +93,7 @@ def result_to_dict(result) -> dict:
         slots = []
         for role, q in si.slots:   # a stated value, an unknown's name or "?"
             cls = q.__class__
-            slots.append([role, q.value if cls is Known else q.name if cls is Var else "?"])
+            slots.append([role, q if cls is int else q.name if cls is Var else "?"])
         lsi.append({"kind": si.kind, "slots": slots, "equation": equation})
     return {
         "strategy": result.strategy.value,

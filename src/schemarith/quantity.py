@@ -1,8 +1,8 @@
 """Three-valued amount slots shared by every stage of the pipeline.
 
-An amount in a problem is either a stated nonnegative integer, a named
-unknown introduced while building the representation, or the single
-question mark the problem asks about.
+An amount in a problem is either a stated nonnegative ``int``, a named
+unknown (``Var``) introduced while building the representation, or the
+single question mark the problem asks about; an ``int`` equals neither.
 """
 from __future__ import annotations
 
@@ -53,9 +53,6 @@ class _Frozen:
     def __hash__(self):
         return hash(self._key(self))
 
-    def __reduce__(self):   # copy and pickle rebuild through the constructor
-        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
-
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{self.__class__.__qualname__}({fields})"
@@ -64,15 +61,6 @@ class _Frozen:
 class TimePoint(_Enum):
     INITIAL = "initial"
     FINAL = "final"
-
-
-class Known(_Frozen):
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        if value < 0:
-            raise ValueError("amounts are nonnegative")
-        self.value = value
 
 
 class Var(_Frozen):
@@ -102,8 +90,8 @@ def render_quantity(q) -> str:
     cls = q.__class__
     if cls is Var:
         return q.name
-    if cls is Known:
-        return str(q.value)
+    if cls is int:
+        return str(q)
     if q is QUESTION:
         return "?"
     raise TypeError(f"not a quantity: {q!r}")

@@ -19,7 +19,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from operator import attrgetter
 
-from .quantity import QUESTION, Known, Var, _Frozen
+from .quantity import QUESTION, Var, _Frozen
 
 
 class MalformedLSI(ValueError):
@@ -95,10 +95,12 @@ def propagate(lsi) -> SolveResult:
     it mentions (`SolveResult.visits` counts the visits).  Each slot is
     read once, into a dense slot number: one per distinct unknown, the
     question among them, and one per stated amount, bound from the start.
-    An unknown is keyed by its name and the question by QUESTION, so an
-    unknown named "?" stays its own slot.  Each slot's text (its stated
-    value, the unknown's name or "?") and each equation's text are made
-    once, and the trace and the verdict reuse them.
+    A stated amount is an ``int``; a negative one, or a slot that is no
+    ``int``, Var or QUESTION, raises MalformedLSI.  An unknown is keyed by
+    its name and the question by QUESTION, so an unknown named "?" stays
+    its own slot.  Each slot's text (its stated value, the unknown's name
+    or "?") and each equation's text are made once, and the trace and the
+    verdict reuse them.
 
     Verdict precedence at fixpoint: a violated fully-known equation wins
     (contradiction), then a derived negative amount, then a bound question
@@ -118,12 +120,13 @@ def propagate(lsi) -> SolveResult:
         numbers = []
         for q in (eq.a, eq.b, eq.c):
             cls = q.__class__
-            if cls is Known:
+            if cls is int:
+                if q < 0:
+                    raise MalformedLSI(f"a stated amount is negative: {q}")
                 number = len(values)
-                value = q.value
                 names.append(None)
-                texts.append(value)
-                values.append(value)
+                texts.append(q)
+                values.append(q)
                 users.append(None)
             else:
                 if cls is Var:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 
-from schemarith.quantity import Known, Question, Var, render_quantity
+from schemarith.quantity import Question, Var, render_quantity
 from schemarith.solver import (
     Contradiction,
     Insufficient,
@@ -41,8 +41,8 @@ def unknown_names(equations):
 
 
 def _value(q, assignment):
-    if isinstance(q, Known):
-        return q.value
+    if isinstance(q, int):
+        return q
     if isinstance(q, Var):
         return assignment.get(q.name)
     if isinstance(q, Question):
@@ -99,8 +99,8 @@ def _signature(eq, mapping):
     """Canonical form of c = a + b; the a/b pair is unordered (a + b = b + a)."""
 
     def slot(q):
-        if isinstance(q, Known):
-            return ("k", q.value)
+        if isinstance(q, int):
+            return ("k", q)
         if isinstance(q, Question):
             return ("q",)
         return ("v", mapping[q.name])
@@ -163,8 +163,8 @@ class _SweepState:
         self.question_value = None
 
     def value_of(self, q):
-        if isinstance(q, Known):
-            return q.value
+        if isinstance(q, int):
+            return q
         if isinstance(q, Var):
             return self.binding.get(q.name)
         if isinstance(q, Question):

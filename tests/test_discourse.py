@@ -28,7 +28,7 @@ from schemarith.parser import (
     parse_problem,
 )
 from schemarith.pipeline import run_problem
-from schemarith.quantity import QUESTION, Known, TimePoint, Var
+from schemarith.quantity import QUESTION, TimePoint, Var
 from schemarith.schema_engine import Strategy, initial_lsi
 
 LEX = load_default_lexicon()
@@ -74,7 +74,7 @@ def test_every_role_names_an_event_field():
 
 
 def test_split_give():
-    event = EventProp("give", "candy", Known(3),
+    event = EventProp("give", "candy", 3,
                       agent=proper("David"), recipient=proper("Ruth"))
     out = build_store([event], LEX).events
     assert [(e.kind, e.locus) for e in out] == [
@@ -88,7 +88,7 @@ def test_split_give():
 
 
 def test_split_transfer():
-    event = EventProp("transfer", "egg", Known(5), agent=proper("Sara"),
+    event = EventProp("transfer", "egg", 5, agent=proper("Sara"),
                       source=cls("basket"), destination=cls("refrigerator"))
     out = build_store([event], LEX).events
     assert [(e.kind, e.locus) for e in out] == [
@@ -98,7 +98,7 @@ def test_split_transfer():
 
 
 def test_split_buy_drops_unnamed_seller():
-    event = EventProp("buy", "ticket", Known(6), agent=cls("girl", 5))
+    event = EventProp("buy", "ticket", 6, agent=cls("girl", 5))
     out = build_store([event], LEX).events
     assert len(out) == 1
     assert out[0].kind == IN_OWN
@@ -106,7 +106,7 @@ def test_split_buy_drops_unnamed_seller():
 
 
 def test_split_elementary_is_single():
-    event = EventProp("put", "apple", Known(2), agent=proper("Ruth"),
+    event = EventProp("put", "apple", 2, agent=proper("Ruth"),
                       destination=cls("basket"))
     out = build_store([event], LEX).events
     assert len(out) == 1
@@ -126,7 +126,7 @@ def test_split_conservation():
 
 
 def test_give_always_emits_out_and_in():
-    event = EventProp("give", "nut", Known(2),
+    event = EventProp("give", "nut", 2,
                       agent=proper("Dan"), recipient=proper("David"))
     directions = [e.kind.direction for e in build_store([event], LEX).events]
     assert directions == [Direction.OUT, Direction.IN]
@@ -138,24 +138,24 @@ def test_give_always_emits_out_and_in():
 # An ownership change reads "<owner> <owner_verb> <n> <objects>", a change of
 # place "<n> <objects> were <passive> <place_prep> the <place>".
 RENDERED = [
-    (ElementaryEvent(IN_OWN, owner(proper("Ruth")), "candy", Known(3)),
+    (ElementaryEvent(IN_OWN, owner(proper("Ruth")), "candy", 3),
      "Ruth got 3 candies"),
-    (ElementaryEvent(OUT_OWN, owner(proper("David")), "candy", Known(3)),
+    (ElementaryEvent(OUT_OWN, owner(proper("David")), "candy", 3),
      "David forfeited 3 candies"),
     (ElementaryEvent(ChangeKind.CREATE_OWNERSHIP, owner(proper("Tom")), "toy",
-                     Known(2)),
+                     2),
      "Tom created 2 toys"),
     (ElementaryEvent(ChangeKind.TERMINATE_OWNERSHIP, owner(proper("Tom")), "egg",
-                     Known(1)),
+                     1),
      "Tom terminated 1 egg"),
-    (ElementaryEvent(IN_PLACE, place(cls("basket")), "apple", Known(2)),
+    (ElementaryEvent(IN_PLACE, place(cls("basket")), "apple", 2),
      "2 apples were transferred into the basket"),
-    (ElementaryEvent(OUT_PLACE, place(cls("box")), "egg", Known(3)),
+    (ElementaryEvent(OUT_PLACE, place(cls("box")), "egg", 3),
      "3 eggs were transferred out of the box"),
     (ElementaryEvent(ChangeKind.CREATE_PLACE, place(cls("village")), "house",
-                     Known(4)),
+                     4),
      "4 houses were created in the village"),
-    (ElementaryEvent(ChangeKind.TERMINATE_PLACE, place(cls("box")), "egg", Known(0)),
+    (ElementaryEvent(ChangeKind.TERMINATE_PLACE, place(cls("box")), "egg", 0),
      "0 eggs were terminated in the box"),
 ]
 
@@ -187,8 +187,8 @@ def test_lookup_or_introduce_creates_then_reuses():
 def test_lookup_finds_existing_known():
     store = store_for("basket-apples")
     key = StateKey(place(cls("basket")), "apple", TimePoint.INITIAL)
-    assert store.lookup_or_introduce(key) == Known(4)
-    assert states(store)[key] == Known(4)
+    assert store.lookup_or_introduce(key) == 4
+    assert states(store)[key] == 4
 
 
 def test_lookup_never_unifies_across_times():
@@ -196,7 +196,7 @@ def test_lookup_never_unifies_across_times():
     basket = place(cls("basket"))
     initial = store.lookup_or_introduce(StateKey(basket, "apple", TimePoint.INITIAL))
     final = store.lookup_or_introduce(StateKey(basket, "apple", TimePoint.FINAL))
-    assert initial == Known(4)
+    assert initial == 4
     assert final == QUESTION
     assert states(store)[StateKey(basket, "apple", TimePoint.FINAL)] == QUESTION
 
@@ -204,9 +204,9 @@ def test_lookup_never_unifies_across_times():
 def test_conflicting_restatement_raises():
     props = [
         StateProp(StateKey(owner(proper("Ruth")), "apple",
-                           TimePoint.INITIAL), Known(3)),
+                           TimePoint.INITIAL), 3),
         StateProp(StateKey(owner(proper("Ruth")), "apple",
-                           TimePoint.INITIAL), Known(5)),
+                           TimePoint.INITIAL), 5),
     ]
     with pytest.raises(DataConflict):
         build_store(props, LEX)
@@ -214,14 +214,14 @@ def test_conflicting_restatement_raises():
 
 def test_identical_restatement_is_deduplicated():
     prop = StateProp(StateKey(owner(proper("Ruth")), "apple",
-                              TimePoint.INITIAL), Known(3), 0)
-    store = build_store([prop, StateProp(prop.key, Known(3), 1)], LEX)
-    assert store.entries == [(prop.key, Known(3))]
+                              TimePoint.INITIAL), 3, 0)
+    store = build_store([prop, StateProp(prop.key, 3, 1)], LEX)
+    assert store.entries == [(prop.key, 3)]
 
 
 def test_a_question_at_a_stated_amount_raises():
     ruth = StateKey(owner(proper("Ruth")), "apple", TimePoint.INITIAL)
-    stated, asked = StateProp(ruth, Known(3), 0), StateProp(ruth, QUESTION, 1)
+    stated, asked = StateProp(ruth, 3, 0), StateProp(ruth, QUESTION, 1)
     for props in ([stated, asked], [asked, stated]):
         with pytest.raises(ParseError, match="asks for an amount the text states"):
             build_store(props, LEX)
@@ -229,7 +229,7 @@ def test_a_question_at_a_stated_amount_raises():
     later = StateKey(ruth.locus, "apple", TimePoint.FINAL)
     store = build_store([stated, StateProp(later, QUESTION, 1)], LEX)
     [(_, ends)] = store.groups.values()
-    assert ends == {TimePoint.INITIAL: Known(3), TimePoint.FINAL: QUESTION}
+    assert ends == {TimePoint.INITIAL: 3, TimePoint.FINAL: QUESTION}
 
 
 @pytest.mark.parametrize("strategy", list(Strategy), ids=str)
@@ -259,12 +259,12 @@ def test_an_owner_and_a_place_of_one_entity_group_apart():
     loci built apart share a group, an owner and a place never do."""
     initial, final = TimePoint.INITIAL, TimePoint.FINAL
     store = build_store([
-        StateProp(StateKey(owner(cls("box")), "apple", initial), Known(3)),
-        StateProp(StateKey(place(cls("box")), "apple", initial), Known(4)),
-        StateProp(StateKey(owner(cls("box", 2)), "apple", final), Known(5)),
+        StateProp(StateKey(owner(cls("box")), "apple", initial), 3),
+        StateProp(StateKey(place(cls("box")), "apple", initial), 4),
+        StateProp(StateKey(owner(cls("box", 2)), "apple", final), 5),
     ], LEX)
     assert [ends for _, ends in store.groups.values()] == [
-        {initial: Known(3), final: Known(5)}, {initial: Known(4)}]
+        {initial: 3, final: 5}, {initial: 4}]
 
 
 def test_store_key_uniqueness():
@@ -283,7 +283,7 @@ def test_problem_one_timeline():
     [timeline] = build_timelines(store)
     assert timeline.locus == place(cls("basket"))
     assert timeline.obj == "apple"
-    assert timeline.initial == Known(4)
+    assert timeline.initial == 4
     assert timeline.final == QUESTION
     assert len(timeline.events) == 1
     assert timeline.intermediates == []
@@ -298,7 +298,7 @@ def test_chain_timeline_has_intermediate():
     assert len(dan.events) == 2
     assert len(dan.intermediates) == 1
     assert isinstance(dan.initial, Var)
-    assert dan.final == Known(4)
+    assert dan.final == 4
     # additions come before removals in the canonical event order
     assert [e.kind.direction for e in dan.events] == [Direction.IN, Direction.OUT]
 
@@ -325,9 +325,9 @@ def test_timelines_follow_first_events_and_take_every_endpoint():
     assert [(t.locus, t.obj) for t in (tom, ruth, dan)] == [
         (owner(proper("Tom")), "nut"), (owner(proper("Ruth")), "apple"),
         (owner(proper("Dan")), "apple")]
-    assert (tom.initial, tom.final) == (Known(2), Known(3))
+    assert (tom.initial, tom.final) == (2, 3)
     final = TimePoint.FINAL
-    assert ruth.initial == Known(3)
+    assert ruth.initial == 3
     assert ruth.final == states(store)[StateKey(ruth.locus, "apple", final)] == Var("X")
     assert dan.initial == QUESTION
     assert dan.final == states(store)[StateKey(dan.locus, "apple", final)] == Var("X1")

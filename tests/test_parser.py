@@ -36,7 +36,7 @@ from schemarith.parser import (
     render_proposition,
     tokenize,
 )
-from schemarith.quantity import QUESTION, Known, TimePoint
+from schemarith.quantity import QUESTION, TimePoint
 
 LEX = load_default_lexicon()
 
@@ -172,16 +172,23 @@ def test_sentence_scans_match_a_reference(phrases):
 #: The tokens of ASCII text as the regex tokenizer read them, before the
 #: text was split with one ``str.translate``.
 TOKEN_REFERENCE_RE = re.compile(r"[A-Za-z0-9'-]+|[,.?!]")
+#: The tokens of any text as the regex tokenizer read them: a word also
+#: takes in every letter and digit outside ASCII.
+WIDE_TOKEN_REFERENCE_RE = re.compile(r"(?:[A-Za-z0-9'-]|[^\W_])+|[,.?!]")
 
 
-def tokenize_reference(text):
+def tokenize_reference(text, token_re=TOKEN_REFERENCE_RE):
     """Each sentence's clauses as `sentence_reference` gives them, or the
     (type, message) of the refusal, from the regex tokens of `text`."""
     sentences = []
     for piece in text.replace("?", ".").replace("!", ".").split("."):
-        tokens = TOKEN_REFERENCE_RE.findall(piece)
+        tokens = token_re.findall(piece)
         if not tokens:
             continue
+        for tok in tokens:
+            if not tok.isascii():
+                reason = f"non-ASCII word {tok!r}"
+                return ParseError, f"sentence {len(sentences) + 1}: {reason}"
         for tok in tokens:
             if tok.isdigit() and len(tok) > MAX_DIGITS:
                 reason = NumeralTooLong(len(tok))
@@ -232,6 +239,21 @@ def test_corpus_texts_with_spliced_characters_match_the_regex_reference(problem,
     assert tokenized(text) == tokenize_reference(text)
 
 
+#: Letters and digits outside ASCII, which a word takes in, and quotes,
+#: dashes, spaces and a combining accent, which separate words.
+WIDE_TEXT = ASCII_TEXT + "éß٣²“”‘’–—\u00a0\u200b\u0301"
+
+
+@given(st.lists(st.one_of(st.text(alphabet=WIDE_TEXT, max_size=6),
+                          st.sampled_from(CORPUS_WORDS)), max_size=20))
+@example(["José had 3 apples. How many apples does José have now?"])
+@example(["Tom had 3 apples\u00a0and Ann had 2\u200bapples. Tom’s “apples” – ok"])
+@settings(max_examples=300)
+def test_non_ascii_tokens_match_the_regex_reference(pieces):
+    text = "".join(pieces)
+    assert tokenized(text) == tokenize_reference(text, WIDE_TOKEN_REFERENCE_RE)
+
+
 def test_a_tabled_token_is_the_table_s_own_word():
     """A token the table lists as written is classified by one look-up."""
     tabled = 0
@@ -263,13 +285,13 @@ def test_spaced_terminator():
 def test_possession_state():
     [prop] = parse_text("Ruth had 3 apples.")
     assert prop == StateProp(
-        StateKey(owner("Ruth"), "apple", TimePoint.INITIAL), Known(3))
+        StateKey(owner("Ruth"), "apple", TimePoint.INITIAL), 3)
 
 
 def test_existential_state():
     [prop] = parse_text("There were 4 apples in the basket.")
     assert prop == StateProp(
-        StateKey(place("basket"), "apple", TimePoint.INITIAL), Known(4))
+        StateKey(place("basket"), "apple", TimePoint.INITIAL), 4)
 
 
 def test_ownership_compare():
@@ -277,7 +299,7 @@ def test_ownership_compare():
     assert prop == CompareProp(
         StateKey(owner("David"), "candy", TimePoint.FINAL),
         StateKey(owner("Ruth"), "candy", TimePoint.FINAL),
-        Known(4), "more")
+        4, "more")
 
 
 def test_compare_without_trailing_verb():
@@ -304,13 +326,13 @@ def test_subject_numeral_never_enters_a_locus():
 
 def test_subject_numeral_event():
     [prop] = parse_text("Two boys left a room.")
-    assert prop == EventProp("leave", "boy", Known(2),
+    assert prop == EventProp("leave", "boy", 2,
                              source=Entity("room", EntityKind.CLASS))
 
 
 def test_agent_cardinality_event():
     [prop] = parse_text("5 girls bought 6 tickets.")
-    assert prop == EventProp("buy", "ticket", Known(6),
+    assert prop == EventProp("buy", "ticket", 6,
                              agent=Entity("girl", EntityKind.CLASS, cardinality=5))
     assert prop.agent.cardinality == 5
 
@@ -318,7 +340,7 @@ def test_agent_cardinality_event():
 def test_double_object_dative():
     [prop] = parse_text("Ruth gave Tom 3 apples.")
     assert prop.recipient == Entity("Tom", EntityKind.PROPER)
-    assert prop.amount == Known(3)
+    assert prop.amount == 3
 
 
 def test_pronoun_subject_resolution():
@@ -388,7 +410,7 @@ def test_transfer_event():
 def test_statement_combine():
     [prop] = parse_text("Tom and Ruth had 8 apples altogether.")
     assert isinstance(prop, CombineProp)
-    assert prop.total == Known(8)
+    assert prop.total == 8
     assert prop.time is TimePoint.INITIAL
     assert [k.locus.entity.name for k in prop.parts] == ["Tom", "Ruth"]
     assert prop.verb is None   # a state combine
@@ -411,15 +433,15 @@ def test_event_combine_question():
 def test_distributed_numeral_subjects():
     props = parse_text("3 girls and 5 boys remained in the room.")
     assert props == [
-        StateProp(StateKey(place("room"), "girl", TimePoint.FINAL), Known(3)),
-        StateProp(StateKey(place("room"), "boy", TimePoint.FINAL), Known(5)),
+        StateProp(StateKey(place("room"), "girl", TimePoint.FINAL), 3),
+        StateProp(StateKey(place("room"), "boy", TimePoint.FINAL), 5),
     ]
 
 
 def test_known_that_prefix_is_stripped():
     props = parse_text("it is known that Susan had 7 candies in the beginning")
     assert props == [StateProp(
-        StateKey(owner("Susan"), "candy", TimePoint.INITIAL), Known(7))]
+        StateKey(owner("Susan"), "candy", TimePoint.INITIAL), 7)]
 
 
 # -- errors ---------------------------------------------------------------------
@@ -495,14 +517,14 @@ def test_problem_one_parses_to_four_propositions():
     kinds = [type(p).__name__ for p in props]
     assert kinds == ["StateProp", "EventProp", "StateProp", "StateProp"]
     assert props[2].quantity == QUESTION
-    assert props[3].quantity == Known(4)
+    assert props[3].quantity == 4
 
 
 def test_first_multistep_problem_parses_to_four_propositions():
     props = parse_problem(by_id("apples-altogether").text, LEX)
     assert [type(p).__name__ for p in props] == [
         "CombineProp", "EventProp", "StateProp", "StateProp"]
-    assert props[0].total == Known(8)
+    assert props[0].total == 8
     assert props[3] == StateProp(
         StateKey(owner("Ruth"), "apple", TimePoint.INITIAL), QUESTION)
 
@@ -562,7 +584,7 @@ def test_a_place_complement_is_the_events_source_or_destination(
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_birth_is_in_its_place(n):
-    prop = EventProp("be born", "bird", Known(n),
+    prop = EventProp("be born", "bird", n,
                      destination=Entity("garden", EntityKind.CLASS))
     reparsed = _reparse_one(render_proposition(prop, LEX))
     assert reparsed == prop
@@ -579,7 +601,7 @@ _PLACES = ["basket", "room", "box", "garden"]
        st.integers(min_value=0, max_value=20),
        st.sampled_from(list(TimePoint)), st.booleans())
 def test_state_round_trip(name, obj, n, time, is_question):
-    quantity = QUESTION if is_question else Known(n)
+    quantity = QUESTION if is_question else n
     prop = StateProp(StateKey(owner(name), obj, time), quantity)
     assert _reparse_one(render_proposition(prop, LEX)) == prop
 
@@ -588,7 +610,7 @@ def test_state_round_trip(name, obj, n, time, is_question):
        st.integers(min_value=0, max_value=20),
        st.sampled_from(list(TimePoint)), st.booleans())
 def test_place_state_round_trip(noun, obj, n, time, is_question):
-    quantity = QUESTION if is_question else Known(n)
+    quantity = QUESTION if is_question else n
     prop = StateProp(StateKey(place(noun), obj, time), quantity)
     assert _reparse_one(render_proposition(prop, LEX)) == prop
 

@@ -18,7 +18,7 @@ from schemarith.lexicon import load_default_lexicon
 from schemarith.parser import (Entity, EntityKind, NoQuestion, ParseError, StateKey,
                                parse_problem, tokenize)
 from schemarith.pipeline import render_text_report, result_to_dict, run_problem
-from schemarith.quantity import Known, Question, _Frozen
+from schemarith.quantity import Question, _Frozen
 from schemarith.schema_engine import Strategy, build_lsi, initial_lsi
 from schemarith.solver import Insufficient, Solved, propagate
 
@@ -245,9 +245,9 @@ def test_python_calls_per_clause_from_text_to_store():
         build_store(parse_problem(text, LEX), LEX)
     finally:
         sys.setprofile(None)
-    # 32.1 calls per clause (6,481 over 202 clauses): 24.6 in parse_problem
-    # and 7.5 in build_store
-    assert calls <= 40 * clauses, calls / clauses
+    # 25.9 calls per clause (5,226 over 202 clauses); 26.9 when each
+    # amount was wrapped in a value type, made once per text
+    assert calls <= 27 * clauses, calls / clauses
 
 
 def test_python_calls_per_clause_from_text_to_report():
@@ -270,10 +270,11 @@ def test_python_calls_per_clause_from_text_to_report():
     finally:
         sys.setprofile(None)
     assert report["verdict"] == "solved"
-    # 41.0 calls per clause (8,273 over 202 clauses); 48.3 when each name,
-    # locus and amount was built per use, 66.9 when each token was matched
-    # by a regex and each amount rendered per print
-    assert calls <= 43 * clauses, calls / clauses
+    # 39.9 calls per clause (8,063 over 202 clauses); 41.0 when each amount
+    # was wrapped in a value type, 48.3 when each name, locus and amount
+    # was built per use, 66.9 when each token was matched by a regex and
+    # each amount rendered per print
+    assert calls <= 41 * clauses, calls / clauses
 
 
 # -- construction gate --------------------------------------------------------------
@@ -287,8 +288,9 @@ def frozen_types(cls=_Frozen):
 
 def test_value_constructions_per_elementary_event(monkeypatch):
     """Each elementary event builds a bounded number of frozen values: a
-    text makes each name, amount and group locus once and shares it, so a
-    long chain builds no more of them than it has distinct ones."""
+    text makes each name and group locus once and shares it, and an amount
+    is a plain int, so a long chain builds no more of them than it has
+    distinct ones."""
     built = Counter()
     counting = False
 
@@ -310,22 +312,22 @@ def test_value_constructions_per_elementary_event(monkeypatch):
         result = run_problem(text, LEX)
         counting = False
         if not events:
-            # the chain alone: its 2 names, the loci of its 2 groups and of
-            # its 2 states, and its 10 amounts
-            assert built["Entity"] <= 2 and built["Locus"] <= 4 \
-                and built["Known"] <= 10, built
+            # the chain alone: its 2 names, and the loci of its 2 groups
+            # and of its 2 states
+            assert built["Entity"] <= 2 and built["Locus"] <= 4, built
         events += len(result.store.events)
-    # the corpus and the chain build 4.78 values per elementary event (1,563
-    # over 327 events); 7.30 when each name, locus and amount was built per use
-    assert sum(built.values()) <= 5 * events, built
+    # the corpus and the chain build 4.63 values per elementary event (1,513
+    # over 327 events); 4.78 when each amount was wrapped in a value type,
+    # 7.30 when each name, locus and amount was built per use
+    assert sum(built.values()) <= 4.7 * events, built
 
 
 @pytest.mark.parametrize("text", [p.text for p in CORPUS] + [chain_text(200)],
                          ids=[p.id for p in CORPUS] + ["chain-200"])
 def test_a_text_makes_each_value_once(text):
-    """A text's names and amounts are made where they first appear, and a
-    group's locus with its first event: the store's events hold one Entity
-    per proper name, one Locus per chain and one Known per amount."""
+    """A text's names are made where they first appear, and a group's
+    locus with its first event: the store's events hold one Entity per
+    proper name and one Locus per chain."""
     store = run_problem(text, LEX).store
     made = defaultdict(set)   # (type, value) -> ids of its objects
     for event in store.raw_events:
@@ -333,7 +335,6 @@ def test_a_text_makes_each_value_once(text):
             if entity is not None and entity.kind is EntityKind.PROPER:
                 made[Entity, entity.name].add(id(entity))
     for event in store.events:
-        made[Known, event.delta.value].add(id(event.delta))
         if event.locus.entity.kind is EntityKind.PROPER:
             made[Entity, event.locus.entity.name].add(id(event.locus.entity))
     assert {key: len(ids) for key, ids in made.items() if len(ids) > 1} == {}

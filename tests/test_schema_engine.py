@@ -19,7 +19,7 @@ from schemarith.parser import (
     parse_problem,
 )
 from schemarith.pipeline import run_problem
-from schemarith.quantity import QUESTION, Known, TimePoint, Var
+from schemarith.quantity import QUESTION, TimePoint, Var
 from schemarith.schema_engine import (
     Strategy,
     UnresolvableCombine,
@@ -98,11 +98,11 @@ def test_zero_difference_compare():
     comp = CompareProp(
         StateKey(owner(proper("Tom")), "apple", TimePoint.FINAL),
         StateKey(owner(proper("Dan")), "apple", TimePoint.FINAL),
-        Known(0), "more")
+        0, "more")
     store = store_for("basket-apples")
     inst = instantiate_compare(comp, store)
     eq = inst.equation
-    assert eq.b == Known(0)  # left = right + 0
+    assert eq.b == 0  # left = right + 0
 
 
 # -- combines --------------------------------------------------------------------
@@ -121,7 +121,7 @@ def test_event_combine_uses_deltas_not_cardinalities():
     [comb] = store.relations
     [inst] = instantiate_combine(comb, store)
     assert inst.render() == "Combine (6, plus 8, altogether ?)"
-    values = [q.value for _, q in inst.slots if isinstance(q, Known)]
+    values = [q for _, q in inst.slots if q.__class__ is int]
     assert 5 not in values and 7 not in values
 
 
@@ -148,7 +148,7 @@ def test_match_fully_bound_change():
     lsi, skipped, _ = cautious_lsi(store_for("basket-apples"))
     [inst] = lsi
     assert skipped == []
-    assert slot_values(inst) == (Known(4), Known(2), QUESTION)
+    assert slot_values(inst) == (4, 2, QUESTION)
 
 
 def test_match_with_missing_initial_line():
@@ -156,20 +156,20 @@ def test_match_with_missing_initial_line():
     david = owner(proper("David"))
     # David's changes, in 2 from John and out 3 to Ruth, are not recorded
     changes = {(si.kind, slot_values(si)[1]) for si in lsi}
-    assert ("Transfer-In-Ownership", Known(2)) not in changes
-    assert ("Transfer-Out-Ownership", Known(3)) not in changes
+    assert ("Transfer-In-Ownership", 2) not in changes
+    assert ("Transfer-Out-Ownership", 3) not in changes
     [gated] = [sk for sk in skipped if sk.locus == david]
     # "David has ? candies" exists; no initial amount anywhere
     assert gated.missing == ("initial",)
     timeline = next(t for t in timelines if t.locus == david)
     forfeit = next(e for e in timeline.events if e.kind.direction is Direction.OUT)
-    assert forfeit.delta == Known(3)   # the change amount is always bound
+    assert forfeit.delta == 3   # the change amount is always bound
 
 
 def test_match_ruth_side_fully_bound():
     lsi, _, _ = cautious_lsi(store_for("candy-gifts"))
     [inst] = [si for si in lsi if si.kind == "Transfer-In-Ownership"]   # Ruth's
-    assert slot_values(inst) == (Known(7), Known(3), Var("X"))
+    assert slot_values(inst) == (7, 3, Var("X"))
 
 
 def test_delta_always_bound_across_corpus():
@@ -206,7 +206,7 @@ def test_basket_timeline_gated_in_eggs_problem():
     basket = place(cls("basket"))
     # the basket's changes, out 5 and out 6, are not recorded
     assert not any(si.kind == "Transfer-Out-Place"
-                   and slot_values(si)[1] in (Known(5), Known(6)) for si in result.lsi)
+                   and slot_values(si)[1] in (5, 6) for si in result.lsi)
     [skipped] = result.skipped
     assert any(skipped is timeline for timeline in result.timelines)
     assert skipped.locus == basket
@@ -233,7 +233,7 @@ def test_equations_normalize_to_sum_form():
     for problem in CORPUS:
         result = run_problem(problem.text, LEX)
         for eq in (si.equation for si in result.lsi):
-            assert all(isinstance(q, (Known, Var)) or q is QUESTION
+            assert all(q.__class__ in (int, Var) or q is QUESTION
                        for q in (eq.a, eq.b, eq.c))
         assert len(result.solve.equations) == len(result.lsi)
         for text in result.solve.equations:

@@ -18,7 +18,7 @@ from schemarith.corpus import CORPUS
 from schemarith.lexicon import load_default_lexicon
 from schemarith.pipeline import run_problem
 from schemarith.schema_engine import Strategy
-from schemarith.quantity import QUESTION, Known, Var
+from schemarith.quantity import QUESTION, Var
 from schemarith.solver import (
     Contradiction,
     Equation,
@@ -42,15 +42,15 @@ def lsi_of(*equations):
 
 
 def test_single_step_solution():
-    result = propagate(lsi_of(Equation(Known(4), Known(2), QUESTION)))
+    result = propagate(lsi_of(Equation(4, 2, QUESTION)))
     assert result.verdict == Solved(6)
     assert result.trace == ["? = 4 + 2 ⇒ ? = 6"]
 
 
 def test_two_step_solution():
     result = propagate(lsi_of(
-        Equation(Var("X"), Known(4), QUESTION),   # ? = X + 4
-        Equation(Known(7), Known(3), Var("X")),   # X = 7 + 3
+        Equation(Var("X"), 4, QUESTION),   # ? = X + 4
+        Equation(7, 3, Var("X")),   # X = 7 + 3
     ))
     assert result.verdict == Solved(14)
     assert result.binding == {"X": 10}
@@ -58,16 +58,16 @@ def test_two_step_solution():
 
 def test_contradiction_on_fully_known_equation():
     result = propagate(lsi_of(
-        Equation(QUESTION, Known(4), Var("X")),
-        Equation(Known(9), Known(3), Known(10)),  # 9 + 3 is not 10
-        Equation(Known(7), Known(2), Var("X")),
+        Equation(QUESTION, 4, Var("X")),
+        Equation(9, 3, 10),  # 9 + 3 is not 10
+        Equation(7, 2, Var("X")),
     ))
     assert isinstance(result.verdict, Contradiction)
     assert result.verdict.equation == "10 = 9 + 3"
 
 
 def test_negative_derivation_is_invalid():
-    result = propagate(lsi_of(Equation(QUESTION, Known(5), Known(2))))
+    result = propagate(lsi_of(Equation(QUESTION, 5, 2)))
     assert isinstance(result.verdict, Invalid)
     assert result.verdict.value == -3
 
@@ -84,15 +84,15 @@ def test_unconstrained_unknowns_reported():
 
 
 def test_an_lsi_without_the_question_is_insufficient():
-    result = propagate(lsi_of(Equation(Known(1), Known(2), Var("X"))))
+    result = propagate(lsi_of(Equation(1, 2, Var("X"))))
     assert result.verdict == Insufficient(())
     assert result.binding == {"X": 3}
 
 
 def test_an_unknown_named_question_mark_is_its_own_slot():
     lsi = lsi_of(
-        Equation(Known(1), Known(2), Var("?")),   # the unknown "?" = 1 + 2
-        Equation(Var("?"), Known(4), QUESTION),   # the question = "?" + 4
+        Equation(1, 2, Var("?")),   # the unknown "?" = 1 + 2
+        Equation(Var("?"), 4, QUESTION),   # the question = "?" + 4
     )
     result = propagate(lsi)
     assert result.verdict == Solved(7)
@@ -104,15 +104,17 @@ def test_an_unknown_named_question_mark_is_its_own_slot():
 def test_solved_even_with_free_side_unknowns():
     # extraneous unknowns may stay free once the question is bound
     result = propagate(lsi_of(
-        Equation(Known(4), Known(2), QUESTION),
-        Equation(Var("J"), Known(2), Var("K")),
+        Equation(4, 2, QUESTION),
+        Equation(Var("J"), 2, Var("K")),
     ))
     assert result.verdict == Solved(6)
 
 
-def test_propagate_raises_on_a_slot_that_is_not_a_quantity():
+@pytest.mark.parametrize("slot", ["2", -1, True, 2.0], ids=repr)
+def test_propagate_raises_on_a_slot_that_is_not_a_quantity(slot):
+    # a stated amount is an int, never negative; a bool or a float is none
     with pytest.raises(MalformedLSI):
-        propagate(lsi_of(Equation(Known(1), "2", Var("X"))))
+        propagate(lsi_of(Equation(1, slot, Var("X"))))
 
 
 # -- corpus-level properties -----------------------------------------------------
@@ -201,13 +203,13 @@ def chains(draw):
 def test_chain_propagation_matches_arithmetic(chain, rng):
     start, deltas, values = chain
     equations = []
-    slots = [Known(start)] + [Var(f"V{i}") for i in range(len(deltas) - 1)] + [QUESTION]
+    slots = [start] + [Var(f"V{i}") for i in range(len(deltas) - 1)] + [QUESTION]
     for i, (add, magnitude) in enumerate(deltas):
         before, after = slots[i], slots[i + 1]
         if add:
-            equations.append(Equation(before, Known(magnitude), after))
+            equations.append(Equation(before, magnitude, after))
         else:
-            equations.append(Equation(after, Known(magnitude), before))
+            equations.append(Equation(after, magnitude, before))
     order = list(equations)
     rng.shuffle(order)
     result = propagate(lsi_of(*order))
@@ -221,7 +223,7 @@ def test_chain_propagation_matches_arithmetic(chain, rng):
 # amounts, so that fully known equations are often violated and derived
 # amounts are often negative.
 slots = st.one_of(
-    st.integers(min_value=0, max_value=6).map(Known),
+    st.integers(min_value=0, max_value=6),
     st.sampled_from(["A", "B", "C", "D"]).map(Var),
     st.just(QUESTION),
 )

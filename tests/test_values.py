@@ -49,7 +49,7 @@ from schemarith.parser import (
 )
 from schemarith.pipeline import ProblemResult
 from schemarith.quantity import (
-    QUESTION, Known, Question, TimePoint, Var, _Enum, _Frozen, render_quantity,
+    QUESTION, Question, TimePoint, Var, _Enum, _Frozen, render_quantity,
 )
 from schemarith.schema_engine import SchemaInstantiation, Strategy
 from schemarith.solver import (
@@ -85,7 +85,6 @@ def ignored(name, value, other, default):
 
 # Each frozen value type with its fields in constructor order.
 FROZEN = {
-    Known: [f("value", 3, 4)],
     Var: [f("name", "X", "X1")],
     Question: [],
     Compound: [f("components", ((IN_OWN, Role.AGENT), (OUT_OWN, Role.SOURCE)),
@@ -98,32 +97,32 @@ FROZEN = {
     Locus: [f("kind", OWNERSHIP, PLACE), f("entity", RUTH, TOM)],
     StateKey: [f("locus", Locus(OWNERSHIP, RUTH), Locus(PLACE, BOX)),
                f("obj", "apple", "nut"), f("time", TimePoint.INITIAL, TimePoint.FINAL)],
-    StateProp: [f("key", KEY, KEY2), f("quantity", Known(3), QUESTION),
+    StateProp: [f("key", KEY, KEY2), f("quantity", 3, QUESTION),
                 ignored("sentence", 0, 1, -1)],
     EventProp: [f("verb", "give", "get"), f("obj", "apple", "nut"),
-                f("amount", Known(3), Known(4)), f("agent", RUTH, TOM, None),
+                f("amount", 3, 4), f("agent", RUTH, TOM, None),
                 f("recipient", TOM, RUTH, None), f("source", BOX, BASKET, None),
                 f("destination", BASKET, BOX, None), ignored("sentence", 1, 3, -1)],
     CompareProp: [f("left", KEY, KEY2), f("right", KEY2, KEY),
-                  f("diff", Known(2), Known(3)), f("direction", "more", "less"),
+                  f("diff", 2, 3), f("direction", "more", "less"),
                   ignored("sentence", 0, 1, -1)],
-    CombineProp: [f("obj", "apple", "nut"), f("total", Known(8), QUESTION),
+    CombineProp: [f("obj", "apple", "nut"), f("total", 8, QUESTION),
                   f("time", TimePoint.INITIAL, TimePoint.FINAL),
                   f("parts", (KEY, KEY2), (KEY2, KEY), ()),
                   f("group", THEY, BOX, None), f("verb", "buy", "get", None),
                   ignored("sentence", 2, 3, -1)],
     ElementaryEvent: [f("kind", IN_OWN, OUT_OWN),
                       f("locus", Locus(OWNERSHIP, RUTH), Locus(OWNERSHIP, TOM)),
-                      f("obj", "apple", "nut"), f("delta", Known(3), Known(4)),
+                      f("obj", "apple", "nut"), f("delta", 3, 4),
                       ignored("verb", "give", "get", ""),
                       ignored("sentence", 0, 1, -1)],
     SchemaInstantiation: [
         f("kind", "More", "Less"),
-        f("slots", (("left", Known(1)),), (("right", Known(1)),)),
-        f("equation", Equation(Known(1), Known(2), Known(3)),
-          Equation(Known(1), Var("X"), Known(3)))],
-    Equation: [f("a", Known(1), Var("X")), f("b", Known(2), Known(5)),
-               f("c", Known(3), QUESTION)],
+        f("slots", (("left", 1),), (("right", 1),)),
+        f("equation", Equation(1, 2, 3),
+          Equation(1, Var("X"), 3))],
+    Equation: [f("a", 1, Var("X")), f("b", 2, 5),
+               f("c", 3, QUESTION)],
     Solved: [f("answer", 6, 7)],
     Insufficient: [f("unresolved", (), ("X",))],
     Contradiction: [f("equation", "3 = 1 + 1", "4 = 1 + 1"), f("detail", "a", "b")],
@@ -207,7 +206,6 @@ def test_copy_and_pickle_keep_the_value(cls):
 
 
 def test_repr_literals():
-    assert repr(Known(3)) == "Known(value=3)"
     assert repr(Insufficient(())) == "Insufficient(unresolved=())"
     assert repr(QUESTION) == "Question()"
     assert repr(Locus(OWNERSHIP, RUTH)) == (
@@ -217,9 +215,7 @@ def test_repr_literals():
 
 def test_other_classes_are_unequal():
     assert Locus(OWNERSHIP, RUTH) != RUTH
-    assert Known(1) != Var("1")
-    assert Known(3) != 3 and 3 != Known(3)
-    assert Known(3).__eq__(3) is NotImplemented
+    assert 1 != Var("1")
     assert Question() == QUESTION
     assert NonChange() == NonChange() and NonChange() != Question()
     assert Solved(3) != Invalid("3 = 1 + 2", 3)
@@ -236,8 +232,6 @@ def test_an_interned_value_is_one_object(value):
 
 
 def test_constructor_checks():
-    with pytest.raises(ValueError):
-        Known(-1)
     with pytest.raises(ValueError):
         Compound(((IN_OWN, Role.AGENT),))
 
@@ -281,10 +275,12 @@ def test_a_dict_keyed_by_enum_members_finds_each():
 
 
 def test_render_quantity():
-    assert [render_quantity(q) for q in (Known(3), Var("X1"), QUESTION)] == \
+    assert [render_quantity(q) for q in (3, Var("X1"), QUESTION)] == \
         ["3", "X1", "?"]
-    with pytest.raises(TypeError, match="not a quantity: 3"):
-        render_quantity(3)
+    # an amount is an int: a bool or a float is none
+    for q in (True, 2.0):
+        with pytest.raises(TypeError, match=f"not a quantity: {q}"):
+            render_quantity(q)
 
 
 # Each mutable record with its fields in constructor order: (name, default).
