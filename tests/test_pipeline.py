@@ -15,10 +15,11 @@ from schemarith.corpus import CORPUS
 from schemarith.discourse import (DataConflict, PropositionStore, build_store,
                                   build_timelines)
 from schemarith.lexicon import load_default_lexicon
-from schemarith.parser import (Entity, EntityKind, NoQuestion, ParseError, StateKey,
+from schemarith.parser import (CombineProp, CompareProp, Entity, EntityKind, EventProp,
+                               NoQuestion, ParseError, StateKey, StateProp,
                                parse_problem, tokenize)
 from schemarith.pipeline import render_text_report, result_to_dict, run_problem
-from schemarith.quantity import Question, _Frozen
+from schemarith.quantity import Question, Var, _Frozen
 from schemarith.schema_engine import Strategy, build_lsi, initial_lsi
 from schemarith.solver import Insufficient, Solved, propagate
 
@@ -341,6 +342,25 @@ def test_a_text_makes_each_value_once(text):
     for locus, _, events, _ in store.chains:
         assert all(event.locus is locus for event in events)
     assert len({id(event.locus) for event in store.events}) == len(store.chains)
+
+
+@pytest.mark.parametrize("text", [p.text for p in CORPUS] + [chain_text(200)],
+                         ids=[p.id for p in CORPUS] + ["chain-200"])
+def test_every_stated_amount_is_an_int(text):
+    """A stated amount is a plain nonnegative int wherever a run holds it:
+    in a proposition, an elementary event, an instantiation slot and its
+    equation.  Every other amount slot is an unknown or the question."""
+    amounts = [prop.quantity if cls is StateProp else prop.amount if cls is EventProp
+               else prop.diff if cls is CompareProp else prop.total
+               for prop in parse_problem(text, LEX) for cls in [prop.__class__]]
+    result = run_problem(text, LEX)
+    amounts += [event.delta for event in result.store.events]
+    for si in result.lsi:
+        amounts += [q for _, q in si.slots]
+        amounts += [si.equation.a, si.equation.b, si.equation.c]
+    assert {q.__class__ for q in amounts} <= {int, Var, Question}
+    stated = [q for q in amounts if q.__class__ is int]
+    assert stated and min(stated) >= 0
 
 
 # -- cyclic collector --------------------------------------------------------------
