@@ -35,7 +35,7 @@ from .parser import (
     render_proposition,
     render_state,
 )
-from .quantity import Question, TimePoint, Var, _Frozen, render_quantity
+from .quantity import Question, TimePoint, _Frozen, render_quantity
 
 
 class DataConflict(Exception):
@@ -203,10 +203,11 @@ class PropositionStore:
             group = self.groups[key] = ([], {})
         return group
 
-    def fresh_var(self) -> Var:
+    def fresh_var(self) -> str:
+        """A new unknown, which is the ``str`` of its name: "X", "X1", "X2", ..."""
         name = "X" if self._var_count == 0 else f"X{self._var_count}"
         self._var_count += 1
-        return Var(name)
+        return name
 
     def lookup_or_introduce(self, key):
         """Amount of the state at the key, or of a new one holding a fresh unknown.

@@ -12,7 +12,7 @@ import time
 from .discourse import build_store, build_timelines
 from .lexicon import load_default_lexicon
 from .parser import parse_problem, render_locus
-from .quantity import Var
+from .quantity import QUESTION
 from .schema_engine import Strategy, build_lsi, initial_lsi
 from .solver import Solved, propagate
 
@@ -92,8 +92,7 @@ def result_to_dict(result) -> dict:
     for si, equation in zip(result.lsi, result.solve.equations):
         slots = []
         for role, q in si.slots:   # a stated value, an unknown's name or "?"
-            cls = q.__class__
-            slots.append([role, q if cls is int else q.name if cls is Var else "?"])
+            slots.append([role, "?" if q is QUESTION else q])
         lsi.append({"kind": si.kind, "slots": slots, "equation": equation})
     return {
         "strategy": result.strategy.value,

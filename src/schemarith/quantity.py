@@ -1,8 +1,9 @@
 """Three-valued amount slots shared by every stage of the pipeline.
 
-An amount in a problem is either a stated nonnegative ``int``, a named
-unknown (``Var``) introduced while building the representation, or the
-single question mark the problem asks about; an ``int`` equals neither.
+An amount in a problem is either a stated nonnegative ``int``, an unknown
+introduced while building the representation, which is the ``str`` of its
+name, or the single question mark the problem asks about; no two of these
+are equal.
 """
 from __future__ import annotations
 
@@ -63,13 +64,6 @@ class TimePoint(_Enum):
     FINAL = "final"
 
 
-class Var(_Frozen):
-    __slots__ = ("name",)
-
-    def __init__(self, name):
-        self.name = name
-
-
 class Question(_Frozen):
     """The amount a problem asks for.  Its one instance is QUESTION, which
     ``Question()`` returns, so it hashes and compares by identity, in C."""
@@ -88,8 +82,8 @@ QUESTION = object.__new__(Question)
 
 def render_quantity(q) -> str:
     cls = q.__class__
-    if cls is Var:
-        return q.name
+    if cls is str:
+        return q
     if cls is int:
         return str(q)
     if q is QUESTION:

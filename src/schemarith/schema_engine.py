@@ -14,7 +14,6 @@ from __future__ import annotations
 from .lexicon import ChangeKind
 from .parser import THEY, CompareProp, EntityKind, ProblemTextError, StateKey
 from .quantity import TimePoint, _Enum, _Frozen, render_quantity
-from .solver import Equation
 
 
 class UnresolvableCombine(ProblemTextError):
@@ -32,15 +31,19 @@ class Strategy(_Enum):
 
 
 class SchemaInstantiation(_Frozen):
-    """One LSI entry."""
+    """One LSI entry: its role-labelled slots, and the equation c = a + b
+    over the same amounts that the solver reads.  A removal is stored in
+    added form: initial = final + delta."""
 
-    __slots__ = ("kind", "slots", "equation")
+    __slots__ = ("kind", "slots", "a", "b", "c")
 
-    def __init__(self, kind, slots, equation):
+    def __init__(self, kind, slots, a, b, c):
         # change schema name, "More", "Less" or "Combine"
         self.kind = kind
-        self.slots = slots   # ((role, Quantity), ...)
-        self.equation = equation
+        self.slots = slots   # ((role, amount), ...)
+        self.a = a
+        self.b = b
+        self.c = c
 
     def render(self) -> str:
         if self.kind in ("More", "Less"):
@@ -60,11 +63,9 @@ def change_instantiation(event, before, after) -> SchemaInstantiation:
     direction = event.kind.direction
     slots = (("initially", before), (direction.slot, event.delta), ("finally", after))
     if direction.adds:
-        equation = Equation(before, event.delta, after)
-    else:
-        # final = initial - delta, stored as initial = final + delta
-        equation = Equation(after, event.delta, before)
-    return SchemaInstantiation(event.kind.schema, slots, equation)
+        return SchemaInstantiation(event.kind.schema, slots, before, event.delta, after)
+    # final = initial - delta, stored as initial = final + delta
+    return SchemaInstantiation(event.kind.schema, slots, after, event.delta, before)
 
 
 def instantiate_compare(comp, store) -> SchemaInstantiation:
@@ -73,8 +74,8 @@ def instantiate_compare(comp, store) -> SchemaInstantiation:
     right = store.lookup_or_introduce(comp.right)
     slots = (("left", left), ("right", right), ("by", comp.diff))
     if comp.direction == "more":
-        return SchemaInstantiation("More", slots, Equation(right, comp.diff, left))
-    return SchemaInstantiation("Less", slots, Equation(left, comp.diff, right))
+        return SchemaInstantiation("More", slots, right, comp.diff, left)
+    return SchemaInstantiation("Less", slots, left, comp.diff, right)
 
 
 def instantiate_combine(comb, store) -> list:
@@ -109,8 +110,7 @@ def instantiate_combine(comb, store) -> list:
     for i, part in enumerate(parts[1:], start=2):
         total = comb.total if i == len(parts) else store.fresh_var()
         slots = (("part", running), ("part", part), ("altogether", total))
-        out.append(SchemaInstantiation("Combine", slots,
-                                       Equation(running, part, total)))
+        out.append(SchemaInstantiation("Combine", slots, running, part, total))
         running = total
     return out
 

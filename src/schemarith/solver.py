@@ -1,40 +1,28 @@
 """Worklist propagation over the a + b = c constraint network.
 
-Every recorded relation normalizes to one equation c = a + b over three
-amount slots.  The slots are numbered densely, once per distinct unknown
-and once per stated amount, so propagation reads and binds them in lists.
-It resolves any equation with exactly one unbound slot, and an index from
-each unknown slot to the equations that mention it decides which
-equations can have changed (AC-3 style, Mackworth 1977).
-It reads the equations of the schema-instantiation list alone and
-terminates with the question's value, a report of which unknowns stayed
-free, a contradiction between stated amounts, or a derived negative
-amount.  A slot is bound at most once and each binding revisits
-only the equations that mention it, so an equation is visited at most
-four times: a chain of k changes costs O(k) visits whichever end of it
-the question asks about.
+Each entry of the schema-instantiation list carries its relation as one
+equation c = a + b in its fields a, b and c.  The slots are numbered
+densely, once per distinct unknown and once per stated amount, so
+propagation reads and binds them in lists.  It resolves any equation
+with exactly one unbound slot, and an index from each unknown slot to
+the equations that mention it decides which equations can have changed
+(AC-3 style, Mackworth 1977).  It reads those three fields of each entry
+alone and terminates with the question's value, a report of which
+unknowns stayed free, a contradiction between stated amounts, or a
+derived negative amount.  A slot is bound at most once and each binding
+revisits only the equations that mention it, so an equation is visited
+at most four times: a chain of k changes costs O(k) visits whichever end
+of it the question asks about.
 """
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from operator import attrgetter
 
-from .quantity import QUESTION, Var, _Frozen
+from .quantity import QUESTION, _Frozen
 
 
 class MalformedLSI(ValueError):
     pass
-
-
-class Equation(_Frozen):
-    """c = a + b. Removal relations are stored in added form."""
-
-    __slots__ = ("a", "b", "c")
-
-    def __init__(self, a, b, c):
-        self.a = a
-        self.b = b
-        self.c = c
 
 
 class Solved(_Frozen):
@@ -76,11 +64,9 @@ class SolveResult:
         self.visits = visits   # equation evaluations; a work count, not in reports
 
 
-_EQUATION = attrgetter("equation")
-
-
 def propagate(lsi) -> SolveResult:
-    """Run the equations of a schema-instantiation list to fixpoint.
+    """Run the equations c = a + b of a schema-instantiation list, read
+    from each entry's ``a``, ``b`` and ``c``, to fixpoint.
 
     A worklist visits the equations in (pass, index) order.  Every
     equation is due in pass 0.  When equation i binds a slot, each other
@@ -95,12 +81,12 @@ def propagate(lsi) -> SolveResult:
     it mentions (`SolveResult.visits` counts the visits).  Each slot is
     read once, into a dense slot number: one per distinct unknown, the
     question among them, and one per stated amount, bound from the start.
-    A stated amount is an ``int``; a negative one, or a slot that is no
-    ``int``, Var or QUESTION, raises MalformedLSI.  An unknown is keyed by
-    its name and the question by QUESTION, so an unknown named "?" stays
-    its own slot.  Each slot's text (its stated value, the unknown's name
-    or "?") and each equation's text are made once, and the trace and the
-    verdict reuse them.
+    A stated amount is an ``int`` and an unknown the ``str`` of its name; a
+    negative amount, or a slot that is no ``int``, ``str`` or QUESTION,
+    raises MalformedLSI.  An unknown is keyed by its name and the question
+    by QUESTION, so an unknown named "?" stays its own slot.  Each slot's
+    text (its stated value, the unknown's name or "?") and each equation's
+    text are made once, and the trace and the verdict reuse them.
 
     Verdict precedence at fixpoint: a violated fully-known equation wins
     (contradiction), then a derived negative amount, then a bound question
@@ -108,7 +94,6 @@ def propagate(lsi) -> SolveResult:
     question.  Negative derivations are recorded but never bound, and no
     slot is ever rebound, so the verdict does not depend on equation order.
     """
-    equations = list(map(_EQUATION, lsi))
     index = {}    # unknown's key -> slot number
     names = []    # per slot: the unknown's name; None if stated or the question
     texts = []    # per slot: the stated value, the unknown's name or "?"
@@ -116,9 +101,9 @@ def propagate(lsi) -> SolveResult:
     users = []    # per slot: indices of the equations that mention it; None if stated
     slots = []    # per equation: the numbers of its a, b and c slots
     rendered = []   # per equation: its text
-    for idx, eq in enumerate(equations):
+    for idx, si in enumerate(lsi):
         numbers = []
-        for q in (eq.a, eq.b, eq.c):
+        for q in (si.a, si.b, si.c):
             cls = q.__class__
             if cls is int:
                 if q < 0:
@@ -129,8 +114,8 @@ def propagate(lsi) -> SolveResult:
                 values.append(q)
                 users.append(None)
             else:
-                if cls is Var:
-                    key = name = q.name
+                if cls is str:
+                    key = name = q
                 elif q is QUESTION:
                     key, name = QUESTION, None
                 else:
@@ -154,7 +139,7 @@ def propagate(lsi) -> SolveResult:
     invalids = []
     flagged = set()
     visits = 0
-    due = list(range(len(equations)))   # heap of this pass's indices
+    due = list(range(len(slots)))   # heap of this pass's indices
     queued = set(due)
     next_pass = set()
     while due or next_pass:

@@ -1,11 +1,13 @@
 """Test oracles: exhaustive enumeration, and the reference propagation sweep.
 
-The enumerator assigns every unknown (named unknowns plus the question)
-all values in 0..bound and keeps the assignments satisfying every
-equation.  It shares no code with the propagation solver; backtracking
-only prunes branches that a full product scan would also reject, so the
-solution set equals naive enumeration (cross-checked below for small
-systems).
+Each oracle reads a list of LSI entries, each holding its equation
+c = a + b in its fields ``a``, ``b`` and ``c``; an unknown is the ``str``
+of its name.  The enumerator assigns every unknown (named unknowns plus
+the question) all values in 0..bound and keeps the assignments satisfying
+every equation.  It shares no code with the propagation solver;
+backtracking only prunes branches that a full product scan would also
+reject, so the solution set equals naive enumeration (cross-checked below
+for small systems).
 
 `propagate_sweep` is the solver's earlier sweep-to-fixpoint loop, which
 evaluates every equation on every pass.  The worklist solver must match
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 
-from schemarith.quantity import Question, Var, render_quantity
+from schemarith.quantity import Question, render_quantity
 from schemarith.solver import (
     Contradiction,
     Insufficient,
@@ -33,8 +35,8 @@ def unknown_names(equations):
     names = []
     for eq in equations:
         for q in (eq.a, eq.b, eq.c):
-            if isinstance(q, Var) and q.name not in names:
-                names.append(q.name)
+            if q.__class__ is str and q not in names:
+                names.append(q)
             elif isinstance(q, Question) and QUESTION_NAME not in names:
                 names.append(QUESTION_NAME)
     return names
@@ -43,8 +45,8 @@ def unknown_names(equations):
 def _value(q, assignment):
     if isinstance(q, int):
         return q
-    if isinstance(q, Var):
-        return assignment.get(q.name)
+    if q.__class__ is str:
+        return assignment.get(q)
     if isinstance(q, Question):
         return assignment.get(QUESTION_NAME)
     raise TypeError(q)
@@ -103,7 +105,7 @@ def _signature(eq, mapping):
             return ("k", q)
         if isinstance(q, Question):
             return ("q",)
-        return ("v", mapping[q.name])
+        return ("v", mapping[q])
 
     return tuple(sorted((slot(eq.a), slot(eq.b)))) + (slot(eq.c),)
 
@@ -112,8 +114,8 @@ def _var_names(equations):
     names = []
     for eq in equations:
         for q in (eq.a, eq.b, eq.c):
-            if isinstance(q, Var) and q.name not in names:
-                names.append(q.name)
+            if q.__class__ is str and q not in names:
+                names.append(q)
     return names
 
 
@@ -165,15 +167,15 @@ class _SweepState:
     def value_of(self, q):
         if isinstance(q, int):
             return q
-        if isinstance(q, Var):
-            return self.binding.get(q.name)
+        if q.__class__ is str:
+            return self.binding.get(q)
         if isinstance(q, Question):
             return self.question_value
         raise MalformedLSI(f"not a quantity: {q!r}")
 
     def bind(self, q, value):
-        if isinstance(q, Var):
-            self.binding[q.name] = value
+        if q.__class__ is str:
+            self.binding[q] = value
         else:
             self.question_value = value
 
@@ -188,9 +190,9 @@ def _sweep_free_vars(equations, state):
     names = []
     for eq in equations:
         for q in (eq.a, eq.b, eq.c):
-            if isinstance(q, Var) and q.name not in state.binding \
-                    and q.name not in names:
-                names.append(q.name)
+            if q.__class__ is str and q not in state.binding \
+                    and q not in names:
+                names.append(q)
     return names
 
 
@@ -207,7 +209,6 @@ def propagate_sweep(lsi) -> SolveResult:
     but never bound, and no slot is ever rebound, so the verdict does not
     depend on equation order.
     """
-    equations = [si.equation for si in lsi]
     state = _SweepState()
     trace = []
     contradictions = []
@@ -217,7 +218,7 @@ def propagate_sweep(lsi) -> SolveResult:
     changed = True
     while changed:
         changed = False
-        for idx, eq in enumerate(equations):
+        for idx, eq in enumerate(lsi):
             visits += 1
             vals = [state.value_of(q) for q in (eq.a, eq.b, eq.c)]
             unknowns = [i for i, v in enumerate(vals) if v is None]
@@ -248,9 +249,9 @@ def propagate_sweep(lsi) -> SolveResult:
                 continue
             state.bind(target, value)
             known = ", ".join(
-                f"{q.name} = {state.value_of(q)}"
+                f"{q} = {state.value_of(q)}"
                 for q in (eq.a, eq.b, eq.c)
-                if isinstance(q, Var) and q is not target
+                if q.__class__ is str and q is not target
             )
             suffix = f" with {known}" if known else ""
             trace.append(
@@ -264,6 +265,6 @@ def propagate_sweep(lsi) -> SolveResult:
     elif state.question_value is not None:
         verdict = Solved(state.question_value)
     else:
-        verdict = Insufficient(tuple(_sweep_free_vars(equations, state)))
+        verdict = Insufficient(tuple(_sweep_free_vars(lsi, state)))
     return SolveResult(verdict, dict(state.binding), trace,
-                       [render_equation(eq) for eq in equations], visits)
+                       [render_equation(eq) for eq in lsi], visits)

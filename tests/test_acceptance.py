@@ -68,7 +68,7 @@ def test_criterion_two_gift_compare_problem():
     assert len(result.lsi) == 2
     assert result.verdict == Solved(14)
     # the oracle agrees and the solution is unique: X = 10, ? = 14
-    [solution] = enumerate_solutions([si.equation for si in result.lsi], bound=50)
+    [solution] = enumerate_solutions(result.lsi, bound=50)
     assert solution == {"?": 14, "X": 10}
     assert elapsed < 1.0
     ok("two-gift problem: representation matches, 2 instantiations, answer 14")
@@ -118,8 +118,7 @@ def test_criterion_robustness():
             result = run_problem(" ".join(shuffled), LEX)
             assert (result.verdict_name, result.answer) \
                 == (base.verdict_name, base.answer), problem.id
-            assert equation_sets_equal([si.equation for si in result.lsi],
-                                       [si.equation for si in base.lsi]), problem.id
+            assert equation_sets_equal(result.lsi, base.lsi), problem.id
         padded = parts[:]
         for extra in extraneous:
             padded.insert(rng.randrange(len(padded) + 1), extra)
@@ -138,8 +137,7 @@ def test_criterion_strategy_contrast():
         return sum(1 for si in result.lsi if si.kind not in ("More", "Less", "Combine"))
 
     assert change_count(total) - change_count(cautious) >= 3
-    assert equations_subset([si.equation for si in cautious.lsi],
-                            [si.equation for si in total.lsi])
+    assert equations_subset(cautious.lsi, total.lsi)
     for problem in CORPUS:
         a = run_problem(problem.text, LEX, Strategy.CAUTIOUS)
         b = run_problem(problem.text, LEX, Strategy.TOTAL)
@@ -155,7 +153,7 @@ def test_criterion_solver_properties():
     rng = random.Random(77)
     for problem in CORPUS:
         result = run_problem(problem.text, LEX)
-        solutions = enumerate_solutions([si.equation for si in result.lsi], bound=50)
+        solutions = enumerate_solutions(result.lsi, bound=50)
         if problem.expected_verdict == "contradiction":
             assert solutions == []
             assert isinstance(result.verdict, Contradiction)
@@ -169,7 +167,7 @@ def test_criterion_solver_properties():
             assert rerun.verdict == result.verdict
         if isinstance(result.verdict, Solved):
             assignment = {**result.solve.binding, "?": result.answer}
-            assert all(_holds(si.equation, assignment) for si in result.lsi)
+            assert all(_holds(si, assignment) for si in result.lsi)
     ok("solver: oracle equivalence, 50-shuffle confluence, every equation holds after a solve")
 
 

@@ -28,7 +28,7 @@ from schemarith.parser import (
     parse_problem,
 )
 from schemarith.pipeline import run_problem
-from schemarith.quantity import QUESTION, TimePoint, Var
+from schemarith.quantity import QUESTION, TimePoint
 from schemarith.schema_engine import Strategy, initial_lsi
 
 LEX = load_default_lexicon()
@@ -177,11 +177,11 @@ def test_lookup_or_introduce_creates_then_reuses():
     key = StateKey(owner(proper("Ruth")), "candy", TimePoint.FINAL)
     assert key not in states(store)
     got = store.lookup_or_introduce(key)
-    assert got == Var("X")
-    assert states(store)[key] == Var("X")
+    assert got == "X"
+    assert states(store)[key] == "X"
     again = store.lookup_or_introduce(key)
-    assert again == Var("X")
-    assert states(store)[key] == Var("X")  # no second unknown
+    assert again == "X"
+    assert states(store)[key] == "X"  # no second unknown
 
 
 def test_lookup_finds_existing_known():
@@ -297,7 +297,7 @@ def test_chain_timeline_has_intermediate():
                if t.locus == owner(proper("Dan")))
     assert len(dan.events) == 2
     assert len(dan.intermediates) == 1
-    assert isinstance(dan.initial, Var)
+    assert dan.initial.__class__ is str
     assert dan.final == 4
     # additions come before removals in the canonical event order
     assert [e.kind.direction for e in dan.events] == [Direction.IN, Direction.OUT]
@@ -328,9 +328,9 @@ def test_timelines_follow_first_events_and_take_every_endpoint():
     assert (tom.initial, tom.final) == (2, 3)
     final = TimePoint.FINAL
     assert ruth.initial == 3
-    assert ruth.final == states(store)[StateKey(ruth.locus, "apple", final)] == Var("X")
+    assert ruth.final == states(store)[StateKey(ruth.locus, "apple", final)] == "X"
     assert dan.initial == QUESTION
-    assert dan.final == states(store)[StateKey(dan.locus, "apple", final)] == Var("X1")
+    assert dan.final == states(store)[StateKey(dan.locus, "apple", final)] == "X1"
     assert run_problem(text, LEX).answer == 2
 
 
@@ -370,5 +370,5 @@ def test_fresh_variable_hygiene():
     for problem in CORPUS:
         result = run_problem(problem.text, LEX)
         store = result.store
-        var_names = [q.name for q in states(store).values() if isinstance(q, Var)]
+        var_names = [q for q in states(store).values() if q.__class__ is str]
         assert len(var_names) == len(set(var_names)), problem.id

@@ -46,11 +46,9 @@ def test_sentence_transposition_preserves_solution(problem):
         rng.shuffle(shuffled)
         result = run_problem(" ".join(shuffled), LEX)
         assert outcome(result) == outcome(base)
-        got = [si.equation for si in result.lsi]
-        want = [si.equation for si in base.lsi]
-        assert equation_sets_equal(got, want), \
-            (problem.id, [render_equation(eq) for eq in got],
-             [render_equation(eq) for eq in want])
+        assert equation_sets_equal(result.lsi, base.lsi), \
+            (problem.id, [render_equation(si) for si in result.lsi],
+             [render_equation(si) for si in base.lsi])
 
 
 @pytest.mark.parametrize("problem", PRONOUN_FREE, ids=lambda p: p.id)

@@ -19,7 +19,7 @@ from schemarith.parser import (
     parse_problem,
 )
 from schemarith.pipeline import run_problem
-from schemarith.quantity import QUESTION, TimePoint, Var
+from schemarith.quantity import QUESTION, TimePoint
 from schemarith.schema_engine import (
     Strategy,
     UnresolvableCombine,
@@ -80,7 +80,7 @@ def test_compare_instantiation_matches_question_and_introduces_unknown():
     inst = instantiate_compare(comp, store)
     assert inst.render() == "More (?, than X, by 4)"
     introduced = StateKey(owner(proper("Ruth")), "candy", TimePoint.FINAL)
-    assert states(store)[introduced] == Var("X")
+    assert states(store)[introduced] == "X"
 
 
 def test_place_compare_introduces_two_unknowns():
@@ -89,9 +89,9 @@ def test_place_compare_introduces_two_unknowns():
     inst = instantiate_compare(first, store)
     assert inst.render() == "More (X, than X1, by 4)"
     assert states(store)[StateKey(place(cls("refrigerator")), "egg",
-                                  TimePoint.INITIAL)] == Var("X")
+                                  TimePoint.INITIAL)] == "X"
     assert states(store)[StateKey(place(cls("box")), "egg",
-                                  TimePoint.INITIAL)] == Var("X1")
+                                  TimePoint.INITIAL)] == "X1"
 
 
 def test_zero_difference_compare():
@@ -101,8 +101,7 @@ def test_zero_difference_compare():
         0, "more")
     store = store_for("basket-apples")
     inst = instantiate_compare(comp, store)
-    eq = inst.equation
-    assert eq.b == 0  # left = right + 0
+    assert inst.b == 0  # left = right + 0
 
 
 # -- combines --------------------------------------------------------------------
@@ -169,7 +168,7 @@ def test_match_with_missing_initial_line():
 def test_match_ruth_side_fully_bound():
     lsi, _, _ = cautious_lsi(store_for("candy-gifts"))
     [inst] = [si for si in lsi if si.kind == "Transfer-In-Ownership"]   # Ruth's
-    assert slot_values(inst) == (7, 3, Var("X"))
+    assert slot_values(inst) == (7, 3, "X")
 
 
 def test_delta_always_bound_across_corpus():
@@ -219,8 +218,7 @@ def test_cautious_subset_of_total_across_corpus():
     for problem in CORPUS:
         cautious = run_problem(problem.text, LEX, Strategy.CAUTIOUS)
         total = run_problem(problem.text, LEX, Strategy.TOTAL)
-        assert equations_subset([si.equation for si in cautious.lsi],
-                                [si.equation for si in total.lsi]), problem.id
+        assert equations_subset(cautious.lsi, total.lsi), problem.id
 
 
 def test_one_event_fidelity():
@@ -232,9 +230,9 @@ def test_one_event_fidelity():
 def test_equations_normalize_to_sum_form():
     for problem in CORPUS:
         result = run_problem(problem.text, LEX)
-        for eq in (si.equation for si in result.lsi):
-            assert all(q.__class__ in (int, Var) or q is QUESTION
-                       for q in (eq.a, eq.b, eq.c))
+        for si in result.lsi:
+            assert all(q.__class__ in (int, str) or q is QUESTION
+                       for q in (si.a, si.b, si.c))
         assert len(result.solve.equations) == len(result.lsi)
         for text in result.solve.equations:
             assert " = " in text and " + " in text

@@ -17,11 +17,10 @@ from test_golden import PROBLEMS
 from schemarith.corpus import CORPUS
 from schemarith.lexicon import load_default_lexicon
 from schemarith.pipeline import run_problem
-from schemarith.schema_engine import Strategy
-from schemarith.quantity import QUESTION, Var
+from schemarith.schema_engine import SchemaInstantiation, Strategy
+from schemarith.quantity import QUESTION
 from schemarith.solver import (
     Contradiction,
-    Equation,
     Insufficient,
     Invalid,
     MalformedLSI,
@@ -32,25 +31,27 @@ from schemarith.solver import (
 LEX = load_default_lexicon()
 
 
-class FakeInstantiation:
-    def __init__(self, equation):
-        self.equation = equation
+def entry(a, b, c):
+    """The LSI entry of c = a + b, as a combine of a and b."""
+    return SchemaInstantiation(
+        "Combine", (("part", a), ("part", b), ("altogether", c)), a, b, c)
 
 
 def lsi_of(*equations):
-    return [FakeInstantiation(eq) for eq in equations]
+    """The LSI of equations given as (a, b, c) for c = a + b."""
+    return [entry(*eq) for eq in equations]
 
 
 def test_single_step_solution():
-    result = propagate(lsi_of(Equation(4, 2, QUESTION)))
+    result = propagate(lsi_of((4, 2, QUESTION)))
     assert result.verdict == Solved(6)
     assert result.trace == ["? = 4 + 2 ⇒ ? = 6"]
 
 
 def test_two_step_solution():
     result = propagate(lsi_of(
-        Equation(Var("X"), 4, QUESTION),   # ? = X + 4
-        Equation(7, 3, Var("X")),   # X = 7 + 3
+        ("X", 4, QUESTION),   # ? = X + 4
+        (7, 3, "X"),   # X = 7 + 3
     ))
     assert result.verdict == Solved(14)
     assert result.binding == {"X": 10}
@@ -58,16 +59,16 @@ def test_two_step_solution():
 
 def test_contradiction_on_fully_known_equation():
     result = propagate(lsi_of(
-        Equation(QUESTION, 4, Var("X")),
-        Equation(9, 3, 10),  # 9 + 3 is not 10
-        Equation(7, 2, Var("X")),
+        (QUESTION, 4, "X"),
+        (9, 3, 10),  # 9 + 3 is not 10
+        (7, 2, "X"),
     ))
     assert isinstance(result.verdict, Contradiction)
     assert result.verdict.equation == "10 = 9 + 3"
 
 
 def test_negative_derivation_is_invalid():
-    result = propagate(lsi_of(Equation(QUESTION, 5, 2)))
+    result = propagate(lsi_of((QUESTION, 5, 2)))
     assert isinstance(result.verdict, Invalid)
     assert result.verdict.value == -3
 
@@ -78,21 +79,21 @@ def test_empty_lsi_is_insufficient():
 
 
 def test_unconstrained_unknowns_reported():
-    result = propagate(lsi_of(Equation(Var("A"), Var("B"), QUESTION)))
+    result = propagate(lsi_of(("A", "B", QUESTION)))
     assert isinstance(result.verdict, Insufficient)
     assert set(result.verdict.unresolved) == {"A", "B"}
 
 
 def test_an_lsi_without_the_question_is_insufficient():
-    result = propagate(lsi_of(Equation(1, 2, Var("X"))))
+    result = propagate(lsi_of((1, 2, "X")))
     assert result.verdict == Insufficient(())
     assert result.binding == {"X": 3}
 
 
 def test_an_unknown_named_question_mark_is_its_own_slot():
     lsi = lsi_of(
-        Equation(1, 2, Var("?")),   # the unknown "?" = 1 + 2
-        Equation(Var("?"), 4, QUESTION),   # the question = "?" + 4
+        (1, 2, "?"),   # the unknown "?" = 1 + 2
+        ("?", 4, QUESTION),   # the question = "?" + 4
     )
     result = propagate(lsi)
     assert result.verdict == Solved(7)
@@ -104,17 +105,23 @@ def test_an_unknown_named_question_mark_is_its_own_slot():
 def test_solved_even_with_free_side_unknowns():
     # extraneous unknowns may stay free once the question is bound
     result = propagate(lsi_of(
-        Equation(4, 2, QUESTION),
-        Equation(Var("J"), 2, Var("K")),
+        (4, 2, QUESTION),
+        ("J", 2, "K"),
     ))
     assert result.verdict == Solved(6)
 
 
-@pytest.mark.parametrize("slot", ["2", -1, True, 2.0], ids=repr)
+@pytest.mark.parametrize("slot", [None, -1, True, 2.0], ids=repr)
 def test_propagate_raises_on_a_slot_that_is_not_a_quantity(slot):
     # a stated amount is an int, never negative; a bool or a float is none
     with pytest.raises(MalformedLSI):
-        propagate(lsi_of(Equation(1, slot, Var("X"))))
+        propagate(lsi_of((1, slot, "X")))
+
+
+def test_a_str_slot_is_the_unknown_of_that_name():
+    result = propagate(lsi_of((2, "Y", 5)))   # 5 = 2 + Y
+    assert result.verdict == Insufficient(())
+    assert result.binding == {"Y": 3}
 
 
 # -- corpus-level properties -----------------------------------------------------
@@ -124,7 +131,7 @@ def test_propagate_raises_on_a_slot_that_is_not_a_quantity(slot):
 def test_oracle_equivalence(problem):
     """Exhaustive 0..50 enumeration agrees with propagation on every problem."""
     result = run_problem(problem.text, LEX)
-    solutions = enumerate_solutions([si.equation for si in result.lsi], bound=50)
+    solutions = enumerate_solutions(result.lsi, bound=50)
     if problem.expected_verdict == "contradiction":
         assert solutions == []
         assert isinstance(result.verdict, Contradiction)
@@ -136,12 +143,11 @@ def test_oracle_equivalence(problem):
 @pytest.mark.parametrize(
     "problem",
     [p for p in CORPUS
-     if len(unknown_names([si.equation for si in run_problem(p.text, LEX).lsi])) <= 3],
+     if len(unknown_names(run_problem(p.text, LEX).lsi)) <= 3],
     ids=lambda p: p.id)
 def test_pruned_oracle_agrees_with_naive_scan(problem):
-    equations = [si.equation for si in run_problem(problem.text, LEX).lsi]
-    assert enumerate_solutions(equations, bound=50) \
-        == enumerate_solutions_naive(equations, bound=50)
+    lsi = run_problem(problem.text, LEX).lsi
+    assert enumerate_solutions(lsi, bound=50) == enumerate_solutions_naive(lsi, bound=50)
 
 
 @pytest.mark.parametrize("problem", CORPUS, ids=lambda p: p.id)
@@ -167,7 +173,7 @@ def test_verify_after_solved(pid, strategy):
     result = run_problem(PROBLEMS[pid], LEX, strategy)
     if isinstance(result.verdict, Solved):
         assignment = {**result.solve.binding, "?": result.answer}
-        holds = [_holds(si.equation, assignment) for si in result.lsi]
+        holds = [_holds(si, assignment) for si in result.lsi]
         assert False not in holds
         if strategy is Strategy.CAUTIOUS:
             assert all(holds)
@@ -203,13 +209,13 @@ def chains(draw):
 def test_chain_propagation_matches_arithmetic(chain, rng):
     start, deltas, values = chain
     equations = []
-    slots = [start] + [Var(f"V{i}") for i in range(len(deltas) - 1)] + [QUESTION]
+    slots = [start] + [f"V{i}" for i in range(len(deltas) - 1)] + [QUESTION]
     for i, (add, magnitude) in enumerate(deltas):
         before, after = slots[i], slots[i + 1]
         if add:
-            equations.append(Equation(before, magnitude, after))
+            equations.append((before, magnitude, after))
         else:
-            equations.append(Equation(after, magnitude, before))
+            equations.append((after, magnitude, before))
     order = list(equations)
     rng.shuffle(order)
     result = propagate(lsi_of(*order))
@@ -224,10 +230,10 @@ def test_chain_propagation_matches_arithmetic(chain, rng):
 # amounts are often negative.
 slots = st.one_of(
     st.integers(min_value=0, max_value=6),
-    st.sampled_from(["A", "B", "C", "D"]).map(Var),
+    st.sampled_from(["A", "B", "C", "D"]),
     st.just(QUESTION),
 )
-systems = st.lists(st.builds(Equation, slots, slots, slots), max_size=8)
+systems = st.lists(st.builds(entry, slots, slots, slots), max_size=8)
 
 
 def assert_same_run(lsi):
@@ -241,8 +247,8 @@ def assert_same_run(lsi):
 
 
 @given(systems)
-def test_worklist_matches_sweep(equations):
-    assert_same_run(lsi_of(*equations))
+def test_worklist_matches_sweep(lsi):
+    assert_same_run(lsi)
 
 
 @pytest.mark.parametrize("problem", CORPUS, ids=lambda p: p.id)

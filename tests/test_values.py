@@ -49,12 +49,11 @@ from schemarith.parser import (
 )
 from schemarith.pipeline import ProblemResult
 from schemarith.quantity import (
-    QUESTION, Question, TimePoint, Var, _Enum, _Frozen, render_quantity,
+    QUESTION, Question, TimePoint, _Enum, _Frozen, render_quantity,
 )
 from schemarith.schema_engine import SchemaInstantiation, Strategy
 from schemarith.solver import (
     Contradiction,
-    Equation,
     Insufficient,
     Invalid,
     Solved,
@@ -85,7 +84,6 @@ def ignored(name, value, other, default):
 
 # Each frozen value type with its fields in constructor order.
 FROZEN = {
-    Var: [f("name", "X", "X1")],
     Question: [],
     Compound: [f("components", ((IN_OWN, Role.AGENT), (OUT_OWN, Role.SOURCE)),
                  ((OUT_OWN, Role.AGENT), (IN_OWN, Role.RECIPIENT)))],
@@ -119,10 +117,7 @@ FROZEN = {
     SchemaInstantiation: [
         f("kind", "More", "Less"),
         f("slots", (("left", 1),), (("right", 1),)),
-        f("equation", Equation(1, 2, 3),
-          Equation(1, Var("X"), 3))],
-    Equation: [f("a", 1, Var("X")), f("b", 2, 5),
-               f("c", 3, QUESTION)],
+        f("a", 1, "X"), f("b", 2, 5), f("c", 3, QUESTION)],
     Solved: [f("answer", 6, 7)],
     Insufficient: [f("unresolved", (), ("X",))],
     Contradiction: [f("equation", "3 = 1 + 1", "4 = 1 + 1"), f("detail", "a", "b")],
@@ -215,7 +210,7 @@ def test_repr_literals():
 
 def test_other_classes_are_unequal():
     assert Locus(OWNERSHIP, RUTH) != RUTH
-    assert 1 != Var("1")
+    assert 1 != "1"   # a stated 1 and the unknown named "1"
     assert Question() == QUESTION
     assert NonChange() == NonChange() and NonChange() != Question()
     assert Solved(3) != Invalid("3 = 1 + 2", 3)
@@ -275,7 +270,7 @@ def test_a_dict_keyed_by_enum_members_finds_each():
 
 
 def test_render_quantity():
-    assert [render_quantity(q) for q in (3, Var("X1"), QUESTION)] == \
+    assert [render_quantity(q) for q in (3, "X1", QUESTION)] == \
         ["3", "X1", "?"]
     # an amount is an int: a bool or a float is none
     for q in (True, 2.0):
