@@ -184,6 +184,13 @@ def test_lookup_or_introduce_creates_then_reuses():
     assert states(store)[key] == "X"  # no second unknown
 
 
+def test_fresh_var_names_each_unknown_by_a_plain_str():
+    store = store_for("candy-gifts")
+    names = [store.fresh_var() for _ in range(3)]
+    assert names == ["X", "X1", "X2"]
+    assert all(name.__class__ is str for name in names)
+
+
 def test_lookup_finds_existing_known():
     store = store_for("basket-apples")
     key = StateKey(place(cls("basket")), "apple", TimePoint.INITIAL)

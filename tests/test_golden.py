@@ -16,8 +16,11 @@ After an intended change of output, rewrite the three files with
 """
 import io
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -176,6 +179,18 @@ def test_corpus_report_matches_golden(strategy):
     golden = json.loads(GOLDEN_CORPUS.read_text(encoding="utf-8"))
     got = dump(corpus_report(strategy)).split("\n")
     assert got == dump(golden[strategy.value]).split("\n")
+
+
+@pytest.mark.parametrize("seed", ["0", "4242"])
+def test_reports_do_not_depend_on_the_hash_seed(seed):
+    # unknowns are str keys, and the per-process seed sets their hashes
+    here = Path(__file__).parent
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONIOENCODING="utf-8",
+               PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+    code = "import test_golden as g; print(g.dump(g.current()))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, encoding="utf-8", check=True, timeout=120)
+    assert out.stdout.split("\n") == GOLDEN.read_text(encoding="utf-8").split("\n")
 
 
 def test_mutant_outcomes_match_golden():

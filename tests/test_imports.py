@@ -3,8 +3,8 @@ function, class and method the package defines is referenced from it,
 every field a package class keeps is read in it, no value is changed
 after its ``__init__``, every enum derives from quantity's enum base, no
 class spells out the default ``_key``, the parser leaves letter case to
-the lexicon, and the CLI starts without the standard library's
-slow-loading modules."""
+the lexicon, schema instantiation imports nothing from the solver, and
+the CLI starts without the standard library's slow-loading modules."""
 import ast
 import os
 import re
@@ -493,6 +493,28 @@ def test_case_rule_gate_sees_case_calls_and_retired_accessors():
               "    def _is_proper(self): return 'x'.title()\n")
     assert case_rule_breaches(source) == [
         (2, "isupper"), (2, "lower"), (5, "peek_word"), (6, "_is_proper"), (6, "title")]
+
+
+def imported_modules(source):
+    """The module and name of every import in the source, dotted names split."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                names.update(alias.name.split("."))
+    return names
+
+
+def test_schema_instantiation_imports_nothing_from_the_solver():
+    # an LSI entry carries its own equation, so building the LSI needs no solver
+    source = (PACKAGE / "schema_engine.py").read_text(encoding="utf-8")
+    assert "solver" not in imported_modules(source)
+    assert "solver" in imported_modules("from .solver import propagate\n")
+    assert "solver" in imported_modules("from . import solver\n")
+    assert "solver" in imported_modules("import schemarith.solver\n")
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():

@@ -4,10 +4,11 @@ from oracle import equations_subset
 from test_discourse import owner, place, states
 
 from schemarith.corpus import CORPUS, by_id
-from schemarith.discourse import build_store, build_timelines
+from schemarith.discourse import ElementaryEvent, build_store, build_timelines
 from schemarith.lexicon import (
     ChangeKind,
     Direction,
+    LocusKind,
     load_default_lexicon,
 )
 from schemarith.parser import (
@@ -24,6 +25,7 @@ from schemarith.schema_engine import (
     Strategy,
     UnresolvableCombine,
     build_lsi,
+    change_instantiation,
     initial_lsi,
     instantiate_combine,
     instantiate_compare,
@@ -69,6 +71,29 @@ def test_eight_distinct_schema_names_one_per_kind():
         "Transfer-Out-Ownership", "Transfer-Out-Place",
         "Creation (ownership)", "Creation (place)",
         "Termination (ownership)", "Termination (place)"]
+
+
+# What 5 becomes after a change of 2 of each kind: in and create add to
+# the locus's amount, out and terminate take from it.
+AFTER_A_CHANGE_OF_2_FROM_5 = {
+    ChangeKind.IN_OWNERSHIP: 7, ChangeKind.IN_PLACE: 7,
+    ChangeKind.OUT_OWNERSHIP: 3, ChangeKind.OUT_PLACE: 3,
+    ChangeKind.CREATE_OWNERSHIP: 7, ChangeKind.CREATE_PLACE: 7,
+    ChangeKind.TERMINATE_OWNERSHIP: 3, ChangeKind.TERMINATE_PLACE: 3,
+}
+
+
+@pytest.mark.parametrize("kind", list(ChangeKind), ids=lambda k: k.name)
+def test_a_change_entry_carries_the_equation_of_its_kind(kind):
+    locus = (owner(proper("Tom")) if kind.locus_kind is LocusKind.OWNERSHIP
+             else place(cls("basket")))
+    event = ElementaryEvent(kind, locus, "apple", 2)
+    after = AFTER_A_CHANGE_OF_2_FROM_5[kind]
+    inst = change_instantiation(event, 5, after)
+    assert inst.slots == (("initially", 5), (kind.direction.slot, 2), ("finally", after))
+    assert inst.a + inst.b == inst.c
+    wrong = change_instantiation(event, 5, 10 - after)   # the other direction's end
+    assert wrong.a + wrong.b != wrong.c
 
 
 # -- comparisons -----------------------------------------------------------------

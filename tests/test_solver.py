@@ -124,6 +124,16 @@ def test_a_str_slot_is_the_unknown_of_that_name():
     assert result.binding == {"Y": 3}
 
 
+@pytest.mark.parametrize("equation,value", [
+    (("Y", 2, 5), 3),   # 5 = Y + 2
+    ((2, 3, "Y"), 5),   # Y = 2 + 3
+], ids=["a", "c"])
+def test_an_unknown_is_solved_in_the_a_and_the_c_slot(equation, value):
+    # the b slot is test_a_str_slot_is_the_unknown_of_that_name's case
+    result = propagate(lsi_of(equation))
+    assert result.binding == {"Y": value}
+
+
 # -- corpus-level properties -----------------------------------------------------
 
 
