@@ -508,6 +508,31 @@ def test_parse_error_carries_sentence_index():
     assert info.value.sentence == 1
 
 
+# The whole text is tokenized before any clause is parsed, so a word the
+# tokenizer refuses in a later sentence is reported before an earlier
+# sentence's word that only the clause parser refuses.  A conflict of time
+# markers is the clause parser's to report, so an earlier failing clause
+# comes first.
+@pytest.mark.parametrize("second, message", [
+    ("Tom had 5 applés.", "sentence 2: non-ASCII word 'applés'"),
+    (f"Tom had {'7' * (MAX_DIGITS + 1)} apples.",
+     f"sentence 2: {NumeralTooLong(MAX_DIGITS + 1)}"),
+    ("Tom had 5 apples now in the beginning.", "sentence 1: unknown word 'zz'"),
+])
+def test_errors_are_reported_in_the_order_of_the_stages(second, message):
+    text = f"Tom zz 3 apples. {second} How many apples does Tom have now?"
+    with pytest.raises(ParseError) as info:
+        parse_problem(text, LEX)
+    assert str(info.value) == message
+
+
+def test_conflicting_markers_are_reported_by_their_own_clause():
+    with pytest.raises(ParseError) as info:
+        parse_problem("Tom had 3 apples. Tom had 5 apples now in the beginning. "
+                      "How many apples does Tom have now?", LEX)
+    assert str(info.value) == "sentence 2: conflicting time markers in one clause"
+
+
 # -- whole problems -----------------------------------------------------------
 
 
