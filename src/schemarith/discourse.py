@@ -203,11 +203,11 @@ class PropositionStore:
             group = self.groups[key] = ([], {})
         return group
 
-    def fresh_var(self) -> str:
-        """A new unknown, which is the ``str`` of its name: "X", "X1", "X2", ..."""
-        name = "X" if self._var_count == 0 else f"X{self._var_count}"
-        self._var_count += 1
-        return name
+    def fresh_vars(self, n) -> list:
+        """`n` new unknowns, each the ``str`` of its name: "X", "X1", "X2", ..."""
+        count = self._var_count
+        self._var_count = count + n
+        return [f"X{i}" if i else "X" for i in range(count, count + n)]
 
     def lookup_or_introduce(self, key):
         """Amount of the state at the key, or of a new one holding a fresh unknown.
@@ -218,7 +218,7 @@ class PropositionStore:
         ends = self._group(key.locus, key.obj)[1]
         amount = ends.get(key.time)
         if amount is None:
-            amount = ends[key.time] = self.fresh_var()
+            amount = ends[key.time] = self.fresh_vars(1)[0]
             self.entries.append((key, amount))
         return amount
 
@@ -319,6 +319,6 @@ def build_timelines(store) -> list:
         events.sort(key=_ADDS, reverse=True)
         timelines.append(Timeline(
             locus, obj, events, ends.get(TimePoint.INITIAL), ends.get(TimePoint.FINAL),
-            [store.fresh_var() for _ in events[1:]],
+            store.fresh_vars(len(events) - 1),
         ))
     return timelines

@@ -229,21 +229,6 @@ class Lexicon:
             return (w[:-1], Tense.PRESENT)
         return None
 
-    def render_past(self, lemma) -> str:
-        """Past-tense surface for a lemma (phrasal particles pass through)."""
-        if lemma in self._past_forms:
-            return self._past_forms[lemma]
-        head, _, particles = lemma.partition(" ")
-        past = self._past_forms.get(head)
-        if past is None:
-            if head.endswith("e"):
-                past = head + "d"
-            elif head.endswith("y") and len(head) > 1 and head[-2] not in "aeiou":
-                past = head[:-1] + "ied"
-            else:
-                past = head + "ed"
-        return past + (" " + particles if particles else "")
-
     # -- nouns ---------------------------------------------------------
 
     def normalize_noun(self, surface, verb):
@@ -336,11 +321,24 @@ class Lexicon:
         return Word(surface, text, word.number, word.verb, noun, word.pronoun, proper)
 
     def _freeze(self):
-        self._past_forms = {
-            lemma: form
-            for form, (lemma, tense) in self.verb_forms.items()
-            if tense is Tense.PAST
-        }
+        # lemma -> its past surface: the lemma's tabled past form, else its
+        # head word's, by the table or the regular rules, particles kept
+        forms = {lemma: form for form, (lemma, tense) in self.verb_forms.items()
+                 if tense is Tense.PAST}
+        self.past = {}
+        for lemma in self.verbs:
+            head, _, particles = lemma.partition(" ")
+            past = forms.get(head)
+            if past is None:
+                if head.endswith("e"):
+                    past = head + "d"
+                elif head.endswith("y") and len(head) > 1 and head[-2] not in "aeiou":
+                    past = head[:-1] + "ied"
+                else:
+                    past = head + "ed"
+            if particles:
+                past += " " + particles
+            self.past[lemma] = forms.get(lemma, past)
         # phrasal lemma minus its last one or two words -> those particles,
         # the longer first; "fall" -> ("out", "of"), ("into",), ("from",)
         self.phrasal = {}

@@ -2,8 +2,10 @@
 
 The grammar (documented in GRAMMAR.md) covers possession and existential
 states, transfer/creation/termination events, comparatives, combine
-statements, and the question forms.  Each clause parses to one or more raw
-propositions; amounts are plain ints except in interrogative clauses,
+statements, and the question forms.  The tokenizer reads each sentence
+into one list of Words and hands on each clause as a span of that list,
+which the clause parser reads in place.  Each clause parses to one or more
+raw propositions; amounts are plain ints except in interrogative clauses,
 which carry the Question slot.
 """
 from __future__ import annotations
@@ -182,15 +184,12 @@ class CombineProp(_Frozen):
 # tokenization
 
 
-class Clause:
-    def __init__(self, words, sentence_index, interrogative, markers):
-        self.words = words       # the tokens' lexicon Words, in text order
-        self.sentence_index = sentence_index
-        self.interrogative = interrogative
-        self.markers = markers   # the set of time markers taken out
-
-
 class Sentence:
+    """One sentence's clauses, each a span of the sentence's one Word list:
+    ``(words, start, end, interrogative, markers)`` is ``words[start:end]``
+    and the sentinel _END at ``words[end]``.  ``markers`` holds the time
+    markers taken out; a clause that held one has a list of its own."""
+
     def __init__(self, clauses):
         self.clauses = clauses
 
@@ -205,7 +204,8 @@ _TOKENS = str.maketrans({
 # Outside ASCII a letter or digit stays, so its word is refused whole.
 _NON_ASCII_SEPARATOR = re.compile(r"[^\w\x00-\x7f]")
 
-# Leading phrases with no amount semantics, stripped before parsing.
+# Leading phrases with no amount semantics, stripped before parsing.  None
+# holds "and" or "if", so none runs past a clause's end.
 _SEQUENCERS = (
     ("then",),
     ("next",),
@@ -215,71 +215,36 @@ _SEQUENCERS = (
 )
 _SEQUENCER_HEADS = {seq[0] for seq in _SEQUENCERS}
 _TEXT = attrgetter("text")
+_END = Word(None, None, None, None, None, None, False)   # the Word past a clause's end
+_NO_MARKERS = frozenset()
 
 
-def _split_and(words, texts):
-    """Split at clause-level "and": both halves must contain a verb.
+def _split_and(words, texts, start, stop, spans):
+    """Append to `spans` the (start, end) of each clause of words[start:stop].
 
-    `texts` holds the Words' texts.  The scan jumps from one "and" to the
-    next with ``list.index``: an "and" ends the current clause when a verb
-    has appeared since the clause began and another follows the "and".
-    Returns the (words, texts) of each clause.
+    An "and" ends the current clause, and becomes _END, when a verb has
+    appeared since the clause began and another follows before `stop`.
+    The scan jumps from one "and" to the next with ``list.index``, up to
+    the "and" that `texts` holds past the sentence's last word.
     """
-    clauses, start = [], 0
-    left = 0          # no verb in the current clause before position left
+    left = start      # no verb in the current clause before position left
     following = -1    # first verb after the latest "and" that needed one
-    n = -1
-    for _ in range(texts.count("and")):
-        n = texts.index("and", n + 1)
+    n = texts.index("and", start)
+    while n < stop:
         while left < n and words[left].verb is None:
             left += 1
-        if left >= n:
-            continue
-        if following <= n:
-            following = n + 1
-            while following < len(words) and words[following].verb is None:
-                following += 1
-        if following < len(words):
-            clauses.append((words[start:n], texts[start:n]))
-            start = n + 1
-            left = following
-    clauses.append((words[start:], texts[start:]) if start else (words, texts))
-    return clauses
-
-
-def _clause(words, texts, index):
-    """A clause without its leading sequencers and its time markers.
-
-    `texts` holds the Words' texts; the clause is scanned for time markers
-    only when "now" or "beginning" is among them.
-    """
-    interrogative = len(texts) > 1 and texts[0] == "how" and texts[1] == "many"
-    start = 0
-    while start < len(texts) and texts[start] in _SEQUENCER_HEADS:
-        for seq in _SEQUENCERS:
-            if tuple(texts[start: start + len(seq)]) == seq:
-                start += len(seq)
-                break
-        else:
-            break
-    if start:
-        words, texts = words[start:], texts[start:]
-    markers = set()
-    if "now" in texts or "beginning" in texts:
-        spans = []   # (first, end) of each time marker, in text order
-        for i, text in enumerate(texts):
-            if text == "now":
-                markers.add(TimePoint.FINAL)
-                spans.append((i, i + 1))
-            elif text == "beginning" and i >= 2 \
-                    and texts[i - 2] == "in" and texts[i - 1] == "the":
-                markers.add(TimePoint.INITIAL)
-                spans.append((i - 2, i + 1))
-        if spans:
-            words = words[:]
-            for first, end in reversed(spans):
-                del words[first:end]
-    return Clause(words, index, interrogative, markers)
+        if left < n:
+            if following <= n:
+                following = n + 1
+                while following < stop and words[following].verb is None:
+                    following += 1
+            if following < stop:
+                words[n] = _END
+                spans.append((start, n))
+                start = n + 1
+                left = following
+        n = texts.index("and", n + 1)
+    spans.append((start, stop))
 
 
 def tokenize(text, lexicon) -> list:
@@ -289,11 +254,12 @@ def tokenize(text, lexicon) -> list:
     main clause plus subordinate clauses; "and" between two full clauses
     splits them into siblings.  Clauses beginning "how many" are flagged
     interrogative.  Each token is given its Word once, from the table
-    in C, and ``Lexicon.word`` is asked only for a token the table lacks;
-    leading sequencers and time markers leave the clause here.  Each
-    sentence's Word texts are listed once, and "if", "and" and the
-    markers are found in that list with ``in`` and ``list.index``, not by
-    a loop over the Words.
+    in C, and ``Lexicon.word`` is asked only for a token the table lacks.
+    A clause is a span of its sentence's Words (see Sentence): _END is
+    written over each splitting "if" and "and" and appended, and leading
+    sequencers move the span's start.  Each sentence's Word texts are
+    listed once, and "if", "and" and the markers are found in that list
+    with ``in`` and ``list.index``, not by a loop over the Words.
     """
     if not text.isascii():
         text = _NON_ASCII_SEPARATOR.sub(" ", text)
@@ -303,11 +269,10 @@ def tokenize(text, lexicon) -> list:
         tokens = piece.split()
         if not tokens:
             continue
-        index = len(sentences)
         if not piece.isascii():
             for tok in tokens:
                 if not tok.isascii():
-                    raise ParseError(index, f"non-ASCII word {tok!r}")
+                    raise ParseError(len(sentences), f"non-ASCII word {tok!r}")
         # 1 if the sentence's first token, commas counted, is a word: an
         # "if" there subordinates nothing
         first = tokens[0] != ","
@@ -320,18 +285,57 @@ def tokenize(text, lexicon) -> list:
                     if words[i] is None:
                         words[i] = word(tok)
             except NumeralTooLong as exc:
-                raise ParseError(index, str(exc)) from None
+                raise ParseError(len(sentences), str(exc)) from None
         texts = list(map(_TEXT, words))
-        parts = [(words, texts)]
+        # where the scan for "and" stops; a clause ends at an "and" or "if"
+        texts.append("and")
+        words.append(_END)
+        spans, start = [], 0
         if "if" in texts[first:]:
             # ", if" subordination: the first "if" past that first token
-            j = texts.index("if", first)
-            parts = [(words[:j], texts[:j]), (words[j + 1:], texts[j + 1:])]
-        sentences.append(Sentence([
-            _clause(*split, index) for part in parts for split in _split_and(*part)]))
+            cut = texts.index("if", first)
+            words[cut] = _END
+            _split_and(words, texts, 0, cut, spans)
+            start = cut + 1
+        _split_and(words, texts, start, len(tokens), spans)
+        timed = "now" in texts or "beginning" in texts
+        clauses = []
+        for start, end in spans:
+            interrogative = texts[start] == "how" and texts[start + 1] == "many"
+            while texts[start] in _SEQUENCER_HEADS:
+                for seq in _SEQUENCERS:
+                    if tuple(texts[start: start + len(seq)]) == seq:
+                        start += len(seq)
+                        break
+                else:
+                    break
+            clause = (words, start, end, interrogative, _NO_MARKERS)
+            clauses.append(_take_markers(clause, texts) if timed else clause)
+        sentences.append(Sentence(clauses))
     if not sentences:
         raise EmptyInput()
     return sentences
+
+
+def _take_markers(clause, texts):
+    """The clause without its time markers "now" and "in the beginning",
+    as a list of its own, or the clause itself when it holds none."""
+    words, start, end, interrogative, _ = clause
+    markers, cuts = set(), []   # (first, end) of each marker, in text order
+    for i in range(start, end):
+        if texts[i] == "now":
+            markers.add(TimePoint.FINAL)
+            cuts.append((i, i + 1))
+        elif texts[i] == "beginning" and i - start >= 2 \
+                and texts[i - 2] == "in" and texts[i - 1] == "the":
+            markers.add(TimePoint.INITIAL)
+            cuts.append((i - 2, i + 1))
+    if not cuts:
+        return clause
+    words = words[start:end + 1]
+    for i, j in reversed(cuts):
+        del words[i - start:j - start]
+    return words, 0, len(words) - 1, interrogative, frozenset(markers)
 
 
 # ---------------------------------------------------------------------------
@@ -339,27 +343,23 @@ def tokenize(text, lexicon) -> list:
 
 
 _DETERMINERS = {"a", "an", "the"}
-_END = Word(None, None, None, None, None, None, False)   # the Word past a clause's end
 
 
 class _ClauseParser:
     """One clause's parser, with its text's two tables: each name's Entity
     is made once per text, and a pronoun resolves to the Entity of its
-    antecedent."""
+    antecedent.  It reads the clause's span of its sentence's Words in
+    place, from its start up to the _END at its end."""
 
-    def __init__(self, clause, lexicon, latest, made):
+    def __init__(self, clause, sentence, lexicon, latest, made):
         self.lexicon = lexicon
         self.latest = latest   # gender -> the Entity last named with it
         self.made = made       # name -> its one Entity
-        self.sentence = clause.sentence_index
-        self.interrogative = clause.interrogative
-        if len(clause.markers) > 1:
+        self.sentence = sentence
+        self.words, self.pos, self.end, self.interrogative, markers = clause
+        if len(markers) > 1:
             raise self.error("conflicting time markers in one clause")
-        self.marker = next(iter(clause.markers), None)
-        # One place past the end, where the clause reads as over.
-        self.words = clause.words + [_END]
-        self.end = len(clause.words)
-        self.pos = 0
+        self.marker = next(iter(markers), None)
 
     # -- token plumbing -------------------------------------------------
 
@@ -589,7 +589,8 @@ class _ClauseParser:
         subjects = self.parse_subject()
         lemma, tense, classification = self.parse_verb_group()
         if classification is None:
-            raise UnknownWord(self.sentence, lemma)
+            # no particle was taken: the verb as written is the last word
+            raise UnknownWord(self.sentence, self.words[self.pos - 1].surface)
         if isinstance(classification, StaticState):
             if classification.hint is None:
                 return self.parse_have_clause(subjects, tense)
@@ -729,8 +730,9 @@ class _ClauseParser:
             raise self.error(f"unexpected trailing words from {self.peek().surface!r}")
 
 
-def parse_clause(clause, lexicon, latest=None):
-    return _ClauseParser(clause, lexicon, {} if latest is None else latest, {}).parse()
+def parse_clause(clause, lexicon, latest=None, sentence=0):
+    return _ClauseParser(clause, sentence, lexicon, {} if latest is None else latest,
+                         {}).parse()
 
 
 def parse_problem(text, lexicon) -> list:
@@ -742,10 +744,10 @@ def parse_problem(text, lexicon) -> list:
     latest, made = {}, {}
     props = []
     count = 0
-    for sentence in tokenize(text, lexicon):
+    for index, sentence in enumerate(tokenize(text, lexicon)):
         for clause in sentence.clauses:
-            props.extend(_ClauseParser(clause, lexicon, latest, made).parse())
-            count += clause.interrogative
+            props.extend(_ClauseParser(clause, index, lexicon, latest, made).parse())
+            count += clause[3]   # interrogative
     if count == 0:
         raise NoQuestion()
     if count > 1:
@@ -833,7 +835,7 @@ def _destination_prep(verb, lexicon):
 
 
 def _render_event(prop, lexicon):
-    past = lexicon.render_past(prop.verb)
+    past = lexicon.past[prop.verb]
     if prop.agent is None:
         # subject-numeral frame: "2 boys left the room", "3 eggs fell out
         # of the box"; the verb (or its particles) names the locus role

@@ -107,8 +107,8 @@ def instantiate_combine(comb, store) -> list:
         raise UnresolvableCombine(f"found {len(parts)} part(s), need at least 2")
     out = []
     running = parts[0]
-    for i, part in enumerate(parts[1:], start=2):
-        total = comb.total if i == len(parts) else store.fresh_var()
+    totals = store.fresh_vars(len(parts) - 2) + [comb.total]
+    for part, total in zip(parts[1:], totals):
         slots = (("part", running), ("part", part), ("altogether", total))
         out.append(SchemaInstantiation("Combine", slots, running, part, total))
         running = total

@@ -178,9 +178,9 @@ def test_criterion_parser_properties():
             rendered = render_proposition(prop, LEX)
             latest = {}
             reparsed = []
-            for sentence in tokenize(rendered, LEX):
+            for index, sentence in enumerate(tokenize(rendered, LEX)):
                 for clause in sentence.clauses:
-                    reparsed.extend(parse_clause(clause, LEX, latest))
+                    reparsed.extend(parse_clause(clause, LEX, latest, index))
             assert reparsed == [prop], rendered
     # every tabled change verb classifies to its printed category
     from schemarith.lexicon import ChangeKind, Compound, Direction, LocusKind

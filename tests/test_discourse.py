@@ -184,10 +184,10 @@ def test_lookup_or_introduce_creates_then_reuses():
     assert states(store)[key] == "X"  # no second unknown
 
 
-def test_fresh_var_names_each_unknown_by_a_plain_str():
+def test_fresh_vars_name_each_unknown_by_a_plain_str():
     store = store_for("candy-gifts")
-    names = [store.fresh_var() for _ in range(3)]
-    assert names == ["X", "X1", "X2"]
+    names = store.fresh_vars(1) + store.fresh_vars(0) + store.fresh_vars(3)
+    assert names == ["X", "X1", "X2", "X3"]
     assert all(name.__class__ is str for name in names)
 
 

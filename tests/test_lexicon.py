@@ -23,7 +23,7 @@ from schemarith.lexicon import (
     load_default_lexicon,
     load_lexicon_text,
 )
-from schemarith.parser import Clause, ParseError, _ClauseParser
+from schemarith.parser import _END, ParseError, _ClauseParser
 from schemarith.pipeline import run_problem
 from schemarith.quantity import TimePoint
 from schemarith.solver import Solved
@@ -183,19 +183,30 @@ def test_a_verb_where_a_noun_belongs_is_not_understood(text):
     assert report.startswith("Not understood: sentence "), report
 
 
-def test_render_past_of_a_custom_verb_ending_in_consonant_y():
-    lex = load_lexicon_text(DEFAULT_LEXICON + "verb\tcarry\telementary:in:place\n")
-    assert lex.render_past("carry") == "carried"
+CARRY = load_lexicon_text(DEFAULT_LEXICON + "verb\tcarry\telementary:in:place\n")
 
 
-@pytest.mark.parametrize("lex", [
-    LEX, load_lexicon_text(DEFAULT_LEXICON + "verb\tcarry\telementary:in:place\n"),
-], ids=["default", "custom-carry"])
-def test_the_past_that_render_past_writes_lemmatizes_as_past(lex):
+@pytest.mark.parametrize("lex, lemma, past", [
+    (LEX, "give", "gave"),                  # a tabled irregular form
+    (LEX, "receive", "received"),           # the regular -d
+    (LEX, "remain", "remained"),            # the regular -ed
+    (CARRY, "carry", "carried"),            # the regular -ied, in a custom lexicon
+    (LEX, "fall out of", "fell out of"),    # an irregular head, particles kept
+    (LEX, "take away", "took away"),
+    (LEX, "be born", "born"),               # a form tabled for the whole lemma
+], ids=["give", "receive", "remain", "custom-carry", "fall-out-of", "take-away",
+        "be-born"])
+def test_the_lexicon_tables_each_verb_lemma_s_past(lex, lemma, past):
+    assert lex.past[lemma] == past
+    assert lex.past.keys() == lex.verbs.keys()
+
+
+@pytest.mark.parametrize("lex", [LEX, CARRY], ids=["default", "custom-carry"])
+def test_the_tabled_past_lemmatizes_as_past(lex):
     # The head word of each past form reads back as the past of its lemma,
     # or of the lemma's head when the parser joins the particles itself.
     for lemma in lex.verbs:
-        head = lex.render_past(lemma).split()[0]
+        head = lex.past[lemma].split()[0]
         assert lex.lemmatize_verb(head) in {
             (lemma, Tense.PAST), (lemma.split()[0], Tense.PAST)}, (lemma, head)
 
@@ -358,10 +369,10 @@ def is_proper_reference(lex, tok):
 def parser_reading(lex, tok):
     """(proper?, object class or None) as the clause parser reads `tok`."""
     word = lex.words.get(tok) or lex.word(tok)
-    clause = Clause([word], 0, False, set())
+    clause = ([word, _END], 0, 1, False, frozenset())
     proper = word.proper
     try:
-        noun = _ClauseParser(clause, lex, {}, {}).take_noun()
+        noun = _ClauseParser(clause, 0, lex, {}, {}).take_noun()
     except ParseError:
         noun = None
     return word, proper, noun

@@ -31,6 +31,7 @@ from schemarith.parser import (
     StateKey,
     StateProp,
     UnknownWord,
+    _END,
     parse_clause,
     parse_problem,
     render_proposition,
@@ -45,10 +46,21 @@ def parse_text(text):
     """Parse clauses without the one-question validation (test helper)."""
     latest = {}
     props = []
-    for sentence in tokenize(text, LEX):
+    for index, sentence in enumerate(tokenize(text, LEX)):
         for clause in sentence.clauses:
-            props.extend(parse_clause(clause, LEX, latest))
+            props.extend(parse_clause(clause, LEX, latest, index))
     return props
+
+
+def clause_words(clause):
+    """A clause's Words: its span of its sentence's list."""
+    words, start, end, _, _ = clause
+    return words[start:end]
+
+
+def reading(clause):
+    """(surfaces, interrogative, markers) of a clause."""
+    return [w.surface for w in clause_words(clause)], clause[3], clause[4]
 
 
 def owner(name):
@@ -68,8 +80,8 @@ def test_question_with_if_clause_is_one_sentence_two_clauses():
     sentences = tokenize(text, LEX)
     assert len(sentences) == 1
     assert len(sentences[0].clauses) == 2
-    assert sentences[0].clauses[0].interrogative
-    assert not sentences[0].clauses[1].interrogative
+    assert sentences[0].clauses[0][3]       # interrogative
+    assert not sentences[0].clauses[1][3]
 
 
 def test_clause_conjunction_splits():
@@ -108,7 +120,7 @@ def split_and_recursive(tokens):
 @settings(max_examples=400)
 def test_and_split_matches_recursive_rule(words):
     [sentence] = tokenize(" ".join(words) + ".", LEX)
-    assert [[w.surface for w in c.words] for c in sentence.clauses] == \
+    assert [[w.surface for w in clause_words(c)] for c in sentence.clauses] == \
         split_and_recursive(words)
 
 
@@ -165,8 +177,8 @@ def sentence_reference(tokens):
 @settings(max_examples=400)
 def test_sentence_scans_match_a_reference(phrases):
     [sentence] = tokenize(" ".join(phrases) + ".", LEX)
-    assert [([w.surface for w in c.words], c.interrogative, c.markers)
-            for c in sentence.clauses] == sentence_reference(" ".join(phrases).split())
+    assert [reading(c) for c in sentence.clauses] == \
+        sentence_reference(" ".join(phrases).split())
 
 
 #: The tokens of ASCII text as the regex tokenizer read them, before the
@@ -205,8 +217,7 @@ def tokenized(text):
         sentences = tokenize(text, LEX)
     except Exception as exc:
         return type(exc), str(exc)
-    return [[([w.surface for w in c.words], c.interrogative, c.markers)
-             for c in sentence.clauses] for sentence in sentences]
+    return [[reading(c) for c in sentence.clauses] for sentence in sentences]
 
 
 #: Characters that end, split or stand between tokens, and the token
@@ -260,11 +271,38 @@ def test_a_tabled_token_is_the_table_s_own_word():
     for problem in CORPUS:
         for sentence in tokenize(problem.text, LEX):
             for clause in sentence.clauses:
-                for word in clause.words:
+                for word in clause_words(clause):
                     if word.surface in LEX.words:
                         assert word is LEX.words[word.surface], word.surface
                         tabled += 1
     assert tabled > 100
+
+
+def test_a_clause_is_a_span_of_its_sentence_s_one_list():
+    """A clause without a time marker is read in place: the clauses of a
+    sentence are spans of its one Word list, in text order, each ending
+    at an _END.  A clause that held a marker has a list of its own, whole,
+    which ends in _END."""
+    marked = unmarked = 0
+    for text in [p.text for p in CORPUS] + [chain_text(200)]:
+        for sentence in tokenize(text, LEX):
+            own, shared, after = [], set(), 0
+            for words, start, end, _, markers in sentence.clauses:
+                assert words[end] is _END
+                assert _END not in words[start:end]
+                if markers:
+                    assert (start, end) == (0, len(words) - 1)
+                    own.append(words)
+                    continue
+                shared.add(id(words))
+                assert words[-1] is _END
+                assert after <= start <= end
+                after = end + 1
+            assert len(shared) <= 1
+            assert len({id(words) for words in own} | shared) == len(own) + len(shared)
+            marked += len(own)
+            unmarked += len(sentence.clauses) - len(own)
+    assert (marked, unmarked) == (20, 233)
 
 
 def test_empty_input():
@@ -474,6 +512,20 @@ def test_unknown_word():
         parse_text("Ruth danced 3 apples.")
 
 
+@pytest.mark.parametrize("statement, verb", [
+    ("Tom fell.", "fell"),
+    ("Tom went.", "went"),
+    ("Ann took 2 apples out.", "took"),
+    ("Tom takes 2 apples.", "takes"),
+])
+def test_an_unknown_verb_is_named_as_written(statement, verb):
+    # a phrasal head without a class of its own is named as the text wrote
+    # it, not by its lemma
+    with pytest.raises(UnknownWord) as info:
+        parse_problem(statement + " How many apples does Tom have now?", LEX)
+    assert str(info.value) == f"sentence 1: unknown word {verb!r}"
+
+
 def test_truncated_question():
     with pytest.raises(ParseError):
         parse_text("How many apples?")
@@ -562,7 +614,7 @@ def _reparse_one(sentence):
     [s] = tokenize(sentence, LEX)
     props = []
     for clause in s.clauses:
-        props.extend(parse_clause(clause, LEX, latest))
+        props.extend(parse_clause(clause, LEX, latest, 0))
     assert len(props) == 1
     return props[0]
 

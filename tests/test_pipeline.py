@@ -246,9 +246,11 @@ def test_python_calls_per_clause_from_text_to_store():
         build_store(parse_problem(text, LEX), LEX)
     finally:
         sys.setprofile(None)
-    # 25.9 calls per clause (5,226 over 202 clauses); 26.9 when each
-    # amount was wrapped in a value type, made once per text
-    assert calls <= 27 * clauses, calls / clauses
+    # 23.6 calls per clause (4,771 over 202 clauses); 25.9 when each
+    # clause was a copy of its span of the sentence's Words, made by a
+    # call of its own, and each unknown was named by a call; 26.9 when
+    # each amount was wrapped in a value type, made once per text
+    assert calls <= 24 * clauses, calls / clauses
 
 
 def test_python_calls_per_clause_from_text_to_report():
@@ -271,12 +273,14 @@ def test_python_calls_per_clause_from_text_to_report():
     finally:
         sys.setprofile(None)
     assert report["verdict"] == "solved"
-    # 37.4 calls per clause (7,564 over 202 clauses); 39.9 when each
-    # unknown was wrapped in a value type and each equation was a value of
-    # its own, 41.0 when each amount was wrapped too, 48.3 when each name,
-    # locus and amount was built per use, 66.9 when each token was matched
-    # by a regex and each amount rendered per print
-    assert calls <= 38 * clauses, calls / clauses
+    # 32.7 calls per clause (6,614 over 202 clauses); 37.4 when each
+    # clause was a copy of its span, each unknown was named by a call and
+    # each past form was rendered per event; 39.9 when each unknown was
+    # wrapped in a value type and each equation was a value of its own,
+    # 41.0 when each amount was wrapped too, 48.3 when each name, locus and
+    # amount was built per use, 66.9 when each token was matched by a regex
+    # and each amount rendered per print
+    assert calls <= 33 * clauses, calls / clauses
 
 
 # -- construction gate --------------------------------------------------------------

@@ -36,7 +36,6 @@ from schemarith.lexicon import (
 )
 from schemarith.parser import (
     THEY,
-    Clause,
     CombineProp,
     CompareProp,
     Entity,
@@ -280,8 +279,6 @@ def test_render_quantity():
 
 # Each mutable record with its fields in constructor order: (name, default).
 MUTABLE = {
-    Clause: [("words", NO), ("sentence_index", NO), ("interrogative", NO),
-             ("markers", NO)],
     Sentence: [("clauses", NO)],
     Timeline: [("locus", NO), ("obj", NO), ("events", NO), ("initial", NO),
                ("final", NO), ("intermediates", NO)],
