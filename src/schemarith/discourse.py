@@ -31,8 +31,8 @@ from .parser import (
     StateKey,
     StateProp,
     render_amount,
+    render_event,
     render_locus,
-    render_proposition,
     render_state,
 )
 from .quantity import Question, TimePoint, _Frozen, render_quantity
@@ -83,23 +83,6 @@ _CREATE_OR_TERMINATE = (Direction.CREATE, Direction.TERMINATE)
 _PARTICIPANT = {role: attrgetter(role.value) for role in Role}
 
 
-def split_compound(event, lexicon) -> list:
-    """The (ChangeKind, participant) elementary changes of a surface event.
-
-    Compound verbs give one change per component whose participant is named
-    in the sentence; components with unnamed participants are dropped.
-    Elementary verbs give exactly one change.  The store makes each
-    change's ElementaryEvent, with the surface event's object and amount.
-    """
-    classification = lexicon.verbs.get(event.verb)
-    if isinstance(classification, Compound):
-        return [(kind, entity) for kind, role in classification.components
-                if (entity := _PARTICIPANT[role](event)) is not None]
-    if isinstance(classification, ChangeKind):
-        return [_elementary_change(classification, event)]
-    raise UnknownVerb(event.verb)
-
-
 def _elementary_change(kind, event):
     """(kind, participant) of the change of an elementary verb."""
     if kind.locus_kind is _OWNERSHIP:
@@ -127,7 +110,7 @@ def render_elementary(event, lexicon) -> str:
     if event.kind.locus_kind is _OWNERSHIP:
         n = event.delta
         return (f"{event.locus.entity.name} {direction.owner_verb} {n} "
-                f"{lexicon.pluralize(event.obj, n)}")
+                f"{event.obj if n == 1 else lexicon.plural[event.obj]}")
     return (f"{render_amount(event.obj, event.delta, lexicon)} were "
             f"{direction.passive} {direction.place_prep} {render_locus(event.locus)}")
 
@@ -174,11 +157,23 @@ class PropositionStore:
             raise DataConflict(key, existing, amount)
 
     def add_event(self, prop):
-        """Append each elementary change to its group, keyed before anything
-        is built as ``Locus._key`` keys the locus; the first event makes it."""
-        obj = prop.obj
-        parts = []
-        for kind, entity in split_compound(prop, self.lexicon):
+        """Append each elementary change of a surface event to its group: a
+        compound verb's changes whose participants the sentence names, or an
+        elementary verb's one.  A group is keyed before anything is built, as
+        ``Locus._key`` keys the locus; its first event makes it."""
+        verb_class = self.lexicon.verbs.get(prop.verb)
+        if verb_class.__class__ is Compound:
+            changes = []
+            for kind, role in verb_class.components:
+                entity = _PARTICIPANT[role](prop)
+                if entity is not None:
+                    changes.append((kind, entity))
+        elif verb_class.__class__ is ChangeKind:
+            changes = (_elementary_change(verb_class, prop),)
+        else:
+            raise UnknownVerb(prop.verb)
+        obj, parts = prop.obj, []
+        for kind, entity in changes:
             key = ((kind.locus_kind, entity.name, entity.kind), obj)
             group = self.groups.get(key)
             if group is None:
@@ -245,12 +240,12 @@ class PropositionStore:
         lexicon = self.lexicon
         stated, split = [], []
         for head, tail in self.entries:
-            if isinstance(head, StateKey):
+            if head.__class__ is StateKey:
                 line = render_state(head, tail, lexicon)
                 stated.append(line)
                 split.append(line)
             else:
-                stated.append(render_proposition(head, lexicon).rstrip("."))
+                stated.append(render_event(head, lexicon))
                 for event in tail:
                     split.append(render_elementary(event, lexicon))
         return stated, split
@@ -259,10 +254,10 @@ class PropositionStore:
 def build_store(props, lexicon) -> PropositionStore:
     store = PropositionStore(lexicon)
     for prop in props:
-        if isinstance(prop, StateProp):
-            store.add_state(prop)
-        elif isinstance(prop, EventProp):
+        if prop.__class__ is EventProp:
             store.add_event(prop)
+        elif prop.__class__ is StateProp:
+            store.add_state(prop)
         elif isinstance(prop, (CompareProp, CombineProp)):
             store.relations.append(prop)
         else:
@@ -292,8 +287,8 @@ class Timeline:
     def missing(self) -> tuple:
         """Names of the absent endpoints; the cautious strategy records a
         timeline only when there are none."""
-        ends = (("initial", self.initial), ("final", self.final))
-        return tuple(name for name, amount in ends if amount is None)
+        return ((("initial",) if self.initial is None else ())
+                + (("final",) if self.final is None else ()))
 
 
 # The canonical order's keys, read in C: additions before removals, then

@@ -187,7 +187,8 @@ def _parse_verb_payload(payload: str):
 
 
 class Lexicon:
-    """Read-only word tables. Build one with :func:`load_lexicon_text`."""
+    """Read-only word tables, with the ``past`` of each verb lemma and the
+    ``plural`` of each noun class tabled at load by :func:`load_lexicon_text`."""
 
     def __init__(self):
         self.verbs = {}          # lemma -> ChangeKind | Compound | StaticState | NonChange
@@ -266,16 +267,8 @@ class Lexicon:
         return singular
 
     def pluralize(self, canonical, n=None) -> str:
-        """Surface form for `n` objects of a class (singular iff n == 1)."""
-        if n == 1:
-            return canonical
-        if canonical in self.plural_forms:
-            return self.plural_forms[canonical]
-        if canonical.endswith("y") and len(canonical) > 1 and canonical[-2] not in "aeiou":
-            return canonical[:-1] + "ies"
-        if canonical.endswith(("s", "x", "ch", "sh")):
-            return canonical + "es"
-        return canonical + "s"
+        """`n` objects of a class: the class if n == 1, else its ``plural``."""
+        return canonical if n == 1 else self.plural[canonical]
 
     # -- numbers ---------------------------------------------------------
 
@@ -321,6 +314,9 @@ class Lexicon:
         return Word(surface, text, word.number, word.verb, noun, word.pronoun, proper)
 
     def _freeze(self):
+        # noun class -> plural surface: the tabled plural, else the regular one
+        plural = {cls: _regular_plural(cls) for cls in self.noun_forms.values()}
+        self.plural = _Plurals(plural, **self.plural_forms)
         # lemma -> its past surface: the lemma's tabled past form, else its
         # head word's, by the table or the regular rules, particles kept
         forms = {lemma: form for form, (lemma, tense) in self.verb_forms.items()
@@ -373,6 +369,23 @@ def _numeral(digits):
     if len(digits) > MAX_DIGITS:
         raise NumeralTooLong(len(digits))
     return int(digits)
+
+
+def _regular_plural(canonical):
+    """Plural of a noun class by the regular rules."""
+    if canonical.endswith("y") and len(canonical) > 1 and canonical[-2] not in "aeiou":
+        return canonical[:-1] + "ies"
+    if canonical.endswith(("s", "x", "ch", "sh")):
+        return canonical + "es"
+    return canonical + "s"
+
+
+class _Plurals(dict):
+    """Noun class -> plural surface.  An untabled class reads as its
+    regular plural, which is not stored: a loaded lexicon never changes."""
+
+    __slots__ = ()
+    __missing__ = staticmethod(_regular_plural)
 
 
 def _regular_noun(w):

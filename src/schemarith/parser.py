@@ -357,9 +357,11 @@ class _ClauseParser:
         self.made = made       # name -> its one Entity
         self.sentence = sentence
         self.words, self.pos, self.end, self.interrogative, markers = clause
-        if len(markers) > 1:
-            raise self.error("conflicting time markers in one clause")
-        self.marker = next(iter(markers), None)
+        self.marker = None
+        if markers:
+            if len(markers) > 1:
+                raise self.error("conflicting time markers in one clause")
+            (self.marker,) = markers
 
     # -- token plumbing -------------------------------------------------
 
@@ -470,13 +472,6 @@ class _ClauseParser:
             return Entity(self.take_noun(), EntityKind.CLASS, cardinality=word.number)
         raise self.error(f"cannot read subject starting at {word.surface!r}")
 
-    def parse_subject(self):
-        items = [self.parse_subject_item()]
-        while self.peek().text == "and":
-            self.take()
-            items.append(self.parse_subject_item())
-        return items
-
     # -- verb group ------------------------------------------------------------
 
     def take_verb(self):
@@ -586,7 +581,10 @@ class _ClauseParser:
         return [CompareProp(left, right, n, direction, self.sentence)]
 
     def parse_subject_clause(self):
-        subjects = self.parse_subject()
+        subjects = [self.parse_subject_item()]
+        while self.peek().text == "and":
+            self.take()
+            subjects.append(self.parse_subject_item())
         lemma, tense, classification = self.parse_verb_group()
         if classification is None:
             # no particle was taken: the verb as written is the last word
@@ -760,8 +758,7 @@ def parse_problem(text, lexicon) -> list:
 
 
 def _entity_surface(entity, lexicon):
-    if entity.kind is _PROPER:
-        return entity.name
+    """A class entity: "5 girls", "1 boy", "the girls"."""
     noun = lexicon.pluralize(entity.name, entity.cardinality)
     if entity.cardinality is not None:
         return f"{entity.cardinality} {noun}"
@@ -771,8 +768,8 @@ def _entity_surface(entity, lexicon):
 def render_amount(obj, quantity, lexicon) -> str:
     """An amount of an object class: "3 apples", "1 apple", "X apples"."""
     if quantity.__class__ is int:
-        return f"{quantity} {lexicon.pluralize(obj, quantity)}"
-    return f"{render_quantity(quantity)} {lexicon.pluralize(obj)}"
+        return f"{quantity} {obj if quantity == 1 else lexicon.plural[obj]}"
+    return f"{render_quantity(quantity)} {lexicon.plural[obj]}"
 
 
 def render_state(key, quantity, lexicon) -> str:
@@ -795,7 +792,7 @@ def render_proposition(prop, lexicon) -> str:
     if isinstance(prop, StateProp):
         return _render_state(prop, lexicon)
     if isinstance(prop, EventProp):
-        return _render_event(prop, lexicon)
+        return render_event(prop, lexicon) + "."
     if isinstance(prop, CompareProp):
         return _render_compare(prop, lexicon)
     if isinstance(prop, CombineProp):
@@ -834,26 +831,29 @@ def _destination_prep(verb, lexicon):
     return direction.place_prep
 
 
-def _render_event(prop, lexicon):
+def render_event(prop, lexicon) -> str:
+    """An event's sentence as the stated list prints it, without the stop
+    that ``render_proposition`` adds: "Tom gave 3 apples to Ruth"."""
     past = lexicon.past[prop.verb]
-    if prop.agent is None:
+    n = prop.amount
+    objs = f"{n} {prop.obj if n == 1 else lexicon.plural[prop.obj]}"
+    agent = prop.agent
+    if agent is None:
         # subject-numeral frame: "2 boys left the room", "3 eggs fell out
         # of the box"; the verb (or its particles) names the locus role
-        subj = render_amount(prop.obj, prop.amount, lexicon)
         passive = prop.verb.startswith("be ")   # "be born": "N birds were born"
         if passive:
-            past = f"{'was' if prop.amount == 1 else 'were'} {past}"
+            past = f"{'was' if n == 1 else 'were'} {past}"
         locus = prop.destination if prop.destination is not None else prop.source
         if locus is None:
-            return f"{subj} {past}."
+            return f"{objs} {past}"
         if (" " in prop.verb and not passive) or prop.verb in _BARE_LOCUS_VERBS:
-            return f"{subj} {past} the {locus.name}."
+            return f"{objs} {past} the {locus.name}"
         preposition = (_destination_prep(prop.verb, lexicon)
                        if prop.destination is not None else "from")
-        return f"{subj} {past} {preposition} the {locus.name}."
-    n = prop.amount
-    line = (f"{_entity_surface(prop.agent, lexicon)} {past} {n} "
-            f"{lexicon.pluralize(prop.obj, n)}")
+        return f"{objs} {past} {preposition} the {locus.name}"
+    subject = agent.name if agent.kind is _PROPER else _entity_surface(agent, lexicon)
+    line = f"{subject} {past} {objs}"
     if prop.source is not None:
         line += (f" from {prop.source.name}" if prop.source.kind is _PROPER
                  else f" from the {prop.source.name}")
@@ -861,7 +861,7 @@ def _render_event(prop, lexicon):
         line += f" {_destination_prep(prop.verb, lexicon)} the {prop.destination.name}"
     if prop.recipient is not None:
         line += f" to {prop.recipient.name}"
-    return line + "."
+    return line
 
 
 def _render_compare(prop, lexicon):

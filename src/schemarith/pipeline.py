@@ -90,9 +90,9 @@ def result_to_dict(result) -> dict:
     verdict = result.verdict
     lsi = []
     for si, equation in zip(result.lsi, result.solve.equations):
-        slots = []
-        for role, q in si.slots:   # a stated value, an unknown's name or "?"
-            slots.append([role, "?" if q is QUESTION else q])
+        (r1, q1), (r2, q2), (r3, q3) = si.slots   # a value, an unknown's name or "?"
+        slots = [[r1, "?" if q1 is QUESTION else q1], [r2, "?" if q2 is QUESTION else q2],
+                 [r3, "?" if q3 is QUESTION else q3]]
         lsi.append({"kind": si.kind, "slots": slots, "equation": equation})
     return {
         "strategy": result.strategy.value,
