@@ -1,6 +1,7 @@
 import pytest
 
 from test_golden import PROBLEMS
+from test_parser import chain_text
 
 from schemarith.corpus import CORPUS, by_id
 from schemarith.discourse import (
@@ -26,6 +27,8 @@ from schemarith.parser import (
     StateKey,
     StateProp,
     parse_problem,
+    render_event,
+    render_proposition,
 )
 from schemarith.pipeline import run_problem
 from schemarith.quantity import QUESTION, TimePoint
@@ -379,3 +382,18 @@ def test_fresh_variable_hygiene():
         store = result.store
         var_names = [q for q in states(store).values() if q.__class__ is str]
         assert len(var_names) == len(set(var_names)), problem.id
+
+
+def test_the_stated_list_renders_each_event_by_the_one_event_renderer():
+    """The stated list prints each event as ``render_event`` renders it, and
+    ``render_proposition``, which no report calls, adds only the stop."""
+    events = 0
+    for text in [*PROBLEMS.values(), chain_text(200)]:
+        store = run_problem(text, LEX).store
+        stated, _ = store.render_propositions()
+        for (head, _), line in zip(store.entries, stated, strict=True):
+            if head.__class__ is EventProp:
+                events += 1
+                assert line == render_event(head, LEX)
+                assert render_proposition(head, LEX) == line + "."
+    assert events == 247   # 47 in the corpus and the golden extras, 200 in the chain

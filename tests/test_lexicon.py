@@ -20,6 +20,7 @@ from schemarith.lexicon import (
     Role,
     StaticState,
     Tense,
+    _regular_plural,
     load_default_lexicon,
     load_lexicon_text,
 )
@@ -209,6 +210,38 @@ def test_the_tabled_past_lemmatizes_as_past(lex):
         head = lex.past[lemma].split()[0]
         assert lex.lemmatize_verb(head) in {
             (lemma, Tense.PAST), (lemma.split()[0], Tense.PAST)}, (lemma, head)
+
+
+# A custom lexicon with an irregular plural, and a class with no plural record.
+GEESE = load_lexicon_text(DEFAULT_LEXICON + "noun\tgoose\tgoose\nnoun\tgeese\tgoose\n"
+                          "noun\tpony\tpony\n")
+
+
+@pytest.mark.parametrize("lex, cls, plural", [
+    (LEX, "apple", "apples"),
+    (LEX, "candy", "candies"),
+    (LEX, "box", "boxes"),
+    (LEX, "child", "children"),             # a tabled irregular plural
+    (GEESE, "goose", "geese"),              # the record, not the rule's "gooses"
+    (GEESE, "pony", "ponies"),              # no plural record: the regular rule
+], ids=["apple", "candy", "box", "child", "custom-goose", "custom-pony"])
+def test_the_lexicon_tables_each_noun_class_s_plural(lex, cls, plural):
+    assert lex.plural[cls] == plural
+    assert lex.pluralize(cls, 3) == lex.pluralize(cls) == plural
+    assert lex.pluralize(cls, 1) == cls
+    # every tabled class, each with its plural record or its regular plural
+    assert lex.plural.keys() == set(lex.noun_forms.values())
+    for name, surface in lex.plural.items():
+        assert surface == lex.plural_forms.get(name, _regular_plural(name))
+
+
+@pytest.mark.parametrize("lex", [LEX, GEESE], ids=["default", "custom-geese"])
+def test_an_untabled_class_is_pluralized_and_not_stored(lex):
+    size = len(lex.plural)
+    assert lex.plural["kite"] == lex.pluralize("kite") == "kites"
+    assert lex.plural["fox"] == "foxes"
+    assert len(lex.plural) == size
+    assert "kite" not in lex.plural and "fox" not in lex.plural
 
 
 def test_fresh_regular_nouns_normalize():
