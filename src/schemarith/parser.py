@@ -475,9 +475,11 @@ class _ClauseParser:
     # -- verb group ------------------------------------------------------------
 
     def take_verb(self):
-        """(lemma, tense) of the next token; UnknownWord if it is no verb."""
+        """(lemma, tense) of the next token; UnknownWord if the lexicon lacks it."""
         word = self.take()
         if word.verb is None:
+            if word.number is not None or word.text in self.lexicon.words:
+                raise self.error(f"expected a verb, found {word.surface!r}")
             raise UnknownWord(self.sentence, word.surface)
         return word.verb
 

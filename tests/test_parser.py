@@ -526,6 +526,26 @@ def test_an_unknown_verb_is_named_as_written(statement, verb):
     assert str(info.value) == f"sentence 1: unknown word {verb!r}"
 
 
+@pytest.mark.parametrize("text, error", [
+    ("Tom 3 apples. How many apples does Tom have now?", "expected a verb, found '3'"),
+    ("Tom 123 apples. How many apples does Tom have now?", "expected a verb, found '123'"),
+    ("Tom the apples. How many apples does Tom have now?", "expected a verb, found 'the'"),
+    ("How many apples Tom have now?", "expected a verb, found 'Tom'"),
+    ("Tom apples 3. How many apples does Tom have now?", "expected a verb, found 'apples'"),
+    ("Tom she 3 apples. How many apples does Tom have now?", "expected a verb, found 'she'"),
+    ("Tom zz 3 apples. How many apples does Tom have now?", "unknown word 'zz'"),
+    ("Tom That 3 apples. How many apples does Tom have now?", "unknown word 'That'"),
+], ids=["numeral", "long-numeral", "grammar-word", "name", "noun", "pronoun", "untabled",
+        "untabled-capitalised"])
+def test_a_known_word_where_the_verb_belongs_is_not_unknown(text, error):
+    # a numeral or a word the lexicon tables is a known word that is no
+    # verb; only a word outside the tables is unknown
+    with pytest.raises(ParseError) as info:
+        parse_problem(text, LEX)
+    assert str(info.value) == f"sentence 1: {error}"
+    assert isinstance(info.value, UnknownWord) == error.startswith("unknown")
+
+
 def test_truncated_question():
     with pytest.raises(ParseError):
         parse_text("How many apples?")
