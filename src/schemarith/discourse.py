@@ -123,8 +123,8 @@ class PropositionStore:
     quantity in the whole store is the Question.  The timelines' groups are
     its one index of the states: each elementary event joins its (locus,
     object) group as its event is split, and each state is its group's
-    amount at its time.  ``groups`` keys a group by the locus's ``_key``
-    (kind included) and the object, hashed and compared in C; ``entries``
+    amount at its time.  ``groups`` keys a group by one flat tuple, the
+    locus's ``_key`` fields and the object, hashed in C; ``entries``
     keeps the states in text order among the events, for the reports.
     A group's events share one Locus, made with its first event.
     """
@@ -136,7 +136,7 @@ class PropositionStore:
         self.raw_events = []      # surface EventProps
         self.events = []          # ElementaryEvents, text order
         self.relations = []       # CompareProp | CombineProp, text order
-        # (locus key, obj) -> (its ElementaryEvents in text order, {TimePoint: amount})
+        # (*locus key, obj) -> (its ElementaryEvents in text order, {TimePoint: amount})
         self.groups = {}
         self.chains = []          # (locus, obj, events, ends) of each group with events
         self._var_count = 0
@@ -159,8 +159,8 @@ class PropositionStore:
     def add_event(self, prop):
         """Append each elementary change of a surface event to its group: a
         compound verb's changes whose participants the sentence names, or an
-        elementary verb's one.  A group is keyed before anything is built, as
-        ``Locus._key`` keys the locus; its first event makes it."""
+        elementary verb's one.  A group is keyed before anything is built,
+        by the fields ``Locus._key`` reads; its first event makes it."""
         verb_class = self.lexicon.verbs.get(prop.verb)
         if verb_class.__class__ is Compound:
             changes = []
@@ -174,7 +174,7 @@ class PropositionStore:
             raise UnknownVerb(prop.verb)
         obj, parts = prop.obj, []
         for kind, entity in changes:
-            key = ((kind.locus_kind, entity.name, entity.kind), obj)
+            key = (kind.locus_kind, entity.name, entity.kind, obj)
             group = self.groups.get(key)
             if group is None:
                 group = self.groups[key] = ([], {})
@@ -192,7 +192,7 @@ class PropositionStore:
         self.events.extend(parts)
 
     def _group(self, locus, obj):
-        key = (locus._key(locus), obj)   # see the class docstring
+        key = (locus.kind, locus.entity.name, locus.entity.kind, obj)   # as add_event keys it
         group = self.groups.get(key)
         if group is None:
             group = self.groups[key] = ([], {})

@@ -194,12 +194,13 @@ class Sentence:
         self.clauses = clauses
 
 
-# Text is split in C: "?" and "!" end a sentence as "." does, a comma
-# stands apart as a token of its own, the token characters [A-Za-z0-9'-]
-# stay and every other ASCII character separates tokens.
+# Text is split in C: "?" and "!" end a sentence as "." does, the token
+# characters [A-Za-z0-9'-] and the comma stay, and every other ASCII
+# character separates tokens.  One character maps to one, which keeps
+# translate on its ASCII fast path; tokenize then spaces each comma apart.
 _TOKENS = str.maketrans({
-    **{c: c if c.isalnum() or c in "'-." else " " for c in map(chr, range(128))},
-    "?": ".", "!": ".", ",": " , ",
+    **{c: c if c.isalnum() or c in "'-.," else " " for c in map(chr, range(128))},
+    "?": ".", "!": ".",
 })
 # Outside ASCII a letter or digit stays, so its word is refused whole.
 _NON_ASCII_SEPARATOR = re.compile(r"[^\w\x00-\x7f]")
@@ -265,7 +266,7 @@ def tokenize(text, lexicon) -> list:
         text = _NON_ASCII_SEPARATOR.sub(" ", text)
     get, word = lexicon.words.get, lexicon.word
     sentences = []
-    for piece in text.translate(_TOKENS).split("."):
+    for piece in text.translate(_TOKENS).replace(",", " , ").split("."):
         tokens = piece.split()
         if not tokens:
             continue
@@ -291,7 +292,7 @@ def tokenize(text, lexicon) -> list:
         texts.append("and")
         words.append(_END)
         spans, start = [], 0
-        if "if" in texts[first:]:
+        if "if" in texts and "if" in texts[first:]:
             # ", if" subordination: the first "if" past that first token
             cut = texts.index("if", first)
             words[cut] = _END
@@ -321,6 +322,9 @@ def _take_markers(clause, texts):
     """The clause without its time markers "now" and "in the beginning",
     as a list of its own, or the clause itself when it holds none."""
     words, start, end, interrogative, _ = clause
+    span = texts[start:end]
+    if "now" not in span and "beginning" not in span:
+        return clause
     markers, cuts = set(), []   # (first, end) of each marker, in text order
     for i in range(start, end):
         if texts[i] == "now":
@@ -855,6 +859,9 @@ def render_event(prop, lexicon) -> str:
                        if prop.destination is not None else "from")
         return f"{objs} {past} {preposition} the {locus.name}"
     subject = agent.name if agent.kind is _PROPER else _entity_surface(agent, lexicon)
+    if prop.source is None and prop.destination is None:   # the common line
+        to = "" if prop.recipient is None else f" to {prop.recipient.name}"
+        return f"{subject} {past} {objs}{to}"
     line = f"{subject} {past} {objs}"
     if prop.source is not None:
         line += (f" from {prop.source.name}" if prop.source.kind is _PROPER

@@ -75,6 +75,9 @@ class Question(_Frozen):
     def __new__(cls):
         return QUESTION
 
+    def __str__(self):
+        return "?"
+
 
 #: The unique question slot of a problem.
 QUESTION = object.__new__(Question)
@@ -82,10 +85,6 @@ QUESTION = object.__new__(Question)
 
 def render_quantity(q) -> str:
     cls = q.__class__
-    if cls is str:
-        return q
-    if cls is int:
+    if cls is str or cls is int or q is QUESTION:
         return str(q)
-    if q is QUESTION:
-        return "?"
     raise TypeError(f"not a quantity: {q!r}")

@@ -11,6 +11,8 @@ inventing unknowns for missing amounts.
 """
 from __future__ import annotations
 
+from operator import attrgetter
+
 from .lexicon import ChangeKind
 from .parser import THEY, CompareProp, EntityKind, ProblemTextError, StateKey
 from .quantity import TimePoint, _Enum, _Frozen, render_quantity
@@ -30,20 +32,36 @@ class Strategy(_Enum):
 # schema instantiations
 
 
+#: Per entry kind: its three role names, and a getter of its a, b and c in role order.
+ROLES = {
+    "More": (("left", "right", "by"), attrgetter("c", "a", "b")),
+    "Less": (("left", "right", "by"), attrgetter("a", "c", "b")),
+    "Combine": (("part", "part", "altogether"), attrgetter("a", "b", "c")),
+    **{kind.schema: (("initially", kind.direction.slot, "finally"),
+                     attrgetter("a", "b", "c") if kind.direction.adds
+                     else attrgetter("c", "b", "a"))
+       for kind in ChangeKind},
+}
+
+
 class SchemaInstantiation(_Frozen):
-    """One LSI entry: its role-labelled slots, and the equation c = a + b
-    over the same amounts that the solver reads.  A removal is stored in
-    added form: initial = final + delta."""
+    """One LSI entry: its kind and the equation c = a + b over its amounts,
+    which the solver reads.  A removal is stored in added form: initial =
+    final + delta.  ROLES maps the kind to the role of each amount."""
 
-    __slots__ = ("kind", "slots", "a", "b", "c")
+    __slots__ = ("kind", "a", "b", "c")
 
-    def __init__(self, kind, slots, a, b, c):
+    def __init__(self, kind, a, b, c):
         # change schema name, "More", "Less" or "Combine"
         self.kind = kind
-        self.slots = slots   # ((role, amount), ...)
         self.a = a
         self.b = b
         self.c = c
+
+    @property
+    def slots(self):   # ((role, amount), ...), the amounts in role order
+        roles, amounts = ROLES[self.kind]
+        return tuple(zip(roles, amounts(self)))
 
     def render(self) -> str:
         if self.kind in ("More", "Less"):
@@ -60,22 +78,20 @@ class SchemaInstantiation(_Frozen):
 
 def change_instantiation(event, before, after) -> SchemaInstantiation:
     """Schema instantiation of one elementary event between two amounts."""
-    direction = event.kind.direction
-    slots = (("initially", before), (direction.slot, event.delta), ("finally", after))
-    if direction.adds:
-        return SchemaInstantiation(event.kind.schema, slots, before, event.delta, after)
+    kind = event.kind
+    if kind.direction.adds:
+        return SchemaInstantiation(kind.schema, before, event.delta, after)
     # final = initial - delta, stored as initial = final + delta
-    return SchemaInstantiation(event.kind.schema, slots, after, event.delta, before)
+    return SchemaInstantiation(kind.schema, after, event.delta, before)
 
 
 def instantiate_compare(comp, store) -> SchemaInstantiation:
     """A More/Less instantiation; unseen sides get fresh unknown states."""
     left = store.lookup_or_introduce(comp.left)
     right = store.lookup_or_introduce(comp.right)
-    slots = (("left", left), ("right", right), ("by", comp.diff))
     if comp.direction == "more":
-        return SchemaInstantiation("More", slots, right, comp.diff, left)
-    return SchemaInstantiation("Less", slots, left, comp.diff, right)
+        return SchemaInstantiation("More", right, comp.diff, left)
+    return SchemaInstantiation("Less", left, comp.diff, right)
 
 
 def instantiate_combine(comb, store) -> list:
@@ -109,8 +125,7 @@ def instantiate_combine(comb, store) -> list:
     running = parts[0]
     totals = store.fresh_vars(len(parts) - 2) + [comb.total]
     for part, total in zip(parts[1:], totals):
-        slots = (("part", running), ("part", part), ("altogether", total))
-        out.append(SchemaInstantiation("Combine", slots, running, part, total))
+        out.append(SchemaInstantiation("Combine", running, part, total))
         running = total
     return out
 
@@ -158,6 +173,6 @@ def build_lsi(store, timelines, strategy, first):
             if amounts[i] is None:
                 amounts[i] = store.lookup_or_introduce(
                     StateKey(timeline.locus, timeline.obj, time))
-        for i, event in enumerate(timeline.events):
-            lsi.append(change_instantiation(event, amounts[i], amounts[i + 1]))
+        for event, before, after in zip(timeline.events, amounts, amounts[1:]):
+            lsi.append(change_instantiation(event, before, after))
     return lsi, skipped

@@ -12,7 +12,9 @@ unknowns stayed free, a contradiction between stated amounts, or a
 derived negative amount.  A slot is bound at most once and each binding
 revisits only the equations that mention it, so an equation is visited
 at most four times: a chain of k changes costs O(k) visits whichever end
-of it the question asks about.
+of it the question asks about.  The first pass scans every equation in
+order, only a later pass of several keeps a heap, and each equation is
+printed once, from its own amounts.
 """
 from __future__ import annotations
 
@@ -69,24 +71,26 @@ def propagate(lsi) -> SolveResult:
     from each entry's ``a``, ``b`` and ``c``, to fixpoint.
 
     A worklist visits the equations in (pass, index) order.  Every
-    equation is due in pass 0.  When equation i binds a slot, each other
-    equation j that mentions the slot is due again: later in this pass if
-    j > i, in the next pass if j < i.  Equation i is not, since its own
-    binding satisfies it, and an equation whose slots did not change since
-    its last visit would do nothing.  These are exactly the visits of a
-    full sweep, which evaluates every equation on every pass, that can
-    have an effect, in the sweep's order; so trace, flags and verdict are
-    the sweep's.  A sweep makes one pass per unknown on a chain solved
-    backward; here an equation is visited at most once, plus once per slot
-    it mentions (`SolveResult.visits` counts the visits).  Each slot is
-    read once, into a dense slot number: one per distinct unknown, the
-    question among them, and one per stated amount, bound from the start.
-    A stated amount is an ``int`` and an unknown the ``str`` of its name; a
-    negative amount, or a slot that is no ``int``, ``str`` or QUESTION,
-    raises MalformedLSI.  An unknown is keyed by its name and the question
-    by QUESTION, so an unknown named "?" stays its own slot.  Each slot's
-    text (its stated value, the unknown's name or "?") and each equation's
-    text are made once, and the trace and the verdict reuse them.
+    equation is due in pass 0, so a counter scans them in order; a later
+    pass takes its one equation as it is, or several from a heap.  When
+    equation i binds a slot, each other equation j that mentions the slot
+    is due again: later in this pass if j > i, in the next pass if j < i.
+    Equation i is not, since its own binding satisfies it, and an equation
+    whose slots did not change since its last visit would do nothing.
+    These are exactly the visits of a full sweep, which evaluates every
+    equation on every pass, that can have an effect, in the sweep's order;
+    so trace, flags and verdict are the sweep's.  A sweep makes one pass
+    per unknown on a chain solved backward; here an equation is visited at
+    most once, plus once per slot it mentions (`SolveResult.visits` counts
+    the visits).  Each slot is read once, into a dense slot number: one per
+    distinct unknown, the question among them, and one per stated amount,
+    bound from the start.  A stated amount is an ``int`` and an unknown
+    the ``str`` of its name; a negative amount, or a slot that is no
+    ``int``, ``str`` or QUESTION, raises MalformedLSI.  An unknown is keyed
+    by its name and the question by QUESTION, so an unknown named "?"
+    stays its own slot.  Each equation is printed once from its amounts,
+    QUESTION as "?", and the trace and the verdict reuse its text; the
+    trace names a bound slot by its unknown's name, or "?".
 
     Verdict precedence at fixpoint: a violated fully-known equation wins
     (contradiction), then a derived negative amount, then a bound question
@@ -96,7 +100,6 @@ def propagate(lsi) -> SolveResult:
     """
     index = {}    # unknown's key -> slot number
     names = []    # per slot: the unknown's name; None if stated or the question
-    texts = []    # per slot: the stated value, the unknown's name or "?"
     values = []   # per slot: its amount once bound; a stated slot starts bound
     users = []    # per slot: indices of the equations that mention it; None if stated
     slots = []    # per equation: the numbers of its a, b and c slots
@@ -110,7 +113,6 @@ def propagate(lsi) -> SolveResult:
                     raise MalformedLSI(f"a stated amount is negative: {q}")
                 number = len(values)
                 names.append(None)
-                texts.append(q)
                 values.append(q)
                 users.append(None)
             else:
@@ -124,29 +126,35 @@ def propagate(lsi) -> SolveResult:
                 if number is None:
                     number = index[key] = len(values)
                     names.append(name)
-                    texts.append("?" if name is None else name)
                     values.append(None)
                     users.append([idx])
                 elif users[number][-1] != idx:
                     users[number].append(idx)
             numbers.append(number)
         slots.append(numbers)
-        sa, sb, sc = numbers
-        rendered.append(f"{texts[sc]} = {texts[sa]} + {texts[sb]}")
+        rendered.append(f"{si.c} = {si.a} + {si.b}")
     binding = {}
     trace = []
     contradictions = []
     invalids = []
     flagged = set()
     visits = 0
-    due = list(range(len(slots)))   # heap of this pass's indices
-    queued = set(due)
-    next_pass = set()
-    while due or next_pass:
-        if not due:
-            due = sorted(next_pass)
-            queued, next_pass = next_pass, set()
-        idx = heappop(due)
+    count, scanned = len(slots), 0   # pass 0 visits equations 0 .. count - 1 in turn
+    due = []   # heap of a later pass's indices
+    queued, next_pass = range(count), set()   # the indices due in this pass, in the next
+    while True:
+        if scanned < count:
+            idx, scanned = scanned, scanned + 1
+        elif due:
+            idx = heappop(due)
+        elif len(next_pass) == 1:   # a pass of one equation needs no heap
+            (idx,) = queued = next_pass
+            next_pass = set()
+        elif next_pass:
+            due, queued, next_pass = sorted(next_pass), next_pass, set()
+            idx = heappop(due)
+        else:
+            break
         visits += 1
         sa, sb, sc = slots[idx]
         a, b, c = values[sa], values[sb], values[sc]
@@ -180,7 +188,7 @@ def propagate(lsi) -> SolveResult:
             if s != target and names[s] is not None:
                 step = f"{step}{joint}{names[s]} = {values[s]}"
                 joint = ", "
-        trace.append(f"{step} ⇒ {texts[target]} = {value}")
+        trace.append(f"{step} ⇒ {'?' if name is None else name} = {value}")
         for j in users[target]:
             if j < idx:
                 next_pass.add(j)

@@ -32,6 +32,7 @@ from schemarith.parser import (
     StateProp,
     UnknownWord,
     _END,
+    _take_markers,
     parse_clause,
     parse_problem,
     render_proposition,
@@ -263,6 +264,28 @@ WIDE_TEXT = ASCII_TEXT + "éß٣²“”‘’–—\u00a0\u200b\u0301"
 def test_non_ascii_tokens_match_the_regex_reference(pieces):
     text = "".join(pieces)
     assert tokenized(text) == tokenize_reference(text, WIDE_TOKEN_REFERENCE_RE)
+
+
+@pytest.mark.parametrize("text", [
+    "Dan got 3 nuts, and Dan got 2 nuts. How many nuts does Dan have now?",
+    "How many nuts does Dan have now, if Dan had 3 nuts?",
+    "Dan got 3 nuts,and Dan got 2 nuts,if Dan had 3 nuts.",
+    ", if Dan had 3 nuts, how many nuts does Dan have now?",
+    "Dan had 3 nuts. , . How many nuts does Dan have now?",
+], ids=["comma-and", "comma-if", "unspaced", "leading", "only-a-comma"])
+def test_texts_with_commas_match_the_regex_reference(text):
+    assert tokenized(text) == tokenize_reference(text)
+
+
+def test_a_clause_without_a_marker_is_returned_itself():
+    """In a sentence that holds a time marker, a clause without one is
+    returned as it is, not copied."""
+    [sentence] = tokenize("Dan got 3 nuts and Dan has 5 nuts now.", LEX)
+    (words, start, end, _, none), (_, _, _, _, final) = sentence.clauses
+    assert not none and final == {TimePoint.FINAL}
+    texts = [word.text for word in words]
+    clause = (words, start, end, False, none)
+    assert _take_markers(clause, texts) is clause
 
 
 def test_a_tabled_token_is_the_table_s_own_word():

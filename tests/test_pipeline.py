@@ -287,6 +287,33 @@ def test_python_calls_per_clause_from_text_to_report():
     assert calls <= 26 * clauses, calls / clauses
 
 
+def test_c_calls_per_clause_from_text_to_report():
+    """A whole run and its JSON report make a bounded number of C-level
+    calls per clause: the text is translated on CPython's ASCII fast path,
+    the store keys a group by one flat tuple, an LSI entry holds only its
+    kind and its equation, and propagation scans its first pass in order."""
+    text = chain_text(200)
+    clauses = sum(len(sentence.clauses) for sentence in tokenize(text, LEX))
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "c_call":
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        report = result_to_dict(run_problem(text, LEX))
+    finally:
+        sys.setprofile(None)
+    assert report["verdict"] == "solved"
+    # 45.5 calls per clause (9,184 over 202 clauses); 48.4 when each LSI
+    # entry built its role tuples, each group key was a tuple inside a
+    # tuple, each slot's text was listed and every visit of propagation's
+    # first pass was popped from a heap
+    assert calls <= 46 * clauses, calls / clauses
+
+
 # -- construction gate --------------------------------------------------------------
 
 

@@ -96,6 +96,38 @@ def test_a_change_entry_carries_the_equation_of_its_kind(kind):
     assert wrong.a + wrong.b != wrong.c
 
 
+@pytest.mark.parametrize("kind", list(ChangeKind), ids=lambda k: k.name)
+def test_a_change_entry_reads_its_roles_from_the_table(kind):
+    """An entry keeps its kind and equation only; ROLES gives each amount
+    its role: initially, the change, finally, whichever way it goes."""
+    locus = (owner(proper("Tom")) if kind.locus_kind is LocusKind.OWNERSHIP
+             else place(cls("basket")))
+    event = ElementaryEvent(kind, locus, "apple", 2)
+    inst = change_instantiation(event, "X", QUESTION)
+    assert inst.slots == (("initially", "X"), (kind.direction.slot, 2),
+                          ("finally", QUESTION))
+    ends = ("X", QUESTION) if kind.direction.adds else (QUESTION, "X")
+    assert (inst.a, inst.c) == ends
+
+
+@pytest.mark.parametrize("text, slots", [
+    ("Tom had 5 apples. Tom had 3 apples more than Ann. "
+     "How many apples did Ann have in the beginning?",
+     [(("left", 5), ("right", QUESTION), ("by", 3))]),
+    ("Ann had 5 apples. Tom had 3 apples less than Ann. "
+     "How many apples did Tom have in the beginning?",
+     [(("left", QUESTION), ("right", 5), ("by", 3))]),
+    ("Tom had 2 apples. Ann had 3 apples. Tom and Ann and Dan had 9 apples "
+     "altogether. How many apples did Dan have in the beginning?",
+     [(("part", 2), ("part", 3), ("altogether", "X")),
+      (("part", "X"), ("part", QUESTION), ("altogether", 9))]),
+], ids=["more", "less", "combine"])
+def test_a_relation_entry_reads_its_roles_from_the_table(text, slots):
+    """left is the compared owner's amount, right the other's and by the
+    difference; a combine of three parts chains through a partial sum."""
+    assert [inst.slots for inst in run_problem(text, LEX).lsi] == slots
+
+
 # -- comparisons -----------------------------------------------------------------
 
 

@@ -115,7 +115,6 @@ FROZEN = {
                       ignored("sentence", 0, 1, -1)],
     SchemaInstantiation: [
         f("kind", "More", "Less"),
-        f("slots", (("left", 1),), (("right", 1),)),
         f("a", 1, "X"), f("b", 2, 5), f("c", 3, QUESTION)],
     Solved: [f("answer", 6, 7)],
     Insufficient: [f("unresolved", (), ("X",))],
