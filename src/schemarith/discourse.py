@@ -192,7 +192,7 @@ class PropositionStore:
         self.events.extend(parts)
 
     def _group(self, locus, obj):
-        key = (locus.kind, locus.entity.name, locus.entity.kind, obj)   # as add_event keys it
+        key = (*locus._key(locus), obj)   # see the class docstring
         group = self.groups.get(key)
         if group is None:
             group = self.groups[key] = ([], {})

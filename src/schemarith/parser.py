@@ -859,9 +859,6 @@ def render_event(prop, lexicon) -> str:
                        if prop.destination is not None else "from")
         return f"{objs} {past} {preposition} the {locus.name}"
     subject = agent.name if agent.kind is _PROPER else _entity_surface(agent, lexicon)
-    if prop.source is None and prop.destination is None:   # the common line
-        to = "" if prop.recipient is None else f" to {prop.recipient.name}"
-        return f"{subject} {past} {objs}{to}"
     line = f"{subject} {past} {objs}"
     if prop.source is not None:
         line += (f" from {prop.source.name}" if prop.source.kind is _PROPER

@@ -13,7 +13,7 @@ from .discourse import build_store, build_timelines
 from .lexicon import load_default_lexicon
 from .parser import parse_problem, render_locus
 from .quantity import QUESTION
-from .schema_engine import ROLES, Strategy, build_lsi, initial_lsi
+from .schema_engine import Strategy, build_lsi, initial_lsi, role_amounts
 from .solver import Solved, propagate
 
 
@@ -89,9 +89,8 @@ def result_to_dict(result) -> dict:
     pre_split, post_split = result.store.render_propositions()
     verdict = result.verdict
     lsi = []
-    for si, equation in zip(result.lsi, result.solve.equations):
-        (r1, r2, r3), amounts = ROLES[si.kind]
-        q1, q2, q3 = amounts(si)   # a value, an unknown's name or the question
+    for si, ((r1, r2, r3), (q1, q2, q3)), equation in zip(   # q: a value, a name or QUESTION
+            result.lsi, role_amounts(result.lsi), result.solve.equations):
         slots = [[r1, "?" if q1 is QUESTION else q1], [r2, "?" if q2 is QUESTION else q2],
                  [r3, "?" if q3 is QUESTION else q3]]
         lsi.append({"kind": si.kind, "slots": slots, "equation": equation})

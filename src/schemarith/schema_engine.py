@@ -38,8 +38,7 @@ ROLES = {
     "Less": (("left", "right", "by"), attrgetter("a", "c", "b")),
     "Combine": (("part", "part", "altogether"), attrgetter("a", "b", "c")),
     **{kind.schema: (("initially", kind.direction.slot, "finally"),
-                     attrgetter("a", "b", "c") if kind.direction.adds
-                     else attrgetter("c", "b", "a"))
+                     attrgetter(*("abc" if kind.direction.adds else "cba")))
        for kind in ChangeKind},
 }
 
@@ -74,6 +73,11 @@ class SchemaInstantiation(_Frozen):
                     f"altogether {render_quantity(total)})")
         parts = ", ".join([f"{role} {render_quantity(q)}" for role, q in self.slots])
         return f"{self.kind} ({parts})"
+
+
+def role_amounts(lsi) -> list:
+    """Each LSI entry's role names and amounts in role order, read from ROLES."""
+    return [(roles, amounts(si)) for si in lsi for roles, amounts in (ROLES[si.kind],)]
 
 
 def change_instantiation(event, before, after) -> SchemaInstantiation:

@@ -232,6 +232,11 @@ CORPUS_WORDS = sorted({w for p in CORPUS for w in TOKEN_REFERENCE_RE.findall(p.t
                           st.sampled_from(CORPUS_WORDS)), max_size=20))
 @example(["Tom had " + "1" * (MAX_DIGITS + 1) + " apples"])
 @example([" ,if Dan got 3 nuts and now Dan had 2 nuts"])
+@example(["Dan got 3 nuts, and Dan got 2 nuts. How many nuts does Dan have now?"])
+@example(["How many nuts does Dan have now, if Dan had 3 nuts?"])
+@example(["Dan got 3 nuts,and Dan got 2 nuts,if Dan had 3 nuts."])
+@example([", if Dan had 3 nuts, how many nuts does Dan have now?"])
+@example(["Dan had 3 nuts. , . How many nuts does Dan have now?"])
 @settings(max_examples=300)
 def test_ascii_tokens_match_the_regex_reference(pieces):
     text = "".join(pieces)
@@ -264,17 +269,6 @@ WIDE_TEXT = ASCII_TEXT + "éß٣²“”‘’–—\u00a0\u200b\u0301"
 def test_non_ascii_tokens_match_the_regex_reference(pieces):
     text = "".join(pieces)
     assert tokenized(text) == tokenize_reference(text, WIDE_TOKEN_REFERENCE_RE)
-
-
-@pytest.mark.parametrize("text", [
-    "Dan got 3 nuts, and Dan got 2 nuts. How many nuts does Dan have now?",
-    "How many nuts does Dan have now, if Dan had 3 nuts?",
-    "Dan got 3 nuts,and Dan got 2 nuts,if Dan had 3 nuts.",
-    ", if Dan had 3 nuts, how many nuts does Dan have now?",
-    "Dan had 3 nuts. , . How many nuts does Dan have now?",
-], ids=["comma-and", "comma-if", "unspaced", "leading", "only-a-comma"])
-def test_texts_with_commas_match_the_regex_reference(text):
-    assert tokenized(text) == tokenize_reference(text)
 
 
 def test_a_clause_without_a_marker_is_returned_itself():

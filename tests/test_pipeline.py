@@ -275,7 +275,7 @@ def test_python_calls_per_clause_from_text_to_report():
     finally:
         sys.setprofile(None)
     assert report["verdict"] == "solved"
-    # 25.8 calls per clause (5,204 over 202 clauses); 32.7 when each
+    # 25.8 calls per clause (5,207 over 202 clauses); 32.7 when each
     # plural was worked out by a rule per print and each stated event was
     # rendered through the proposition dispatch with its stop, then
     # stripped; 37.4 when each clause was a copy of its span, each unknown
@@ -307,7 +307,7 @@ def test_c_calls_per_clause_from_text_to_report():
     finally:
         sys.setprofile(None)
     assert report["verdict"] == "solved"
-    # 45.5 calls per clause (9,184 over 202 clauses); 48.4 when each LSI
+    # 45.5 calls per clause (9,185 over 202 clauses); 48.4 when each LSI
     # entry built its role tuples, each group key was a tuple inside a
     # tuple, each slot's text was listed and every visit of propagation's
     # first pass was popped from a heap

@@ -349,7 +349,7 @@ def test_propagate_makes_a_bounded_number_of_c_calls_per_equation():
     finally:
         sys.setprofile(None)
     assert result.verdict == Solved(5)
-    # 19.0 calls per equation (3,803 over 200 equations); 23.0 when every
+    # 19.0 calls per equation (3,804 over 200 equations); 23.0 when every
     # visit of pass 0 was popped from a heap of all the indices, each later
     # pass was sorted into a heap whatever its size, and each slot's text
     # was listed before its equation was printed from the list
