@@ -1,18 +1,15 @@
-"""Command-line front end.
+"""Command-line front end; ``_HELP`` below is what ``schemarith --help`` prints.
 
-    schemarith solve FILE... [--trace] [--strategy cautious|total] [--format text|json]
-    schemarith corpus [--strategy ...] [--format ...]
-
-Exit codes: 0 solved, 1 I/O or internal error (a closed stdout too), 2
-text not understood (parse failure, no question), 3 insufficient data, 4
-contradictory or invalid data.  The --lexicon flag overrides the embedded
-lexicon.
+The arguments are read as argparse read them (``--opt value``, ``--opt=value``,
+a unique prefix such as ``--form json`` or ``--t``, ``--`` before FILEs that start
+with a dash, ``-h``/``--help`` before or after the command), except that FILEs may
+also follow options (``solve a.txt --trace b.txt``).  A misuse prints the usage and
+``schemarith: error: ...`` on stderr and exits 2, at the first argument that
+is wrong, even where argparse would have printed a later ``-h``'s help.
 """
 from __future__ import annotations
 
-import argparse
 import codecs
-import json
 import os
 import re
 import sys
@@ -22,6 +19,7 @@ from .discourse import DataConflict
 from .lexicon import load_default_lexicon, load_lexicon_file
 from .parser import ProblemTextError
 from .pipeline import render_text_report, result_to_dict, run_problem
+from .quantity import _collector_paused
 from .schema_engine import Strategy
 
 FORMAT_VERSION = 2
@@ -190,8 +188,10 @@ def _write_stdout(output):
     if isinstance(output, str):
         if not utf:
             output = output.encode(encoding, "backslashreplace").decode(encoding)
-    else:
-        output = json.dumps(output, ensure_ascii=not utf, separators=(",", ":"))
+    else:   # a report is a tree built afresh, so it holds no cycle to check for
+        import json
+        output = json.dumps(output, ensure_ascii=not utf, separators=(",", ":"),
+                            check_circular=False)
     try:
         print(output)
         sys.stdout.flush()
@@ -203,43 +203,88 @@ def _write_stdout(output):
     return True
 
 
-def build_arg_parser():
-    parser = argparse.ArgumentParser(
-        prog="schemarith",
-        description="Understand and solve controlled-English arithmetic "
-                    "word problems with extraneous information.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_USAGE = """\
+usage: schemarith solve [-h] [--trace] [--strategy S] [--format F] [--lexicon PATH] FILE...
+       schemarith corpus [-h] [--strategy S] [--format F] [--lexicon PATH]"""
+_HELP = _USAGE + """
 
-    solve = sub.add_parser("solve", help="solve problems from text files")
-    solve.add_argument("inputs", nargs="+", metavar="FILE",
-                       help="UTF-8 text; blank lines separate problems")
-    corpus = sub.add_parser("corpus", help="run the bundled evaluation corpus")
-    for p in (solve, corpus):
-        p.add_argument("--strategy", choices=["cautious", "total"],
-                       default="cautious",
-                       help="change-schema recording strategy (default: cautious)")
-        p.add_argument("--format", choices=["text", "json"], default="text")
-        p.add_argument("--lexicon", metavar="PATH", default=None,
-                       help="lexicon file overriding the embedded tables")
-    solve.add_argument("--trace", action="store_true",
-                       help="show the representation and the solver's steps")
-    return parser
+solve: the problems in UTF-8 FILEs, one per block between blank lines; corpus: the
+bundled corpus.  --trace: the representation and the solver's steps.  S: cautious
+(default) or total.  F: text (default) or json.  PATH: a lexicon in place of the
+embedded one.  Exit codes: 0 solved, 1 I/O or internal error (a closed stdout too), 2
+text not understood or a misuse, 3 insufficient data, 4 contradictory or invalid data."""
+
+#: The options of each command, and the choices of those that take a value.
+_CHOICES = {"--strategy": ("cautious", "total"), "--format": ("text", "json"), "--lexicon": None}
+_OPTIONS = {None: ("--help",), "corpus": ("--help", *_CHOICES),
+            "solve": ("--help", *_CHOICES, "--trace")}
+# argparse's values: a word, "", "-", a negative number, a dash-led word with a space
+_VALUE = re.compile(r"[^-]|-?$|-\d+$|-\d*\.\d+$|-.* ").match
 
 
+def _option(arg, command):
+    """The option of `command` that `arg` names, whole or by a prefix (no two
+    options share a first letter), else None."""
+    name = "--help" if arg == "-h" else arg.partition("=")[0]
+    return next((o for o in _OPTIONS[command] if len(name) > 2 and o.startswith(name)), None)
+
+
+def _misuse(reason):
+    print(f"{_USAGE}\nschemarith: error: {reason}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def read_args(argv):
+    """(command, FILEs, strategy, format, lexicon path or None, trace) of a
+    command line, read as the module docstring says."""
+    command, inputs = None, []
+    values = {"--strategy": "cautious", "--format": "text", "--lexicon": None, "--trace": False}
+    args = iter(argv)
+    for arg in args:
+        option, (eq, value) = _option(arg, command), arg.partition("=")[1:]
+        if option == "--help" and not eq:
+            print(_HELP)
+            raise SystemExit(0)
+        if option == "--trace" and not eq:
+            values[option] = True
+        elif option in _CHOICES:
+            if not eq:   # the next argument, unless it is an option; "--" if none is left
+                value = next(args, "--")
+                if _option(value, command) or not _VALUE(value):
+                    _misuse(f"argument {option}: expected one argument")
+            if _CHOICES[option] and value not in _CHOICES[option]:
+                _misuse(f"argument {option}: invalid choice: {value!r} "
+                        f"(choose from {', '.join(_CHOICES[option])})")
+            values[option] = value
+        elif arg == "--" and command == "solve":   # only FILEs after it
+            inputs.extend(args)
+        elif option or not _VALUE(arg) or command == "corpus":
+            _misuse(f"unrecognized arguments: {arg}")
+        elif command:
+            inputs.append(arg)
+        elif arg in _OPTIONS:
+            command = arg
+        else:
+            _misuse(f"argument command: invalid choice: {arg!r} (choose from solve, corpus)")
+    if not command or command == "solve" and not inputs:
+        _misuse(f"the following arguments are required: {'FILE' if command else 'command'}")
+    return (command, inputs, *values.values())
+
+
+@_collector_paused
 def main(argv=None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    command, inputs, strategy, format, lexicon, trace = read_args(
+        sys.argv[1:] if argv is None else argv)
     try:
-        lexicon = (load_lexicon_file(args.lexicon) if args.lexicon
-                   else load_default_lexicon())
+        lexicon = load_lexicon_file(lexicon) if lexicon else load_default_lexicon()
     except (OSError, ValueError) as exc:   # ValueError: not UTF-8, or malformed
         print(f"error: lexicon: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    strategy = Strategy(args.strategy)
-    if args.command == "solve":
-        code, output = cmd_solve(args.inputs, lexicon, strategy, args.format, args.trace)
+    strategy = Strategy(strategy)
+    if command == "solve":
+        code, output = cmd_solve(inputs, lexicon, strategy, format, trace)
     else:
-        code, output = cmd_corpus(lexicon, strategy, args.format)
+        code, output = cmd_corpus(lexicon, strategy, format)
     if output is not None and not _write_stdout(output):
         return EXIT_ERROR
     return code

@@ -7,7 +7,7 @@ concurrent solver runs.
 """
 from __future__ import annotations
 
-from .quantity import TimePoint, _Enum, _Frozen
+from .quantity import TimePoint, _Enum, _Frozen, _collector_paused
 
 
 class Direction(_Enum):
@@ -399,6 +399,7 @@ def _regular_noun(w):
     return w
 
 
+@_collector_paused
 def load_lexicon_text(text) -> Lexicon:
     """A lexicon from its records, one ``kind<TAB>lemma<TAB>payload`` a line.
 

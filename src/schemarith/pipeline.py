@@ -2,34 +2,20 @@
 
 A run and its reports make no reference cycles, so `run_problem`,
 `result_to_dict` and `render_text_report` each pause the cyclic collector
-while they run and then restore it.  The collector is process-wide.
+while they run and then restore it, through `quantity._collector_paused`,
+which the lexicon load and `cli.main` use too.  The collector is
+process-wide.
 """
 from __future__ import annotations
 
-import gc
 import time
 
 from .discourse import build_store, build_timelines
 from .lexicon import load_default_lexicon
 from .parser import parse_problem, render_locus
-from .quantity import QUESTION
+from .quantity import QUESTION, _collector_paused
 from .schema_engine import Strategy, build_lsi, initial_lsi, role_amounts
 from .solver import Solved, propagate
-
-
-def _collector_paused(run):
-    """`run` with the cyclic collector paused and then restored."""
-    def paused(*args, **kwargs):
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return run(*args, **kwargs)
-        finally:
-            if enabled:
-                gc.enable()
-    paused.__name__ = paused.__qualname__ = run.__name__
-    paused.__doc__, paused.__wrapped__ = run.__doc__, run
-    return paused
 
 
 class ProblemResult:

@@ -4,11 +4,30 @@ An amount in a problem is either a stated nonnegative ``int``, an unknown
 introduced while building the representation, which is the ``str`` of its
 name, or the single question mark the problem asks about; no two of these
 are equal.
+
+It also holds ``_collector_paused``, the one pause of the cyclic collector
+that the lexicon load, a run, its reports and the CLI share.
 """
 from __future__ import annotations
 
+import gc
 from enum import Enum
 from operator import attrgetter
+
+
+def _collector_paused(run):
+    """`run` with the cyclic collector paused and then restored."""
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return run(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    paused.__name__ = paused.__qualname__ = run.__name__
+    paused.__doc__, paused.__wrapped__ = run.__doc__, run
+    return paused
 
 
 class _Enum(Enum):

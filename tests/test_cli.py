@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -522,6 +523,130 @@ def test_no_environment_variable_names_a_lexicon(monkeypatch, capsys):
     monkeypatch.setenv("SCHEMARITH_LEXICON", "/nonexistent/lex.tsv")
     assert cli.main(["corpus"]) == 0
     assert capsys.readouterr().err == ""
+
+
+# --- The argument reader, against the argparse parser it replaced ---
+
+def reference_parser():
+    """The argparse parser that read the command line before `cli.read_args`."""
+    parser = argparse.ArgumentParser(
+        prog="schemarith",
+        description="Understand and solve controlled-English arithmetic "
+                    "word problems with extraneous information.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    solve = sub.add_parser("solve", help="solve problems from text files")
+    solve.add_argument("inputs", nargs="+", metavar="FILE",
+                       help="UTF-8 text; blank lines separate problems")
+    corpus = sub.add_parser("corpus", help="run the bundled evaluation corpus")
+    for p in (solve, corpus):
+        p.add_argument("--strategy", choices=["cautious", "total"],
+                       default="cautious",
+                       help="change-schema recording strategy (default: cautious)")
+        p.add_argument("--format", choices=["text", "json"], default="text")
+        p.add_argument("--lexicon", metavar="PATH", default=None,
+                       help="lexicon file overriding the embedded tables")
+    solve.add_argument("--trace", action="store_true",
+                       help="show the representation and the solver's steps")
+    return parser
+
+
+def reference_reading(argv):
+    """(command, FILEs, strategy, format, lexicon, trace), or the exit code."""
+    try:
+        args = reference_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
+    return (args.command, getattr(args, "inputs", []), args.strategy, args.format,
+            args.lexicon, getattr(args, "trace", False))
+
+
+def reader_reading(argv):
+    try:
+        return cli.read_args(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+#: Command lines that the reader reads as argparse did.  Exit codes and
+#: fields are compared, not argparse's messages, which differ by version.
+SAME_READING = [
+    ["solve", "a"],
+    ["solve", "a", "b", "--trace"],
+    ["solve", "a", "--strategy", "total", "--format", "json", "--lexicon", "lex.tsv"],
+    ["solve", "--format=json", "--strategy=total", "--lexicon=lex.tsv", "a"],
+    ["solve", "a", "--form", "json"],
+    ["solve", "a", "--t"],
+    ["solve", "--s=total", "--f", "text", "--l", "x", "--tr", "a", "b"],
+    ["solve", "a", "--format", "text", "--format", "json"],
+    ["solve", "--", "--trace"],
+    ["solve", "--trace", "--", "-a", "b"],
+    ["solve", "a", "--", "b"],
+    ["solve", "-", "-1", "--lexicon", "-"],
+    ["solve", "solve"],
+    ["corpus"],
+    ["corpus", "--strategy", "total", "--format", "json"],
+    ["corpus", "--lexicon=lex.tsv", "--str", "total"],
+    # help, at the top and after a command
+    ["-h"], ["--help"], ["--he"], ["solve", "-h"], ["solve", "a", "--h"],
+    ["corpus", "--help"], ["-h", "bogus"],
+    # misuse
+    [], ["solve"], ["bogus"], ["solve", "a", "--format"], ["solve", "a", "--format", "xml"],
+    ["corpus", "x"], ["corpus", "--trace"], ["corpus", "--t"], ["corpus", "--"],
+    ["solve", "a", "--trace=1"], ["solve", "a", "--help=1"], ["solve", "a", "--bogus"],
+    ["solve", "a", "-x"], ["solve", "a", "--format", "--trace"], ["solve", "a", "--lexicon"],
+    ["solve", "a", "--strategy=bogus"], ["--trace", "solve", "a"], ["solve", "--"],
+    ["solve", "--bogus", "a", "--format", "xml", "-h"],
+]
+
+
+@pytest.mark.parametrize("argv", SAME_READING, ids=lambda argv: " ".join(argv) or "none")
+def test_the_reader_reads_a_command_line_as_argparse_did(capsys, argv):
+    assert reader_reading(argv) == reference_reading(argv)
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["solve", "a", "--trace", "b"], ["a", "b"]),
+    (["solve", "--format", "json", "a", "--t", "b", "c"], ["a", "b", "c"]),
+], ids=["after-a-flag", "after-two-options"])
+def test_files_may_follow_options(capsys, argv, files):
+    # argparse took FILEs in one run only; the reader takes them anywhere.
+    assert reference_reading(argv) == 2
+    reading = reader_reading(argv)
+    assert reading[1] == files
+    assert reading == reference_reading([arg for arg in argv if arg not in files] + files)
+
+
+def test_a_misuse_stops_before_a_later_help(capsys):
+    # argparse read the whole line first and printed the help; the reader
+    # stops at the first wrong argument.
+    argv = ["solve", "a", "--bogus", "-h"]
+    assert (reader_reading(argv), reference_reading(argv)) == (2, 0)
+
+
+@pytest.mark.parametrize("argv", [["solve", "-h"], ["--help"]])
+def test_help_goes_to_stdout_and_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, err) == (0, "")
+    assert out.startswith("usage: schemarith solve") and "Exit codes:" in out
+
+
+@pytest.mark.parametrize("argv, reason", [
+    ([], "the following arguments are required: command"),
+    (["solve", "a", "--format", "xml"],
+     "argument --format: invalid choice: 'xml' (choose from text, json)"),
+    (["corpus", "x", "--bogus"], "unrecognized arguments: x"),
+])
+def test_a_misuse_prints_the_usage_and_exits_2(capsys, argv, reason):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.startswith("usage: schemarith solve")
+    assert err.endswith(f"\nschemarith: error: {reason}\n")
 
 
 @pytest.mark.parametrize("verb", ["carries", "carried"])

@@ -517,11 +517,22 @@ def test_schema_instantiation_imports_nothing_from_the_solver():
     assert "solver" in imported_modules("import schemarith.solver\n")
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # -S: no site hooks run, so every module loaded came from this import.
-    code = ("import sys, schemarith.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+#: Standard-library modules that a one-problem command does not need:
+#: each costs a millisecond or more to import.
+SLOW_MODULES = {"dataclasses", "inspect", "argparse", "gettext", "json"}
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect(tmp_path):
+    # -S: no site hooks run, so every module loaded came from this import,
+    # or from the text-format command that the second child runs.
+    problem = tmp_path / "problem.txt"
+    problem.write_text("Tom had 3 apples. Tom got 2 apples. "
+                       "How many apples does Tom have now?", encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
-                         capture_output=True, text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    solve = f"schemarith.cli.main(['solve', {str(problem)!r}])"
+    for run, expected in [("pass", "[]"), (solve, "Answer: 5\n[]")]:
+        code = (f"import sys, schemarith.cli; {run}; "
+                f"print(sorted({SLOW_MODULES!r} & set(sys.modules)))")
+        out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                             capture_output=True, text=True, check=True, timeout=60)
+        assert out.stdout.strip() == expected

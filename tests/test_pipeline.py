@@ -14,7 +14,8 @@ from schemarith import cli
 from schemarith.corpus import CORPUS
 from schemarith.discourse import (DataConflict, PropositionStore, build_store,
                                   build_timelines)
-from schemarith.lexicon import load_default_lexicon
+from schemarith.lexicon import (DEFAULT_LEXICON, LexiconFormatError,
+                                load_default_lexicon, load_lexicon_text)
 from schemarith.parser import (CombineProp, CompareProp, Entity, EntityKind, EventProp,
                                NoQuestion, ParseError, StateKey, StateProp,
                                parse_problem, tokenize)
@@ -454,14 +455,9 @@ def test_no_run_or_report_makes_cyclic_garbage(collector_paused, name, texts):
 
 
 @pytest.mark.parametrize("form", [["--format", "json"], [], ["--trace"]])
-def test_no_refusal_makes_cyclic_garbage(collector_paused, form, tmp_path, capsys,
-                                         monkeypatch):
-    # An argparse parser is a graph of cycles (about 120 objects) that each
-    # `main` builds afresh, and building it leaves garbage of its own; so
-    # the calls share one, built and collected before the count.
-    parser = cli.build_arg_parser()
-    monkeypatch.setattr(cli, "build_arg_parser", lambda: parser)
-    gc.collect()
+def test_no_refusal_makes_cyclic_garbage(collector_paused, form, tmp_path, capsys):
+    # `cli.main` pauses the collector for the whole command, its reading of
+    # the command line included, so nothing it makes may be left in a cycle.
     for text in REFUSED:
         path = tmp_path / "refused.txt"
         path.write_text(text, encoding="utf-8")
@@ -470,18 +466,32 @@ def test_no_refusal_makes_cyclic_garbage(collector_paused, form, tmp_path, capsy
         assert gc.collect() == 0, (form, text)
 
 
+def write_text(tmp_path, text):
+    path = tmp_path / "problem.txt"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
-@pytest.mark.parametrize("call,text,raises", [
-    (run_problem, CORPUS[0].text, None),
-    (result_to_dict, CORPUS[0].text, None),
-    (render_text_report, CORPUS[0].text, None),
-    (run_problem, "Tom had 3 apples. How many how apples?", ParseError),
-    (run_problem, "Tom had 3 apples.", NoQuestion),
-    (run_problem, REFUSED[2], DataConflict),
+@pytest.mark.parametrize("call,args,raises", [
+    (run_problem, lambda tmp: (CORPUS[0].text, LEX), None),
+    (result_to_dict, lambda tmp: (run_problem(CORPUS[0].text, LEX),), None),
+    (render_text_report, lambda tmp: (run_problem(CORPUS[0].text, LEX),), None),
+    (run_problem, lambda tmp: ("Tom had 3 apples. How many how apples?", LEX), ParseError),
+    (run_problem, lambda tmp: ("Tom had 3 apples.", LEX), NoQuestion),
+    (run_problem, lambda tmp: (REFUSED[2], LEX), DataConflict),
+    (cli.main, lambda tmp: (["solve", write_text(tmp, CORPUS[0].text)],), None),
+    (cli.main, lambda tmp: (["solve", write_text(tmp, REFUSED[0]), "--format", "json"],),
+     None),
+    (cli.main, lambda tmp: (["solve"],), SystemExit),
+    (cli.main, lambda tmp: (["solve", str(tmp / "missing.txt")],), None),
+    (load_lexicon_text, lambda tmp: (DEFAULT_LEXICON,), None),
+    (load_lexicon_text, lambda tmp: ("noun\tApples\tapple\n",), LexiconFormatError),
 ], ids=["run", "report", "text-report", "parse-error", "no-question",
-        "data-conflict"])
-def test_the_collector_state_is_restored(enabled, call, text, raises):
-    args = (text, LEX) if call is run_problem else (run_problem(text, LEX),)
+        "data-conflict", "cli-solved", "cli-refused", "cli-usage-error",
+        "cli-unreadable-file", "lexicon", "lexicon-malformed"])
+def test_the_collector_state_is_restored(enabled, call, args, raises, tmp_path, capsys):
+    args = args(tmp_path)
     before = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
@@ -522,3 +532,36 @@ def test_no_collection_starts_inside_a_run_or_its_report():
         gc.callbacks.remove(count)
         (gc.enable if before else gc.disable)()
     assert counts == {}, counts
+
+
+@pytest.mark.parametrize("call,args", [
+    (load_lexicon_text, lambda tmp: (DEFAULT_LEXICON,)),
+    (cli.main, lambda tmp: (["solve", write_text(tmp, chain_text(200)), "--format", "json"],)),
+    (cli.main, lambda tmp: (["solve", write_text(tmp, chain_text(200)), "--trace"],)),
+    (cli.main, lambda tmp: (["corpus", "--format", "json"],)),
+], ids=["lexicon", "solve-json", "solve-trace", "corpus"])
+def test_no_collection_starts_inside_a_command_or_a_lexicon_load(tmp_path, capsys, call,
+                                                                  args):
+    """Left running, the collector starts collections inside a lexicon load
+    and inside `cli.main` between the paused calls of a run, each a rescan
+    of live objects.  The youngest generation is filled to just under its
+    threshold first, so that a collection owed would start inside the call.
+    A first call runs before the count: on 3.10 it allocates the frame of
+    the pausing wrapper, which may start a collection before the pause."""
+    args = args(tmp_path)
+    call(*args)
+    started, inside = [], [False]
+    before = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(lambda phase, info: started.append(phase) if inside[0] else None)
+    try:
+        gc.collect()
+        filler = [[] for _ in range(gc.get_threshold()[0] - 50)]
+        inside[0] = True
+        call(*args)
+        inside[0] = False
+    finally:
+        gc.callbacks.pop()
+        (gc.enable if before else gc.disable)()
+    capsys.readouterr()
+    assert started == []

@@ -51,10 +51,16 @@ def profile(frame, event, arg):
     if event == "call":
         started.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
 
+def run(argv):
+    try:
+        return schemarith.cli.main(argv)
+    except SystemExit as exc:   # a misuse of the command line
+        return exc.code
+
 sys.setprofile(profile)
 import schemarith.cli
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [schemarith.cli.main(argv) for argv in json.loads(sys.argv[1])]
+    codes = [run(argv) for argv in json.loads(sys.argv[1])]
 sys.setprofile(None)
 print(json.dumps({"codes": codes, "started": sorted(started)}))
 """
@@ -103,7 +109,8 @@ def the_mix(tmp_path):
     for strategy in ("cautious", "total"):
         for form in ("text", "json"):
             runs.append(["corpus", "--strategy", strategy, "--format", form])
-    return runs, [4] * 6 + [2] * 2 + [0] * 5
+    runs.append(["solve", problems, "--format", "xml"])
+    return runs, [4] * 6 + [2] * 2 + [0] * 5 + [2]
 
 
 def never_started(tmp_path):
