@@ -7,11 +7,8 @@ also follow options (``solve a.txt --trace b.txt``).  A misuse prints the usage 
 ``schemarith: error: ...`` on stderr and exits 2, at the first argument that
 is wrong, even where argparse would have printed a later ``-h``'s help.
 """
-from __future__ import annotations
-
 import codecs
 import os
-import re
 import sys
 
 from .corpus import CORPUS
@@ -39,9 +36,18 @@ _VERDICT_EXIT = {
 
 
 def _blocks(text):
-    """Problems in a file: one per block between blank lines (spaces allowed)."""
-    blocks = [b.strip() for b in re.split(r"\n\s*\n", text)]
-    return [b for b in blocks if b]
+    """Problems in a file: one per block between blank lines (spaces allowed).
+
+    Only "\n" ends a line; a line of other whitespace, "\r" and "\x85"
+    among it, is blank.
+    """
+    blocks = [[]]
+    for line in text.split("\n"):
+        if line and not line.isspace():
+            blocks[-1].append(line)
+        elif blocks[-1]:
+            blocks.append([])
+    return ["\n".join(block).strip() for block in blocks if block]
 
 
 def _run_text(text, lexicon, strategy=Strategy.CAUTIOUS, format="text", trace=False):
@@ -218,8 +224,19 @@ text not understood or a misuse, 3 insufficient data, 4 contradictory or invalid
 _CHOICES = {"--strategy": ("cautious", "total"), "--format": ("text", "json"), "--lexicon": None}
 _OPTIONS = {None: ("--help",), "corpus": ("--help", *_CHOICES),
             "solve": ("--help", *_CHOICES, "--trace")}
-# argparse's values: a word, "", "-", a negative number, a dash-led word with a space
-_VALUE = re.compile(r"[^-]|-?$|-\d+$|-\d*\.\d+$|-.* ").match
+
+
+def _is_value(arg):
+    """Whether argparse took `arg` as a value: a word, "", "-", a negative
+    number, or a dash-led word with a space before any newline.  A number's
+    digits are any decimal digits, and it may end in one newline."""
+    if arg[:1] != "-":
+        return True
+    number = arg[1:-1] if arg[-1:] == "\n" else arg[1:]
+    whole, dot, fraction = number.partition(".")
+    return (not number or number.isdecimal()
+            or dot and (not whole or whole.isdecimal()) and fraction.isdecimal()
+            or " " in arg.partition("\n")[0])
 
 
 def _option(arg, command):
@@ -250,7 +267,7 @@ def read_args(argv):
         elif option in _CHOICES:
             if not eq:   # the next argument, unless it is an option; "--" if none is left
                 value = next(args, "--")
-                if _option(value, command) or not _VALUE(value):
+                if _option(value, command) or not _is_value(value):
                     _misuse(f"argument {option}: expected one argument")
             if _CHOICES[option] and value not in _CHOICES[option]:
                 _misuse(f"argument {option}: invalid choice: {value!r} "
@@ -258,7 +275,7 @@ def read_args(argv):
             values[option] = value
         elif arg == "--" and command == "solve":   # only FILEs after it
             inputs.extend(args)
-        elif option or not _VALUE(arg) or command == "corpus":
+        elif option or not _is_value(arg) or command == "corpus":
             _misuse(f"unrecognized arguments: {arg}")
         elif command:
             inputs.append(arg)

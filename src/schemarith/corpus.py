@@ -5,8 +5,6 @@ enumeration of all unknown assignments in 0..50 over each problem's
 equations (the oracle lives in tests/oracle.py); "contradiction" marks a
 problem whose stated data admits no consistent assignment.
 """
-from __future__ import annotations
-
 from .quantity import _Frozen
 
 

@@ -9,8 +9,6 @@ propositions arrive: each elementary event joins its pair's group when
 its event is split, and each state is its pair's amount at its time: the
 groups are the one index of the states, and no state key is hashed.
 """
-from __future__ import annotations
-
 from operator import attrgetter
 
 from .lexicon import (

@@ -5,8 +5,6 @@ and the grammar notes in GRAMMAR.md) so new words can be added without
 code changes.  A loaded lexicon is immutable and safe to share across
 concurrent solver runs.
 """
-from __future__ import annotations
-
 from .quantity import TimePoint, _Enum, _Frozen, _collector_paused
 
 

@@ -8,9 +8,6 @@ which the clause parser reads in place.  Each clause parses to one or more
 raw propositions; amounts are plain ints except in interrogative clauses,
 which carry the Question slot.
 """
-from __future__ import annotations
-
-import re
 from operator import attrgetter
 
 from .lexicon import (
@@ -72,9 +69,8 @@ class EntityKind(_Enum):
     GROUP = "group"
 
 
-# The members read on every clause and event, as module names: an enum's
-# metaclass defines __getattr__, which makes each read of a member through
-# its class several times slower.
+# The members read on every clause and event, as module names: one dict
+# lookup each, where a read through the class is a global and an attribute.
 _PROPER, _CLASS = EntityKind.PROPER, EntityKind.CLASS
 _OWNERSHIP, _PLACE, _OUT = LocusKind.OWNERSHIP, LocusKind.PLACE, Direction.OUT
 
@@ -202,8 +198,6 @@ _TOKENS = str.maketrans({
     **{c: c if c.isalnum() or c in "'-.," else " " for c in map(chr, range(128))},
     "?": ".", "!": ".",
 })
-# Outside ASCII a letter or digit stays, so its word is refused whole.
-_NON_ASCII_SEPARATOR = re.compile(r"[^\w\x00-\x7f]")
 
 # Leading phrases with no amount semantics, stripped before parsing.  None
 # holds "and" or "if", so none runs past a clause's end.
@@ -263,7 +257,10 @@ def tokenize(text, lexicon) -> list:
     with ``in`` and ``list.index``, not by a loop over the Words.
     """
     if not text.isascii():
-        text = _NON_ASCII_SEPARATOR.sub(" ", text)
+        # Outside ASCII a letter or digit stays, so its word is refused
+        # whole.  Only such a text loads re.
+        import re
+        text = re.sub(r"[^\w\x00-\x7f]", " ", text)
     get, word = lexicon.words.get, lexicon.word
     sentences = []
     for piece in text.translate(_TOKENS).replace(",", " , ").split("."):

@@ -6,8 +6,6 @@ while they run and then restore it, through `quantity._collector_paused`,
 which the lexicon load and `cli.main` use too.  The collector is
 process-wide.
 """
-from __future__ import annotations
-
 import time
 
 from .discourse import build_store, build_timelines

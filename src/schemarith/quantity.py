@@ -6,12 +6,23 @@ name, or the single question mark the problem asks about; no two of these
 are equal.
 
 It also holds ``_collector_paused``, the one pause of the cyclic collector
-that the lexicon load, a run, its reports and the CLI share.
-"""
-from __future__ import annotations
+that the lexicon load, a run, its reports and the CLI share, and ``_Enum``,
+the base of the package's enums.  ``_Enum`` keeps the part of the standard
+``enum.Enum`` contract that the package reads, without importing ``enum``:
 
+- each public name of a class body that is not a descriptor, such as a
+  method, is a member, made once with the class, in definition order, and
+  read as a plain class attribute.  ``Cls(value)`` and ``Cls(member)``
+  return it; ``Cls`` of anything else raises ``ValueError``, worded as
+  Enum words it (``'future' is not a valid Tense``);
+- members hash and compare by identity, in C, and a copy, a deep copy or
+  an unpickled member is the member itself;
+- the class iterates over its members and ``len`` counts them; a member
+  has its ``name`` and ``value`` and prints as Enum prints it;
+- a tuple value is unpacked into the class's own ``__new__``, which sets
+  the member's ``_value_``, or else into its ``__init__``.
+"""
 import gc
-from enum import Enum
 from operator import attrgetter
 
 
@@ -30,11 +41,57 @@ def _collector_paused(run):
     return paused
 
 
-class _Enum(Enum):
-    """Base of the package's enums: members are singletons compared by
-    identity, so they hash by identity in C, not by name in Python."""
+class _EnumType(type):
+    """Makes the members of an _Enum class, and looks them up by value."""
 
-    __hash__ = object.__hash__
+    def __new__(meta, name, bases, namespace):
+        cls = super().__new__(meta, name, bases, namespace)
+        cls._members, cls._by_value = [], {}
+        for key, value in namespace.items():
+            if key[0] == "_" or hasattr(value, "__get__"):
+                continue
+            args = value if isinstance(value, tuple) else (value,)
+            member = (object.__new__(cls) if cls.__new__ is object.__new__
+                      else cls.__new__(cls, *args))
+            member._name_ = key
+            if not hasattr(member, "_value_"):
+                member._value_ = value
+            member.__init__(*args)
+            setattr(cls, key, member)
+            cls._members.append(member)
+            cls._by_value[member._value_] = cls._by_value[member] = member
+        return cls
+
+    def __call__(cls, value):
+        try:
+            return cls._by_value[value]
+        except (KeyError, TypeError):
+            raise ValueError(f"{value!r} is not a valid {cls.__qualname__}") from None
+
+    def __iter__(cls):
+        return iter(cls._members)
+
+    def __len__(cls):
+        return len(cls._members)
+
+
+class _Enum(metaclass=_EnumType):
+    """Base of the package's enums; the module docstring gives its contract."""
+
+    name = property(attrgetter("_name_"))
+    value = property(attrgetter("_value_"))
+
+    def __init__(self, *args):
+        pass
+
+    def __reduce__(self):
+        return self.__class__, (self._value_,)
+
+    def __repr__(self):
+        return f"<{self.__class__.__name__}.{self._name_}: {self._value_!r}>"
+
+    def __str__(self):
+        return f"{self.__class__.__name__}.{self._name_}"
 
 
 class _Frozen:

@@ -9,8 +9,6 @@ strategy a timeline's changes are recorded only when both of its
 endpoint amounts were found; the total strategy records every candidate,
 inventing unknowns for missing amounts.
 """
-from __future__ import annotations
-
 from operator import attrgetter
 
 from .lexicon import ChangeKind

@@ -16,11 +16,11 @@ of it the question asks about.  The first pass scans every equation in
 order, only a later pass of several keeps a heap, and each equation is
 printed once, from its own amounts.
 """
-from __future__ import annotations
-
-from heapq import heappop, heappush
-
 from .quantity import QUESTION, _Frozen
+
+#: heapq's functions, imported by the first later pass of the process: pass
+#: 0 neither pushes nor pops, so a problem solved in one pass never loads heapq.
+heappop = heappush = None
 
 
 class MalformedLSI(ValueError):
@@ -98,6 +98,7 @@ def propagate(lsi) -> SolveResult:
     question.  Negative derivations are recorded but never bound, and no
     slot is ever rebound, so the verdict does not depend on equation order.
     """
+    global heappop, heappush
     index = {}    # unknown's key -> slot number
     names = []    # per slot: the unknown's name; None if stated or the question
     values = []   # per slot: its amount once bound; a stated slot starts bound
@@ -147,6 +148,9 @@ def propagate(lsi) -> SolveResult:
             idx, scanned = scanned, scanned + 1
         elif due:
             idx = heappop(due)
+        elif heappop is None and next_pass:   # the process's first later pass
+            from heapq import heappop, heappush
+            continue
         elif len(next_pass) == 1:   # a pass of one equation needs no heap
             (idx,) = queued = next_pass
             next_pass = set()

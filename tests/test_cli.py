@@ -1,6 +1,8 @@
 import argparse
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -176,6 +178,8 @@ NOW = " How many apples does Ruth have now?"
      "sentence 1: class-noun questions need a change verb, found 'have'"),
     ("Tom and Ruth had 3 apples more than Dan.",
      "sentence 1: comparisons take a single subject"),
+    ("Tom and Ann got 3 apples. How many apples does Tom have now?",
+     "sentence 1: change events take a single subject"),
     ("Tom had 3 apples altogether.",
      "sentence 1: 'altogether' needs a conjunction of owners"),
     ("3 boys remained in the room in the beginning.",
@@ -604,6 +608,58 @@ SAME_READING = [
 @pytest.mark.parametrize("argv", SAME_READING, ids=lambda argv: " ".join(argv) or "none")
 def test_the_reader_reads_a_command_line_as_argparse_did(capsys, argv):
     assert reader_reading(argv) == reference_reading(argv)
+
+
+# --- The str readers, against the regexes they replaced ---
+
+#: The values argparse took, as the reader once matched them.
+REFERENCE_VALUE = re.compile(r"[^-]|-?$|-\d+$|-\d*\.\d+$|-.* ").match
+
+
+def reference_blocks(text):
+    blocks = [b.strip() for b in re.split(r"\n\s*\n", text)]
+    return [b for b in blocks if b]
+
+
+def strings(alphabet, longest):
+    for n in range(longest + 1):
+        yield from map("".join, itertools.product(alphabet, repeat=n))
+
+
+@pytest.mark.parametrize("arg, value", [
+    ("-\n", True), ("-5\n", True), ("-5\n\n", False), ("-.5", True), ("-5.", False),
+    ("- x", True), ("-x\n y", False), ("-\u0663", True), ("-\u00b2", False), ("", True),
+])
+def test_the_value_reader_reads_an_argument_as_its_regex(arg, value):
+    assert cli._is_value(arg) is value
+    assert bool(REFERENCE_VALUE(arg)) is value
+
+
+def test_the_value_reader_agrees_with_its_regex_on_every_short_argument():
+    # "\u0663" is an Arabic-Indic digit, decimal like "0"; "\u00b2" is a
+    # digit but not a decimal one
+    alphabet = "-. \n\t\r07\u0660\u0663\u00b2aZ"
+    assert len(alphabet) == 13
+    differ = [arg for arg in strings(alphabet, 5)
+              if cli._is_value(arg) is not bool(REFERENCE_VALUE(arg))]
+    assert differ == []
+
+
+@pytest.mark.parametrize("text, blocks", [
+    ("a\n \t\nb", ["a", "b"]), ("a\r\n\r\nb", ["a", "b"]), ("a\nb", ["a\nb"]),
+    (" a \n\n\n b \n", ["a", "b"]), ("a\r\rb", ["a\r\rb"]), ("\n \n", []),
+])
+def test_the_block_reader_splits_a_file_as_its_regex(text, blocks):
+    assert cli._blocks(text) == reference_blocks(text) == blocks
+
+
+def test_the_block_reader_agrees_with_its_regex_on_every_short_text():
+    # every whitespace kind that is not "\n": "\x0b", "\x1c" and "\x85"
+    # are whitespace to str and to re alike, as is the no-break space
+    alphabet = "\n \t\r\x0b\x1c\x85\xa0a"
+    differ = [text for text in strings(alphabet, 5)
+              if cli._blocks(text) != reference_blocks(text)]
+    assert differ == []
 
 
 @pytest.mark.parametrize("argv, files", [

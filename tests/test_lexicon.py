@@ -329,11 +329,16 @@ def test_lexicon_text_round_trip():
      "bad change kind up:ownership"),
     ("verb\tzap\tcompound:in:ownership+out:ownership:source",
      "bad compound component 'in:ownership'"),
+    ("verb\tzap\tcompound:out:ownership:agent+in:ownership:bogus",
+     "'bogus' is not a valid Role"),
+    ("verb\tzap\tstatic:middle", "'middle' is not a valid TimePoint"),
+    ("verb\tzap\tbogus:x", "bad verb payload 'bogus:x'"),
 ], ids=["negative-number", "number-not-decimal", "number-too-long", "form-tense",
         "form-of-no-verb", "noun-with-space", "noun-rule", "number-upper-case",
         "noun-upper-case", "pronoun-upper-case", "pronoun-gender", "name-gender",
         "direction-unknown", "direction-upper-case", "locus-upper-case",
-        "compound-direction-unknown", "compound-component-without-role"])
+        "compound-direction-unknown", "compound-component-without-role",
+        "compound-role-unknown", "static-time-unknown", "verb-payload-unknown"])
 def test_a_record_the_tables_cannot_use_is_refused_with_its_line(record, message):
     line = DEFAULT_LEXICON.count("\n") + 1
     with pytest.raises(LexiconFormatError, match=f"^line {line}: {re.escape(message)}$"):

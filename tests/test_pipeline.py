@@ -3,7 +3,6 @@ import gc
 import sys
 from collections import Counter, defaultdict
 from contextlib import nullcontext
-from enum import Enum
 
 import pytest
 
@@ -163,7 +162,7 @@ def test_value_hashing_per_elementary_event(monkeypatch):
             return method(*args)
         return wrapper
 
-    for owner, name in ((_Frozen, "__hash__"), (_Frozen, "__eq__"), (Enum, "__hash__")):
+    for owner, name in ((_Frozen, "__hash__"), (_Frozen, "__eq__")):
         monkeypatch.setattr(owner, name, counted(owner, name))
     events = 0
     for text in [p.text for p in CORPUS] + [chain_text(200)]:
@@ -174,8 +173,8 @@ def test_value_hashing_per_elementary_event(monkeypatch):
     # the corpus and the chain make 0.05 calls per elementary event (16
     # calls over 327 events), all while the text is parsed: a comparison
     # and a combine compare their state keys.  The store keys its groups,
-    # and so its states, in C, and enum members hash by identity in C
-    assert calls["Enum", "__hash__"] == 0, calls
+    # and so its states, in C; enum members hash by identity in C, as
+    # test_values.py checks
     assert sum(calls.values()) <= 1 * events, calls
 
 

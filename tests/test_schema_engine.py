@@ -9,7 +9,9 @@ from schemarith.lexicon import (
     ChangeKind,
     Direction,
     LocusKind,
+    DEFAULT_LEXICON,
     load_default_lexicon,
+    load_lexicon_text,
 )
 from schemarith.parser import (
     CombineProp,
@@ -185,6 +187,16 @@ def test_unresolvable_combine():
                          comb.verb, comb.sentence)  # nobody holds tickets
     with pytest.raises(UnresolvableCombine):
         instantiate_combine(lonely, store)
+
+
+def test_an_event_combine_over_a_class_with_no_members_is_refused():
+    records = DEFAULT_LEXICON.splitlines(keepends=True)
+    lexicon = load_lexicon_text("".join(
+        record for record in records if not record.startswith("superset\t")))
+    with pytest.raises(UnresolvableCombine) as refused:
+        run_problem(by_id("tickets-bought").text, lexicon)
+    assert str(refused.value) == (
+        "cannot resolve combine statement: 'child' has no configured member classes")
 
 
 # -- change schemas along timelines -------------------------------------------------

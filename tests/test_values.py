@@ -3,7 +3,8 @@
 Every frozen value type compares and hashes by its compared fields, is
 unequal to instances of other classes, and prints as
 ``Name(field=value, ...)``.  Every enum member hashes by identity and
-copies to itself.  Each frozen type lists its fields in constructor
+copies to itself, and every enum lists, looks up and prints its members
+as the standard library's ``enum.Enum`` does.  Each frozen type lists its fields in constructor
 order, every slot holds its constructor argument itself, and no field
 can be added.  A frozen value is immutable by contract: its type keeps
 ``object``'s own attribute assignment and deletion, so that CPython can
@@ -229,9 +230,20 @@ def test_constructor_checks():
         Compound(((IN_OWN, Role.AGENT),))
 
 
-ENUM_MEMBERS = [member for enum in (Direction, LocusKind, ChangeKind, Role, Tense,
-                                    EntityKind, TimePoint, Strategy)
-                for member in enum]
+#: Each package enum with its member names in definition order.
+ENUMS = {
+    Direction: ["IN", "OUT", "CREATE", "TERMINATE"],
+    LocusKind: ["OWNERSHIP", "PLACE"],
+    ChangeKind: ["IN_OWNERSHIP", "IN_PLACE", "OUT_OWNERSHIP", "OUT_PLACE",
+                 "CREATE_OWNERSHIP", "CREATE_PLACE", "TERMINATE_OWNERSHIP",
+                 "TERMINATE_PLACE"],
+    Role: ["AGENT", "RECIPIENT", "SOURCE", "DESTINATION"],
+    Tense: ["PAST", "PRESENT"],
+    EntityKind: ["PROPER", "CLASS", "GROUP"],
+    TimePoint: ["INITIAL", "FINAL"],
+    Strategy: ["CAUTIOUS", "TOTAL"],
+}
+ENUM_MEMBERS = [member for enum in ENUMS for member in enum]
 
 
 @pytest.mark.parametrize("member", ENUM_MEMBERS, ids=str)
@@ -240,6 +252,39 @@ def test_enum_member_hashes_by_identity_and_copies_to_itself(member):
     for twin in (copy.copy(member), copy.deepcopy(member),
                  pickle.loads(pickle.dumps(member))):
         assert twin is member
+
+
+@pytest.mark.parametrize("enum", ENUMS, ids=lambda enum: enum.__name__)
+def test_enum_lists_reads_and_prints_its_members(enum):
+    names = ENUMS[enum]
+    assert [member.name for member in enum] == names
+    assert list(enum) == [getattr(enum, name) for name in names]
+    assert len(enum) == len(names)
+    assert len({member.value for member in enum}) == len(names)
+    for member in enum:
+        assert type(member) is enum
+        assert enum(member.value) is member and enum(member) is member
+        assert member == member and member != member.value
+        assert repr(member) == f"<{enum.__name__}.{member.name}: {member.value!r}>"
+        assert str(member) == f"{enum.__name__}.{member.name}"
+    for bogus in ("bogus", ["bogus"]):   # a value that hashes, and one that does not
+        with pytest.raises(ValueError) as refused:
+            enum(bogus)
+        assert str(refused.value) == f"{bogus!r} is not a valid {enum.__name__}"
+
+
+def test_enum_values_and_attributes_read_as_defined():
+    assert repr(Direction.IN) == "<Direction.IN: 'in'>"
+    assert str(Direction.IN) == "Direction.IN"
+    assert Direction.OUT.value == "out"
+    assert (Direction.OUT.slot, Direction.OUT.passive, Direction.OUT.place_prep,
+            Direction.OUT.owner_verb, Direction.OUT.adds) == (
+                "out", "transferred", "out of", "forfeited", False)
+    kind = ChangeKind.TERMINATE_PLACE
+    assert kind.value == (Direction.TERMINATE, LocusKind.PLACE)
+    assert (kind.direction, kind.locus_kind, kind.schema) == (
+        Direction.TERMINATE, LocusKind.PLACE, "Termination (place)")
+    assert ChangeKind.IN_OWNERSHIP.schema == "Transfer-In-Ownership"
 
 
 def package_subclasses(base):
