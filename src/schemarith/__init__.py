@@ -5,7 +5,6 @@ Pipeline: lexicon -> parser -> proposition store -> schema instantiation
 the accepted English.
 """
 
-from .corpus import CORPUS, CorpusProblem
 from .lexicon import load_default_lexicon, load_lexicon_file, load_lexicon_text
 from .parser import parse_problem, render_proposition, tokenize
 from .pipeline import ProblemResult, render_text_report, result_to_dict, run_problem
@@ -13,6 +12,16 @@ from .schema_engine import Strategy
 from .solver import Contradiction, Insufficient, Invalid, Solved, propagate
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # The corpus loads on its first use, so that a command that solves
+    # files does not build its problems.
+    if name in ("CORPUS", "CorpusProblem"):
+        from . import corpus
+        return getattr(corpus, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CORPUS",

@@ -11,7 +11,6 @@ import codecs
 import os
 import sys
 
-from .corpus import CORPUS
 from .discourse import DataConflict
 from .lexicon import load_default_lexicon, load_lexicon_file
 from .parser import ProblemTextError
@@ -147,6 +146,7 @@ def run_corpus(problems, lexicon, strategy):
 
 def cmd_corpus(lexicon, strategy, format):
     """(exit code, output): the report dict for JSON, else the text."""
+    from .corpus import CORPUS   # loaded for this command alone
     rows, all_match = run_corpus(CORPUS, lexicon, strategy)
     code = EXIT_OK if all_match else EXIT_ERROR
     if format == "json":

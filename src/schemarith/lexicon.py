@@ -185,8 +185,12 @@ def _parse_verb_payload(payload: str):
 
 
 class Lexicon:
-    """Read-only word tables, with the ``past`` of each verb lemma and the
-    ``plural`` of each noun class tabled at load by :func:`load_lexicon_text`."""
+    """Read-only word tables, with the ``past`` of each verb lemma, the
+    ``plural`` of each noun class and the ``words`` of every surface tabled
+    at load by :func:`load_lexicon_text`.  One derivation, ``_words``,
+    reads a surface's verb, number, noun and pronoun from the tables once
+    and builds its lower-case Word and another casing's from those fields;
+    ``word`` runs it for a token outside ``words``."""
 
     def __init__(self):
         self.verbs = {}          # lemma -> ChangeKind | Compound | StaticState | NonChange
@@ -198,166 +202,119 @@ class Lexicon:
         self.pronouns = {}       # pronoun -> gender tag ("f"/"m"/"group")
         self.names = {}          # proper name -> gender tag
 
-    # -- verbs ---------------------------------------------------------
+    def pluralize(self, canonical, n=None) -> str:
+        """`n` objects of a class: the class if n == 1, else its ``plural``."""
+        return canonical if n == 1 else self.plural[canonical]
 
-    def lemmatize_verb(self, surface):
-        """Map an inflected verb form to (lemma, tense); None if not a verb.
+    def word(self, surface):
+        """The Word of a token outside ``words`` (a numeral of three or more
+        digits, another casing of a tabled word, or a word of the regular
+        inflections), by the one derivation of ``_words``."""
+        return self._words(surface.lower(), surface)[1]
 
-        Irregular forms come from the table; regular -ed/-ied/-s/-ies
-        endings are undone and checked against the lemma list.
+    def _words(self, text, cased):
+        """The Words of the lower-case `text` and of `cased`, `text` itself
+        or another casing of it, from one reading of the tables.
+
+        A digit string is a numeral, and a word the verb tables lack is
+        tried against the regular verb endings.  A keyword, numeral or
+        pronoun is reserved.  In lower case a reserved word names no class,
+        a tabled noun its tabled class, and another word that reads as no
+        verb the class of the regular noun rules (``_regular_class``).
+        Capitalised, only a tabled noun names a class, and the token is a
+        proper name if the names list it as written or its word is no
+        reserved word, noun form or verb.
         """
-        w = surface.lower()
-        if w in self.verb_forms:
-            return self.verb_forms[w]
-        if w in self.verbs:
-            return (w, Tense.PRESENT)
-        if w.endswith("ed") and len(w) > 3:
-            candidates = [w[:-1], w[:-2]]
-            if len(w) > 4 and w[-3] == w[-4]:
-                candidates.append(w[:-3])
-            if w.endswith("ied"):
-                candidates.append(w[:-3] + "y")
-            for cand in candidates:
-                if cand in self.verbs:
-                    return (cand, Tense.PAST)
-        if w.endswith("ies") and w[:-3] + "y" in self.verbs:
-            return (w[:-3] + "y", Tense.PRESENT)
-        if w.endswith("es") and w[:-2] in self.verbs:
-            return (w[:-2], Tense.PRESENT)
-        if w.endswith("s") and w[:-1] in self.verbs:
-            return (w[:-1], Tense.PRESENT)
-        return None
-
-    # -- nouns ---------------------------------------------------------
-
-    def normalize_noun(self, surface, verb):
-        """Canonical singular class for a noun surface; None for proper names.
-
-        `verb` is what ``lemmatize_verb`` reads in `surface`.  Words outside
-        the table are inflected by regular rules, so fresh lower-case nouns
-        are usable without lexicon edits.  A keyword, numeral or pronoun
-        names no class, nor does its plural ("sevens", "ins"), a word that
-        begins with no letter ("7s") or a verb form outside the noun table.
-        """
-        w = surface.lower()
-        if self._reserved(w):
-            return None
-        if w in self.noun_forms:
-            return self.noun_forms[w]
-        if surface[:1].isupper():
-            return None
-        return self._regular_class(w, verb)
+        number = _numeral(text) if text.isdigit() else self.number_words.get(text)
+        pronoun = self.pronouns.get(text)
+        verb = self.verb_forms.get(text)
+        if verb is None:
+            verb = ((text, Tense.PRESENT) if text in self.verbs
+                    else _regular_verb(text, self.verbs))
+        tabled = self.noun_forms.get(text)
+        reserved = text in KEYWORDS or number is not None or pronoun is not None
+        if reserved:
+            noun = None
+        elif tabled is not None or verb is not None or text[:1].isupper():
+            noun = tabled   # isupper: a letter with no lower case, as U+03D2
+        else:
+            noun = self._regular_class(text)
+        word = Word(text, text, number, verb, noun, pronoun, False)
+        if cased[:1].isupper():
+            proper = cased in self.names or not (
+                reserved or tabled is not None or verb is not None)
+            return word, Word(cased, text, number, verb, tabled, pronoun, proper)
+        if cased == text:
+            return word, word
+        return word, Word(cased, text, number, verb, noun, pronoun, False)
 
     def _reserved(self, w):
         return (w in KEYWORDS or w in self.number_words or w in self.pronouns
                 or w.isdigit())
 
-    def _regular_class(self, w, verb):
-        """The regular singular of the lower-case `w`, whose (lemma, tense)
-        is `verb`; None when `w` reads as a verb ("give", "had"), begins
+    def _regular_class(self, w):
+        """The regular singular of the lower-case `w`; None when `w` begins
         with no letter ("7s", "-3"), or when its singular or `w` less a
         final "s" is reserved ("thes", "ins")."""
-        if verb is not None or not w[:1].isalpha():
+        if not w[:1].isalpha():
             return None
         singular = _regular_noun(w)
         if self._reserved(singular) or (w[-1] == "s" and self._reserved(w[:-1])):
             return None
         return singular
 
-    def pluralize(self, canonical, n=None) -> str:
-        """`n` objects of a class: the class if n == 1, else its ``plural``."""
-        return canonical if n == 1 else self.plural[canonical]
-
-    # -- numbers ---------------------------------------------------------
-
-    def parse_number(self, word):
-        """Integer value of a digit string or number word; None otherwise.
-
-        A digit string of more than MAX_DIGITS digits raises NumeralTooLong.
-        """
-        w = word.lower()
-        if w.isdigit():
-            return _numeral(w)
-        return self.number_words.get(w)
-
-    # -- loading ---------------------------------------------------------
-
-    def word(self, surface):
-        """The Word of a token outside ``words``: a numeral of three or
-        more digits, another casing of a tabled word, or else a word of the
-        regular inflections.
-        """
-        if surface.isdigit():
-            return Word(surface, surface, _numeral(surface), None, None, None, False)
-        text = surface.lower()
-        word = self.words.get(text)
-        if word is None:
-            verb = self.lemmatize_verb(text)
-            word = Word(text, text, None, verb, self._regular_class(text, verb),
-                        None, False)
-        return self._cased(surface, word)
-
-    def _cased(self, surface, word):
-        """The Word of `surface`, another casing of the lower-case `word`.
-
-        Capitalised, only a tabled noun names a class, and the token is a
-        proper name if the names list it as written or its word is no
-        keyword, noun form, verb, numeral or pronoun."""
-        text, noun, proper = word.text, word.noun, False
-        if surface[:1].isupper():
-            noun = self.noun_forms.get(text)
-            proper = surface in self.names or not (
-                text in KEYWORDS or text in self.noun_forms or word.verb is not None
-                or word.number is not None or word.pronoun is not None)
-        return Word(surface, text, word.number, word.verb, noun, word.pronoun, proper)
-
     def _freeze(self):
+        """Table the plurals, the past forms, the phrasal heads and the
+        Words; nothing is written to the lexicon after this."""
         # noun class -> plural surface: the tabled plural, else the regular one
-        plural = {cls: _regular_plural(cls) for cls in self.noun_forms.values()}
-        self.plural = _Plurals(plural, **self.plural_forms)
+        self.plural = plural = _Plurals.fromkeys(self.noun_forms.values())
+        plural.update(self.plural_forms)
+        for cls, surface in plural.items():
+            if surface is None:
+                plural[cls] = _regular_plural(cls)
         # lemma -> its past surface: the lemma's tabled past form, else its
         # head word's, by the table or the regular rules, particles kept
         forms = {lemma: form for form, (lemma, tense) in self.verb_forms.items()
                  if tense is Tense.PAST}
         self.past = {}
         for lemma in self.verbs:
-            head, _, particles = lemma.partition(" ")
-            past = forms.get(head)
+            past = forms.get(lemma)
             if past is None:
-                if head.endswith("e"):
-                    past = head + "d"
-                elif head.endswith("y") and len(head) > 1 and head[-2] not in "aeiou":
-                    past = head[:-1] + "ied"
-                else:
-                    past = head + "ed"
-            if particles:
-                past += " " + particles
-            self.past[lemma] = forms.get(lemma, past)
+                head, _, particles = lemma.partition(" ")
+                past = forms.get(head)
+                if past is None:
+                    if head[-1:] == "e":
+                        past = head + "d"
+                    elif head[-1:] == "y" and head[-2:-1] not in "aeiou":
+                        past = head[:-1] + "ied"
+                    else:
+                        past = head + "ed"
+                if particles:
+                    past += " " + particles
+            self.past[lemma] = past
         # phrasal lemma minus its last one or two words -> those particles,
         # the longer first; "fall" -> ("out", "of"), ("into",), ("from",)
         self.phrasal = {}
+        phrasal = [lemma.split(" ") for lemma in self.verbs if " " in lemma]
         for span in (2, 1):
-            for parts in (lemma.split(" ") for lemma in self.verbs):
+            for parts in phrasal:
                 if len(parts) > span:
                     self.phrasal.setdefault(" ".join(parts[:-span]), []).append(
                         tuple(parts[-span:]))
         # surface -> Word: the numerals of at most two digits ("0"-"99" and
         # "00"-"09"), then every surface in the tables lower-cased and
-        # capitalised.  A Word is read-only, so one is shared by every text
-        # and thread.
+        # capitalised, both Words from one derivation.  The loader keeps
+        # every table but the names lower-case.  A Word is read-only, so one
+        # is shared by every text and thread.
         self.words = words = {
             digits: Word(digits, digits, n % 100, None, None, None, False)
             for n, digits in enumerate(_NUMERALS)}
-        tables = (KEYWORDS, self.verbs, self.verb_forms, self.number_words,
-                  self.noun_forms, self.pronouns, self.names)
-        for text in {surface.lower() for table in tables for surface in table}:
-            verb = self.lemmatize_verb(text)
-            word = words[text] = Word(
-                text, text, self.parse_number(text), verb,
-                self.normalize_noun(text, verb), self.pronouns.get(text), False)
+        for text in {*KEYWORDS, *self.verbs, *self.verb_forms, *self.number_words,
+                     *self.noun_forms, *self.pronouns, *map(str.lower, self.names)}:
             capital = text.capitalize()
+            words[text], cased = self._words(text, capital)
             if capital != text:
-                words[capital] = self._cased(capital, word)
+                words[capital] = cased
 
 
 _NUMERALS = [str(n) for n in range(100)] + [f"{n:02}" for n in range(10)]
@@ -397,6 +354,29 @@ def _regular_noun(w):
     return w
 
 
+def _regular_verb(w, verbs):
+    """(lemma, tense) of the lower-case `w` by the regular endings, past
+    -ed/-d/doubled-consonant -ed/-ied and present -ies/-es/-s, the lemma
+    one of `verbs`; None if no ending gives one."""
+    if w[-2:] == "ed" and len(w) > 3:
+        stems = [w[:-1], w[:-2]]
+        if len(w) > 4 and w[-3] == w[-4]:
+            stems.append(w[:-3])
+        if w[-3:] == "ied":
+            stems.append(w[:-3] + "y")
+        for stem in stems:
+            if stem in verbs:
+                return (stem, Tense.PAST)
+    elif w[-1:] == "s":
+        if w[-3:] == "ies" and w[:-3] + "y" in verbs:
+            return (w[:-3] + "y", Tense.PRESENT)
+        if w[-2:] == "es" and w[:-2] in verbs:
+            return (w[:-2], Tense.PRESENT)
+        if w[:-1] in verbs:
+            return (w[:-1], Tense.PRESENT)
+    return None
+
+
 @_collector_paused
 def load_lexicon_text(text) -> Lexicon:
     """A lexicon from its records, one ``kind<TAB>lemma<TAB>payload`` a line.
@@ -404,31 +384,37 @@ def load_lexicon_text(text) -> Lexicon:
     A record the tables cannot use is refused with a LexiconFormatError
     that names its line: a malformed payload, a number that is not a
     decimal of at most MAX_DIGITS digits, a form of a verb that no record
-    tables (as a lemma or the head of a phrasal lemma), a number, noun or
-    pronoun whose word holds an upper-case letter (words are looked up
-    lower-cased), a pronoun or name whose gender is not f, m or group, a
-    noun that holds a space, and a noun that is a reserved word or whose
-    class the noun rule forbids (see ``_regular_class``).  Forms and the
-    noun rule are checked once every record is read.
+    tables (as a lemma or the head of a phrasal lemma), a verb, form,
+    number, noun or pronoun whose word holds an upper-case letter (words
+    are looked up lower-cased), a pronoun or name whose gender is not f, m
+    or group, a noun that holds a space, and a noun that is a reserved word
+    or whose class the noun rule forbids (see ``_regular_class``).  Forms
+    and the noun rule are checked once every record is read.  Each distinct
+    verb payload is parsed once; its value is immutable, so the lemmas that
+    share it share one value.
     """
     lex = Lexicon()
     forms, nouns = [], []   # (line, lemma, payload), checked against the whole lexicon
+    payloads = {}           # verb payload -> its value
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
         fields = line.split("\t")
         if len(fields) != 3:
             raise LexiconFormatError(f"line {lineno}: expected 3 tab-separated fields")
         kind, lemma, payload = fields
         try:
-            if kind in ("number", "noun", "pronoun") and lemma != lemma.lower():
+            if kind in ("verb", "form", "number", "noun", "pronoun") and lemma != lemma.lower():
                 raise LexiconFormatError(f"{kind} {lemma!r} holds an upper-case letter")
             if kind in ("pronoun", "name") and payload not in ("f", "m", "group"):
                 raise LexiconFormatError(
                     f"{kind} {lemma!r} has gender {payload!r}, not f, m or group")
             if kind == "verb":
-                lex.verbs[lemma] = _parse_verb_payload(payload)
+                verb = payloads.get(payload)
+                if verb is None:
+                    verb = payloads[payload] = _parse_verb_payload(payload)
+                lex.verbs[lemma] = verb
             elif kind == "form":
                 base, _, tense = payload.partition(":")
                 lex.verb_forms[lemma] = (base, Tense(tense))
@@ -459,12 +445,13 @@ def load_lexicon_text(text) -> Lexicon:
         if base not in lex.verbs and base not in lex.phrasal:
             raise LexiconFormatError(
                 f"line {lineno}: form {form!r} is of {base!r}, which no verb record tables")
-    # the classes that passed, each checked once; a tabled class is a noun
-    # even where it also reads as a verb
+    # a reserved surface's Word names no class; the classes that passed,
+    # each checked once; a tabled class is a noun even where it also reads
+    # as a verb
     named = set()
     for lineno, surface, cls in nouns:
-        if lex._reserved(surface.lower()) or (
-                cls not in named and lex._regular_class(cls.lower(), None) is None):
+        if lex.words[surface].noun is None or (
+                cls not in named and lex._regular_class(cls.lower()) is None):
             raise LexiconFormatError(
                 f"line {lineno}: noun {surface!r} of class {cls!r} breaks the noun rule")
         named.add(cls)

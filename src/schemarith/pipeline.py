@@ -11,8 +11,8 @@ import time
 from .discourse import build_store, build_timelines
 from .lexicon import load_default_lexicon
 from .parser import parse_problem, render_locus
-from .quantity import QUESTION, _collector_paused
-from .schema_engine import Strategy, build_lsi, initial_lsi, role_amounts
+from .quantity import _collector_paused
+from .schema_engine import Strategy, build_lsi, initial_lsi, report_slots
 from .solver import Solved, propagate
 
 
@@ -72,16 +72,12 @@ def result_to_dict(result) -> dict:
     the order of its class's ``__slots__``."""
     pre_split, post_split = result.store.render_propositions()
     verdict = result.verdict
-    lsi = []
-    for si, ((r1, r2, r3), (q1, q2, q3)), equation in zip(   # q: a value, a name or QUESTION
-            result.lsi, role_amounts(result.lsi), result.solve.equations):
-        slots = [[r1, "?" if q1 is QUESTION else q1], [r2, "?" if q2 is QUESTION else q2],
-                 [r3, "?" if q3 is QUESTION else q3]]
-        lsi.append({"kind": si.kind, "slots": slots, "equation": equation})
     return {
         "strategy": result.strategy.value,
         "propositions": {"pre_split": pre_split, "post_split": post_split},
-        "lsi": lsi,
+        "lsi": [{"kind": si.kind, "slots": slots, "equation": equation}
+                for si, slots, equation in zip(
+                    result.lsi, report_slots(result.lsi), result.solve.equations)],
         "skipped": [
             {
                 "kinds": [event.kind.schema for event in timeline.events],

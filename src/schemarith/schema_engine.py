@@ -13,7 +13,7 @@ from operator import attrgetter
 
 from .lexicon import ChangeKind
 from .parser import THEY, CompareProp, EntityKind, ProblemTextError, StateKey
-from .quantity import TimePoint, _Enum, _Frozen, render_quantity
+from .quantity import QUESTION, TimePoint, _Enum, _Frozen, render_quantity
 
 
 class UnresolvableCombine(ProblemTextError):
@@ -73,9 +73,16 @@ class SchemaInstantiation(_Frozen):
         return f"{self.kind} ({parts})"
 
 
-def role_amounts(lsi) -> list:
-    """Each LSI entry's role names and amounts in role order, read from ROLES."""
-    return [(roles, amounts(si)) for si in lsi for roles, amounts in (ROLES[si.kind],)]
+def report_slots(lsi) -> list:
+    """Each LSI entry's slots as the JSON report lists them: a [role, amount]
+    pair per slot in role order, read from ROLES, and "?" for the question."""
+    rows = []
+    for si in lsi:
+        (r1, r2, r3), amounts = ROLES[si.kind]
+        q1, q2, q3 = amounts(si)   # a value, a name or QUESTION
+        rows.append([[r1, "?" if q1 is QUESTION else q1], [r2, "?" if q2 is QUESTION else q2],
+                     [r3, "?" if q3 is QUESTION else q3]])
+    return rows
 
 
 def change_instantiation(event, before, after) -> SchemaInstantiation:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from schemarith import cli
+from schemarith import cli, corpus
 from schemarith.corpus import CORPUS, CorpusProblem, by_id
 from schemarith.lexicon import MAX_DIGITS, load_default_lexicon
 from schemarith.schema_engine import Strategy
@@ -462,7 +462,7 @@ def test_perturbed_golden_answer_detected(capsys, monkeypatch):
     first = perturbed[0]
     perturbed[0] = CorpusProblem(first.id, first.text, first.expected_verdict, 99,
                                  first.pronoun_free)
-    monkeypatch.setattr(cli, "CORPUS", tuple(perturbed))
+    monkeypatch.setattr(corpus, "CORPUS", tuple(perturbed))   # cmd_corpus reads it there
     assert cli.main(["corpus"]) != 0
     assert "MISMATCH" in capsys.readouterr().out
 
@@ -482,7 +482,7 @@ def test_corpus_problem_that_does_not_parse_is_an_error_row(capsys, monkeypatch)
                      "expected_answer": 1, "verdict": "error", "answer": None,
                      "match": False, "error": rows[0]["error"]}]
     assert rows[0]["error"].startswith("sentence 1:")
-    monkeypatch.setattr(cli, "CORPUS", (broken,))
+    monkeypatch.setattr(corpus, "CORPUS", (broken,))
     assert cli.main(["corpus"]) == 1
     out = capsys.readouterr().out
     assert "expected 1              got error          MISMATCH" in out

@@ -532,6 +532,11 @@ SLOW_MODULES = {"dataclasses", "inspect", "argparse", "gettext", "json",
                 "enum", "re", "heapq", "functools", "collections", "__future__"}
 
 
+#: Package modules that a `solve` command does not need: the corpus loads
+#: only for the `corpus` command or a read of ``schemarith.CORPUS``.
+UNUSED_BY_SOLVE = {"schemarith.corpus"}
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect(tmp_path):
     # -S: no site hooks run, so every module loaded came from this import,
     # or from the text-format command that the second child runs.
@@ -540,9 +545,34 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect(tmp_path):
                        "How many apples does Tom have now?", encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     solve = f"schemarith.cli.main(['solve', {str(problem)!r}])"
+    unused = SLOW_MODULES | UNUSED_BY_SOLVE
     for run, expected in [("pass", "[]"), (solve, "Answer: 5\n[]")]:
         code = (f"import sys, schemarith.cli; {run}; "
-                f"print(sorted({SLOW_MODULES!r} & set(sys.modules)))")
+                f"print(sorted({unused!r} & set(sys.modules)))")
         out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                              capture_output=True, text=True, check=True, timeout=60)
         assert out.stdout.strip() == expected
+
+
+def test_the_package_loads_the_corpus_on_first_use():
+    """``schemarith.CORPUS`` and ``CorpusProblem`` read as before, from the
+    corpus module, which loads when one is first read."""
+    code = ("import sys, schemarith\n"
+            "assert 'schemarith.corpus' not in sys.modules\n"
+            "from schemarith import CORPUS, CorpusProblem\n"
+            "import schemarith.corpus as corpus\n"
+            "assert CORPUS is corpus.CORPUS and CorpusProblem is corpus.CorpusProblem\n"
+            "assert all(isinstance(p, CorpusProblem) for p in CORPUS)\n"
+            "namespace = {}\n"
+            "exec('from schemarith import *', namespace)\n"
+            "assert set(schemarith.__all__) <= set(namespace)\n"
+            "try:\n"
+            "    schemarith.missing\n"
+            "except AttributeError as exc:\n"
+            "    print(exc)\n"
+            "print(len(CORPUS), sorted(schemarith.__all__)[:2])\n")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout == ("module 'schemarith' has no attribute 'missing'\n"
+                          "12 ['CORPUS', 'Contradiction']\n")

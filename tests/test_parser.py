@@ -7,6 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from test_lexicon import lemmatize_verb
+
 from schemarith.corpus import CORPUS, by_id
 from schemarith.lexicon import (
     DEFAULT_LEXICON,
@@ -32,6 +34,7 @@ from schemarith.parser import (
     StateProp,
     UnknownWord,
     _END,
+    _TOKENS,
     _take_markers,
     parse_clause,
     parse_problem,
@@ -103,7 +106,7 @@ def split_and_recursive(tokens):
     """The clause-level "and" rule in its recursive statement."""
 
     def has_verb(part):
-        return any(LEX.lemmatize_verb(t) is not None for t in part)
+        return any(lemmatize_verb(LEX, t) is not None for t in part)
 
     for i, tok in enumerate(tokens):
         if tok.lower() != "and":
@@ -269,6 +272,17 @@ WIDE_TEXT = ASCII_TEXT + "éß٣²“”‘’–—\u00a0\u200b\u0301"
 def test_non_ascii_tokens_match_the_regex_reference(pieces):
     text = "".join(pieces)
     assert tokenized(text) == tokenize_reference(text, WIDE_TOKEN_REFERENCE_RE)
+
+
+def test_the_token_table_is_the_comprehension_s_table():
+    """The table written out as one string equals the one a comprehension
+    over the 128 ASCII characters built, and each image is a str."""
+    reference = str.maketrans({
+        **{c: c if c.isalnum() or c in "'-.," else " " for c in map(chr, range(128))},
+        "?": ".", "!": ".",
+    })
+    assert _TOKENS == reference
+    assert all(type(image) is str for image in _TOKENS.values())
 
 
 def test_a_clause_without_a_marker_is_returned_itself():
@@ -761,27 +775,20 @@ def chain_text(k):
             "How many nuts does Dan have now?")
 
 
-RULE_METHODS = ("lemmatize_verb", "normalize_noun", "parse_number")
-
-
-def test_rule_methods_run_once_per_token_outside_the_table(monkeypatch):
+def test_the_derivation_runs_once_per_token_outside_the_table(monkeypatch):
     """Each token is classified once, and a token in the compiled table
-    costs no rule method at all."""
-    calls = Counter()
+    costs no derivation at all."""
+    calls = []
+    derive = Lexicon._words
 
-    def counted(name):
-        method = getattr(Lexicon, name)
+    def counted(self, *args):
+        calls.append(args)
+        return derive(self, *args)
 
-        def wrapper(self, *args):
-            calls[name] += 1
-            return method(self, *args)
-        return wrapper
-
-    for name in RULE_METHODS:
-        monkeypatch.setattr(Lexicon, name, counted(name))
+    monkeypatch.setattr(Lexicon, "_words", counted)
     texts = [p.text for p in CORPUS] + [chain_text(200)]
     outside = sum(w.lower() not in LEX.words
                   for text in texts for w in re.findall(r"[A-Za-z0-9'-]+", text))
     for text in texts:
         parse_problem(text, LEX)
-    assert 0 < sum(calls.values()) <= outside
+    assert 0 < len(calls) <= outside
