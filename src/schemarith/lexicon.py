@@ -2,8 +2,9 @@
 
 The tables load from a line-oriented text format (see ``DEFAULT_LEXICON``
 and the grammar notes in GRAMMAR.md) so new words can be added without
-code changes.  A loaded lexicon is immutable and safe to share across
-concurrent solver runs.
+code changes.  A loaded lexicon is safe to share across concurrent solver
+runs: its tables are not written after load, and its table of Words only
+memoises the Word of each tabled surface the first time a text reads it.
 """
 from .quantity import TimePoint, _Enum, _Frozen, _collector_paused
 
@@ -185,12 +186,14 @@ def _parse_verb_payload(payload: str):
 
 
 class Lexicon:
-    """Read-only word tables, with the ``past`` of each verb lemma, the
-    ``plural`` of each noun class and the ``words`` of every surface tabled
-    at load by :func:`load_lexicon_text`.  One derivation, ``_words``,
-    reads a surface's verb, number, noun and pronoun from the tables once
-    and builds its lower-case Word and another casing's from those fields;
-    ``word`` runs it for a token outside ``words``."""
+    """Word tables, which :func:`load_lexicon_text` builds and nothing
+    writes after, with the ``past`` of each verb lemma, the ``plural`` of
+    each noun class and the ``tabled`` lower-case texts; and ``words``,
+    the Word of each tabled text and of its capitalised form once a text
+    has read it.  One derivation, ``_words``, reads a surface's verb,
+    number, noun and pronoun from the tables once and builds its
+    lower-case Word and another casing's from those fields; ``word`` runs
+    it for a token outside ``words``."""
 
     def __init__(self):
         self.verbs = {}          # lemma -> ChangeKind | Compound | StaticState | NonChange
@@ -207,10 +210,27 @@ class Lexicon:
         return canonical if n == 1 else self.plural[canonical]
 
     def word(self, surface):
-        """The Word of a token outside ``words`` (a numeral of three or more
-        digits, another casing of a tabled word, or a word of the regular
-        inflections), by the one derivation of ``_words``."""
-        return self._words(surface.lower(), surface)[1]
+        """The Word of a token outside ``words``, by the one derivation of
+        ``_words``.  A tabled text's Word, and its capitalised form's when
+        `surface` is that form, is stored in ``words`` and returned from
+        there; any other token (a numeral of three or more digits, another
+        casing of a tabled word, or a word of the regular inflections) is
+        derived again on every miss, so ``words`` holds at most the tabled
+        texts and their capitalised forms.
+
+        Writing the table after load is safe: each entry is a pure function
+        of the load's tables, so any derivation of a surface gives a Word
+        equal to any other's, and ``dict.setdefault`` is atomic, so threads
+        that derive one surface at once all return the one Word stored."""
+        text = surface.lower()
+        word, cased = self._words(text, surface)
+        if text in self.tabled:
+            word = self.words.setdefault(text, word)
+            if surface == text:
+                return word
+            if surface == text.capitalize():
+                return self.words.setdefault(surface, cased)
+        return cased
 
     def _words(self, text, cased):
         """The Words of the lower-case `text` and of `cased`, `text` itself
@@ -265,7 +285,8 @@ class Lexicon:
 
     def _freeze(self):
         """Table the plurals, the past forms, the phrasal heads and the
-        Words; nothing is written to the lexicon after this."""
+        tabled texts, and start the table of Words empty; only ``word``
+        writes to the lexicon after this, and only to ``words``."""
         # noun class -> plural surface: the tabled plural, else the regular one
         self.plural = plural = _Plurals.fromkeys(self.noun_forms.values())
         plural.update(self.plural_forms)
@@ -301,20 +322,15 @@ class Lexicon:
                 if len(parts) > span:
                     self.phrasal.setdefault(" ".join(parts[:-span]), []).append(
                         tuple(parts[-span:]))
-        # surface -> Word: the numerals of at most two digits ("0"-"99" and
-        # "00"-"09"), then every surface in the tables lower-cased and
-        # capitalised, both Words from one derivation.  The loader keeps
-        # every table but the names lower-case.  A Word is read-only, so one
-        # is shared by every text and thread.
-        self.words = words = {
-            digits: Word(digits, digits, n % 100, None, None, None, False)
-            for n, digits in enumerate(_NUMERALS)}
-        for text in {*KEYWORDS, *self.verbs, *self.verb_forms, *self.number_words,
-                     *self.noun_forms, *self.pronouns, *map(str.lower, self.names)}:
-            capital = text.capitalize()
-            words[text], cased = self._words(text, capital)
-            if capital != text:
-                words[capital] = cased
+        # the lower-case texts whose Words ``word`` keeps: the numerals of at
+        # most two digits ("0"-"99" and "00"-"09") and every surface in the
+        # tables lower-cased.  The loader keeps every table but the names
+        # lower-case.  A Word is read-only, so one is shared by every text
+        # and thread.
+        self.tabled = {*_NUMERALS, *KEYWORDS, *self.verbs, *self.verb_forms,
+                       *self.number_words, *self.noun_forms, *self.pronouns,
+                       *map(str.lower, self.names)}
+        self.words = {}
 
 
 _NUMERALS = [str(n) for n in range(100)] + [f"{n:02}" for n in range(10)]
@@ -337,7 +353,8 @@ def _regular_plural(canonical):
 
 class _Plurals(dict):
     """Noun class -> plural surface.  An untabled class reads as its
-    regular plural, which is not stored: a loaded lexicon never changes."""
+    regular plural, which is not stored: a loaded lexicon's tables never
+    change."""
 
     __slots__ = ()
     __missing__ = staticmethod(_regular_plural)
@@ -386,12 +403,14 @@ def load_lexicon_text(text) -> Lexicon:
     decimal of at most MAX_DIGITS digits, a form of a verb that no record
     tables (as a lemma or the head of a phrasal lemma), a verb, form,
     number, noun or pronoun whose word holds an upper-case letter (words
-    are looked up lower-cased), a pronoun or name whose gender is not f, m
-    or group, a noun that holds a space, and a noun that is a reserved word
-    or whose class the noun rule forbids (see ``_regular_class``).  Forms
-    and the noun rule are checked once every record is read.  Each distinct
-    verb payload is parsed once; its value is immutable, so the lemmas that
-    share it share one value.
+    are looked up lower-cased), a verb, form, number, pronoun or name whose
+    word is a digit string (it reads as a numeral), a pronoun or name whose
+    gender is not f, m or group, a noun that holds a space, and a noun that
+    is a reserved word or whose class the noun rule forbids (see
+    ``_regular_class``).  Forms and the noun rule are checked once every
+    record is read.  Each distinct verb payload is parsed once; its value
+    is immutable, so the lemmas that share it share one value.  No Word is
+    built: ``Lexicon.word`` builds each when a text first reads it.
     """
     lex = Lexicon()
     forms, nouns = [], []   # (line, lemma, payload), checked against the whole lexicon
@@ -407,6 +426,8 @@ def load_lexicon_text(text) -> Lexicon:
         try:
             if kind in ("verb", "form", "number", "noun", "pronoun") and lemma != lemma.lower():
                 raise LexiconFormatError(f"{kind} {lemma!r} holds an upper-case letter")
+            if kind in ("verb", "form", "number", "pronoun", "name") and lemma.isdigit():
+                raise LexiconFormatError(f"{kind} {lemma!r} is a numeral")
             if kind in ("pronoun", "name") and payload not in ("f", "m", "group"):
                 raise LexiconFormatError(
                     f"{kind} {lemma!r} has gender {payload!r}, not f, m or group")
@@ -445,12 +466,12 @@ def load_lexicon_text(text) -> Lexicon:
         if base not in lex.verbs and base not in lex.phrasal:
             raise LexiconFormatError(
                 f"line {lineno}: form {form!r} is of {base!r}, which no verb record tables")
-    # a reserved surface's Word names no class; the classes that passed,
+    # a reserved surface names no class; the classes that passed,
     # each checked once; a tabled class is a noun even where it also reads
     # as a verb
     named = set()
     for lineno, surface, cls in nouns:
-        if lex.words[surface].noun is None or (
+        if lex._reserved(surface) or (
                 cls not in named and lex._regular_class(cls.lower()) is None):
             raise LexiconFormatError(
                 f"line {lineno}: noun {surface!r} of class {cls!r} breaks the noun rule")
@@ -644,7 +665,8 @@ _DEFAULT = None
 
 
 def load_default_lexicon() -> Lexicon:
-    """The embedded lexicon (cached; lexicons are immutable)."""
+    """The embedded lexicon, loaded once per process and shared: its
+    tables never change, and its ``words`` only fill as texts read them."""
     global _DEFAULT
     if _DEFAULT is None:
         _DEFAULT = load_lexicon_text(DEFAULT_LEXICON)

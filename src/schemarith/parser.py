@@ -484,7 +484,7 @@ class _ClauseParser:
         """(lemma, tense) of the next token; UnknownWord if the lexicon lacks it."""
         word = self.take()
         if word.verb is None:
-            if word.number is not None or word.text in self.lexicon.words:
+            if word.number is not None or word.text in self.lexicon.tabled:
                 raise self.error(f"expected a verb, found {word.surface!r}")
             raise UnknownWord(self.sentence, word.surface)
         return word.verb

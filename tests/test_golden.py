@@ -21,6 +21,7 @@ import random
 import re
 import subprocess
 import sys
+import threading
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -28,7 +29,8 @@ import pytest
 
 from schemarith.cli import _run_text, main
 from schemarith.corpus import CORPUS
-from schemarith.lexicon import load_default_lexicon
+from schemarith.lexicon import DEFAULT_LEXICON, load_default_lexicon, load_lexicon_text
+from schemarith.parser import tokenize
 from schemarith.pipeline import render_text_report, result_to_dict, run_problem
 from schemarith.schema_engine import Strategy
 
@@ -75,16 +77,16 @@ def dump(data):
     return json.dumps(data, indent=1, ensure_ascii=False)
 
 
-def reports(text, strategy):
-    result = run_problem(text, LEX, strategy)
+def reports(text, strategy, lex=LEX):
+    result = run_problem(text, lex, strategy)
     report = result_to_dict(result)
     del report["timing_ms"]
     return {"report": report,
             "trace": render_text_report(result, trace=True).split("\n")}
 
 
-def current():
-    return {pid: {s.value: reports(text, s) for s in Strategy}
+def current(lex=LEX):
+    return {pid: {s.value: reports(text, s, lex) for s in Strategy}
             for pid, text in PROBLEMS.items()}
 
 
@@ -199,6 +201,57 @@ def test_mutant_outcomes_match_golden():
     assert [outcome(row["text"]) for row in golden] == golden
 
 
+#: Threads that read through one lexicon at once: more than the cores of a
+#: CI runner, so their derivations of one surface overlap.
+THREADS = 5
+
+
+def test_threads_filling_one_table_report_as_one_thread_does():
+    """Threads that read the golden problems and the mutants through one
+    fresh lexicon at once get a sequential run's reports, and every token
+    of a tabled surface, in every thread, is the one Word its table holds."""
+    expected = current(load_lexicon_text(DEFAULT_LEXICON))
+    shared = load_lexicon_text(DEFAULT_LEXICON)
+    texts = list(PROBLEMS.values()) + mutants()
+    barrier = threading.Barrier(THREADS, timeout=60)
+    got, seen = [None] * THREADS, [[] for _ in range(THREADS)]
+
+    def run(i):
+        try:
+            barrier.wait()
+            for text in texts:
+                for sentence in tokenize(text, shared):
+                    for words, start, end, _, _ in sentence.clauses:
+                        seen[i].extend(words[start:end])
+            got[i] = current(shared)
+        except Exception as exc:   # raised again in the main thread
+            got[i] = exc
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)   # switch threads often, so derivations overlap
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(THREADS)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for result in got:
+        if isinstance(result, Exception):
+            raise result
+        assert result == expected
+    words = {}   # tabled surface -> the ids of its Words in every thread
+    for word in (word for tokens in seen for word in tokens):
+        if word.text in shared.tabled and word.surface in (word.text,
+                                                           word.text.capitalize()):
+            words.setdefault(word.surface, set()).add(id(word))
+    assert len(words) > 100
+    for surface, ids in words.items():
+        assert ids == {id(shared.words[surface])}, surface
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(dump(current()) + "\n", encoding="utf-8")
@@ -206,3 +259,4 @@ if __name__ == "__main__":
         dump({s.value: corpus_report(s) for s in Strategy}) + "\n", encoding="utf-8")
     rows = (json.dumps(outcome(text), ensure_ascii=False) for text in mutants())
     GOLDEN_ERRORS.write_text("[\n" + ",\n".join(rows) + "\n]\n", encoding="utf-8")
+

@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schemarith.cli import _run_text
+from schemarith import lexicon
+from schemarith.cli import _run_text, main
 
 from schemarith.corpus import CORPUS
 from schemarith.lexicon import (
     DEFAULT_LEXICON,
     KEYWORDS,
     MAX_DIGITS,
+    Lexicon,
     LexiconFormatError,
     ChangeKind,
     Compound,
@@ -22,12 +24,13 @@ from schemarith.lexicon import (
     Role,
     StaticState,
     Tense,
+    Word,
     _regular_noun,
     _regular_plural,
     load_default_lexicon,
     load_lexicon_text,
 )
-from schemarith.parser import _END, ParseError, _ClauseParser
+from schemarith.parser import _END, ParseError, _ClauseParser, tokenize
 from schemarith.pipeline import run_problem
 from schemarith.quantity import TimePoint
 from schemarith.solver import Solved
@@ -251,7 +254,7 @@ def test_the_noun_table_wins_over_a_verb_reading():
     lex = load_lexicon_text(DEFAULT_LEXICON + "verb\tplant\telementary:create:place\n"
                             "noun\tplant\tplant\nnoun\tplants\tplant\n")
     assert word_of(lex, "plants").verb == ("plant", Tense.PRESENT)
-    assert noun_of(lex, "plants") == lex.words["plants"].noun == "plant"
+    assert noun_of(lex, "plants") == lex.word("plants").noun == "plant"
 
 
 @pytest.mark.parametrize("text", [
@@ -371,7 +374,7 @@ def test_a_numeral_past_the_digit_bound_is_refused():
 
 def test_superset_members():
     # the parser reads a class noun as its canonical class, the table's key
-    assert LEX.supersets[LEX.words["children"].noun] == {"girl", "boy"}
+    assert LEX.supersets[LEX.word("children").noun] == {"girl", "boy"}
     assert LEX.supersets["child"] == {"girl", "boy"}
     assert "apple" not in LEX.supersets
 
@@ -408,6 +411,17 @@ def test_lexicon_text_round_trip():
     ("pronoun\tIt\tm", "pronoun 'It' holds an upper-case letter"),
     ("pronoun\tit\tx", "pronoun 'it' has gender 'x', not f, m or group"),
     ("name\tPat\tn", "name 'Pat' has gender 'n', not f, m or group"),
+    ("name\t12\tm", "name '12' is a numeral"),
+    ("name\t\u00b2\tm", "name '\u00b2' is a numeral"),
+    ("name\t" + "1" * (MAX_DIGITS + 1) + "\tm",
+     f"name '{'1' * (MAX_DIGITS + 1)}' is a numeral"),
+    ("pronoun\t\u00b2\tf", "pronoun '\u00b2' is a numeral"),
+    ("pronoun\t" + "1" * (MAX_DIGITS + 1) + "\tf",
+     f"pronoun '{'1' * (MAX_DIGITS + 1)}' is a numeral"),
+    ("verb\t\u00b2\telementary:in:ownership", "verb '\u00b2' is a numeral"),
+    ("form\t12\tget:past", "form '12' is a numeral"),
+    ("number\t7\t7", "number '7' is a numeral"),
+    ("noun\t\u00b2\t\u00b2", "noun '\u00b2' of class '\u00b2' breaks the noun rule"),
     ("verb\tzap\telementary:sideways:place", "bad change kind sideways:place"),
     ("verb\tzap\telementary:In:place", "bad change kind In:place"),
     ("verb\tzap\telementary:in:Place", "bad change kind in:Place"),
@@ -423,6 +437,9 @@ def test_lexicon_text_round_trip():
         "form-of-no-verb", "noun-with-space", "noun-rule", "number-upper-case",
         "verb-upper-case", "phrasal-verb-upper-case", "form-upper-case",
         "noun-upper-case", "pronoun-upper-case", "pronoun-gender", "name-gender",
+        "name-numeral", "name-unreadable-numeral", "name-numeral-too-long",
+        "pronoun-unreadable-numeral", "pronoun-numeral-too-long", "verb-numeral",
+        "form-numeral", "number-numeral", "noun-unreadable-numeral",
         "direction-unknown", "direction-upper-case", "locus-upper-case",
         "compound-direction-unknown", "compound-component-without-role",
         "compound-role-unknown", "static-time-unknown", "verb-payload-unknown"])
@@ -476,7 +493,7 @@ def test_a_custom_lexicon_is_refused_or_ends_every_text_in_a_documented_code(rec
             assert code in (0, 2, 3, 4), (problem.id, report)
 
 
-# -- the compiled word table ------------------------------------------------
+# -- the table of Words ----------------------------------------------------
 
 
 def is_proper_reference(lex, tok):
@@ -536,21 +553,23 @@ def test_word_table_agrees_with_the_rule_methods():
                min_size=1, max_size=9))
 def test_drawn_words_agree_with_the_rule_methods(surface):
     assert_word_agrees(LEX, surface)
+    assert_the_table_holds_only_tabled_surfaces(LEX)
 
 
 def test_a_loaded_lexicon_gets_its_own_table():
     lex = load_lexicon_text(
         DEFAULT_LEXICON + "verb\tjuggle\telementary:in:ownership\nnoun\tkites\tkite\n")
-    assert "juggle" in lex.words and "kites" in lex.words
-    assert "juggle" not in LEX.words and "kites" not in LEX.words
-    assert lex.words["juggle"].verb == ("juggle", Tense.PRESENT)
-    assert lex.words["Kites"].noun == "kite"
+    assert "juggle" in lex.tabled and "kites" in lex.tabled
+    assert "juggle" not in LEX.tabled and "kites" not in LEX.tabled
+    assert lex.word("juggle").verb == ("juggle", Tense.PRESENT)
+    assert lex.word("Kites").noun == "kite"
     for surface in surfaces(lex):
         assert_word_agrees(lex, surface)
     # Within one load, lemmas with one payload share its one value.  A
     # second load with other records shares no payload value and no Word
     # with the first: a ChangeKind member is the one value of its kind.
     other = load_lexicon_text(DEFAULT_LEXICON + "verb\tzap\tstatic:final\n")
+    read_every_tabled_surface(other)
     assert lex.verbs["give"] is lex.verbs["pay"] is lex.verbs["donate"]
     assert other.verbs["zap"] is other.verbs["remain"]
     assert other.verbs["zap"] is not lex.verbs["remain"]
@@ -563,15 +582,17 @@ def test_a_loaded_lexicon_gets_its_own_table():
     assert not made(lex) & made(other) and not made(lex) & made(LEX)
 
 
-#: (Python-level, C-level) calls of one load of the default lexicon.  From
-#: 3.12 on a comprehension runs in its caller's frame, not as a call.
-DEFAULT_LOAD_CALLS = {(3, 10): (1002, 2601), (3, 11): (1002, 2601),
-                      (3, 12): (999, 2601), (3, 13): (999, 2601)}
+#: (Python-level, C-level) calls of one load of the default lexicon,
+#: measured under 3.11.  3.10 makes the same calls; from 3.12 on a
+#: comprehension runs in its caller's frame, not as a call, and the load
+#: runs two.
+DEFAULT_LOAD_CALLS = {(3, 10): (243, 1408), (3, 11): (243, 1408),
+                      (3, 12): (241, 1408), (3, 13): (241, 1408)}
 
 
 def test_a_default_load_makes_a_fixed_number_of_calls():
-    """Each tabled surface's two Words come from one derivation, and each
-    distinct verb payload is parsed once."""
+    """A load derives no Word, and each distinct verb payload is parsed
+    once."""
     counts = Counter()
 
     def profile(frame, event, arg):
@@ -584,9 +605,6 @@ def test_a_default_load_makes_a_fixed_number_of_calls():
     finally:
         sys.setprofile(None)
     calls = (counts["call"], counts["c_call"])
-    # 2,050 and 4,334 under 3.10 and 3.11 (2,046 and 4,334 from 3.12) when
-    # three rule methods read each surface, its capitalised Word was cased
-    # from the lower-case one again and every verb record's payload was parsed
     expected = DEFAULT_LOAD_CALLS.get(sys.version_info[:2])
     if expected is None:   # a version not measured: no more than the most measured
         most = [max(figures) for figures in zip(*DEFAULT_LOAD_CALLS.values())]
@@ -595,20 +613,93 @@ def test_a_default_load_makes_a_fixed_number_of_calls():
         assert calls == expected
 
 
+def count_words(monkeypatch):
+    """The Words built and the derivations run from now on, as two lists."""
+    built, derived = [], []
+    init, derive = Word.__init__, Lexicon._words
+
+    def counted_init(self, *args):
+        built.append(args[0])
+        init(self, *args)
+
+    def counted_derive(self, *args):
+        derived.append(args)
+        return derive(self, *args)
+
+    monkeypatch.setattr(Word, "__init__", counted_init)
+    monkeypatch.setattr(Lexicon, "_words", counted_derive)
+    return built, derived
+
+
+def read_every_tabled_surface(lex):
+    for text in lex.tabled:
+        lex.word(text)
+        lex.word(text.capitalize())
+
+
+def assert_the_table_holds_only_tabled_surfaces(lex):
+    """Every key of ``words`` is a tabled text or its capitalised form,
+    and keys the Word of that surface as written."""
+    for surface, word in lex.words.items():
+        assert word.surface == surface and word.text == surface.lower(), surface
+        assert word.text in lex.tabled, surface
+        assert surface in (word.text, word.text.capitalize()), surface
+
+
+def test_a_default_load_builds_no_word(monkeypatch):
+    built, derived = count_words(monkeypatch)
+    lex = load_lexicon_text(DEFAULT_LEXICON)
+    assert built == derived == [] and lex.words == {}
+    assert len(lex.tabled) == 290   # 180 texts and 110 numerals
+
+
+def test_a_one_problem_solve_builds_only_the_words_it_reads(tmp_path, monkeypatch, capsys):
+    """The 11 distinct surfaces of the text are derived once each; "Tom"
+    and "How" also store their lower-case Words, 13 in all."""
+    problem = tmp_path / "problem.txt"
+    problem.write_text("Tom had 3 apples. Tom got 2 apples. "
+                       "How many apples does Tom have now?\n")
+    monkeypatch.setattr(lexicon, "_DEFAULT", None)   # a fresh default lexicon
+    built, derived = count_words(monkeypatch)
+    assert main(["solve", str(problem)]) == 0
+    assert capsys.readouterr().out == "Answer: 5\n"
+    assert (len(built), len(derived)) == (13, 11)
+    lex = load_default_lexicon()
+    assert sorted(lex.words) == sorted(
+        ["Tom", "tom", "had", "3", "apples", "got", "2", "How", "how", "many",
+         "does", "have", "now"])
+
+
 def test_the_table_is_keyed_by_surface_as_written():
-    assert "tom" in LEX.words and "Tom" in LEX.words
+    lex = load_lexicon_text(DEFAULT_LEXICON)
+    assert "tom" in lex.tabled and "Tom" not in lex.tabled
     # the numerals of at most two digits are tabled, and no longer one
-    assert "7" in LEX.words and "07" in LEX.words and "99" in LEX.words
-    assert "100" not in LEX.words and "007" not in LEX.words
-    assert LEX.words["07"].number == 7
-    for surface, word in LEX.words.items():
-        assert word.surface == surface
-        assert word.text == surface.lower()
+    assert "7" in lex.tabled and "07" in lex.tabled and "99" in lex.tabled
+    assert "100" not in lex.tabled and "007" not in lex.tabled
+    assert lex.word("07") is lex.words["07"] and lex.words["07"].number == 7
+    read_every_tabled_surface(lex)
+    assert_the_table_holds_only_tabled_surfaces(lex)
+    # every tabled text lower-cased and capitalised, the numerals once
+    assert len(lex.words) == 470
+    assert "tom" in lex.words and "Tom" in lex.words
+
+
+def test_untabled_tokens_leave_the_table_to_the_tabled_surfaces():
+    lex = load_lexicon_text(DEFAULT_LEXICON)
+    text = ("Zorro juggled 300 kites. TOM had 007 apples and Tom got 1000 quickly. "
+            "Then this remained known. How many APPLES does tOM have 12345?")
+    for _ in range(2):
+        tokenize(text, lex)
+    assert_the_table_holds_only_tabled_surfaces(lex)
+    assert sorted(lex.words) == sorted(
+        ["Tom", "tom", "had", "apples", "and", "got", "How", "how", "many",
+         "does", "have"])
 
 
 def test_a_name_with_an_inner_capital_reads_as_written():
     lex = load_lexicon_text(DEFAULT_LEXICON + "name\tMcDonald\tm\n")
-    assert "McDonald" not in lex.words
     result = run_problem("McDonald had 3 apples. He got 2 apples. "
                          "How many apples does McDonald have now?", lex)
     assert result.verdict == Solved(5)
+    # the table keeps a name's lower-case and capitalised forms, no other
+    assert "mcdonald" in lex.words and "McDonald" not in lex.words

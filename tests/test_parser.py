@@ -297,15 +297,21 @@ def test_a_clause_without_a_marker_is_returned_itself():
 
 
 def test_a_tabled_token_is_the_table_s_own_word():
-    """A token the table lists as written is classified by one look-up."""
+    """Once a text has read a tabled surface, the token's Word is the
+    table's, and a later token of that surface is classified by one
+    look-up."""
+    lex = load_lexicon_text(DEFAULT_LEXICON)
     tabled = 0
     for problem in CORPUS:
-        for sentence in tokenize(problem.text, LEX):
+        for sentence in tokenize(problem.text, lex):
             for clause in sentence.clauses:
                 for word in clause_words(clause):
-                    if word.surface in LEX.words:
-                        assert word is LEX.words[word.surface], word.surface
+                    if word.text in lex.tabled and \
+                            word.surface in (word.text, word.text.capitalize()):
+                        assert word is lex.words[word.surface], word.surface
                         tabled += 1
+                    else:
+                        assert word.surface not in lex.words, word.surface
     assert tabled > 100
 
 
@@ -776,8 +782,8 @@ def chain_text(k):
 
 
 def test_the_derivation_runs_once_per_token_outside_the_table(monkeypatch):
-    """Each token is classified once, and a token in the compiled table
-    costs no derivation at all."""
+    """Each token is classified once, and once a text has read a tabled
+    surface, a later token of it costs no derivation at all."""
     calls = []
     derive = Lexicon._words
 
@@ -786,9 +792,16 @@ def test_the_derivation_runs_once_per_token_outside_the_table(monkeypatch):
         return derive(self, *args)
 
     monkeypatch.setattr(Lexicon, "_words", counted)
+    lex = load_lexicon_text(DEFAULT_LEXICON)
     texts = [p.text for p in CORPUS] + [chain_text(200)]
-    outside = sum(w.lower() not in LEX.words
+    outside = sum(w.lower() not in lex.tabled
                   for text in texts for w in re.findall(r"[A-Za-z0-9'-]+", text))
     for text in texts:
-        parse_problem(text, LEX)
-    assert 0 < len(calls) <= outside
+        parse_problem(text, lex)
+    first = len(calls)
+    assert {text for text, _ in calls} & lex.tabled
+    calls.clear()
+    for text in texts:
+        parse_problem(text, lex)
+    assert 0 < len(calls) <= outside and len(calls) < first
+    assert not {text for text, _ in calls} & lex.tabled
