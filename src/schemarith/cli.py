@@ -44,7 +44,7 @@ def _blocks(text):
     for line in text.split("\n"):
         if line and not line.isspace():
             blocks[-1].append(line)
-        elif blocks[-1]:
+        else:
             blocks.append([])
     return ["\n".join(block).strip() for block in blocks if block]
 
@@ -186,16 +186,15 @@ def _summary(rows):
 def _write_stdout(output):
     """Print a report dict as compact JSON, or a text; False if stdout is closed.
 
-    A stdout whose encoding is outside the UTF family gets JSON with
-    \\u escapes, and text with backslash escapes for what it cannot encode.
+    A text gets backslash escapes for what stdout's encoding cannot hold,
+    and JSON gets \\u escapes when that encoding is outside the UTF family.
     """
     encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
-    utf = codecs.lookup(encoding).name.startswith("utf")
     if isinstance(output, str):
-        if not utf:
-            output = output.encode(encoding, "backslashreplace").decode(encoding)
+        output = output.encode(encoding, "backslashreplace").decode(encoding)
     else:   # a report is a tree built afresh, so it holds no cycle to check for
         import json
+        utf = codecs.lookup(encoding).name.startswith("utf")
         output = json.dumps(output, ensure_ascii=not utf, separators=(",", ":"),
                             check_circular=False)
     try:

@@ -19,8 +19,6 @@ from .lexicon import (
     Role,
 )
 from .parser import (
-    CombineProp,
-    CompareProp,
     EntityKind,
     EventProp,
     Locus,
@@ -46,16 +44,11 @@ class DataConflict(Exception):
         )
 
 
-class UnknownVerb(ProblemTextError):
-    def __init__(self, lemma):
-        super().__init__(f"verb {lemma!r} is not in the lexicon")
-
-
 class MissingParticipant(ProblemTextError):
-    """An event names no participant that could carry its locus."""
+    """A change of place names no place, and no agent to hold its change."""
 
-    def __init__(self, verb, what):
-        super().__init__(f"event verb {verb!r} has no {what} to locate the change at")
+    def __init__(self, verb):
+        super().__init__(f"event verb {verb!r} has no place to locate the change at")
 
 
 class ElementaryEvent(_Frozen):
@@ -84,9 +77,8 @@ _PARTICIPANT = {role: attrgetter(role.value) for role in Role}
 def _elementary_change(kind, event):
     """(kind, participant) of the change of an elementary verb."""
     if kind.locus_kind is _OWNERSHIP:
-        # ownership verbs locate the change at the subject
-        if event.agent is None:
-            raise MissingParticipant(event.verb, "owner")
+        # ownership verbs locate the change at the subject, which an
+        # ownership event has: the parser refuses one with no counted object
         return kind, event.agent
     creation_or_termination = kind.direction in _CREATE_OR_TERMINATE
     named = event.destination if kind.direction is _IN else event.source
@@ -97,7 +89,7 @@ def _elementary_change(kind, event):
     # creation/termination without a named place affects the agent's holdings
     if creation_or_termination and event.agent is not None:
         return ChangeKind((kind.direction, _OWNERSHIP)), event.agent
-    raise MissingParticipant(event.verb, "place")
+    raise MissingParticipant(event.verb)
 
 
 def render_elementary(event, lexicon) -> str:
@@ -166,10 +158,8 @@ class PropositionStore:
                 entity = _PARTICIPANT[role](prop)
                 if entity is not None:
                     changes.append((kind, entity))
-        elif verb_class.__class__ is ChangeKind:
+        else:   # the parser heads an event only with a change verb
             changes = (_elementary_change(verb_class, prop),)
-        else:
-            raise UnknownVerb(prop.verb)
         obj, parts = prop.obj, []
         for kind, entity in changes:
             key = (kind.locus_kind, entity.name, entity.kind, obj)
@@ -250,16 +240,15 @@ class PropositionStore:
 
 
 def build_store(props, lexicon) -> PropositionStore:
+    """The store of the propositions ``parse_problem`` gives, in text order."""
     store = PropositionStore(lexicon)
     for prop in props:
         if prop.__class__ is EventProp:
             store.add_event(prop)
         elif prop.__class__ is StateProp:
             store.add_state(prop)
-        elif isinstance(prop, (CompareProp, CombineProp)):
+        else:   # a CompareProp or CombineProp
             store.relations.append(prop)
-        else:
-            raise TypeError(f"not a proposition: {prop!r}")
     return store
 
 

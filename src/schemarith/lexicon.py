@@ -255,8 +255,8 @@ class Lexicon:
         reserved = text in KEYWORDS or number is not None or pronoun is not None
         if reserved:
             noun = None
-        elif tabled is not None or verb is not None or text[:1].isupper():
-            noun = tabled   # isupper: a letter with no lower case, as U+03D2
+        elif tabled is not None or verb is not None:
+            noun = tabled
         else:
             noun = self._regular_class(text)
         word = Word(text, text, number, verb, noun, pronoun, False)
@@ -323,17 +323,18 @@ class Lexicon:
                     self.phrasal.setdefault(" ".join(parts[:-span]), []).append(
                         tuple(parts[-span:]))
         # the lower-case texts whose Words ``word`` keeps: the numerals of at
-        # most two digits ("0"-"99" and "00"-"09") and every surface in the
-        # tables lower-cased.  The loader keeps every table but the names
-        # lower-case.  A Word is read-only, so one is shared by every text
-        # and thread.
+        # most two digits ("0"-"99" and "00"-"09"), every surface in the
+        # tables lower-cased, and each lemma's past, which a text of the
+        # regular endings reads ("remained").  The loader keeps every table
+        # but the names lower-case.  A Word is read-only, so one is shared
+        # by every text and thread.
         self.tabled = {*_NUMERALS, *KEYWORDS, *self.verbs, *self.verb_forms,
-                       *self.number_words, *self.noun_forms, *self.pronouns,
-                       *map(str.lower, self.names)}
+                       *self.past.values(), *self.number_words, *self.noun_forms,
+                       *self.pronouns, *map(str.lower, self.names)}
         self.words = {}
 
 
-_NUMERALS = [str(n) for n in range(100)] + [f"{n:02}" for n in range(10)]
+_NUMERALS = [str(n) for n in range(100)] + ["0" + str(n) for n in range(10)]
 
 
 def _numeral(digits):
@@ -344,7 +345,7 @@ def _numeral(digits):
 
 def _regular_plural(canonical):
     """Plural of a noun class by the regular rules."""
-    if canonical.endswith("y") and len(canonical) > 1 and canonical[-2] not in "aeiou":
+    if canonical[-1:] == "y" and canonical[-2:-1] not in "aeiou":
         return canonical[:-1] + "ies"
     if canonical.endswith(("s", "x", "ch", "sh")):
         return canonical + "es"
@@ -377,7 +378,7 @@ def _regular_verb(w, verbs):
     one of `verbs`; None if no ending gives one."""
     if w[-2:] == "ed" and len(w) > 3:
         stems = [w[:-1], w[:-2]]
-        if len(w) > 4 and w[-3] == w[-4]:
+        if w[-3] == w[-4]:
             stems.append(w[:-3])
         if w[-3:] == "ied":
             stems.append(w[:-3] + "y")

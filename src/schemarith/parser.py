@@ -20,9 +20,7 @@ from .lexicon import (
     Tense,
     Word,
 )
-from .quantity import (
-    QUESTION, Question, TimePoint, _Enum, _Frozen, render_quantity,
-)
+from .quantity import QUESTION, Question, TimePoint, _Enum, _Frozen
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +226,7 @@ def _split_and(words, texts, start, stop, spans):
     the "and" that `texts` holds past the sentence's last word.
     """
     left = start      # no verb in the current clause before position left
-    following = -1    # first verb after the latest "and" that needed one
+    following = start   # first verb after the latest "and" that needed one
     n = texts.index("and", start)
     while n < stop:
         while left < n and words[left].verb is None:
@@ -332,8 +330,9 @@ def _take_markers(clause, texts):
         if texts[i] == "now":
             markers.add(TimePoint.FINAL)
             cuts.append((i, i + 1))
-        elif texts[i] == "beginning" and i - start >= 2 \
-                and texts[i - 2] == "in" and texts[i - 1] == "the":
+        # before a clause stand "and", "if", a sequencer's last word or, at
+        # the sentence's start, the "and" past its end: never "in the"
+        elif texts[i] == "beginning" and texts[i - 2] == "in" and texts[i - 1] == "the":
             markers.add(TimePoint.INITIAL)
             cuts.append((i - 2, i + 1))
     if not cuts:
@@ -658,7 +657,7 @@ class _ClauseParser:
         self._check_done()
         props = []
         for subj in subjects:
-            if subj.kind is not EntityKind.CLASS or subj.cardinality is None:
+            if subj.cardinality is None:   # only a counted class noun has one
                 raise self.error("a counted class noun must head this clause")
             props.append(StateProp(
                 StateKey(Locus(_PLACE, place), subj.name, time), subj.cardinality,
@@ -736,9 +735,8 @@ class _ClauseParser:
             raise self.error(f"unexpected trailing words from {self.peek().surface!r}")
 
 
-def parse_clause(clause, lexicon, latest=None, sentence=0):
-    return _ClauseParser(clause, sentence, lexicon, {} if latest is None else latest,
-                         {}).parse()
+def parse_clause(clause, lexicon, latest, sentence):
+    return _ClauseParser(clause, sentence, lexicon, latest, {}).parse()
 
 
 def parse_problem(text, lexicon) -> list:
@@ -766,18 +764,14 @@ def parse_problem(text, lexicon) -> list:
 
 
 def _entity_surface(entity, lexicon):
-    """A class entity: "5 girls", "1 boy", "the girls"."""
-    noun = lexicon.pluralize(entity.name, entity.cardinality)
-    if entity.cardinality is not None:
-        return f"{entity.cardinality} {noun}"
-    return f"the {noun}"
+    """An event's class agent, which always carries its numeral: "5 girls",
+    "1 boy"."""
+    return f"{entity.cardinality} {lexicon.pluralize(entity.name, entity.cardinality)}"
 
 
 def render_amount(obj, quantity, lexicon) -> str:
     """An amount of an object class: "3 apples", "1 apple", "X apples"."""
-    if quantity.__class__ is int:
-        return f"{quantity} {obj if quantity == 1 else lexicon.plural[obj]}"
-    return f"{render_quantity(quantity)} {lexicon.plural[obj]}"
+    return f"{quantity} {obj if quantity == 1 else lexicon.plural[obj]}"
 
 
 def render_state(key, quantity, lexicon) -> str:

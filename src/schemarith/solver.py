@@ -129,7 +129,7 @@ def propagate(lsi) -> SolveResult:
                     names.append(name)
                     values.append(None)
                     users.append([idx])
-                elif users[number][-1] != idx:
+                else:   # a repeat within one equation joins a pass only once
                     users[number].append(idx)
             numbers.append(number)
         slots.append(numbers)
@@ -179,9 +179,10 @@ def propagate(lsi) -> SolveResult:
                     rendered[idx], f"{a} + {b} = {a + b}, but {c} is required"))
             continue
         if value < 0:
-            if idx not in flagged:
-                flagged.add(idx)
-                invalids.append(Invalid(rendered[idx], value))
+            # the first visit with one unknown: only that unknown's binding
+            # brings the equation back, and then all three are known
+            flagged.add(idx)
+            invalids.append(Invalid(rendered[idx], value))
             continue
         values[target] = value
         name = names[target]
@@ -196,7 +197,7 @@ def propagate(lsi) -> SolveResult:
         for j in users[target]:
             if j < idx:
                 next_pass.add(j)
-            elif j > idx and j not in queued:
+            elif j not in queued:   # idx itself is queued
                 queued.add(j)
                 heappush(due, j)
     question = index.get(QUESTION)

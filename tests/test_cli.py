@@ -31,12 +31,43 @@ def test_solve_exit_zero_and_answer(tmp_path, capsys):
     assert "Answer: 6" in capsys.readouterr().out
 
 
+def test_each_report_is_headed_when_more_than_one_problem_is_read(tmp_path, capsys):
+    """README: with more than one problem, from the blocks of one file or
+    from several files, each report is headed ``== FILE#N``."""
+    one = write_problem(tmp_path, by_id("basket-apples").text, "one.txt")
+    two = write_problem(tmp_path, by_id("basket-apples").text, "two.txt")
+    assert cli.main(["solve", one]) == 0
+    assert capsys.readouterr().out == "Answer: 6\n"
+    assert cli.main(["solve", one, two]) == 0
+    assert capsys.readouterr().out == f"== {one}#1\nAnswer: 6\n\n== {two}#1\nAnswer: 6\n"
+
+
 def test_solve_trace_shows_instantiation(tmp_path, capsys):
     path = write_problem(tmp_path, by_id("basket-apples").text)
     assert cli.main(["solve", path, "--trace"]) == 0
     out = capsys.readouterr().out
     assert "Transfer-In-Place (initially 4, in 2, finally ?)" in out
     assert "Schema Instantiations" in out
+
+
+def test_trace_leaves_out_the_blocks_with_nothing_to_show(tmp_path, capsys):
+    """README: the `Not recorded` block shows only when the cautious
+    strategy skipped a candidate, and the `Propagation:` block only when a
+    step derived an amount."""
+    path = write_problem(tmp_path, "Ruth got 2 apples. How many apples does Ruth have now?")
+    assert cli.main(["solve", path, "--trace"]) == 3
+    out = capsys.readouterr().out
+    assert "Not recorded (cautious strategy):" in out
+    assert out.endswith("\nEquations:\n\nInsufficient data: could not determine "
+                        "the question\n")
+    assert cli.main(["solve", path, "--trace", "--strategy", "total"]) == 3
+    out = capsys.readouterr().out
+    assert "Not recorded" not in out
+    assert out.endswith("\nEquations:\n  ? = X + 2\n\nInsufficient data: could not "
+                        "determine X\n")
+    path = write_problem(tmp_path, by_id("basket-apples").text)
+    assert cli.main(["solve", path, "--trace"]) == 0
+    assert "\nPropagation:\n  " in capsys.readouterr().out
 
 
 def test_trace_renders_a_bare_place_of_a_termination_verb_as_where_it_happened(
@@ -455,6 +486,18 @@ def test_corpus_json(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["summary"]["total"] == len(CORPUS)
     assert report["summary"]["matches"] == len(CORPUS)
+
+
+def test_timing_is_reported_to_the_microsecond(tmp_path, capsys):
+    """docs/report-schema.md: `timing_ms` is rounded to 3 decimals, in a
+    problem report and in a corpus row."""
+    path = write_problem(tmp_path, "\n\n".join(p.text for p in CORPUS))
+    cli.main(["solve", path, "--format", "json"])
+    timings = [p["timing_ms"] for p in json.loads(capsys.readouterr().out)["problems"]]
+    assert cli.main(["corpus", "--format", "json"]) == 0
+    timings += [p["timing_ms"] for p in json.loads(capsys.readouterr().out)["problems"]]
+    assert len(timings) == 2 * len(CORPUS)
+    assert all(round(t, 3) == t for t in timings), timings
 
 
 def test_perturbed_golden_answer_detected(capsys, monkeypatch):

@@ -7,6 +7,7 @@ from schemarith.corpus import CORPUS, by_id
 from schemarith.discourse import (
     DataConflict,
     ElementaryEvent,
+    MissingParticipant,
     build_store,
     build_timelines,
     render_elementary,
@@ -126,6 +127,19 @@ def test_split_conservation():
             for part in parts:
                 assert part.delta == surface.amount
                 assert part.obj == surface.obj
+
+
+@pytest.mark.parametrize("sentence, verb", [
+    ("Tom put 2 apples from the box.", "put"),
+    ("Tom took out 2 apples into the basket.", "take out"),
+])
+def test_a_transfer_of_place_happens_only_at_its_own_end(sentence, verb):
+    """GRAMMAR.md, "Creation and termination verbs": an `in` verb changes
+    its destination and an `out` verb its source, never the other place a
+    creation or termination verb would take."""
+    with pytest.raises(MissingParticipant) as info:
+        run_problem(f"{sentence} How many apples does Tom have now?", LEX)
+    assert str(info.value) == f"event verb {verb!r} has no place to locate the change at"
 
 
 def test_give_always_emits_out_and_in():

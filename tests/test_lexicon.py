@@ -233,6 +233,9 @@ def noun_of(lex, surface):
     ("children", "child"),
     ("boxes", "box"),
     ("egg", "egg"),
+    # GRAMMAR.md, "Regular endings": each example and counter-example
+    ("flies", "fly"), ("pies", "pie"), ("dishes", "dish"), ("cars", "car"),
+    ("bus", "bus"), ("glass", "glass"),
 ])
 def test_normalize_noun(surface, expected):
     assert noun_of(LEX, surface) == expected
@@ -277,11 +280,12 @@ CARRY = load_lexicon_text(DEFAULT_LEXICON + "verb\tcarry\telementary:in:place\n"
     (LEX, "give", "gave"),                  # a tabled irregular form
     (LEX, "receive", "received"),           # the regular -d
     (LEX, "remain", "remained"),            # the regular -ed
+    (LEX, "stay", "stayed"),                # the regular -ed after a vowel and y
     (CARRY, "carry", "carried"),            # the regular -ied, in a custom lexicon
     (LEX, "fall out of", "fell out of"),    # an irregular head, particles kept
     (LEX, "take away", "took away"),
     (LEX, "be born", "born"),               # a form tabled for the whole lemma
-], ids=["give", "receive", "remain", "custom-carry", "fall-out-of", "take-away",
+], ids=["give", "receive", "remain", "stay", "custom-carry", "fall-out-of", "take-away",
         "be-born"])
 def test_the_lexicon_tables_each_verb_lemma_s_past(lex, lemma, past):
     assert lex.past[lemma] == past
@@ -296,6 +300,29 @@ def test_the_tabled_past_lemmatizes_as_past(lex):
         head = lex.past[lemma].split()[0]
         assert word_of(lex, head).verb in {
             (lemma, Tense.PAST), (lemma.split()[0], Tense.PAST)}, (lemma, head)
+
+
+#: The default lexicon with a lemma of each -y and doubled-consonant rule.
+ENDINGS = load_lexicon_text(DEFAULT_LEXICON + "verb\tcarry\telementary:in:place\n"
+                            "verb\tgrab\telementary:in:ownership\n")
+
+
+@pytest.mark.parametrize("surface, verb", [
+    ("received", ("receive", Tense.PAST)),
+    ("died", ("die", Tense.PAST)),
+    ("remained", ("remain", Tense.PAST)),
+    ("grabbed", ("grab", Tense.PAST)),
+    ("carried", ("carry", Tense.PAST)),
+    ("bed", None),
+    ("addled", None),
+    ("stated", None),
+    ("carries", ("carry", Tense.PRESENT)),
+    ("fetches", ("fetch", Tense.PRESENT)),
+    ("gets", ("get", Tense.PRESENT)),
+])
+def test_the_regular_verb_endings(surface, verb):
+    """GRAMMAR.md, "Regular endings": each example and counter-example."""
+    assert ENDINGS.word(surface).verb == verb
 
 
 # A custom lexicon with an irregular plural, and a class with no plural record.
@@ -326,6 +353,8 @@ def test_an_untabled_class_is_pluralized_and_not_stored(lex):
     size = len(lex.plural)
     assert lex.plural["kite"] == lex.pluralize("kite") == "kites"
     assert lex.plural["fox"] == "foxes"
+    # GRAMMAR.md, "Regular endings": a consonant and y take -ies
+    assert lex.plural["berry"] == "berries" and lex.plural["key"] == "keys"
     assert len(lex.plural) == size
     assert "kite" not in lex.plural and "fox" not in lex.plural
 
@@ -402,7 +431,10 @@ def test_lexicon_text_round_trip():
     ("form\tgot\tget:future", "'future' is not a valid Tense"),
     ("form\tzapped\tzap:past", "form 'zapped' is of 'zap', which no verb record tables"),
     ("noun\tice cream\tice cream", "noun 'ice cream' of class 'ice cream' holds a space"),
+    ("noun\tapple\tbig apple", "noun 'apple' of class 'big apple' holds a space"),
     ("noun\tand\tand", "noun 'and' of class 'and' breaks the noun rule"),
+    ("noun\tfoo\tthe", "noun 'foo' of class 'the' breaks the noun rule"),
+    ("adjective\tred\tred", "unknown record kind 'adjective'"),
     ("number\tDozen\t12", "number 'Dozen' holds an upper-case letter"),
     ("verb\tGrab\telementary:in:ownership", "verb 'Grab' holds an upper-case letter"),
     ("verb\tput In\telementary:in:place", "verb 'put In' holds an upper-case letter"),
@@ -434,7 +466,8 @@ def test_lexicon_text_round_trip():
     ("verb\tzap\tstatic:middle", "'middle' is not a valid TimePoint"),
     ("verb\tzap\tbogus:x", "bad verb payload 'bogus:x'"),
 ], ids=["negative-number", "number-not-decimal", "number-too-long", "form-tense",
-        "form-of-no-verb", "noun-with-space", "noun-rule", "number-upper-case",
+        "form-of-no-verb", "noun-with-space", "class-with-space", "noun-rule",
+        "class-rule", "kind-unknown", "number-upper-case",
         "verb-upper-case", "phrasal-verb-upper-case", "form-upper-case",
         "noun-upper-case", "pronoun-upper-case", "pronoun-gender", "name-gender",
         "name-numeral", "name-unreadable-numeral", "name-numeral-too-long",
@@ -586,8 +619,8 @@ def test_a_loaded_lexicon_gets_its_own_table():
 #: measured under 3.11.  3.10 makes the same calls; from 3.12 on a
 #: comprehension runs in its caller's frame, not as a call, and the load
 #: runs two.
-DEFAULT_LOAD_CALLS = {(3, 10): (243, 1408), (3, 11): (243, 1408),
-                      (3, 12): (241, 1408), (3, 13): (241, 1408)}
+DEFAULT_LOAD_CALLS = {(3, 10): (243, 1409), (3, 11): (243, 1409),
+                      (3, 12): (241, 1409), (3, 13): (241, 1409)}
 
 
 def test_a_default_load_makes_a_fixed_number_of_calls():
@@ -650,7 +683,7 @@ def test_a_default_load_builds_no_word(monkeypatch):
     built, derived = count_words(monkeypatch)
     lex = load_lexicon_text(DEFAULT_LEXICON)
     assert built == derived == [] and lex.words == {}
-    assert len(lex.tabled) == 290   # 180 texts and 110 numerals
+    assert len(lex.tabled) == 311   # 201 texts and 110 numerals
 
 
 def test_a_one_problem_solve_builds_only_the_words_it_reads(tmp_path, monkeypatch, capsys):
@@ -680,7 +713,7 @@ def test_the_table_is_keyed_by_surface_as_written():
     read_every_tabled_surface(lex)
     assert_the_table_holds_only_tabled_surfaces(lex)
     # every tabled text lower-cased and capitalised, the numerals once
-    assert len(lex.words) == 470
+    assert len(lex.words) == 512
     assert "tom" in lex.words and "Tom" in lex.words
 
 
@@ -692,8 +725,8 @@ def test_untabled_tokens_leave_the_table_to_the_tabled_surfaces():
         tokenize(text, lex)
     assert_the_table_holds_only_tabled_surfaces(lex)
     assert sorted(lex.words) == sorted(
-        ["Tom", "tom", "had", "apples", "and", "got", "How", "how", "many",
-         "does", "have"])
+        ["Tom", "tom", "had", "apples", "and", "got", "remained", "How", "how",
+         "many", "does", "have"])
 
 
 def test_a_name_with_an_inner_capital_reads_as_written():

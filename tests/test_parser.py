@@ -35,6 +35,7 @@ from schemarith.parser import (
     UnknownWord,
     _END,
     _TOKENS,
+    _split_and,
     _take_markers,
     parse_clause,
     parse_problem,
@@ -126,6 +127,36 @@ def test_and_split_matches_recursive_rule(words):
     [sentence] = tokenize(" ".join(words) + ".", LEX)
     assert [[w.surface for w in clause_words(c)] for c in sentence.clauses] == \
         split_and_recursive(words)
+
+
+class ReadCounted(list):
+    """A list that counts the items read from it."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def split_and_reads(k):
+    """The Words ``_split_and`` reads on one clause of k objects joined by
+    "and" with no verb after the first: each "and" asks whether a verb
+    follows, and the answer for one holds for every later one."""
+    tokens = ["Tom", "had", "3", "apples"] + ["and", "3", "apples"] * (k - 1)
+    words = [*map(LEX.word, tokens), _END]
+    texts = [w.text for w in words[:-1]] + ["and"]
+    words = ReadCounted(words)
+    spans = []
+    _split_and(words, texts, 0, len(tokens), spans)
+    assert spans == [(0, len(tokens))]
+    return words.reads
+
+
+def test_the_and_split_reads_each_word_a_bounded_number_of_times():
+    """ROADMAP item 11: no stage is superlinear in the problem size, so four
+    times the objects cost at most 4.4 times the reads."""
+    assert split_and_reads(400) / split_and_reads(100) <= 4.4
 
 
 SEQUENCERS = (["then"], ["next"], ["after", "this"], ["after", "that"],
@@ -471,7 +502,7 @@ def test_phrasal_verb_event():
 def test_longest_phrasal_lemma_wins():
     lex = load_lexicon_text(DEFAULT_LEXICON + "verb\tfall out\telementary:out:place\n")
     [s] = tokenize("3 eggs fell out of the box.", lex)
-    [prop] = parse_clause(s.clauses[0], lex)
+    [prop] = parse_clause(s.clauses[0], lex, {}, 0)
     assert prop.verb == "fall out of"
 
 
@@ -617,6 +648,18 @@ def test_parse_error_carries_sentence_index():
     assert info.value.sentence == 1
 
 
+def test_a_numeral_holds_at_most_1000_digits():
+    """GRAMMAR.md: `DIGITS` is at most 1,000 digits; a longer digit string
+    is a parse error of its sentence."""
+    question = " How many apples does Tom have now?"
+    [prop, _] = parse_problem(f"Tom had {'9' * 1000} apples." + question, LEX)
+    assert prop.quantity == 10 ** 1000 - 1
+    with pytest.raises(ParseError) as info:
+        parse_problem(f"Tom had {'9' * 1001} apples." + question, LEX)
+    assert str(info.value) == \
+        "sentence 1: numeral of 1001 digits is too long (at most 1000)"
+
+
 # The whole text is tokenized before any clause is parsed, so a word the
 # tokenizer refuses in a later sentence is reported before an earlier
 # sentence's word that only the clause parser refuses.  A conflict of time
@@ -696,6 +739,15 @@ def test_proposition_render_reparse_round_trip(problem):
 def test_event_render_reparse_round_trip(sentence):
     prop = _reparse_one(sentence)
     assert render_proposition(prop, LEX) == sentence
+
+
+def test_render_proposition_refuses_what_is_not_a_proposition():
+    """A check of a public function's argument: only the four proposition
+    classes render."""
+    [state, _] = parse_problem("Tom had 3 apples. How many apples does Tom have now?", LEX)
+    for thing in (None, state.key, "Tom had 3 apples."):
+        with pytest.raises(TypeError, match="not a proposition"):
+            render_proposition(thing, LEX)
 
 
 @pytest.mark.parametrize("sentence, source, destination, rendered", [
