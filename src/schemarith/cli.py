@@ -186,15 +186,16 @@ def _summary(rows):
 def _write_stdout(output):
     """Print a report dict as compact JSON, or a text; False if stdout is closed.
 
-    A text gets backslash escapes for what stdout's encoding cannot hold,
-    and JSON gets \\u escapes when that encoding is outside the UTF family.
+    A stdout whose encoding is outside the UTF family gets JSON with
+    \\u escapes, and text with backslash escapes for what it cannot encode.
     """
     encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
+    utf = codecs.lookup(encoding).name.startswith("utf")
     if isinstance(output, str):
-        output = output.encode(encoding, "backslashreplace").decode(encoding)
+        if not utf:
+            output = output.encode(encoding, "backslashreplace").decode(encoding)
     else:   # a report is a tree built afresh, so it holds no cycle to check for
         import json
-        utf = codecs.lookup(encoding).name.startswith("utf")
         output = json.dumps(output, ensure_ascii=not utf, separators=(",", ":"),
                             check_circular=False)
     try:

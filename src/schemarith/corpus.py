@@ -106,5 +106,7 @@ CORPUS = (
 
 
 def by_id(problem_id) -> CorpusProblem:
-    """The bundled problem of an id; KeyError if none has it."""
-    return {problem.id: problem for problem in CORPUS}[problem_id]
+    for problem in CORPUS:
+        if problem.id == problem_id:
+            return problem
+    raise KeyError(problem_id)

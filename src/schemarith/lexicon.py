@@ -294,10 +294,12 @@ class Lexicon:
             if surface is None:
                 plural[cls] = _regular_plural(cls)
         # lemma -> its past surface: the lemma's tabled past form, else its
-        # head word's, by the table or the regular rules, particles kept
+        # head word's, by the table or the regular rules, particles kept;
+        # and the regular pasts of one word that the regular endings read
+        # back as their lemma's past ("remained", not "xed" of "x")
         forms = {lemma: form for form, (lemma, tense) in self.verb_forms.items()
                  if tense is Tense.PAST}
-        self.past = {}
+        self.past, regular = {}, []
         for lemma in self.verbs:
             past = forms.get(lemma)
             if past is None:
@@ -310,6 +312,9 @@ class Lexicon:
                         past = head[:-1] + "ied"
                     else:
                         past = head + "ed"
+                    if not particles and _regular_verb(past, self.verbs) == (
+                            lemma, Tense.PAST):
+                        regular.append(past)
                 if particles:
                     past += " " + particles
             self.past[lemma] = past
@@ -324,12 +329,11 @@ class Lexicon:
                         tuple(parts[-span:]))
         # the lower-case texts whose Words ``word`` keeps: the numerals of at
         # most two digits ("0"-"99" and "00"-"09"), every surface in the
-        # tables lower-cased, and each lemma's past, which a text of the
-        # regular endings reads ("remained").  The loader keeps every table
-        # but the names lower-case.  A Word is read-only, so one is shared
-        # by every text and thread.
+        # tables lower-cased, and the regular pasts read back.  The loader
+        # keeps every table but the names lower-case.  A Word is read-only,
+        # so one is shared by every text and thread.
         self.tabled = {*_NUMERALS, *KEYWORDS, *self.verbs, *self.verb_forms,
-                       *self.past.values(), *self.number_words, *self.noun_forms,
+                       *regular, *self.number_words, *self.noun_forms,
                        *self.pronouns, *map(str.lower, self.names)}
         self.words = {}
 

@@ -226,7 +226,7 @@ def _split_and(words, texts, start, stop, spans):
     the "and" that `texts` holds past the sentence's last word.
     """
     left = start      # no verb in the current clause before position left
-    following = start   # first verb after the latest "and" that needed one
+    following = -1    # first verb after the latest "and" that needed one
     n = texts.index("and", start)
     while n < stop:
         while left < n and words[left].verb is None:

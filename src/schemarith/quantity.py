@@ -48,7 +48,7 @@ class _EnumType(type):
         cls = super().__new__(meta, name, bases, namespace)
         cls._members, cls._by_value = [], {}
         for key, value in namespace.items():
-            if key.startswith("_") or hasattr(value, "__get__"):
+            if key[0] == "_" or hasattr(value, "__get__"):
                 continue
             args = value if isinstance(value, tuple) else (value,)
             member = (object.__new__(cls) if cls.__new__ is object.__new__

@@ -177,10 +177,11 @@ def build_lsi(store, timelines, strategy, first):
             continue
         # Missing endpoints are introduced as fresh unknown states, the
         # initial one first; the cautious gate lets no such timeline here.
-        initial, final = (
-            store.lookup_or_introduce(StateKey(timeline.locus, timeline.obj, time))
-            for time in (TimePoint.INITIAL, TimePoint.FINAL))
-        amounts = [initial, *timeline.intermediates, final]
+        amounts = [timeline.initial, *timeline.intermediates, timeline.final]
+        for i, time in ((0, TimePoint.INITIAL), (-1, TimePoint.FINAL)):
+            if amounts[i] is None:
+                amounts[i] = store.lookup_or_introduce(
+                    StateKey(timeline.locus, timeline.obj, time))
         for event, before, after in zip(timeline.events, amounts, amounts[1:]):
             lsi.append(change_instantiation(event, before, after))
     return lsi, skipped

@@ -614,6 +614,16 @@ def test_a_known_word_where_the_verb_belongs_is_not_unknown(text, error):
     assert isinstance(info.value, UnknownWord) == error.startswith("unknown")
 
 
+def test_a_past_the_regular_endings_cannot_read_is_unknown():
+    # GRAMMAR.md: the -ed ending needs 4 letters, so "xed", the past the
+    # proposition list gives a one-letter lemma "x", is no verb and no
+    # tabled word
+    lex = load_lexicon_text(DEFAULT_LEXICON + "verb\tx\telementary:in:ownership\n")
+    with pytest.raises(UnknownWord) as info:
+        parse_problem("Tom xed 2 apples. How many apples does Tom have now?", lex)
+    assert str(info.value) == "sentence 1: unknown word 'xed'"
+
+
 def test_truncated_question():
     with pytest.raises(ParseError):
         parse_text("How many apples?")

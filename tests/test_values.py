@@ -273,6 +273,20 @@ def test_enum_lists_reads_and_prints_its_members(enum):
         assert str(refused.value) == f"{bogus!r} is not a valid {enum.__name__}"
 
 
+def test_only_the_public_plain_names_of_an_enum_body_are_members():
+    # the quantity docstring: each public name that is not a descriptor
+    class Shade(_Enum):
+        A = "a"
+        B_ = "b"
+        _hidden = "h"
+
+        def describe(self):
+            return self.name
+
+    assert [member.name for member in Shade] == ["A", "B_"]
+    assert Shade._hidden == "h" and Shade.A.describe() == "A"
+
+
 def test_enum_values_and_attributes_read_as_defined():
     assert repr(Direction.IN) == "<Direction.IN: 'in'>"
     assert str(Direction.IN) == "Direction.IN"
